@@ -51,164 +51,115 @@ step "rebuild with tracing on; baseline diff must be byte-identical either way"
 cargo build --release -p agora-harness
 ./target/release/agora-harness
 
-step "chaos smoke: E15 deterministic across thread counts; e1-e14 baseline untouched"
 CHAOS_TMP="$(mktemp -d)"
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP" "$CHAOS_TMP"' EXIT
-# 1 thread writes a filtered baseline; 8 threads must reproduce it exactly
-# (the harness's own diff is the gate), and the raw artifacts must be
-# byte-identical. The full-matrix baseline diffs above already prove
-# e1-e14 are unchanged with chaos code compiled in but dormant.
-./target/release/agora-harness --filter e15 --threads 1 \
-    --baseline "$CHAOS_TMP/e15_baseline.json" --update-baseline \
-    --json "$CHAOS_TMP/e15_t1.json" >/dev/null
-./target/release/agora-harness --filter e15 --threads 8 \
-    --baseline "$CHAOS_TMP/e15_baseline.json" \
-    --json "$CHAOS_TMP/e15_t8.json" >/dev/null
-cmp "$CHAOS_TMP/e15_t1.json" "$CHAOS_TMP/e15_t8.json"
+H=./target/release/agora-harness
 
-step "workload smoke: E16 deterministic across thread counts; e1-e15 baseline untouched"
-# Same contract as the chaos smoke: 1 thread writes a filtered baseline,
-# 8 threads must reproduce it exactly, raw artifacts byte-identical. The
-# full-matrix baseline diffs above already prove e1-e15 rows are unchanged
-# with the workload engine compiled in.
-./target/release/agora-harness --filter e16 --threads 1 \
-    --baseline "$CHAOS_TMP/e16_baseline.json" --update-baseline \
-    --json "$CHAOS_TMP/e16_t1.json" >/dev/null
-./target/release/agora-harness --filter e16 --threads 8 \
-    --baseline "$CHAOS_TMP/e16_baseline.json" \
-    --json "$CHAOS_TMP/e16_t8.json" >/dev/null
-cmp "$CHAOS_TMP/e16_t1.json" "$CHAOS_TMP/e16_t8.json"
+# det_smoke <name> <filter> <config>...: the first config writes a filtered
+# baseline; every later config must reproduce it exactly (the harness's own
+# diff is the gate) and its raw artifact must be byte-identical to the
+# first's. A config is one word-split flag string. Like trace_smoke below,
+# this relies on `set -e`: call it as a plain statement, never inside
+# `if`/`&&`/`||`, where bash suspends errexit and a failed cmp or grep
+# would no longer abort.
+det_smoke() {
+    local name=$1 filter=$2 first=$3 i=0 cfg
+    shift 3
+    # shellcheck disable=SC2086
+    $H --filter "$filter" $first --baseline "$CHAOS_TMP/${name}_baseline.json" \
+        --update-baseline --json "$CHAOS_TMP/${name}_0.json" >/dev/null
+    for cfg in "$@"; do
+        i=$((i + 1))
+        # shellcheck disable=SC2086
+        $H --filter "$filter" $cfg --baseline "$CHAOS_TMP/${name}_baseline.json" \
+            --json "$CHAOS_TMP/${name}_$i.json" >/dev/null
+        cmp "$CHAOS_TMP/${name}_0.json" "$CHAOS_TMP/${name}_$i.json"
+    done
+}
 
-step "market smoke: E17 deterministic across thread counts; e1-e16 baseline untouched"
-# Same contract again: 1 thread writes a filtered baseline, 8 threads must
-# reproduce it exactly, raw artifacts byte-identical. The full-matrix
-# baseline diffs above already prove e1-e16 rows are unchanged with the
-# market subsystem compiled in but dormant.
-./target/release/agora-harness --filter e17 --threads 1 \
-    --baseline "$CHAOS_TMP/e17_baseline.json" --update-baseline \
-    --json "$CHAOS_TMP/e17_t1.json" >/dev/null
-./target/release/agora-harness --filter e17 --threads 8 \
-    --baseline "$CHAOS_TMP/e17_baseline.json" \
-    --json "$CHAOS_TMP/e17_t8.json" >/dev/null
-cmp "$CHAOS_TMP/e17_t1.json" "$CHAOS_TMP/e17_t8.json"
-
-step "shard smoke: --shards is invisible in the artifact; e1-e17 baseline untouched"
-# The sharded engine's identity contract at the CLI surface: 1 shard (the
-# serial oracle) writes a filtered baseline, 4 shards combined with 8
-# matrix threads must reproduce it exactly, raw artifacts byte-identical.
-# e16 is the sim-heaviest default experiment, so it exercises real
-# cross-shard traffic, churn and chaos through the window barriers.
-./target/release/agora-harness --filter e16 --shards 1 --threads 1 \
-    --baseline "$CHAOS_TMP/shard_baseline.json" --update-baseline \
-    --json "$CHAOS_TMP/shard_s1.json" >/dev/null
-./target/release/agora-harness --filter e16 --shards 4 --threads 8 \
-    --baseline "$CHAOS_TMP/shard_baseline.json" \
-    --json "$CHAOS_TMP/shard_s4.json" >/dev/null
-cmp "$CHAOS_TMP/shard_s1.json" "$CHAOS_TMP/shard_s4.json"
-
-step "policy smoke: E16 policy variants deterministic across threads and shards"
-# The reactive-control plane acts only at drain boundaries off probe-frame
-# state, so the policy-on artifact — including the exact policy.* action
-# counters — must be byte-identical at any thread or shard count. The
-# policy-OFF dormancy proof is the full-matrix baseline diffs above: every
-# pre-policy row of BENCH_harness.json reproduces exactly with the policy
-# crate compiled in.
-./target/release/agora-harness --filter e16p/p10k --threads 1 \
-    --baseline "$CHAOS_TMP/policy_baseline.json" --update-baseline \
-    --json "$CHAOS_TMP/policy_t1.json" >/dev/null
-./target/release/agora-harness --filter e16p/p10k --threads 8 \
-    --baseline "$CHAOS_TMP/policy_baseline.json" \
-    --json "$CHAOS_TMP/policy_t8.json" >/dev/null
-cmp "$CHAOS_TMP/policy_t1.json" "$CHAOS_TMP/policy_t8.json"
-./target/release/agora-harness --filter e16p/p10k --shards 4 --threads 8 \
-    --baseline "$CHAOS_TMP/policy_baseline.json" \
-    --json "$CHAOS_TMP/policy_s4.json" >/dev/null
-cmp "$CHAOS_TMP/policy_t1.json" "$CHAOS_TMP/policy_s4.json"
-
-step "app smoke: E18 deterministic across threads and shards; e1-e17 baseline untouched"
-# Same contract as the policy smoke: the delta-sync substrate (push
-# fan-out, summary pulls, churn-driven bootstraps) must render the exact
-# same rows — staleness histograms included — at any thread or shard
-# count. The full-matrix baseline diffs above already prove every
-# pre-app row of BENCH_harness.json reproduces with agora-app compiled in.
-./target/release/agora-harness --filter e18/p10k --threads 1 \
-    --baseline "$CHAOS_TMP/app_baseline.json" --update-baseline \
-    --json "$CHAOS_TMP/app_t1.json" >/dev/null
-./target/release/agora-harness --filter e18/p10k --threads 8 \
-    --baseline "$CHAOS_TMP/app_baseline.json" \
-    --json "$CHAOS_TMP/app_t8.json" >/dev/null
-cmp "$CHAOS_TMP/app_t1.json" "$CHAOS_TMP/app_t8.json"
-./target/release/agora-harness --filter e18/p10k --shards 4 --threads 8 \
-    --baseline "$CHAOS_TMP/app_baseline.json" \
-    --json "$CHAOS_TMP/app_s4.json" >/dev/null
-cmp "$CHAOS_TMP/app_t1.json" "$CHAOS_TMP/app_s4.json"
+# name filter config | config ... (first config = baseline writer). The
+# full-matrix baseline diffs above already prove every other row is
+# unchanged with each subsystem compiled in but dormant; these prove the
+# artifact does not depend on the thread or shard count.
+#   e15   chaos: fault schedules and retries
+#   e16   workload: the population day on all five classes
+#   e17   market: challenges, slashes, repair under chaos
+#   shard the sharded engine is invisible in the artifact (e16 is the
+#         sim-heaviest default experiment: real cross-shard traffic, churn)
+#   e16p  policy: reactive control acts only at drain boundaries off
+#         probe-frame state, exact policy.* action counters included
+#   e18   app: delta-sync push fan-out, summary pulls, staleness histograms
+DET_TABLE=(
+    "e15    e15        --threads 1 | --threads 8"
+    "e16    e16        --threads 1 | --threads 8"
+    "e17    e17        --threads 1 | --threads 8"
+    "shard  e16        --shards 1 --threads 1 | --shards 4 --threads 8"
+    "e16p   e16p/p10k  --threads 1 | --threads 8 | --shards 4 --threads 8"
+    "e18    e18/p10k   --threads 1 | --threads 8 | --shards 4 --threads 8"
+)
+step "determinism smokes: artifact identical across thread and shard counts"
+printf '  %s\n' "${DET_TABLE[@]}"
+for row in "${DET_TABLE[@]}"; do
+    read -r name filter configs <<<"$row"
+    IFS='|' read -r -a configs <<<"$configs"
+    det_smoke "$name" "$filter" "${configs[@]}"
+done
 
 step "experiments report: --reports regenerates experiments_output.txt byte-for-byte"
-./target/release/agora-harness --reports > "$CHAOS_TMP/reports.txt"
+$H --reports > "$CHAOS_TMP/reports.txt"
 cmp "$CHAOS_TMP/reports.txt" experiments_output.txt
 
-step "trace smoke: deterministic TRACE jsonl + causal explain"
-./target/release/agora-harness --trace dht --trace-out "$TRACE_TMP/a.jsonl" \
-    --explain dht.lookup_secs
-./target/release/agora-harness --trace dht --trace-out "$TRACE_TMP/b.jsonl" >/dev/null
-cmp "$TRACE_TMP/a.jsonl" "$TRACE_TMP/b.jsonl"
-./target/release/agora-harness --validate-trace "$TRACE_TMP/a.jsonl"
-# E15 under max chaos: the chaos.* span family must be present, the
-# artifact deterministic, and a retried op explainable back to the driver.
-./target/release/agora-harness --trace e15/i1.00 --trace-out "$TRACE_TMP/e15a.jsonl" \
-    --explain retry.attempt
-./target/release/agora-harness --trace e15/i1.00 --trace-out "$TRACE_TMP/e15b.jsonl" >/dev/null
-cmp "$TRACE_TMP/e15a.jsonl" "$TRACE_TMP/e15b.jsonl"
-./target/release/agora-harness --validate-trace "$TRACE_TMP/e15a.jsonl"
-grep -q '"type":"span","key":"chaos.kill"' "$TRACE_TMP/e15a.jsonl"
-grep -q '"type":"span","key":"retry.attempt"' "$TRACE_TMP/e15a.jsonl"
-# E16 at 10k users: the workload.* span family (demand ticks and diurnal
-# churn) must be present and the artifact deterministic.
-./target/release/agora-harness --trace e16/p10k --trace-out "$TRACE_TMP/e16a.jsonl" >/dev/null
-./target/release/agora-harness --trace e16/p10k --trace-out "$TRACE_TMP/e16b.jsonl" >/dev/null
-cmp "$TRACE_TMP/e16a.jsonl" "$TRACE_TMP/e16b.jsonl"
-./target/release/agora-harness --validate-trace "$TRACE_TMP/e16a.jsonl"
-grep -q '"type":"span","key":"workload.demand"' "$TRACE_TMP/e16a.jsonl"
-grep -q '"type":"span","key":"workload.churn_kill"' "$TRACE_TMP/e16a.jsonl"
-# E17 under max chaos: the market.* span family (challenges, slashes,
-# repair traffic) must be present, the artifact deterministic, and a slash
-# explainable back to the audit oracle.
-./target/release/agora-harness --trace e17/i1.00 --trace-out "$TRACE_TMP/e17a.jsonl" \
-    --explain market.slash
-./target/release/agora-harness --trace e17/i1.00 --trace-out "$TRACE_TMP/e17b.jsonl" >/dev/null
-cmp "$TRACE_TMP/e17a.jsonl" "$TRACE_TMP/e17b.jsonl"
-./target/release/agora-harness --validate-trace "$TRACE_TMP/e17a.jsonl"
-grep -q '"type":"span","key":"market.challenge"' "$TRACE_TMP/e17a.jsonl"
-grep -q '"type":"span","key":"market.slash"' "$TRACE_TMP/e17a.jsonl"
-grep -q '"type":"span","key":"market.repair_bytes"' "$TRACE_TMP/e17a.jsonl"
-# E16p at 100k users: the policy.* span family (reactive decisions minted
-# from probe-frame verdicts at drain boundaries) must be present and the
-# artifact deterministic. 100k, not 10k: the flash crowd has to push a
-# node past saturation before admission control sheds anything.
-./target/release/agora-harness --trace e16p/p100k --trace-out "$TRACE_TMP/pola.jsonl" >/dev/null
-./target/release/agora-harness --trace e16p/p100k --trace-out "$TRACE_TMP/polb.jsonl" >/dev/null
-cmp "$TRACE_TMP/pola.jsonl" "$TRACE_TMP/polb.jsonl"
-./target/release/agora-harness --validate-trace "$TRACE_TMP/pola.jsonl"
-grep -q '"type":"span","key":"policy.engage"' "$TRACE_TMP/pola.jsonl"
-grep -q '"type":"span","key":"policy.shed"' "$TRACE_TMP/pola.jsonl"
-grep -q '"type":"span","key":"policy.replicate"' "$TRACE_TMP/pola.jsonl"
-grep -q '"type":"span","key":"policy.seed"' "$TRACE_TMP/pola.jsonl"
-# E18 at 10k users: the app.* span family (submits, delta pushes, merges,
-# publish-to-apply lag) must be present, the artifact deterministic, and a
-# subscriber's delta lag explainable back to the push that carried it.
-./target/release/agora-harness --trace e18/p10k --trace-out "$TRACE_TMP/appa.jsonl" \
-    --explain app.delta_lag > "$TRACE_TMP/app_explain.txt"
-grep -q "causal chain for 'app.delta_lag'" "$TRACE_TMP/app_explain.txt"
-./target/release/agora-harness --trace e18/p10k --trace-out "$TRACE_TMP/appb.jsonl" >/dev/null
-cmp "$TRACE_TMP/appa.jsonl" "$TRACE_TMP/appb.jsonl"
-./target/release/agora-harness --validate-trace "$TRACE_TMP/appa.jsonl"
-grep -q '"type":"span","key":"app.delta"' "$TRACE_TMP/appa.jsonl"
-grep -q '"type":"span","key":"app.merge"' "$TRACE_TMP/appa.jsonl"
+# trace_smoke <target> [span-key...] [explain:<key>]: two runs must write
+# byte-identical TRACE jsonl, the schema checker must accept it, every
+# listed span family must be present, and (with explain:) the causal chain
+# behind the last sample of <key> must print.
+trace_smoke() {
+    local target=$1 out="$TRACE_TMP/${1//\//_}" explain=() spans=() a
+    shift
+    for a in "$@"; do
+        case $a in
+        explain:*) explain=(--explain "${a#explain:}") ;;
+        *) spans+=("$a") ;;
+        esac
+    done
+    $H --trace "$target" --trace-out "$out.a.jsonl" "${explain[@]}" > "$out.explain.txt"
+    $H --trace "$target" --trace-out "$out.b.jsonl" >/dev/null
+    cmp "$out.a.jsonl" "$out.b.jsonl"
+    $H --validate-trace "$out.a.jsonl"
+    for a in "${spans[@]}"; do
+        grep -q "\"type\":\"span\",\"key\":\"$a\"" "$out.a.jsonl"
+    done
+    if [[ ${#explain[@]} -gt 0 ]]; then
+        grep -q "causal chain for '${explain[1]}'" "$out.explain.txt"
+    fi
+    rm -f "$out.a.jsonl" "$out.b.jsonl"
+}
+
+# target, span families that must be present, explain key.
+#   e15/e17 run under max chaos: a retried op is explainable back to the
+#   driver, a slash back to the audit oracle. e16p runs at 100k, not 10k:
+#   the flash crowd has to push a node past saturation before admission
+#   control sheds anything. e18: a subscriber's delta lag is explainable
+#   back to the push that carried it.
+TRACE_TABLE=(
+    "dht explain:dht.lookup_secs"
+    "e15/i1.00 chaos.kill retry.attempt explain:retry.attempt"
+    "e16/p10k workload.demand workload.churn_kill"
+    "e17/i1.00 market.challenge market.slash market.repair_bytes explain:market.slash"
+    "e16p/p100k policy.engage policy.shed policy.replicate policy.seed"
+    "e18/p10k app.delta app.merge explain:app.delta_lag"
+)
+step "trace smokes: deterministic TRACE jsonl + span families + causal explain"
+printf '  %s\n' "${TRACE_TABLE[@]}"
+for row in "${TRACE_TABLE[@]}"; do
+    # shellcheck disable=SC2086
+    trace_smoke $row
+done
 # A shed decision is explainable back to the demand delivery that tripped
 # it. Sheds stop once the flash crowd passes and the hysteresis releases,
 # so the default ring evicts them by end of day — retain the whole run.
-./target/release/agora-harness --trace e16p/p100k --trace-cap 2097152 \
+$H --trace e16p/p100k --trace-cap 2097152 \
     --trace-out "$TRACE_TMP/pol_full.jsonl" \
     --explain policy.shed > "$TRACE_TMP/pol_explain.txt"
 grep -q "causal chain for 'policy.shed'" "$TRACE_TMP/pol_explain.txt"
@@ -218,21 +169,21 @@ step "observe smoke: deterministic OBS jsonl, overload anomaly, causal explain"
 # Two runs must produce byte-identical artifacts; the schema checker must
 # accept them; E16 at 10k users must carry an overload anomaly; and the
 # anomaly must be explainable (points-only ring keeps onset-time firings).
-./target/release/agora-harness --observe e16/p10k --observe-out "$TRACE_TMP/obs_a.jsonl" \
+$H --observe e16/p10k --observe-out "$TRACE_TMP/obs_a.jsonl" \
     --explain anomaly.overload > "$TRACE_TMP/obs_explain.txt"
 grep -q "causal chain for 'anomaly.overload'" "$TRACE_TMP/obs_explain.txt"
-./target/release/agora-harness --observe e16/p10k --observe-out "$TRACE_TMP/obs_b.jsonl" >/dev/null
+$H --observe e16/p10k --observe-out "$TRACE_TMP/obs_b.jsonl" >/dev/null
 cmp "$TRACE_TMP/obs_a.jsonl" "$TRACE_TMP/obs_b.jsonl"
-./target/release/agora-harness --validate-obs "$TRACE_TMP/obs_a.jsonl"
+$H --validate-obs "$TRACE_TMP/obs_a.jsonl"
 grep -q '"kind":"anomaly.overload"' "$TRACE_TMP/obs_a.jsonl"
 # The sharded engine must be invisible in the observe artifact.
-./target/release/agora-harness --observe e16/p10k --shards 4 \
+$H --observe e16/p10k --shards 4 \
     --observe-out "$TRACE_TMP/obs_s4.jsonl" >/dev/null
 cmp "$TRACE_TMP/obs_a.jsonl" "$TRACE_TMP/obs_s4.jsonl"
 
 step "observe without tracing: OBS bytes must not depend on the trace feature"
 cargo build --release -p agora-harness --no-default-features --features observe
-./target/release/agora-harness --observe e16/p10k --observe-out "$TRACE_TMP/obs_notrace.jsonl" >/dev/null
+$H --observe e16/p10k --observe-out "$TRACE_TMP/obs_notrace.jsonl" >/dev/null
 cmp "$TRACE_TMP/obs_a.jsonl" "$TRACE_TMP/obs_notrace.jsonl"
 cargo build --release -p agora-harness  # leave the default-feature binary in place
 

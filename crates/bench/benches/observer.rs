@@ -5,13 +5,7 @@
 //! detector families with no engine in the loop. These are the criterion
 //! counterparts of the `observer` section of BENCH_perf.json
 //! (crates/harness/src/perf.rs), which measures whole observed trials and
-//! the probes-compiled-out baseline.
-//!
-//! Pulling `agora-observer` in here turns the `probe` feature on for the
-//! whole bench sub-workspace; the dormant-prober cost is one predicted
-//! branch per dispatch, and every other bench is a within-build relative
-//! measure, so the pollution is negligible — but absolute cross-PR
-//! comparisons should use BENCH_perf.json, not these numbers.
+//! the no-sink baseline.
 
 use agora_observer::{Observer, ObserverConfig};
 use agora_sim::probe::ProbeFrame;
@@ -80,7 +74,7 @@ fn run_flood(cadence: Option<SimDuration>) -> u64 {
     black_box(sim.events_processed())
 }
 
-/// Per-event probe overhead: the dormant prober (feature on, no sink) vs a
+/// Per-event probe overhead: the dormant prober (no sink installed) vs a
 /// full observer at coarse-to-absurd cadences. At 100 ms the flood takes
 /// 30 frames; at 1 ms, 3 000 — the gap is pure frame-sampling cost (queue
 /// scan + detector step), the unprobed row is the branch-only floor.

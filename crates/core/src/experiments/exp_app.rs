@@ -23,31 +23,20 @@
 //! by app key before any state moves.
 
 use agora_app::{AppNode, AppPublisher, AppResult, Contract, ContractKind, Guestbook, KvDoc};
-use agora_crypto::sha256;
-use agora_dht::{Contact, DhtConfig, DhtNode, DhtResult};
+use agora_dht::{DhtNode, DhtResult};
 use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, SimTime, Simulation};
-use agora_workload::WorkloadDriver;
+use agora_workload::Demand;
 
-use super::exp_workload::{
-    e16_spec_cohorts, histogram_quantiles, quantiles, LoadLedger, COHORTS, E16_POPULATIONS,
-};
+use super::day::{run_day, LoadLedger, Served, ServingSubstrate, Sim, DAY, TICK};
+use super::exp_workload::{consumer_pcs, e16_spec_cohorts, warm_overlay, COHORTS, E16_POPULATIONS};
 use super::Report;
 
-/// Scheduling tick (matches E16: demand integrates per tick).
-const TICK: SimDuration = SimDuration::from_mins(15);
-/// One simulated day.
-const DAY: SimDuration = SimDuration::from_days(1);
-/// Drain cadence for pending reads (latency resolution, centralized).
-const DRAIN: SimDuration = SimDuration::from_secs(30);
 /// Authoring cadence: ops submitted per tick, from rotating writers.
 const OPS_PER_TICK: u64 = 2;
 /// Subscriber replicas hosting the contract (contract mode; churnable).
 const SUBSCRIBERS: usize = 24;
 /// Writer/reader endpoints (both modes; always on).
 const GATEWAYS: usize = 6;
-/// When the E16 flash crowd has fully decayed (start + ramp + plateau +
-/// decay), as an offset from the workload's install instant.
-const FLASH_END: SimDuration = SimDuration::from_secs(53_100);
 
 /// One hosting mode's day under the app workload.
 #[derive(Clone, Copy, Debug)]
@@ -97,204 +86,193 @@ pub struct E18Result {
     pub discovery_hops: f64,
 }
 
-/// One app day: a publisher (contract mode, consumer PC) or server
-/// (centralized, datacenter) hosting contract `C`, rotating gateway
-/// writers at [`OPS_PER_TICK`], and the E16 cohort schedule driving
-/// population-scale reads. `make_op` builds the deterministic op for
-/// (tick, slot, now).
-fn run_app<C, F>(
-    seed: u64,
-    population: u64,
-    identity: &[u8],
-    centralized: bool,
-    mut make_op: F,
-) -> AppOutcome
-where
-    C: Contract,
-    F: FnMut(u64, u64, SimTime) -> C::Op,
-{
-    let spec = e16_spec_cohorts(population, COHORTS);
-    let mut sim: Simulation<AppNode<C>> = Simulation::new(seed);
-    let (authority, auth_class) = if centralized {
-        (
-            sim.add_node(
-                AppNode::server(identity, "e18"),
-                DeviceClass::DatacenterServer,
-            ),
-            DeviceClass::DatacenterServer,
-        )
-    } else {
-        // The paper's point: the author hosts from a consumer uplink.
-        (
-            sim.add_node(
-                AppNode::publisher(identity, "e18"),
-                DeviceClass::PersonalComputer,
-            ),
-            DeviceClass::PersonalComputer,
-        )
-    };
-    let app = sim.node(authority).app_id();
-    let subscribers: Vec<NodeId> = if centralized {
-        Vec::new()
-    } else {
-        (0..SUBSCRIBERS)
+/// One app deployment: a publisher (contract mode, consumer PC) or server
+/// (centralized, datacenter) hosting contract `C`, and gateway endpoints
+/// that rotate as writers at [`OPS_PER_TICK`] and issue the population's
+/// reads. `make_op` builds the deterministic op for (tick, slot, now).
+struct AppFleet<C: Contract> {
+    authority: NodeId,
+    auth_class: DeviceClass,
+    /// The replica swarm; empty in centralized mode.
+    subscribers: Vec<NodeId>,
+    gateways: Vec<NodeId>,
+    make_op: fn(u64, u64, SimTime) -> C::Op,
+    rr: usize,
+    /// When the flash crowd has fully decayed, as an offset into the day.
+    flash_end: SimDuration,
+    publisher_peak_util: f64,
+    prev_sent: u64,
+    /// Seconds past `flash_end` at the first tick boundary where every
+    /// live replica held the authority's full log.
+    convergence_secs: Option<f64>,
+}
+
+impl<C: Contract> AppFleet<C> {
+    fn build(
+        sim: &mut Sim<Self>,
+        identity: &[u8],
+        centralized: bool,
+        flash_end: SimDuration,
+        make_op: fn(u64, u64, SimTime) -> C::Op,
+    ) -> Self {
+        let (authority, auth_class) = if centralized {
+            let server = AppNode::server(identity, "e18");
+            (server, DeviceClass::DatacenterServer)
+        } else {
+            // The paper's point: the author hosts from a consumer uplink.
+            let publisher = AppNode::publisher(identity, "e18");
+            (publisher, DeviceClass::PersonalComputer)
+        };
+        let authority = sim.add_node(authority, auth_class);
+        let app = sim.node(authority).app_id();
+        let subscribers: Vec<NodeId> = (0..if centralized { 0 } else { SUBSCRIBERS })
             .map(|_| {
                 sim.add_node(
                     AppNode::subscriber(authority, app),
                     DeviceClass::PersonalComputer,
                 )
             })
-            .collect()
-    };
-    let gateways: Vec<NodeId> = (0..GATEWAYS)
-        .map(|_| sim.add_node(AppNode::client(authority), DeviceClass::PersonalComputer))
-        .collect();
-    // Let subscriptions bootstrap before demand starts.
-    sim.run_for(SimDuration::from_secs(5));
+            .collect();
+        let gateways: Vec<NodeId> = (0..GATEWAYS)
+            .map(|_| sim.add_node(AppNode::client(authority), DeviceClass::PersonalComputer))
+            .collect();
+        // Let subscriptions bootstrap before demand starts.
+        sim.run_for(SimDuration::from_secs(5));
+        AppFleet {
+            authority,
+            auth_class,
+            subscribers,
+            gateways,
+            make_op,
+            rr: 0,
+            flash_end,
+            publisher_peak_util: 0.0,
+            prev_sent: 0,
+            convergence_secs: None,
+        }
+    }
 
-    // Only the replica swarm churns; the author and endpoints stay up
-    // (the centralized server is datacenter infrastructure, and E18
-    // measures replica churn, not author churn).
-    let sched = spec.compile(seed ^ 0xE18, &subscribers, DAY);
-    let requests = sched.total_requests();
-    let mut driver = WorkloadDriver::install(&sim, sched);
-    let serving: Vec<(NodeId, DeviceClass)> = if centralized {
-        vec![(authority, auth_class)]
-    } else {
-        subscribers
-            .iter()
-            .map(|&s| (s, DeviceClass::PersonalComputer))
-            .collect()
-    };
-    let mut ledger = LoadLedger::new(&serving);
-    let (mut ok_w, mut total_w) = (0.0f64, 0.0f64);
-    let mut pending: Vec<(NodeId, u64, f64, SimTime)> = Vec::new();
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut rr = 0usize;
-    let mut publisher_peak_util = 0.0f64;
-    let mut prev_sent = 0u64;
-    let mut convergence_secs = f64::NAN;
-    let base = sim.now();
-    let flash_end = base + FLASH_END;
-    let uplink_bps = auth_class.profile().uplink_bps as f64;
-    let ticks = DAY.micros() / TICK.micros();
-    for k in 0..ticks {
-        // Authoring: rotating gateway writers submit this tick's ops.
+    fn centralized(&self) -> bool {
+        self.subscribers.is_empty()
+    }
+}
+
+impl<C: Contract> ServingSubstrate for AppFleet<C> {
+    type Node = AppNode<C>;
+    /// Contract-mode staleness; centralized reads have no event-time
+    /// histogram and are timed at drain boundaries instead.
+    const OP_HIST: &'static str = "app.delta_lag";
+    const DRAIN_TIMED: bool = true;
+
+    fn serving(&self) -> Vec<(NodeId, DeviceClass)> {
+        if self.centralized() {
+            return vec![(self.authority, self.auth_class)];
+        }
+        consumer_pcs(&self.subscribers)
+    }
+
+    /// Only the replica swarm churns; the author and endpoints stay up
+    /// (the centralized server is datacenter infrastructure, and E18
+    /// measures replica churn, not author churn).
+    fn churnable(&self) -> &[NodeId] {
+        &self.subscribers
+    }
+
+    /// Authoring: rotating gateway writers submit this tick's ops.
+    fn begin_tick(&mut self, sim: &mut Sim<Self>, k: u64) {
         for j in 0..OPS_PER_TICK {
-            let w = gateways[((k * OPS_PER_TICK + j) % GATEWAYS as u64) as usize];
-            let now = sim.now();
-            let op = make_op(k, j, now);
+            let w = self.gateways[((k * OPS_PER_TICK + j) % GATEWAYS as u64) as usize];
+            let op = (self.make_op)(k, j, sim.now());
             sim.with_ctx(w, |n, ctx| n.start_submit(ctx, &op));
         }
-        let tick_end = base + TICK * (k + 1);
-        let mut t = base + TICK * k;
-        while t < tick_end {
-            t = (t + DRAIN).min(tick_end);
-            driver.run_until(&mut sim, t, &mut |sim, d| {
-                total_w += d.weight;
-                let state_bytes = sim.node(authority).state_bytes();
-                if centralized {
-                    // Every weighted read round-trips the server; issue a
-                    // representative real read through a gateway.
-                    ledger.add(authority, d.weight, state_bytes);
-                    let g = gateways[rr % gateways.len()];
-                    rr += 1;
-                    let now = sim.now();
-                    if let Some(op) = sim.with_ctx(g, |n, ctx| n.start_read(ctx)) {
-                        pending.push((g, op, d.weight, now));
-                    }
-                } else {
-                    // Reads land on whichever replica is awake: scan the
-                    // swarm round-robin for a live one.
-                    let n = subscribers.len();
-                    let mut served = false;
-                    for i in 0..n {
-                        let s = subscribers[(rr + i) % n];
-                        if sim.is_up(s) {
-                            ledger.add(s, d.weight, state_bytes);
-                            ok_w += d.weight;
-                            served = true;
-                            break;
-                        }
-                    }
-                    rr += 1;
-                    let _ = served;
-                }
-            });
-            let now = t;
-            pending.retain(|&(g, op, w, t0)| match sim.node_mut(g).take_result(op) {
-                Some(r) => {
-                    if matches!(r, AppResult::Read { .. }) {
-                        ok_w += w;
-                        latencies.push((now - t0).secs_f64());
-                    }
-                    false
-                }
-                None => true,
-            });
+    }
+
+    fn serve(&mut self, sim: &mut Sim<Self>, d: &Demand, ledger: &mut LoadLedger) -> Served {
+        let state_bytes = sim.node(self.authority).state_bytes();
+        let rr = self.rr;
+        self.rr += 1;
+        if self.centralized() {
+            // Every weighted read round-trips the server; issue a
+            // representative real read through a gateway.
+            ledger.add(self.authority, d.weight, state_bytes);
+            let g = self.gateways[rr % self.gateways.len()];
+            return Served::op(g, sim.with_ctx(g, |n, ctx| n.start_read(ctx)));
         }
+        // Reads land on whichever replica is awake: scan the swarm
+        // round-robin for a live one.
+        let n = self.subscribers.len();
+        let live = (0..n)
+            .map(|i| self.subscribers[(rr + i) % n])
+            .find(|&s| sim.is_up(s));
+        if let Some(s) = live {
+            ledger.add(s, d.weight, state_bytes);
+        }
+        Served::Resolved(live.is_some())
+    }
+
+    fn poll(&mut self, sim: &mut Sim<Self>, node: NodeId, op: u64) -> Option<bool> {
+        let r = sim.node_mut(node).take_result(op)?;
+        Some(matches!(r, AppResult::Read { .. }))
+    }
+
+    fn end_tick(&mut self, sim: &mut Sim<Self>, elapsed: SimDuration) {
         // Author uplink: real bytes the authority put on the wire this
         // tick, against its own device class.
-        let sent = sim.node(authority).sent_app_bytes();
-        let tick_util = (sent - prev_sent) as f64 * 8.0 / TICK.secs_f64() / uplink_bps;
-        publisher_peak_util = publisher_peak_util.max(tick_util);
-        prev_sent = sent;
-        // Convergence: first tick boundary past the flash crowd where
-        // every live replica holds the authority's full log.
-        if !centralized && convergence_secs.is_nan() && t >= flash_end {
-            let pub_seq = sim.node(authority).pub_seq();
-            let live_converged = subscribers
-                .iter()
-                .filter(|&&s| sim.is_up(s))
-                .all(|&s| sim.node(s).applied_ops() == pub_seq);
-            if live_converged {
-                convergence_secs = (t - flash_end).secs_f64();
+        let sent = sim.node(self.authority).sent_app_bytes();
+        let uplink_bps = self.auth_class.profile().uplink_bps as f64;
+        let tick_util = (sent - self.prev_sent) as f64 * 8.0 / TICK.secs_f64() / uplink_bps;
+        self.publisher_peak_util = self.publisher_peak_util.max(tick_util);
+        self.prev_sent = sent;
+        sim.probe_note(
+            "app.state_bytes",
+            sim.node(self.authority).state_bytes() as f64,
+        );
+        if self.centralized() {
+            return;
+        }
+        let live = || self.subscribers.iter().filter(|&&s| sim.is_up(s));
+        if self.convergence_secs.is_none() && elapsed >= self.flash_end {
+            let pub_seq = sim.node(self.authority).pub_seq();
+            if live().all(|&s| sim.node(s).applied_ops() == pub_seq) {
+                let past = SimDuration::from_micros(elapsed.micros() - self.flash_end.micros());
+                self.convergence_secs = Some(past.secs_f64());
             }
         }
-        let (tick_demand, tick_util_served) = ledger.end_tick();
-        sim.probe_note("workload.demand", tick_demand);
-        sim.probe_note("net.uplink_util", tick_util_served);
-        sim.probe_note("app.state_bytes", sim.node(authority).state_bytes() as f64);
-        if !subscribers.is_empty() {
-            let lag_sum: f64 = subscribers
-                .iter()
-                .filter(|&&s| sim.is_up(s))
-                .map(|&s| sim.node(s).last_lag_secs())
-                .sum();
-            let up = subscribers.iter().filter(|&&s| sim.is_up(s)).count();
-            sim.probe_note("app.delta_lag", lag_sum / up.max(1) as f64);
-        }
+        let lag_sum: f64 = live().map(|&s| sim.node(s).last_lag_secs()).sum();
+        let lag_mean = lag_sum / live().count().max(1) as f64;
+        sim.probe_note("app.delta_lag", lag_mean);
     }
-    sim.run_for(SimDuration::from_mins(10));
-    for (g, op, w, t0) in pending {
-        if matches!(
-            sim.node_mut(g).take_result(op),
-            Some(AppResult::Read { .. })
-        ) {
-            ok_w += w;
-            latencies.push((sim.now() - t0).secs_f64());
-        }
-    }
-    let (p50, _, p99) = if centralized {
-        quantiles(latencies.iter().copied())
+}
+
+/// One app day under the E16 cohort schedule's population-scale reads.
+fn run_app<C: Contract>(
+    seed: u64,
+    population: u64,
+    identity: &[u8],
+    centralized: bool,
+    make_op: fn(u64, u64, SimTime) -> C::Op,
+) -> AppOutcome {
+    let spec = e16_spec_cohorts(population, COHORTS);
+    let flash = spec.model.flash.expect("the E16 day has a flash crowd");
+    let mut sim: Simulation<AppNode<C>> = Simulation::new(seed);
+    let mut fleet = AppFleet::build(&mut sim, identity, centralized, flash.end(), make_op);
+    let day = run_day(&mut sim, &mut fleet, &spec, seed ^ 0xE18);
+    let (p50, p99, convergence_secs) = if centralized {
+        (day.p50, day.p99, 0.0)
     } else {
-        histogram_quantiles(sim.metrics(), "app.delta_lag")
+        let never = DAY.secs_f64() - flash.end().secs_f64();
+        let convergence_secs = fleet.convergence_secs.unwrap_or(never);
+        (day.op_p50, day.op_p99, convergence_secs)
     };
     AppOutcome {
-        availability: if total_w > 0.0 { ok_w / total_w } else { 0.0 },
+        availability: day.availability,
         p50,
         p99,
-        peak_overload: ledger.peak_overload,
-        publisher_peak_util,
-        convergence_secs: if centralized {
-            0.0
-        } else if convergence_secs.is_nan() {
-            DAY.secs_f64() - FLASH_END.secs_f64()
-        } else {
-            convergence_secs
-        },
-        state_bytes: sim.node(authority).state_bytes(),
-        requests,
+        peak_overload: day.peak_overload,
+        publisher_peak_util: fleet.publisher_peak_util,
+        convergence_secs,
+        state_bytes: sim.node(fleet.authority).state_bytes(),
+        requests: day.requests,
     }
 }
 
@@ -304,7 +282,7 @@ const GUESTBOOK_SEED: &[u8] = b"e18-guestbook";
 const KVDOC_SEED: &[u8] = b"e18-kvdoc";
 
 fn run_guestbook(seed: u64, population: u64, centralized: bool) -> AppOutcome {
-    run_app::<Guestbook, _>(seed, population, GUESTBOOK_SEED, centralized, |k, j, _| {
+    run_app::<Guestbook>(seed, population, GUESTBOOK_SEED, centralized, |k, j, _| {
         agora_app::GuestEntry {
             body: format!("tick {k:>4} slot {j}: the barriers to overthrowing internet feudalism are social, not technical")
                 .into_bytes(),
@@ -313,7 +291,7 @@ fn run_guestbook(seed: u64, population: u64, centralized: bool) -> AppOutcome {
 }
 
 fn run_kvdoc(seed: u64, population: u64, centralized: bool) -> AppOutcome {
-    run_app::<KvDoc, _>(seed, population, KVDOC_SEED, centralized, |k, j, now| {
+    run_app::<KvDoc>(seed, population, KVDOC_SEED, centralized, |k, j, now| {
         let slot = (k * OPS_PER_TICK + j) % 8;
         agora_app::KvWrite {
             path: format!("page-{slot}.html"),
@@ -332,30 +310,8 @@ fn run_discovery(seed: u64) -> (u64, f64) {
     const DEVICES: usize = 12;
     const LOOKUPS: usize = 4;
     let mut sim: Simulation<DhtNode> = Simulation::new(seed);
-    let boot_key = sha256(b"e18-dht-0");
-    let mut ids: Vec<NodeId> = Vec::new();
-    for i in 0..DEVICES + LOOKUPS {
-        let key = sha256(format!("e18-dht-{i}").as_bytes());
-        let bootstrap = if i == 0 {
-            vec![]
-        } else {
-            vec![Contact {
-                key: boot_key,
-                addr: ids[0],
-            }]
-        };
-        ids.push(sim.add_node(
-            DhtNode::new(key, DhtConfig::default(), bootstrap),
-            DeviceClass::PersonalComputer,
-        ));
-    }
+    let (_, ids) = warm_overlay(&mut sim, "e18", DEVICES + LOOKUPS);
     let gateways: Vec<NodeId> = ids[DEVICES..].to_vec();
-    for (i, &id) in ids.iter().enumerate() {
-        let target = sha256(format!("e18-warm-{i}").as_bytes());
-        sim.with_ctx(id, |n, ctx| n.start_find_node(ctx, target));
-    }
-    sim.run_for(SimDuration::from_secs(60));
-
     let apps = [
         (
             AppPublisher::new(GUESTBOOK_SEED).sign_manifest(

@@ -20,32 +20,27 @@
 //! population-scaled observable: at 10k users the flash crowd is noise,
 //! at 1M it saturates whoever the demand skew concentrates on.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use agora_comm::{CentralNode, FedNode, ModerationPolicy, PostLabel, ReadResult, ReplicationMode};
 use agora_crypto::{sha256, Hash256};
 use agora_dht::{Contact, DhtConfig, DhtNode, DhtResult};
 use agora_policy::{PolicyConfig, PolicyHandle, PolicyHub};
 use agora_sim::{
-    DeviceClass, Jitter, Metrics, NodeId, P2Quantile, Protocol, Retrier, RetryPolicy, SimDuration,
-    SimRng, SimTime, Simulation,
+    DeviceClass, Jitter, Metrics, NodeId, Protocol, Retrier, RetryPolicy, SimDuration, SimRng,
+    SimTime, Simulation,
 };
 use agora_storage::{ProviderStrategy, StorageNode, StorageResult};
 use agora_web::{SitePublisher, SwarmNode, VisitResult};
 use agora_workload::{
-    BoundedPareto, ChurnCurve, DemandModel, DiurnalCurve, FlashCrowd, LogNormalSessions,
-    WorkloadDriver, WorkloadSpec, ZoneMix,
+    BoundedPareto, ChurnCurve, Demand, DemandModel, DiurnalCurve, FlashCrowd, LogNormalSessions,
+    WorkloadSpec, ZoneMix,
 };
 
+pub use super::day::ClassOutcome;
+use super::day::{run_day, LoadLedger, Pending, Served, ServingSubstrate, Sim, TICK};
 use super::Report;
 
-/// Scheduling tick: demand integrates per tick, churn moves per tick.
-const TICK: SimDuration = SimDuration::from_mins(15);
-/// The simulated horizon: one full day.
-const DAY: SimDuration = SimDuration::from_days(1);
-/// How often pending substrate ops are drained (latency resolution for
-/// the classes without an event-time latency histogram).
-const DRAIN: SimDuration = SimDuration::from_secs(30);
 /// Cohorts the population aggregates into.
 pub(crate) const COHORTS: u32 = 8;
 /// Representative demands per cohort-tick.
@@ -61,14 +56,10 @@ const POST_BYTES: u64 = agora_workload::CommLoad::paper_default().post_bytes;
 pub const E16_POPULATIONS: [u64; 3] = [10_000, 100_000, 1_000_000];
 
 /// The E16 workload: one diurnal day, three timezone regions, flash crowd
-/// at 12:45 UTC ramping to 12× over 30 min, held an hour.
-fn e16_spec(population: u64) -> WorkloadSpec {
-    e16_spec_cohorts(population, COHORTS)
-}
-
-/// [`e16_spec`] with the cohort count as a knob: `cohorts == population`
-/// is exact per-user generation (every cohort is one real user), the
-/// ground truth the cohort approximation is measured against.
+/// at 12:45 UTC ramping to 12× over 30 min, held an hour. `cohorts` is a
+/// knob: `cohorts == population` is exact per-user generation (every
+/// cohort is one real user), the ground truth the [`COHORTS`]-cohort
+/// approximation is measured against.
 pub(crate) fn e16_spec_cohorts(population: u64, cohorts: u32) -> WorkloadSpec {
     WorkloadSpec {
         population,
@@ -100,9 +91,9 @@ pub(crate) fn e16_spec_cohorts(population: u64, cohorts: u32) -> WorkloadSpec {
 // ---------------------------------------------------------------------------
 // Reactive policy plumbing (DESIGN.md §17). A PolicyHub installed as the
 // simulation's probe sink watches the same frames and observer verdicts
-// the trace plane sees; runners poll its handle and act only at drain
-// boundaries — deterministic sim times in the canonical event order — so
-// policy-on runs stay byte-identical at any harness thread count or
+// the trace plane sees; substrates poll its handle and act only in their
+// `reconcile` hook — deterministic sim times in the canonical event order
+// — so policy-on runs stay byte-identical at any harness thread count or
 // engine shard count. Policy-off runs never construct a hub: they are
 // byte-identical to the pre-policy runners.
 // ---------------------------------------------------------------------------
@@ -141,7 +132,7 @@ fn stats_of(handle: Option<&PolicyHandle>) -> PolicyStats {
 }
 
 /// Wire a fresh policy hub into `sim` as its probe sink and return the
-/// handle runners poll at drain boundaries.
+/// handle substrates poll at drain boundaries.
 fn install_policy<P: Protocol>(sim: &mut Simulation<P>) -> PolicyHandle {
     let hub = PolicyHub::new(PolicyConfig::default());
     let handle = hub.handle();
@@ -176,38 +167,6 @@ struct ShedItem {
     retrier: Retrier,
 }
 
-/// One architecture's outcome under the E16 day.
-#[derive(Clone, Copy, Debug)]
-pub struct ClassOutcome {
-    /// Weight-averaged fraction of demands that succeeded.
-    pub availability: f64,
-    /// Median latency (seconds).
-    pub p50: f64,
-    /// 95th-percentile latency (seconds).
-    pub p95: f64,
-    /// 99th-percentile latency (seconds).
-    pub p99: f64,
-    /// True per-operation median (seconds): quantile of the substrate's
-    /// event-time completion histogram, free of the drain-granularity
-    /// bias the legacy `p50`/`p95`/`p99` fields carry for the storage and
-    /// swarm classes (their pending ops used to be timed at drain
-    /// boundaries only).
-    pub op_p50: f64,
-    /// True per-operation 95th percentile (seconds).
-    pub op_p95: f64,
-    /// True per-operation 99th percentile (seconds).
-    pub op_p99: f64,
-    /// Busiest serving node's share of total weighted demand (1.0 = one
-    /// node carries everything).
-    pub busiest_share: f64,
-    /// Peak modeled uplink utilization: max over nodes and ticks of
-    /// weighted bytes·8 / tick / uplink_bps. > 1 means the §4 uplink
-    /// cannot carry the attributed load.
-    pub peak_overload: f64,
-    /// Total population-scale requests represented by the schedule.
-    pub requests: u64,
-}
-
 /// E16 results at one population.
 #[derive(Clone, Debug)]
 pub struct E16Result {
@@ -225,119 +184,21 @@ pub struct E16Result {
     pub swarm: ClassOutcome,
 }
 
-/// Weighted per-node load accounting shared by every class.
-pub(crate) struct LoadLedger {
-    /// uplink_bps per attributable serving node.
-    uplink: HashMap<NodeId, f64>,
-    total: HashMap<NodeId, f64>,
-    tick_bytes: HashMap<NodeId, f64>,
-    tick_weight: f64,
-    grand_total: f64,
-    pub(crate) peak_overload: f64,
+/// One E16 day against the fleet `build` sets up on a fresh simulation.
+fn e16_day<S: ServingSubstrate>(
+    seed: u64,
+    spec: &WorkloadSpec,
+    build: impl FnOnce(&mut Sim<S>) -> S,
+) -> (ClassOutcome, S) {
+    let mut sim = Simulation::new(seed);
+    let mut fleet = build(&mut sim);
+    (run_day(&mut sim, &mut fleet, spec, seed ^ 0xE16), fleet)
 }
 
-impl LoadLedger {
-    pub(crate) fn new(serving: &[(NodeId, DeviceClass)]) -> LoadLedger {
-        LoadLedger {
-            uplink: serving
-                .iter()
-                .map(|&(id, class)| (id, class.profile().uplink_bps as f64))
-                .collect(),
-            total: HashMap::new(),
-            tick_bytes: HashMap::new(),
-            tick_weight: 0.0,
-            grand_total: 0.0,
-            peak_overload: 0.0,
-        }
-    }
-
-    /// Attribute `weight` requests of `bytes` each to one node.
-    pub(crate) fn add(&mut self, node: NodeId, weight: f64, bytes: u64) {
-        *self.total.entry(node).or_insert(0.0) += weight;
-        *self.tick_bytes.entry(node).or_insert(0.0) += weight * bytes as f64;
-        self.tick_weight += weight;
-        self.grand_total += weight;
-    }
-
-    /// Attribute evenly across a serving set.
-    fn spread(&mut self, nodes: &[NodeId], weight: f64, bytes: u64) {
-        if nodes.is_empty() {
-            return;
-        }
-        let w = weight / nodes.len() as f64;
-        for &n in nodes {
-            self.add(n, w, bytes);
-        }
-        // `add` already bumped grand_total per share; nothing further.
-    }
-
-    /// Close a tick: fold this tick's per-node bytes into the peak
-    /// overload factor and reset the tick accumulators. Returns the tick's
-    /// weighted demand and its max utilization factor (> 1 means some
-    /// serving uplink cannot carry its attributed demand) so callers can
-    /// feed both to the probes: demand is the smooth surge-shaped series
-    /// (flash onset), utilization is the noisy saturation level.
-    pub(crate) fn end_tick(&mut self) -> (f64, f64) {
-        let tick_secs = TICK.secs_f64();
-        let mut tick_util = 0.0f64;
-        for (n, b) in self.tick_bytes.drain() {
-            let uplink = self.uplink.get(&n).copied().unwrap_or(f64::INFINITY);
-            let demand_bps = b * 8.0 / tick_secs;
-            tick_util = tick_util.max(demand_bps / uplink);
-        }
-        self.peak_overload = self.peak_overload.max(tick_util);
-        let tick_weight = self.tick_weight;
-        self.tick_weight = 0.0;
-        (tick_weight, tick_util)
-    }
-
-    pub(crate) fn busiest_share(&self) -> f64 {
-        if self.grand_total <= 0.0 {
-            return 0.0;
-        }
-        self.total.values().cloned().fold(0.0, f64::max) / self.grand_total
-    }
-}
-
-/// P² quantiles over an iterator of latency samples.
-pub(crate) fn quantiles<I: IntoIterator<Item = f64>>(samples: I) -> (f64, f64, f64) {
-    let (mut q50, mut q95, mut q99) = (P2Quantile::p50(), P2Quantile::p95(), P2Quantile::p99());
-    for s in samples {
-        q50.record(s);
-        q95.record(s);
-        q99.record(s);
-    }
-    (q50.value(), q95.value(), q99.value())
-}
-
-/// Quantiles straight from a recorded substrate histogram.
-pub(crate) fn histogram_quantiles(m: &Metrics, key: &str) -> (f64, f64, f64) {
-    quantiles(
-        m.histogram(key)
-            .map(|h| h.samples().to_vec())
-            .unwrap_or_default(),
-    )
-}
-
-/// The weighted-success accumulator shared by every class.
-#[derive(Default)]
-struct Outcomes {
-    ok_w: f64,
-    total_w: f64,
-}
-
-impl Outcomes {
-    fn resolve(&mut self, weight: f64, ok: bool) {
-        if ok {
-            self.ok_w += weight;
-        }
-    }
-    fn availability(&self) -> f64 {
-        if self.total_w <= 0.0 {
-            return 0.0;
-        }
-        self.ok_w / self.total_w
-    }
+pub(crate) fn consumer_pcs(ids: &[NodeId]) -> Vec<(NodeId, DeviceClass)> {
+    ids.iter()
+        .map(|&id| (id, DeviceClass::PersonalComputer))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -347,81 +208,71 @@ impl Outcomes {
 // scales its overload factor linearly with population.
 // ---------------------------------------------------------------------------
 
-fn run_centralized(seed: u64, population: u64) -> ClassOutcome {
-    const GATEWAYS: usize = 6;
-    let spec = e16_spec(population);
-    let mut sim = Simulation::new(seed);
-    let server = sim.add_node(
-        CentralNode::server(ModerationPolicy::none()),
-        DeviceClass::DatacenterServer,
-    );
-    let gateways: Vec<NodeId> = (0..GATEWAYS)
-        .map(|_| sim.add_node(CentralNode::client(server), DeviceClass::PersonalComputer))
-        .collect();
-    for &g in &gateways {
-        sim.with_ctx(g, |n, ctx| n.join(ctx, 1));
-    }
-    sim.run_for(SimDuration::from_secs(5));
+struct CentralFleet {
+    server: NodeId,
+    gateways: Vec<NodeId>,
+    rr: usize,
+}
 
-    // Datacenter infrastructure does not sleep: no churnable nodes.
-    let sched = spec.compile(seed ^ 0xE16, &[], DAY);
-    let requests = sched.total_requests();
-    let mut driver = WorkloadDriver::install(&sim, sched);
-    let mut ledger = LoadLedger::new(&[(server, DeviceClass::DatacenterServer)]);
-    let mut out = Outcomes::default();
-    let mut pending: Vec<(NodeId, u64, f64)> = Vec::new();
-    let mut rr = 0usize;
-    let base = sim.now();
-    let ticks = DAY.micros() / TICK.micros();
-    for k in 0..ticks {
-        let poster = gateways[(k as usize) % gateways.len()];
+impl CentralFleet {
+    fn build(sim: &mut Simulation<CentralNode>) -> CentralFleet {
+        const GATEWAYS: usize = 6;
+        let server = sim.add_node(
+            CentralNode::server(ModerationPolicy::none()),
+            DeviceClass::DatacenterServer,
+        );
+        let gateways: Vec<NodeId> = (0..GATEWAYS)
+            .map(|_| sim.add_node(CentralNode::client(server), DeviceClass::PersonalComputer))
+            .collect();
+        for &g in &gateways {
+            sim.with_ctx(g, |n, ctx| n.join(ctx, 1));
+        }
+        sim.run_for(SimDuration::from_secs(5));
+        CentralFleet {
+            server,
+            gateways,
+            rr: 0,
+        }
+    }
+}
+
+impl ServingSubstrate for CentralFleet {
+    type Node = CentralNode;
+    const OP_HIST: &'static str = "comm.delivery_secs";
+    const DRAIN_TIMED: bool = false;
+
+    fn serving(&self) -> Vec<(NodeId, DeviceClass)> {
+        vec![(self.server, DeviceClass::DatacenterServer)]
+    }
+
+    /// Datacenter infrastructure does not sleep.
+    fn churnable(&self) -> &[NodeId] {
+        &[]
+    }
+
+    fn begin_tick(&mut self, sim: &mut Sim<Self>, k: u64) {
+        let poster = self.gateways[(k as usize) % self.gateways.len()];
         sim.with_ctx(poster, |n, ctx| {
             n.post(ctx, 1, POST_BYTES, PostLabel::Legit);
         });
-        let tick_end = base + TICK * (k + 1);
-        let mut t = base + TICK * k;
-        while t < tick_end {
-            t = (t + DRAIN).min(tick_end);
-            driver.run_until(&mut sim, t, &mut |sim, d| {
-                out.total_w += d.weight;
-                ledger.add(server, d.weight, d.bytes);
-                let g = gateways[rr % gateways.len()];
-                rr += 1;
-                if let Some(op) = sim.with_ctx(g, |n, ctx| n.read(ctx, 1)) {
-                    pending.push((g, op, d.weight));
-                }
-            });
-            pending.retain(|&(g, op, w)| match sim.node_mut(g).take_read(op) {
-                Some(r) => {
-                    out.resolve(w, matches!(r, ReadResult::Ok(_)));
-                    false
-                }
-                None => true,
-            });
-        }
-        let (tick_demand, tick_util) = ledger.end_tick();
-        sim.probe_note("workload.demand", tick_demand);
-        sim.probe_note("net.uplink_util", tick_util);
     }
-    sim.run_for(SimDuration::from_mins(10));
-    for (g, op, w) in pending {
-        let ok = matches!(sim.node_mut(g).take_read(op), Some(ReadResult::Ok(_)));
-        out.resolve(w, ok);
+
+    fn serve(&mut self, sim: &mut Sim<Self>, d: &Demand, ledger: &mut LoadLedger) -> Served {
+        ledger.add(self.server, d.weight, d.bytes);
+        let g = self.gateways[self.rr % self.gateways.len()];
+        self.rr += 1;
+        Served::op(g, sim.with_ctx(g, |n, ctx| n.read(ctx, 1)))
     }
-    let (p50, p95, p99) = histogram_quantiles(sim.metrics(), "comm.delivery_secs");
-    ClassOutcome {
-        availability: out.availability(),
-        p50,
-        p95,
-        p99,
-        // comm.delivery_secs is already event-time: the op view is the same.
-        op_p50: p50,
-        op_p95: p95,
-        op_p99: p99,
-        busiest_share: ledger.busiest_share(),
-        peak_overload: ledger.peak_overload,
-        requests,
+
+    fn poll(&mut self, sim: &mut Sim<Self>, node: NodeId, op: u64) -> Option<bool> {
+        let r = sim.node_mut(node).take_read(op)?;
+        Some(matches!(r, ReadResult::Ok(_)))
     }
+}
+
+fn run_centralized(seed: u64, population: u64) -> ClassOutcome {
+    let spec = e16_spec_cohorts(population, COHORTS);
+    e16_day(seed, &spec, CentralFleet::build).0
 }
 
 // ---------------------------------------------------------------------------
@@ -430,108 +281,96 @@ fn run_centralized(seed: u64, population: u64) -> ClassOutcome {
 // than centralized's 1.0, far more than a balanced 0.2.
 // ---------------------------------------------------------------------------
 
-fn run_federated(seed: u64, population: u64) -> ClassOutcome {
-    const INSTANCES: usize = 5;
-    const GATEWAYS_PER_INSTANCE: usize = 2;
-    let spec = e16_spec(population);
-    let mut sim = Simulation::new(seed);
-    let instance_ids: Vec<NodeId> = (0..INSTANCES as u32).map(NodeId).collect();
-    for i in 0..INSTANCES {
-        let peers: Vec<NodeId> = instance_ids
-            .iter()
-            .copied()
-            .filter(|&p| p != instance_ids[i])
-            .collect();
-        sim.add_node(
-            FedNode::instance(peers, ReplicationMode::SingleHome, ModerationPolicy::none()),
-            DeviceClass::DatacenterServer,
-        );
-    }
-    let mut gateways = Vec::new();
-    for &instance in &instance_ids {
-        for _ in 0..GATEWAYS_PER_INSTANCE {
-            gateways.push(sim.add_node(FedNode::client(instance), DeviceClass::PersonalComputer));
+const FED_INSTANCES: usize = 5;
+
+struct FedFleet {
+    instances: Vec<NodeId>,
+    gateways: Vec<NodeId>,
+    rr: usize,
+}
+
+impl FedFleet {
+    fn build(sim: &mut Simulation<FedNode>) -> FedFleet {
+        const GATEWAYS_PER_INSTANCE: usize = 2;
+        let instances: Vec<NodeId> = (0..FED_INSTANCES as u32).map(NodeId).collect();
+        for &me in &instances {
+            let peers: Vec<NodeId> = instances.iter().copied().filter(|&p| p != me).collect();
+            sim.add_node(
+                FedNode::instance(peers, ReplicationMode::SingleHome, ModerationPolicy::none()),
+                DeviceClass::DatacenterServer,
+            );
         }
-    }
-    // Room r (1..=5) is first joined by a gateway homed on instance r-1,
-    // pinning the room's origin there; everyone else joins after.
-    for room in 1..=INSTANCES as u32 {
-        let first = (room as usize - 1) * GATEWAYS_PER_INSTANCE;
-        sim.with_ctx(gateways[first], |n, ctx| n.join(ctx, room));
-        sim.run_for(SimDuration::from_millis(100));
-        for (gi, &g) in gateways.iter().enumerate() {
-            if gi != first {
-                sim.with_ctx(g, |n, ctx| n.join(ctx, room));
+        let mut gateways = Vec::new();
+        for &instance in &instances {
+            for _ in 0..GATEWAYS_PER_INSTANCE {
+                gateways
+                    .push(sim.add_node(FedNode::client(instance), DeviceClass::PersonalComputer));
             }
         }
-        sim.run_for(SimDuration::from_millis(100));
+        // Room r (1..=5) is first joined by a gateway homed on instance r-1,
+        // pinning the room's origin there; everyone else joins after.
+        for room in 1..=FED_INSTANCES as u32 {
+            let first = (room as usize - 1) * GATEWAYS_PER_INSTANCE;
+            sim.with_ctx(gateways[first], |n, ctx| n.join(ctx, room));
+            sim.run_for(SimDuration::from_millis(100));
+            for (gi, &g) in gateways.iter().enumerate() {
+                if gi != first {
+                    sim.with_ctx(g, |n, ctx| n.join(ctx, room));
+                }
+            }
+            sim.run_for(SimDuration::from_millis(100));
+        }
+        sim.run_for(SimDuration::from_secs(5));
+        FedFleet {
+            instances,
+            gateways,
+            rr: 0,
+        }
     }
-    sim.run_for(SimDuration::from_secs(5));
+}
 
-    let sched = spec.compile(seed ^ 0xE16, &[], DAY);
-    let requests = sched.total_requests();
-    let mut driver = WorkloadDriver::install(&sim, sched);
-    let serving: Vec<(NodeId, DeviceClass)> = instance_ids
-        .iter()
-        .map(|&id| (id, DeviceClass::DatacenterServer))
-        .collect();
-    let mut ledger = LoadLedger::new(&serving);
-    let mut out = Outcomes::default();
-    let mut pending: Vec<(NodeId, u64, f64)> = Vec::new();
-    let mut rr = 0usize;
-    let base = sim.now();
-    let ticks = DAY.micros() / TICK.micros();
-    for k in 0..ticks {
-        let room = 1 + (k as u32) % INSTANCES as u32;
-        let poster = gateways[(k as usize) % gateways.len()];
+impl ServingSubstrate for FedFleet {
+    type Node = FedNode;
+    const OP_HIST: &'static str = "comm.delivery_secs";
+    const DRAIN_TIMED: bool = false;
+
+    fn serving(&self) -> Vec<(NodeId, DeviceClass)> {
+        self.instances
+            .iter()
+            .map(|&id| (id, DeviceClass::DatacenterServer))
+            .collect()
+    }
+
+    fn churnable(&self) -> &[NodeId] {
+        &[]
+    }
+
+    fn begin_tick(&mut self, sim: &mut Sim<Self>, k: u64) {
+        let room = 1 + (k as u32) % FED_INSTANCES as u32;
+        let poster = self.gateways[(k as usize) % self.gateways.len()];
         sim.with_ctx(poster, |n, ctx| {
             n.post(ctx, room, POST_BYTES, PostLabel::Legit);
         });
-        let tick_end = base + TICK * (k + 1);
-        let mut t = base + TICK * k;
-        while t < tick_end {
-            t = (t + DRAIN).min(tick_end);
-            driver.run_until(&mut sim, t, &mut |sim, d| {
-                out.total_w += d.weight;
-                let room = 1 + d.rank % INSTANCES as u32;
-                // Single-home: the room's history lives on its origin.
-                ledger.add(instance_ids[(room - 1) as usize], d.weight, d.bytes);
-                let g = gateways[rr % gateways.len()];
-                rr += 1;
-                if let Some(op) = sim.with_ctx(g, |n, ctx| n.read(ctx, room)) {
-                    pending.push((g, op, d.weight));
-                }
-            });
-            pending.retain(|&(g, op, w)| match sim.node_mut(g).take_read(op) {
-                Some(r) => {
-                    out.resolve(w, matches!(r, ReadResult::Ok(_)));
-                    false
-                }
-                None => true,
-            });
-        }
-        let (tick_demand, tick_util) = ledger.end_tick();
-        sim.probe_note("workload.demand", tick_demand);
-        sim.probe_note("net.uplink_util", tick_util);
     }
-    sim.run_for(SimDuration::from_mins(10));
-    for (g, op, w) in pending {
-        let ok = matches!(sim.node_mut(g).take_read(op), Some(ReadResult::Ok(_)));
-        out.resolve(w, ok);
+
+    fn serve(&mut self, sim: &mut Sim<Self>, d: &Demand, ledger: &mut LoadLedger) -> Served {
+        let room = 1 + d.rank % FED_INSTANCES as u32;
+        // Single-home: the room's history lives on its origin.
+        ledger.add(self.instances[(room - 1) as usize], d.weight, d.bytes);
+        let g = self.gateways[self.rr % self.gateways.len()];
+        self.rr += 1;
+        Served::op(g, sim.with_ctx(g, |n, ctx| n.read(ctx, room)))
     }
-    let (p50, p95, p99) = histogram_quantiles(sim.metrics(), "comm.delivery_secs");
-    ClassOutcome {
-        availability: out.availability(),
-        p50,
-        p95,
-        p99,
-        op_p50: p50,
-        op_p95: p95,
-        op_p99: p99,
-        busiest_share: ledger.busiest_share(),
-        peak_overload: ledger.peak_overload,
-        requests,
+
+    fn poll(&mut self, sim: &mut Sim<Self>, node: NodeId, op: u64) -> Option<bool> {
+        let r = sim.node_mut(node).take_read(op)?;
+        Some(matches!(r, ReadResult::Ok(_)))
     }
+}
+
+fn run_federated(seed: u64, population: u64) -> ClassOutcome {
+    let spec = e16_spec_cohorts(population, COHORTS);
+    e16_day(seed, &spec, FedFleet::build).0
 }
 
 // ---------------------------------------------------------------------------
@@ -542,26 +381,19 @@ fn run_federated(seed: u64, population: u64) -> ClassOutcome {
 // consistent hashing spreads the catalogue but cannot spread one hot key.
 // ---------------------------------------------------------------------------
 
-fn run_dht(seed: u64, population: u64) -> ClassOutcome {
-    run_dht_impl(seed, population, COHORTS, DhtPolicy::Off).0
-}
-
-pub(crate) fn run_dht_impl(
-    seed: u64,
-    population: u64,
-    cohorts: u32,
-    policy: DhtPolicy,
-) -> (ClassOutcome, PolicyStats) {
-    const DEVICES: usize = 24;
-    const GATEWAYS: usize = 4;
-    let spec = e16_spec_cohorts(population, cohorts);
-    let mut sim: Simulation<DhtNode> = Simulation::new(seed);
-    let handle = (policy != DhtPolicy::Off).then(|| install_policy(&mut sim));
-    let boot_key = sha256(b"e16-dht-0");
+/// A Kademlia overlay of `n` consumer PCs bootstrapped off node 0, routing
+/// tables warmed by one lookup each. Node keys and warm-up targets derive
+/// from `tag`. Returns the node keys and ids, index-aligned.
+pub(crate) fn warm_overlay(
+    sim: &mut Simulation<DhtNode>,
+    tag: &str,
+    n: usize,
+) -> (Vec<Hash256>, Vec<NodeId>) {
+    let boot_key = sha256(format!("{tag}-dht-0").as_bytes());
     let mut keys: Vec<Hash256> = Vec::new();
     let mut ids: Vec<NodeId> = Vec::new();
-    for i in 0..DEVICES + GATEWAYS {
-        let key = sha256(format!("e16-dht-{i}").as_bytes());
+    for i in 0..n {
+        let key = sha256(format!("{tag}-dht-{i}").as_bytes());
         let bootstrap = if i == 0 {
             vec![]
         } else {
@@ -576,214 +408,223 @@ pub(crate) fn run_dht_impl(
             DeviceClass::PersonalComputer,
         ));
     }
-    let devices: Vec<NodeId> = ids[..DEVICES].to_vec();
-    let gateways: Vec<NodeId> = ids[DEVICES..].to_vec();
-    // Warm routing tables.
     for (i, &id) in ids.iter().enumerate() {
-        let target = sha256(format!("e16-warm-{i}").as_bytes());
+        let target = sha256(format!("{tag}-warm-{i}").as_bytes());
         sim.with_ctx(id, |n, ctx| n.start_find_node(ctx, target));
     }
     sim.run_for(SimDuration::from_secs(60));
+    (keys, ids)
+}
 
-    // Publish the catalogue from the gateways (origins republish, keeping
-    // values alive across device churn). Sizes come from the workload's
-    // bounded-Pareto, drawn from a dedicated stream.
-    let mut sizes_rng = SimRng::new(seed ^ 0x0B1E);
-    let content_keys: Vec<Hash256> = (0..RANKS)
-        .map(|r| sha256(format!("e16-rank-{r}").as_bytes()))
-        .collect();
-    for (r, &key) in content_keys.iter().enumerate() {
-        let size = spec.sizes.sample(&mut sizes_rng) as usize;
-        let payload = vec![(r % 251) as u8; size];
-        sim.with_ctx(gateways[r % GATEWAYS], |n, ctx| {
-            n.start_put(ctx, key, payload);
-        });
+const DHT_DEVICES: usize = 24;
+const DHT_GATEWAYS: usize = 4;
+
+struct DhtFleet {
+    /// The churning devices, then the always-on gateways.
+    ids: Vec<NodeId>,
+    content_keys: Vec<Hash256>,
+    /// XOR-closest overlay node per content key (the replica-set anchor).
+    closest: Vec<NodeId>,
+    rr: usize,
+    policy: DhtPolicy,
+    handle: Option<PolicyHandle>,
+    shed_rng: SimRng,
+    shed_q: Vec<ShedItem>,
+    cache_on: bool,
+}
+
+impl DhtFleet {
+    fn build(
+        sim: &mut Simulation<DhtNode>,
+        spec: &WorkloadSpec,
+        seed: u64,
+        policy: DhtPolicy,
+    ) -> DhtFleet {
+        let handle = (policy != DhtPolicy::Off).then(|| install_policy(sim));
+        let (keys, ids) = warm_overlay(sim, "e16", DHT_DEVICES + DHT_GATEWAYS);
+
+        // Publish the catalogue from the gateways (origins republish, keeping
+        // values alive across device churn). Sizes come from the workload's
+        // bounded-Pareto, drawn from a dedicated stream.
+        let mut sizes_rng = SimRng::new(seed ^ 0x0B1E);
+        let content_keys: Vec<Hash256> = (0..RANKS)
+            .map(|r| sha256(format!("e16-rank-{r}").as_bytes()))
+            .collect();
+        for (r, &key) in content_keys.iter().enumerate() {
+            let size = spec.sizes.sample(&mut sizes_rng) as usize;
+            let payload = vec![(r % 251) as u8; size];
+            sim.with_ctx(ids[DHT_DEVICES + r % DHT_GATEWAYS], |n, ctx| {
+                n.start_put(ctx, key, payload);
+            });
+        }
+        sim.run_for(SimDuration::from_secs(120));
+
+        let closest = content_keys
+            .iter()
+            .map(|ck| {
+                let nearest = keys.iter().zip(&ids).min_by_key(|(k, _)| ck.xor(k));
+                *nearest.expect("overlay is non-empty").1
+            })
+            .collect();
+        DhtFleet {
+            ids,
+            content_keys,
+            closest,
+            rr: 0,
+            policy,
+            handle,
+            shed_rng: SimRng::new(seed ^ 0x5ED),
+            shed_q: Vec::new(),
+            cache_on: false,
+        }
     }
-    sim.run_for(SimDuration::from_secs(120));
 
-    let sched = spec.compile(seed ^ 0xE16, &devices, DAY);
-    let requests = sched.total_requests();
-    let mut driver = WorkloadDriver::install(&sim, sched);
-    let serving: Vec<(NodeId, DeviceClass)> = ids
-        .iter()
-        .map(|&id| (id, DeviceClass::PersonalComputer))
-        .collect();
-    let mut ledger = LoadLedger::new(&serving);
-    // XOR-closest overlay node per content key (the replica-set anchor).
-    let closest: Vec<NodeId> = content_keys
-        .iter()
-        .map(|ck| {
-            let mut best = 0usize;
-            let mut best_d = [0xffu8; 32];
-            for (i, nk) in keys.iter().enumerate() {
-                let mut d = [0u8; 32];
-                for (b, byte) in d.iter_mut().enumerate() {
-                    *byte = ck.0[b] ^ nk.0[b];
-                }
-                if d < best_d {
-                    best_d = d;
-                    best = i;
-                }
+    /// Demands still queued when the day ends never completed.
+    fn give_up_queued(&mut self) {
+        if let Some(h) = &self.handle {
+            for _ in self.shed_q.drain(..) {
+                h.record("policy.shed_give_up", 1);
             }
-            ids[best]
-        })
-        .collect();
-    let mut out = Outcomes::default();
-    let mut pending: Vec<(NodeId, u64, f64)> = Vec::new();
-    let mut rr = 0usize;
-    let mut shed_rng = SimRng::new(seed ^ 0x5ED);
-    let mut shed_q: Vec<ShedItem> = Vec::new();
-    let mut cache_on = false;
-    let base = sim.now();
-    let ticks = DAY.micros() / TICK.micros();
-    for k in 0..ticks {
-        let tick_end = base + TICK * (k + 1);
-        let mut t = base + TICK * k;
-        while t < tick_end {
-            t = (t + DRAIN).min(tick_end);
-            driver.run_until(&mut sim, t, &mut |sim, d| {
-                out.total_w += d.weight;
-                let rank = d.rank as usize % RANKS;
-                let engaged = handle.as_ref().is_some_and(|h| h.engaged());
-                if policy == DhtPolicy::Shed && engaged {
-                    // Level-scaled admission control: shed lvl/(lvl+2) of
-                    // arrivals into the backoff queue instead of serving
-                    // them at the peak.
-                    let h = handle.as_ref().expect("engaged implies handle");
-                    let lvl = f64::from(h.level());
-                    if shed_rng.f64() < lvl / (lvl + 2.0) {
-                        if shed_q.len() >= SHED_QUEUE_CAP {
-                            h.record("policy.shed_drop", 1);
-                            out.resolve(d.weight, false);
-                        } else {
-                            let mut retrier = Retrier::new(shed_retry());
-                            let b = retrier.next_backoff(&mut shed_rng).expect("first backoff");
-                            shed_q.push(ShedItem {
-                                rank,
-                                weight: d.weight,
-                                bytes: d.bytes,
-                                due: sim.now() + b,
-                                retrier,
-                            });
-                            h.record("policy.shed", 1);
-                        }
-                        return;
-                    }
-                }
-                let g = gateways[rr % gateways.len()];
-                rr += 1;
-                if policy == DhtPolicy::Cache && engaged && sim.node(g).cached(&content_keys[rank])
-                {
-                    // The gateway answers the repeat off its own uplink
-                    // instead of concentrating on the overlay anchor.
-                    ledger.add(g, d.weight, d.bytes);
-                    handle.as_ref().expect("engaged").record("policy.cache", 1);
+        }
+    }
+}
+
+impl ServingSubstrate for DhtFleet {
+    type Node = DhtNode;
+    const OP_HIST: &'static str = "dht.lookup_secs";
+    const DRAIN_TIMED: bool = false;
+
+    fn serving(&self) -> Vec<(NodeId, DeviceClass)> {
+        consumer_pcs(&self.ids)
+    }
+
+    fn churnable(&self) -> &[NodeId] {
+        &self.ids[..DHT_DEVICES]
+    }
+
+    fn serve(&mut self, sim: &mut Sim<Self>, d: &Demand, ledger: &mut LoadLedger) -> Served {
+        let rank = d.rank as usize % RANKS;
+        let engaged = self.handle.as_ref().filter(|h| h.engaged());
+        if let (DhtPolicy::Shed, Some(h)) = (self.policy, engaged) {
+            // Level-scaled admission control: shed lvl/(lvl+2) of arrivals
+            // into the backoff queue instead of serving them at the peak.
+            let lvl = f64::from(h.level());
+            if self.shed_rng.f64() < lvl / (lvl + 2.0) {
+                if self.shed_q.len() >= SHED_QUEUE_CAP {
+                    h.record("policy.shed_drop", 1);
                 } else {
-                    ledger.add(closest[rank], d.weight, d.bytes);
+                    let mut retrier = Retrier::new(shed_retry());
+                    let b = retrier
+                        .next_backoff(&mut self.shed_rng)
+                        .expect("first backoff");
+                    self.shed_q.push(ShedItem {
+                        rank,
+                        weight: d.weight,
+                        bytes: d.bytes,
+                        due: sim.now() + b,
+                        retrier,
+                    });
+                    h.record("policy.shed", 1);
                 }
-                if let Some(op) = sim.with_ctx(g, |n, ctx| n.start_get(ctx, content_keys[rank])) {
-                    pending.push((g, op, d.weight));
-                }
-            });
-            pending.retain(|&(g, op, w)| match sim.node_mut(g).take_result(op) {
-                Some(r) => {
-                    out.resolve(w, matches!(r, DhtResult::Found { .. }));
-                    false
-                }
-                None => true,
-            });
-            // Drain-boundary reconcile: the only place policy state takes
-            // effect on the substrate, at a deterministic sim time.
-            if let Some(h) = &handle {
-                match policy {
-                    DhtPolicy::Cache => {
-                        if h.engaged() != cache_on {
-                            cache_on = h.engaged();
-                            for &g in &gateways {
-                                sim.node_mut(g).set_cache(cache_on);
-                            }
-                            let kind = if cache_on {
-                                "policy.cache_on"
-                            } else {
-                                "policy.cache_off"
-                            };
-                            h.record(kind, 1);
-                        }
-                    }
-                    DhtPolicy::Shed => {
-                        let now = sim.now();
-                        let engaged = h.engaged();
-                        let mut still = Vec::with_capacity(shed_q.len());
-                        for mut item in shed_q.drain(..) {
-                            if now < item.due {
-                                still.push(item);
-                            } else if engaged {
-                                // Still overloaded: back off again, or give
-                                // up once the attempt budget runs out.
-                                match item.retrier.next_backoff(&mut shed_rng) {
-                                    Some(b) => {
-                                        item.due = now + b;
-                                        still.push(item);
-                                    }
-                                    None => {
-                                        h.record("policy.shed_give_up", 1);
-                                        out.resolve(item.weight, false);
-                                    }
-                                }
-                            } else {
-                                // Released: admit the deferred demand.
-                                ledger.add(closest[item.rank], item.weight, item.bytes);
-                                let g = gateways[rr % gateways.len()];
-                                rr += 1;
-                                if let Some(op) = sim
-                                    .with_ctx(g, |n, ctx| n.start_get(ctx, content_keys[item.rank]))
-                                {
-                                    pending.push((g, op, item.weight));
-                                }
-                                h.record("policy.shed_admit", 1);
-                            }
-                        }
-                        shed_q = still;
-                    }
-                    DhtPolicy::Off => {}
-                }
+                return Served::Resolved(false);
             }
         }
-        let (tick_demand, tick_util) = ledger.end_tick();
-        sim.probe_note("workload.demand", tick_demand);
-        sim.probe_note("net.uplink_util", tick_util);
+        let g = self.ids[DHT_DEVICES + self.rr % DHT_GATEWAYS];
+        self.rr += 1;
+        let key = self.content_keys[rank];
+        match engaged {
+            Some(h) if self.policy == DhtPolicy::Cache && sim.node(g).cached(&key) => {
+                // The gateway answers the repeat off its own uplink
+                // instead of concentrating on the overlay anchor.
+                ledger.add(g, d.weight, d.bytes);
+                h.record("policy.cache", 1);
+            }
+            _ => ledger.add(self.closest[rank], d.weight, d.bytes),
+        }
+        Served::op(g, sim.with_ctx(g, |n, ctx| n.start_get(ctx, key)))
     }
-    sim.run_for(SimDuration::from_mins(10));
-    for (g, op, w) in pending {
-        let ok = matches!(
-            sim.node_mut(g).take_result(op),
-            Some(DhtResult::Found { .. })
-        );
-        out.resolve(w, ok);
+
+    fn poll(&mut self, sim: &mut Sim<Self>, node: NodeId, op: u64) -> Option<bool> {
+        let r = sim.node_mut(node).take_result(op)?;
+        Some(matches!(r, DhtResult::Found { .. }))
     }
-    // Demands still queued when the day ends never completed.
-    if let Some(h) = &handle {
-        for item in shed_q.drain(..) {
-            h.record("policy.shed_give_up", 1);
-            out.resolve(item.weight, false);
+
+    fn reconcile(
+        &mut self,
+        sim: &mut Sim<Self>,
+        ledger: &mut LoadLedger,
+        pending: &mut Vec<Pending>,
+    ) {
+        let Some(h) = &self.handle else {
+            return;
+        };
+        match self.policy {
+            DhtPolicy::Cache => {
+                if h.engaged() != self.cache_on {
+                    self.cache_on = h.engaged();
+                    for &g in &self.ids[DHT_DEVICES..] {
+                        sim.node_mut(g).set_cache(self.cache_on);
+                    }
+                    let kind = if self.cache_on {
+                        "policy.cache_on"
+                    } else {
+                        "policy.cache_off"
+                    };
+                    h.record(kind, 1);
+                }
+            }
+            DhtPolicy::Shed => {
+                let now = sim.now();
+                let engaged = h.engaged();
+                let mut still = Vec::with_capacity(self.shed_q.len());
+                for mut item in std::mem::take(&mut self.shed_q) {
+                    if now < item.due {
+                        still.push(item);
+                    } else if engaged {
+                        // Still overloaded: back off again, or give up
+                        // once the attempt budget runs out.
+                        match item.retrier.next_backoff(&mut self.shed_rng) {
+                            Some(b) => {
+                                item.due = now + b;
+                                still.push(item);
+                            }
+                            None => h.record("policy.shed_give_up", 1),
+                        }
+                    } else {
+                        // Released: admit the deferred demand.
+                        ledger.add(self.closest[item.rank], item.weight, item.bytes);
+                        let g = self.ids[DHT_DEVICES + self.rr % DHT_GATEWAYS];
+                        self.rr += 1;
+                        let key = self.content_keys[item.rank];
+                        if let Some(op) = sim.with_ctx(g, |n, ctx| n.start_get(ctx, key)) {
+                            pending.push(Pending {
+                                node: g,
+                                op,
+                                started: now,
+                                weight: item.weight,
+                            });
+                        }
+                        h.record("policy.shed_admit", 1);
+                    }
+                }
+                self.shed_q = still;
+            }
+            DhtPolicy::Off => {}
         }
     }
-    let (p50, p95, p99) = histogram_quantiles(sim.metrics(), "dht.lookup_secs");
-    (
-        ClassOutcome {
-            availability: out.availability(),
-            p50,
-            p95,
-            p99,
-            op_p50: p50,
-            op_p95: p95,
-            op_p99: p99,
-            busiest_share: ledger.busiest_share(),
-            peak_overload: ledger.peak_overload,
-            requests,
-        },
-        stats_of(handle.as_ref()),
-    )
+}
+
+pub(crate) fn run_dht_impl(
+    seed: u64,
+    population: u64,
+    cohorts: u32,
+    policy: DhtPolicy,
+) -> (ClassOutcome, PolicyStats) {
+    let spec = e16_spec_cohorts(population, cohorts);
+    let build = |sim: &mut Simulation<DhtNode>| DhtFleet::build(sim, &spec, seed, policy);
+    let (outcome, mut fleet) = e16_day(seed, &spec, build);
+    fleet.give_up_queued();
+    (outcome, stats_of(fleet.handle.as_ref()))
 }
 
 // ---------------------------------------------------------------------------
@@ -795,8 +636,149 @@ pub(crate) fn run_dht_impl(
 // shuffle per object.
 // ---------------------------------------------------------------------------
 
-fn run_storage(seed: u64, population: u64) -> ClassOutcome {
-    run_storage_impl(seed, population, COHORTS, false).0
+const STORAGE_OBJECTS: usize = 16;
+const STORAGE_K: usize = 4;
+const STORAGE_M: usize = 2;
+
+struct StorageFleet {
+    providers: Vec<NodeId>,
+    client: NodeId,
+    objects: Vec<Hash256>,
+    datas: Vec<Vec<u8>>,
+    /// Modeled serving set per object: its k data-shard holders, then the
+    /// k more it also serves off once the policy has re-replicated it.
+    holders: Vec<Vec<NodeId>>,
+    /// Objects `..replicated` have been re-published by the policy.
+    replicated: usize,
+    handle: Option<PolicyHandle>,
+}
+
+impl StorageFleet {
+    fn build(
+        sim: &mut Simulation<StorageNode>,
+        spec: &WorkloadSpec,
+        seed: u64,
+        rebalance: bool,
+    ) -> StorageFleet {
+        const PROVIDERS: usize = 12;
+        let handle = rebalance.then(|| install_policy(sim));
+        let providers: Vec<NodeId> = (0..PROVIDERS)
+            .map(|_| {
+                sim.add_node(
+                    StorageNode::provider(ProviderStrategy::Honest),
+                    DeviceClass::PersonalComputer,
+                )
+            })
+            .collect();
+        let client = sim.add_node(
+            StorageNode::client(providers.clone(), SimDuration::from_secs(600)),
+            DeviceClass::PersonalComputer,
+        );
+        let mut sizes_rng = SimRng::new(seed ^ 0x0B1E);
+        let mut objects: Vec<Hash256> = Vec::new();
+        let mut datas: Vec<Vec<u8>> = Vec::new();
+        for o in 0..STORAGE_OBJECTS {
+            let size = (spec.sizes.sample(&mut sizes_rng) as usize).max(STORAGE_K * 64);
+            let data = vec![(o as u8).wrapping_mul(37).wrapping_add(1); size];
+            let (_, object) = sim
+                .with_ctx(client, |n, ctx| {
+                    n.start_put(ctx, &data, STORAGE_K, STORAGE_M)
+                })
+                .expect("client up");
+            objects.push(object);
+            datas.push(data);
+            sim.run_for(SimDuration::from_secs(5));
+        }
+        sim.run_for(SimDuration::from_mins(5));
+
+        // Modeled placement for attribution: the real client scatters each
+        // object's k+m shards over a shuffled provider order; mirror that
+        // with one seeded shuffle per object and attribute a get to the k
+        // data-shard holders. Once the policy has re-replicated an object
+        // it serves off k more, drawn from a second seeded shuffle.
+        let shuffled = |salt: u64| {
+            let mut order = providers.clone();
+            SimRng::new(seed ^ salt).shuffle(&mut order);
+            order
+        };
+        let holders: Vec<Vec<NodeId>> = (0..STORAGE_OBJECTS as u64)
+            .map(|o| {
+                let mut set = shuffled(0x9A7 ^ o)[..STORAGE_K].to_vec();
+                let extra = shuffled(0x9A8 ^ o);
+                let fresh: Vec<NodeId> = extra.into_iter().filter(|p| !set.contains(p)).collect();
+                set.extend(&fresh[..STORAGE_K]);
+                set
+            })
+            .collect();
+        StorageFleet {
+            providers,
+            client,
+            objects,
+            datas,
+            holders,
+            replicated: 0,
+            handle,
+        }
+    }
+}
+
+impl ServingSubstrate for StorageFleet {
+    type Node = StorageNode;
+    const OP_HIST: &'static str = "storage.get_secs";
+    const DRAIN_TIMED: bool = true;
+
+    fn serving(&self) -> Vec<(NodeId, DeviceClass)> {
+        consumer_pcs(&self.providers)
+    }
+
+    fn churnable(&self) -> &[NodeId] {
+        &self.providers
+    }
+
+    fn serve(&mut self, sim: &mut Sim<Self>, d: &Demand, ledger: &mut LoadLedger) -> Served {
+        let o = d.rank as usize % STORAGE_OBJECTS;
+        // Re-replicated objects serve off twice the providers.
+        let k = if o < self.replicated { 2 } else { 1 } * STORAGE_K;
+        let holders = &self.holders[o][..k];
+        ledger.spread(holders, d.weight, d.bytes);
+        let object = self.objects[o];
+        Served::op(
+            self.client,
+            sim.with_ctx(self.client, |n, ctx| n.start_get(ctx, object)),
+        )
+    }
+
+    fn poll(&mut self, sim: &mut Sim<Self>, node: NodeId, op: u64) -> Option<bool> {
+        let r = sim.node_mut(node).take_result(op)?;
+        Some(matches!(r, StorageResult::Retrieved(_)))
+    }
+
+    /// Each escalation level re-publishes one more of the hottest objects
+    /// through the real market path; replicas persist after the policy
+    /// releases.
+    fn reconcile(
+        &mut self,
+        sim: &mut Sim<Self>,
+        _ledger: &mut LoadLedger,
+        _pending: &mut Vec<Pending>,
+    ) {
+        let Some(h) = &self.handle else {
+            return;
+        };
+        let want = if h.engaged() {
+            (h.level() as usize).min(STORAGE_OBJECTS)
+        } else {
+            self.replicated
+        };
+        while self.replicated < want {
+            let data = &self.datas[self.replicated];
+            sim.with_ctx(self.client, |n, ctx| {
+                n.start_put(ctx, data, STORAGE_K, STORAGE_M);
+            });
+            h.record("policy.replicate", 1);
+            self.replicated += 1;
+        }
+    }
 }
 
 pub(crate) fn run_storage_impl(
@@ -805,172 +787,11 @@ pub(crate) fn run_storage_impl(
     cohorts: u32,
     rebalance: bool,
 ) -> (ClassOutcome, PolicyStats) {
-    const PROVIDERS: usize = 12;
-    const OBJECTS: usize = 16;
-    const K: usize = 4;
-    const M: usize = 2;
     let spec = e16_spec_cohorts(population, cohorts);
-    let mut sim = Simulation::new(seed);
-    let handle = rebalance.then(|| install_policy(&mut sim));
-    let providers: Vec<NodeId> = (0..PROVIDERS)
-        .map(|_| {
-            sim.add_node(
-                StorageNode::provider(ProviderStrategy::Honest),
-                DeviceClass::PersonalComputer,
-            )
-        })
-        .collect();
-    let client = sim.add_node(
-        StorageNode::client(providers.clone(), SimDuration::from_secs(600)),
-        DeviceClass::PersonalComputer,
-    );
-    let mut sizes_rng = SimRng::new(seed ^ 0x0B1E);
-    let mut objects: Vec<Hash256> = Vec::new();
-    let mut datas: Vec<Vec<u8>> = Vec::new();
-    for o in 0..OBJECTS {
-        let size = (spec.sizes.sample(&mut sizes_rng) as usize).max(K * 64);
-        let data = vec![(o as u8).wrapping_mul(37).wrapping_add(1); size];
-        let (_, object) = sim
-            .with_ctx(client, |n, ctx| n.start_put(ctx, &data, K, M))
-            .expect("client up");
-        objects.push(object);
-        datas.push(data);
-        sim.run_for(SimDuration::from_secs(5));
-    }
-    sim.run_for(SimDuration::from_mins(5));
-
-    // Modeled placement for attribution: the real client scatters each
-    // object's k+m shards over a shuffled provider order; mirror that
-    // with one seeded shuffle per object and attribute a get to the k
-    // data-shard holders.
-    let placement: Vec<Vec<NodeId>> = (0..OBJECTS)
-        .map(|o| {
-            let mut order = providers.clone();
-            SimRng::new(seed ^ 0x9A7 ^ o as u64).shuffle(&mut order);
-            order[..K].to_vec()
-        })
-        .collect();
-    // The re-balanced serving set per object: the original k data-shard
-    // holders plus k more from a second seeded shuffle — the modeled
-    // attribution once the policy has re-replicated an object.
-    let expanded: Vec<Vec<NodeId>> = (0..OBJECTS)
-        .map(|o| {
-            let mut order = providers.clone();
-            SimRng::new(seed ^ 0x9A8 ^ o as u64).shuffle(&mut order);
-            let mut set = placement[o].clone();
-            for &p in &order {
-                if set.len() >= 2 * K {
-                    break;
-                }
-                if !set.contains(&p) {
-                    set.push(p);
-                }
-            }
-            set
-        })
-        .collect();
-    let mut replicated = 0usize;
-
-    let sched = spec.compile(seed ^ 0xE16, &providers, DAY);
-    let requests = sched.total_requests();
-    let mut driver = WorkloadDriver::install(&sim, sched);
-    let serving: Vec<(NodeId, DeviceClass)> = providers
-        .iter()
-        .map(|&id| (id, DeviceClass::PersonalComputer))
-        .collect();
-    let mut ledger = LoadLedger::new(&serving);
-    let mut out = Outcomes::default();
-    let mut pending: Vec<(u64, SimTime, f64)> = Vec::new();
-    let mut latencies: Vec<f64> = Vec::new();
-    let base = sim.now();
-    let ticks = DAY.micros() / TICK.micros();
-    for k in 0..ticks {
-        let tick_end = base + TICK * (k + 1);
-        let mut t = base + TICK * k;
-        while t < tick_end {
-            t = (t + DRAIN).min(tick_end);
-            driver.run_until(&mut sim, t, &mut |sim, d| {
-                out.total_w += d.weight;
-                let o = d.rank as usize % OBJECTS;
-                // Re-replicated objects serve off twice the providers.
-                if o < replicated {
-                    ledger.spread(&expanded[o], d.weight, d.bytes);
-                } else {
-                    ledger.spread(&placement[o], d.weight, d.bytes);
-                }
-                if let Some(op) = sim.with_ctx(client, |n, ctx| n.start_get(ctx, objects[o])) {
-                    pending.push((op, sim.now(), d.weight));
-                }
-            });
-            let now = sim.now();
-            pending.retain(
-                |&(op, started, w)| match sim.node_mut(client).take_result(op) {
-                    Some(r) => {
-                        let ok = matches!(r, StorageResult::Retrieved(_));
-                        if ok {
-                            latencies.push(now.since(started).secs_f64());
-                        }
-                        out.resolve(w, ok);
-                        false
-                    }
-                    None => true,
-                },
-            );
-            // Drain-boundary reconcile: each escalation level re-publishes
-            // one more of the hottest objects through the real market
-            // path; replicas persist after the policy releases.
-            if let Some(h) = &handle {
-                let want = if h.engaged() {
-                    (h.level() as usize).min(OBJECTS)
-                } else {
-                    replicated
-                };
-                while replicated < want {
-                    let data = &datas[replicated];
-                    sim.with_ctx(client, |n, ctx| {
-                        n.start_put(ctx, data, K, M);
-                    });
-                    h.record("policy.replicate", 1);
-                    replicated += 1;
-                }
-            }
-        }
-        let (tick_demand, tick_util) = ledger.end_tick();
-        sim.probe_note("workload.demand", tick_demand);
-        sim.probe_note("net.uplink_util", tick_util);
-    }
-    sim.run_for(SimDuration::from_mins(10));
-    let now = sim.now();
-    for (op, started, w) in pending {
-        let ok = matches!(
-            sim.node_mut(client).take_result(op),
-            Some(StorageResult::Retrieved(_))
-        );
-        if ok {
-            latencies.push(now.since(started).secs_f64());
-        }
-        out.resolve(w, ok);
-    }
-    let (p50, p95, p99) = quantiles(latencies);
-    // The legacy quantiles above time pending gets at drain boundaries
-    // (30 s granularity); the node's own event-time completion histogram
-    // gives the true per-op distribution.
-    let (op_p50, op_p95, op_p99) = histogram_quantiles(sim.metrics(), "storage.get_secs");
-    (
-        ClassOutcome {
-            availability: out.availability(),
-            p50,
-            p95,
-            p99,
-            op_p50,
-            op_p95,
-            op_p99,
-            busiest_share: ledger.busiest_share(),
-            peak_overload: ledger.peak_overload,
-            requests,
-        },
-        stats_of(handle.as_ref()),
-    )
+    let build =
+        |sim: &mut Simulation<StorageNode>| StorageFleet::build(sim, &spec, seed, rebalance);
+    let (outcome, fleet) = e16_day(seed, &spec, build);
+    (outcome, stats_of(fleet.handle.as_ref()))
 }
 
 // ---------------------------------------------------------------------------
@@ -980,8 +801,140 @@ pub(crate) fn run_storage_impl(
 // point). Load spreads over whoever is up and seeding.
 // ---------------------------------------------------------------------------
 
-fn run_swarm(seed: u64, population: u64) -> ClassOutcome {
-    run_swarm_impl(seed, population, COHORTS, false).0
+struct SwarmFleet {
+    /// The origin and the seed wave: the site must outlive its origin.
+    churnable: Vec<NodeId>,
+    gateways: Vec<NodeId>,
+    /// Reserve seeders for the auto-join policy: always-on peers holding
+    /// nothing until activated. Empty when the policy is off — the off
+    /// run's node set (and therefore its bytes) is untouched.
+    pool: Vec<NodeId>,
+    /// Reserve seeders `..active` have been told to join.
+    active: usize,
+    site: Hash256,
+    rr: usize,
+    handle: Option<PolicyHandle>,
+}
+
+impl SwarmFleet {
+    fn build(sim: &mut Simulation<SwarmNode>, seeder_pool: bool) -> SwarmFleet {
+        const SEEDERS: usize = 20;
+        const GATEWAYS: usize = 6;
+        const POOL: usize = 24;
+        let tracker = sim.add_node(SwarmNode::tracker(), DeviceClass::DatacenterServer);
+        let mut peers = |n: usize| -> Vec<NodeId> {
+            (0..n)
+                .map(|_| sim.add_node(SwarmNode::peer(tracker), DeviceClass::PersonalComputer))
+                .collect()
+        };
+        let origin = peers(1)[0];
+        let seeders = peers(SEEDERS);
+        let gateways = peers(GATEWAYS);
+        let pool = peers(if seeder_pool { POOL } else { 0 });
+        let handle = seeder_pool.then(|| install_policy(sim));
+        let mut publisher = SitePublisher::new(b"e16-site");
+        let content = vec![42u8; 200_000];
+        let bundle = publisher.publish(&[("index.html", content.as_slice())]);
+        let site = publisher.site_id();
+        sim.with_ctx(origin, |n, ctx| n.host_site(ctx, &bundle));
+        sim.run_for(SimDuration::from_secs(5));
+        // Seed wave: every seeder fetches the site while the origin is up.
+        let mut warm = Vec::new();
+        for &s in &seeders {
+            if let Some(op) = sim.with_ctx(s, |n, ctx| n.start_visit(ctx, site)) {
+                warm.push((s, op));
+            }
+        }
+        sim.run_for(SimDuration::from_mins(5));
+        for (s, op) in warm {
+            let _ = sim.node_mut(s).take_result(op);
+        }
+        let mut churnable = vec![origin];
+        churnable.extend(&seeders);
+        SwarmFleet {
+            churnable,
+            gateways,
+            pool,
+            active: 0,
+            site,
+            rr: 0,
+            handle,
+        }
+    }
+}
+
+impl ServingSubstrate for SwarmFleet {
+    type Node = SwarmNode;
+    const OP_HIST: &'static str = "web.visit_secs";
+    const DRAIN_TIMED: bool = true;
+
+    fn serving(&self) -> Vec<(NodeId, DeviceClass)> {
+        consumer_pcs(&[&self.churnable[..], &self.gateways, &self.pool].concat())
+    }
+
+    fn churnable(&self) -> &[NodeId] {
+        &self.churnable
+    }
+
+    fn serve(&mut self, sim: &mut Sim<Self>, d: &Demand, ledger: &mut LoadLedger) -> Served {
+        // Serving capacity: whoever is up and has the pieces — the origin,
+        // the seed wave, the gateways themselves, and any policy-activated
+        // reserve seeders that finished fetching the site.
+        let live: Vec<NodeId> = self
+            .churnable
+            .iter()
+            .chain(self.gateways.iter())
+            .copied()
+            .filter(|&n| sim.is_up(n))
+            .chain(
+                self.pool[..self.active]
+                    .iter()
+                    .copied()
+                    .filter(|&p| sim.node(p).seeds(&self.site)),
+            )
+            .collect();
+        ledger.spread(&live, d.weight, d.bytes);
+        let g = self.gateways[self.rr % self.gateways.len()];
+        self.rr += 1;
+        let site = self.site;
+        Served::op(g, sim.with_ctx(g, |n, ctx| n.start_visit(ctx, site)))
+    }
+
+    fn poll(&mut self, sim: &mut Sim<Self>, node: NodeId, op: u64) -> Option<bool> {
+        let r = sim.node_mut(node).take_result(op)?;
+        Some(matches!(r, VisitResult::Ok { .. }))
+    }
+
+    /// Four reserve seeders join per escalation level; all retire once the
+    /// policy releases.
+    fn reconcile(
+        &mut self,
+        sim: &mut Sim<Self>,
+        _ledger: &mut LoadLedger,
+        _pending: &mut Vec<Pending>,
+    ) {
+        let Some(h) = &self.handle else {
+            return;
+        };
+        let site = self.site;
+        let want = if h.engaged() {
+            (h.level() as usize * 4).min(self.pool.len())
+        } else {
+            0
+        };
+        while self.active < want {
+            sim.with_ctx(self.pool[self.active], |n, ctx| {
+                n.start_visit(ctx, site);
+            });
+            h.record("policy.seed", 1);
+            self.active += 1;
+        }
+        while self.active > want {
+            self.active -= 1;
+            sim.with_ctx(self.pool[self.active], |n, ctx| n.retire(ctx, site));
+            h.record("policy.retire", 1);
+        }
+    }
 }
 
 pub(crate) fn run_swarm_impl(
@@ -990,173 +943,10 @@ pub(crate) fn run_swarm_impl(
     cohorts: u32,
     seeder_pool: bool,
 ) -> (ClassOutcome, PolicyStats) {
-    const SEEDERS: usize = 20;
-    const GATEWAYS: usize = 6;
-    const POOL: usize = 24;
     let spec = e16_spec_cohorts(population, cohorts);
-    let mut sim = Simulation::new(seed);
-    let tracker = sim.add_node(SwarmNode::tracker(), DeviceClass::DatacenterServer);
-    let origin = sim.add_node(SwarmNode::peer(tracker), DeviceClass::PersonalComputer);
-    let seeders: Vec<NodeId> = (0..SEEDERS)
-        .map(|_| sim.add_node(SwarmNode::peer(tracker), DeviceClass::PersonalComputer))
-        .collect();
-    let gateways: Vec<NodeId> = (0..GATEWAYS)
-        .map(|_| sim.add_node(SwarmNode::peer(tracker), DeviceClass::PersonalComputer))
-        .collect();
-    // Reserve seeders for the auto-join policy: always-on peers holding
-    // nothing until activated. Only created when the policy is on — the
-    // off run's node set (and therefore its bytes) is untouched.
-    let pool: Vec<NodeId> = if seeder_pool {
-        (0..POOL)
-            .map(|_| sim.add_node(SwarmNode::peer(tracker), DeviceClass::PersonalComputer))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let handle = seeder_pool.then(|| install_policy(&mut sim));
-    let mut publisher = SitePublisher::new(b"e16-site");
-    let content = vec![42u8; 200_000];
-    let bundle = publisher.publish(&[("index.html", content.as_slice())]);
-    let site = publisher.site_id();
-    sim.with_ctx(origin, |n, ctx| n.host_site(ctx, &bundle));
-    sim.run_for(SimDuration::from_secs(5));
-    // Seed wave: every seeder fetches the site while the origin is up.
-    let mut warm = Vec::new();
-    for &s in &seeders {
-        if let Some(op) = sim.with_ctx(s, |n, ctx| n.start_visit(ctx, site)) {
-            warm.push((s, op));
-        }
-    }
-    sim.run_for(SimDuration::from_mins(5));
-    for (s, op) in warm {
-        let _ = sim.node_mut(s).take_result(op);
-    }
-
-    // The origin churns with everyone else: the site must outlive it.
-    let mut churnable = vec![origin];
-    churnable.extend(&seeders);
-    let sched = spec.compile(seed ^ 0xE16, &churnable, DAY);
-    let requests = sched.total_requests();
-    let mut driver = WorkloadDriver::install(&sim, sched);
-    let mut swarm_members: Vec<(NodeId, DeviceClass)> = churnable
-        .iter()
-        .map(|&id| (id, DeviceClass::PersonalComputer))
-        .collect();
-    swarm_members.extend(
-        gateways
-            .iter()
-            .map(|&id| (id, DeviceClass::PersonalComputer)),
-    );
-    swarm_members.extend(pool.iter().map(|&id| (id, DeviceClass::PersonalComputer)));
-    let mut ledger = LoadLedger::new(&swarm_members);
-    let mut out = Outcomes::default();
-    let mut pending: Vec<(NodeId, u64, SimTime, f64)> = Vec::new();
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut rr = 0usize;
-    let mut active = 0usize;
-    let base = sim.now();
-    let ticks = DAY.micros() / TICK.micros();
-    for k in 0..ticks {
-        let tick_end = base + TICK * (k + 1);
-        let mut t = base + TICK * k;
-        while t < tick_end {
-            t = (t + DRAIN).min(tick_end);
-            driver.run_until(&mut sim, t, &mut |sim, d| {
-                out.total_w += d.weight;
-                // Serving capacity: whoever is up and has the pieces —
-                // the origin, the seed wave, the gateways themselves, and
-                // any policy-activated reserve seeders that finished
-                // fetching the site.
-                let live: Vec<NodeId> = churnable
-                    .iter()
-                    .chain(gateways.iter())
-                    .copied()
-                    .filter(|&n| sim.is_up(n))
-                    .chain(
-                        pool[..active]
-                            .iter()
-                            .copied()
-                            .filter(|&p| sim.node(p).seeds(&site)),
-                    )
-                    .collect();
-                ledger.spread(&live, d.weight, d.bytes);
-                let g = gateways[rr % gateways.len()];
-                rr += 1;
-                if let Some(op) = sim.with_ctx(g, |n, ctx| n.start_visit(ctx, site)) {
-                    pending.push((g, op, sim.now(), d.weight));
-                }
-            });
-            let now = sim.now();
-            pending.retain(
-                |&(g, op, started, w)| match sim.node_mut(g).take_result(op) {
-                    Some(r) => {
-                        let ok = matches!(r, VisitResult::Ok { .. });
-                        if ok {
-                            latencies.push(now.since(started).secs_f64());
-                        }
-                        out.resolve(w, ok);
-                        false
-                    }
-                    None => true,
-                },
-            );
-            // Drain-boundary reconcile: four reserve seeders join per
-            // escalation level; all retire once the policy releases.
-            if let Some(h) = &handle {
-                let want = if h.engaged() {
-                    (h.level() as usize * 4).min(pool.len())
-                } else {
-                    0
-                };
-                while active < want {
-                    let p = pool[active];
-                    sim.with_ctx(p, |n, ctx| {
-                        n.start_visit(ctx, site);
-                    });
-                    h.record("policy.seed", 1);
-                    active += 1;
-                }
-                while active > want {
-                    active -= 1;
-                    let p = pool[active];
-                    sim.with_ctx(p, |n, ctx| n.retire(ctx, site));
-                    h.record("policy.retire", 1);
-                }
-            }
-        }
-        let (tick_demand, tick_util) = ledger.end_tick();
-        sim.probe_note("workload.demand", tick_demand);
-        sim.probe_note("net.uplink_util", tick_util);
-    }
-    sim.run_for(SimDuration::from_mins(10));
-    let now = sim.now();
-    for (g, op, started, w) in pending {
-        let ok = matches!(
-            sim.node_mut(g).take_result(op),
-            Some(VisitResult::Ok { .. })
-        );
-        if ok {
-            latencies.push(now.since(started).secs_f64());
-        }
-        out.resolve(w, ok);
-    }
-    let (p50, p95, p99) = quantiles(latencies);
-    let (op_p50, op_p95, op_p99) = histogram_quantiles(sim.metrics(), "web.visit_secs");
-    (
-        ClassOutcome {
-            availability: out.availability(),
-            p50,
-            p95,
-            p99,
-            op_p50,
-            op_p95,
-            op_p99,
-            busiest_share: ledger.busiest_share(),
-            peak_overload: ledger.peak_overload,
-            requests,
-        },
-        stats_of(handle.as_ref()),
-    )
+    let build = |sim: &mut Simulation<SwarmNode>| SwarmFleet::build(sim, seeder_pool);
+    let (outcome, fleet) = e16_day(seed, &spec, build);
+    (outcome, stats_of(fleet.handle.as_ref()))
 }
 
 /// E16 at a single population: the same day on all five classes.
@@ -1165,9 +955,9 @@ pub fn e16_population_point(seed: u64, population: u64) -> E16Result {
         population,
         centralized: run_centralized(seed, population),
         federated: run_federated(seed + 1, population),
-        dht: run_dht(seed + 2, population),
-        storage: run_storage(seed + 3, population),
-        swarm: run_swarm(seed + 4, population),
+        dht: run_dht_impl(seed + 2, population, COHORTS, DhtPolicy::Off).0,
+        storage: run_storage_impl(seed + 3, population, COHORTS, false).0,
+        swarm: run_swarm_impl(seed + 4, population, COHORTS, false).0,
     }
 }
 

@@ -5,6 +5,7 @@
 //! (asserted in tests, re-measured in benches) plus a rendered
 //! [`Report`] for the harness binaries.
 
+mod day;
 pub mod exp_agenda;
 pub mod exp_app;
 pub mod exp_chain;

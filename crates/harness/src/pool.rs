@@ -38,19 +38,18 @@ where
             let slots = &slots;
             let f = &f;
             s.spawn(move || loop {
-                let task = queues[w]
-                    .lock()
-                    .expect("pool queue poisoned")
-                    .pop_front()
-                    .or_else(|| {
-                        // Steal from the back of the first non-empty victim.
-                        (1..threads).find_map(|off| {
-                            queues[(w + off) % threads]
-                                .lock()
-                                .expect("pool queue poisoned")
-                                .pop_back()
-                        })
-                    });
+                // Own statement: the guard on our own deque must drop before
+                // we lock a victim's, or idle workers deadlock in a cycle.
+                let own = queues[w].lock().expect("pool queue poisoned").pop_front();
+                let task = own.or_else(|| {
+                    // Steal from the back of the first non-empty victim.
+                    (1..threads).find_map(|off| {
+                        queues[(w + off) % threads]
+                            .lock()
+                            .expect("pool queue poisoned")
+                            .pop_back()
+                    })
+                });
                 // No queue holds work: everything left is already running
                 // on another worker, and nothing re-enqueues, so exit.
                 let Some(i) = task else { break };

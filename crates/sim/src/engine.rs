@@ -15,7 +15,6 @@ use crate::metrics::{CounterHandle, Metrics};
 use crate::net::Network;
 #[cfg(feature = "trace")]
 use crate::net::SendFailure;
-#[cfg(feature = "probe")]
 use crate::probe::{NoopProbe, ProbeFrame, ProbeSink};
 use crate::rng::SimRng;
 use crate::shard::{
@@ -78,7 +77,6 @@ const TRACE_SIM_NODE: NodeId = NodeId(u32::MAX);
 /// push funnels and the dispatch decrement, so frame queue statistics are a
 /// pure function of the canonical event order and never consult the
 /// scheduler's internal (shard-dependent) layout.
-#[cfg(feature = "probe")]
 struct Prober {
     sink: Box<dyn ProbeSink>,
     on: bool,
@@ -94,7 +92,6 @@ struct Prober {
     seed: u64,
 }
 
-#[cfg(feature = "probe")]
 impl Prober {
     fn target<M>(kind: &EventKind<M>) -> NodeId {
         match kind {
@@ -283,7 +280,6 @@ pub struct Ctx<'a, M> {
     hot: HotCounters,
     #[cfg(feature = "trace")]
     tracer: &'a mut Tracer,
-    #[cfg(feature = "probe")]
     prober: &'a mut Prober,
 }
 
@@ -467,18 +463,11 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// canonical event order, stamped with this node and the current
     /// simulated time. One untaken branch when no sink is installed.
     /// Conventionally `name` is the metric key the sample annotates.
-    #[cfg(feature = "probe")]
     pub fn probe_signal(&mut self, name: &'static str, value: f64) {
         if self.prober.on {
             self.prober.sink.on_signal(self.now, self.id, name, value);
         }
     }
-
-    /// Probe-signal no-op: the `probe` feature is compiled out, so this
-    /// vanishes entirely. Protocol crates call it unconditionally.
-    #[cfg(not(feature = "probe"))]
-    #[inline(always)]
-    pub fn probe_signal(&mut self, _name: &'static str, _value: f64) {}
 
     /// The deterministic RNG (shared engine-wide).
     pub fn rng(&mut self) -> &mut SimRng {
@@ -496,7 +485,6 @@ impl<'a, M: Clone> Ctx<'a, M> {
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind<M>) -> u128 {
-        #[cfg(feature = "probe")]
         self.prober.note_push(&kind);
         self.sched.push(at, kind)
     }
@@ -517,7 +505,6 @@ pub struct Simulation<P: Protocol> {
     started: Vec<bool>,
     #[cfg(feature = "trace")]
     tracer: Tracer,
-    #[cfg(feature = "probe")]
     prober: Prober,
 }
 
@@ -557,7 +544,6 @@ impl<P: Protocol> Simulation<P> {
         // The probe factory (`crate::probe::with_thread_probe`) is consulted
         // the same way as the trace factory: that is how a harness samples
         // simulations constructed deep inside experiment entry points.
-        #[cfg(feature = "probe")]
         let prober = {
             let (sink, on, every): (Box<dyn ProbeSink>, bool, u64) =
                 match crate::probe::make_thread_probe() {
@@ -587,7 +573,6 @@ impl<P: Protocol> Simulation<P> {
             started: Vec::new(),
             #[cfg(feature = "trace")]
             tracer,
-            #[cfg(feature = "probe")]
             prober,
         };
         let (shards, workers) = crate::shard::configured_shards();
@@ -601,7 +586,6 @@ impl<P: Protocol> Simulation<P> {
             TRACE_SIM_NODE,
             TraceKind::SimStart { seed }
         );
-        #[cfg(feature = "probe")]
         if sim.prober.on {
             sim.prober.sink.on_sim_start(seed);
         }
@@ -684,7 +668,6 @@ impl<P: Protocol> Simulation<P> {
     /// accounting install the sink before events are scheduled; installed
     /// later, queue statistics start approximate and converge as the
     /// pre-existing events drain.
-    #[cfg(feature = "probe")]
     pub fn set_probe_sink(&mut self, mut sink: Box<dyn ProbeSink>, cadence: SimDuration) {
         sink.on_sim_start(self.prober.seed);
         let every = cadence.micros().max(1);
@@ -776,7 +759,6 @@ impl<P: Protocol> Simulation<P> {
             hot: self.hot,
             #[cfg(feature = "trace")]
             tracer: &mut self.tracer,
-            #[cfg(feature = "probe")]
             prober: &mut self.prober,
         };
         Some(f(&mut self.protocols[id.index()], &mut ctx))
@@ -916,7 +898,6 @@ impl<P: Protocol> Simulation<P> {
     /// audits, harness-level controllers); stamped with
     /// [`crate::probe::PROBE_SIM_NODE`]. One untaken branch when no sink is
     /// installed.
-    #[cfg(feature = "probe")]
     pub fn probe_note(&mut self, name: &'static str, value: f64) {
         if self.prober.on {
             self.prober
@@ -925,25 +906,11 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    /// Probe-signal no-op (`probe` feature disabled).
-    #[cfg(not(feature = "probe"))]
-    #[inline(always)]
-    pub fn probe_note(&mut self, _name: &'static str, _value: f64) {}
-
     /// Whether a probe sink is installed. Callers with a non-trivial signal
     /// to compute (rollups over collections) should gate on this so the
     /// computation disappears along with the probes.
-    #[cfg(feature = "probe")]
     pub fn probe_active(&self) -> bool {
         self.prober.on
-    }
-
-    /// Probe-active no-op (`probe` feature disabled): always `false`, so
-    /// gated signal computations constant-fold away.
-    #[cfg(not(feature = "probe"))]
-    #[inline(always)]
-    pub fn probe_active(&self) -> bool {
-        false
     }
 
     /// Metrics collected so far.
@@ -981,7 +948,6 @@ impl<P: Protocol> Simulation<P> {
                 {
                     self.tracer.cur = ev.key;
                 }
-                #[cfg(feature = "probe")]
                 self.probe_tick(&ev.kind);
                 self.dispatch(ev.kind);
             }
@@ -1013,7 +979,6 @@ impl<P: Protocol> Simulation<P> {
             {
                 self.tracer.cur = ev.key;
             }
-            #[cfg(feature = "probe")]
             self.probe_tick(&ev.kind);
             self.dispatch(ev.kind);
             n += 1;
@@ -1138,7 +1103,6 @@ impl<P: Protocol> Simulation<P> {
                 {
                     self.tracer.cur = ev.key;
                 }
-                #[cfg(feature = "probe")]
                 self.probe_tick(&ev.kind);
                 self.dispatch(ev.kind);
                 if let Some(max) = guard {
@@ -1185,7 +1149,6 @@ impl<P: Protocol> Simulation<P> {
                     hot: self.hot,
                     #[cfg(feature = "trace")]
                     tracer: &mut self.tracer,
-                    #[cfg(feature = "probe")]
                     prober: &mut self.prober,
                 };
                 self.protocols[i].on_start(&mut ctx);
@@ -1194,7 +1157,6 @@ impl<P: Protocol> Simulation<P> {
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind<P::Msg>) -> u128 {
-        #[cfg(feature = "probe")]
         self.prober.note_push(&kind);
         self.sched.push(at, kind)
     }
@@ -1203,7 +1165,6 @@ impl<P: Protocol> Simulation<P> {
     /// frame when the clock reaches the next cadence boundary. Called with
     /// the event already popped, after the tracer's causal cursor is set, so
     /// anomaly trace points parent to the event that triggered the sample.
-    #[cfg(feature = "probe")]
     #[inline]
     fn probe_tick(&mut self, kind: &EventKind<P::Msg>) {
         self.prober.note_dispatch(kind);
@@ -1214,7 +1175,6 @@ impl<P: Protocol> Simulation<P> {
 
     /// Build and deliver one probe frame; cold — runs once per cadence
     /// boundary, never on the per-event path.
-    #[cfg(feature = "probe")]
     #[cold]
     fn probe_frame(&mut self) {
         let every = self.prober.every;
@@ -1303,7 +1263,6 @@ impl<P: Protocol> Simulation<P> {
             hot: self.hot,
             #[cfg(feature = "trace")]
             tracer: &mut self.tracer,
-            #[cfg(feature = "probe")]
             prober: &mut self.prober,
         };
         if up {
@@ -1349,7 +1308,6 @@ impl<P: Protocol> Simulation<P> {
                     hot: self.hot,
                     #[cfg(feature = "trace")]
                     tracer: &mut self.tracer,
-                    #[cfg(feature = "probe")]
                     prober: &mut self.prober,
                 };
                 self.protocols[to.index()].on_message(&mut ctx, from, msg);
@@ -1385,7 +1343,6 @@ impl<P: Protocol> Simulation<P> {
                     hot: self.hot,
                     #[cfg(feature = "trace")]
                     tracer: &mut self.tracer,
-                    #[cfg(feature = "probe")]
                     prober: &mut self.prober,
                 };
                 self.protocols[node.index()].on_timer(&mut ctx, tag);

@@ -17,11 +17,12 @@
 //!   observability layer: a [`trace::TraceSink`] tap in the engine with a
 //!   bounded flight recorder and causal provenance keys. Compiled out by
 //!   default — the untraced engine is byte-for-byte the pre-trace engine.
-//! * (behind the `probe` cargo feature) the [`probe`](crate::probe) signals
-//!   layer: a [`probe::ProbeSink`] tap that samples engine state (queue
-//!   depths, link backlogs, counters) on a sim-time cadence and carries
-//!   named substrate health signals — the deterministic feed for
-//!   `agora-observer`. Compiled out by default, same contract as `trace`.
+//! * the [`probe`](crate::probe) signals layer: a [`probe::ProbeSink`] tap
+//!   that samples engine state (queue depths, link backlogs, counters) on
+//!   a sim-time cadence and carries named substrate health signals — the
+//!   deterministic feed for `agora-observer` and `agora-policy`. Always
+//!   compiled in; one untaken branch per tap site until a sink is
+//!   installed.
 //!
 //! ## Design
 //!
@@ -59,7 +60,6 @@ pub mod device;
 pub mod engine;
 pub mod metrics;
 pub mod net;
-#[cfg(feature = "probe")]
 pub mod probe;
 pub mod retry;
 pub mod rng;
@@ -76,7 +76,6 @@ pub use device::{DeviceClass, DeviceProfile};
 pub use engine::{Ctx, NodeId, Protocol, Simulation};
 pub use metrics::{CounterHandle, Histogram, Metrics, P2Quantile};
 pub use net::Network;
-#[cfg(feature = "probe")]
 pub use probe::{with_thread_probe, ProbeAnomaly, ProbeFrame, ProbeSink, PROBE_SIM_NODE};
 pub use retry::{Jitter, Retrier, RetryPolicy};
 pub use rng::{SimRng, ZipfTable};

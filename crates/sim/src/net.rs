@@ -273,7 +273,6 @@ impl Network {
     /// already committed beyond `now` — and how many nodes have any at all.
     /// A pure read of the reservation cursors, so the result is a function
     /// of the canonical event order only.
-    #[cfg(feature = "probe")]
     pub(crate) fn backlog_stats(&self, now: SimTime) -> (f64, u32, f64, u32) {
         let mut up_max = 0u64;
         let mut up_busy = 0u32;

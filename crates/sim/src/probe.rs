@@ -2,13 +2,11 @@
 //! state for observers (`agora-observer`) and, later, reactive in-sim
 //! policies.
 //!
-//! The contract mirrors [`crate::trace`]: the `probe` feature compiles the
-//! layer in, but every tap site reduces to one predictable branch until a
-//! sink is actually installed — either directly via
-//! [`crate::Simulation::set_probe_sink`] or through the thread-local factory
-//! ([`with_thread_probe`]) that reaches simulations constructed deep inside
-//! `fn(seed) -> Metrics` experiment entry points. With the feature compiled
-//! out, the hooks vanish entirely.
+//! The layer is always compiled in, but every tap site reduces to one
+//! predictable branch until a sink is actually installed — either directly
+//! via [`crate::Simulation::set_probe_sink`] or through the thread-local
+//! factory ([`with_thread_probe`]) that reaches simulations constructed
+//! deep inside `fn(seed) -> Metrics` experiment entry points.
 //!
 //! Determinism: frames are sampled *at dispatch points* — immediately before
 //! the first event whose timestamp reaches the next cadence boundary — and
@@ -86,7 +84,7 @@ pub trait ProbeSink {
     fn on_frame(&mut self, frame: &ProbeFrame<'_>) -> Vec<ProbeAnomaly>;
 }
 
-/// Sink used when the feature is compiled in but nothing is installed.
+/// Sink used while nothing is installed.
 pub struct NoopProbe;
 
 impl ProbeSink for NoopProbe {

@@ -38,6 +38,13 @@ fn bench_proof_kernels(c: &mut Criterion) {
         })
     });
 
+    // What a client pays per shard at upload: E8's 64 audits over 250 KB.
+    c.bench_function("por_make_audits/64x250k", |b| {
+        let shard = vec![0x5au8; 250_000];
+        let mut rng = SimRng::new(3);
+        b.iter(|| black_box(por_make_audits(black_box(&shard), 64, &mut rng)))
+    });
+
     c.bench_function("e5_seal_256k", |b| {
         let id = sha256(b"bench-replica");
         b.iter(|| black_box(seal(&data, &id)))

@@ -227,24 +227,18 @@ fn run_storage_quality(
         };
         // Step in 100 ms increments so the completion time is observed at
         // event granularity rather than at a fixed polling horizon.
-        let mut done = false;
         for _ in 0..3600 {
             sim.run_for(SimDuration::from_millis(100));
             match sim.node_mut(client).take_result(op) {
                 Some(StorageResult::Retrieved(_)) => {
                     ok += 1;
                     latencies.push(sim.now().since(started).secs_f64());
-                    done = true;
                     break;
                 }
-                Some(_) => {
-                    done = true;
-                    break;
-                }
+                Some(_) => break,
                 None => {}
             }
         }
-        let _ = done;
         sim.run_for(SimDuration::from_mins(10)); // let churn move between gets
     }
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));

@@ -164,6 +164,30 @@ fn sha256_throughput_mib_s() -> f64 {
     (LEN as u64 * ITERS) as f64 / secs / (1024.0 * 1024.0)
 }
 
+/// PoR audit precomputation as a storage client does it at upload: 64 audit
+/// pairs over one 250 KB shard (E8's shape), in MiB of shard covered per
+/// second — 64 × the shard per call, so it reads against
+/// [`sha256_throughput_mib_s`] as "how many single-stream hashes' worth".
+fn por_audits_mib_s() -> f64 {
+    const LEN: usize = 250_000;
+    const AUDITS: usize = 64;
+    const ITERS: u64 = 8;
+    let shard: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+    let mut rng = SimRng::new(64);
+    // Warm-up, and keep the results live so the work cannot be elided.
+    std::hint::black_box(agora::storage::por_make_audits(&shard, AUDITS, &mut rng));
+    let started = Instant::now();
+    for _ in 0..ITERS {
+        std::hint::black_box(agora::storage::por_make_audits(
+            std::hint::black_box(&shard),
+            AUDITS,
+            &mut rng,
+        ));
+    }
+    let secs = started.elapsed().as_secs_f64().max(1e-9);
+    (LEN * AUDITS) as f64 * ITERS as f64 / secs / (1024.0 * 1024.0)
+}
+
 fn bench_header() -> BlockHeader {
     BlockHeader {
         height: 42,
@@ -1004,6 +1028,10 @@ pub fn perf_to_json_scaled(
         "sha256_throughput_mib_s",
         Json::Num(prof.time("microbench/sha256", sha256_throughput_mib_s)),
     );
+    micro.set(
+        "por_audits_64x250k_mib_s",
+        Json::Num(prof.time("microbench/por_audits_64x250k", por_audits_mib_s)),
+    );
 
     let mut mining = Json::obj();
     let (midstate, naive) = prof.time("microbench/mining", || {
@@ -1211,6 +1239,13 @@ mod tests {
                 .get("sha256_throughput_mib_s")
                 .and_then(Json::as_f64)
                 .expect("throughput")
+                > 0.0
+        );
+        assert!(
+            micro
+                .get("por_audits_64x250k_mib_s")
+                .and_then(Json::as_f64)
+                .expect("audit throughput")
                 > 0.0
         );
         let mining = micro.get("mining").expect("mining section");

@@ -175,33 +175,36 @@ impl ReedSolomon {
     /// Encode `data` into `k + m` shards. The input is padded to a multiple
     /// of `k`; the first `k` shards are the (padded) data itself.
     pub fn encode(&self, data: &[u8]) -> Vec<Vec<u8>> {
+        (0..self.k + self.m)
+            .map(|index| self.encode_shard(data, index))
+            .collect()
+    }
+
+    /// Shard `index` of [`encode`](Self::encode) alone: one matrix row, for
+    /// regenerating a single lost shard. Panics if `index >= k + m`.
+    pub fn encode_shard(&self, data: &[u8], index: usize) -> Vec<u8> {
         let shard_len = data.len().div_ceil(self.k).max(1);
-        let mut shards: Vec<Vec<u8>> = (0..self.k)
-            .map(|i| {
-                let mut s = vec![0u8; shard_len];
-                let start = i * shard_len;
-                if start < data.len() {
-                    let end = (start + shard_len).min(data.len());
-                    s[..end - start].copy_from_slice(&data[start..end]);
-                }
-                s
-            })
-            .collect();
-        for r in self.k..self.k + self.m {
-            let row = &self.matrix[r];
-            let mut parity = vec![0u8; shard_len];
-            for (c, shard) in shards[..self.k].iter().enumerate() {
-                let coef = row[c];
+        // Data shard `c` before padding (short or empty past the input's end;
+        // the zero padding contributes nothing to a parity sum).
+        let unpadded = |c: usize| {
+            let start = (c * shard_len).min(data.len());
+            &data[start..(start + shard_len).min(data.len())]
+        };
+        let mut shard = vec![0u8; shard_len];
+        if index < self.k {
+            let src = unpadded(index);
+            shard[..src.len()].copy_from_slice(src);
+        } else {
+            for (c, &coef) in self.matrix[index].iter().enumerate() {
                 if coef == 0 {
                     continue;
                 }
-                for (p, &s) in parity.iter_mut().zip(shard.iter()) {
+                for (p, &s) in shard.iter_mut().zip(unpadded(c)) {
                     *p ^= gf::mul(coef, s);
                 }
             }
-            shards.push(parity);
         }
-        shards
+        shard
     }
 
     /// Reconstruct the original data (of length `data_len`) from any `k`
@@ -454,6 +457,30 @@ mod tests {
                 (4, shards[4].clone()),
             ];
             assert_eq!(rs.reconstruct(&avail, len).unwrap(), data, "len {len}");
+        }
+    }
+
+    #[test]
+    fn encode_shard_is_one_row_of_encode() {
+        for (k, m) in [(4, 2), (3, 2), (1, 3)] {
+            let rs = ReedSolomon::new(k, m).unwrap();
+            for len in [0usize, 1, 5, 16, 17, 97, 1000] {
+                let data: Vec<u8> = (0..len as u32).map(|i| (i * 31 % 251) as u8).collect();
+                let all = rs.encode(&data);
+                // Pin the whole-stripe shape independently of encode_shard:
+                // equal lengths, systematic prefix, any k shards reconstruct.
+                assert!(all.iter().all(|s| s.len() == all[0].len()));
+                assert_eq!(all[..k].concat()[..len], data[..], "RS({k},{m}) len {len}");
+                let last_k: Vec<(usize, &Vec<u8>)> = all.iter().enumerate().skip(m).collect();
+                assert_eq!(rs.reconstruct(&last_k, len).unwrap(), data);
+                for (index, shard) in all.iter().enumerate() {
+                    assert_eq!(
+                        &rs.encode_shard(&data, index),
+                        shard,
+                        "RS({k},{m}) len {len} index {index}"
+                    );
+                }
+            }
         }
     }
 

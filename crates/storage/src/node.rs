@@ -130,8 +130,9 @@ struct ShardPlace {
 
 struct ObjectRecord {
     data_len: usize,
-    k: usize,
-    m: usize,
+    /// The object's code, built once at put and reused by every get and
+    /// repair (the matrix build and inversion are not per-shard work).
+    rs: ReedSolomon,
     shards: Vec<ShardPlace>,
     audit_pos: usize,
 }
@@ -361,8 +362,7 @@ impl StorageNode {
             object,
             ObjectRecord {
                 data_len: data.len(),
-                k,
-                m,
+                rs,
                 shards: places,
                 audit_pos: 0,
             },
@@ -556,13 +556,10 @@ impl StorageNode {
         let repair_index = *repair_index;
         let started = *started;
         let rec = c.objects.get(&object).expect("record exists");
-        if collected.len() < rec.k {
+        if collected.len() < rec.rs.data_shards() {
             return;
         }
-        let rs = ReedSolomon::new(rec.k, rec.m).expect("valid");
-        let shards: Vec<(usize, Rc<[u8]>)> = collected.clone();
-        let data_len = rec.data_len;
-        match rs.reconstruct(&shards, data_len) {
+        match rec.rs.reconstruct(collected, rec.data_len) {
             Ok(data) => {
                 c.ops.remove(&op);
                 c.retriers.remove(&op);
@@ -576,8 +573,7 @@ impl StorageNode {
                     Some(index) => {
                         // Regenerate the lost shard and place it on a fresh
                         // provider.
-                        let mut all = rs.encode(&data);
-                        let shard: Rc<[u8]> = Rc::from(std::mem::take(&mut all[index as usize]));
+                        let shard: Rc<[u8]> = Rc::from(rec.rs.encode_shard(&data, index as usize));
                         let rec = c.objects.get_mut(&object).expect("record");
                         let used: Vec<NodeId> = rec
                             .shards

@@ -8,7 +8,8 @@
 //!   Merkle root; the prover returns a challenged chunk plus its inclusion
 //!   proof. Anyone with the root can verify; response size = chunk size.
 //! * **Proof-of-retrievability** (Storj-style): at upload time the owner
-//!   precomputes audit pairs `(nonce, H(nonce ‖ data))`; each challenge
+//!   precomputes audit pairs `(nonce, H(nonce ‖ data))` — all of a shard's
+//!   pairs in one pass over its bytes ([`sha256_prefixes`]); each challenge
 //!   reveals a fresh nonce and expects the matching digest. Constant-size
 //!   responses, but only the owner (who holds the pairs) can verify, and
 //!   audits are finite.
@@ -22,7 +23,7 @@
 //! * **Proof-of-spacetime**: proof-of-replication repeated over scheduled
 //!   windows, demonstrating continuous storage over an interval.
 
-use agora_crypto::{sha256_concat, Hash256, MerkleProof};
+use agora_crypto::{sha256_concat, sha256_prefixes, Hash256, MerkleProof};
 use agora_sim::{SimDuration, SimRng};
 
 use crate::chunk::{Chunk, Manifest};
@@ -98,16 +99,23 @@ pub fn por_respond(nonce: u64, data: &[u8]) -> Hash256 {
     sha256_concat(&[b"por", &nonce.to_be_bytes(), data])
 }
 
-/// Precompute `n` audit pairs over `data`.
+/// Precompute `n` audit pairs over `data`, reading `data` once for all of
+/// them. Each `expected` is what [`por_respond`] returns for its nonce.
 pub fn por_make_audits(data: &[u8], n: usize, rng: &mut SimRng) -> Vec<Audit> {
-    (0..n)
-        .map(|_| {
-            let nonce = rng.next_u64();
-            Audit {
-                nonce,
-                expected: por_respond(nonce, data),
-            }
+    let nonces: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+    let prefixes: Vec<[u8; 11]> = nonces
+        .iter()
+        .map(|nonce| {
+            let mut prefix = [0u8; 11];
+            prefix[..3].copy_from_slice(b"por");
+            prefix[3..].copy_from_slice(&nonce.to_be_bytes());
+            prefix
         })
+        .collect();
+    nonces
+        .into_iter()
+        .zip(sha256_prefixes(&prefixes, data))
+        .map(|(nonce, expected)| Audit { nonce, expected })
         .collect()
 }
 
@@ -312,6 +320,36 @@ mod tests {
         // A prover who dropped the data cannot answer.
         let wrong = por_respond(audits[0].nonce, &data[..9_999]);
         assert!(!por_verify(&audits[0], &wrong));
+    }
+
+    #[test]
+    fn por_make_audits_is_the_one_at_a_time_sequence() {
+        // The batched kernel must be invisible: same nonces in the same draw
+        // order, same digests as the prover computes, RNG left where the
+        // per-nonce loop left it.
+        let data: Vec<u8> = (0..250_000u32).map(|i| (i % 241) as u8).collect();
+        for (n, len) in [
+            (0, 100),
+            (1, 0),
+            (3, 52),
+            (3, 53),
+            (40, 8_192),
+            (64, 250_000),
+        ] {
+            let (mut batched, mut reference) = (SimRng::new(17), SimRng::new(17));
+            let audits = por_make_audits(&data[..len], n, &mut batched);
+            let expect: Vec<Audit> = (0..n)
+                .map(|_| {
+                    let nonce = reference.next_u64();
+                    Audit {
+                        nonce,
+                        expected: por_respond(nonce, &data[..len]),
+                    }
+                })
+                .collect();
+            assert_eq!(audits, expect, "n {n} len {len}");
+            assert_eq!(batched.next_u64(), reference.next_u64(), "n {n} len {len}");
+        }
     }
 
     #[test]

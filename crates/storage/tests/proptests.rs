@@ -153,6 +153,25 @@ proptest! {
         prop_assert!(!por_verify(&audits[0], &por_respond(audits[0].nonce, &evil)));
     }
 
+    /// The one-pass audit precomputation is the per-nonce sequence: same
+    /// nonces in draw order, the digest `por_respond` gives for each, and the
+    /// RNG left in the same state.
+    #[test]
+    fn por_make_audits_matches_one_at_a_time(
+        data in proptest::collection::vec(any::<u8>(), 0..2000),
+        n in 0usize..70,
+        seed in any::<u64>(),
+    ) {
+        let (mut batched, mut reference) = (SimRng::new(seed), SimRng::new(seed));
+        let audits = por_make_audits(&data, n, &mut batched);
+        prop_assert_eq!(audits.len(), n);
+        for a in &audits {
+            prop_assert_eq!(a.nonce, reference.next_u64());
+            prop_assert_eq!(a.expected, por_respond(a.nonce, &data));
+        }
+        prop_assert_eq!(batched.next_u64(), reference.next_u64());
+    }
+
     /// Contract codec round-trips arbitrary field values, and settlement is
     /// always zero-sum.
     #[test]

@@ -141,9 +141,11 @@ trace_smoke() {
 #   driver, a slash back to the audit oracle. e16p runs at 100k, not 10k:
 #   the flash crowd has to push a node past saturation before admission
 #   control sheds anything. e18: a subscriber's delta lag is explainable
-#   back to the push that carried it.
+#   back to the push that carried it. e7: the swarm's two counted trace
+#   points, whose messages carry shared piece and manifest buffers.
 TRACE_TABLE=(
     "dht explain:dht.lookup_secs"
+    "e7 web.pieces_served web.visits_ok"
     "e15/i1.00 chaos.kill retry.attempt explain:retry.attempt"
     "e16/p10k workload.demand workload.churn_kill"
     "e17/i1.00 market.challenge market.slash market.repair_bytes explain:market.slash"

@@ -188,6 +188,48 @@ fn por_audits_mib_s() -> f64 {
     (LEN * AUDITS) as f64 * ITERS as f64 / secs / (1024.0 * 1024.0)
 }
 
+/// Visits per wall-clock second on a warm swarm of E16's shape: 27 peers
+/// behind one tracker (origin, 20 seeders, 6 gateways), the 200 000-byte
+/// site (13 pieces), every seeder holding it before the clock starts; the
+/// gateways then re-visit in waves, each visit a full tracker → manifest →
+/// pieces → verify → announce session.
+fn swarm_visits_per_sec() -> f64 {
+    use agora::web::{SitePublisher, SwarmNode, VisitResult};
+    const SEEDERS: usize = 20;
+    const GATEWAYS: usize = 6;
+    const WAVES: usize = 100;
+    let mut sim = Simulation::new(16);
+    let tracker = sim.add_node(SwarmNode::tracker(), DeviceClass::DatacenterServer);
+    let peers: Vec<NodeId> = (0..1 + SEEDERS + GATEWAYS)
+        .map(|_| sim.add_node(SwarmNode::peer(tracker), DeviceClass::PersonalComputer))
+        .collect();
+    let mut publisher = SitePublisher::new(b"e16-site");
+    let bundle = publisher.publish(&[("index.html", vec![42u8; 200_000].as_slice())]);
+    let site = publisher.site_id();
+    sim.with_ctx(peers[0], |n, ctx| n.host_site(ctx, &bundle));
+    sim.run_for(SimDuration::from_secs(5));
+    let wave = |sim: &mut Simulation<SwarmNode>, visitors: &[NodeId]| -> usize {
+        let ops: Vec<(NodeId, u64)> = visitors
+            .iter()
+            .filter_map(|&v| Some((v, sim.with_ctx(v, |n, ctx| n.start_visit(ctx, site))?)))
+            .collect();
+        sim.run_for(SimDuration::from_mins(5));
+        ops.into_iter()
+            .filter(|&(v, op)| {
+                matches!(
+                    sim.node_mut(v).take_result(op),
+                    Some(VisitResult::Ok { .. })
+                )
+            })
+            .count()
+    };
+    wave(&mut sim, &peers[1..=SEEDERS]);
+    let gateways = &peers[1 + SEEDERS..];
+    let started = Instant::now();
+    let ok: usize = (0..WAVES).map(|_| wave(&mut sim, gateways)).sum();
+    std::hint::black_box(ok) as f64 / started.elapsed().as_secs_f64().max(1e-9)
+}
+
 fn bench_header() -> BlockHeader {
     BlockHeader {
         height: 42,
@@ -1032,6 +1074,10 @@ pub fn perf_to_json_scaled(
         "por_audits_64x250k_mib_s",
         Json::Num(prof.time("microbench/por_audits_64x250k", por_audits_mib_s)),
     );
+    micro.set(
+        "swarm_visits_200k_per_s",
+        Json::Num(prof.time("microbench/swarm_visits_200k", swarm_visits_per_sec)),
+    );
 
     let mut mining = Json::obj();
     let (midstate, naive) = prof.time("microbench/mining", || {
@@ -1246,6 +1292,13 @@ mod tests {
                 .get("por_audits_64x250k_mib_s")
                 .and_then(Json::as_f64)
                 .expect("audit throughput")
+                > 0.0
+        );
+        assert!(
+            micro
+                .get("swarm_visits_200k_per_s")
+                .and_then(Json::as_f64)
+                .expect("swarm visit rate")
                 > 0.0
         );
         let mining = micro.get("mining").expect("mining section");

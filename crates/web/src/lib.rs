@@ -16,7 +16,7 @@ pub mod site;
 pub mod swarm;
 
 pub use site::{
-    merge_files, MergeConflict, SignedManifest, SiteBundle, SiteFile, SiteManifest, SitePublisher,
-    SITE_PIECE_SIZE,
+    merge_files, MergeConflict, Piece, SealedManifest, SignedManifest, SiteBundle, SiteFile,
+    SiteManifest, SitePublisher, SITE_PIECE_SIZE,
 };
 pub use swarm::{SwarmMsg, SwarmNode, VisitResult};

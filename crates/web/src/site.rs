@@ -5,6 +5,10 @@
 //! Beaker's contribution — sites can be *forked* (new key, explicit lineage)
 //! and *merged* (file-level three-way-ish union with conflict reporting).
 
+use std::cell::OnceCell;
+use std::ops::Deref;
+use std::rc::Rc;
+
 use agora_crypto::{sha256, tagged_hash, Enc, Hash256, SimKeyPair, SimPublicKey, SimSignature};
 use agora_storage::{Chunk, Manifest};
 
@@ -71,9 +75,20 @@ impl SiteManifest {
         tagged_hash("site-manifest", &self.encode())
     }
 
-    /// Wire size.
+    /// Wire size: the length of the canonical encoding, summed from the
+    /// field sizes instead of built.
     pub fn wire_size(&self) -> u64 {
-        self.encode().len() as u64
+        // site, version, bundle_root, bundle_len, piece_size, two u32
+        // counts and the parent tag byte.
+        const FIXED: u64 = 32 + 8 + 32 + 8 + 4 + 4 + 4 + 1;
+        // Per file: u32 path length, content hash, u64 len.
+        let files: u64 = self
+            .files
+            .iter()
+            .map(|f| 4 + f.path.len() as u64 + 32 + 8)
+            .sum();
+        let parent = if self.parent.is_some() { 32 } else { 0 };
+        FIXED + 32 * self.piece_ids.len() as u64 + files + parent
     }
 }
 
@@ -98,6 +113,79 @@ impl SignedManifest {
     /// Wire size.
     pub fn wire_size(&self) -> u64 {
         self.manifest.wire_size() + 96
+    }
+}
+
+/// A signed manifest as the swarm holds and sends it: immutable once
+/// sealed, so its verdict and wire size are worked out once for every
+/// holder of the `Rc` and every hop it travels. Nothing here takes a
+/// verdict from outside or hands out `&mut`: a tampered manifest can only
+/// be a clone that is sealed again, and that one verifies from scratch.
+#[derive(Debug)]
+pub struct SealedManifest {
+    signed: SignedManifest,
+    wire_size: u64,
+    verdict: OnceCell<bool>,
+}
+
+impl SealedManifest {
+    /// Seal `signed`. Proves nothing yet: [`SealedManifest::verify`] does.
+    pub fn seal(signed: SignedManifest) -> Rc<SealedManifest> {
+        Rc::new(SealedManifest {
+            wire_size: signed.wire_size(),
+            signed,
+            verdict: OnceCell::new(),
+        })
+    }
+
+    /// [`SignedManifest::verify`] of the sealed bytes, checked on first call.
+    pub fn verify(&self) -> bool {
+        *self.verdict.get_or_init(|| self.signed.verify())
+    }
+
+    /// Wire size.
+    pub fn wire_size(&self) -> u64 {
+        self.wire_size
+    }
+}
+
+impl Deref for SealedManifest {
+    type Target = SignedManifest;
+
+    fn deref(&self) -> &SignedManifest {
+        &self.signed
+    }
+}
+
+/// One piece of a site bundle as the swarm holds and sends it: immutable
+/// bytes plus a memo of their SHA-256. The digest only ever comes from
+/// hashing this piece's own bytes (no constructor or setter takes one, and
+/// nothing hands out `&mut` to the bytes), so a corrupt or forged piece is
+/// always a different `Piece` that is hashed afresh; the memo only saves
+/// re-hashing a buffer that cannot have changed.
+#[derive(Debug)]
+pub struct Piece {
+    data: Box<[u8]>,
+    digest: OnceCell<Hash256>,
+}
+
+impl Piece {
+    /// A piece holding `bytes`, not yet hashed.
+    pub fn new(bytes: impl Into<Box<[u8]>>) -> Rc<Piece> {
+        Rc::new(Piece {
+            data: bytes.into(),
+            digest: OnceCell::new(),
+        })
+    }
+
+    /// The bytes.
+    pub fn data(&self) -> &[u8] {
+        &self.data
+    }
+
+    /// SHA-256 of the bytes, hashed on first call.
+    pub fn digest(&self) -> Hash256 {
+        *self.digest.get_or_init(|| sha256(&self.data))
     }
 }
 
@@ -262,6 +350,45 @@ mod tests {
         // Even claiming mallory's key fails: fingerprint ≠ site address.
         fake.author = mallory.public();
         assert!(!fake.verify());
+    }
+
+    #[test]
+    fn wire_size_is_the_encoded_length() {
+        let file = |path: &str| SiteFile {
+            path: path.to_owned(),
+            content_hash: sha256(path.as_bytes()),
+            len: path.len() as u64,
+        };
+        let long = "d/".repeat(700) + "index.html";
+        let file_tables = [
+            vec![],
+            vec![file("")],
+            vec![file("index.html")],
+            vec![file(""), file("app.js"), file(&long), file("ünïcödé.css")],
+        ];
+        for files in &file_tables {
+            for pieces in [0usize, 1, 13, 300] {
+                for parent in [None, Some(sha256(b"parent"))] {
+                    let m = SiteManifest {
+                        site: sha256(b"site"),
+                        version: 3,
+                        bundle_root: sha256(b"root"),
+                        bundle_len: 1 << 40,
+                        piece_size: SITE_PIECE_SIZE as u32,
+                        piece_ids: (0..pieces).map(|i| sha256(&[i as u8])).collect(),
+                        files: files.clone(),
+                        parent,
+                    };
+                    assert_eq!(
+                        m.wire_size(),
+                        m.encode().len() as u64,
+                        "{} files, {pieces} pieces, parent {}",
+                        files.len(),
+                        parent.is_some()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! load-bearing §3.4 property — become seeders of what they visited.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
-use agora_crypto::{sha256, Hash256};
+use agora_crypto::Hash256;
 use agora_sim::retry::{CTR_RETRY_ATTEMPTS, CTR_RETRY_GAVE_UP};
 use agora_sim::{Ctx, NodeId, Protocol, Retrier, RetryPolicy, SimDuration, SimTime};
 
-use crate::site::{SignedManifest, SiteBundle};
+use crate::site::{Piece, SealedManifest, SiteBundle};
 
 /// Wire messages.
 #[derive(Clone, Debug)]
@@ -47,8 +48,8 @@ pub enum SwarmMsg {
     ManifestResp {
         /// Echoed op id.
         req: u64,
-        /// The manifest if held (boxed: it dwarfs every other variant).
-        manifest: Option<Box<SignedManifest>>,
+        /// The manifest if held: the responder's own sealed copy, shared.
+        manifest: Option<Rc<SealedManifest>>,
     },
     /// Fetch one piece.
     GetPiece {
@@ -65,8 +66,8 @@ pub enum SwarmMsg {
         req: u64,
         /// Piece index.
         index: u32,
-        /// The bytes if held.
-        data: Option<Vec<u8>>,
+        /// The piece if held: the responder's own buffer, shared.
+        data: Option<Rc<Piece>>,
     },
     /// Peer → tracker: I no longer serve this site (a policy-managed
     /// seeder standing down after the crowd passes).
@@ -86,7 +87,9 @@ impl SwarmMsg {
                 16 + manifest.as_ref().map_or(0, |m| m.wire_size())
             }
             SwarmMsg::GetPiece { .. } => 52,
-            SwarmMsg::PieceResp { data, .. } => 20 + data.as_ref().map_or(0, |d| d.len() as u64),
+            SwarmMsg::PieceResp { data, .. } => {
+                20 + data.as_ref().map_or(0, |p| p.data().len() as u64)
+            }
         }
     }
 }
@@ -106,8 +109,8 @@ pub enum VisitResult {
 }
 
 struct LocalSite {
-    signed: SignedManifest,
-    pieces: HashMap<u32, Vec<u8>>,
+    signed: Rc<SealedManifest>,
+    pieces: HashMap<u32, Rc<Piece>>,
 }
 
 #[derive(PartialEq)]
@@ -121,8 +124,8 @@ struct Visit {
     site: Hash256,
     phase: VisitPhase,
     peers: Vec<NodeId>,
-    manifest: Option<SignedManifest>,
-    got: HashMap<u32, Vec<u8>>,
+    manifest: Option<Rc<SealedManifest>>,
+    got: HashMap<u32, Rc<Piece>>,
     ticks: u32,
     /// When the visit was issued — feeds the `web.visit_secs` latency
     /// histogram so experiments report true per-visit tail latency.
@@ -203,23 +206,20 @@ impl SwarmNode {
         let Role::Peer(p) = &mut self.role else {
             panic!("host_site on tracker")
         };
-        if !bundle.signed.verify() {
+        let signed = SealedManifest::seal(bundle.signed.clone());
+        if !signed.verify() {
             return false;
         }
-        let site = bundle.signed.manifest.site;
+        let site = signed.manifest.site;
+        // From the bytes alone: `Chunk::id` is the publisher's claim, and a
+        // piece's digest must come from hashing what it actually holds.
         let pieces = bundle
             .pieces
             .iter()
             .enumerate()
-            .map(|(i, c)| (i as u32, c.data.clone()))
+            .map(|(i, c)| (i as u32, Piece::new(c.data.as_slice())))
             .collect();
-        p.sites.insert(
-            site,
-            LocalSite {
-                signed: bundle.signed.clone(),
-                pieces,
-            },
-        );
+        p.sites.insert(site, LocalSite { signed, pieces });
         ctx.multicast(&p.trackers, SwarmMsg::Announce { site }, 40);
         true
     }
@@ -295,53 +295,47 @@ impl SwarmNode {
             Role::Tracker(_) => None,
         }
     }
+}
 
-    /// Request all still-missing pieces, spread across known peers.
-    fn request_missing(&mut self, ctx: &mut Ctx<'_, SwarmMsg>, op: u64) {
-        let Role::Peer(p) = &mut self.role else {
-            return;
-        };
-        let Some(v) = p.visits.get(&op) else { return };
-        let Some(m) = &v.manifest else { return };
-        let total = m.manifest.piece_ids.len() as u32;
-        let mut requests = Vec::new();
-        // Rotate the piece→peer assignment by tick so a dead or stale peer
-        // doesn't permanently own any piece index.
-        let rotation = v.ticks as usize;
-        for idx in 0..total {
-            if !v.got.contains_key(&idx) {
-                let peer = v.peers[(idx as usize + rotation) % v.peers.len()];
-                requests.push((peer, idx));
-            }
-        }
-        let site = v.site;
-        for (peer, idx) in requests {
+/// Request all still-missing pieces, spread across known peers.
+fn request_missing(ctx: &mut Ctx<'_, SwarmMsg>, op: u64, v: &Visit) {
+    let Some(m) = &v.manifest else { return };
+    if v.peers.is_empty() {
+        return;
+    }
+    // Rotate the piece→peer assignment by tick so a dead or stale peer
+    // doesn't permanently own any piece index.
+    let rotation = v.ticks as usize;
+    for index in 0..m.manifest.piece_ids.len() as u32 {
+        if !v.got.contains_key(&index) {
+            let peer = v.peers[(index as usize + rotation) % v.peers.len()];
             let msg = SwarmMsg::GetPiece {
-                site,
-                index: idx,
+                site: v.site,
+                index,
                 req: op,
             };
             let size = msg.wire_size();
             ctx.send(peer, msg, size);
         }
     }
+}
 
+impl PeerState {
     fn try_complete(&mut self, ctx: &mut Ctx<'_, SwarmMsg>, op: u64) {
-        let Role::Peer(p) = &mut self.role else {
+        let Some(v) = self.visits.get(&op) else {
             return;
         };
-        let Some(v) = p.visits.get(&op) else { return };
         let Some(m) = &v.manifest else { return };
         if v.got.len() < m.manifest.piece_ids.len() {
             return;
         }
-        let v = p.visits.remove(&op).expect("present");
-        p.retriers.remove(&op);
+        let v = self.visits.remove(&op).expect("present");
+        self.retriers.remove(&op);
         let m = v.manifest.expect("present");
-        let bytes: u64 = v.got.values().map(|d| d.len() as u64).sum();
+        let bytes: u64 = v.got.values().map(|p| p.data().len() as u64).sum();
         let version = m.manifest.version;
         let site = v.site;
-        p.sites.insert(
+        self.sites.insert(
             site,
             LocalSite {
                 signed: m,
@@ -349,13 +343,13 @@ impl SwarmNode {
             },
         );
         // The visitor becomes a seeder — §3.4's defining property.
-        ctx.multicast(&p.trackers, SwarmMsg::Announce { site }, 40);
+        ctx.multicast(&self.trackers, SwarmMsg::Announce { site }, 40);
         ctx.metrics().incr("web.visits_ok", 1);
         ctx.metrics().incr("web.bytes_fetched", bytes);
         let took = ctx.now().since(v.started).secs_f64();
         ctx.metrics().sample("web.visit_secs", took);
         ctx.trace_point("web.visits_ok", bytes as f64);
-        p.results.insert(op, VisitResult::Ok { version, bytes });
+        self.results.insert(op, VisitResult::Ok { version, bytes });
     }
 }
 
@@ -400,17 +394,15 @@ impl Protocol for SwarmNode {
                     }
                     if v.phase == VisitPhase::FindingPeers {
                         v.phase = VisitPhase::FetchingManifest;
-                        let site = v.site;
                         // Ask every known peer; take the best valid answer.
-                        let targets = v.peers.clone();
-                        let msg = SwarmMsg::GetManifest { site, req };
+                        let msg = SwarmMsg::GetManifest { site: v.site, req };
                         let size = msg.wire_size();
-                        ctx.multicast(&targets, msg, size);
+                        ctx.multicast(&v.peers, msg, size);
                     }
                 }
             }
             (Role::Peer(p), SwarmMsg::GetManifest { site, req }) => {
-                let manifest = p.sites.get(&site).map(|s| Box::new(s.signed.clone()));
+                let manifest = p.sites.get(&site).map(|s| Rc::clone(&s.signed));
                 let msg = SwarmMsg::ManifestResp { req, manifest };
                 let size = msg.wire_size();
                 ctx.send(from, msg, size);
@@ -419,6 +411,11 @@ impl Protocol for SwarmNode {
                 let Some(v) = p.visits.get_mut(&req) else {
                     return;
                 };
+                // No peer has been asked yet, so nobody honest is answering,
+                // and there is no peer to fetch the pieces from.
+                if v.phase == VisitPhase::FindingPeers {
+                    return;
+                }
                 let Some(sm) = manifest else { return };
                 // Verify signature + address; prefer the newest version.
                 if !sm.verify() || sm.manifest.site != v.site {
@@ -431,12 +428,12 @@ impl Protocol for SwarmNode {
                     .is_none_or(|cur| sm.manifest.version > cur.manifest.version);
                 let advancing = v.phase == VisitPhase::FetchingManifest;
                 if newer {
-                    v.manifest = Some(*sm);
+                    v.manifest = Some(sm);
                     v.got.clear();
                 }
                 if advancing || newer {
                     v.phase = VisitPhase::FetchingPieces;
-                    self.request_missing(ctx, req);
+                    request_missing(ctx, req, v);
                 }
             }
             (Role::Peer(p), SwarmMsg::GetPiece { site, index, req }) => {
@@ -458,16 +455,16 @@ impl Protocol for SwarmNode {
                     return;
                 };
                 let Some(m) = &v.manifest else { return };
-                let Some(data) = data else { return };
+                let Some(piece) = data else { return };
                 let Some(expected) = m.manifest.piece_ids.get(index as usize) else {
                     return;
                 };
-                if sha256(&data) != *expected {
+                if piece.digest() != *expected {
                     ctx.metrics().incr("web.bad_pieces", 1);
                     return;
                 }
-                v.got.insert(index, data);
-                self.try_complete(ctx, req);
+                v.got.insert(index, piece);
+                p.try_complete(ctx, req);
             }
             _ => {}
         }
@@ -527,34 +524,28 @@ impl Protocol for SwarmNode {
                     p.results.insert(op, VisitResult::Failed);
                     return;
                 }
-                let trackers = p.trackers.clone();
-                ctx.multicast(&trackers, SwarmMsg::GetPeers { site, req: op }, 48);
+                ctx.multicast(&p.trackers, SwarmMsg::GetPeers { site, req: op }, 48);
             }
             VisitPhase::FetchingManifest => {
-                let targets = v.peers.clone();
                 let msg = SwarmMsg::GetManifest { site, req: op };
                 let size = msg.wire_size();
-                ctx.multicast(&targets, msg, size);
+                ctx.multicast(&v.peers, msg, size);
             }
-            VisitPhase::FetchingPieces => self.request_missing(ctx, op),
+            VisitPhase::FetchingPieces => request_missing(ctx, op, v),
         }
-        if let Role::Peer(p) = &mut self.role {
-            if counted && p.visits.contains_key(&op) {
-                ctx.metrics().incr(CTR_RETRY_ATTEMPTS, 1);
-                ctx.trace_point("retry.attempt", 1.0);
-                if let Some((r, ticks)) = p.retriers.get_mut(&op) {
-                    match r.next_backoff(ctx.rng()) {
-                        Some(d) => *ticks = visit_ticks_for(d),
-                        None => {
-                            p.retriers.remove(&op);
-                        }
+        if counted {
+            ctx.metrics().incr(CTR_RETRY_ATTEMPTS, 1);
+            ctx.trace_point("retry.attempt", 1.0);
+            if let Some((r, ticks)) = p.retriers.get_mut(&op) {
+                match r.next_backoff(ctx.rng()) {
+                    Some(d) => *ticks = visit_ticks_for(d),
+                    None => {
+                        p.retriers.remove(&op);
                     }
                 }
             }
-            if p.visits.contains_key(&op) {
-                ctx.set_timer(VISIT_TICK, op);
-            }
         }
+        ctx.set_timer(VISIT_TICK, op);
     }
 }
 
@@ -562,6 +553,7 @@ impl Protocol for SwarmNode {
 mod tests {
     use super::*;
     use crate::site::SitePublisher;
+    use agora_crypto::sha256;
     use agora_sim::{DeviceClass, Simulation};
 
     fn build(n_peers: usize, seed: u64) -> (Simulation<SwarmNode>, NodeId, Vec<NodeId>) {
@@ -807,6 +799,242 @@ mod tests {
             other => panic!("visit should eventually succeed: {other:?}"),
         }
         assert!(sim.metrics().counter("web.bad_pieces") > 0);
+    }
+
+    /// Hand `msg` straight to `to`'s handler as if `from` had sent it, so a
+    /// test can put a visit in an exact state without racing the network.
+    fn deliver(sim: &mut Simulation<SwarmNode>, to: NodeId, from: NodeId, msg: SwarmMsg) {
+        sim.with_ctx(to, |n, ctx| n.on_message(ctx, from, msg))
+            .unwrap();
+    }
+
+    fn peer_state(sim: &Simulation<SwarmNode>, id: NodeId) -> &PeerState {
+        match &sim.node(id).role {
+            Role::Peer(p) => p,
+            Role::Tracker(_) => panic!("{id:?} is a tracker"),
+        }
+    }
+
+    /// `peers[0]` hosts a 60 000-byte site (4 pieces) and `peers[1]` has
+    /// begun a visit, advanced by hand to `phase`; no reply has been
+    /// delivered yet. Returns the sim, the peers, the site, the visit op
+    /// and the origin's sealed manifest.
+    fn stalled_visit(
+        seed: u64,
+        phase: VisitPhase,
+    ) -> (
+        Simulation<SwarmNode>,
+        Vec<NodeId>,
+        Hash256,
+        u64,
+        Rc<SealedManifest>,
+    ) {
+        let (mut sim, tracker, peers) = build(3, seed);
+        let (site, bundle) = publish_site(60_000);
+        sim.with_ctx(peers[0], |n, ctx| n.host_site(ctx, &bundle))
+            .unwrap();
+        sim.run_for(SimDuration::from_secs(2));
+        let op = sim
+            .with_ctx(peers[1], |n, ctx| n.start_visit(ctx, site))
+            .unwrap();
+        let sealed = Rc::clone(&peer_state(&sim, peers[0]).sites[&site].signed);
+        if phase != VisitPhase::FindingPeers {
+            let peers_msg = SwarmMsg::Peers {
+                req: op,
+                peers: vec![peers[0]],
+            };
+            deliver(&mut sim, peers[1], tracker, peers_msg);
+        }
+        if phase == VisitPhase::FetchingPieces {
+            let manifest = Some(Rc::clone(&sealed));
+            let resp = SwarmMsg::ManifestResp { req: op, manifest };
+            deliver(&mut sim, peers[1], peers[0], resp);
+        }
+        assert!(peer_state(&sim, peers[1]).visits[&op].phase == phase);
+        (sim, peers, site, op, sealed)
+    }
+
+    #[test]
+    fn unsolicited_manifest_before_any_peer_is_ignored() {
+        // A validly signed manifest pushed at a visitor that has no peers
+        // yet used to be accepted and to divide by the empty peer list.
+        let (mut sim, _tracker, peers) = build(2, 21);
+        let (site, bundle) = publish_site(20_000);
+        let op = sim
+            .with_ctx(peers[0], |n, ctx| n.start_visit(ctx, site))
+            .unwrap();
+        let manifest = Some(SealedManifest::seal(bundle.signed.clone()));
+        let resp = SwarmMsg::ManifestResp { req: op, manifest };
+        let size = resp.wire_size();
+        sim.with_ctx(peers[1], |_, ctx| ctx.send(peers[0], resp, size))
+            .unwrap();
+        sim.run_for(SimDuration::from_secs(1));
+        let v = &peer_state(&sim, peers[0]).visits[&op];
+        assert!(v.phase == VisitPhase::FindingPeers && v.manifest.is_none());
+        sim.run_for(SimDuration::from_mins(1));
+        assert_eq!(
+            sim.node_mut(peers[0]).take_result(op),
+            Some(VisitResult::Failed)
+        );
+        // And the request round itself tolerates an empty peer list.
+        let no_peers = Visit {
+            site,
+            phase: VisitPhase::FetchingPieces,
+            peers: Vec::new(),
+            manifest: Some(SealedManifest::seal(bundle.signed.clone())),
+            got: HashMap::new(),
+            ticks: 0,
+            started: sim.now(),
+        };
+        sim.with_ctx(peers[0], |_, ctx| request_missing(ctx, 0, &no_peers))
+            .unwrap();
+    }
+
+    #[test]
+    fn a_visit_shares_the_origins_buffers_instead_of_copying() {
+        let (mut sim, _tracker, peers) = build(3, 22);
+        let (site, bundle) = publish_site(50_000);
+        sim.with_ctx(peers[0], |n, ctx| n.host_site(ctx, &bundle))
+            .unwrap();
+        sim.run_for(SimDuration::from_secs(2));
+        // A second-generation visitor too: what it gets from either seeder
+        // is still the origin's allocation.
+        for &visitor in &peers[1..] {
+            let op = sim
+                .with_ctx(visitor, |n, ctx| n.start_visit(ctx, site))
+                .unwrap();
+            sim.run_for(SimDuration::from_mins(2));
+            assert!(matches!(
+                sim.node_mut(visitor).take_result(op),
+                Some(VisitResult::Ok { .. })
+            ));
+            let origin = &peer_state(&sim, peers[0]).sites[&site];
+            let copy = &peer_state(&sim, visitor).sites[&site];
+            assert!(Rc::ptr_eq(&origin.signed, &copy.signed));
+            assert_eq!(copy.pieces.len(), origin.pieces.len());
+            for (index, piece) in &origin.pieces {
+                assert!(Rc::ptr_eq(piece, &copy.pieces[index]), "piece {index}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_flipped_bit_is_a_different_piece_and_is_rejected() {
+        let (mut sim, peers, site, op, sealed) = stalled_visit(23, VisitPhase::FetchingPieces);
+        let (origin, visitor, mallory) = (peers[0], peers[1], peers[2]);
+        let genuine = Rc::clone(&peer_state(&sim, origin).sites[&site].pieces[&0]);
+        assert_eq!(genuine.digest(), sealed.manifest.piece_ids[0]);
+        // The genuine piece's digest is memoized by now; the forgery gets
+        // none of it, because it is not the same buffer.
+        let mut bytes = genuine.data().to_vec();
+        bytes[100] ^= 1;
+        let forged = Piece::new(bytes);
+        assert_ne!(forged.digest(), genuine.digest());
+        let resp = SwarmMsg::PieceResp {
+            req: op,
+            index: 0,
+            data: Some(forged),
+        };
+        deliver(&mut sim, visitor, mallory, resp);
+        assert_eq!(sim.metrics().counter("web.bad_pieces"), 1);
+        assert!(peer_state(&sim, visitor).visits[&op].got.is_empty());
+        // The verified original keeps serving: the visit completes from it.
+        sim.run_for(SimDuration::from_mins(2));
+        assert!(matches!(
+            sim.node_mut(visitor).take_result(op),
+            Some(VisitResult::Ok { bytes: 60_000, .. })
+        ));
+        assert_eq!(sim.metrics().counter("web.bad_pieces"), 1);
+        let held = &peer_state(&sim, visitor).sites[&site].pieces[&0];
+        assert!(Rc::ptr_eq(held, &genuine));
+    }
+
+    #[test]
+    fn a_tampered_manifest_resealed_is_verified_from_scratch() {
+        let (mut sim, peers, _site, op, sealed) = stalled_visit(24, VisitPhase::FetchingManifest);
+        let (visitor, mallory) = (peers[1], peers[2]);
+        assert!(sealed.verify(), "host_site verified the origin's copy");
+        let mut swapped_file = (**sealed).clone();
+        swapped_file.manifest.files[0].content_hash = sha256(b"malware");
+        let mut bumped_version = (**sealed).clone();
+        bumped_version.manifest.version += 1;
+        for (nth, tampered) in [swapped_file, bumped_version].into_iter().enumerate() {
+            let resealed = SealedManifest::seal(tampered);
+            assert!(!resealed.verify());
+            let manifest = Some(resealed);
+            let resp = SwarmMsg::ManifestResp { req: op, manifest };
+            deliver(&mut sim, visitor, mallory, resp);
+            assert_eq!(sim.metrics().counter("web.bad_manifests"), nth as u64 + 1);
+            let v = &peer_state(&sim, visitor).visits[&op];
+            assert!(v.manifest.is_none() && v.phase == VisitPhase::FetchingManifest);
+        }
+        assert!(sealed.verify(), "the original's verdict is its own");
+    }
+
+    #[test]
+    fn hostile_responses_are_dropped_without_panic_or_state() {
+        let bad = |sim: &Simulation<SwarmNode>| {
+            (
+                sim.metrics().counter("web.bad_pieces"),
+                sim.metrics().counter("web.bad_manifests"),
+            )
+        };
+        let piece_resp = |req: u64, index: u32, data: &Rc<Piece>| SwarmMsg::PieceResp {
+            req,
+            index,
+            data: Some(Rc::clone(data)),
+        };
+
+        // A visitor holding the manifest and no pieces.
+        let (mut sim, peers, site, op, sealed) = stalled_visit(25, VisitPhase::FetchingPieces);
+        let (origin, visitor, mallory) = (peers[0], peers[1], peers[2]);
+        let genuine = Rc::clone(&peer_state(&sim, origin).sites[&site].pieces[&0]);
+        let pieces = sealed.manifest.piece_ids.len() as u32;
+        // Index past the manifest, for an unknown op, and a truncated piece.
+        for index in [pieces, u32::MAX] {
+            deliver(&mut sim, visitor, mallory, piece_resp(op, index, &genuine));
+        }
+        deliver(&mut sim, visitor, mallory, piece_resp(op + 7, 0, &genuine));
+        assert_eq!(bad(&sim), (0, 0));
+        let truncated = Piece::new(&genuine.data()[..genuine.data().len() - 1]);
+        deliver(&mut sim, visitor, mallory, piece_resp(op, 0, &truncated));
+        assert_eq!(bad(&sim), (1, 0));
+        assert!(peer_state(&sim, visitor).visits[&op].got.is_empty());
+        // For a visit that has already finished.
+        sim.run_for(SimDuration::from_mins(2));
+        assert!(matches!(
+            sim.node_mut(visitor).take_result(op),
+            Some(VisitResult::Ok { .. })
+        ));
+        deliver(&mut sim, visitor, mallory, piece_resp(op, 0, &truncated));
+        assert_eq!(bad(&sim), (1, 0));
+
+        // Before any manifest is held, a piece has nothing to be checked
+        // against; a manifest validly signed for another site is refused.
+        let (mut sim, peers, _site, op, _sealed) = stalled_visit(26, VisitPhase::FetchingManifest);
+        let (visitor, mallory) = (peers[1], peers[2]);
+        deliver(&mut sim, visitor, mallory, piece_resp(op, 0, &genuine));
+        assert_eq!(bad(&sim), (0, 0));
+        let other = SitePublisher::new(b"mallory").publish(&[("index.html", b"x".as_slice())]);
+        let manifest = Some(SealedManifest::seal(other.signed));
+        assert!(manifest.as_ref().unwrap().verify());
+        let resp = SwarmMsg::ManifestResp { req: op, manifest };
+        deliver(&mut sim, visitor, mallory, resp);
+        assert_eq!(bad(&sim), (0, 1));
+        let v = &peer_state(&sim, visitor).visits[&op];
+        assert!(v.manifest.is_none() && v.got.is_empty());
+        assert!(v.phase == VisitPhase::FetchingManifest);
+
+        // A peer list naming the visitor itself, with duplicates.
+        let (mut sim, peers, _site, op, _sealed) = stalled_visit(27, VisitPhase::FindingPeers);
+        let (origin, visitor, mallory) = (peers[0], peers[1], peers[2]);
+        let listed = vec![visitor, origin, origin, visitor, origin];
+        let peers_msg = SwarmMsg::Peers {
+            req: op,
+            peers: listed,
+        };
+        deliver(&mut sim, visitor, mallory, peers_msg);
+        assert_eq!(peer_state(&sim, visitor).visits[&op].peers, [origin]);
     }
 
     #[test]

@@ -51,6 +51,24 @@ step "rebuild with tracing on; baseline diff must be byte-identical either way"
 cargo build --release -p agora-harness
 ./target/release/agora-harness
 
+step "benchmark correctness gate: every BENCHMARK.json workload once, pins and baseline rows hold"
+# The benchmark checks each op against its BENCH_harness.json row or its
+# pinned count on every run and prints "correct"; a broken pin should fail
+# here, not in the pipeline that runs the benchmark later. Shortest run it
+# accepts (--seconds 1), no tracing; its exit status is 2 when incorrect.
+bench_spec() {
+    python3 -c '
+import json, sys
+spec = json.load(open("BENCHMARK.json"))
+print(*(spec["command"] if sys.argv[1] == "command" else [w["name"] for w in spec["workloads"]]), sep="\n")' "$1"
+}
+mapfile -t bench_cmd < <(bench_spec command)
+mapfile -t bench_workloads < <(bench_spec workloads)
+for workload in "${bench_workloads[@]}"; do
+    echo "  $workload"
+    "${bench_cmd[@]}" --workload "$workload" --seconds 1 --trace 0 | tail -n 1 | grep -q '"correct":true'
+done
+
 CHAOS_TMP="$(mktemp -d)"
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP" "$CHAOS_TMP"' EXIT
@@ -142,12 +160,15 @@ trace_smoke() {
 #   the flash crowd has to push a node past saturation before admission
 #   control sheds anything. e18: a subscriber's delta lag is explainable
 #   back to the push that carried it. e7: the swarm's two counted trace
-#   points, whose messages carry shared piece and manifest buffers.
+#   points, whose messages carry shared piece and manifest buffers. e16:
+#   the driver's four notes; the schedule is generated a tick at a time as
+#   it is replayed, and tick summaries and flash edges are the ones whose
+#   place among the demands that generation has to get right.
 TRACE_TABLE=(
     "dht explain:dht.lookup_secs"
     "e7 web.pieces_served web.visits_ok"
     "e15/i1.00 chaos.kill retry.attempt explain:retry.attempt"
-    "e16/p10k workload.demand workload.churn_kill"
+    "e16/p10k workload.demand workload.churn_kill workload.tick workload.flash"
     "e17/i1.00 market.challenge market.slash market.repair_bytes explain:market.slash"
     "e16p/p100k policy.engage policy.shed policy.replicate policy.seed"
     "e18/p10k app.delta app.merge explain:app.delta_lag"

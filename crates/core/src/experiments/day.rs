@@ -2,7 +2,7 @@
 //! replayed against any [`ServingSubstrate`] (DESIGN.md §13).
 //!
 //! [`run_day`] owns everything the E16 classes, their E16p policy variants
-//! and E18's hosting modes share — schedule compile and driver install,
+//! and E18's hosting modes share — the streamed schedule and its driver,
 //! the tick / drain loop, the pending-op list, weighted availability, the
 //! [`LoadLedger`] and its two per-tick probe notes, the tail drain and
 //! outcome assembly. A substrate supplies only its fleet and how one
@@ -239,9 +239,9 @@ pub(crate) fn run_day<S: ServingSubstrate>(
     spec: &WorkloadSpec,
     sched_seed: u64,
 ) -> ClassOutcome {
-    let sched = spec.compile(sched_seed, sub.churnable(), DAY);
-    let requests = sched.total_requests();
-    let mut driver = WorkloadDriver::install(sim, sched);
+    let events = spec.stream(sched_seed, sub.churnable(), DAY);
+    let mut driver = WorkloadDriver::install_stream(sim, events);
+    let requests_before = sim.metrics().counter("workload.requests");
     let mut ledger = LoadLedger::new(&sub.serving());
     // Weighted demand that arrived, and the part of it that succeeded.
     let (mut total_w, mut ok_w) = (0.0f64, 0.0f64);
@@ -312,7 +312,9 @@ pub(crate) fn run_day<S: ServingSubstrate>(
         op_p99,
         busiest_share: ledger.busiest_share(),
         peak_overload: ledger.peak_overload,
-        requests,
+        // Every tick summary lies inside the day, so the driver has counted
+        // the whole schedule's requests by now.
+        requests: sim.metrics().counter("workload.requests") - requests_before,
     }
 }
 

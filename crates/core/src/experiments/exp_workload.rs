@@ -60,7 +60,7 @@ pub const E16_POPULATIONS: [u64; 3] = [10_000, 100_000, 1_000_000];
 /// knob: `cohorts == population` is exact per-user generation (every
 /// cohort is one real user), the ground truth the [`COHORTS`]-cohort
 /// approximation is measured against.
-pub(crate) fn e16_spec_cohorts(population: u64, cohorts: u32) -> WorkloadSpec {
+pub fn e16_spec_cohorts(population: u64, cohorts: u32) -> WorkloadSpec {
     WorkloadSpec {
         population,
         cohorts,

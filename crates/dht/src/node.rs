@@ -13,7 +13,7 @@ use agora_crypto::Hash256;
 use agora_sim::retry::{CTR_RETRY_ATTEMPTS, CTR_RETRY_GAVE_UP};
 use agora_sim::{Ctx, NodeId, Protocol, SimDuration, SimTime};
 
-use crate::routing::{Contact, RoutingTable};
+use crate::routing::{Contact, Distance, RoutingTable};
 
 /// Protocol configuration.
 #[derive(Clone, Debug)]
@@ -160,14 +160,42 @@ enum OpKind {
     Put,
 }
 
+/// One shortlist entry: a contact, its distance to the lookup's target
+/// (computed once, on entry) and how far the lookup got with it.
+struct Candidate {
+    dist: Distance,
+    contact: Contact,
+    state: PeerState,
+}
+
 struct Lookup {
     kind: OpKind,
     target: Hash256,
     put_data: Option<Rc<[u8]>>,
-    shortlist: Vec<(Contact, PeerState)>,
+    /// Strictly ascending in `dist` — so duplicate-free, and "the k
+    /// closest" is always a prefix. Distances to one target are unique per
+    /// key, which makes this order the only one.
+    shortlist: Vec<Candidate>,
     started: SimTime,
     ticks: u32,
     hops: u32,
+}
+
+impl Lookup {
+    /// Place a newly learned contact; a key already listed is left as is.
+    fn learn(&mut self, contact: Contact) {
+        let dist = Distance::between(&contact.key, &self.target);
+        if let Err(at) = self.shortlist.binary_search_by(|e| e.dist.cmp(&dist)) {
+            self.shortlist.insert(
+                at,
+                Candidate {
+                    dist,
+                    contact,
+                    state: PeerState::Unqueried,
+                },
+            );
+        }
+    }
 }
 
 struct StoredValue {
@@ -317,27 +345,33 @@ impl DhtNode {
     ) -> u64 {
         let op = self.next_op;
         self.next_op += 1;
-        let mut seeds = self.table.closest(&target, self.cfg.k);
-        if seeds.is_empty() {
-            seeds = self.bootstrap.clone();
-        }
-        let shortlist = seeds
+        // The table never holds our own key and hands its contacts over
+        // already ranked; the bootstrap list is as configured.
+        let shortlist = self
+            .table
+            .nearest(&target, self.cfg.k)
             .into_iter()
-            .filter(|c| c.key != self.key)
-            .map(|c| (c, PeerState::Unqueried))
+            .map(|(dist, contact)| Candidate {
+                dist,
+                contact,
+                state: PeerState::Unqueried,
+            })
             .collect();
-        self.lookups.insert(
-            op,
-            Lookup {
-                kind,
-                target,
-                put_data,
-                shortlist,
-                started: ctx.now(),
-                ticks: 0,
-                hops: 0,
-            },
-        );
+        let mut lk = Lookup {
+            kind,
+            target,
+            put_data,
+            shortlist,
+            started: ctx.now(),
+            ticks: 0,
+            hops: 0,
+        };
+        if lk.shortlist.is_empty() {
+            for c in self.bootstrap.iter().filter(|c| c.key != self.key) {
+                lk.learn(*c);
+            }
+        }
+        self.lookups.insert(op, lk);
         self.drive(ctx, op);
         ctx.set_timer(self.cfg.tick, op);
         op
@@ -357,15 +391,15 @@ impl DhtNode {
         let rpc_retries = self.cfg.rpc_retries;
         let mut failed_keys = Vec::new();
         let mut retry_sends = Vec::new();
-        for (c, st) in lk.shortlist.iter_mut() {
-            if let PeerState::Pending(since, tries) = *st {
+        for e in lk.shortlist.iter_mut() {
+            if let PeerState::Pending(since, tries) = e.state {
                 if now.since(since) > timeout {
                     if tries < rpc_retries {
-                        *st = PeerState::Pending(now, tries + 1);
-                        retry_sends.push(*c);
+                        e.state = PeerState::Pending(now, tries + 1);
+                        retry_sends.push(e.contact);
                     } else {
-                        *st = PeerState::Failed;
-                        failed_keys.push(c.key);
+                        e.state = PeerState::Failed;
+                        failed_keys.push(e.contact.key);
                         if rpc_retries > 0 {
                             ctx.metrics().incr(CTR_RETRY_GAVE_UP, 1);
                             ctx.trace_point("retry.gave_up", op as f64);
@@ -374,47 +408,40 @@ impl DhtNode {
                 }
             }
         }
-        if !retry_sends.is_empty() {
-            let kind = lk.kind;
-            let target = lk.target;
-            let my_key = self.key;
-            for c in retry_sends {
-                let msg = match kind {
-                    OpKind::Get => DhtMsg::FindValue {
-                        op,
-                        target,
-                        sender_key: my_key,
-                    },
-                    _ => DhtMsg::FindNode {
-                        op,
-                        target,
-                        sender_key: my_key,
-                    },
-                };
-                let size = msg.wire_size();
-                ctx.metrics().incr(CTR_RETRY_ATTEMPTS, 1);
-                ctx.trace_point("retry.attempt", op as f64);
-                ctx.send(c.addr, msg, size);
-                ctx.metrics().incr("dht.rpc_sent", 1);
-            }
+        // The query this lookup sends each contact it asks.
+        let (kind, target, sender_key) = (lk.kind, lk.target, self.key);
+        let query = || match kind {
+            OpKind::Get => DhtMsg::FindValue {
+                op,
+                target,
+                sender_key,
+            },
+            _ => DhtMsg::FindNode {
+                op,
+                target,
+                sender_key,
+            },
+        };
+        for c in retry_sends {
+            let msg = query();
+            let size = msg.wire_size();
+            ctx.metrics().incr(CTR_RETRY_ATTEMPTS, 1);
+            ctx.trace_point("retry.attempt", op as f64);
+            ctx.send(c.addr, msg, size);
+            ctx.metrics().incr("dht.rpc_sent", 1);
         }
         let lk = self.lookups.get_mut(&op).expect("checked above");
 
-        // Sort by distance so "k closest" is a prefix.
-        let target = lk.target;
-        lk.shortlist.sort_by_key(|(c, _)| c.key.xor(&target));
-
-        // Termination: the k closest entries have all resolved (responded or
-        // failed) and none is pending/unqueried.
+        // Termination: the k closest entries (a prefix: the shortlist is
+        // kept in distance order) have all resolved — responded or failed —
+        // and none is pending/unqueried.
         let k = self.cfg.k;
         let alpha = self.cfg.alpha;
         let head = lk.shortlist.iter().take(k);
-        let done = lk
-            .shortlist
-            .iter()
-            .take(k)
-            .all(|(_, st)| matches!(st, PeerState::Responded | PeerState::Failed))
-            && head.clone().any(|(_, st)| *st == PeerState::Responded)
+        let done = head
+            .clone()
+            .all(|e| matches!(e.state, PeerState::Responded | PeerState::Failed))
+            && head.clone().any(|e| e.state == PeerState::Responded)
             || lk.shortlist.is_empty();
 
         if done {
@@ -429,38 +456,23 @@ impl DhtNode {
         let in_flight = lk
             .shortlist
             .iter()
-            .filter(|(_, st)| matches!(st, PeerState::Pending(..)))
+            .filter(|e| matches!(e.state, PeerState::Pending(..)))
             .count();
-        let mut to_query = Vec::new();
+        let mut queried = 0;
         if in_flight < alpha {
-            for (c, st) in lk.shortlist.iter_mut().take(k + alpha) {
-                if *st == PeerState::Unqueried && to_query.len() + in_flight < alpha {
-                    *st = PeerState::Pending(now, 0);
-                    to_query.push(*c);
+            for e in lk.shortlist.iter_mut().take(k + alpha) {
+                if e.state == PeerState::Unqueried && queried + in_flight < alpha {
+                    e.state = PeerState::Pending(now, 0);
+                    let msg = query();
+                    let size = msg.wire_size();
+                    ctx.send(e.contact.addr, msg, size);
+                    ctx.metrics().incr("dht.rpc_sent", 1);
+                    queried += 1;
                 }
             }
         }
-        if !to_query.is_empty() {
+        if queried > 0 {
             lk.hops += 1;
-        }
-        let kind = lk.kind;
-        let my_key = self.key;
-        for c in to_query {
-            let msg = match kind {
-                OpKind::Get => DhtMsg::FindValue {
-                    op,
-                    target,
-                    sender_key: my_key,
-                },
-                _ => DhtMsg::FindNode {
-                    op,
-                    target,
-                    sender_key: my_key,
-                },
-            };
-            let size = msg.wire_size();
-            ctx.send(c.addr, msg, size);
-            ctx.metrics().incr("dht.rpc_sent", 1);
         }
         for k in failed_keys {
             self.table.remove(&k);
@@ -475,8 +487,8 @@ impl DhtNode {
         let responded: Vec<Contact> = lk
             .shortlist
             .iter()
-            .filter(|(_, st)| *st == PeerState::Responded)
-            .map(|(c, _)| *c)
+            .filter(|e| e.state == PeerState::Responded)
+            .map(|e| e.contact)
             .take(k)
             .collect();
         let result = match lk.kind {
@@ -543,10 +555,9 @@ impl DhtNode {
             return;
         };
         // Mark the responder.
-        for (c, st) in lk.shortlist.iter_mut() {
-            if c.key == sender_key {
-                *st = PeerState::Responded;
-            }
+        let sender = Distance::between(&sender_key, &lk.target);
+        if let Ok(at) = lk.shortlist.binary_search_by(|e| e.dist.cmp(&sender)) {
+            lk.shortlist[at].state = PeerState::Responded;
         }
         if let Some(data) = value {
             if lk.kind == OpKind::Get {
@@ -579,11 +590,8 @@ impl DhtNode {
         let my_key = self.key;
         let lk = self.lookups.get_mut(&op).expect("still present");
         for c in closer {
-            if c.key == my_key {
-                continue;
-            }
-            if !lk.shortlist.iter().any(|(e, _)| e.key == c.key) {
-                lk.shortlist.push((c, PeerState::Unqueried));
+            if c.key != my_key {
+                lk.learn(c);
             }
         }
         self.drive(ctx, op);
@@ -700,12 +708,19 @@ impl Protocol for DhtNode {
             DhtMsg::Nodes {
                 op,
                 sender_key,
-                closer,
+                mut closer,
             } => {
                 self.table.observe(Contact {
                     key: sender_key,
                     addr: from,
                 });
+                // An honest reply is `closest(target, k)` less the asker:
+                // anything past k is not Kademlia, and merging it would let
+                // one peer grow this lookup's shortlist without bound.
+                if closer.len() > self.cfg.k {
+                    closer.truncate(self.cfg.k);
+                    ctx.metrics().incr("dht.nodes_oversized", 1);
+                }
                 for c in &closer {
                     if c.key != self.key {
                         self.table.observe(*c);
@@ -1089,5 +1104,143 @@ mod tests {
         assert!(sim.node_mut(ids[9]).take_result(op).is_some());
         assert!(sim.metrics().histogram("dht.lookup_hops").is_some());
         assert!(sim.metrics().counter("dht.rpc_sent") > 0);
+    }
+
+    /// Hand `msg` straight to `to`'s handler as if `from` had sent it.
+    fn deliver(sim: &mut Simulation<DhtNode>, to: NodeId, from: NodeId, msg: DhtMsg) {
+        sim.with_ctx(to, |n, ctx| n.on_message(ctx, from, msg))
+            .unwrap();
+    }
+
+    /// Every live lookup's shortlist on `id`: strictly ascending in distance
+    /// to its own target (so duplicate-free), each distance the contact's
+    /// own, and never the node itself.
+    fn assert_shortlists_ordered(sim: &Simulation<DhtNode>, id: NodeId) {
+        let node = sim.node(id);
+        for (op, lk) in &node.lookups {
+            for e in &lk.shortlist {
+                assert_eq!(e.dist, Distance::between(&e.contact.key, &lk.target));
+                assert_ne!(e.contact.key, node.key, "op {op} lists its own node");
+            }
+            assert!(
+                lk.shortlist.windows(2).all(|w| w[0].dist < w[1].dist),
+                "op {op} on {id}: shortlist out of order"
+            );
+        }
+    }
+
+    /// A made-up overlay key at the address of one of `build(20, _)`'s
+    /// nodes (the simulator has no route to addresses it never created).
+    fn stranger(i: u32) -> Contact {
+        Contact {
+            key: sha256(format!("stranger-{i}").as_bytes()),
+            addr: NodeId(i % 20),
+        }
+    }
+
+    #[test]
+    fn shortlists_stay_in_distance_order_through_every_reply() {
+        // Joins, a put and gets under loss (so failures and late replies
+        // interleave), stopped every 20 ms to look at every shortlist.
+        let (mut sim, ids, _) = build(20, 11);
+        sim.set_loss_rate(0.2);
+        let key = sha256(b"ordered");
+        sim.with_ctx(ids[4], |n, ctx| n.start_put(ctx, key, b"v".to_vec()))
+            .unwrap();
+        let mut seen = 0;
+        for step in 0..1_500 {
+            if step % 100 == 0 {
+                let from = ids[(step / 100) % ids.len()];
+                sim.with_ctx(from, |n, ctx| n.start_get(ctx, key)).unwrap();
+            }
+            sim.run_for(SimDuration::from_millis(20));
+            for &id in &ids {
+                assert_shortlists_ordered(&sim, id);
+                seen += sim.node(id).lookups.len();
+            }
+        }
+        assert!(seen > 100, "the check saw live lookups ({seen})");
+    }
+
+    #[test]
+    fn hostile_replies_leave_a_lookup_bounded_and_unfooled() {
+        let (mut sim, ids, keys) = build(20, 12);
+        let (asker, mallory) = (ids[2], ids[5]);
+        let target = sha256(b"contested");
+        let k = DhtConfig::default().k;
+        let op = sim
+            .with_ctx(asker, |n, ctx| n.start_find_node(ctx, target))
+            .unwrap();
+        let listed = |sim: &Simulation<DhtNode>| sim.node(asker).lookups[&op].shortlist.len();
+        let nodes = |op: u64, closer: Vec<Contact>| DhtMsg::Nodes {
+            op,
+            sender_key: keys[5],
+            closer,
+        };
+        let seeded = listed(&sim);
+        assert!((1..=k).contains(&seeded));
+
+        // (1) One peer answers with 50 000 contacts: the reply is cut to k
+        // on receipt, so the shortlist and the table grow by at most k.
+        let table_before = sim.node(asker).table_len();
+        deliver(
+            &mut sim,
+            asker,
+            mallory,
+            nodes(op, (0..50_000).map(stranger).collect()),
+        );
+        assert!(listed(&sim) <= seeded + k, "{} listed", listed(&sim));
+        assert!(sim.node(asker).table_len() <= table_before + k + 1);
+        assert_eq!(sim.metrics().counter("dht.nodes_oversized"), 1);
+        assert_shortlists_ordered(&sim, asker);
+
+        // (2) A reply for an op that never existed, and later for one that
+        // has finished, reaches no lookup and leaves no result behind.
+        let unknown = op + 999;
+        deliver(
+            &mut sim,
+            asker,
+            mallory,
+            nodes(unknown, vec![stranger(60_000)]),
+        );
+        assert!(!sim.node(asker).lookups.contains_key(&unknown));
+        assert!(sim.node_mut(asker).take_result(unknown).is_none());
+
+        // (3) The receiver's own key and repeated contacts are not listed.
+        let me = Contact {
+            key: keys[2],
+            addr: asker,
+        };
+        let twice = stranger(60_001);
+        let before = listed(&sim);
+        deliver(
+            &mut sim,
+            asker,
+            mallory,
+            nodes(op, vec![me, twice, twice, me]),
+        );
+        assert_eq!(listed(&sim), before + 1);
+        assert_shortlists_ordered(&sim, asker);
+
+        // (4) A value pushed at a FIND_NODE is not a find.
+        let value = DhtMsg::Value {
+            op,
+            sender_key: keys[5],
+            data: Rc::from(b"poison".to_vec()),
+        };
+        deliver(&mut sim, asker, mallory, value);
+        assert_eq!(sim.metrics().counter("dht.get_found"), 0);
+
+        // The lookup still ends, with contacts or a timeout, and a reply
+        // that trails in after it is dropped.
+        sim.run_for(SimDuration::from_mins(2));
+        assert!(matches!(
+            sim.node_mut(asker).take_result(op),
+            Some(DhtResult::Closest(_) | DhtResult::TimedOut)
+        ));
+        deliver(&mut sim, asker, mallory, nodes(op, vec![stranger(60_002)]));
+        assert!(sim.node(asker).lookups.is_empty());
+        assert!(sim.node_mut(asker).take_result(op).is_none());
+        assert_eq!(sim.metrics().counter("dht.nodes_oversized"), 1);
     }
 }

@@ -12,12 +12,41 @@ pub struct Contact {
     pub addr: NodeId,
 }
 
+/// XOR distance between two keys, as the two big-endian halves of the
+/// 256-bit value: the derived order is the byte array's order, in two
+/// machine compares. Computed once per (contact, target) and carried.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Distance(u128, u128);
+
+impl Distance {
+    pub(crate) fn between(a: &Hash256, b: &Hash256) -> Distance {
+        let half = |h: &Hash256, at: usize| {
+            u128::from_be_bytes(h.0[at..at + 16].try_into().expect("16 bytes"))
+        };
+        Distance(half(a, 0) ^ half(b, 0), half(a, 16) ^ half(b, 16))
+    }
+
+    /// Leading zero bits of the 256-bit distance (256 for distance zero).
+    fn leading_zeros(self) -> u32 {
+        if self.0 != 0 {
+            self.0.leading_zeros()
+        } else {
+            128 + self.1.leading_zeros()
+        }
+    }
+}
+
 /// The routing table of one node.
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
     own_key: Hash256,
     k: usize,
     buckets: Vec<Vec<Contact>>,
+    /// Contacts stored across all buckets.
+    len: usize,
+    /// Every non-empty bucket's index lies in this range (it may also hold
+    /// empty ones, after removals).
+    occupied: std::ops::Range<usize>,
 }
 
 impl RoutingTable {
@@ -27,13 +56,14 @@ impl RoutingTable {
             own_key,
             k: k.max(1),
             buckets: vec![Vec::new(); 256],
+            len: 0,
+            occupied: 0..0,
         }
     }
 
     /// Bucket index for a key: floor(log2(distance)). `None` for self.
     fn bucket_index(&self, key: &Hash256) -> Option<usize> {
-        let dist = self.own_key.xor(key);
-        let lz = dist.leading_zero_bits();
+        let lz = Distance::between(&self.own_key, key).leading_zeros();
         if lz == 256 {
             None // distance zero: never store self
         } else {
@@ -55,50 +85,70 @@ impl RoutingTable {
             bucket.push(c);
         } else if bucket.len() < self.k {
             bucket.push(contact);
+            self.len += 1;
+            self.occupied = if self.occupied.is_empty() {
+                idx..idx + 1
+            } else {
+                self.occupied.start.min(idx)..self.occupied.end.max(idx + 1)
+            };
         }
     }
 
     /// Remove a contact that failed to respond.
     pub fn remove(&mut self, key: &Hash256) {
         if let Some(idx) = self.bucket_index(key) {
-            self.buckets[idx].retain(|c| &c.key != key);
+            let bucket = &mut self.buckets[idx];
+            let before = bucket.len();
+            bucket.retain(|c| &c.key != key);
+            self.len -= before - bucket.len();
         }
     }
 
     /// The `n` known contacts closest to `target` (by XOR distance).
-    ///
-    /// Selection, not a full sort: every lookup step calls this, so the XOR
-    /// distances are computed once into a scratch vector, `select_nth_unstable`
-    /// partitions out the `n` winners in O(len), and only that n-sized prefix
-    /// is sorted. Distances to a fixed target are unique for distinct keys
-    /// (XOR is a bijection), so the result is identical to sorting everything
-    /// — locked down by `closest_matches_full_sort_reference` below.
     pub fn closest(&self, target: &Hash256, n: usize) -> Vec<Contact> {
-        let mut all: Vec<(Hash256, Contact)> = self
-            .buckets
-            .iter()
-            .flatten()
-            .map(|c| (c.key.xor(target), *c))
-            .collect();
+        self.nearest(target, n)
+            .into_iter()
+            .map(|(_, c)| c)
+            .collect()
+    }
+
+    /// [`RoutingTable::closest`] with each contact's distance to `target`.
+    ///
+    /// Bounded insertion, not a sort: every lookup step calls this with
+    /// `n = k` against a few dozen contacts, so each contact's distance is
+    /// computed once and placed into an `n`-sized ascending buffer, or
+    /// dropped after one compare with the buffer's last entry. Distances to
+    /// a fixed target are unique for distinct keys (XOR is a bijection), so
+    /// the result is identical to sorting everything — locked down by
+    /// `closest_matches_full_sort_reference` below.
+    pub(crate) fn nearest(&self, target: &Hash256, n: usize) -> Vec<(Distance, Contact)> {
+        let n = n.min(self.len);
+        let mut best: Vec<(Distance, Contact)> = Vec::with_capacity(n);
         if n == 0 {
-            return Vec::new();
+            return best;
         }
-        if n < all.len() {
-            all.select_nth_unstable_by(n - 1, |a, b| a.0.cmp(&b.0));
-            all.truncate(n);
+        for c in self.buckets[self.occupied.clone()].iter().flatten() {
+            let d = Distance::between(&c.key, target);
+            if best.len() == n {
+                if d > best[n - 1].0 {
+                    continue;
+                }
+                best.pop();
+            }
+            let at = best.partition_point(|(e, _)| *e < d);
+            best.insert(at, (d, *c));
         }
-        all.sort_unstable_by_key(|a| a.0);
-        all.into_iter().map(|(_, c)| c).collect()
+        best
     }
 
     /// Total contacts stored.
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(|b| b.len()).sum()
+        self.len
     }
 
     /// True if no contacts are known.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Whether a key is present.
@@ -240,5 +290,63 @@ mod tests {
                 assert_eq!(t.closest(&target, n), want, "n = {n}");
             }
         }
+    }
+
+    #[test]
+    fn closest_tracks_interleaved_observes_and_removes() {
+        // The O(1) count and the occupied-bucket range are bookkeeping on
+        // top of the buckets; after every mutation `closest` must still be
+        // the full sort of what the buckets hold, for every n.
+        let own = sha256(b"me");
+        let mut t = RoutingTable::new(own, 3);
+        let target = sha256(b"somewhere");
+        let mut rng = 0x9E37_79B9u32;
+        for step in 0..400u32 {
+            rng = rng.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let c = contact(rng >> 16 & 63);
+            // Mostly grow at first, mostly shrink at the end (down to empty).
+            if rng % 400 >= step {
+                t.observe(c);
+            } else {
+                t.remove(&c.key);
+            }
+            let mut reference: Vec<Contact> = t.buckets.iter().flatten().copied().collect();
+            reference.sort_by_key(|c| c.key.xor(&target));
+            assert_eq!(t.len(), reference.len(), "step {step}");
+            assert_eq!(t.is_empty(), reference.is_empty());
+            for n in 0..=reference.len() + 1 {
+                let want = &reference[..n.min(reference.len())];
+                assert_eq!(t.closest(&target, n), want, "step {step} n {n}");
+            }
+        }
+        for i in 0..64 {
+            t.remove(&contact(i).key);
+        }
+        assert!(t.is_empty() && t.closest(&target, 8).is_empty());
+        t.observe(contact(9));
+        assert_eq!(t.closest(&target, 8), vec![contact(9)]);
+    }
+
+    #[test]
+    fn distance_orders_like_the_xor_bytes() {
+        let keys: Vec<Hash256> = (0..40u32).map(|i| contact(i).key).collect();
+        let target = sha256(b"t");
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(
+                    Distance::between(a, &target).cmp(&Distance::between(b, &target)),
+                    a.xor(&target).cmp(&b.xor(&target))
+                );
+            }
+            assert_eq!(
+                Distance::between(a, &target).leading_zeros(),
+                a.xor(&target).leading_zero_bits()
+            );
+        }
+        // The halves' seam: keys differing only in the low half.
+        let mut low = target;
+        low.0[31] ^= 1;
+        assert_eq!(Distance::between(&low, &target).leading_zeros(), 255);
+        assert_eq!(Distance::between(&target, &target).leading_zeros(), 256);
     }
 }

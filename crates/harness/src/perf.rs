@@ -1024,6 +1024,48 @@ fn cohort_error_to_json(prof: &mut PhaseProfiler, population: u64) -> Json {
     out
 }
 
+/// One of `e16_cohort_runners` by name.
+fn cohort_runner(name: &str) -> agora::experiments::CohortRunner {
+    agora::experiments::e16_cohort_runners()
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .expect("known runner")
+        .1
+}
+
+/// The exact per-user day (`cohorts == population`) on its own: the
+/// expensive half of every `cohort_error` pair and what the benchmark's
+/// `exact_users` workload times. One serial day per class — the DHT day at
+/// 5× the base population, as in `cohort_error` — with the wall of
+/// generating that day's schedule (`compile`) split out, since at one
+/// cohort per user generation is itself O(users).
+fn exact_day_to_json(prof: &mut PhaseProfiler, population: u64) -> Json {
+    const SEED: u64 = 20171130;
+    let churnable: Vec<NodeId> = (0..48).map(NodeId).collect();
+    let mut out = Json::obj();
+    for (name, pop) in [("dht.off", population * 5), ("storage.off", population)] {
+        let run = cohort_runner(name);
+        let (wall, compile) = prof.time_with_sim(&format!("exact_day/{name}"), || {
+            let t0 = Instant::now();
+            std::hint::black_box(run(SEED, pop, pop as u32));
+            let wall = t0.elapsed().as_secs_f64();
+            let spec = agora::experiments::exp_workload::e16_spec_cohorts(pop, pop as u32);
+            let t1 = Instant::now();
+            std::hint::black_box(
+                spec.compile(SEED, &churnable, SimDuration::from_days(1))
+                    .len(),
+            );
+            ((wall, t1.elapsed().as_secs_f64()), 86_400.0)
+        });
+        let mut e = Json::obj();
+        e.set("population", Json::Num(pop as f64));
+        e.set("wall_secs", Json::Num(wall));
+        e.set("compile_wall_secs", Json::Num(compile));
+        out.set(name, e);
+    }
+    out
+}
+
 /// The base population the artifact's `cohort_error` section replays
 /// exactly (one cohort per user; the DHT runners take 5× this — a
 /// 10,000-user per-user ground truth). Sized so the seven exact
@@ -1195,20 +1237,12 @@ pub fn perf_to_json_scaled(
         median_of(&|| policy_frames_per_sec(POLICY_FRAMES))
     });
     policy.set("frames_per_sec", Json::Num(pol_fps));
-    let runners = agora::experiments::e16_cohort_runners();
-    let find = |n: &str| {
-        runners
-            .iter()
-            .find(|(name, _)| *name == n)
-            .expect("known runner")
-            .1
-    };
     let (off_wall, on_wall) = prof.time_with_sim("microbench/policy_day_overhead", || {
         let t0 = Instant::now();
-        std::hint::black_box(find("dht.off")(20171130, 1_000_000, 8));
+        std::hint::black_box(cohort_runner("dht.off")(20171130, 1_000_000, 8));
         let off_wall = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        std::hint::black_box(find("dht.shed")(20171130, 1_000_000, 8));
+        std::hint::black_box(cohort_runner("dht.shed")(20171130, 1_000_000, 8));
         ((off_wall, t1.elapsed().as_secs_f64()), 2.0 * 86_400.0)
     });
     policy.set("e16_dht_day_off_secs", Json::Num(off_wall));
@@ -1223,6 +1257,7 @@ pub fn perf_to_json_scaled(
         "cohort_error",
         cohort_error_to_json(&mut prof, cohort_population),
     );
+    root.set("exact_day", exact_day_to_json(&mut prof, cohort_population));
 
     root.set("microbench", micro);
     root.set("engine_parallel", engine_parallel_to_json(&mut prof));
@@ -1450,6 +1485,22 @@ mod tests {
                 .and_then(Json::as_f64)
                 .expect("rel err");
             assert!(err.is_finite(), "{runner}: {err}");
+        }
+
+        // The exact per-user day rows: one per class, compile split out.
+        let exact = perf.get("exact_day").expect("exact_day section");
+        for (runner, pop) in [("dht.off", 1_000.0), ("storage.off", 200.0)] {
+            let e = exact.get(runner).unwrap_or_else(|| panic!("{runner}"));
+            assert_eq!(e.get("population").and_then(Json::as_f64), Some(pop));
+            let wall = e.get("wall_secs").and_then(Json::as_f64).expect("wall");
+            let compile = e
+                .get("compile_wall_secs")
+                .and_then(Json::as_f64)
+                .expect("compile wall");
+            assert!(
+                compile > 0.0 && compile < wall,
+                "{runner}: {compile} of {wall}"
+            );
         }
     }
 

@@ -324,6 +324,34 @@ impl P2Quantile {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CounterHandle(usize);
 
+/// Slots in the counter-name memo (a power of two).
+const MEMO_SLOTS: usize = 64;
+
+/// Direct-mapped memo from a key's `(address, length)` to its counter slot.
+///
+/// Call sites pass `&'static str` literals, so the same few addresses come
+/// back millions of times; the memo turns those into one slot probe. An
+/// address proves nothing about contents — a freed heap string's address
+/// can be reused by a different name of the same length — so
+/// [`Metrics::counter_handle`] confirms every hit against the registered
+/// name and falls back to the map on a mismatch.
+#[derive(Clone, Debug)]
+struct CounterMemo([(usize, usize, usize); MEMO_SLOTS]);
+
+impl Default for CounterMemo {
+    fn default() -> CounterMemo {
+        // Length `usize::MAX` matches no `str`.
+        CounterMemo([(0, usize::MAX, 0); MEMO_SLOTS])
+    }
+}
+
+impl CounterMemo {
+    fn slot(key: &str) -> usize {
+        let addr = key.as_ptr() as usize as u64;
+        (addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+    }
+}
+
 /// Registry of named counters, gauges and histograms for one simulation run.
 ///
 /// Counters are stored as a dense value vector indexed by a `BTreeMap` of
@@ -334,6 +362,9 @@ pub struct CounterHandle(usize);
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     counter_ix: BTreeMap<String, usize>,
+    /// Registered names by slot (what a memo hit is confirmed against).
+    counter_names: Vec<String>,
+    counter_memo: CounterMemo,
     counter_vals: Vec<u64>,
     counter_touched: Vec<bool>,
     gauges: BTreeMap<String, f64>,
@@ -349,13 +380,23 @@ impl Metrics {
     /// Resolve (registering if needed) the slot for a counter name. The
     /// counter stays invisible until first incremented.
     pub fn counter_handle(&mut self, key: &str) -> CounterHandle {
-        if let Some(&ix) = self.counter_ix.get(key) {
+        let slot = CounterMemo::slot(key);
+        let (addr, len, ix) = self.counter_memo.0[slot];
+        if addr == key.as_ptr() as usize && len == key.len() && self.counter_names[ix] == key {
             return CounterHandle(ix);
         }
-        let ix = self.counter_vals.len();
-        self.counter_ix.insert(key.to_owned(), ix);
-        self.counter_vals.push(0);
-        self.counter_touched.push(false);
+        let ix = match self.counter_ix.get(key) {
+            Some(&ix) => ix,
+            None => {
+                let ix = self.counter_vals.len();
+                self.counter_ix.insert(key.to_owned(), ix);
+                self.counter_names.push(key.to_owned());
+                self.counter_vals.push(0);
+                self.counter_touched.push(false);
+                ix
+            }
+        };
+        self.counter_memo.0[slot] = (key.as_ptr() as usize, key.len(), ix);
         CounterHandle(ix)
     }
 
@@ -393,13 +434,23 @@ impl Metrics {
 
     /// Record a sample into a named histogram.
     pub fn sample(&mut self, key: &str, v: f64) {
-        self.histograms.entry(key.to_owned()).or_default().record(v);
+        // One walk for a known histogram; the key is only allocated the
+        // first time it is seen.
+        match self.histograms.get_mut(key) {
+            Some(h) => h.record(v),
+            None => self.histogram_mut(key).record(v),
+        }
     }
 
     /// Borrow a histogram mutably (created empty if absent) — for percentile
     /// queries, which need to sort.
     pub fn histogram_mut(&mut self, key: &str) -> &mut Histogram {
-        self.histograms.entry(key.to_owned()).or_default()
+        if !self.histograms.contains_key(key) {
+            self.histograms.insert(key.to_owned(), Histogram::new());
+        }
+        self.histograms
+            .get_mut(key)
+            .expect("present or just inserted")
     }
 
     /// Borrow a histogram if present.
@@ -508,6 +559,65 @@ mod tests {
         // BTreeMap entry-API semantics of `incr(key, 0)`.
         m.incr_handle(h, 0);
         assert_eq!(m.counters().collect::<Vec<_>>(), vec![("net.lost", 0)]);
+    }
+
+    #[test]
+    fn memo_never_aliases_two_names_at_one_address() {
+        // One heap buffer, rewritten in place: same address, same length,
+        // different name. The second must get its own counter.
+        let mut m = Metrics::new();
+        let mut key = String::from("dht.alpha");
+        let at = key.as_ptr();
+        m.incr(&key, 1);
+        m.incr(&key, 1);
+        key.clear();
+        key.push_str("dht.gamma");
+        assert_eq!(key.as_ptr(), at, "the buffer was reused in place");
+        m.incr(&key, 5);
+        assert_eq!(m.counter("dht.alpha"), 2);
+        assert_eq!(m.counter("dht.gamma"), 5);
+        // And back again: the memo now holds the second name.
+        key.clear();
+        key.push_str("dht.alpha");
+        m.incr(&key, 1);
+        assert_eq!(m.counter("dht.alpha"), 3);
+    }
+
+    #[test]
+    fn memo_leaves_counter_order_and_visibility_alone() {
+        // More names than memo slots, so slots are evicted and refilled;
+        // every name is bumped through a literal-like stable address twice
+        // (a miss, then a hit) and once through a fresh heap copy.
+        let names: Vec<String> = (0..3 * MEMO_SLOTS).map(|i| format!("c.{i:03}")).collect();
+        let mut m = Metrics::new();
+        let untouched = m.counter_handle("c.untouched");
+        for round in 0..2 {
+            for (i, name) in names.iter().enumerate().rev() {
+                m.incr(name, i as u64 + round);
+            }
+        }
+        for name in &names {
+            m.incr(&name.clone(), 1);
+        }
+        assert_eq!(m.counter_handle("c.untouched"), untouched);
+        let listed: Vec<(String, u64)> = m.snapshot();
+        let want: Vec<(String, u64)> = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.clone(), 2 * i as u64 + 2))
+            .collect();
+        assert_eq!(listed, want, "key order, no phantom entries");
+    }
+
+    #[test]
+    fn sampling_a_known_histogram_keeps_one_entry() {
+        let mut m = Metrics::new();
+        m.sample("h", 1.0);
+        m.sample("h", 2.0);
+        m.histogram_mut("h").record(3.0);
+        assert_eq!(m.histogram_keys().collect::<Vec<_>>(), vec!["h"]);
+        assert_eq!(m.histogram("h").unwrap().count(), 3);
+        assert!(m.histogram_mut("fresh").is_empty());
     }
 
     #[test]

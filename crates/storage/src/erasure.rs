@@ -55,6 +55,33 @@ mod gf {
         exp[log[a as usize] as usize + log[b as usize] as usize]
     }
 
+    /// Every product, one 256-byte row per left factor.
+    static PRODUCTS: [[u8; 256]; 256] = {
+        let (exp, log) = (&TABLES.0, &TABLES.1);
+        let mut table = [[0u8; 256]; 256];
+        let mut a = 1;
+        while a < 256 {
+            let mut b = 1;
+            while b < 256 {
+                table[a][b] = exp[log[a] as usize + log[b] as usize];
+                b += 1;
+            }
+            a += 1;
+        }
+        table
+    };
+
+    /// `dst[i] ^= coef · src[i]` over the shorter of the two: the inner
+    /// loop of encoding and reconstruction, one lookup in `coef`'s product
+    /// row per byte.
+    #[inline]
+    pub fn mul_acc(dst: &mut [u8], src: &[u8], coef: u8) {
+        let row = &PRODUCTS[coef as usize];
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d ^= row[s as usize];
+        }
+    }
+
     #[inline]
     pub fn inv(a: u8) -> u8 {
         assert!(a != 0, "inverse of zero");
@@ -89,6 +116,34 @@ mod gf {
             }
             // Distributivity sample.
             assert_eq!(mul(7, 13 ^ 29), mul(7, 13) ^ mul(7, 29));
+        }
+
+        #[test]
+        fn product_table_is_mul_slow_exhaustively() {
+            for a in 0..=255u8 {
+                for b in 0..=255u8 {
+                    let want = mul_slow(a, b);
+                    assert_eq!(PRODUCTS[a as usize][b as usize], want, "{a} * {b}");
+                    assert_eq!(mul(a, b), want, "{a} * {b}");
+                }
+            }
+        }
+
+        #[test]
+        fn mul_acc_is_the_per_byte_loop() {
+            let src: Vec<u8> = (0..4_099u32).map(|i| (i * 131 % 256) as u8).collect();
+            for coef in 0..=255u8 {
+                for len in [0usize, 1, 7, 8, 9, 255, 4_099] {
+                    // A destination longer than the source keeps its tail.
+                    let mut got: Vec<u8> = (0..len + 3).map(|i| (i * 7) as u8).collect();
+                    let mut want = got.clone();
+                    mul_acc(&mut got, &src[..len], coef);
+                    for (w, &s) in want.iter_mut().zip(&src[..len]) {
+                        *w ^= mul(coef, s);
+                    }
+                    assert_eq!(got, want, "coef {coef} len {len}");
+                }
+            }
         }
 
         #[test]
@@ -199,9 +254,7 @@ impl ReedSolomon {
                 if coef == 0 {
                     continue;
                 }
-                for (p, &s) in shard.iter_mut().zip(unpadded(c)) {
-                    *p ^= gf::mul(coef, s);
-                }
+                gf::mul_acc(&mut shard, unpadded(c), coef);
             }
         }
         shard
@@ -259,9 +312,7 @@ impl ReedSolomon {
                         if coef == 0 {
                             continue;
                         }
-                        for (o, &s) in out.iter_mut().zip(shard.as_ref().iter()) {
-                            *o ^= gf::mul(coef, s);
-                        }
+                        gf::mul_acc(&mut out, shard.as_ref(), coef);
                     }
                     out
                 })
@@ -396,6 +447,61 @@ mod tests {
                             "subset {a},{b},{c},{d}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// `encode_shard` as it was before `gf::mul_acc`: one `gf::mul` per byte.
+    fn encode_shard_per_byte(rs: &ReedSolomon, data: &[u8], index: usize) -> Vec<u8> {
+        let shard_len = data.len().div_ceil(rs.k).max(1);
+        let mut padded = data.to_vec();
+        padded.resize(rs.k * shard_len, 0);
+        let mut shard = vec![0u8; shard_len];
+        for (c, &coef) in rs.matrix[index].iter().enumerate() {
+            for (p, &s) in shard.iter_mut().zip(&padded[c * shard_len..]) {
+                *p ^= gf::mul(coef, s);
+            }
+        }
+        shard
+    }
+
+    #[test]
+    fn every_shard_length_round_trips_and_matches_the_per_byte_encoder() {
+        let rs = ReedSolomon::new(4, 2).unwrap();
+        let mut subsets = Vec::new();
+        for a in 0..6 {
+            for b in a + 1..6 {
+                subsets.push((0..6).filter(|&i| i != a && i != b).collect::<Vec<usize>>());
+            }
+        }
+        assert_eq!(subsets.len(), 15);
+        let mut rng = agora_sim::SimRng::new(42);
+        for shard_len in 1..=4_096usize {
+            // Mostly not a multiple of k: the last data shard runs short.
+            let short = rng.below_usize(4).min(shard_len * 4 - 1);
+            let data = rng.bytes(shard_len * 4 - short);
+            let shards = rs.encode(&data);
+            assert_eq!(shards[0].len(), shard_len);
+            for (index, shard) in shards.iter().enumerate() {
+                assert_eq!(
+                    shard,
+                    &encode_shard_per_byte(&rs, &data, index),
+                    "len {shard_len} index {index}"
+                );
+            }
+            // One subset per length, cycling through all fifteen; all
+            // fifteen at the lengths around the interesting edges.
+            let edge = matches!(shard_len, 1..=9 | 255..=257 | 4_095..=4_096);
+            for (nth, subset) in subsets.iter().enumerate() {
+                if edge || nth == shard_len % 15 {
+                    let avail: Vec<(usize, &Vec<u8>)> =
+                        subset.iter().map(|&i| (i, &shards[i])).collect();
+                    assert_eq!(
+                        rs.reconstruct(&avail, data.len()).unwrap(),
+                        data,
+                        "len {shard_len} subset {subset:?}"
+                    );
                 }
             }
         }

@@ -28,7 +28,9 @@
 //! one user drawing from its own forked stream — per-user generation,
 //! pinned by the `cohort_of_one_is_per_user_generation` test.
 
-use agora_sim::{NodeId, Protocol, SimDuration, SimRng, SimTime, Simulation};
+use std::iter::Peekable;
+
+use agora_sim::{CounterHandle, NodeId, Protocol, SimDuration, SimRng, SimTime, Simulation};
 
 use crate::arrivals::DemandModel;
 use crate::samplers::{poisson_scaled, BoundedPareto, LogNormalSessions, ZipfAlias};
@@ -179,13 +181,30 @@ impl WorkloadSpec {
     /// Expand this spec into a concrete schedule over `horizon`, drawing
     /// all randomness from a fresh RNG seeded with `seed`. `churnable` is
     /// the node set diurnal churn may take offline (empty disables churn
-    /// regardless of the spec). Pure: same inputs, same schedule.
+    /// regardless of the spec). Pure: same inputs, same schedule. This is
+    /// [`WorkloadSpec::stream`] collected; a replay that does not need the
+    /// whole day in memory hands the stream to
+    /// [`WorkloadDriver::install_stream`] instead.
     pub fn compile(
         &self,
         seed: u64,
         churnable: &[NodeId],
         horizon: SimDuration,
     ) -> WorkloadSchedule {
+        let stream = self.stream(seed, churnable, horizon);
+        let mut events = Vec::with_capacity(stream.expected_len());
+        events.extend(stream);
+        WorkloadSchedule { events }
+    }
+
+    /// The schedule [`WorkloadSpec::compile`] returns, generated one tick at
+    /// a time: same events, same order, O(cohorts) memory.
+    pub fn stream(
+        &self,
+        seed: u64,
+        churnable: &[NodeId],
+        horizon: SimDuration,
+    ) -> ScheduleStream<'_> {
         let mut root = SimRng::new(seed);
         // Churn permutation first (prefix-of-permutation victim rule),
         // before any cohort stream forks — the derivation order is part of
@@ -193,161 +212,320 @@ impl WorkloadSpec {
         let mut order: Vec<NodeId> = churnable.to_vec();
         root.shuffle(&mut order);
 
-        let zipf = ZipfAlias::new(self.ranks, self.zipf_alpha);
-        let n_cohorts = self.cohorts.max(1) as u64;
-        let rep_cap = self.rep_cap.max(1) as u64;
         let tick_us = self.tick.micros().max(1);
         let ticks = horizon.micros().div_ceil(tick_us);
-        let rate_per_sec = self.actions_per_user_day / crate::arrivals::DAY_SECS;
 
-        let mut events: Vec<WorkloadEvent> = Vec::new();
-
-        // Flash edges.
+        let mut flash_edges = Vec::new();
         if let Some(f) = &self.model.flash {
             if f.start < horizon {
-                events.push(WorkloadEvent {
-                    at: f.start,
-                    action: WorkloadAction::FlashEdge { on: true },
-                });
+                flash_edges.push((f.start, true));
                 let end = f.end();
                 if end < horizon {
-                    events.push(WorkloadEvent {
-                        at: end,
-                        action: WorkloadAction::FlashEdge { on: false },
-                    });
+                    flash_edges.push((end, false));
                 }
             }
         }
 
         // Diurnal churn at tick boundaries: the offline fraction tracks
         // inverse activity between the configured peak/trough targets.
-        if let Some(churn) = self.churn {
-            if !order.is_empty() {
-                let acts: Vec<f64> = (0..ticks)
-                    .map(|k| self.model.multiplier((k * tick_us) as f64 / 1e6))
-                    .collect();
-                let lo = acts.iter().cloned().fold(f64::MAX, f64::min);
-                let hi = acts.iter().cloned().fold(f64::MIN, f64::max);
-                let span = (hi - lo).max(1e-12);
-                let mut down = 0usize;
-                for (k, &a) in acts.iter().enumerate() {
+        let mut offline_targets = Vec::new();
+        if let Some(churn) = self.churn.filter(|_| !order.is_empty()) {
+            let acts: Vec<f64> = (0..ticks)
+                .map(|k| self.model.multiplier((k * tick_us) as f64 / 1e6))
+                .collect();
+            let lo = acts.iter().cloned().fold(f64::MAX, f64::min);
+            let hi = acts.iter().cloned().fold(f64::MIN, f64::max);
+            let span = (hi - lo).max(1e-12);
+            offline_targets = acts
+                .iter()
+                .map(|a| {
                     let a_norm = (a - lo) / span;
                     let target_frac = churn.offline_at_trough
                         + (churn.offline_at_peak - churn.offline_at_trough) * a_norm;
-                    let target = ((target_frac.clamp(0.0, 1.0) * order.len() as f64).round()
-                        as usize)
-                        .min(order.len());
-                    let at = SimDuration(k as u64 * tick_us);
-                    if target > down {
-                        events.push(WorkloadEvent {
-                            at,
-                            action: WorkloadAction::Kill {
-                                victims: order[down..target].to_vec(),
-                            },
-                        });
-                    } else if target < down {
-                        // Offline set is always a prefix of `order`, so
-                        // reviving the suffix restores exactly the most
-                        // recently killed nodes.
-                        events.push(WorkloadEvent {
-                            at,
-                            action: WorkloadAction::Revive {
-                                victims: order[target..down].to_vec(),
-                            },
-                        });
-                    }
-                    down = target;
-                }
-            }
+                    ((target_frac.clamp(0.0, 1.0) * order.len() as f64).round() as usize)
+                        .min(order.len())
+                })
+                .collect();
         }
 
         // Per-cohort demand: one independent stream per cohort, forked in
-        // cohort order.
+        // cohort order. Cohorts past the population hold no users and draw
+        // nothing, so only the populated prefix keeps a stream.
+        let n_cohorts = self.cohorts.max(1) as u64;
         let base = self.population / n_cohorts;
         let extra = self.population % n_cohorts;
-        for c in 0..n_cohorts {
-            let mut rng = root.fork(c);
-            let users = base + u64::from(c < extra);
-            if users == 0 {
-                continue;
+        let populated = if base == 0 { extra } else { n_cohorts };
+        let cohorts = (0..populated)
+            .map(|c| (root.fork(c), base + u64::from(c < extra)))
+            .collect();
+
+        // Per-tick quantities are computed per tick, not per cohort-tick.
+        let tick_rates = (0..ticks)
+            .map(|k| {
+                let (t0, t1) = tick_secs(k, tick_us, horizon.micros());
+                (self.model.mean_over(t0, t1), self.model.peak_over(t0, t1))
+            })
+            .collect();
+
+        ScheduleStream {
+            spec: self,
+            zipf: ZipfAlias::new(self.ranks, self.zipf_alpha),
+            horizon_us: horizon.micros(),
+            tick_us,
+            ticks,
+            tick_rates,
+            flash_edges,
+            order,
+            offline_targets,
+            down: 0,
+            cohorts,
+            next_tick: 0,
+            ready: Vec::new(),
+            carried: Vec::new(),
+        }
+    }
+}
+
+/// Tick `k`'s span in seconds, the last one cut at the horizon.
+fn tick_secs(k: u64, tick_us: u64, horizon_us: u64) -> (f64, f64) {
+    let t0_us = k * tick_us;
+    let t1_us = (t0_us + tick_us).min(horizon_us);
+    (t0_us as f64 / 1e6, t1_us as f64 / 1e6)
+}
+
+/// A [`WorkloadSpec`]'s schedule, generated tick by tick (see
+/// [`WorkloadSpec::stream`]).
+///
+/// Order is produced by construction, not by a day-long sort. The day-long
+/// order is "by instant; equal instants keep generation order: flash edges,
+/// churn, then cohort by cohort, each cohort tick by tick". Every event of
+/// tick `k` lies in `[k·tick, (k+1)·tick]`, so it is enough to lay one
+/// tick's events out in that generation order and stable-sort them by
+/// instant — except for a representative whose instant rounds up to
+/// exactly `(k+1)·tick`: it belongs among tick `k+1`'s events, ahead of its
+/// own cohort's (an earlier tick of the same cohort) and behind every
+/// lower cohort's, and is carried there.
+pub struct ScheduleStream<'a> {
+    spec: &'a WorkloadSpec,
+    zipf: ZipfAlias,
+    horizon_us: u64,
+    tick_us: u64,
+    ticks: u64,
+    /// Per tick: the mean rate multiplier over it and the thinning envelope.
+    tick_rates: Vec<(f64, f64)>,
+    /// Flash-window edges inside the horizon: `(offset, onset?)`.
+    flash_edges: Vec<(SimDuration, bool)>,
+    /// The churn permutation; the offline set is always a prefix of it.
+    order: Vec<NodeId>,
+    /// Per tick, how many of `order` are offline (empty: no churn).
+    offline_targets: Vec<usize>,
+    down: usize,
+    /// One stream and user count per populated cohort, in cohort order.
+    cohorts: Vec<(SimRng, u64)>,
+    next_tick: u64,
+    /// The current tick's events, last first.
+    ready: Vec<WorkloadEvent>,
+    /// Representatives carried into the next tick, in cohort order.
+    carried: Vec<(SimDuration, Demand)>,
+}
+
+impl ScheduleStream<'_> {
+    /// About how many events the whole stream yields: every cohort-tick
+    /// summary, the expected number of representatives plus four standard
+    /// deviations, and the edges.
+    fn expected_len(&self) -> usize {
+        let spec = self.spec;
+        let n = self.cohorts.len().max(1) as f64;
+        let rate_per_sec = spec.actions_per_user_day / crate::arrivals::DAY_SECS;
+        let rep_cap = f64::from(spec.rep_cap.max(1));
+        let reps: f64 = self
+            .tick_rates
+            .iter()
+            .enumerate()
+            .map(|(k, &(tick_mean, _))| {
+                let (t0, t1) = tick_secs(k as u64, self.tick_us, self.horizon_us);
+                let per_cohort = spec.population as f64 / n * rate_per_sec * (t1 - t0) * tick_mean;
+                n * per_cohort.min(rep_cap)
+            })
+            .sum();
+        let edges = self.flash_edges.len() + self.offline_targets.len();
+        (self.ticks as f64 * n + reps + 4.0 * reps.sqrt()) as usize + edges
+    }
+
+    /// Generate tick `self.next_tick` into `self.ready`.
+    fn fill(&mut self) {
+        let spec = self.spec;
+        let k = self.next_tick;
+        self.next_tick += 1;
+        let t0_us = k * self.tick_us;
+        // The last tick keeps everything up to the horizon itself.
+        let carry_from = if self.next_tick < self.ticks {
+            t0_us + self.tick_us
+        } else {
+            u64::MAX
+        };
+        let (t0, t1) = tick_secs(k, self.tick_us, self.horizon_us);
+        let (tick_mean, bound) = self.tick_rates[k as usize];
+        let out = &mut self.ready;
+
+        for &(at, on) in &self.flash_edges {
+            if at.micros() / self.tick_us == k {
+                out.push(WorkloadEvent {
+                    at,
+                    action: WorkloadAction::FlashEdge { on },
+                });
             }
-            for k in 0..ticks {
-                let t0_us = k * tick_us;
-                let t1_us = (t0_us + tick_us).min(horizon.micros());
-                let (t0, t1) = (t0_us as f64 / 1e6, t1_us as f64 / 1e6);
-                let mean = users as f64 * rate_per_sec * (t1 - t0) * self.model.mean_over(t0, t1);
-                let count = poisson_scaled(&mut rng, mean);
-                events.push(WorkloadEvent {
-                    at: SimDuration(t0_us),
-                    action: WorkloadAction::Tick {
-                        tick: k as u32,
-                        cohort: c as u32,
-                        count,
+        }
+        if let Some(&target) = self.offline_targets.get(k as usize) {
+            let at = SimDuration(t0_us);
+            if target > self.down {
+                out.push(WorkloadEvent {
+                    at,
+                    action: WorkloadAction::Kill {
+                        victims: self.order[self.down..target].to_vec(),
                     },
                 });
-                if count == 0 {
-                    continue;
-                }
-                let reps = count.min(rep_cap);
-                let weight = count as f64 / reps as f64;
-                let bound = self.model.peak_over(t0, t1);
-                for _ in 0..reps {
-                    // Thinning: place the representative inside the tick
-                    // with density proportional to the rate multiplier.
-                    let mut offset = (t0 + t1) / 2.0;
-                    for _ in 0..64 {
-                        let cand = t0 + rng.f64() * (t1 - t0);
-                        if rng.f64() * bound <= self.model.multiplier(cand) {
-                            offset = cand;
-                            break;
-                        }
+            } else if target < self.down {
+                // Offline set is always a prefix of `order`, so reviving
+                // the suffix restores exactly the most recently killed
+                // nodes.
+                out.push(WorkloadEvent {
+                    at,
+                    action: WorkloadAction::Revive {
+                        victims: self.order[target..self.down].to_vec(),
+                    },
+                });
+            }
+            self.down = target;
+        }
+
+        let rate_per_sec = spec.actions_per_user_day / crate::arrivals::DAY_SECS;
+        let rep_cap = spec.rep_cap.max(1) as u64;
+        let mut incoming = std::mem::take(&mut self.carried).into_iter().peekable();
+        for (c, (rng, users)) in self.cohorts.iter_mut().enumerate() {
+            let c = c as u32;
+            while let Some((at, d)) = incoming.next_if(|(_, d)| d.cohort == c) {
+                out.push(WorkloadEvent {
+                    at,
+                    action: WorkloadAction::Demand(d),
+                });
+            }
+            let mean = *users as f64 * rate_per_sec * (t1 - t0) * tick_mean;
+            let count = poisson_scaled(rng, mean);
+            out.push(WorkloadEvent {
+                at: SimDuration(t0_us),
+                action: WorkloadAction::Tick {
+                    tick: k as u32,
+                    cohort: c,
+                    count,
+                },
+            });
+            if count == 0 {
+                continue;
+            }
+            let reps = count.min(rep_cap);
+            let weight = count as f64 / reps as f64;
+            for _ in 0..reps {
+                // Thinning: place the representative inside the tick
+                // with density proportional to the rate multiplier.
+                let mut offset = (t0 + t1) / 2.0;
+                for _ in 0..64 {
+                    let cand = t0 + rng.f64() * (t1 - t0);
+                    if rng.f64() * bound <= spec.model.multiplier(cand) {
+                        offset = cand;
+                        break;
                     }
-                    let demand = Demand {
-                        cohort: c as u32,
-                        rank: zipf.sample(&mut rng) as u32,
-                        bytes: self.sizes.sample(&mut rng),
-                        weight,
-                        session: self.sessions.sample(&mut rng),
-                    };
-                    events.push(WorkloadEvent {
-                        at: SimDuration::from_secs_f64(offset),
+                }
+                let demand = Demand {
+                    cohort: c,
+                    rank: self.zipf.sample(rng) as u32,
+                    bytes: spec.sizes.sample(rng),
+                    weight,
+                    session: spec.sessions.sample(rng),
+                };
+                let at = SimDuration::from_secs_f64(offset);
+                if at.micros() >= carry_from {
+                    self.carried.push((at, demand));
+                } else {
+                    out.push(WorkloadEvent {
+                        at,
                         action: WorkloadAction::Demand(demand),
                     });
                 }
             }
         }
+        debug_assert!(incoming.next().is_none(), "carried past its cohort");
 
-        // Stable sort: equal instants keep push order (flash/churn edges,
-        // then cohort ticks in cohort order, then their demands).
-        events.sort_by_key(|e| e.at);
-        WorkloadSchedule { events }
+        // Stable: equal instants keep the generation order laid out above.
+        out.sort_by_key(|e| e.at);
+        out.reverse();
     }
 }
 
-/// Replays a [`WorkloadSchedule`] against a running simulation,
-/// interleaving demand issuance and churn with normal event processing.
-/// Every applied action is counted under `workload.*` metrics and (with
-/// the `trace` feature) noted as a `workload.*` trace point.
-pub struct WorkloadDriver {
-    schedule: WorkloadSchedule,
+impl Iterator for ScheduleStream<'_> {
+    type Item = WorkloadEvent;
+
+    fn next(&mut self) -> Option<WorkloadEvent> {
+        loop {
+            if let Some(e) = self.ready.pop() {
+                return Some(e);
+            }
+            if self.next_tick == self.ticks {
+                return None;
+            }
+            self.fill();
+        }
+    }
+}
+
+/// The `workload.*` counters bumped once per tick summary or
+/// representative, resolved once per driver.
+#[derive(Clone, Copy)]
+struct HotCounters {
+    requests: CounterHandle,
+    ticks: CounterHandle,
+    reps: CounterHandle,
+}
+
+/// Replays a workload schedule — a compiled [`WorkloadSchedule`] or a
+/// [`ScheduleStream`] — against a running simulation, interleaving demand
+/// issuance and churn with normal event processing. Every applied action
+/// is counted under `workload.*` metrics and (with the `trace` feature)
+/// noted as a `workload.*` trace point. A driver stays with the simulation
+/// it first ran against.
+pub struct WorkloadDriver<I = std::vec::IntoIter<WorkloadEvent>>
+where
+    I: Iterator<Item = WorkloadEvent>,
+{
+    events: Peekable<I>,
     base: SimTime,
-    next: usize,
+    applied: usize,
+    counters: Option<HotCounters>,
 }
 
 impl WorkloadDriver {
     /// Install a schedule, anchoring all offsets at the current simulated
     /// time.
     pub fn install<P: Protocol>(sim: &Simulation<P>, schedule: WorkloadSchedule) -> WorkloadDriver {
+        WorkloadDriver::install_stream(sim, schedule.events.into_iter())
+    }
+}
+
+impl<I: Iterator<Item = WorkloadEvent>> WorkloadDriver<I> {
+    /// As [`WorkloadDriver::install`], for events produced while they are
+    /// replayed (time-sorted, as [`WorkloadSpec::stream`] yields them).
+    pub fn install_stream<P: Protocol>(sim: &Simulation<P>, events: I) -> WorkloadDriver<I> {
         WorkloadDriver {
-            schedule,
+            events: events.peekable(),
             base: sim.now(),
-            next: 0,
+            applied: 0,
+            counters: None,
         }
     }
 
     /// Actions applied so far.
     pub fn applied(&self) -> usize {
-        self.next
+        self.applied
     }
 
     /// Drop-in replacement for `sim.run_for(d)` that issues scheduled
@@ -386,15 +564,11 @@ impl WorkloadDriver {
         advance: &mut dyn FnMut(&mut Simulation<P>, SimTime),
         issue: &mut dyn FnMut(&mut Simulation<P>, &Demand),
     ) {
-        while let Some(event) = self.schedule.events.get(self.next) {
-            let at = self.base + event.at;
-            if at > limit {
-                break;
-            }
-            advance(sim, at);
-            let action = self.schedule.events[self.next].action.clone();
-            self.next += 1;
-            self.apply(sim, &action, issue);
+        let base = self.base;
+        while let Some(event) = self.events.next_if(|e| base + e.at <= limit) {
+            advance(sim, base + event.at);
+            self.applied += 1;
+            self.apply(sim, &event.action, issue);
         }
         advance(sim, limit);
     }
@@ -405,16 +579,21 @@ impl WorkloadDriver {
         action: &WorkloadAction,
         issue: &mut dyn FnMut(&mut Simulation<P>, &Demand),
     ) {
+        let m = sim.metrics_mut();
+        let hot = *self.counters.get_or_insert_with(|| HotCounters {
+            requests: m.counter_handle("workload.requests"),
+            ticks: m.counter_handle("workload.ticks"),
+            reps: m.counter_handle("workload.reps"),
+        });
         match action {
             WorkloadAction::Tick { count, .. } => {
-                sim.metrics_mut().incr("workload.requests", *count);
-                sim.metrics_mut().incr("workload.ticks", 1);
+                m.incr_handle(hot.requests, *count);
+                m.incr_handle(hot.ticks, 1);
                 sim.trace_note("workload.tick", *count as f64);
             }
             WorkloadAction::Demand(d) => {
-                sim.metrics_mut().incr("workload.reps", 1);
-                sim.metrics_mut()
-                    .sample("workload.session_secs", d.session.secs_f64());
+                m.incr_handle(hot.reps, 1);
+                m.sample("workload.session_secs", d.session.secs_f64());
                 sim.trace_note("workload.demand", d.rank as f64);
                 issue(sim, d);
             }

@@ -16,7 +16,8 @@
 //!   rate multiplier, plus the [`FlashCrowd`] ramp/plateau/decay
 //!   primitive, composed in a [`DemandModel`];
 //! * [`driver`] — the [`Cohort`](crate::driver)-scaled compiler
-//!   ([`WorkloadSpec::compile`]) producing a [`WorkloadSchedule`], and the
+//!   ([`WorkloadSpec::compile`]) producing a [`WorkloadSchedule`] (or,
+//!   tick by tick, a [`ScheduleStream`]), and the
 //!   [`WorkloadDriver`] that replays it against a simulation the same way
 //!   `ChaosController` replays fault schedules — O(cohorts) engine events
 //!   per tick regardless of population, with `cohorts == population` as
@@ -35,8 +36,8 @@ pub mod samplers;
 
 pub use arrivals::{DemandModel, DiurnalCurve, FlashCrowd, ZoneMix, DAY_SECS};
 pub use driver::{
-    ChurnCurve, Demand, WorkloadAction, WorkloadDriver, WorkloadEvent, WorkloadSchedule,
-    WorkloadSpec,
+    ChurnCurve, Demand, ScheduleStream, WorkloadAction, WorkloadDriver, WorkloadEvent,
+    WorkloadSchedule, WorkloadSpec,
 };
 pub use load::{CommLoad, StorageLoad};
 pub use samplers::{

@@ -4,7 +4,7 @@
 use agora_sim::{DeviceClass, NodeId, SimDuration, SimRng, Simulation};
 use agora_storage::{
     discard_detection_probability, play_porep_game, simulate_durability, AttackEnv, CheatStrategy,
-    DurabilityParams, ProviderStrategy, StorageNode, StorageResult,
+    DurabilityParams, ProviderStrategy, SealedReplicas, StorageNode, StorageResult,
 };
 use agora_workload::StorageLoad;
 
@@ -37,11 +37,13 @@ pub fn e5_storage_proofs(seed: u64) -> (E5Result, Report) {
     let mut env = AttackEnv::default();
     env.seal.seal_throughput_bps = 50_000;
     env.seal.response_deadline = SimDuration::from_secs(1);
-    let data = vec![0xabu8; LOAD.seal_probe_bytes];
+    // The three claimed replicas are sealed and chunked once; every strategy
+    // plays against the same published commitments.
+    let replicas = SealedReplicas::new(&vec![0xabu8; LOAD.seal_probe_bytes], 3, &env.seal);
 
     let mut porep = Vec::new();
     for s in CheatStrategy::all() {
-        let r = play_porep_game(s, &data, 3, 120, &env, &mut rng);
+        let r = play_porep_game(s, &replicas, 120, &env, &mut rng);
         porep.push((s, r.pass_rate));
     }
 

@@ -5,7 +5,8 @@
 //! session secrets. This crate implements them without external dependencies:
 //!
 //! * [`sha256`](crate::sha256) — real FIPS 180-4 SHA-256 (test-vector
-//!   checked) and the universal [`Hash256`] identifier type.
+//!   checked) and the universal [`Hash256`] identifier type. Runs on the
+//!   x86-64 SHA extensions where the CPU reports them ([`sha256_backend`]).
 //! * [`hmac`](crate::hmac) — HMAC-SHA256 (RFC 4231-checked) and an
 //!   HKDF-style KDF.
 //! * [`merkle`](crate::merkle) — domain-separated Merkle trees with
@@ -20,7 +21,12 @@
 //! honest because SHA-256 here is real; only discrete-log-style asymmetric
 //! crypto is simulated, as documented in DESIGN.md §5.
 
-#![forbid(unsafe_code)]
+// `unsafe` is denied, not forbidden, so that exactly one module can allow it:
+// `sha256::ni`, whose calls into `#[target_feature]` functions are the only
+// `unsafe` in the workspace (DESIGN.md §10). Every block there carries a
+// `// SAFETY:` comment, which clippy checks.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod codec;
@@ -34,7 +40,8 @@ pub use codec::{Dec, DecodeError, Enc};
 pub use hmac::{derive_key, hkdf_expand, hkdf_extract, hmac_sha256};
 pub use merkle::{leaf_hash, MerkleProof, MerkleTree, ProofStep};
 pub use sha256::{
-    sha256, sha256_concat, sha256_into, sha256_prefixes, tagged_hash, Hash256, Sha256, TailHasher,
+    sha256, sha256_backend, sha256_concat, sha256_into, sha256_prefixes, tagged_hash, Hash256,
+    Sha256, TailHasher,
 };
 pub use sig::{SimKeyPair, SimPublicKey, SimSignature, PK_WIRE_SIZE, SIG_WIRE_SIZE};
 pub use wots::{SignError, WotsKeyPair, WotsPublicKey, WotsSignature};

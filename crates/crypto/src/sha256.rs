@@ -4,8 +4,28 @@
 //! Merkle proofs and proof-of-work in the rest of the workspace are honest
 //! because this hash is. Both a one-shot [`sha256`] and an incremental
 //! [`Sha256`] API are provided.
+//!
+//! Two backends compute the same function: the portable code in this file,
+//! and `ni`, which uses the x86-64 SHA extensions where the running CPU
+//! reports them. The CPU is the only thing that chooses; the portable code
+//! is the only path everywhere else and the oracle the tests hold `ni` to.
 
 use std::fmt;
+
+#[allow(unsafe_code)]
+mod ni;
+
+/// The SHA-256 backend this process runs on: `"sha-ni"` where the CPU
+/// reports the x86-64 SHA extensions, `"portable"` otherwise. For ledgers
+/// and logs, so numbers from different hosts are not compared blind; it
+/// selects nothing.
+pub fn sha256_backend() -> &'static str {
+    if ni::available() {
+        "sha-ni"
+    } else {
+        "portable"
+    }
+}
 
 /// A 256-bit hash value. The universal identifier type of the workspace:
 /// content addresses, node IDs, transaction IDs, name hashes.
@@ -149,8 +169,33 @@ fn rounds_range(init: [u32; 8], w: &[u32; 64], from: usize, to: usize) -> [u32; 
     [a, b, c, d, e, f, g, h]
 }
 
-/// One compression over a 64-byte block (FIPS 180-4 §6.2.2). Shared by the
-/// incremental hasher and the [`TailHasher`] midstate fast path.
+/// Compress a run of whole 64-byte blocks into `state`: on the SHA
+/// extensions where the CPU has them, else through [`compress_portable`].
+/// Every hash in the workspace goes through here.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    if !blocks.is_empty() && !ni::compress(state, blocks) {
+        compress_portable(state, blocks);
+    }
+}
+
+/// The portable backend of [`compress_blocks`].
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
+        compress(state, block.try_into().expect("64 bytes"));
+    }
+}
+
+/// A chaining state as digest bytes.
+fn digest(state: &[u32; 8]) -> Hash256 {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    Hash256(out)
+}
+
+/// One compression over a 64-byte block (FIPS 180-4 §6.2.2), portable.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for i in 0..16 {
@@ -199,19 +244,17 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress_blocks(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let block: [u8; 64] = data[..64].try_into().expect("64 bytes");
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        // Every whole block in one call: a backend keeps the state in its
+        // own layout across the run.
+        let (blocks, rest) = data.split_at(data.len() / 64 * 64);
+        compress_blocks(&mut self.state, blocks);
+        if !rest.is_empty() {
+            self.buf[..rest.len()].copy_from_slice(rest);
+            self.buf_len = rest.len();
         }
         self
     }
@@ -238,9 +281,7 @@ impl Sha256 {
         pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
         self.update(&pad[..pad_len + 8]);
         debug_assert_eq!(self.buf_len, 0);
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
+        *out = digest(&self.state).0;
     }
 
     /// Freeze the absorbed prefix into a [`TailHasher`] that finishes the
@@ -300,26 +341,26 @@ impl Sha256 {
         pre_state = [a, b, c, d, e, f, g, h];
         Some(TailHasher {
             state: self.state,
+            block,
             pre_state,
             w_base,
             pre,
             off,
         })
     }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        compress(&mut self.state, block);
-    }
 }
 
 /// A frozen SHA-256 midstate plus a pre-padded final block. Produced by
-/// [`Sha256::tail_hasher`]; each [`TailHasher::hash`] call costs less than
-/// one full compression — the schedule words and leading rounds that cannot
-/// depend on the tail are precomputed — and touches only stack memory.
+/// [`Sha256::tail_hasher`]; each [`TailHasher::hash`] call touches only stack
+/// memory and costs one compression on the SHA extensions, or less than one
+/// in portable code — the schedule words and leading rounds that cannot
+/// depend on the tail are precomputed.
 #[derive(Clone)]
 pub struct TailHasher<const TAIL: usize> {
     /// Midstate at the start of the final block (the feed-forward term).
     state: [u32; 8],
+    /// The pre-padded final block, tail bytes zeroed.
+    block: [u8; 64],
     /// Working state after rounds `0..pre`, which use only prefix words.
     pre_state: [u32; 8],
     /// The pre-padded final block as schedule words, tail bytes zeroed.
@@ -334,6 +375,22 @@ impl<const TAIL: usize> TailHasher<TAIL> {
     /// Digest of `prefix || tail`, where `prefix` is everything absorbed by
     /// the [`Sha256`] this midstate was frozen from.
     pub fn hash(&self, tail: &[u8; TAIL]) -> Hash256 {
+        self.hash_ni(tail)
+            .unwrap_or_else(|| self.hash_portable(tail))
+    }
+
+    /// [`hash`](Self::hash) as one compression on the SHA extensions, which
+    /// outruns the portable path's saved rounds; `None` where the CPU lacks
+    /// them.
+    fn hash_ni(&self, tail: &[u8; TAIL]) -> Option<Hash256> {
+        let mut state = self.state;
+        let mut block = self.block;
+        block[self.off..self.off + TAIL].copy_from_slice(tail);
+        ni::compress(&mut state, &block).then(|| digest(&state))
+    }
+
+    /// [`hash`](Self::hash) in portable code, from the precomputed rounds.
+    fn hash_portable(&self, tail: &[u8; TAIL]) -> Hash256 {
         let mut w = self.w_base;
         // Splice the tail bytes into their schedule words (big-endian lanes).
         // TAIL == 8 (the PoW nonce) gets a three-word u64 splice; the const
@@ -409,44 +466,106 @@ fn one_round(s: [u32; 8], kw: u32) -> [u32; 8] {
     [t1.wrapping_add(t2), a, b, c, d.wrapping_add(t1), e, f, g]
 }
 
-/// Messages hashed side by side in one [`sha256_prefixes`] lane group. Chosen
-/// by measurement on baseline x86-64 (SSE2, four `u32` per register): at 16
+/// How a [`sha256_prefixes`] backend holds the chaining states of one group
+/// of messages and applies a block they all share. The block walk around it
+/// is written once, in [`sha256_prefixes_on`].
+trait PrefixLanes: Sized {
+    /// Messages per group.
+    const WIDTH: usize;
+
+    /// A group holding `states` (between one and `WIDTH` of them).
+    fn pack(states: impl Iterator<Item = [u32; 8]>) -> Self;
+
+    /// One compression of every message of every group over `block`.
+    fn absorb(groups: &mut [Self], block: &[u8; 64]);
+
+    /// The chaining state of message `lane`.
+    fn state(&self, lane: usize) -> [u32; 8];
+}
+
+/// Messages hashed side by side in one portable lane group. Chosen by
+/// measurement on baseline x86-64 (SSE2, four `u32` per register): at 16
 /// the round's lane loop vectorises; 4- and 8-lane groups compile to scalar
 /// code.
 const LANES: usize = 16;
 
 /// The chaining state of `LANES` messages, struct-of-arrays: `[word][lane]`.
+/// The portable backend's group.
 type LaneState = [[u32; LANES]; 8];
+
+impl PrefixLanes for LaneState {
+    const WIDTH: usize = LANES;
+
+    fn pack(states: impl Iterator<Item = [u32; 8]>) -> LaneState {
+        // Lanes past the end of a short last group hash from a zero state
+        // and are never read.
+        let mut packed = [[0u32; LANES]; 8];
+        for (lane, state) in states.enumerate() {
+            for (word, lanes) in state.iter().zip(packed.iter_mut()) {
+                lanes[lane] = *word;
+            }
+        }
+        packed
+    }
+
+    /// The block's schedule is loaded, expanded and `+K`-ed once; only the
+    /// rounds run per message.
+    fn absorb(groups: &mut [LaneState], block: &[u8; 64]) {
+        let mut kw = [0u32; 64];
+        for (word, bytes) in kw.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes(bytes.try_into().expect("4 bytes"));
+        }
+        expand(&mut kw);
+        for (word, k) in kw.iter_mut().zip(K) {
+            *word = word.wrapping_add(k);
+        }
+        for group in groups {
+            compress_lanes(group, &kw);
+        }
+    }
+
+    fn state(&self, lane: usize) -> [u32; 8] {
+        self.map(|lanes| lanes[lane])
+    }
+}
 
 /// `sha256(prefix ‖ data)` for every prefix, in one pass over `data`.
 ///
 /// All messages have the same length, so once the blocks that hold prefix
 /// bytes are behind them every later block — and the padded tail — is
-/// byte-identical across messages: its schedule is loaded and expanded once
-/// and only the rounds run per message, `LANES` at a time. Bit-identical to
+/// byte-identical across messages: its schedule is computed once and only
+/// the rounds run per message, a group at a time — four messages interleaved
+/// on the SHA extensions where the CPU has them, `LANES` side by side in
+/// portable code otherwise. Bit-identical to
 /// `sha256_concat(&[prefix, data])`, which is also the path taken when `data`
 /// ends inside the prefix's last block.
 pub fn sha256_prefixes<const P: usize>(prefixes: &[[u8; P]], data: &[u8]) -> Vec<Hash256> {
+    if ni::available() {
+        sha256_prefixes_on::<P, ni::Quad>(prefixes, data)
+    } else {
+        sha256_prefixes_on::<P, LaneState>(prefixes, data)
+    }
+}
+
+/// [`sha256_prefixes`] on backend `G`.
+fn sha256_prefixes_on<const P: usize, G: PrefixLanes>(
+    prefixes: &[[u8; P]],
+    data: &[u8],
+) -> Vec<Hash256> {
     // Data bytes sharing a block with prefix bytes: compressed per message.
     let head_len = P.next_multiple_of(64) - P;
     if data.len() < head_len {
         return prefixes.iter().map(|p| sha256_concat(&[p, data])).collect();
     }
     let (head, shared) = data.split_at(head_len);
-    let mut groups: Vec<LaneState> = prefixes
-        .chunks(LANES)
+    let mut groups: Vec<G> = prefixes
+        .chunks(G::WIDTH)
         .map(|group| {
-            // Lanes past the end of a short last group hash from a zero
-            // state and are never read.
-            let mut state = [[0u32; LANES]; 8];
-            for (lane, prefix) in group.iter().enumerate() {
+            G::pack(group.iter().map(|prefix| {
                 let mut h = Sha256::new();
                 h.update(prefix).update(head);
-                for (word, lanes) in h.state.iter().zip(state.iter_mut()) {
-                    lanes[lane] = *word;
-                }
-            }
-            state
+                h.state
+            }))
         })
         .collect();
 
@@ -463,30 +582,14 @@ pub fn sha256_prefixes<const P: usize>(prefixes: &[[u8; P]], data: &[u8]) -> Vec
         .chunks_exact(64)
         .chain(tail[..tail_len].chunks_exact(64))
     {
-        let mut kw = [0u32; 64];
-        for (word, bytes) in kw.iter_mut().zip(block.chunks_exact(4)) {
-            *word = u32::from_be_bytes(bytes.try_into().expect("4 bytes"));
-        }
-        expand(&mut kw);
-        for (word, k) in kw.iter_mut().zip(K) {
-            *word = word.wrapping_add(k);
-        }
-        for state in &mut groups {
-            compress_lanes(state, &kw);
-        }
+        G::absorb(&mut groups, block.try_into().expect("64 bytes"));
     }
 
-    let mut digests = Vec::with_capacity(prefixes.len());
-    for (group, state) in prefixes.chunks(LANES).zip(&groups) {
-        for lane in 0..group.len() {
-            let mut digest = [0u8; 32];
-            for (bytes, lanes) in digest.chunks_exact_mut(4).zip(state) {
-                bytes.copy_from_slice(&lanes[lane].to_be_bytes());
-            }
-            digests.push(Hash256(digest));
-        }
-    }
-    digests
+    prefixes
+        .chunks(G::WIDTH)
+        .zip(&groups)
+        .flat_map(|(group, packed)| (0..group.len()).map(|lane| digest(&packed.state(lane))))
+        .collect()
 }
 
 /// One compression of every lane over a block whose `K[i] + w[i]` terms are
@@ -583,6 +686,105 @@ mod tests {
         h.to_hex()
     }
 
+    /// Whether the NI halves of the backend tests can run here. They are
+    /// skipped out loud, never silently.
+    fn ni_detected(test: &str) -> bool {
+        let detected = ni::available();
+        if !detected {
+            println!("{test}: SHA extensions not detected, NI half SKIPPED");
+        }
+        detected
+    }
+
+    #[test]
+    fn backend_is_named() {
+        // `cargo test -p agora-crypto backend_is_named -- --nocapture` is how
+        // a CI log says which path its tests exercised.
+        println!("sha256 backend: {}", sha256_backend());
+        assert_eq!(sha256_backend() == "sha-ni", ni::available());
+    }
+
+    /// A backend's compress-a-run-of-blocks entry point, called directly.
+    type CompressRun = fn(&mut [u32; 8], &[u8]);
+
+    fn ni_run(state: &mut [u32; 8], blocks: &[u8]) {
+        assert!(ni::compress(state, blocks));
+    }
+
+    /// The backends under test, by name: the portable one always, the NI
+    /// one where the CPU has it.
+    fn compress_backends(test: &str) -> Vec<(&'static str, CompressRun)> {
+        let mut backends: Vec<(&'static str, CompressRun)> = vec![("portable", compress_portable)];
+        if ni_detected(test) {
+            backends.push(("sha-ni", ni_run));
+        }
+        backends
+    }
+
+    /// SHA-256 of `data` with every compression done by `run`.
+    fn hex_on(run: CompressRun, data: &[u8]) -> String {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        padded.resize((data.len() + 9).next_multiple_of(64) - 8, 0);
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        run(&mut state, &padded);
+        hex(digest(&state))
+    }
+
+    #[test]
+    fn each_backend_passes_the_nist_vectors() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 4] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for (name, run) in compress_backends("each_backend_passes_the_nist_vectors") {
+            for (data, expect) in vectors {
+                assert_eq!(hex_on(run, data), expect, "{name} len {}", data.len());
+            }
+        }
+    }
+
+    #[test]
+    fn ni_compress_equals_portable_word_for_word() {
+        if !ni_detected("ni_compress_equals_portable_word_for_word") {
+            return;
+        }
+        // xorshift64: seeded, no dependency on the simulator's RNG crate.
+        let mut s = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        for blocks in [1usize, 2, 3, 17] {
+            for _ in 0..8 {
+                let start: [u32; 8] = std::array::from_fn(|_| next() as u32);
+                let run: Vec<u8> = (0..blocks * 64).map(|_| next() as u8).collect();
+                let (mut portable, mut on_ni) = (start, start);
+                compress_portable(&mut portable, &run);
+                ni_run(&mut on_ni, &run);
+                assert_eq!(on_ni, portable, "{blocks} blocks");
+            }
+        }
+    }
+
     // NIST / well-known vectors.
     #[test]
     fn empty_string() {
@@ -672,6 +874,7 @@ mod tests {
         // Midstate correctness on every interesting prefix length: straddling
         // the 55/56/63/64/65-byte padding and block boundaries, plus longer
         // multi-block prefixes (the mining path uses a 97-byte prefix).
+        let ni = ni_detected("tail_hasher_matches_oneshot_across_block_boundaries");
         for prefix_len in [0usize, 1, 54, 55, 56, 63, 64, 65, 97, 119, 120, 127, 128] {
             let prefix: Vec<u8> = (0..prefix_len as u32).map(|i| (i % 253) as u8).collect();
             let mut pre = Sha256::new();
@@ -685,11 +888,49 @@ mod tests {
                 let tail = nonce.to_be_bytes();
                 let mut whole = prefix.clone();
                 whole.extend_from_slice(&tail);
-                assert_eq!(
-                    tail8.hash(&tail),
-                    sha256(&whole),
-                    "prefix {prefix_len} nonce {nonce:#x}"
-                );
+                let expect = sha256(&whole);
+                let at = format!("prefix {prefix_len} nonce {nonce:#x}");
+                assert_eq!(tail8.hash(&tail), expect, "{at}");
+                assert_eq!(tail8.hash_portable(&tail), expect, "portable, {at}");
+                if ni {
+                    assert_eq!(tail8.hash_ni(&tail), Some(expect), "sha-ni, {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tail_hasher_grinds_to_the_same_attempt_count_on_each_backend() {
+        // `mine_block`'s loop over the 97-byte header prefix: the attempt
+        // count is E9's energy proxy and a `BENCH_harness.json` row, so
+        // every backend must stop on the same nonce as the plain hash does.
+        let ni = ni_detected("tail_hasher_grinds_to_the_same_attempt_count_on_each_backend");
+        let grind = |bits: u32, first: u64, hash: &dyn Fn(u64) -> Hash256| {
+            (0u64..)
+                .find(|n| hash(first.wrapping_add(*n)).leading_zero_bits() >= bits)
+                .expect("a nonce is found")
+                + 1
+        };
+        for seed in 0..8u64 {
+            let header: Vec<u8> = (0..97u64).map(|i| (i * 29 + seed * 131) as u8).collect();
+            let mut pre = Sha256::new();
+            pre.update(&header);
+            let mid = pre.tail_hasher::<8>().expect("33 + 8 + 9 <= 64");
+            let first = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            for bits in [0u32, 4, 8, 10] {
+                let plain = grind(bits, first, &|nonce| {
+                    sha256_concat(&[&header, &nonce.to_be_bytes()])
+                });
+                let portable = grind(bits, first, &|nonce| {
+                    mid.hash_portable(&nonce.to_be_bytes())
+                });
+                assert_eq!(portable, plain, "portable, seed {seed} bits {bits}");
+                if ni {
+                    let on_ni = grind(bits, first, &|nonce| {
+                        mid.hash_ni(&nonce.to_be_bytes()).expect("detected")
+                    });
+                    assert_eq!(on_ni, plain, "sha-ni, seed {seed} bits {bits}");
+                }
             }
         }
     }
@@ -729,15 +970,19 @@ mod tests {
             .collect()
     }
 
-    fn assert_prefixes_match_concat<const P: usize>(n: usize, data: &[u8]) {
+    /// Every backend of the kernel, called directly (the portable one runs
+    /// on a SHA host too), and the dispatcher, against `sha256_concat`.
+    fn assert_prefixes_match_concat<const P: usize>(ni: bool, n: usize, data: &[u8]) {
         let prefixes = prefixes::<P>(n);
         let expect: Vec<Hash256> = prefixes.iter().map(|p| sha256_concat(&[p, data])).collect();
-        let len = data.len();
-        assert_eq!(
-            sha256_prefixes(&prefixes, data),
-            expect,
-            "P {P} n {n} len {len}"
-        );
+        let at = format!("P {P} n {n} len {}", data.len());
+        assert_eq!(sha256_prefixes(&prefixes, data), expect, "{at}");
+        let portable = sha256_prefixes_on::<P, LaneState>(&prefixes, data);
+        assert_eq!(portable, expect, "portable, {at}");
+        if ni {
+            let on_ni = sha256_prefixes_on::<P, ni::Quad>(&prefixes, data);
+            assert_eq!(on_ni, expect, "sha-ni, {at}");
+        }
     }
 
     #[test]
@@ -757,22 +1002,26 @@ mod tests {
         // the prefix's block), every tail residue (padding fits the block or
         // spills into a second one) and whole shared blocks; the two long
         // inputs are E8's shard length and one byte less.
+        let ni = ni_detected("prefixes_match_concat_at_every_length");
         let data: Vec<u8> = (0..250_000u32).map(|i| (i * 31 % 251) as u8).collect();
         for len in (0..=200).chain([249_999, 250_000]) {
             let data = &data[..len];
-            assert_prefixes_match_concat::<0>(3, data);
-            assert_prefixes_match_concat::<11>(3, data);
-            assert_prefixes_match_concat::<55>(3, data);
-            assert_prefixes_match_concat::<63>(3, data);
+            assert_prefixes_match_concat::<0>(ni, 3, data);
+            assert_prefixes_match_concat::<11>(ni, 3, data);
+            assert_prefixes_match_concat::<55>(ni, 3, data);
+            assert_prefixes_match_concat::<63>(ni, 3, data);
         }
     }
 
     #[test]
     fn prefixes_match_concat_at_every_group_shape() {
+        // Around both backends' group widths: 4 on the SHA extensions (a
+        // short last group goes one message at a time), `LANES` portable.
+        let ni = ni_detected("prefixes_match_concat_at_every_group_shape");
         let data: Vec<u8> = (0..1000u32).map(|i| (i * 7 % 253) as u8).collect();
-        for n in [0, 1, LANES - 1, LANES, LANES + 1, 64, 65] {
-            assert_prefixes_match_concat::<11>(n, &data);
-            assert_prefixes_match_concat::<64>(n, &data[..70]);
+        for n in [0, 1, 3, 4, 5, LANES - 1, LANES, LANES + 1, 64, 65] {
+            assert_prefixes_match_concat::<11>(ni, n, &data);
+            assert_prefixes_match_concat::<64>(ni, n, &data[..70]);
         }
     }
 

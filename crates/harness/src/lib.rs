@@ -35,6 +35,8 @@
 //! command line; `agora-harness --reports` regenerates the classic
 //! `experiments_output.txt` report stream.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod json;
 pub mod matrix;

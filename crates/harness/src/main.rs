@@ -21,6 +21,8 @@
 //!
 //! Exit codes: 0 ok; 1 usage error; 2 baseline regression; 3 trial panics.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::time::Duration;
 

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use agora_chain::BlockHeader;
-use agora_crypto::{sha256, sha256_into};
+use agora_crypto::{sha256, sha256_backend, sha256_into};
 use agora_sim::{
     Ctx, DeviceClass, Metrics, NodeId, Protocol, SimDuration, SimRng, SimTime, Simulation,
 };
@@ -1108,6 +1108,10 @@ pub fn perf_to_json_scaled(
     root.set("matrix", matrix_to_json(run));
 
     let mut micro = Json::obj();
+    // Which SHA-256 the hash-bound rows below (and every e5/e8/e9/e17 trial
+    // wall) ran on, so two ledgers from different hosts are not compared
+    // blind.
+    micro.set("sha256_backend", Json::Str(sha256_backend().to_owned()));
     micro.set(
         "sha256_throughput_mib_s",
         Json::Num(prof.time("microbench/sha256", sha256_throughput_mib_s)),
@@ -1315,6 +1319,10 @@ mod tests {
         let perf = perf_to_json_scaled(&run, PhaseProfiler::new(), 200);
         assert!(perf.get("matrix").is_some());
         let micro = perf.get("microbench").expect("microbench section");
+        assert!(matches!(
+            micro.get("sha256_backend").and_then(Json::as_str),
+            Some("sha-ni" | "portable")
+        ));
         assert!(
             micro
                 .get("sha256_throughput_mib_s")

@@ -42,6 +42,8 @@
 //! (`--explain policy.shed` walks into the request being shed), while
 //! exact totals stay available from the handle for artifact gauges.
 
+#![forbid(unsafe_code)]
+
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;

@@ -7,13 +7,11 @@
 //! (Generation Attacks)". This module plays each cheating strategy against
 //! each proof scheme and measures detection.
 
-use agora_crypto::{sha256, Hash256};
+use agora_crypto::sha256;
 use agora_sim::{SimDuration, SimRng};
 
-use crate::chunk::Manifest;
-use crate::proofs::{
-    seal, sealed_commitment, PorepChallenge, PosChallenge, PosResponse, SealParams,
-};
+use crate::chunk::{Chunk, Manifest};
+use crate::proofs::{seal, PorepChallenge, PosChallenge, PosResponse, SealParams};
 
 /// Cheating strategies from §3.3 (plus the honest baseline).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -90,9 +88,44 @@ pub struct AttackResult {
     pub detection_rate: f64,
 }
 
+/// What a provider claiming some number of replicas of one object has
+/// published, and what answering a challenge takes: each claimed replica's
+/// sealed commitment and the sealed chunks it commits to. Sealing and
+/// chunking are the expensive part of the game and depend on neither the
+/// strategy nor the challenge, so they are done once, here.
+pub struct SealedReplicas {
+    /// Length of the unsealed object (what sealing on demand would cost).
+    data_len: usize,
+    /// Per claimed replica: the commitment and the chunks under it.
+    replicas: Vec<(Manifest, Vec<Chunk>)>,
+}
+
+impl SealedReplicas {
+    /// Seal `data` once per claimed replica (replica ids are
+    /// `sha256("replica-{i}")`) and commit to each sealed copy in chunks of
+    /// `params.sealed_chunk_size`.
+    pub fn new(data: &[u8], claimed_replicas: u32, params: &SealParams) -> SealedReplicas {
+        let replicas = (0..claimed_replicas)
+            .map(|i| {
+                let id = sha256(format!("replica-{i}").as_bytes());
+                Manifest::build(&seal(data, &id), params.sealed_chunk_size)
+            })
+            .collect();
+        SealedReplicas {
+            data_len: data.len(),
+            replicas,
+        }
+    }
+
+    /// Replicas the provider claimed.
+    pub fn claimed(&self) -> u32 {
+        self.replicas.len() as u32
+    }
+}
+
 /// Play `challenges` random proof-of-replication challenges against a
-/// provider running `strategy`, claiming `claimed_replicas` replicas of
-/// `data`. Returns the measured pass/detection rates.
+/// provider running `strategy` that claims the replicas in `replicas`.
+/// Returns the measured pass/detection rates.
 ///
 /// The game is faithful to the mechanism: commitments are real sealed-Merkle
 /// roots; the cheater's best response is simulated under the timing
@@ -101,32 +134,24 @@ pub struct AttackResult {
 /// bytes — is a detection.
 pub fn play_porep_game(
     strategy: CheatStrategy,
-    data: &[u8],
-    claimed_replicas: u32,
+    replicas: &SealedReplicas,
     challenges: u32,
     env: &AttackEnv,
     rng: &mut SimRng,
 ) -> AttackResult {
-    // Every claimed replica has a published sealed commitment; the verifier
-    // challenges a random (replica, sealed-chunk) pair each round.
-    let replica_ids: Vec<Hash256> = (0..claimed_replicas)
-        .map(|i| sha256(format!("replica-{i}").as_bytes()))
-        .collect();
-    let sealed: Vec<Vec<u8>> = replica_ids.iter().map(|id| seal(data, id)).collect();
-    let commitments: Vec<Manifest> = sealed
-        .iter()
-        .map(|s| sealed_commitment(s, &env.seal))
-        .collect();
-
     // What the cheater actually keeps on disk:
     // Honest: all sealed replicas. Sybil: only replica 0's sealed bytes.
     // Outsource/Generation: nothing.
+    let claimed_replicas = replicas.claimed();
     let deadline = env.seal.response_deadline;
+    let seal_time = env.seal.seal_time(replicas.data_len);
 
+    // Every claimed replica has a published sealed commitment; the verifier
+    // challenges a random (replica, sealed-chunk) pair each round.
     let mut passed = 0u32;
     for _ in 0..challenges {
         let r = rng.below(claimed_replicas as u64) as usize;
-        let manifest = &commitments[r];
+        let (manifest, chunks) = &replicas.replicas[r];
         let idx = rng.below(manifest.chunk_count() as u64) as u32;
         let nonce = rng.next_u64();
         let challenge = PorepChallenge {
@@ -145,16 +170,16 @@ pub fn play_porep_game(
                     (env.local_read, true)
                 } else {
                     // Must seal replica r's bytes from the unsealed copy now.
-                    (env.seal.seal_time(data.len()), true)
+                    (seal_time, true)
                 }
             }
             CheatStrategy::Outsource => {
                 // Fetch unsealed data, then seal for replica r.
-                (env.fetch_time + env.seal.seal_time(data.len()), true)
+                (env.fetch_time + seal_time, true)
             }
             CheatStrategy::Generation => {
                 // Regenerate data, then seal for replica r.
-                (env.regen_time + env.seal.seal_time(data.len()), true)
+                (env.regen_time + seal_time, true)
             }
         };
 
@@ -163,7 +188,6 @@ pub fn play_porep_game(
         }
         // Build the actual response from the true sealed bytes (the cheater,
         // having paid the time, can produce correct bytes).
-        let (_, chunks) = Manifest::build(&sealed[r], env.seal.sealed_chunk_size);
         let resp = PosResponse::build(
             &PosChallenge {
                 object: challenge.commitment,
@@ -212,14 +236,15 @@ mod tests {
         e
     }
 
-    fn data() -> Vec<u8> {
-        vec![0xabu8; 500_000]
+    /// `claimed` replicas of the 500 KB test object.
+    fn replicas(claimed: u32) -> SealedReplicas {
+        SealedReplicas::new(&vec![0xabu8; 500_000], claimed, &env().seal)
     }
 
     #[test]
     fn honest_provider_always_passes() {
         let mut rng = SimRng::new(1);
-        let r = play_porep_game(CheatStrategy::Honest, &data(), 3, 30, &env(), &mut rng);
+        let r = play_porep_game(CheatStrategy::Honest, &replicas(3), 30, &env(), &mut rng);
         assert_eq!(r.pass_rate, 1.0);
         assert_eq!(r.detection_rate, 0.0);
     }
@@ -227,7 +252,7 @@ mod tests {
     #[test]
     fn sybil_detected_on_phantom_replicas() {
         let mut rng = SimRng::new(2);
-        let r = play_porep_game(CheatStrategy::Sybil, &data(), 3, 300, &env(), &mut rng);
+        let r = play_porep_game(CheatStrategy::Sybil, &replicas(3), 300, &env(), &mut rng);
         // Only ~1/3 of challenges hit the one real sealed replica.
         assert!(r.pass_rate < 0.45, "pass {}", r.pass_rate);
         assert!(r.pass_rate > 0.2, "pass {}", r.pass_rate);
@@ -237,8 +262,9 @@ mod tests {
     #[test]
     fn outsourcing_and_generation_always_detected() {
         let mut rng = SimRng::new(3);
+        let replicas = replicas(2);
         for s in [CheatStrategy::Outsource, CheatStrategy::Generation] {
-            let r = play_porep_game(s, &data(), 2, 50, &env(), &mut rng);
+            let r = play_porep_game(s, &replicas, 50, &env(), &mut rng);
             assert_eq!(r.pass_rate, 0.0, "{s:?} should always miss the deadline");
             assert_eq!(r.detection_rate, 1.0);
         }
@@ -250,8 +276,28 @@ mod tests {
         // the scheme's security depends on seal time >> deadline.
         let mut rng = SimRng::new(4);
         let small = vec![1u8; 10_000]; // 0.2 s seal at 50 kB/s, under deadline
-        let r = play_porep_game(CheatStrategy::Generation, &small, 2, 50, &env(), &mut rng);
+        let small = SealedReplicas::new(&small, 2, &env().seal);
+        let r = play_porep_game(CheatStrategy::Generation, &small, 50, &env(), &mut rng);
         assert_eq!(r.pass_rate, 1.0);
+    }
+
+    #[test]
+    fn strategies_sharing_one_sealed_value_play_as_against_their_own() {
+        // The game only reads the sealed replicas: playing two strategies
+        // against one value is playing each against a fresh one.
+        let play = |s, replicas: &SealedReplicas, rng: &mut SimRng| {
+            play_porep_game(s, replicas, 60, &env(), rng).pass_rate
+        };
+        let shared = replicas(3);
+        let mut rng = SimRng::new(5);
+        let honest_shared = play(CheatStrategy::Honest, &shared, &mut rng);
+        let sybil_shared = play(CheatStrategy::Sybil, &shared, &mut rng);
+        let mut rng = SimRng::new(5);
+        let honest_own = play(CheatStrategy::Honest, &replicas(3), &mut rng);
+        let sybil_own = play(CheatStrategy::Sybil, &replicas(3), &mut rng);
+        assert_eq!(honest_shared, honest_own);
+        assert_eq!(sybil_shared, sybil_own);
+        assert!(sybil_shared > 0.0 && sybil_shared < honest_shared);
     }
 
     #[test]

@@ -235,10 +235,15 @@ impl ReedSolomon {
             .collect()
     }
 
+    /// Length of every shard of a `data_len`-byte object.
+    pub fn shard_len(&self, data_len: usize) -> usize {
+        data_len.div_ceil(self.k).max(1)
+    }
+
     /// Shard `index` of [`encode`](Self::encode) alone: one matrix row, for
     /// regenerating a single lost shard. Panics if `index >= k + m`.
     pub fn encode_shard(&self, data: &[u8], index: usize) -> Vec<u8> {
-        let shard_len = data.len().div_ceil(self.k).max(1);
+        let shard_len = self.shard_len(data.len());
         // Data shard `c` before padding (short or empty past the input's end;
         // the zero padding contributes nothing to a parity sum).
         let unpadded = |c: usize| {

@@ -40,6 +40,7 @@ pub mod proofs;
 
 pub use attacks::{
     discard_detection_probability, play_porep_game, AttackEnv, AttackResult, CheatStrategy,
+    SealedReplicas,
 };
 pub use chunk::{Chunk, Manifest, DEFAULT_CHUNK_SIZE};
 pub use contract::{ProofScheme, StorageContract};

@@ -157,7 +157,6 @@ enum OpState {
         object: Hash256,
         index: u32,
         expected: Audit,
-        done: bool,
     },
 }
 
@@ -484,7 +483,6 @@ impl StorageNode {
                     object,
                     index,
                     expected: audit,
-                    done: false,
                 },
             );
             ctx.set_timer(OP_TICK * 3, op);
@@ -712,10 +710,26 @@ impl Protocol for StorageNode {
                 }
             }
             (Role::Client(c), StorageMsg::ShardData { req, index, data }) => {
-                if let Some(OpState::Get { collected, .. }) = c.ops.get_mut(&req) {
+                if let Some(OpState::Get {
+                    object, collected, ..
+                }) = c.ops.get_mut(&req)
+                {
                     if let Some(d) = data {
-                        if !collected.iter().any(|(i, _)| *i == index as usize) {
-                            collected.push((index as usize, d));
+                        // Op ids are guessable and `from` proves nothing (a
+                        // repair can re-home a shard under a reply in
+                        // flight), so a reply is judged by its shape: one
+                        // shard that cannot belong to the object would
+                        // otherwise fail every later reconstruction.
+                        let rec = c.objects.get(object).expect("record exists");
+                        let index = index as usize;
+                        if index >= rec.rs.total_shards()
+                            || d.len() != rec.rs.shard_len(rec.data_len)
+                        {
+                            ctx.metrics().incr("storage.bad_shards", 1);
+                            return;
+                        }
+                        if !collected.iter().any(|(i, _)| *i == index) {
+                            collected.push((index, d));
                         }
                     }
                     self.try_complete_get(ctx, req);
@@ -726,13 +740,8 @@ impl Protocol for StorageNode {
                     object,
                     index,
                     expected,
-                    done,
-                }) = c.ops.get_mut(&req)
+                }) = c.ops.get(&req)
                 {
-                    if *done {
-                        return;
-                    }
-                    *done = true;
                     let (object, index, expected) = (*object, *index, *expected);
                     let pass = digest.is_some_and(|d| por_verify(&expected, &d));
                     c.ops.remove(&req);
@@ -824,21 +833,13 @@ impl Protocol for StorageNode {
                     }
                 }
             }
-            Some(OpState::AuditWait {
-                object,
-                index,
-                done,
-                ..
-            }) => {
-                // Timer fired before a response arrived: audit timed out.
-                if !*done {
-                    let (object, index) = (*object, *index);
-                    c.ops.remove(&tag);
-                    ctx.metrics().incr("storage.audit_timeout", 1);
-                    self.mark_shard_dead(ctx, object, index);
-                } else {
-                    c.ops.remove(&tag);
-                }
+            Some(OpState::AuditWait { object, index, .. }) => {
+                // Timer fired before a response arrived (an answered audit
+                // is removed on the spot): audit timed out.
+                let (object, index) = (*object, *index);
+                c.ops.remove(&tag);
+                ctx.metrics().incr("storage.audit_timeout", 1);
+                self.mark_shard_dead(ctx, object, index);
             }
             None => {}
         }
@@ -1039,6 +1040,51 @@ mod tests {
             Some(StorageResult::Retrieved(got)) => assert_eq!(got, data),
             other => panic!("post-repair get failed: {other:?}"),
         }
+    }
+
+    #[test]
+    fn malformed_shard_replies_are_dropped_and_the_get_completes() {
+        // Anyone can name an open get (op ids count up from zero). A reply
+        // whose shard cannot belong to the object used to be collected like
+        // any other; arriving first it sat among the `k` shards every
+        // reconstruction attempt used, so the get ran to its timeout.
+        let (mut sim, client, providers) = build(8, |_| ProviderStrategy::Honest, 7);
+        let data: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
+        let (_, object) = sim
+            .with_ctx(client, |n, ctx| n.start_put(ctx, &data, 4, 2))
+            .unwrap();
+        sim.run_for(SimDuration::from_secs(60));
+        let shard_len = data.len().div_ceil(4);
+        let bogus = [
+            (6, shard_len), // index past k + m
+            (u32::MAX, shard_len),
+            (0, shard_len + 1), // a real index, bytes of the wrong length
+            (1, shard_len - 1),
+            (2, 0),
+        ];
+        let get_op = sim
+            .with_ctx(client, |n, ctx| n.start_get(ctx, object))
+            .unwrap();
+        // Ahead of every honest reply, straight into the handler.
+        for (index, len) in bogus {
+            let reply = StorageMsg::ShardData {
+                req: get_op,
+                index,
+                data: Some(Rc::from(vec![0x66u8; len])),
+            };
+            sim.with_ctx(client, |n, ctx| n.on_message(ctx, providers[0], reply))
+                .unwrap();
+        }
+        assert_eq!(
+            sim.metrics().counter("storage.bad_shards"),
+            bogus.len() as u64
+        );
+        sim.run_for(SimDuration::from_secs(120));
+        match sim.node_mut(client).take_result(get_op) {
+            Some(StorageResult::Retrieved(got)) => assert_eq!(got, data),
+            other => panic!("get wedged by a malformed shard: {other:?}"),
+        }
+        assert_eq!(sim.metrics().counter("storage.get_timeout"), 0);
     }
 
     #[test]

@@ -225,6 +225,29 @@ $H --observe e16/p10k --shards 4 \
     --observe-out "$TRACE_TMP/obs_s4.jsonl" >/dev/null
 cmp "$TRACE_TMP/obs_a.jsonl" "$TRACE_TMP/obs_s4.jsonl"
 
+# hostile_smoke <file>: every CLI reader handed <file> must refuse it with
+# the harness's own status (2 from the two validators, 1 for a baseline it
+# cannot read) and a position in the message. A status of 128 or more is a
+# signal: 134 is what a stack overflow in the JSON reader looked like.
+hostile_smoke() {
+    local file=$1 row want reader status
+    for row in "2 --validate-trace" "2 --validate-obs" "1 --filter e1 --baseline"; do
+        read -r want reader <<<"$row"
+        status=0
+        # shellcheck disable=SC2086
+        $H $reader "$file" >/dev/null 2>"$TRACE_TMP/hostile.err" || status=$?
+        echo "  $reader ${file##*/}: exit $status: $(head -c 160 "$TRACE_TMP/hostile.err")"
+        [[ $status -eq $want ]]
+        grep -Eq 'line [0-9]+, column [0-9]+: ' "$TRACE_TMP/hostile.err"
+    done
+}
+
+step "hostile artifacts: the JSON readers answer with an error and a position, never a signal"
+head -c 300000 /dev/zero | tr '\0' '[' > "$TRACE_TMP/deep_nesting.json"
+printf '{"schema": 1, "note": "cut mid-str' > "$TRACE_TMP/cut_mid_string.json"
+hostile_smoke "$TRACE_TMP/deep_nesting.json"
+hostile_smoke "$TRACE_TMP/cut_mid_string.json"
+
 step "observe without tracing: OBS bytes must not depend on the trace feature"
 cargo build --release -p agora-harness --no-default-features --features observe
 $H --observe e16/p10k --observe-out "$TRACE_TMP/obs_notrace.jsonl" >/dev/null

@@ -18,7 +18,7 @@ use agora_sim::{
 };
 
 use crate::json::Json;
-use crate::matrix::{MatrixRun, TrialStatus};
+use crate::matrix::{run_to_json, MatrixRun, TrialStatus};
 
 /// Accumulates named per-phase timings — wall clock always, simulated
 /// seconds where the caller knows them — and renders the `breakdowns`
@@ -250,6 +250,20 @@ fn median_rate(batches: usize, iters: u64, mut batch: impl FnMut(u64) -> Duratio
         .collect();
     rates.sort_by(f64::total_cmp);
     rates[rates.len() / 2]
+}
+
+/// `Json::parse` over this run's rendered deterministic artifact, in MiB/s:
+/// for the default matrix that is the ≈200 KB document every baseline check
+/// reads back from `BENCH_harness.json`.
+fn json_parse_mib_s(run: &MatrixRun) -> f64 {
+    let text = run_to_json(run).render();
+    let parses_per_sec = median_rate(5, 1, |_| {
+        let started = Instant::now();
+        std::hint::black_box(Json::parse(std::hint::black_box(&text)))
+            .expect("own artifact parses");
+        started.elapsed()
+    });
+    parses_per_sec * text.len() as f64 / (1024.0 * 1024.0)
 }
 
 /// Hashes/sec grinding nonces through the pre-frozen midstate (the path
@@ -1125,6 +1139,11 @@ pub fn perf_to_json_scaled(
         Json::Num(prof.time("microbench/swarm_visits_200k", swarm_visits_per_sec)),
     );
 
+    micro.set(
+        "json_parse_mib_s",
+        Json::Num(prof.time("microbench/json_parse", || json_parse_mib_s(run))),
+    );
+
     let mut mining = Json::obj();
     let (midstate, naive) = prof.time("microbench/mining", || {
         (
@@ -1342,6 +1361,13 @@ mod tests {
                 .get("swarm_visits_200k_per_s")
                 .and_then(Json::as_f64)
                 .expect("swarm visit rate")
+                > 0.0
+        );
+        assert!(
+            micro
+                .get("json_parse_mib_s")
+                .and_then(Json::as_f64)
+                .expect("artifact parse throughput")
                 > 0.0
         );
         let mining = micro.get("mining").expect("mining section");

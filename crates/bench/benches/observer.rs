@@ -15,8 +15,8 @@ use std::hint::black_box;
 
 const NODES: u32 = 64;
 
-/// Token-passing flood (the shard-bench workload): every node launches a
-/// 64-hop token every 100 ms, keeping the event queue saturated.
+/// Token-passing flood: every node launches a 64-hop token every 100 ms,
+/// keeping the event queue saturated.
 struct RingFlood {
     next: NodeId,
     hops: u64,

@@ -12,7 +12,7 @@
 //! deterministic sim time in the canonical event order — or once per
 //! demand at the demand's own instant, and the runner itself draws no
 //! randomness. That is what keeps artifacts identical at any harness
-//! thread count or engine shard count.
+//! thread count.
 
 use std::collections::HashMap;
 

@@ -93,9 +93,9 @@ pub fn e16_spec_cohorts(population: u64, cohorts: u32) -> WorkloadSpec {
 // simulation's probe sink watches the same frames and observer verdicts
 // the trace plane sees; substrates poll its handle and act only in their
 // `reconcile` hook — deterministic sim times in the canonical event order
-// — so policy-on runs stay byte-identical at any harness thread count or
-// engine shard count. Policy-off runs never construct a hub: they are
-// byte-identical to the pre-policy runners.
+// — so policy-on runs stay byte-identical at any harness thread count.
+// Policy-off runs never construct a hub: they are byte-identical to the
+// pre-policy runners.
 // ---------------------------------------------------------------------------
 
 /// Which reactive policy a DHT run engages.

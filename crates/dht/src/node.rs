@@ -1231,9 +1231,20 @@ mod tests {
         deliver(&mut sim, asker, mallory, value);
         assert_eq!(sim.metrics().counter("dht.get_found"), 0);
 
+        // (5) The closest contact there could be, at an address the
+        // simulation never created: the lookup queries it, the send is a
+        // drop (not a simulator panic) and the RPC times out like any other.
+        let nowhere = Contact {
+            key: target,
+            addr: NodeId(10_000),
+        };
+        assert_eq!(sim.metrics().counter("net.lost"), 0);
+        deliver(&mut sim, asker, mallory, nodes(op, vec![nowhere]));
+
         // The lookup still ends, with contacts or a timeout, and a reply
         // that trails in after it is dropped.
         sim.run_for(SimDuration::from_mins(2));
+        assert!(sim.metrics().counter("net.lost") >= 1);
         assert!(matches!(
             sim.node_mut(asker).take_result(op),
             Some(DhtResult::Closest(_) | DhtResult::TimedOut)

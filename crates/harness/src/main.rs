@@ -5,7 +5,6 @@
 //!   agora-harness                         # run matrix, diff BENCH_harness.json
 //!   agora-harness --update-baseline       # run matrix, rewrite the baseline
 //!   agora-harness --threads 1 --json out.json
-//!   agora-harness --shards 4              # sharded engine inside each trial
 //!   agora-harness --filter e1,e3 --seeds 5
 //!   agora-harness --filter e16p/p10k  # one variant of one experiment
 //!   agora-harness --perf BENCH_perf.json   # also write wall-clock artifact
@@ -309,14 +308,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.cfg.threads = value("--threads")?
                     .parse()
                     .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--shards" => {
-                opts.cfg.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if opts.cfg.shards == 0 {
-                    return Err("--shards must be >= 1".to_owned());
-                }
             }
             "--seeds" => {
                 opts.cfg.seeds_per_variant = value("--seeds")?

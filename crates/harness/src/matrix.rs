@@ -19,12 +19,6 @@ pub struct MatrixConfig {
     pub seeds_per_variant: u32,
     /// Worker threads. Never changes any output, only wall-clock time.
     pub threads: usize,
-    /// Engine shards per trial (`--shards N`). Applied to every simulation a
-    /// trial constructs, via [`agora_sim::with_shards`]. Like `threads`,
-    /// this never changes any output — the sharded engine is byte-identical
-    /// to the serial one — it only changes how event-queue work is spread
-    /// across cores *within* one trial.
-    pub shards: u32,
     /// Per-trial wall-clock budget. Exceeding it cannot abort a running
     /// trial (threads are not preemptible) but flags it in the human
     /// report so runaway experiments are visible.
@@ -39,7 +33,6 @@ impl Default for MatrixConfig {
             root_seed: 20171130, // HotNets-XVI, day one
             seeds_per_variant: 3,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            shards: 1,
             budget: Duration::from_secs(120),
             filter: None,
         }
@@ -158,9 +151,7 @@ pub fn run_matrix(registry: &[ExperimentDef], cfg: &MatrixConfig) -> MatrixRun {
         let (spec, run) = &trials[i];
         let seed = spec.seed;
         let trial_started = Instant::now();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            agora_sim::with_shards(cfg.shards, || run(seed))
-        }));
+        let caught = catch_unwind(AssertUnwindSafe(|| run(seed)));
         let elapsed = trial_started.elapsed();
         let (status, metrics) = match caught {
             Ok(metrics) => (TrialStatus::Ok, metrics),

@@ -5,7 +5,7 @@
 //!
 //! Like `TRACE_*.jsonl`, OBS artifacts are **wall-clock-free**: every byte
 //! is a pure function of `(target, seed, observer config)`, so repeated
-//! runs — at any thread or shard count, with or without the `trace`
+//! runs — at any thread count, with or without the `trace`
 //! feature — are byte-identical and the files are CI-diffable. Lines are
 //! handed to the caller one at a time as they are produced, so the harness
 //! can flush each to disk immediately and multi-hour runs are observable
@@ -102,11 +102,9 @@ pub fn run_observe_target(
 
     // The probe factory is thread-local and removed on return, so every
     // `Simulation` the trial constructs — however deep — reports to this
-    // observer and nothing leaks to later work on the thread. `--shards`
-    // is honoured like the matrix does; sharded dispatch is the serial
-    // order, so the OBS bytes don't depend on it. With the `trace` feature
-    // a flight recorder nests inside the probe scope: tracing and probing
-    // are independent taps on the same canonical event stream.
+    // observer and nothing leaks to later work on the thread. With the
+    // `trace` feature a flight recorder nests inside the probe scope:
+    // tracing and probing are independent taps on the same event stream.
     let probe_handle = observer.clone();
     let cadence = observer.cadence();
     let probed = move |run: fn(u64) -> Metrics, seed: u64| {
@@ -135,21 +133,17 @@ pub fn run_observe_target(
                 let shared =
                     SharedRecorder::from_recorder(FlightRecorder::with_filter(cap, filter));
                 let handle = shared.clone();
-                let metrics = agora_sim::with_shards(cfg.shards, || {
-                    with_thread_sink(move || Box::new(handle.clone()), || probed(run, seed))
-                });
+                let metrics =
+                    with_thread_sink(move || Box::new(handle.clone()), || probed(run, seed));
                 (metrics, Some(shared.snapshot()))
             }
-            None => (
-                agora_sim::with_shards(cfg.shards, || probed(run, seed)),
-                None,
-            ),
+            None => (probed(run, seed), None),
         }
     };
     #[cfg(not(feature = "trace"))]
     let metrics = {
         let _ = trace_ring;
-        agora_sim::with_shards(cfg.shards, || probed(run, seed))
+        probed(run, seed)
     };
 
     let summary = observer.summary();
@@ -466,9 +460,7 @@ mod tests {
     fn observed_metrics_match_unobserved_run_modulo_anomaly_counters() {
         let cfg = light_cfg();
         let (_, run) = observe_to_string("e15/i1.00", &cfg, ObserverConfig::default());
-        let plain = agora_sim::with_shards(cfg.shards, || {
-            agora::experiments::e15_metrics(run.seed, 1.0)
-        });
+        let plain = agora::experiments::e15_metrics(run.seed, 1.0);
         let observed: Vec<_> = run
             .metrics
             .counters()

@@ -350,49 +350,14 @@ fn engine_events_per_sec() -> f64 {
     (sim.events_processed() - before) as f64 / secs
 }
 
-/// Ring-flood through the real engine at a shard count, with a controllable
-/// cross-shard fraction. Shard assignment is `id % shards`, so a successor
-/// stride of 8 keeps every measured shard count {1, 2, 4, 8} shard-local;
-/// nodes selected by `cross_every` (every `cross_every`-th node; 0 = none)
-/// use stride 1 instead, which crosses shards whenever `shards > 1`.
-fn sharded_ring_flood(shards: u32, cross_every: u32) -> (f64, agora_sim::ShardStats) {
-    const NODES: u32 = 64;
-    const LOCAL_STRIDE: u32 = 8;
-    let mut sim: Simulation<RingFlood> = Simulation::new(7);
-    sim.set_shards(shards);
-    for i in 0..NODES {
-        let stride = if cross_every > 0 && i % cross_every == 0 {
-            1
-        } else {
-            LOCAL_STRIDE
-        };
-        sim.add_node(
-            RingFlood {
-                next: NodeId((i + stride) % NODES),
-                received: 0,
-            },
-            DeviceClass::DatacenterServer,
-        );
-    }
-    sim.run_for(SimDuration::from_secs(1));
-    let before = sim.events_processed();
-    let started = Instant::now();
-    sim.run_for(SimDuration::from_secs(10));
-    let secs = started.elapsed().as_secs_f64().max(1e-9);
-    (
-        (sim.events_processed() - before) as f64 / secs,
-        sim.shard_stats(),
-    )
-}
-
 /// An E16-class trial through the real engine: one flash-crowd day of
 /// population-scale demand (three-zone diurnal mix, 12× flash peak, churn
 /// curve) replayed against a 48-node Kademlia overlay issuing real
 /// iterative lookups under 2% loss. Unlike the synthetic ring flood, the
 /// full protocol stack — routing tables, retries, timers — sits on the hot
-/// path, so this is the honest "real engine" point of the sharded sweep.
-/// Returns (events/s, events dispatched, wall seconds) for the day replay.
-fn e16_class_run(shards: u32) -> (f64, u64, f64) {
+/// path. Returns (events/s, events dispatched, wall seconds) for the day
+/// replay.
+fn e16_class_run() -> (f64, u64, f64) {
     use agora_crypto::sha256;
     use agora_dht::{Contact, DhtConfig, DhtNode};
     use agora_workload::{
@@ -404,7 +369,6 @@ fn e16_class_run(shards: u32) -> (f64, u64, f64) {
     const NODES: usize = 48;
     const KEYS: usize = 32;
     let mut sim: Simulation<DhtNode> = Simulation::new(29);
-    sim.set_shards(shards);
     let boot_key = sha256(b"perf-e16-0");
     let ids: Vec<NodeId> = (0..NODES)
         .map(|i| {
@@ -483,8 +447,8 @@ fn e16_class_run(shards: u32) -> (f64, u64, f64) {
     (events as f64 / wall, events, wall)
 }
 
-/// The `observer` section: the same E16-class flash-crowd day as
-/// `engine_parallel`, unobserved (probes compiled in but dormant — the
+/// The `observer` section: the E16-class flash-crowd day of
+/// [`e16_class_run`], unobserved (probes compiled in but dormant — the
 /// per-dispatch cost is one predicted branch) and then with a full
 /// observer installed at coarse and fine sampling cadences. The overhead
 /// ratio is the price of the observe plane on a real protocol day; the
@@ -496,20 +460,14 @@ fn observer_to_json(prof: &mut PhaseProfiler) -> Json {
 
     let mut out = Json::obj();
     out.set(
-        "cores",
-        Json::Num(
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) as f64,
-        ),
-    );
-    out.set(
         "note",
         Json::Str(
-            "E16-class day at 1 shard: dormant prober vs observer at each \
-             cadence; frame counts are deterministic, wall-clock is not"
+            "E16-class day: dormant prober vs observer at each cadence; \
+             frame counts are deterministic, wall-clock is not"
                 .to_owned(),
         ),
     );
-    let (_, _, unobserved_wall) = prof.time("microbench/observer_unobserved", || e16_class_run(1));
+    let (_, _, unobserved_wall) = prof.time("microbench/observer_unobserved", e16_class_run);
     out.set("unobserved_wall_secs", Json::Num(unobserved_wall));
     for cadence_secs in [300u64, 60] {
         let obs = Observer::new(
@@ -526,7 +484,7 @@ fn observer_to_json(prof: &mut PhaseProfiler) -> Json {
             || {
                 agora_sim::probe::with_thread_probe(
                     move || (handle.make_sink(), cadence),
-                    || e16_class_run(1),
+                    e16_class_run,
                 )
             },
         );
@@ -545,88 +503,6 @@ fn observer_to_json(prof: &mut PhaseProfiler) -> Json {
         );
         out.set(&format!("cadence{cadence_secs}s"), point);
     }
-    out
-}
-
-/// One measurement point of the `engine_parallel` section.
-fn shard_point_json(eps: f64, stats: &agora_sim::ShardStats) -> Json {
-    let mut e = Json::obj();
-    e.set("events_per_sec", Json::Num(eps));
-    e.set("windows", Json::Num(stats.windows as f64));
-    e.set("barrier_stalls", Json::Num(stats.barrier_stalls as f64));
-    e.set("cross_fraction", Json::Num(stats.cross_fraction()));
-    e
-}
-
-/// The `engine_parallel` section: real-engine events/s at shards
-/// {1, 2, 4, 8} on a cross-shard-light ring flood, a cross-shard
-/// send-fraction sweep at 4 shards, and the E16-class flash-crowd day.
-/// `cores` records how many cores this host could actually use —
-/// [`agora_sim::ShardWorkers::Auto`] runs lanes inline on a single-core
-/// host, so there sharding can only show its overhead, never a speedup;
-/// the numbers are honest observations of whatever host ran them.
-fn engine_parallel_to_json(prof: &mut PhaseProfiler) -> Json {
-    const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
-    let mut out = Json::obj();
-    out.set(
-        "cores",
-        Json::Num(
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) as f64,
-        ),
-    );
-    out.set(
-        "note",
-        Json::Str(
-            "identical event counts at every shard count ARE the identity \
-             contract; speedup requires cores > 1 (Auto workers run lanes \
-             inline on a single-core host, so sharding there shows only its \
-             synchronization overhead)"
-                .to_owned(),
-        ),
-    );
-
-    let ring = prof.time("microbench/engine_parallel_ring", || {
-        let mut ring = Json::obj();
-        for &s in &SHARD_COUNTS {
-            let (eps, stats) = sharded_ring_flood(s, 0);
-            ring.set(&format!("shards{s}"), shard_point_json(eps, &stats));
-        }
-        ring
-    });
-    out.set("ring_flood", ring);
-
-    let sweep = prof.time("microbench/engine_parallel_cross_sweep", || {
-        let mut sweep = Json::obj();
-        for &cross_every in &[0u32, 4, 2, 1] {
-            let (eps, stats) = sharded_ring_flood(4, cross_every);
-            let label = match cross_every {
-                0 => "cross0".to_owned(),
-                n => format!("cross1_{n}"),
-            };
-            sweep.set(&label, shard_point_json(eps, &stats));
-        }
-        sweep
-    });
-    out.set("cross_fraction_sweep_shards4", sweep);
-
-    let e16 = prof.time("microbench/engine_parallel_e16", || {
-        let mut e16 = Json::obj();
-        let mut serial_wall = 0.0f64;
-        for &s in &SHARD_COUNTS {
-            let (eps, events, wall) = e16_class_run(s);
-            if s == 1 {
-                serial_wall = wall;
-            }
-            let mut e = Json::obj();
-            e.set("events_per_sec", Json::Num(eps));
-            e.set("events", Json::Num(events as f64));
-            e.set("wall_secs", Json::Num(wall));
-            e.set("speedup_vs_serial", Json::Num(serial_wall / wall.max(1e-9)));
-            e16.set(&format!("shards{s}"), e);
-        }
-        e16
-    });
-    out.set("e16_class", e16);
     out
 }
 
@@ -978,15 +854,13 @@ fn policy_frames_per_sec(frames: u64) -> f64 {
 /// Cohort-approximation error per policy runner: the same E16 class day
 /// generated exactly — one cohort per user, the ground truth the
 /// O(cohorts) aggregation approximates — and with the standard 8-cohort
-/// aggregation, seed-paired at two seeds. The exact runs are the
-/// expensive half, so they run on the sharded engine across the
-/// machine's cores. Exact cost is wildly class-dependent (a swarm visit
-/// is a whole piece-exchange session, a DHT lookup is a few RPCs), so
-/// the DHT runners take a 5× larger exact population — the 10k-user
-/// per-user ground-truth run — while the rest stay at the base.
+/// aggregation, seed-paired at two seeds. Exact cost is wildly
+/// class-dependent (a swarm visit is a whole piece-exchange session, a DHT
+/// lookup is a few RPCs), so the DHT runners take a 5× larger exact
+/// population — the 10k-user per-user ground-truth run — while the rest
+/// stay at the base.
 fn cohort_error_to_json(prof: &mut PhaseProfiler, population: u64) -> Json {
     const SEED: u64 = 20171130;
-    let shards = std::thread::available_parallelism().map_or(1, |n| n.get() as u32);
     let rel = |a: f64, b: f64| {
         if b.abs() <= f64::EPSILON {
             a - b
@@ -997,7 +871,6 @@ fn cohort_error_to_json(prof: &mut PhaseProfiler, population: u64) -> Json {
     let mut out = Json::obj();
     out.set("population", Json::Num(population as f64));
     out.set("cohorts_approx", Json::Num(8.0));
-    out.set("exact_shards", Json::Num(f64::from(shards)));
     for (name, run) in agora::experiments::e16_cohort_runners() {
         let pop = if name.starts_with("dht.") {
             population * 5
@@ -1007,11 +880,7 @@ fn cohort_error_to_json(prof: &mut PhaseProfiler, population: u64) -> Json {
         let label = format!("cohort_error/{name}");
         let pairs = prof.time_with_sim(&label, || {
             let pairs: Vec<_> = (0..2u64)
-                .map(|s| {
-                    let approx = run(SEED + s, pop, 8);
-                    let exact = agora_sim::with_shards(shards, || run(SEED + s, pop, pop as u32));
-                    (approx, exact)
-                })
+                .map(|s| (run(SEED + s, pop, 8), run(SEED + s, pop, pop as u32)))
                 .collect();
             // Two simulated days per seed, two seeds.
             (pairs, 4.0 * 86_400.0)
@@ -1119,6 +988,13 @@ pub fn perf_to_json_scaled(
                 .to_owned(),
         ),
     );
+    // Cores this process could use: every wall number below depends on it.
+    root.set(
+        "cores",
+        Json::Num(
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) as f64,
+        ),
+    );
     root.set("matrix", matrix_to_json(run));
 
     let mut micro = Json::obj();
@@ -1174,6 +1050,12 @@ pub fn perf_to_json_scaled(
         (engine_events_per_sec(), 21.0)
     });
     engine.set("events_per_sec", Json::Num(ring));
+    // The same engine under a full protocol stack: the E16-class day.
+    let (e16_eps, e16_events, _) = prof.time_with_sim("microbench/engine_e16_class", || {
+        (e16_class_run(), 86_400.0)
+    });
+    engine.set("e16_class_events_per_sec", Json::Num(e16_eps));
+    engine.set("e16_class_events", Json::Num(e16_events as f64));
     engine.set("core_packed_events_per_sec", Json::Num(packed));
     engine.set("core_reference_events_per_sec", Json::Num(reference));
     engine.set("core_speedup", Json::Num(packed / reference.max(1e-9)));
@@ -1283,7 +1165,6 @@ pub fn perf_to_json_scaled(
     root.set("exact_day", exact_day_to_json(&mut prof, cohort_population));
 
     root.set("microbench", micro);
-    root.set("engine_parallel", engine_parallel_to_json(&mut prof));
     #[cfg(feature = "observe")]
     root.set("observer", observer_to_json(&mut prof));
     root.set("breakdowns", prof.to_json());
@@ -1330,12 +1211,22 @@ mod tests {
         assert_eq!(percentile_secs(&mut empty, 50.0), 0.0);
     }
 
+    /// One artifact for every test that inspects it: building it runs each
+    /// microbenchmark once. Toy cohort-error population — the exact (one
+    /// cohort per user) runs are the expensive part.
+    fn tiny_artifact() -> &'static Json {
+        static ARTIFACT: std::sync::OnceLock<Json> = std::sync::OnceLock::new();
+        ARTIFACT.get_or_init(|| {
+            let run = tiny_run();
+            let mut prof = PhaseProfiler::new();
+            prof.record("matrix", run.wall, None);
+            perf_to_json_scaled(&run, prof, 200)
+        })
+    }
+
     #[test]
     fn perf_artifact_has_expected_shape() {
-        let run = tiny_run();
-        // Toy cohort-error population: the exact (one cohort per user)
-        // runs are the expensive part of the artifact.
-        let perf = perf_to_json_scaled(&run, PhaseProfiler::new(), 200);
+        let perf = tiny_artifact();
         assert!(perf.get("matrix").is_some());
         let micro = perf.get("microbench").expect("microbench section");
         assert!(matches!(
@@ -1445,37 +1336,17 @@ mod tests {
             .expect("per-experiment summary");
         assert_eq!(exp.get("trials").and_then(Json::as_f64), Some(3.0));
 
-        let par = perf
-            .get("engine_parallel")
-            .expect("engine_parallel section");
-        assert!(par.get("cores").and_then(Json::as_f64).expect("cores") >= 1.0);
-        for s in ["shards1", "shards2", "shards4", "shards8"] {
-            for section in ["ring_flood", "e16_class"] {
-                let point = par
-                    .get(section)
-                    .and_then(|r| r.get(s))
-                    .unwrap_or_else(|| panic!("{section}.{s}"));
-                assert!(
-                    point
-                        .get("events_per_sec")
-                        .and_then(Json::as_f64)
-                        .expect("events_per_sec")
-                        > 0.0,
-                    "{section}.{s}"
-                );
-            }
-        }
-        // The E16-class day must push real traffic through the engine, and
-        // the serial point is its own speedup baseline by definition.
-        let serial = par
-            .get("e16_class")
-            .and_then(|e| e.get("shards1"))
-            .expect("e16 serial point");
-        assert!(serial.get("events").and_then(Json::as_f64).expect("events") > 10_000.0);
-        assert_eq!(
-            serial.get("speedup_vs_serial").and_then(Json::as_f64),
-            Some(1.0)
-        );
+        assert!(perf.get("cores").and_then(Json::as_f64).expect("cores") >= 1.0);
+        // The E16-class day must push real traffic through the engine.
+        let engine = micro.get("engine").expect("engine section");
+        let e16 = |key: &str| {
+            engine
+                .get(key)
+                .and_then(Json::as_f64)
+                .expect("e16-class day")
+        };
+        assert!(e16("e16_class_events_per_sec") > 0.0);
+        assert!(e16("e16_class_events") > 10_000.0);
 
         // The policy section reports the control plane's costs.
         let policy = perf.get("policy").expect("policy section");
@@ -1539,27 +1410,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_ring_flood_cross_fraction_tracks_topology() {
-        // Successor stride 8 is shard-local at 4 shards (8 % 4 == 0): the
-        // only routed work is timers and same-shard hops.
-        let (eps_local, local) = sharded_ring_flood(4, 0);
-        assert!(eps_local > 0.0);
-        assert!(local.windows > 0);
-        assert_eq!(
-            local.cross_events, 0,
-            "stride-8 ring must be shard-local at 4 shards"
-        );
-        // Stride 1 crosses a shard boundary on every hop.
-        let (eps_cross, cross) = sharded_ring_flood(4, 1);
-        assert!(eps_cross > 0.0);
-        assert!(
-            cross.cross_fraction() > 0.5,
-            "stride-1 ring must be cross-shard dominated, got {}",
-            cross.cross_fraction()
-        );
-    }
-
-    #[test]
     fn breakdowns_merge_caller_and_microbench_phases() {
         let mut prof = PhaseProfiler::new();
         prof.record("matrix", Duration::from_millis(5), None);
@@ -1584,10 +1434,7 @@ mod tests {
 
     #[test]
     fn perf_artifact_includes_breakdowns_section() {
-        let run = tiny_run();
-        let mut prof = PhaseProfiler::new();
-        prof.record("matrix", run.wall, None);
-        let perf = perf_to_json_scaled(&run, prof, 200);
+        let perf = tiny_artifact();
         let phases = match perf.get("breakdowns").and_then(|b| b.get("phases")) {
             Some(Json::Arr(v)) => v,
             other => panic!("breakdowns.phases must be an array, got {other:?}"),

@@ -86,12 +86,8 @@ pub fn run_trace_target(
     let handle = shared.clone();
     // The sink factory is thread-local and removed on return, so every
     // `Simulation` the trial constructs — however deep — appends to this
-    // run's recorder and nothing leaks to later work on the thread. The
-    // replay honours `--shards` like the matrix does; sharded dispatch is
-    // the serial order, so the trace bytes don't depend on it.
-    let metrics = agora_sim::with_shards(cfg.shards, || {
-        with_thread_sink(move || Box::new(handle.clone()), || run(seed))
-    });
+    // run's recorder and nothing leaks to later work on the thread.
+    let metrics = with_thread_sink(move || Box::new(handle.clone()), || run(seed));
     Ok(TraceRun {
         target: target_id,
         variant,

@@ -1,11 +1,9 @@
 //! `--watch`: a wall-clock heartbeat for long runs, on **stderr only**.
 //!
 //! Artifacts in this repo are deterministic by contract, so wall-clock
-//! progress can never live in them. The watch thread instead samples two
-//! live sources a few times a second's worth apart and prints a one-line
-//! heartbeat: the matrix trial counter (bumped by `run_matrix` as each
-//! trial finishes) and the engine's cumulative sharded-window/barrier-stall
-//! tallies ([`agora_sim::shard_watch_counters`]). Nothing here feeds back
+//! progress can never live in them. The watch thread instead samples the
+//! matrix trial counter (bumped by `run_matrix` as each trial finishes)
+//! every period and prints a one-line heartbeat. Nothing here feeds back
 //! into any run — reads are relaxed-atomic and purely advisory — so
 //! `--watch` cannot change a single artifact byte.
 
@@ -44,7 +42,6 @@ pub fn start(total: usize, period: Duration) -> WatchGuard {
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
     let started = Instant::now();
-    let (windows0, stalls0) = agora_sim::shard_watch_counters();
     let thread = std::thread::Builder::new()
         .name("agora-watch".to_owned())
         .spawn(move || {
@@ -54,12 +51,12 @@ pub fn start(total: usize, period: Duration) -> WatchGuard {
                 let tick_end = Instant::now() + period;
                 while Instant::now() < tick_end {
                     if stop_flag.load(Ordering::Relaxed) {
-                        eprintln!("{}", heartbeat(total, started, windows0, stalls0, true));
+                        eprintln!("{}", heartbeat(total, started, true));
                         return;
                     }
                     std::thread::sleep(Duration::from_millis(50));
                 }
-                eprintln!("{}", heartbeat(total, started, windows0, stalls0, false));
+                eprintln!("{}", heartbeat(total, started, false));
             }
         })
         .expect("spawning the watch thread");
@@ -69,25 +66,12 @@ pub fn start(total: usize, period: Duration) -> WatchGuard {
     }
 }
 
-fn heartbeat(total: usize, started: Instant, windows0: u64, stalls0: u64, fin: bool) -> String {
-    heartbeat_line(
-        TRIALS_DONE.load(Ordering::Relaxed).min(total),
-        total,
-        started,
-        windows0,
-        stalls0,
-        fin,
-    )
+fn heartbeat(total: usize, started: Instant, fin: bool) -> String {
+    let done = TRIALS_DONE.load(Ordering::Relaxed).min(total);
+    heartbeat_line(done, total, started, fin)
 }
 
-fn heartbeat_line(
-    done: usize,
-    total: usize,
-    started: Instant,
-    windows0: u64,
-    stalls0: u64,
-    fin: bool,
-) -> String {
+fn heartbeat_line(done: usize, total: usize, started: Instant, fin: bool) -> String {
     let elapsed = started.elapsed().as_secs_f64();
     let eta = if done > 0 && done < total {
         format!(
@@ -97,18 +81,8 @@ fn heartbeat_line(
     } else {
         String::new()
     };
-    let (windows, stalls) = agora_sim::shard_watch_counters();
-    let shardinfo = if windows > windows0 {
-        format!(
-            " | shard windows +{} (stalls +{})",
-            windows - windows0,
-            stalls - stalls0
-        )
-    } else {
-        String::new()
-    };
     let tag = if fin { "done" } else { "watch" };
-    format!("[{tag}] {done}/{total} trials, {elapsed:.1}s elapsed{eta}{shardinfo}")
+    format!("[{tag}] {done}/{total} trials, {elapsed:.1}s elapsed{eta}")
 }
 
 #[cfg(test)]
@@ -118,10 +92,10 @@ mod tests {
     #[test]
     fn heartbeat_reports_progress_and_eta_on_stderr_text() {
         let started = Instant::now() - Duration::from_secs(10);
-        let line = heartbeat_line(1, 4, started, 0, 0, false);
+        let line = heartbeat_line(1, 4, started, false);
         assert!(line.starts_with("[watch] 1/4 trials"), "{line}");
         assert!(line.contains("eta"), "{line}");
-        let done = heartbeat_line(1, 1, started, 0, 0, true);
+        let done = heartbeat_line(1, 1, started, true);
         assert!(done.starts_with("[done] 1/1 trials"), "{done}");
         assert!(!done.contains("eta"), "{done}");
     }

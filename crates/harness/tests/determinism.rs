@@ -37,43 +37,16 @@ fn artifact_is_byte_identical_at_1_2_and_8_threads() {
     assert_eq!(two, eight, "2-thread vs 8-thread artifacts differ");
 }
 
-/// The sharded engine extends the same contract one level down: `--shards`
-/// parallelizes the event loop *inside* each trial, and the artifact must
-/// not know. One shard is literally the serial engine; four shards (with
-/// threads forced on via the matrix worker pool untouched) must render the
-/// identical bytes — and combining both knobs must change nothing either.
-#[test]
-fn artifact_is_byte_identical_at_1_and_4_engine_shards() {
-    let reg = registry();
-    let serial = run_to_json(&run_matrix(&reg, &light_config(1))).render();
-    let sharded = {
-        let mut cfg = light_config(1);
-        cfg.shards = 4;
-        run_to_json(&run_matrix(&reg, &cfg)).render()
-    };
-    assert_eq!(serial, sharded, "1-shard vs 4-shard artifacts differ");
-    let both_knobs = {
-        let mut cfg = light_config(8);
-        cfg.shards = 2;
-        run_to_json(&run_matrix(&reg, &cfg)).render()
-    };
-    assert_eq!(
-        serial, both_knobs,
-        "8 threads x 2 shards artifact differs from the serial oracle"
-    );
-}
-
 /// The policy-on E16 variants extend the contract to the reactive-control
 /// plane: every policy decision (shed, cache toggle, replication, seeder
 /// activation) happens at a drain boundary off probe-frame state, so the
 /// artifact — including the `policy.*` action counters — must not know how
-/// many harness threads or engine shards ran it.
-fn policy_config(threads: usize, shards: u32) -> MatrixConfig {
+/// many harness threads ran it.
+fn policy_config(threads: usize) -> MatrixConfig {
     MatrixConfig {
         root_seed: 99,
         seeds_per_variant: 2,
         threads,
-        shards,
         filter: Some(vec!["e16p/p10k".to_owned()]),
         ..MatrixConfig::default()
     }
@@ -82,8 +55,8 @@ fn policy_config(threads: usize, shards: u32) -> MatrixConfig {
 #[test]
 fn policy_artifact_is_byte_identical_at_1_and_8_threads() {
     let reg = registry();
-    let one = run_to_json(&run_matrix(&reg, &policy_config(1, 1))).render();
-    let eight = run_to_json(&run_matrix(&reg, &policy_config(8, 1))).render();
+    let one = run_to_json(&run_matrix(&reg, &policy_config(1))).render();
+    let eight = run_to_json(&run_matrix(&reg, &policy_config(8))).render();
     assert_eq!(
         one, eight,
         "policy-on artifact differs across thread counts"
@@ -94,27 +67,15 @@ fn policy_artifact_is_byte_identical_at_1_and_8_threads() {
     );
 }
 
-#[test]
-fn policy_artifact_is_byte_identical_at_1_and_4_engine_shards() {
-    let reg = registry();
-    let serial = run_to_json(&run_matrix(&reg, &policy_config(1, 1))).render();
-    let sharded = run_to_json(&run_matrix(&reg, &policy_config(1, 4))).render();
-    assert_eq!(
-        serial, sharded,
-        "policy-on artifact differs across shard counts"
-    );
-}
-
 /// The E18 app variants extend the contract to the delta-sync substrate:
 /// subscriber sets, push fan-out, and merge order all iterate sorted
 /// structures, so the artifact — delta-lag staleness included — must not
-/// know how many harness threads or engine shards ran it.
-fn app_config(threads: usize, shards: u32) -> MatrixConfig {
+/// know how many harness threads ran it.
+fn app_config(threads: usize) -> MatrixConfig {
     MatrixConfig {
         root_seed: 99,
         seeds_per_variant: 2,
         threads,
-        shards,
         filter: Some(vec!["e18/p10k".to_owned()]),
         ..MatrixConfig::default()
     }
@@ -123,22 +84,14 @@ fn app_config(threads: usize, shards: u32) -> MatrixConfig {
 #[test]
 fn app_artifact_is_byte_identical_at_1_and_8_threads() {
     let reg = registry();
-    let one = run_to_json(&run_matrix(&reg, &app_config(1, 1))).render();
-    let eight = run_to_json(&run_matrix(&reg, &app_config(8, 1))).render();
+    let one = run_to_json(&run_matrix(&reg, &app_config(1))).render();
+    let eight = run_to_json(&run_matrix(&reg, &app_config(8))).render();
     assert_eq!(one, eight, "app artifact differs across thread counts");
     assert!(
         one.contains("e18.guestbook.contract.stale_p99_secs")
             && one.contains("e18.kv.central.peak_overload"),
         "app variant artifact should carry both modes' gauges"
     );
-}
-
-#[test]
-fn app_artifact_is_byte_identical_at_1_and_4_engine_shards() {
-    let reg = registry();
-    let serial = run_to_json(&run_matrix(&reg, &app_config(1, 1))).render();
-    let sharded = run_to_json(&run_matrix(&reg, &app_config(1, 4))).render();
-    assert_eq!(serial, sharded, "app artifact differs across shard counts");
 }
 
 #[test]

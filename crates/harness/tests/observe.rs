@@ -1,9 +1,8 @@
 //! The observe-plane contract, end to end through the public harness API:
 //!
 //! 1. `OBS_*.jsonl` bytes are a pure function of `(target, seed, observer
-//!    config)` — harness thread count, engine shard count, and whether a
-//!    flight recorder is nested alongside the probes must all be invisible
-//!    in the artifact.
+//!    config)` — harness thread count and whether a flight recorder is
+//!    nested alongside the probes must both be invisible in the artifact.
 //! 2. The anomaly layer actually catches the phenomenon the repo is about:
 //!    E16's flash crowd overloads the consumer-uplink substrates (DHT,
 //!    storage market, swarm) within the ramp window, while the centralized
@@ -116,21 +115,6 @@ fn obs_artifact_is_byte_identical_at_1_and_8_threads() {
         observe_to_string("e16/p10k", &cfg, None).0
     };
     assert_eq!(one, eight, "1-thread vs 8-thread OBS artifacts differ");
-}
-
-/// Sharded engine dispatch replays the serial canonical order, so probe
-/// frames — and therefore OBS bytes — must be shard-invariant.
-#[test]
-fn obs_artifact_is_byte_identical_at_1_and_4_engine_shards() {
-    let serial = observe_to_string("e16/p10k", &MatrixConfig::default(), None).0;
-    let sharded = {
-        let cfg = MatrixConfig {
-            shards: 4,
-            ..MatrixConfig::default()
-        };
-        observe_to_string("e16/p10k", &cfg, None).0
-    };
-    assert_eq!(serial, sharded, "1-shard vs 4-shard OBS artifacts differ");
 }
 
 /// Tracing and probing are independent taps on the same canonical event

@@ -12,7 +12,7 @@
 //! Everything here is a pure function of the probe feed, which is itself a
 //! pure function of the canonical event order — no wall clock, no
 //! thread-dependent state — so observer output is byte-identical at any
-//! harness thread count or engine shard count.
+//! harness thread count.
 //!
 //! Detector verdicts are returned to the engine as
 //! [`ProbeAnomaly`](agora_sim::ProbeAnomaly) values, which the engine turns

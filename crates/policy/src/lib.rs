@@ -17,11 +17,10 @@
 //! signals arrive in that same order, and the hysteresis machine is a pure
 //! function of the frame/signal stream, so the policy level at any sim
 //! time — and therefore every action a runner derives from it — is
-//! byte-identical at any harness thread count or engine shard count. The
-//! within-interval state kept per signal is a running max, which is
-//! commutative and associative, so even signal interleaving *within* one
-//! cadence interval cannot change a decision (pinned by the proptest in
-//! `tests/proptests.rs`).
+//! byte-identical at any harness thread count. The within-interval state
+//! kept per signal is a running max, which is commutative and associative,
+//! so even signal interleaving *within* one cadence interval cannot change
+//! a decision (pinned by the proptest in `tests/proptests.rs`).
 //!
 //! # Hysteresis
 //!

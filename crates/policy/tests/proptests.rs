@@ -48,8 +48,7 @@ fn run(intervals: &[(Vec<f64>, f64)]) -> Vec<u32> {
 proptest! {
     /// Interleave idempotence: within one cadence interval only the signal
     /// *max* matters, so any permutation of the interval's signals yields
-    /// the identical level trajectory — the determinism argument for the
-    /// sharded engine's within-interval delivery order.
+    /// the identical level trajectory.
     #[test]
     fn within_interval_signal_order_is_irrelevant(
         intervals in proptest::collection::vec(

@@ -7,8 +7,7 @@
 //! no real I/O; everything is deterministic given the seed.
 
 use std::cmp::Ordering;
-use std::mem;
-use std::sync::mpsc;
+use std::collections::BinaryHeap;
 
 use crate::device::{DeviceClass, DeviceProfile};
 use crate::metrics::{CounterHandle, Metrics};
@@ -17,9 +16,6 @@ use crate::net::Network;
 use crate::net::SendFailure;
 use crate::probe::{NoopProbe, ProbeFrame, ProbeSink};
 use crate::rng::SimRng;
-use crate::shard::{
-    lane_window, LaneCmd, LaneOut, Scheduler, ShardState, ShardStats, ShardWorkers,
-};
 use crate::time::{SimDuration, SimTime};
 #[cfg(feature = "trace")]
 use crate::trace::{DropReason, NoopSink, TraceEvent, TraceKind, TraceSink};
@@ -75,8 +71,7 @@ const TRACE_SIM_NODE: NodeId = NodeId(u32::MAX);
 /// installed), the sampling cadence, and the engine-side bookkeeping —
 /// total and per-node pending-event counts maintained at the two scheduler
 /// push funnels and the dispatch decrement, so frame queue statistics are a
-/// pure function of the canonical event order and never consult the
-/// scheduler's internal (shard-dependent) layout.
+/// pure function of the event order and never consult the heap's layout.
 struct Prober {
     sink: Box<dyn ProbeSink>,
     on: bool,
@@ -174,25 +169,25 @@ pub trait Protocol {
     fn on_up(&mut self, _ctx: &mut Ctx<'_, Self::Msg>) {}
 }
 
-pub(crate) enum EventKind<M> {
+enum EventKind<M> {
     Deliver { to: NodeId, from: NodeId, msg: M },
     Timer { node: NodeId, tag: u64 },
     ChurnDown(NodeId),
     ChurnUp(NodeId),
 }
 
-pub(crate) struct Event<M> {
+struct Event<M> {
     /// `(at, seq)` packed big-endian into one word: micros in the high 64
     /// bits, insertion sequence in the low 64. A single `u128` comparison
     /// orders events by time with deterministic insertion-order tie-breaks —
     /// one branch in the heap's sift loops instead of two chained `cmp`s,
     /// and an 8-byte-smaller header than the unpacked `(SimTime, u64)` pair.
-    pub(crate) key: u128,
-    pub(crate) kind: EventKind<M>,
+    key: u128,
+    kind: EventKind<M>,
 }
 
 impl<M> Event<M> {
-    pub(crate) fn pack(at: SimTime, seq: u64) -> u128 {
+    fn pack(at: SimTime, seq: u64) -> u128 {
         ((at.micros() as u128) << 64) | seq as u128
     }
 
@@ -217,6 +212,22 @@ impl<M> Ord for Event<M> {
     // already breaks time ties by insertion sequence for determinism.
     fn cmp(&self, other: &Self) -> Ordering {
         other.key.cmp(&self.key)
+    }
+}
+
+/// The event queue: one min-heap on the packed key, plus the insertion
+/// counter that makes every key unique.
+struct Scheduler<M> {
+    heap: BinaryHeap<Event<M>>,
+    seq: u64,
+}
+
+impl<M> Scheduler<M> {
+    fn push(&mut self, at: SimTime, kind: EventKind<M>) -> u128 {
+        self.seq += 1;
+        let key = Event::<M>::pack(at, self.seq);
+        self.heap.push(Event { key, kind });
+        key
     }
 }
 
@@ -302,7 +313,8 @@ impl<'a, M: Clone> Ctx<'a, M> {
 
     /// Send `msg` of `bytes` wire size to `to`. Delivery is asynchronous and
     /// unreliable: the message is silently dropped if the receiver is down on
-    /// arrival, if the link loses it, or if a partition separates the nodes.
+    /// arrival, if the link loses it, if a partition separates the nodes, or
+    /// if `to` names no node (addresses learned from peers are untrusted).
     pub fn send(&mut self, to: NodeId, msg: M, bytes: u64) {
         self.metrics.incr_handle(self.hot.sent, 1);
         self.metrics.incr_handle(self.hot.sent_bytes, bytes);
@@ -400,6 +412,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
                         bytes,
                         reason: match _failure {
                             SendFailure::Partitioned => DropReason::Partition,
+                            SendFailure::NoSuchNode => DropReason::NoSuchNode,
                             SendFailure::Lost => DropReason::Loss,
                             SendFailure::ChaosLink => DropReason::ChaosLink,
                         },
@@ -517,14 +530,6 @@ impl<P: Protocol> Simulation<P> {
     /// inside `fn(seed) -> Metrics` experiment entry points without
     /// changing their signatures. Absent a factory, the no-op sink is used
     /// and every tap site reduces to one untaken branch.
-    ///
-    /// A shard count installed via [`crate::shard::with_shards`] is applied
-    /// the same way (`--shards N` in the harness); the default is one shard,
-    /// i.e. exactly today's serial engine. Sharding and tracing compose:
-    /// the sharded dispatch order is the serial order by construction, so
-    /// trace records are byte-identical at any shard count and no per-shard
-    /// sink merging is needed (that is the explicit trace-compatibility
-    /// choice — one sink, fed in canonical order from the dispatch thread).
     pub fn new(seed: u64) -> Simulation<P> {
         let mut metrics = Metrics::new();
         let hot = HotCounters::new(&mut metrics);
@@ -563,7 +568,10 @@ impl<P: Protocol> Simulation<P> {
         let mut sim = Simulation {
             protocols: Vec::new(),
             net: Network::new(),
-            sched: Scheduler::new(),
+            sched: Scheduler {
+                heap: BinaryHeap::new(),
+                seq: 0,
+            },
             time: SimTime::ZERO,
             rng: SimRng::new(seed),
             metrics,
@@ -575,10 +583,6 @@ impl<P: Protocol> Simulation<P> {
             tracer,
             prober,
         };
-        let (shards, workers) = crate::shard::configured_shards();
-        if shards > 1 {
-            sim.set_shards_with(shards, workers);
-        }
         trace_event!(
             sim.tracer,
             0,
@@ -590,61 +594,6 @@ impl<P: Protocol> Simulation<P> {
             sim.prober.sink.on_sim_start(seed);
         }
         sim
-    }
-
-    /// Set the shard count ([`ShardWorkers::Auto`] execution). One shard —
-    /// the default — is exactly the serial engine, running today's code
-    /// path. More shards parallelize event-heap maintenance across lanes
-    /// while dispatching every handler on this thread in canonical key
-    /// order, so metrics, traces and protocol state are byte-identical at
-    /// any shard count (see [`crate::shard`] for the argument). May be
-    /// called at any point between `run_*` calls: pending events are
-    /// re-routed with their keys — and therefore the schedule — unchanged.
-    pub fn set_shards(&mut self, shards: u32) {
-        self.set_shards_with(shards, ShardWorkers::Auto);
-    }
-
-    /// [`Simulation::set_shards`] with an explicit worker mode (tests use
-    /// [`ShardWorkers::Threads`] to exercise the threaded path regardless
-    /// of host core count).
-    pub fn set_shards_with(&mut self, shards: u32, workers: ShardWorkers) {
-        let shards = shards.max(1);
-        if shards == self.shards() {
-            if let Some(state) = &mut self.sched.shard {
-                state.mode = workers;
-            }
-            return;
-        }
-        let pending: Vec<Event<P::Msg>> = match self.sched.shard.take() {
-            None => mem::take(&mut self.sched.serial).into_vec(),
-            Some(mut state) => state.drain_all(),
-        };
-        if shards == 1 {
-            self.sched.serial.extend(pending);
-        } else {
-            let mut state = ShardState::new(shards as usize, workers);
-            for ev in pending {
-                state.route(ev.key, ev.kind);
-            }
-            self.sched.shard = Some(Box::new(state));
-        }
-    }
-
-    /// Current shard count (1 = serial engine).
-    pub fn shards(&self) -> u32 {
-        self.sched
-            .shard
-            .as_ref()
-            .map_or(1, |state| state.shards() as u32)
-    }
-
-    /// Sharded-execution counters (all zero in serial mode). Not part of
-    /// the metrics artifact — see [`ShardStats`] for why.
-    pub fn shard_stats(&self) -> ShardStats {
-        self.sched
-            .shard
-            .as_ref()
-            .map_or_else(ShardStats::default, |state| state.stats)
     }
 
     /// Install a trace sink on an already-constructed simulation and enable
@@ -675,7 +624,7 @@ impl<P: Protocol> Simulation<P> {
         self.prober.on = true;
         self.prober.every = every;
         self.prober.next_at = (self.time.micros() / every + 1).saturating_mul(every);
-        self.prober.pending = self.sched.len() as u64;
+        self.prober.pending = self.sched.heap.len() as u64;
     }
 
     /// Add a node of the given device class. Its `on_start` runs at the time
@@ -933,24 +882,13 @@ impl<P: Protocol> Simulation<P> {
     /// clock ends at `limit` (or the last event, whichever is later-capped).
     pub fn run_until(&mut self, limit: SimTime) {
         self.ensure_started();
-        if self.sched.shard.is_some() {
-            self.run_windows(limit, None);
-        } else {
-            while let Some(ev) = self.sched.serial.peek() {
-                if ev.at() > limit {
-                    break;
-                }
-                let ev = self.sched.serial.pop().expect("peeked");
-                debug_assert!(ev.at() >= self.time, "time went backwards");
-                self.time = ev.at();
-                self.events += 1;
-                #[cfg(feature = "trace")]
-                {
-                    self.tracer.cur = ev.key;
-                }
-                self.probe_tick(&ev.kind);
-                self.dispatch(ev.kind);
+        while let Some(ev) = self.sched.heap.peek() {
+            if ev.at() > limit {
+                break;
             }
+            let ev = self.sched.heap.pop().expect("peeked");
+            debug_assert!(ev.at() >= self.time, "time went backwards");
+            self.step(ev);
         }
         if self.time < limit {
             self.time = limit;
@@ -967,160 +905,30 @@ impl<P: Protocol> Simulation<P> {
     /// livelocked protocols in tests).
     pub fn run_idle(&mut self, max_events: u64) {
         self.ensure_started();
-        if self.sched.shard.is_some() {
-            self.run_windows(SimTime::MAX, Some(max_events));
-            return;
-        }
         let mut n = 0u64;
-        while let Some(ev) = self.sched.serial.pop() {
-            self.time = ev.at();
-            self.events += 1;
-            #[cfg(feature = "trace")]
-            {
-                self.tracer.cur = ev.key;
-            }
-            self.probe_tick(&ev.kind);
-            self.dispatch(ev.kind);
+        while let Some(ev) = self.sched.heap.pop() {
+            self.step(ev);
             n += 1;
             assert!(n < max_events, "run_idle exceeded {max_events} events");
         }
     }
 
-    /// Sharded execution of events with time `<= limit`: lookahead-bounded
-    /// windows; lanes integrate + drain in parallel (or inline), the
-    /// dispatch thread commits in canonical key order. `guard` carries
-    /// `run_idle`'s livelock bound.
-    fn run_windows(&mut self, limit: SimTime, guard: Option<u64>) {
-        let state = self.sched.shard.as_mut().expect("sharded mode");
-        let threaded = match state.mode {
-            ShardWorkers::Inline => false,
-            ShardWorkers::Threads => true,
-            ShardWorkers::Auto => std::thread::available_parallelism()
-                .map(|n| n.get() > 1)
-                .unwrap_or(false),
-        };
-        // Lanes leave the shard state for the duration of the run: inline
-        // they are driven from this thread, threaded they move into scoped
-        // workers that only ever see `Copy` (key, slot) pairs — payloads
-        // (which may hold `Rc`s) stay here on the dispatch thread.
-        let mut lanes = mem::take(&mut state.lanes);
-        if threaded {
-            let workers = lanes.len();
-            std::thread::scope(|scope| {
-                let (out_tx, out_rx) = mpsc::channel::<LaneOut>();
-                let (back_tx, back_rx) = mpsc::channel();
-                let mut cmd_txs = Vec::with_capacity(workers);
-                for (lane, mut heap) in lanes.drain(..).enumerate() {
-                    let (cmd_tx, cmd_rx) = mpsc::channel::<LaneCmd>();
-                    cmd_txs.push(cmd_tx);
-                    let out_tx = out_tx.clone();
-                    let back_tx = back_tx.clone();
-                    scope.spawn(move || {
-                        while let Ok(cmd) = cmd_rx.recv() {
-                            if out_tx.send(lane_window(&mut heap, lane, cmd)).is_err() {
-                                break;
-                            }
-                        }
-                        // Dispatch side hung up (or panicked): hand the
-                        // lane back so the sim survives the run.
-                        let _ = back_tx.send((lane, heap));
-                    });
-                }
-                self.window_loop(limit, guard, &mut |cmds: Vec<LaneCmd>| {
-                    for (tx, cmd) in cmd_txs.iter().zip(cmds) {
-                        tx.send(cmd).expect("lane worker alive");
-                    }
-                    (0..workers)
-                        .map(|_| out_rx.recv().expect("lane worker alive"))
-                        .collect()
-                });
-                drop(cmd_txs);
-                let mut returned: Vec<Option<_>> = (0..workers).map(|_| None).collect();
-                for _ in 0..workers {
-                    let (lane, heap) = back_rx.recv().expect("lane worker returns heap");
-                    returned[lane] = Some(heap);
-                }
-                lanes = returned
-                    .into_iter()
-                    .map(|h| h.expect("all lanes"))
-                    .collect();
-            });
-        } else {
-            let lanes = &mut lanes;
-            self.window_loop(limit, guard, &mut |cmds: Vec<LaneCmd>| {
-                cmds.into_iter()
-                    .zip(lanes.iter_mut())
-                    .enumerate()
-                    .map(|(lane, (cmd, heap))| lane_window(heap, lane, cmd))
-                    .collect()
-            });
+    /// Advance the clock to a popped event and run its handler.
+    #[inline]
+    fn step(&mut self, ev: Event<P::Msg>) {
+        self.time = ev.at();
+        self.events += 1;
+        #[cfg(feature = "trace")]
+        {
+            self.tracer.cur = ev.key;
         }
-        self.sched.shard.as_mut().expect("sharded mode").lanes = lanes;
-    }
-
-    /// The window loop proper, independent of how lane work is executed:
-    /// `exec` runs one `LaneCmd` per lane and returns their `LaneOut`s.
-    fn window_loop(
-        &mut self,
-        limit: SimTime,
-        guard: Option<u64>,
-        exec: &mut dyn FnMut(Vec<LaneCmd>) -> Vec<LaneOut>,
-    ) {
-        let mut dispatched = 0u64;
-        loop {
-            let state = self.sched.shard.as_mut().expect("sharded mode");
-            let Some(first) = state.next_key() else { break };
-            let t0 = (first >> 64) as u64;
-            if t0 > limit.micros() {
-                break;
-            }
-            // The lookahead is recomputed every window, so chaos latency
-            // storms (`latency_factor`) and partition changes take effect
-            // at the next barrier. Clamped to >= 1 us for guaranteed
-            // progress: a too-large window is safe (sub-window arrivals are
-            // absorbed through the overflow heap), a zero window would
-            // never advance.
-            let lookahead = self.net.lookahead().micros().max(1);
-            let w_end = t0
-                .saturating_add(lookahead)
-                .min(limit.micros().saturating_add(1));
-            let w_end_key = (w_end as u128) << 64;
-            let cmds = state.make_cmds(w_end_key);
-            let outs = exec(cmds);
-            let state = self.sched.shard.as_mut().expect("sharded mode");
-            state.begin_window(w_end_key, outs);
-            while let Some(ev) = self
-                .sched
-                .shard
-                .as_mut()
-                .expect("sharded mode")
-                .next_event()
-            {
-                debug_assert!(ev.at() >= self.time, "time went backwards");
-                self.time = ev.at();
-                self.events += 1;
-                #[cfg(feature = "trace")]
-                {
-                    self.tracer.cur = ev.key;
-                }
-                self.probe_tick(&ev.kind);
-                self.dispatch(ev.kind);
-                if let Some(max) = guard {
-                    dispatched += 1;
-                    assert!(dispatched < max, "run_idle exceeded {max} events");
-                }
-            }
-            self.sched
-                .shard
-                .as_mut()
-                .expect("sharded mode")
-                .end_window();
-        }
+        self.probe_tick(&ev.kind);
+        self.dispatch(ev.kind);
     }
 
     /// Number of pending events (diagnostics).
     pub fn pending_events(&self) -> usize {
-        self.sched.len()
+        self.sched.heap.len()
     }
 
     /// Total events dispatched so far (throughput accounting for benchmarks;
@@ -1640,6 +1448,59 @@ mod tests {
         assert!(u.abs_diff(d) <= 1);
     }
 
+    /// Every engine feature in one run: mixed device classes, churn, loss,
+    /// chaos duplication + reordering, partitions, kill/revive, loopback
+    /// sends, microsecond timers and a mid-run latency storm.
+    fn rich_scenario(mut sim: Simulation<PingPong>) -> Simulation<PingPong> {
+        let classes = [
+            DeviceClass::DatacenterServer,
+            DeviceClass::PersonalComputer,
+            DeviceClass::Smartphone,
+            DeviceClass::Tablet,
+        ];
+        let nodes: Vec<NodeId> = (0..12)
+            .map(|i| sim.add_node(PingPong::default(), classes[i % classes.len()]))
+            .collect();
+        for &n in &nodes[..6] {
+            sim.enable_churn(n);
+        }
+        sim.enable_chaos(17);
+        sim.set_chaos_dup_rate(0.2);
+        sim.set_chaos_reorder(SimDuration::from_millis(50));
+        sim.set_loss_rate(0.05);
+        for round in 0..20 {
+            for (i, &src) in nodes.iter().enumerate() {
+                let dst = nodes[(i + 1 + round) % nodes.len()];
+                sim.with_ctx(src, |_, ctx| ctx.send(dst, PpMsg::Ping, 256));
+            }
+            sim.with_ctx(nodes[round % nodes.len()], |_, ctx| {
+                let me = ctx.id();
+                ctx.send(me, PpMsg::Pong, 8);
+                ctx.set_timer(SimDuration::from_micros(3), round as u64);
+            });
+            sim.run_for(SimDuration::from_millis(250));
+        }
+        sim.set_partition(nodes[0], 1);
+        sim.set_partition(nodes[1], 1);
+        sim.kill(nodes[2]);
+        for _ in 0..5 {
+            for (i, &src) in nodes.iter().enumerate() {
+                let dst = nodes[(i + 3) % nodes.len()];
+                sim.with_ctx(src, |_, ctx| ctx.send(dst, PpMsg::Ping, 512));
+            }
+            sim.run_for(SimDuration::from_millis(200));
+        }
+        sim.revive(nodes[2]);
+        sim.heal_partitions();
+        sim.set_chaos_latency_factor(4.0);
+        sim.run_for(SimDuration::from_secs(2));
+        sim.set_chaos_latency_factor(0.5);
+        sim.run_for(SimDuration::from_secs(1));
+        sim.set_chaos_latency_factor(1.0);
+        sim.run_for(SimDuration::from_secs(5));
+        sim
+    }
+
     #[test]
     fn determinism_same_seed_same_outcome() {
         let run = |seed: u64| -> (u32, u64, u64, SimTime) {
@@ -1667,6 +1528,107 @@ mod tests {
         // Different seeds should (with overwhelming probability) diverge in
         // churn transition counts over an hour.
         assert_ne!(run(99).2, run(100).2);
+
+        // Second input: the rich scenario, compared on everything a run
+        // leaves behind — the metrics `Display` string covers every counter,
+        // gauge and histogram byte-for-byte.
+        let rich = |seed: u64| {
+            let sim = rich_scenario(Simulation::new(seed));
+            (
+                format!("{}", sim.metrics()),
+                sim.events_processed(),
+                sim.now(),
+            )
+        };
+        let first = rich(4242);
+        assert!(first.1 > 500, "scenario must be nontrivial: {}", first.1);
+        assert_eq!(first, rich(4242));
+        assert_ne!(first.0, rich(4243).0);
+    }
+
+    #[test]
+    fn run_idle_drains_a_finite_run_and_its_guard_catches_livelock() {
+        let (mut sim, a, b) = two_node_sim();
+        for _ in 0..10 {
+            sim.with_ctx(a, |_, ctx| ctx.send(b, PpMsg::Ping, 64));
+        }
+        sim.run_idle(100_000);
+        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.node(a).pongs_received, 10);
+
+        struct Storm;
+        impl Protocol for Storm {
+            type Msg = ();
+            fn on_message(&mut self, ctx: &mut Ctx<'_, ()>, from: NodeId, _msg: ()) {
+                ctx.send(from, (), 8);
+            }
+        }
+        let result = std::panic::catch_unwind(|| {
+            let mut sim: Simulation<Storm> = Simulation::new(1);
+            let a = sim.add_node(Storm, DeviceClass::DatacenterServer);
+            let b = sim.add_node(Storm, DeviceClass::DatacenterServer);
+            sim.with_ctx(a, |_, ctx| ctx.send(b, (), 8));
+            sim.run_idle(500);
+        });
+        assert!(result.is_err(), "guard must fire on an endless echo loop");
+    }
+
+    #[test]
+    fn send_to_a_node_that_was_never_created_is_a_drop() {
+        /// Answers a ping with a pong; when `stray`, first fires a message
+        /// at the address one past the last node (what a hostile peer's
+        /// reply can make a protocol do).
+        struct Stray {
+            stray: bool,
+            pongs: u32,
+        }
+        impl Protocol for Stray {
+            type Msg = PpMsg;
+            fn on_message(&mut self, ctx: &mut Ctx<'_, PpMsg>, from: NodeId, msg: PpMsg) {
+                match msg {
+                    PpMsg::Ping => {
+                        if self.stray {
+                            let nowhere = NodeId(ctx.node_count() as u32);
+                            ctx.send(nowhere, PpMsg::Ping, 64);
+                        }
+                        ctx.send(from, PpMsg::Pong, 64);
+                    }
+                    PpMsg::Pong => self.pongs += 1,
+                }
+            }
+        }
+        let run = |stray: bool| {
+            let mut sim: Simulation<Stray> = Simulation::new(5);
+            let a = sim.add_node(Stray { stray, pongs: 0 }, DeviceClass::PersonalComputer);
+            let b = sim.add_node(Stray { stray, pongs: 0 }, DeviceClass::Smartphone);
+            sim.set_loss_rate(0.1);
+            for _ in 0..40 {
+                sim.with_ctx(a, |_, ctx| ctx.send(b, PpMsg::Ping, 64));
+            }
+            sim.run_for(SimDuration::from_secs(10));
+            let m = sim.metrics();
+            (
+                (
+                    m.counter("net.sent"),
+                    m.counter("net.lost"),
+                    m.counter("net.dropped"),
+                ),
+                (sim.node(a).pongs, m.counter("net.delivered")),
+                sim.rng_mut().next_u64(),
+            )
+        };
+        let (clean_drops, clean_outcome, clean_next_draw) = run(false);
+        let (drops, outcome, next_draw) = run(true);
+        // Each ping that reached `b` cost one extra send, counted as lost
+        // and dropped under the existing keys.
+        let strays = drops.0 - clean_drops.0;
+        assert!(strays > 0, "some ping must get through at 10 % loss");
+        assert_eq!(drops.1 - clean_drops.1, strays);
+        assert_eq!(drops.2 - clean_drops.2, strays);
+        // The stray sends drew nothing: the loss and jitter draws of every
+        // send after them, and the stream's next value, are the clean run's.
+        assert_eq!(outcome, clean_outcome);
+        assert_eq!(next_draw, clean_next_draw);
     }
 
     #[cfg(feature = "trace")]
@@ -1722,6 +1684,7 @@ mod tests {
                 sim.set_partition(b, 5);
                 sim.with_ctx(a, |_, ctx| ctx.send(b, PpMsg::Ping, 64));
                 sim.heal_partitions();
+                sim.with_ctx(a, |_, ctx| ctx.send(NodeId(2), PpMsg::Ping, 64));
                 sim.set_loss_rate(1.0);
                 sim.with_ctx(a, |_, ctx| ctx.send(b, PpMsg::Ping, 64));
                 sim.set_loss_rate(0.0);
@@ -1731,6 +1694,7 @@ mod tests {
             });
             let snap = rec.snapshot();
             assert_eq!(snap.span("net.drop.partition").unwrap().count, 1);
+            assert_eq!(snap.span("net.drop.no_such_node").unwrap().count, 1);
             assert_eq!(snap.span("net.drop.loss").unwrap().count, 1);
             assert_eq!(snap.span("net.drop.receiver_down").unwrap().count, 1);
             let down_drop = snap
@@ -1827,330 +1791,5 @@ mod tests {
         assert_eq!(sim.node(b).pings_received, 0, "too early");
         sim.run_for(SimDuration::from_secs(10));
         assert_eq!(sim.node(b).pings_received, 1);
-    }
-
-    /// The sharded engine's contract: at any shard count, with any worker
-    /// mode, the event schedule — and therefore metrics, event counts and
-    /// the final clock — is identical to the serial oracle.
-    mod shard_identity {
-        use super::*;
-
-        /// Everything observable about a finished run, as one comparable
-        /// value. The metrics `Display` string covers every counter, gauge
-        /// and histogram byte-for-byte.
-        fn fingerprint(sim: &Simulation<PingPong>) -> (String, u64, SimTime) {
-            (
-                format!("{}", sim.metrics()),
-                sim.events_processed(),
-                sim.now(),
-            )
-        }
-
-        /// A deliberately hostile workload: mixed device classes, churn,
-        /// loss, chaos duplication + reordering, partitions, kill/revive,
-        /// loopback sends and microsecond timers (both land *inside* any
-        /// lookahead window, exercising the absorbed-overflow path), and a
-        /// mid-run latency storm that changes the lookahead between
-        /// barriers.
-        fn rich_scenario(mut sim: Simulation<PingPong>) -> Simulation<PingPong> {
-            let classes = [
-                DeviceClass::DatacenterServer,
-                DeviceClass::PersonalComputer,
-                DeviceClass::Smartphone,
-                DeviceClass::Tablet,
-            ];
-            let nodes: Vec<NodeId> = (0..12)
-                .map(|i| sim.add_node(PingPong::default(), classes[i % classes.len()]))
-                .collect();
-            for &n in &nodes[..6] {
-                sim.enable_churn(n);
-            }
-            sim.enable_chaos(17);
-            sim.set_chaos_dup_rate(0.2);
-            sim.set_chaos_reorder(SimDuration::from_millis(50));
-            sim.set_loss_rate(0.05);
-            for round in 0..20 {
-                for (i, &src) in nodes.iter().enumerate() {
-                    let dst = nodes[(i + 1 + round) % nodes.len()];
-                    sim.with_ctx(src, |_, ctx| ctx.send(dst, PpMsg::Ping, 256));
-                }
-                sim.with_ctx(nodes[round % nodes.len()], |_, ctx| {
-                    let me = ctx.id();
-                    ctx.send(me, PpMsg::Pong, 8);
-                    ctx.set_timer(SimDuration::from_micros(3), round as u64);
-                });
-                sim.run_for(SimDuration::from_millis(250));
-            }
-            sim.set_partition(nodes[0], 1);
-            sim.set_partition(nodes[1], 1);
-            sim.kill(nodes[2]);
-            for _ in 0..5 {
-                for (i, &src) in nodes.iter().enumerate() {
-                    let dst = nodes[(i + 3) % nodes.len()];
-                    sim.with_ctx(src, |_, ctx| ctx.send(dst, PpMsg::Ping, 512));
-                }
-                sim.run_for(SimDuration::from_millis(200));
-            }
-            sim.revive(nodes[2]);
-            sim.heal_partitions();
-            sim.set_chaos_latency_factor(4.0);
-            sim.run_for(SimDuration::from_secs(2));
-            sim.set_chaos_latency_factor(0.5);
-            sim.run_for(SimDuration::from_secs(1));
-            sim.set_chaos_latency_factor(1.0);
-            sim.run_for(SimDuration::from_secs(5));
-            sim
-        }
-
-        fn run_with(shards: u32, workers: ShardWorkers) -> (String, u64, SimTime) {
-            let mut sim: Simulation<PingPong> = Simulation::new(4242);
-            sim.set_shards_with(shards, workers);
-            let sim = rich_scenario(sim);
-            fingerprint(&sim)
-        }
-
-        #[test]
-        fn inline_sharding_matches_serial_oracle_at_many_shard_counts() {
-            let serial = run_with(1, ShardWorkers::Inline);
-            assert!(
-                serial.1 > 500,
-                "scenario must be nontrivial (got {} events)",
-                serial.1
-            );
-            for shards in [2, 3, 4, 8] {
-                assert_eq!(
-                    run_with(shards, ShardWorkers::Inline),
-                    serial,
-                    "shards={shards}"
-                );
-            }
-        }
-
-        #[test]
-        fn threaded_sharding_matches_serial_oracle() {
-            // Threads forced regardless of host core count, so the barrier
-            // protocol itself is exercised even on a 1-core runner.
-            let serial = run_with(1, ShardWorkers::Inline);
-            for shards in [2, 4, 8] {
-                assert_eq!(
-                    run_with(shards, ShardWorkers::Threads),
-                    serial,
-                    "shards={shards}"
-                );
-            }
-        }
-
-        #[test]
-        fn shard_count_can_change_mid_run_without_changing_the_schedule() {
-            let serial = run_with(1, ShardWorkers::Inline);
-            // Start serial, shard mid-flight, then de-shard again: pending
-            // events are re-routed with their keys unchanged each time.
-            let mut sim: Simulation<PingPong> = Simulation::new(4242);
-            let nodes: Vec<NodeId> = (0..12)
-                .map(|i| {
-                    sim.add_node(
-                        PingPong::default(),
-                        [
-                            DeviceClass::DatacenterServer,
-                            DeviceClass::PersonalComputer,
-                            DeviceClass::Smartphone,
-                            DeviceClass::Tablet,
-                        ][i % 4],
-                    )
-                })
-                .collect();
-            for &n in &nodes[..6] {
-                sim.enable_churn(n);
-            }
-            sim.enable_chaos(17);
-            sim.set_chaos_dup_rate(0.2);
-            sim.set_chaos_reorder(SimDuration::from_millis(50));
-            sim.set_loss_rate(0.05);
-            for round in 0..20 {
-                // Re-shard repeatedly while events are in flight.
-                match round {
-                    5 => sim.set_shards_with(4, ShardWorkers::Inline),
-                    10 => sim.set_shards(1),
-                    15 => sim.set_shards_with(3, ShardWorkers::Inline),
-                    _ => {}
-                }
-                for (i, &src) in nodes.iter().enumerate() {
-                    let dst = nodes[(i + 1 + round) % nodes.len()];
-                    sim.with_ctx(src, |_, ctx| ctx.send(dst, PpMsg::Ping, 256));
-                }
-                sim.with_ctx(nodes[round % nodes.len()], |_, ctx| {
-                    let me = ctx.id();
-                    ctx.send(me, PpMsg::Pong, 8);
-                    ctx.set_timer(SimDuration::from_micros(3), round as u64);
-                });
-                sim.run_for(SimDuration::from_millis(250));
-            }
-            sim.set_partition(nodes[0], 1);
-            sim.set_partition(nodes[1], 1);
-            sim.kill(nodes[2]);
-            for _ in 0..5 {
-                for (i, &src) in nodes.iter().enumerate() {
-                    let dst = nodes[(i + 3) % nodes.len()];
-                    sim.with_ctx(src, |_, ctx| ctx.send(dst, PpMsg::Ping, 512));
-                }
-                sim.run_for(SimDuration::from_millis(200));
-            }
-            sim.revive(nodes[2]);
-            sim.heal_partitions();
-            sim.set_chaos_latency_factor(4.0);
-            sim.run_for(SimDuration::from_secs(2));
-            sim.set_chaos_latency_factor(0.5);
-            sim.run_for(SimDuration::from_secs(1));
-            sim.set_chaos_latency_factor(1.0);
-            sim.run_for(SimDuration::from_secs(5));
-            assert_eq!(fingerprint(&sim), serial);
-        }
-
-        #[test]
-        fn run_idle_drains_identically_in_sharded_mode() {
-            let run = |shards: u32| {
-                let mut sim: Simulation<PingPong> = Simulation::new(9);
-                sim.set_shards_with(shards, ShardWorkers::Inline);
-                let a = sim.add_node(PingPong::default(), DeviceClass::DatacenterServer);
-                let b = sim.add_node(PingPong::default(), DeviceClass::PersonalComputer);
-                let c = sim.add_node(PingPong::default(), DeviceClass::Smartphone);
-                for _ in 0..10 {
-                    sim.with_ctx(a, |_, ctx| ctx.send(b, PpMsg::Ping, 64));
-                    sim.with_ctx(b, |_, ctx| ctx.send(c, PpMsg::Ping, 64));
-                }
-                sim.run_idle(100_000);
-                assert_eq!(sim.pending_events(), 0);
-                fingerprint(&sim)
-            };
-            let serial = run(1);
-            assert_eq!(run(2), serial);
-            assert_eq!(run(5), serial);
-        }
-
-        #[test]
-        fn run_idle_guard_still_catches_livelock_when_sharded() {
-            struct Storm;
-            impl Protocol for Storm {
-                type Msg = ();
-                fn on_message(&mut self, ctx: &mut Ctx<'_, ()>, from: NodeId, _msg: ()) {
-                    ctx.send(from, (), 8);
-                }
-            }
-            let result = std::panic::catch_unwind(|| {
-                let mut sim: Simulation<Storm> = Simulation::new(1);
-                sim.set_shards_with(2, ShardWorkers::Inline);
-                let a = sim.add_node(Storm, DeviceClass::DatacenterServer);
-                let b = sim.add_node(Storm, DeviceClass::DatacenterServer);
-                sim.with_ctx(a, |_, ctx| ctx.send(b, (), 8));
-                sim.run_idle(500);
-            });
-            assert!(result.is_err(), "guard must fire on an endless echo loop");
-        }
-
-        #[test]
-        fn loopback_and_zero_delay_timers_flow_through_the_absorbed_path() {
-            // Loopback (+1 us) and tiny timers always land inside the open
-            // window; identity relies on the overflow heap absorbing them.
-            let run = |shards: u32| {
-                let mut sim: Simulation<PingPong> = Simulation::new(11);
-                sim.set_shards_with(shards, ShardWorkers::Inline);
-                let a = sim.add_node(PingPong::default(), DeviceClass::DatacenterServer);
-                sim.with_ctx(a, |_, ctx| {
-                    let me = ctx.id();
-                    ctx.send(me, PpMsg::Pong, 8);
-                    ctx.set_timer(SimDuration::from_micros(0), 1);
-                    ctx.set_timer(SimDuration::from_micros(1), 2);
-                });
-                sim.run_for(SimDuration::from_secs(1));
-                fingerprint(&sim)
-            };
-            let serial = run(1);
-            assert_eq!(run(2), serial);
-            assert_eq!(run(4), serial);
-            // Sharded mode actually absorbed an in-window event rather than
-            // (unsoundly) deferring it past the barrier. Absorption only
-            // applies to pushes made while a window is open, so the
-            // loopback must originate *inside* a handler: a self-ping's
-            // reply (the pong, +1 us loopback) qualifies.
-            // (Two nodes, so the lookahead is a real link latency rather
-            // than the degenerate 1 us single-node clamp.)
-            let mut sim: Simulation<PingPong> = Simulation::new(11);
-            sim.set_shards_with(2, ShardWorkers::Inline);
-            let a = sim.add_node(PingPong::default(), DeviceClass::DatacenterServer);
-            let _b = sim.add_node(PingPong::default(), DeviceClass::DatacenterServer);
-            sim.with_ctx(a, |_, ctx| {
-                let me = ctx.id();
-                ctx.send(me, PpMsg::Ping, 8);
-            });
-            sim.run_for(SimDuration::from_secs(1));
-            assert_eq!(sim.node(a).pongs_received, 1, "self-ping answered");
-            assert!(sim.shard_stats().absorbed_events >= 1);
-        }
-
-        #[test]
-        fn shard_stats_report_windows_and_send_classes() {
-            let mut sim: Simulation<PingPong> = Simulation::new(4242);
-            sim.set_shards_with(4, ShardWorkers::Inline);
-            let sim = rich_scenario(sim);
-            let stats = sim.shard_stats();
-            assert!(stats.windows > 0, "windowed execution happened");
-            assert!(
-                stats.cross_events > 0 && stats.local_events > 0,
-                "a 12-node all-to-all workload has both local and cross-shard sends: {stats:?}"
-            );
-            let routed = stats.cross_events + stats.local_events + stats.absorbed_events;
-            assert!(
-                routed >= sim.events_processed(),
-                "every dispatched event was routed: routed={routed} dispatched={}",
-                sim.events_processed()
-            );
-            // Serial mode reports all-zero stats.
-            let serial: Simulation<PingPong> = Simulation::new(1);
-            assert_eq!(serial.shard_stats().windows, 0);
-            assert_eq!(serial.shard_stats().cross_fraction(), 0.0);
-        }
-
-        #[test]
-        fn with_shards_config_reaches_internally_constructed_sims() {
-            // The harness path: `--shards N` must apply inside
-            // `fn(seed) -> Metrics` entry points via the thread-local.
-            let fp = crate::with_shards(4, || {
-                let sim: Simulation<PingPong> = Simulation::new(4242);
-                assert_eq!(sim.shards(), 4);
-                fingerprint(&rich_scenario(sim))
-            });
-            assert_eq!(fp, run_with(1, ShardWorkers::Inline));
-            // Outside the closure the default is restored.
-            let sim: Simulation<PingPong> = Simulation::new(1);
-            assert_eq!(sim.shards(), 1);
-        }
-
-        #[cfg(feature = "trace")]
-        #[test]
-        fn trace_records_are_identical_at_any_shard_count() {
-            use crate::trace::SharedRecorder;
-            let run = |shards: u32| {
-                let rec = SharedRecorder::new(4096);
-                let mut sim: Simulation<PingPong> = Simulation::new(21);
-                sim.set_shards_with(shards, ShardWorkers::Inline);
-                sim.set_trace_sink(Box::new(rec.clone()));
-                let a = sim.add_node(PingPong::default(), DeviceClass::DatacenterServer);
-                let b = sim.add_node(PingPong::default(), DeviceClass::PersonalComputer);
-                let c = sim.add_node(PingPong::default(), DeviceClass::Smartphone);
-                for _ in 0..10 {
-                    sim.with_ctx(a, |_, ctx| ctx.send(b, PpMsg::Ping, 64));
-                    sim.with_ctx(c, |_, ctx| ctx.send(a, PpMsg::Ping, 64));
-                }
-                sim.run_for(SimDuration::from_secs(1));
-                let snap = rec.snapshot();
-                snap.events()
-                    .map(|e| format!("{:?}", e))
-                    .collect::<Vec<_>>()
-            };
-            let serial = run(1);
-            assert!(!serial.is_empty());
-            assert_eq!(run(2), serial);
-            assert_eq!(run(3), serial);
-        }
     }
 }

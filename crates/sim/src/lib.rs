@@ -63,7 +63,6 @@ pub mod net;
 pub mod probe;
 pub mod retry;
 pub mod rng;
-pub mod shard;
 pub mod time;
 #[cfg(feature = "trace")]
 pub mod trace;
@@ -79,7 +78,30 @@ pub use net::Network;
 pub use probe::{with_thread_probe, ProbeAnomaly, ProbeFrame, ProbeSink, PROBE_SIM_NODE};
 pub use retry::{Jitter, Retrier, RetryPolicy};
 pub use rng::{SimRng, ZipfTable};
-pub use shard::{
-    shard_of, watch_counters as shard_watch_counters, with_shards, ShardStats, ShardWorkers,
-};
 pub use time::{SimDuration, SimTime};
+
+// One-shard shim. The engine is serial (DESIGN.md §15); the frozen
+// `benchmark/` (`engine_core.rs::ring_flood_sharded`, `run.rs`) still names
+// these four items, so they stay as no-ops returning what one shard always
+// returned. Nothing under `crates/` calls them. The benchmark catch-up PR
+// (ROADMAP, "(c)") deletes its callers and then this block.
+#[doc(hidden)]
+#[derive(Clone, Copy, Default, Debug)]
+pub struct ShardStats {
+    pub windows: u64,
+    pub barrier_stalls: u64,
+    pub cross_events: u64,
+    pub local_events: u64,
+    pub absorbed_events: u64,
+}
+#[doc(hidden)]
+pub fn with_shards<R>(_shards: u32, f: impl FnOnce() -> R) -> R {
+    f()
+}
+#[doc(hidden)]
+impl<P: Protocol> Simulation<P> {
+    pub fn set_shards(&mut self, _shards: u32) {}
+    pub fn shard_stats(&self) -> ShardStats {
+        ShardStats::default()
+    }
+}

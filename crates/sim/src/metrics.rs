@@ -137,8 +137,8 @@ impl Histogram {
     /// empty-side infinity sentinels collapsing correctly — merging an
     /// empty histogram changes nothing, merging *into* an empty one yields
     /// a copy) and every percentile equal what one histogram recording the
-    /// concatenated stream would report. This is what lets per-shard metric
-    /// accumulators be combined deterministically.
+    /// concatenated stream would report. This is what lets separately
+    /// recorded accumulators be combined deterministically.
     ///
     /// [`P2Quantile`] deliberately has no counterpart: its five-marker
     /// state is a lossy sketch of one stream, and two sketches cannot be

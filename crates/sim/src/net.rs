@@ -39,6 +39,9 @@ struct NodeNet {
 pub(crate) enum SendFailure {
     /// Sender and receiver are in different partition groups.
     Partitioned,
+    /// The receiver address names no node of this simulation (a peer can
+    /// put any address in a reply). Handled exactly like a partition.
+    NoSuchNode,
     /// Random link loss.
     Lost,
     /// Dropped by the chaos layer: a downed link or a directed
@@ -83,10 +86,6 @@ pub struct Network {
     nodes: Vec<NodeNet>,
     loss_rate: f64,
     chaos: Option<Box<ChaosNet>>,
-    /// Cached [`Network::min_link_latency`], invalidated when nodes are
-    /// added (profiles are otherwise immutable). The sharded engine reads
-    /// the lookahead once per synchronization window.
-    min_link_cache: Option<SimDuration>,
 }
 
 impl Network {
@@ -95,66 +94,10 @@ impl Network {
             nodes: Vec::new(),
             loss_rate: 0.0,
             chaos: None,
-            min_link_cache: None,
-        }
-    }
-
-    /// The smallest nominal propagation latency between any two *distinct*
-    /// nodes: each link's base latency is the sum of the two endpoints'
-    /// access latencies, so the minimum over all pairs is the sum of the two
-    /// smallest per-node base latencies — computed in one O(n) pass rather
-    /// than the O(n²) all-pairs scan (which the unit test pins it against).
-    /// Zero when fewer than two nodes exist.
-    ///
-    /// This is the sharded engine's lookahead: no cross-shard send issued at
-    /// time `t` can *nominally* arrive before `t + min_link_latency()`.
-    /// Latency jitter (a log-normal factor that can dip below 1) and chaos
-    /// `latency_factor < 1` can undercut it; the engine absorbs such
-    /// arrivals deterministically rather than relying on the bound (see
-    /// [`crate::shard`]), and scales the lookahead by the chaos factor when
-    /// it shrinks latencies.
-    pub fn min_link_latency(&self) -> SimDuration {
-        let (mut lo1, mut lo2) = (u64::MAX, u64::MAX);
-        for node in &self.nodes {
-            let base = node.profile.base_latency.micros();
-            if base < lo1 {
-                lo2 = lo1;
-                lo1 = base;
-            } else if base < lo2 {
-                lo2 = base;
-            }
-        }
-        if lo2 == u64::MAX {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_micros(lo1 + lo2)
-        }
-    }
-
-    /// Cached lookahead for the sharded engine: [`Network::min_link_latency`]
-    /// scaled down by the chaos `latency_factor` when that factor is below
-    /// one (storms that *shrink* latency shrink the safe window with them;
-    /// factors above one only ever increase latency, so the base bound
-    /// stays valid and the window stays wide).
-    pub(crate) fn lookahead(&mut self) -> SimDuration {
-        let base = match self.min_link_cache {
-            Some(cached) => cached,
-            None => {
-                let computed = self.min_link_latency();
-                self.min_link_cache = Some(computed);
-                computed
-            }
-        };
-        match self.chaos.as_deref() {
-            Some(c) if c.latency_factor < 1.0 => {
-                SimDuration::from_secs_f64(base.secs_f64() * c.latency_factor)
-            }
-            _ => base,
         }
     }
 
     pub(crate) fn add_node(&mut self, profile: DeviceProfile) {
-        self.min_link_cache = None;
         let up_bps_f64 = profile.uplink_bps.max(1) as f64;
         let down_bps_f64 = profile.downlink_bps.max(1) as f64;
         let base_latency_secs = profile.base_latency.secs_f64();
@@ -326,13 +269,13 @@ impl Network {
 
     /// Compute the delivery instant for a `bytes`-sized message sent now from
     /// `from` to `to`, reserving uplink/downlink serialization slots.
-    /// Returns `Err` if the message is dropped (partition or random loss).
-    /// Sender-side link state is charged even for lost messages — the bits
-    /// were transmitted.
+    /// Returns `Err` if the message is dropped (unknown receiver, partition
+    /// or random loss). Sender-side link state is charged even for dropped
+    /// messages — the bits were transmitted.
     ///
-    /// RNG discipline: the loss draw is short-circuited for partitioned
-    /// pairs (`partitioned || rng.chance(..)` exactly as before the reason
-    /// split), so the draw sequence — and therefore every downstream
+    /// RNG discipline: the loss draw is short-circuited for unreachable
+    /// receivers (`partitioned || rng.chance(..)` exactly as before the
+    /// reason split), so the draw sequence — and therefore every downstream
     /// simulation result — is unchanged.
     pub(crate) fn transmit(
         &mut self,
@@ -343,7 +286,11 @@ impl Network {
         rng: &mut SimRng,
     ) -> Result<SimTime, SendFailure> {
         let (fi, ti) = (from.index(), to.index());
-        let partitioned = self.nodes[fi].partition != self.nodes[ti].partition;
+        let unreachable = match self.nodes.get(ti) {
+            None => Some(SendFailure::NoSuchNode),
+            Some(rx) if rx.partition != self.nodes[fi].partition => Some(SendFailure::Partitioned),
+            Some(_) => None,
+        };
 
         // Uplink serialization at the sender.
         let tx = SimDuration::from_secs_f64(bytes as f64 * 8.0 / self.nodes[fi].up_bps_f64);
@@ -351,8 +298,8 @@ impl Network {
         let tx_end = tx_start + tx;
         self.nodes[fi].uplink_free = tx_end;
 
-        if partitioned {
-            return Err(SendFailure::Partitioned);
+        if let Some(failure) = unreachable {
+            return Err(failure);
         }
         // Chaos link checks: pure lookups, no RNG draws, so the main
         // stream's draw sequence is untouched whether or not they fire.
@@ -460,19 +407,27 @@ mod tests {
 
     #[test]
     fn partition_drops_but_charges_uplink() {
-        let mut net = net_with(&[DeviceClass::PersonalComputer, DeviceClass::PersonalComputer]);
-        let mut rng = SimRng::new(4);
-        net.set_partition(NodeId(1), 9);
-        assert_eq!(
-            net.transmit(SimTime::ZERO, NodeId(0), NodeId(1), 125_000, &mut rng),
-            Err(SendFailure::Partitioned)
-        );
-        // Uplink time was consumed: a follow-up send starts after ~1 s.
-        net.heal_partitions();
-        let at = net
-            .transmit(SimTime::ZERO, NodeId(0), NodeId(1), 125, &mut rng)
-            .unwrap();
-        assert!(at.secs_f64() >= 1.0, "uplink should have been busy: {at:?}");
+        // A receiver behind a partition, and one the network never had.
+        for (to, failure) in [
+            (NodeId(1), SendFailure::Partitioned),
+            (NodeId(2), SendFailure::NoSuchNode),
+        ] {
+            let mut net = net_with(&[DeviceClass::PersonalComputer, DeviceClass::PersonalComputer]);
+            let mut rng = SimRng::new(4);
+            net.set_partition(NodeId(1), 9);
+            assert_eq!(
+                net.transmit(SimTime::ZERO, NodeId(0), to, 125_000, &mut rng),
+                Err(failure)
+            );
+            // The drop drew nothing from the RNG.
+            assert_eq!(rng.clone().next_u64(), SimRng::new(4).next_u64());
+            // Uplink time was consumed: a follow-up send starts after ~1 s.
+            net.heal_partitions();
+            let at = net
+                .transmit(SimTime::ZERO, NodeId(0), NodeId(1), 125, &mut rng)
+                .unwrap();
+            assert!(at.secs_f64() >= 1.0, "uplink should have been busy: {at:?}");
+        }
     }
 
     #[test]
@@ -502,95 +457,6 @@ mod tests {
         let b = jittered(&profile, base, &mut rng);
         assert_ne!(a, b);
     }
-
-    /// The O(n) two-smallest derivation must agree with the brute-force
-    /// all-pairs scan on every mix of device classes.
-    fn brute_force_min_link(net: &Network) -> SimDuration {
-        let n = net.len();
-        let mut best: Option<u64> = None;
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let pair = net.nodes[i].profile.base_latency.micros()
-                    + net.nodes[j].profile.base_latency.micros();
-                best = Some(best.map_or(pair, |b| b.min(pair)));
-            }
-        }
-        SimDuration::from_micros(best.unwrap_or(0))
-    }
-
-    #[test]
-    fn min_link_latency_matches_brute_force_all_pairs() {
-        use DeviceClass::*;
-        let mixes: &[&[DeviceClass]] = &[
-            &[DatacenterServer, DatacenterServer],
-            &[PersonalComputer, DatacenterServer],
-            &[Smartphone, Tablet, PersonalComputer, DatacenterServer],
-            &[Smartphone, Smartphone, Smartphone],
-            &[
-                DatacenterServer,
-                Smartphone,
-                PersonalComputer,
-                Tablet,
-                DatacenterServer,
-                Smartphone,
-            ],
-        ];
-        for classes in mixes {
-            let net = net_with(classes);
-            assert_eq!(
-                net.min_link_latency(),
-                brute_force_min_link(&net),
-                "mix {classes:?}"
-            );
-        }
-        // Heterogeneous custom profiles, including an order where the two
-        // smallest arrive last and out of order.
-        let mut net = Network::new();
-        for micros in [900u64, 40, 7_000, 12, 55] {
-            let mut p = DeviceClass::PersonalComputer.profile();
-            p.base_latency = SimDuration::from_micros(micros);
-            net.add_node(p);
-        }
-        assert_eq!(net.min_link_latency(), SimDuration::from_micros(12 + 40));
-        assert_eq!(net.min_link_latency(), brute_force_min_link(&net));
-    }
-
-    #[test]
-    fn min_link_latency_degenerate_and_cache_invalidation() {
-        let mut net = Network::new();
-        assert_eq!(net.min_link_latency(), SimDuration::ZERO);
-        net.add_node(DeviceClass::DatacenterServer.profile());
-        assert_eq!(net.min_link_latency(), SimDuration::ZERO, "one node");
-        assert_eq!(net.lookahead(), SimDuration::ZERO, "cache primed on empty");
-        // Adding a second node must invalidate the cached lookahead.
-        net.add_node(DeviceClass::DatacenterServer.profile());
-        let expected = net.min_link_latency();
-        assert!(expected > SimDuration::ZERO);
-        assert_eq!(net.lookahead(), expected);
-    }
-
-    #[test]
-    fn lookahead_scales_down_with_sub_unit_chaos_latency_factor() {
-        let mut net = net_with(&[DeviceClass::DatacenterServer, DeviceClass::DatacenterServer]);
-        let base = net.lookahead();
-        net.enable_chaos(1);
-        assert_eq!(net.lookahead(), base, "factor 1.0 is identity");
-        net.set_chaos_latency_factor(10.0);
-        assert_eq!(
-            net.lookahead(),
-            base,
-            "storms that only add latency keep the base bound valid"
-        );
-        net.set_chaos_latency_factor(0.25);
-        assert_eq!(
-            net.lookahead(),
-            SimDuration::from_secs_f64(base.secs_f64() * 0.25),
-            "shrinking latencies must shrink the window"
-        );
-    }
 }
 
 #[cfg(test)]
@@ -610,9 +476,7 @@ mod loss_tests {
         for i in 0..trials {
             match net.transmit(SimTime(i * 1_000_000), NodeId(0), NodeId(1), 100, &mut rng) {
                 Err(SendFailure::Lost) => lost += 1,
-                Err(SendFailure::Partitioned | SendFailure::ChaosLink) => {
-                    panic!("no partitions or chaos configured")
-                }
+                Err(failure) => panic!("no partitions or chaos configured: {failure:?}"),
                 Ok(_) => {}
             }
         }

@@ -11,10 +11,8 @@
 //! Determinism: frames are sampled *at dispatch points* — immediately before
 //! the first event whose timestamp reaches the next cadence boundary — and
 //! every value in a frame is a pure function of engine state at that point
-//! in the canonical event order. The sharded engine dispatches the identical
-//! canonical order at any shard count (see [`crate::shard`]), so probe
-//! frames, signals and anomaly effects are byte-identical at any thread or
-//! shard count.
+//! in the event order, which the seed alone fixes, so probe frames, signals
+//! and anomaly effects are byte-identical at any harness thread count.
 
 use std::cell::RefCell;
 

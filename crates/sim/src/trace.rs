@@ -41,6 +41,8 @@ pub enum DropReason {
     Loss,
     /// Sender and receiver were in different partition groups.
     Partition,
+    /// The receiver address named no node of the simulation.
+    NoSuchNode,
     /// The receiver was down when the message arrived.
     ReceiverDown,
     /// The timer's node was down when the timer fired.
@@ -56,6 +58,7 @@ impl DropReason {
         match self {
             DropReason::Loss => "loss",
             DropReason::Partition => "partition",
+            DropReason::NoSuchNode => "no_such_node",
             DropReason::ReceiverDown => "receiver_down",
             DropReason::NodeDown => "node_down",
             DropReason::ChaosLink => "chaos_link",

@@ -6,8 +6,8 @@
 //! Property-based tests for the simulator substrate.
 
 use agora_sim::{
-    Ctx, DeviceClass, Jitter, NodeId, Protocol, Retrier, RetryPolicy, ShardWorkers, SimDuration,
-    SimRng, SimTime, Simulation,
+    Ctx, DeviceClass, Jitter, NodeId, Protocol, Retrier, RetryPolicy, SimDuration, SimRng, SimTime,
+    Simulation,
 };
 use proptest::prelude::*;
 
@@ -44,8 +44,6 @@ impl Protocol for Relay {
 /// observable (the full metrics artifact string, the dispatched-event count
 /// and the final clock).
 fn relay_run(
-    shards: u32,
-    workers: ShardWorkers,
     seed: u64,
     nodes: usize,
     churn_every: usize,
@@ -61,7 +59,6 @@ fn relay_run(
         DeviceClass::Tablet,
     ];
     let mut sim: Simulation<Relay> = Simulation::new(seed);
-    sim.set_shards_with(shards, workers);
     let ids: Vec<NodeId> = (0..nodes)
         .map(|i| sim.add_node(Relay, classes[i % classes.len()]))
         .collect();
@@ -207,11 +204,10 @@ proptest! {
         prop_assert_eq!(run()?, run()?);
     }
 
-    /// The sharded engine's metric artifacts are byte-identical to the
-    /// serial oracle on randomized topologies and workloads, at every
-    /// shard count, in both worker modes.
+    /// Replaying a seed on a randomized topology and workload reproduces
+    /// the metrics artifact, the event count and the final clock exactly.
     #[test]
-    fn sharded_engine_is_byte_identical_to_serial_oracle(
+    fn same_seed_replays_byte_identically(
         seed in any::<u64>(),
         nodes in 2usize..24,
         churn_every in 0usize..5,
@@ -220,37 +216,8 @@ proptest! {
         reorder_ms in 0u64..80,
         rounds in 1usize..8,
     ) {
-        let oracle = relay_run(
-            1, ShardWorkers::Inline,
-            seed, nodes, churn_every, loss, dup, reorder_ms, rounds,
-        );
-        for shards in [2u32, 3, 8] {
-            let got = relay_run(
-                shards, ShardWorkers::Inline,
-                seed, nodes, churn_every, loss, dup, reorder_ms, rounds,
-            );
-            prop_assert_eq!(&got, &oracle, "shards={} (inline)", shards);
-        }
-        // One threaded config per case keeps runtime bounded while still
-        // exercising the barrier protocol under randomized workloads.
-        let threaded = relay_run(
-            4, ShardWorkers::Threads,
-            seed, nodes, churn_every, loss, dup, reorder_ms, rounds,
-        );
-        prop_assert_eq!(&threaded, &oracle, "shards=4 (threads)");
-    }
-
-    /// Shard assignment is a pure function of node id and shard count —
-    /// the property the whole routing layer rests on (also pinned by a
-    /// unit test in `shard.rs`; this covers the full input space).
-    #[test]
-    fn shard_assignment_is_pure_and_in_range(node in any::<u32>(), shards in 1u32..512) {
-        let a = agora_sim::shard_of(NodeId(node), shards);
-        let b = agora_sim::shard_of(NodeId(node), shards);
-        prop_assert_eq!(a, b);
-        prop_assert!(a < shards);
-        // shards=1 degenerates to the serial engine: everything in lane 0.
-        prop_assert_eq!(agora_sim::shard_of(NodeId(node), 1), 0);
+        let run = || relay_run(seed, nodes, churn_every, loss, dup, reorder_ms, rounds);
+        prop_assert_eq!(run(), run());
     }
 
     /// Exponential samples are non-negative with roughly the right mean.

@@ -20,13 +20,17 @@ if [[ "${1:-}" == "quick" ]]; then
     exit 0
 fi
 
-step "unsafe policy: one allow(unsafe_code) under crates/, every other crate root forbids it"
+step "unsafe policy: one allow(unsafe_code) and one unsafe block under crates/, every other crate root forbids it"
 # The x86-64 SHA backend (crates/crypto/src/sha256/ni.rs, DESIGN.md §10) is
-# the only code in the workspace that may say `unsafe`. A grep, so that a
-# second exemption fails here instead of passing review by accident.
+# the only code in the workspace that may say `unsafe`, and it says it once.
+# A grep, so that a second exemption or a second block fails here instead
+# of passing review by accident.
 allows=$(grep -rn --include='*.rs' --exclude-dir=target 'allow(unsafe_code)' crates)
 echo "$allows"
 [[ $(wc -l <<<"$allows") -eq 1 && $allows == crates/crypto/src/sha256.rs:* ]]
+blocks=$(grep -rn --include='*.rs' --exclude-dir=target 'unsafe {' crates)
+echo "$blocks"
+[[ $(wc -l <<<"$blocks") -eq 1 && $blocks == crates/crypto/src/sha256/ni.rs:* ]]
 grep -q '^#!\[deny(unsafe_code)\]' crates/crypto/src/lib.rs
 for root in crates/*/src/lib.rs crates/*/src/main.rs crates/bench/criterion-shim/src/lib.rs; do
     [[ $root == crates/crypto/src/lib.rs ]] && continue
@@ -37,6 +41,10 @@ for root in crates/*/src/lib.rs crates/*/src/main.rs crates/bench/criterion-shim
 done
 # Which SHA-256 path every test and smoke in this log ran on.
 cargo test -q -p agora-crypto backend_is_named -- --nocapture | grep '^sha256 backend: '
+
+step "audit digests are computed when issued: the batched precompute and its kernels stay deleted (DESIGN.md §10)"
+# `if`, not `!`: errexit ignores a negated command.
+if grep -rnE --exclude-dir=target 'sha256_prefixes|PrefixLanes|LaneState|Quad|por_make_audits' crates; then exit 1; fi
 
 step "cargo test --release (crates whose arithmetic or unsafe code the SHA backends touch)"
 cargo test -q --release -p agora-crypto -p agora-chain -p agora-storage

@@ -4,12 +4,13 @@
 use agora_crypto::sha256;
 use agora_sim::{DeviceClass, SimDuration, SimRng, Simulation};
 use agora_storage::{
-    play_porep_game, por_make_audits, por_respond, seal, sealed_commitment, simulate_durability,
-    AttackEnv, CheatStrategy, DurabilityParams, Manifest, PosChallenge, PosResponse,
+    play_porep_game, por_respond, seal, sealed_commitment, simulate_durability, AttackEnv,
+    AuditBook, CheatStrategy, DurabilityParams, Manifest, PosChallenge, PosResponse,
     ProviderStrategy, SealParams, SealedReplicas, StorageNode,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::rc::Rc;
 
 fn bench_proof_kernels(c: &mut Criterion) {
     let data = vec![0xa5u8; 256 * 1024];
@@ -32,17 +33,13 @@ fn bench_proof_kernels(c: &mut Criterion) {
 
     c.bench_function("e5_por_audit_pair", |b| {
         let mut rng = SimRng::new(2);
+        let shard: Rc<[u8]> = data.as_slice().into();
         b.iter(|| {
-            let audits = por_make_audits(&data, 1, &mut rng);
-            black_box(por_respond(audits[0].nonce, &data))
+            let audit = AuditBook::new(Rc::clone(&shard), 1, &mut rng)
+                .pop()
+                .expect("one audit");
+            black_box((audit.expected, por_respond(audit.nonce, &data)))
         })
-    });
-
-    // What a client pays per shard at upload: E8's 64 audits over 250 KB.
-    c.bench_function("por_make_audits/64x250k", |b| {
-        let shard = vec![0x5au8; 250_000];
-        let mut rng = SimRng::new(3);
-        b.iter(|| black_box(por_make_audits(black_box(&shard), 64, &mut rng)))
     });
 
     c.bench_function("e5_seal_256k", |b| {

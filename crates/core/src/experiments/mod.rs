@@ -119,9 +119,8 @@ pub fn t1_taxonomy() -> Report {
 pub fn t2_storage_systems() -> Report {
     use agora_sim::SimRng;
     use agora_storage::{
-        por_make_audits, por_respond, por_verify, profiles::table2_profiles, seal,
-        sealed_commitment, BitswapLedger, Manifest, PosChallenge, PosResponse, ProofScheme,
-        ResourceScore, SealParams,
+        por_respond, por_verify, profiles::table2_profiles, seal, sealed_commitment, AuditBook,
+        BitswapLedger, Manifest, PosChallenge, PosResponse, ProofScheme, ResourceScore, SealParams,
     };
 
     let mut body = agora_storage::render_table2();
@@ -143,10 +142,9 @@ pub fn t2_storage_systems() -> Report {
                     .unwrap_or(false)
             }
             ProofScheme::ProofOfRetrievability => {
-                let audits = por_make_audits(&data, 4, &mut rng);
-                audits
-                    .iter()
-                    .all(|a| por_verify(a, &por_respond(a.nonce, &data)))
+                let mut book = AuditBook::new(data.as_slice().into(), 4, &mut rng);
+                std::iter::from_fn(|| book.pop())
+                    .all(|a| por_verify(&a, &por_respond(a.nonce, &data)))
             }
             ProofScheme::ProofOfReplication => {
                 let params = SealParams::default();

@@ -40,8 +40,7 @@ pub use codec::{Dec, DecodeError, Enc};
 pub use hmac::{derive_key, hkdf_expand, hkdf_extract, hmac_sha256};
 pub use merkle::{leaf_hash, MerkleProof, MerkleTree, ProofStep};
 pub use sha256::{
-    sha256, sha256_backend, sha256_concat, sha256_into, sha256_prefixes, tagged_hash, Hash256,
-    Sha256, TailHasher,
+    sha256, sha256_backend, sha256_concat, sha256_into, tagged_hash, Hash256, Sha256, TailHasher,
 };
 pub use sig::{SimKeyPair, SimPublicKey, SimSignature, PK_WIRE_SIZE, SIG_WIRE_SIZE};
 pub use wots::{SignError, WotsKeyPair, WotsPublicKey, WotsSignature};

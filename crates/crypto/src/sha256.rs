@@ -466,185 +466,6 @@ fn one_round(s: [u32; 8], kw: u32) -> [u32; 8] {
     [t1.wrapping_add(t2), a, b, c, d.wrapping_add(t1), e, f, g]
 }
 
-/// How a [`sha256_prefixes`] backend holds the chaining states of one group
-/// of messages and applies a block they all share. The block walk around it
-/// is written once, in [`sha256_prefixes_on`].
-trait PrefixLanes: Sized {
-    /// Messages per group.
-    const WIDTH: usize;
-
-    /// A group holding `states` (between one and `WIDTH` of them).
-    fn pack(states: impl Iterator<Item = [u32; 8]>) -> Self;
-
-    /// One compression of every message of every group over `block`.
-    fn absorb(groups: &mut [Self], block: &[u8; 64]);
-
-    /// The chaining state of message `lane`.
-    fn state(&self, lane: usize) -> [u32; 8];
-}
-
-/// Messages hashed side by side in one portable lane group. Chosen by
-/// measurement on baseline x86-64 (SSE2, four `u32` per register): at 16
-/// the round's lane loop vectorises; 4- and 8-lane groups compile to scalar
-/// code.
-const LANES: usize = 16;
-
-/// The chaining state of `LANES` messages, struct-of-arrays: `[word][lane]`.
-/// The portable backend's group.
-type LaneState = [[u32; LANES]; 8];
-
-impl PrefixLanes for LaneState {
-    const WIDTH: usize = LANES;
-
-    fn pack(states: impl Iterator<Item = [u32; 8]>) -> LaneState {
-        // Lanes past the end of a short last group hash from a zero state
-        // and are never read.
-        let mut packed = [[0u32; LANES]; 8];
-        for (lane, state) in states.enumerate() {
-            for (word, lanes) in state.iter().zip(packed.iter_mut()) {
-                lanes[lane] = *word;
-            }
-        }
-        packed
-    }
-
-    /// The block's schedule is loaded, expanded and `+K`-ed once; only the
-    /// rounds run per message.
-    fn absorb(groups: &mut [LaneState], block: &[u8; 64]) {
-        let mut kw = [0u32; 64];
-        for (word, bytes) in kw.iter_mut().zip(block.chunks_exact(4)) {
-            *word = u32::from_be_bytes(bytes.try_into().expect("4 bytes"));
-        }
-        expand(&mut kw);
-        for (word, k) in kw.iter_mut().zip(K) {
-            *word = word.wrapping_add(k);
-        }
-        for group in groups {
-            compress_lanes(group, &kw);
-        }
-    }
-
-    fn state(&self, lane: usize) -> [u32; 8] {
-        self.map(|lanes| lanes[lane])
-    }
-}
-
-/// `sha256(prefix ‖ data)` for every prefix, in one pass over `data`.
-///
-/// All messages have the same length, so once the blocks that hold prefix
-/// bytes are behind them every later block — and the padded tail — is
-/// byte-identical across messages: its schedule is computed once and only
-/// the rounds run per message, a group at a time — four messages interleaved
-/// on the SHA extensions where the CPU has them, `LANES` side by side in
-/// portable code otherwise. Bit-identical to
-/// `sha256_concat(&[prefix, data])`, which is also the path taken when `data`
-/// ends inside the prefix's last block.
-pub fn sha256_prefixes<const P: usize>(prefixes: &[[u8; P]], data: &[u8]) -> Vec<Hash256> {
-    if ni::available() {
-        sha256_prefixes_on::<P, ni::Quad>(prefixes, data)
-    } else {
-        sha256_prefixes_on::<P, LaneState>(prefixes, data)
-    }
-}
-
-/// [`sha256_prefixes`] on backend `G`.
-fn sha256_prefixes_on<const P: usize, G: PrefixLanes>(
-    prefixes: &[[u8; P]],
-    data: &[u8],
-) -> Vec<Hash256> {
-    // Data bytes sharing a block with prefix bytes: compressed per message.
-    let head_len = P.next_multiple_of(64) - P;
-    if data.len() < head_len {
-        return prefixes.iter().map(|p| sha256_concat(&[p, data])).collect();
-    }
-    let (head, shared) = data.split_at(head_len);
-    let mut groups: Vec<G> = prefixes
-        .chunks(G::WIDTH)
-        .map(|group| {
-            G::pack(group.iter().map(|prefix| {
-                let mut h = Sha256::new();
-                h.update(prefix).update(head);
-                h.state
-            }))
-        })
-        .collect();
-
-    let (body, rest) = shared.split_at(shared.len() / 64 * 64);
-    // Padding as in `finalize_into`: 0x80, zeros, big-endian bit length.
-    let mut tail = [0u8; 128];
-    tail[..rest.len()].copy_from_slice(rest);
-    tail[rest.len()] = 0x80;
-    let tail_len = if rest.len() < 56 { 64 } else { 128 };
-    let bit_len = ((P + data.len()) as u64).wrapping_mul(8);
-    tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
-
-    for block in body
-        .chunks_exact(64)
-        .chain(tail[..tail_len].chunks_exact(64))
-    {
-        G::absorb(&mut groups, block.try_into().expect("64 bytes"));
-    }
-
-    prefixes
-        .chunks(G::WIDTH)
-        .zip(&groups)
-        .flat_map(|(group, packed)| (0..group.len()).map(|lane| digest(&packed.state(lane))))
-        .collect()
-}
-
-/// One compression of every lane over a block whose `K[i] + w[i]` terms are
-/// already summed in `kw`.
-fn compress_lanes(state: &mut LaneState, kw: &[u32; 64]) {
-    let mut s = *state;
-    let [a, b, c, d, e, f, g, h] = &mut s;
-    // Each round writes two of the eight words; the other six only change
-    // role, so eight rounds with the arguments rotated bring every word home.
-    for kw in kw.chunks_exact(8) {
-        lane_round(a, b, c, d, e, f, g, h, kw[0]);
-        lane_round(h, a, b, c, d, e, f, g, kw[1]);
-        lane_round(g, h, a, b, c, d, e, f, kw[2]);
-        lane_round(f, g, h, a, b, c, d, e, kw[3]);
-        lane_round(e, f, g, h, a, b, c, d, kw[4]);
-        lane_round(d, e, f, g, h, a, b, c, kw[5]);
-        lane_round(c, d, e, f, g, h, a, b, kw[6]);
-        lane_round(b, c, d, e, f, g, h, a, kw[7]);
-    }
-    for (word, out) in state.iter_mut().zip(&s) {
-        for lane in 0..LANES {
-            word[lane] = word[lane].wrapping_add(out[lane]);
-        }
-    }
-}
-
-/// One SHA-256 round on every lane: `d` becomes the next round's `e`, `h` its
-/// `a`. The lane loop sits inside the round, indexed over fixed-size arrays —
-/// the form that vectorises without `unsafe` or `std::arch`.
-#[inline(always)]
-// The eight words stay separate arguments so the caller can rotate roles by
-// argument order; a struct would need the copy the rotation avoids.
-#[allow(clippy::too_many_arguments)]
-fn lane_round(
-    a: &[u32; LANES],
-    b: &[u32; LANES],
-    c: &[u32; LANES],
-    d: &mut [u32; LANES],
-    e: &[u32; LANES],
-    f: &[u32; LANES],
-    g: &[u32; LANES],
-    h: &mut [u32; LANES],
-    kw: u32,
-) {
-    for l in 0..LANES {
-        let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);
-        let ch = (e[l] & f[l]) ^ (!e[l] & g[l]);
-        let t1 = h[l].wrapping_add(s1).wrapping_add(ch).wrapping_add(kw);
-        let s0 = a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22);
-        let maj = (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
-        d[l] = d[l].wrapping_add(t1);
-        h[l] = t1.wrapping_add(s0.wrapping_add(maj));
-    }
-}
-
 /// One-shot SHA-256.
 pub fn sha256(data: &[u8]) -> Hash256 {
     let mut h = Sha256::new();
@@ -961,68 +782,6 @@ mod tests {
         let b = t.clone().hash(&1u64.to_be_bytes());
         assert_eq!(a, b, "hashing must not consume the midstate");
         assert_ne!(a, t.hash(&2u64.to_be_bytes()));
-    }
-
-    /// `n` distinct `P`-byte prefixes.
-    fn prefixes<const P: usize>(n: usize) -> Vec<[u8; P]> {
-        (0..n)
-            .map(|lane| std::array::from_fn(|i| (lane * 37 + i * 11 + 1) as u8))
-            .collect()
-    }
-
-    /// Every backend of the kernel, called directly (the portable one runs
-    /// on a SHA host too), and the dispatcher, against `sha256_concat`.
-    fn assert_prefixes_match_concat<const P: usize>(ni: bool, n: usize, data: &[u8]) {
-        let prefixes = prefixes::<P>(n);
-        let expect: Vec<Hash256> = prefixes.iter().map(|p| sha256_concat(&[p, data])).collect();
-        let at = format!("P {P} n {n} len {}", data.len());
-        assert_eq!(sha256_prefixes(&prefixes, data), expect, "{at}");
-        let portable = sha256_prefixes_on::<P, LaneState>(&prefixes, data);
-        assert_eq!(portable, expect, "portable, {at}");
-        if ni {
-            let on_ni = sha256_prefixes_on::<P, ni::Quad>(&prefixes, data);
-            assert_eq!(on_ni, expect, "sha-ni, {at}");
-        }
-    }
-
-    #[test]
-    fn prefixes_nist_abc() {
-        assert_eq!(
-            sha256_prefixes(&[*b"a"], b"bc")
-                .iter()
-                .map(|h| h.to_hex())
-                .collect::<Vec<_>>(),
-            ["ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"]
-        );
-    }
-
-    #[test]
-    fn prefixes_match_concat_at_every_length() {
-        // 0..=200 walks data through the scalar fallback (data ends inside
-        // the prefix's block), every tail residue (padding fits the block or
-        // spills into a second one) and whole shared blocks; the two long
-        // inputs are E8's shard length and one byte less.
-        let ni = ni_detected("prefixes_match_concat_at_every_length");
-        let data: Vec<u8> = (0..250_000u32).map(|i| (i * 31 % 251) as u8).collect();
-        for len in (0..=200).chain([249_999, 250_000]) {
-            let data = &data[..len];
-            assert_prefixes_match_concat::<0>(ni, 3, data);
-            assert_prefixes_match_concat::<11>(ni, 3, data);
-            assert_prefixes_match_concat::<55>(ni, 3, data);
-            assert_prefixes_match_concat::<63>(ni, 3, data);
-        }
-    }
-
-    #[test]
-    fn prefixes_match_concat_at_every_group_shape() {
-        // Around both backends' group widths: 4 on the SHA extensions (a
-        // short last group goes one message at a time), `LANES` portable.
-        let ni = ni_detected("prefixes_match_concat_at_every_group_shape");
-        let data: Vec<u8> = (0..1000u32).map(|i| (i * 7 % 253) as u8).collect();
-        for n in [0, 1, 3, 4, 5, LANES - 1, LANES, LANES + 1, 64, 65] {
-            assert_prefixes_match_concat::<11>(ni, n, &data);
-            assert_prefixes_match_concat::<64>(ni, n, &data[..70]);
-        }
     }
 
     #[test]

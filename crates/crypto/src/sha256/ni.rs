@@ -2,19 +2,17 @@
 //! `sha256msg2`), chosen at run time by what the CPU reports.
 //!
 //! This is the one module in the workspace that may say `unsafe`, and it
-//! says it only where a call crosses into a `#[target_feature]` function:
-//! the compiler cannot know the running CPU has the instructions, so the
-//! call is `unsafe` and each wrapper below makes it directly under the
+//! says it once, where [`compress`] crosses into a `#[target_feature]`
+//! function: the compiler cannot know the running CPU has the instructions,
+//! so the call is `unsafe` and is made directly under the
 //! `is_x86_feature_detected!` checks that justify it. The bodies in
 //! [`x86`] are ordinary safe code — words go in through `_mm_set_epi32`
 //! and come out through `_mm_extract_epi32`; no raw pointer, no
 //! `transmute`. On any other architecture, and on x86-64 parts without the
-//! extensions, every wrapper reports "not done" and the portable code in
-//! the parent module is the only path.
+//! extensions, [`compress`] reports "not done" and the portable code in the
+//! parent module is the only path.
 
-use super::PrefixLanes;
-
-/// Whether this CPU runs the NI path: the same checks that guard each
+/// Whether this CPU runs the NI path: the same checks that guard the
 /// `unsafe` call below. Reports; selects nothing.
 pub(super) fn available() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -48,65 +46,6 @@ pub(super) fn compress(state: &mut [u32; 8], blocks: &[u8]) -> bool {
     false
 }
 
-/// A chaining state as the two vectors `sha256rnds2` works on, low lane
-/// first: `[F, E, B, A]` and `[H, G, D, C]`.
-fn split([a, b, c, d, e, f, g, h]: [u32; 8]) -> ([u32; 4], [u32; 4]) {
-    ([f, e, b, a], [h, g, d, c])
-}
-
-/// The inverse of [`split`].
-fn join([f, e, b, a]: [u32; 4], [h, g, d, c]: [u32; 4]) -> [u32; 8] {
-    [a, b, c, d, e, f, g, h]
-}
-
-/// The chaining states of up to four messages, each [`split`], so a group
-/// stays in register layout from block to block.
-pub(super) struct Quad {
-    abef: [[u32; 4]; 4],
-    cdgh: [[u32; 4]; 4],
-    live: usize,
-}
-
-impl PrefixLanes for Quad {
-    const WIDTH: usize = 4;
-
-    fn pack(states: impl Iterator<Item = [u32; 8]>) -> Quad {
-        let mut quad = Quad {
-            abef: [[0; 4]; 4],
-            cdgh: [[0; 4]; 4],
-            live: 0,
-        };
-        for state in states {
-            (quad.abef[quad.live], quad.cdgh[quad.live]) = split(state);
-            quad.live += 1;
-        }
-        quad
-    }
-
-    /// Panics where the extensions are missing: this backend is chosen only
-    /// after [`available`].
-    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-    fn absorb(groups: &mut [Quad], block: &[u8; 64]) {
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("sha")
-            && is_x86_feature_detected!("sse4.1")
-            && is_x86_feature_detected!("ssse3")
-        {
-            // SAFETY: `x86::absorb` is compiled for `sha`, `sse4.1`, `ssse3`
-            // and `sse2`. The three checks directly above saw the first
-            // three on this CPU; `sse2` is part of the x86-64 baseline. The
-            // function has no other precondition: its body is safe code.
-            unsafe { x86::absorb(groups, block) };
-            return;
-        }
-        unreachable!("the NI backend is chosen only where the SHA extensions were detected");
-    }
-
-    fn state(&self, lane: usize) -> [u32; 8] {
-        join(self.abef[lane], self.cdgh[lane])
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
@@ -115,7 +54,17 @@ mod x86 {
     };
 
     use super::super::K;
-    use super::{join, split, Quad};
+
+    /// A chaining state as the two vectors `sha256rnds2` works on, low lane
+    /// first: `[F, E, B, A]` and `[H, G, D, C]`.
+    fn split([a, b, c, d, e, f, g, h]: [u32; 8]) -> ([u32; 4], [u32; 4]) {
+        ([f, e, b, a], [h, g, d, c])
+    }
+
+    /// The inverse of [`split`].
+    fn join([f, e, b, a]: [u32; 4], [h, g, d, c]: [u32; 4]) -> [u32; 8] {
+        [a, b, c, d, e, f, g, h]
+    }
 
     /// Four `u32` as one vector, `v[0]` in the low lane.
     #[inline]
@@ -192,61 +141,5 @@ mod x86 {
             cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }
         *state = join(store(abef), store(cdgh));
-    }
-
-    /// One compression of messages `first..first + N` of `quad` over a block
-    /// whose `W + K` vectors are `wk` and their shuffled high halves `wk_hi`:
-    /// 32 `sha256rnds2` a message, the `N` messages interleaved.
-    #[inline]
-    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    fn rounds<const N: usize>(
-        quad: &mut Quad,
-        first: usize,
-        wk: &[__m128i; 16],
-        wk_hi: &[__m128i; 16],
-    ) {
-        let mut abef = [load(quad.abef[first]); N];
-        let mut cdgh = [load(quad.cdgh[first]); N];
-        for m in 1..N {
-            abef[m] = load(quad.abef[first + m]);
-            cdgh[m] = load(quad.cdgh[first + m]);
-        }
-        for (&lo, &hi) in wk.iter().zip(wk_hi) {
-            // Two rounds from the low two lanes, two from the high two.
-            for m in 0..N {
-                cdgh[m] = _mm_sha256rnds2_epu32(cdgh[m], abef[m], lo);
-            }
-            for m in 0..N {
-                abef[m] = _mm_sha256rnds2_epu32(abef[m], cdgh[m], hi);
-            }
-        }
-        for m in 0..N {
-            let (abef_in, cdgh_in) = (&mut quad.abef[first + m], &mut quad.cdgh[first + m]);
-            *abef_in = store(_mm_add_epi32(abef[m], load(*abef_in)));
-            *cdgh_in = store(_mm_add_epi32(cdgh[m], load(*cdgh_in)));
-        }
-    }
-
-    /// One compression of every message of every group over a block they
-    /// all share: the sixteen `W + K` vectors and their shuffled high halves
-    /// are computed once, so each message costs only its rounds — four
-    /// messages interleaved, which covers the instruction's latency.
-    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    pub(super) fn absorb(groups: &mut [Quad], block: &[u8; 64]) {
-        let wk = schedule(block);
-        let mut wk_hi = wk;
-        for v in &mut wk_hi {
-            *v = _mm_shuffle_epi32::<0x0E>(*v);
-        }
-        for quad in groups {
-            if quad.live == 4 {
-                rounds::<4>(quad, 0, &wk, &wk_hi);
-            } else {
-                // A short last group: its messages go one at a time.
-                for m in 0..quad.live {
-                    rounds::<1>(quad, m, &wk, &wk_hi);
-                }
-            }
-        }
     }
 }

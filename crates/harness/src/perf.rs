@@ -164,28 +164,17 @@ fn sha256_throughput_mib_s() -> f64 {
     (LEN as u64 * ITERS) as f64 / secs / (1024.0 * 1024.0)
 }
 
-/// PoR audit precomputation as a storage client does it at upload: 64 audit
-/// pairs over one 250 KB shard (E8's shape), in MiB of shard covered per
-/// second — 64 × the shard per call, so it reads against
-/// [`sha256_throughput_mib_s`] as "how many single-stream hashes' worth".
-fn por_audits_mib_s() -> f64 {
-    const LEN: usize = 250_000;
-    const AUDITS: usize = 64;
-    const ITERS: u64 = 8;
-    let shard: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
-    let mut rng = SimRng::new(64);
-    // Warm-up, and keep the results live so the work cannot be elided.
-    std::hint::black_box(agora::storage::por_make_audits(&shard, AUDITS, &mut rng));
-    let started = Instant::now();
-    for _ in 0..ITERS {
-        std::hint::black_box(agora::storage::por_make_audits(
-            std::hint::black_box(&shard),
-            AUDITS,
-            &mut rng,
-        ));
-    }
-    let secs = started.elapsed().as_secs_f64().max(1e-9);
-    (LEN * AUDITS) as f64 * ITERS as f64 / secs / (1024.0 * 1024.0)
+/// The E6 durability sweep, in simulated object-years per wall second: its
+/// ten `(k, m, cadence)` cells of 4 000 objects over one year each.
+fn durability_object_years_per_sec() -> f64 {
+    const CELLS: usize = 10;
+    const OBJECTS_PER_CELL: u64 = 4_000;
+    median_rate(3, CELLS as u64 * OBJECTS_PER_CELL, |_| {
+        let started = Instant::now();
+        let (result, _) = agora::experiments::e6_durability(std::hint::black_box(6));
+        assert_eq!(std::hint::black_box(result).rows.len(), CELLS);
+        started.elapsed()
+    })
 }
 
 /// Visits per wall-clock second on a warm swarm of E16's shape: 27 peers
@@ -1007,8 +996,8 @@ pub fn perf_to_json_scaled(
         Json::Num(prof.time("microbench/sha256", sha256_throughput_mib_s)),
     );
     micro.set(
-        "por_audits_64x250k_mib_s",
-        Json::Num(prof.time("microbench/por_audits_64x250k", por_audits_mib_s)),
+        "durability_object_years_per_sec",
+        Json::Num(prof.time("microbench/durability_e6", durability_object_years_per_sec)),
     );
     micro.set(
         "swarm_visits_200k_per_s",
@@ -1242,9 +1231,9 @@ mod tests {
         );
         assert!(
             micro
-                .get("por_audits_64x250k_mib_s")
+                .get("durability_object_years_per_sec")
                 .and_then(Json::as_f64)
-                .expect("audit throughput")
+                .expect("durability sweep rate")
                 > 0.0
         );
         assert!(

@@ -209,6 +209,52 @@ impl SimRng {
     }
 }
 
+/// [`SimRng::chance`] for one fixed `p`, with the float work done once: for
+/// loops that make the same Bernoulli draw millions of times.
+///
+/// Draw-for-draw identical to `chance(p)`. `chance` compares [`SimRng::f64`]
+/// with `p`, and `f64()` is the integer `u = next_u64() >> 11` times 2⁻⁵³.
+/// That product is exact (`u < 2⁵³`), and so is `p · 2⁵³` for `0 < p < 1`
+/// (scaling by a power of two, no overflow, and a subnormal `p` only gains
+/// range), so `u · 2⁻⁵³ < p` ⇔ `u < p · 2⁵³` ⇔ `u < ⌈p · 2⁵³⌉`, `u` being an
+/// integer. `p ≤ 0` and `p ≥ 1` draw nothing, as in `chance`; a NaN `p`
+/// draws and fails, as in `chance` (`NaN as u64` is 0).
+#[derive(Clone, Copy, Debug)]
+pub struct Bernoulli(Trial);
+
+#[derive(Clone, Copy, Debug)]
+enum Trial {
+    /// `p ≤ 0`: false, no draw.
+    Never,
+    /// `p ≥ 1`: true, no draw.
+    Always,
+    /// One draw, true when its top 53 bits are below the threshold.
+    Below(u64),
+}
+
+impl Bernoulli {
+    /// The trial `chance(p)` makes.
+    pub fn new(p: f64) -> Bernoulli {
+        Bernoulli(if p <= 0.0 {
+            Trial::Never
+        } else if p >= 1.0 {
+            Trial::Always
+        } else {
+            Trial::Below((p * (1u64 << 53) as f64).ceil() as u64)
+        })
+    }
+
+    /// One trial: what `rng.chance(p)` returns, leaving `rng` where it does.
+    #[inline]
+    pub fn sample(self, rng: &mut SimRng) -> bool {
+        match self.0 {
+            Trial::Never => false,
+            Trial::Always => true,
+            Trial::Below(threshold) => (rng.next_u64() >> 11) < threshold,
+        }
+    }
+}
+
 /// Precomputed Zipf sampler (cumulative weights), for hot loops.
 #[derive(Clone, Debug)]
 pub struct ZipfTable {
@@ -331,6 +377,58 @@ mod tests {
         assert!(rng.chance(1.0));
         assert!(!rng.chance(-0.5));
         assert!(rng.chance(1.5));
+    }
+
+    #[test]
+    fn bernoulli_is_chance_draw_for_draw() {
+        const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
+        let mut seeded = SimRng::new(53);
+        // Half uniform, half small: thresholds with many bits and with few.
+        let seeded_ps: Vec<f64> = (0..2_000)
+            .map(|i| match i % 2 {
+                0 => seeded.f64(),
+                _ => seeded.f64() * seeded.f64().powi(12),
+            })
+            .collect();
+        let ps = [
+            SCALE,
+            SCALE * 3.0,
+            1.0 - (-1.0f64 / 60.0).exp(), // E6's daily failure probability
+            0.3,
+            0.5,
+            1.0 - SCALE,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            f64::NAN,
+            0.0,
+            -0.5,
+            1.0,
+            1.5,
+        ]
+        .into_iter()
+        .chain(seeded_ps)
+        .collect::<Vec<f64>>();
+        for (nth, &p) in ps.iter().enumerate() {
+            let trial = Bernoulli::new(p);
+            // The threshold is `chance`'s float compare, at its edges.
+            if let Trial::Below(t) = trial.0 {
+                assert!(t <= 1 << 53, "p {p:e}");
+                for k in [t.wrapping_sub(1), t, t + 1, 0, (1 << 53) - 1] {
+                    if k < 1 << 53 {
+                        assert_eq!(k as f64 * SCALE < p, k < t, "p {p:e} k {k}");
+                    }
+                }
+            } else {
+                assert!(p <= 0.0 || p >= 1.0, "p {p:e}");
+            }
+            // And the stream: same answers, same number of draws.
+            let mut a = SimRng::new(nth as u64);
+            let mut b = a.clone();
+            let draws = if nth < 12 { 10_000 } else { 50 };
+            for _ in 0..draws {
+                assert_eq!(trial.sample(&mut a), b.chance(p), "p {p:e}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "p {p:e}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! lives in [`crate::node`]) so parameter sweeps over thousands of
 //! object-years run in milliseconds.
 
-use agora_sim::SimRng;
+use agora_sim::{Bernoulli, SimRng};
 
 /// Parameters of one durability scenario.
 #[derive(Clone, Copy, Debug)]
@@ -62,52 +62,40 @@ pub struct DurabilityResult {
 /// (rate = interval / mttf) plus correlated events; at each interval's end,
 /// dead shards are repaired *if* at least `k` shards survive. An object is
 /// lost permanently once fewer than `k` shards remain simultaneously.
+///
+/// Every shard is alive at the top of an interval — new, or repaired at the
+/// end of the last one — so an interval's whole state is how many died in
+/// it: `k + m` failure draws, one event draw, one severity draw per shard
+/// still standing, in that order.
 pub fn simulate_durability(
     params: &DurabilityParams,
     objects: u32,
     rng: &mut SimRng,
 ) -> DurabilityResult {
-    let n = (params.k + params.m) as usize;
+    let n = params.k + params.m;
     let steps = (params.horizon_days / params.repair_interval_days).ceil() as u64;
     let p_fail = 1.0 - (-params.repair_interval_days / params.provider_mttf_days).exp();
+    let fail = Bernoulli::new(p_fail);
+    let event = Bernoulli::new(params.correlated_event_prob);
+    let severity = Bernoulli::new(params.correlated_severity);
 
     let mut survived = 0u32;
     let mut total_repairs = 0u64;
-    for _ in 0..objects {
-        let mut alive = vec![true; n];
-        let mut lost = false;
+    'objects: for _ in 0..objects {
         for _ in 0..steps {
-            // Independent failures.
-            for a in alive.iter_mut() {
-                if *a && rng.chance(p_fail) {
-                    *a = false;
-                }
+            let mut dead = deaths(fail, n, rng);
+            // The `> 0.0` is the per-shard loop's own guard, kept so that a
+            // NaN event probability still draws nothing.
+            if params.correlated_event_prob > 0.0 && event.sample(rng) {
+                dead += deaths(severity, n - dead, rng);
             }
-            // Correlated event.
-            if params.correlated_event_prob > 0.0 && rng.chance(params.correlated_event_prob) {
-                for a in alive.iter_mut() {
-                    if *a && rng.chance(params.correlated_severity) {
-                        *a = false;
-                    }
-                }
-            }
-            let live = alive.iter().filter(|&&a| a).count() as u32;
-            if live < params.k {
-                lost = true;
-                break;
+            if n - dead < params.k {
+                continue 'objects; // lost for good
             }
             // Repair everything dead (reconstruction possible: live ≥ k).
-            let dead = n as u32 - live;
-            if dead > 0 {
-                total_repairs += dead as u64;
-                for a in alive.iter_mut() {
-                    *a = true;
-                }
-            }
+            total_repairs += dead as u64;
         }
-        if !lost {
-            survived += 1;
-        }
+        survived += 1;
     }
     let years = params.horizon_days / 365.0;
     DurabilityResult {
@@ -118,9 +106,114 @@ pub fn simulate_durability(
     }
 }
 
+/// How many of `shards` die, one draw of `death` each.
+fn deaths(death: Bernoulli, shards: u32, rng: &mut SimRng) -> u32 {
+    (0..shards).map(|_| death.sample(rng) as u32).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The model one shard at a time, as it was first written: the oracle
+    /// the dead-count kernel is held to, draw for draw.
+    fn simulate_per_shard(
+        params: &DurabilityParams,
+        objects: u32,
+        rng: &mut SimRng,
+    ) -> DurabilityResult {
+        let n = (params.k + params.m) as usize;
+        let steps = (params.horizon_days / params.repair_interval_days).ceil() as u64;
+        let p_fail = 1.0 - (-params.repair_interval_days / params.provider_mttf_days).exp();
+        let mut survived = 0u32;
+        let mut total_repairs = 0u64;
+        for _ in 0..objects {
+            let mut alive = vec![true; n];
+            let mut lost = false;
+            for _ in 0..steps {
+                for a in alive.iter_mut() {
+                    if *a && rng.chance(p_fail) {
+                        *a = false;
+                    }
+                }
+                if params.correlated_event_prob > 0.0 && rng.chance(params.correlated_event_prob) {
+                    for a in alive.iter_mut() {
+                        if *a && rng.chance(params.correlated_severity) {
+                            *a = false;
+                        }
+                    }
+                }
+                let live = alive.iter().filter(|&&a| a).count() as u32;
+                if live < params.k {
+                    lost = true;
+                    break;
+                }
+                let dead = n as u32 - live;
+                if dead > 0 {
+                    total_repairs += dead as u64;
+                    for a in alive.iter_mut() {
+                        *a = true;
+                    }
+                }
+            }
+            if !lost {
+                survived += 1;
+            }
+        }
+        let years = params.horizon_days / 365.0;
+        DurabilityResult {
+            survival_rate: survived as f64 / objects as f64,
+            repairs_per_object: total_repairs as f64 / objects as f64,
+            repair_transfers_per_object_year: total_repairs as f64 / objects as f64 / years,
+            storage_overhead: (params.k + params.m) as f64 / params.k as f64,
+        }
+    }
+
+    #[test]
+    fn dead_count_kernel_is_the_per_shard_loop_draw_for_draw() {
+        let mut cells = 0;
+        for (k, m) in [(1, 0), (1, 2), (4, 2), (10, 20)] {
+            for repair_interval_days in [0.5, 1.0, 14.0, 365.0] {
+                for correlated_event_prob in [0.0, 0.01, 1.0] {
+                    for correlated_severity in [0.0, 0.3, 1.0] {
+                        // At an mttf of 0.01 days `p_fail` rounds to 1.
+                        for provider_mttf_days in [60.0, 0.01] {
+                            for objects in [0, 1, 500] {
+                                let params = DurabilityParams {
+                                    k,
+                                    m,
+                                    provider_mttf_days,
+                                    repair_interval_days,
+                                    correlated_event_prob,
+                                    correlated_severity,
+                                    horizon_days: 365.0,
+                                };
+                                let mut rng = SimRng::new(cells);
+                                let mut oracle_rng = rng.clone();
+                                let got = simulate_durability(&params, objects, &mut rng);
+                                let want = simulate_per_shard(&params, objects, &mut oracle_rng);
+                                let at = format!("{params:?} objects {objects}");
+                                for (g, w) in [
+                                    (got.survival_rate, want.survival_rate),
+                                    (got.repairs_per_object, want.repairs_per_object),
+                                    (
+                                        got.repair_transfers_per_object_year,
+                                        want.repair_transfers_per_object_year,
+                                    ),
+                                    (got.storage_overhead, want.storage_overhead),
+                                ] {
+                                    assert_eq!(g.to_bits(), w.to_bits(), "{at}");
+                                }
+                                assert_eq!(rng.next_u64(), oracle_rng.next_u64(), "{at}");
+                                cells += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cells, 4 * 4 * 3 * 3 * 2 * 3);
+    }
 
     #[test]
     fn frequent_repair_yields_high_durability() {

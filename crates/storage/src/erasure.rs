@@ -285,50 +285,39 @@ impl ReedSolomon {
                 return Err(ErasureError::MalformedShards);
             }
         }
-        // Fast path: all k data shards present.
-        let mut have_all_data = true;
-        for want in 0..self.k {
-            if !use_shards.iter().any(|(i, _)| *i == want) {
-                have_all_data = false;
-                break;
+        if data_len > self.k * shard_len {
+            return Err(ErasureError::MalformedShards);
+        }
+        // A data shard that arrived is its own stretch of the output.
+        let mut data = vec![0u8; self.k * shard_len];
+        let mut held = vec![false; self.k];
+        for (i, s) in use_shards {
+            if *i < self.k {
+                data[i * shard_len..][..shard_len].copy_from_slice(s.as_ref());
+                held[*i] = true;
             }
         }
-        let data_shards: Vec<Vec<u8>> = if have_all_data {
-            let mut out = vec![Vec::new(); self.k];
-            for (i, s) in use_shards {
-                if *i < self.k {
-                    out[*i] = s.as_ref().to_vec();
-                }
-            }
-            out
-        } else {
-            // Solve: rows of the encode matrix for the present shards form a
-            // k×k system over the data shards.
+        if held.contains(&false) {
+            // Solve for the rest: rows of the encode matrix for the present
+            // shards form a k×k system over the data shards, and only the
+            // missing rows of its inverse are applied (the row for a held
+            // data shard is the unit vector that picks it). A repeated index
+            // makes the system singular.
             let sub: Vec<Vec<u8>> = use_shards
                 .iter()
                 .map(|(i, _)| self.matrix[*i].clone())
                 .collect();
             let inv = invert(&sub).ok_or(ErasureError::MalformedShards)?;
-            (0..self.k)
-                .map(|r| {
-                    let mut out = vec![0u8; shard_len];
-                    for (c, (_, shard)) in use_shards.iter().enumerate() {
-                        let coef = inv[r][c];
-                        if coef == 0 {
-                            continue;
-                        }
-                        gf::mul_acc(&mut out, shard.as_ref(), coef);
+            for (r, out) in data.chunks_exact_mut(shard_len).enumerate() {
+                if held[r] {
+                    continue;
+                }
+                for (&coef, (_, shard)) in inv[r].iter().zip(use_shards) {
+                    if coef != 0 {
+                        gf::mul_acc(out, shard.as_ref(), coef);
                     }
-                    out
-                })
-                .collect()
-        };
-        let mut data = Vec::with_capacity(self.k * shard_len);
-        for s in data_shards {
-            data.extend_from_slice(&s);
-        }
-        if data_len > data.len() {
-            return Err(ErasureError::MalformedShards);
+                }
+            }
         }
         data.truncate(data_len);
         Ok(data)
@@ -496,17 +485,26 @@ mod tests {
                 );
             }
             // One subset per length, cycling through all fifteen; all
-            // fifteen at the lengths around the interesting edges.
+            // fifteen at the lengths around the interesting edges. Each in
+            // index order, reversed, and in a seeded arrival order: which
+            // rows are copied and which solved must not depend on it.
             let edge = matches!(shard_len, 1..=9 | 255..=257 | 4_095..=4_096);
             for (nth, subset) in subsets.iter().enumerate() {
                 if edge || nth == shard_len % 15 {
-                    let avail: Vec<(usize, &Vec<u8>)> =
+                    let mut avail: Vec<(usize, &Vec<u8>)> =
                         subset.iter().map(|&i| (i, &shards[i])).collect();
-                    assert_eq!(
-                        rs.reconstruct(&avail, data.len()).unwrap(),
-                        data,
-                        "len {shard_len} subset {subset:?}"
-                    );
+                    for order in ["sorted", "reversed", "shuffled"] {
+                        match order {
+                            "reversed" => avail.reverse(),
+                            "shuffled" => rng.shuffle(&mut avail),
+                            _ => {}
+                        }
+                        assert_eq!(
+                            rs.reconstruct(&avail, data.len()).unwrap(),
+                            data,
+                            "len {shard_len} subset {subset:?} {order}"
+                        );
+                    }
                 }
             }
         }
@@ -541,6 +539,22 @@ mod tests {
             rs.reconstruct(&avail, data.len()).unwrap_err(),
             ErasureError::MalformedShards
         );
+        // The same index twice, data or parity: k shards, fewer than k rows.
+        for dup in [0, 2] {
+            let avail = vec![(dup, shards[dup].clone()), (dup, shards[dup].clone())];
+            assert_eq!(
+                rs.reconstruct(&avail, data.len()).unwrap_err(),
+                ErasureError::MalformedShards,
+                "index {dup} twice"
+            );
+        }
+        // Shards too short to hold the claimed length.
+        let avail = vec![(0, shards[0].clone()), (2, shards[2].clone())];
+        assert_eq!(
+            rs.reconstruct(&avail, data.len() + 1).unwrap_err(),
+            ErasureError::MalformedShards
+        );
+        assert_eq!(rs.reconstruct(&avail, data.len()).unwrap(), data);
     }
 
     #[test]

@@ -53,6 +53,6 @@ pub use market::{
 pub use node::{ProviderStrategy, StorageMsg, StorageNode, StorageResult};
 pub use profiles::{render_table2, table2_profiles, BlockchainUsage, Redundancy, StorageProfile};
 pub use proofs::{
-    por_make_audits, por_respond, por_verify, seal, sealed_commitment, unseal, Audit,
-    PorepChallenge, PosChallenge, PosResponse, SealParams, SpacetimeRecord,
+    por_respond, por_verify, seal, sealed_commitment, unseal, Audit, AuditBook, PorepChallenge,
+    PosChallenge, PosResponse, SealParams, SpacetimeRecord,
 };

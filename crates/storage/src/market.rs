@@ -31,7 +31,7 @@ use crate::contract::{ProofScheme, StorageContract};
 use crate::erasure::ReedSolomon;
 use crate::incentives::{EwmaReputation, TokenBank};
 use crate::node::StorageNode;
-use crate::proofs::{por_make_audits, por_verify, Audit};
+use crate::proofs::{por_verify, AuditBook};
 
 /// What the market runs: how many objects, the code, the money, and the
 /// audit cadence.
@@ -181,8 +181,8 @@ struct SlotState {
     provider: usize,
     /// False after a missed audit until repair re-places the shard.
     alive: bool,
-    /// Precomputed retrievability audits for the current placement.
-    audits: Vec<Audit>,
+    /// Retrievability audits for the current placement.
+    audits: AuditBook,
     /// The backing service agreement.
     contract: StorageContract,
     /// Unspent collateral; the contract defaults at zero.
@@ -302,8 +302,8 @@ impl StorageMarket {
     }
 
     /// Fresh slot state for a shard placed on provider `pi`.
-    fn new_slot(&mut self, pi: usize, object: Hash256, shard: &[u8]) -> SlotState {
-        let audits = por_make_audits(shard, self.spec.rounds() as usize, &mut self.rng);
+    fn new_slot(&mut self, pi: usize, object: Hash256, shard: &Rc<[u8]>) -> SlotState {
+        let audits = AuditBook::new(Rc::clone(shard), self.spec.rounds() as usize, &mut self.rng);
         SlotState {
             provider: pi,
             alive: true,

@@ -15,7 +15,7 @@ use agora_sim::retry::{CTR_RETRY_ATTEMPTS, CTR_RETRY_GAVE_UP};
 use agora_sim::{Ctx, NodeId, Protocol, Retrier, RetryPolicy, SimDuration, SimTime};
 
 use crate::erasure::ReedSolomon;
-use crate::proofs::{por_make_audits, por_respond, por_verify, Audit};
+use crate::proofs::{por_respond, por_verify, Audit, AuditBook};
 
 /// Wire messages.
 #[derive(Clone, Debug)]
@@ -120,7 +120,7 @@ pub enum StorageResult {
 struct ShardPlace {
     index: u32,
     provider: NodeId,
-    audits: Vec<Audit>,
+    audits: AuditBook,
     alive: bool,
     acked: bool,
     /// Shard bytes retained until acked so a retrying client can re-send
@@ -156,6 +156,8 @@ enum OpState {
     AuditWait {
         object: Hash256,
         index: u32,
+        /// The provider challenged: the only node whose answer counts.
+        provider: NodeId,
         expected: Audit,
     },
 }
@@ -336,7 +338,7 @@ impl StorageNode {
         for (i, shard) in shards.into_iter().enumerate() {
             let provider = order[i % order.len()];
             let shard: Rc<[u8]> = Rc::from(shard);
-            let audits = por_make_audits(&shard, c.audits_per_shard, ctx.rng());
+            let audits = AuditBook::new(Rc::clone(&shard), c.audits_per_shard, ctx.rng());
             let shard_len = shard.len() as u64;
             let pending_data = c.retry.is_active().then(|| Rc::clone(&shard));
             let msg = StorageMsg::PutShard {
@@ -482,6 +484,7 @@ impl StorageNode {
                 OpState::AuditWait {
                     object,
                     index,
+                    provider,
                     expected: audit,
                 },
             );
@@ -591,7 +594,8 @@ impl StorageNode {
                             ctx.rng().shuffle(&mut candidates);
                             candidates[0]
                         };
-                        let audits = por_make_audits(&shard, c.audits_per_shard, ctx.rng());
+                        let audits =
+                            AuditBook::new(Rc::clone(&shard), c.audits_per_shard, ctx.rng());
                         let pending_data = c.retry.is_active().then(|| Rc::clone(&shard));
                         let msg = StorageMsg::PutShard {
                             object,
@@ -739,9 +743,17 @@ impl Protocol for StorageNode {
                 if let Some(OpState::AuditWait {
                     object,
                     index,
+                    provider,
                     expected,
                 }) = c.ops.get(&req)
                 {
+                    // Op ids are guessable, and a `None` here condemns the
+                    // shard's holder: only the provider that was challenged
+                    // may answer. The wait stays open for it, or its timeout.
+                    if *provider != from {
+                        ctx.metrics().incr("storage.audit_stray", 1);
+                        return;
+                    }
                     let (object, index, expected) = (*object, *index, *expected);
                     let pass = digest.is_some_and(|d| por_verify(&expected, &d));
                     c.ops.remove(&req);
@@ -1085,6 +1097,46 @@ mod tests {
             other => panic!("get wedged by a malformed shard: {other:?}"),
         }
         assert_eq!(sim.metrics().counter("storage.get_timeout"), 0);
+    }
+
+    #[test]
+    fn stray_audit_responses_condemn_nobody() {
+        // Anyone can name an open audit (op ids count up from zero). An
+        // `AuditResponse` used to be matched by `req` alone, so a third
+        // node's `None` failed the audit for a provider that did nothing:
+        // its shard marked dead, a repair started, the honest answer ignored.
+        let (mut sim, client, _) = build(8, |_| ProviderStrategy::Honest, 8);
+        let outsider = sim.add_node(
+            StorageNode::provider(ProviderStrategy::Honest),
+            DeviceClass::PersonalComputer,
+        );
+        let data: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
+        let (_, object) = sim
+            .with_ctx(client, |n, ctx| n.start_put(ctx, &data, 4, 2))
+            .unwrap();
+        // Up to the first audit round (30 s), then stop with its challenge
+        // in flight: a link is tens of milliseconds each way.
+        sim.run_for(SimDuration::from_secs(29));
+        while sim.metrics().counter("storage.audits_sent") == 0 {
+            sim.run_for(SimDuration::from_millis(1));
+        }
+        // Ahead of the honest reply, straight into the handler, at every op
+        // id so far: "not held", then a digest of the wrong bytes.
+        for digest in [None, Some(sha256(b"not the shard"))] {
+            for req in 0..8 {
+                let reply = StorageMsg::AuditResponse { req, digest };
+                sim.with_ctx(client, |n, ctx| n.on_message(ctx, outsider, reply))
+                    .unwrap();
+            }
+        }
+        assert_eq!(sim.metrics().counter("storage.audit_fail"), 0);
+        assert_eq!(sim.metrics().counter("storage.audit_stray"), 2);
+        sim.run_for(SimDuration::from_secs(20));
+        assert_eq!(sim.metrics().counter("storage.audit_pass"), 1);
+        assert_eq!(sim.metrics().counter("storage.audit_timeout"), 0);
+        assert_eq!(sim.metrics().counter("storage.shards_lost_detected"), 0);
+        assert_eq!(sim.metrics().counter("storage.repairs_started"), 0);
+        assert_eq!(sim.node(client).live_shards(&object), 6);
     }
 
     #[test]

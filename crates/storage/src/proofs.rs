@@ -8,11 +8,11 @@
 //!   Merkle root; the prover returns a challenged chunk plus its inclusion
 //!   proof. Anyone with the root can verify; response size = chunk size.
 //! * **Proof-of-retrievability** (Storj-style): at upload time the owner
-//!   precomputes audit pairs `(nonce, H(nonce ‖ data))` — all of a shard's
-//!   pairs in one pass over its bytes ([`sha256_prefixes`]); each challenge
-//!   reveals a fresh nonce and expects the matching digest. Constant-size
-//!   responses, but only the owner (who holds the pairs) can verify, and
-//!   audits are finite.
+//!   keeps audit pairs `(nonce, H(nonce ‖ data))`; each challenge reveals a
+//!   fresh nonce and expects the matching digest. Constant-size responses,
+//!   but only the owner (who holds the pairs) can verify, and audits are
+//!   finite. The simulator evaluates a pair when it is first read, from the
+//!   immutable buffer the owner encoded ([`AuditBook`]).
 //! * **Proof-of-replication** (Filecoin-style): each replica is *sealed* by
 //!   a deliberately slow, replica-id-keyed sequential transform; challenges
 //!   sample sealed chunks against the sealed commitment under a response
@@ -23,7 +23,9 @@
 //! * **Proof-of-spacetime**: proof-of-replication repeated over scheduled
 //!   windows, demonstrating continuous storage over an interval.
 
-use agora_crypto::{sha256_concat, sha256_prefixes, Hash256, MerkleProof};
+use std::rc::Rc;
+
+use agora_crypto::{sha256_concat, Hash256, MerkleProof};
 use agora_sim::{SimDuration, SimRng};
 
 use crate::chunk::{Chunk, Manifest};
@@ -82,10 +84,10 @@ impl PosResponse {
 }
 
 // ---------------------------------------------------------------------------
-// Proof-of-retrievability (precomputed audits)
+// Proof-of-retrievability (owner-held audit pairs)
 // ---------------------------------------------------------------------------
 
-/// One precomputed audit pair, kept secret by the data owner.
+/// One audit pair, kept secret by the data owner.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Audit {
     /// The nonce revealed at challenge time.
@@ -99,24 +101,39 @@ pub fn por_respond(nonce: u64, data: &[u8]) -> Hash256 {
     sha256_concat(&[b"por", &nonce.to_be_bytes(), data])
 }
 
-/// Precompute `n` audit pairs over `data`, reading `data` once for all of
-/// them. Each `expected` is what [`por_respond`] returns for its nonce.
-pub fn por_make_audits(data: &[u8], n: usize, rng: &mut SimRng) -> Vec<Audit> {
-    let nonces: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-    let prefixes: Vec<[u8; 11]> = nonces
-        .iter()
-        .map(|nonce| {
-            let mut prefix = [0u8; 11];
-            prefix[..3].copy_from_slice(b"por");
-            prefix[3..].copy_from_slice(&nonce.to_be_bytes());
-            prefix
+/// The audit pairs an owner holds for one placed shard: `n` nonces drawn at
+/// placement, each pair's digest computed when the audit is issued — most of
+/// a book is never read, and an unread pair costs one `u64`.
+///
+/// The digest comes from the owner's own encoding of the shard, which
+/// nothing can reach through the book: there is no constructor that takes a
+/// digest and no accessor for the bytes, so what a provider's answer is
+/// compared with is always a hash this side computed itself. Not `Clone`: a
+/// second copy would issue the same nonces again.
+pub struct AuditBook {
+    shard: Rc<[u8]>,
+    nonces: Vec<u64>,
+}
+
+impl AuditBook {
+    /// A book of `n` audits over `shard`: `n` draws of `next_u64`, no
+    /// hashing.
+    pub fn new(shard: Rc<[u8]>, n: usize, rng: &mut SimRng) -> AuditBook {
+        AuditBook {
+            shard,
+            nonces: (0..n).map(|_| rng.next_u64()).collect(),
+        }
+    }
+
+    /// The next unused pair, last drawn first; `None` once the book is
+    /// spent. `expected` is what [`por_respond`] gives an honest holder.
+    pub fn pop(&mut self) -> Option<Audit> {
+        let nonce = self.nonces.pop()?;
+        Some(Audit {
+            nonce,
+            expected: por_respond(nonce, &self.shard),
         })
-        .collect();
-    nonces
-        .into_iter()
-        .zip(sha256_prefixes(&prefixes, data))
-        .map(|(nonce, expected)| Audit { nonce, expected })
-        .collect()
+    }
 }
 
 /// Verify a response against a (not yet used) audit pair.
@@ -312,8 +329,10 @@ mod tests {
     fn por_audits_work_once_each() {
         let mut rng = SimRng::new(1);
         let data = vec![5u8; 10_000];
-        let audits = por_make_audits(&data, 10, &mut rng);
+        let mut book = AuditBook::new(Rc::from(&data[..]), 10, &mut rng);
+        let audits: Vec<Audit> = std::iter::from_fn(|| book.pop()).collect();
         assert_eq!(audits.len(), 10);
+        assert_eq!(book.pop(), None, "a spent book stays spent");
         for a in &audits {
             assert!(por_verify(a, &por_respond(a.nonce, &data)));
         }
@@ -323,32 +342,33 @@ mod tests {
     }
 
     #[test]
-    fn por_make_audits_is_the_one_at_a_time_sequence() {
-        // The batched kernel must be invisible: same nonces in the same draw
-        // order, same digests as the prover computes, RNG left where the
-        // per-nonce loop left it.
+    fn audit_book_is_the_precomputed_pairs_popped_in_order() {
+        // Deferring the digests must be invisible: the nonces a per-nonce
+        // loop draws, handed out as `Vec::pop` handed out the precomputed
+        // pairs, each with the digest the prover computes, and the RNG left
+        // where that loop leaves it. Lengths sit either side of where the
+        // 11-byte prefix pushes the padding into a second block (44/45) and
+        // where prefix plus data fill the first block (53/54).
         let data: Vec<u8> = (0..250_000u32).map(|i| (i % 241) as u8).collect();
-        for (n, len) in [
-            (0, 100),
-            (1, 0),
-            (3, 52),
-            (3, 53),
-            (40, 8_192),
-            (64, 250_000),
-        ] {
-            let (mut batched, mut reference) = (SimRng::new(17), SimRng::new(17));
-            let audits = por_make_audits(&data[..len], n, &mut batched);
-            let expect: Vec<Audit> = (0..n)
-                .map(|_| {
-                    let nonce = reference.next_u64();
-                    Audit {
-                        nonce,
-                        expected: por_respond(nonce, &data[..len]),
-                    }
-                })
-                .collect();
-            assert_eq!(audits, expect, "n {n} len {len}");
-            assert_eq!(batched.next_u64(), reference.next_u64(), "n {n} len {len}");
+        for len in [0, 1, 44, 45, 53, 54, 4_096, 250_000] {
+            for n in [0, 1, 3, 64] {
+                let mut rng = SimRng::new(17 + len as u64);
+                let mut reference = rng.clone();
+                let mut book = AuditBook::new(Rc::from(&data[..len]), n, &mut rng);
+                let mut expect: Vec<Audit> = (0..n)
+                    .map(|_| {
+                        let nonce = reference.next_u64();
+                        Audit {
+                            nonce,
+                            expected: por_respond(nonce, &data[..len]),
+                        }
+                    })
+                    .collect();
+                expect.reverse();
+                let popped: Vec<Audit> = std::iter::from_fn(|| book.pop()).collect();
+                assert_eq!(popped, expect, "n {n} len {len}");
+                assert_eq!(rng.next_u64(), reference.next_u64(), "n {n} len {len}");
+            }
         }
     }
 

@@ -8,7 +8,7 @@
 use agora_crypto::sha256;
 use agora_sim::SimRng;
 use agora_storage::{
-    por_make_audits, por_respond, por_verify, seal, unseal, Chunk, Manifest, MarketSpec,
+    por_respond, por_verify, seal, unseal, Audit, AuditBook, Chunk, Manifest, MarketSpec,
     ProofScheme, ReedSolomon, SpacetimeRecord, StorageContract, TokenBank,
 };
 use proptest::prelude::*;
@@ -144,7 +144,9 @@ proptest! {
         flip in any::<prop::sample::Index>(),
     ) {
         let mut rng = SimRng::new(seed);
-        let audits = por_make_audits(&data, 3, &mut rng);
+        let mut book = AuditBook::new(data.as_slice().into(), 3, &mut rng);
+        let audits: Vec<Audit> = std::iter::from_fn(|| book.pop()).collect();
+        prop_assert_eq!(audits.len(), 3);
         for a in &audits {
             prop_assert!(por_verify(a, &por_respond(a.nonce, &data)));
         }
@@ -153,23 +155,24 @@ proptest! {
         prop_assert!(!por_verify(&audits[0], &por_respond(audits[0].nonce, &evil)));
     }
 
-    /// The one-pass audit precomputation is the per-nonce sequence: same
-    /// nonces in draw order, the digest `por_respond` gives for each, and the
-    /// RNG left in the same state.
+    /// A book's pairs are the per-nonce sequence popped last-first: the
+    /// nonces a plain loop draws, the digest `por_respond` gives for each,
+    /// and the RNG left in the same state.
     #[test]
-    fn por_make_audits_matches_one_at_a_time(
+    fn audit_book_matches_one_at_a_time(
         data in proptest::collection::vec(any::<u8>(), 0..2000),
         n in 0usize..70,
         seed in any::<u64>(),
     ) {
-        let (mut batched, mut reference) = (SimRng::new(seed), SimRng::new(seed));
-        let audits = por_make_audits(&data, n, &mut batched);
-        prop_assert_eq!(audits.len(), n);
-        for a in &audits {
-            prop_assert_eq!(a.nonce, reference.next_u64());
+        let (mut rng, mut reference) = (SimRng::new(seed), SimRng::new(seed));
+        let mut book = AuditBook::new(data.as_slice().into(), n, &mut rng);
+        let mut nonces: Vec<u64> = (0..n).map(|_| reference.next_u64()).collect();
+        prop_assert_eq!(rng.next_u64(), reference.next_u64());
+        while let Some(a) = book.pop() {
+            prop_assert_eq!(Some(a.nonce), nonces.pop());
             prop_assert_eq!(a.expected, por_respond(a.nonce, &data));
         }
-        prop_assert_eq!(batched.next_u64(), reference.next_u64());
+        prop_assert!(nonces.is_empty());
     }
 
     /// Contract codec round-trips arbitrary field values, and settlement is

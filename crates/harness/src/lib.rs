@@ -20,12 +20,12 @@
 //! * **Regression baselines** ([`baseline`]): the JSON artifact diffs
 //!   against a checked-in `BENCH_harness.json` with a relative tolerance,
 //!   so perf/behaviour drift fails loudly in CI.
-//! * **Tracing & provenance** ([`trace`], feature `trace`, default-on):
+//! * **Tracing & provenance** ([`trace`]):
 //!   `--trace <target>` replays one trial with the engine flight recorder
 //!   installed and writes a deterministic, CI-diffable `TRACE_*.jsonl`;
 //!   `--explain <metric>` walks a recorded sample's causal chain back to
 //!   the external injection that started it.
-//! * **Ops plane** ([`observe`], feature `observe`, default-on):
+//! * **Ops plane** ([`observe`]):
 //!   `--observe <target>` replays one trial with the `agora-observer`
 //!   signal probes installed and streams a deterministic, CI-diffable
 //!   `OBS_*.jsonl` of cadence frames and anomaly-detector firings;
@@ -40,13 +40,11 @@
 pub mod baseline;
 pub mod json;
 pub mod matrix;
-#[cfg(feature = "observe")]
 pub mod observe;
 pub mod perf;
 pub mod pool;
 pub mod registry;
 pub mod report;
-#[cfg(feature = "trace")]
 pub mod trace;
 pub mod watch;
 

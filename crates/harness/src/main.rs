@@ -25,9 +25,10 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use agora_harness::matrix::filter_selects;
 use agora_harness::{
     diff_json, perf_to_json_with, read_json_file, registry, report, run_matrix, run_to_json,
-    MatrixConfig, PhaseProfiler,
+    ExperimentDef, MatrixConfig, PhaseProfiler,
 };
 
 struct Options {
@@ -40,23 +41,18 @@ struct Options {
     speedup: bool,
     reports: bool,
     trace: Option<String>,
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     trace_out: Option<String>,
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     trace_cap: Option<usize>,
     explain: Option<String>,
     validate_trace: Option<String>,
     observe: Option<String>,
-    #[cfg_attr(not(feature = "observe"), allow(dead_code))]
     observe_out: Option<String>,
-    #[cfg_attr(not(feature = "observe"), allow(dead_code))]
     observe_cadence_secs: Option<u64>,
     validate_obs: Option<String>,
     watch: bool,
 }
 
 /// Handle `--trace`, `--explain`, and `--validate-trace`.
-#[cfg(feature = "trace")]
 fn run_trace_mode(opts: &Options) -> ExitCode {
     use agora_harness::trace;
 
@@ -127,7 +123,6 @@ fn run_trace_mode(opts: &Options) -> ExitCode {
 }
 
 /// Handle `--observe` and `--validate-obs`.
-#[cfg(feature = "observe")]
 fn run_observe_mode(opts: &Options) -> ExitCode {
     use agora_harness::observe;
     use std::cell::{Cell, RefCell};
@@ -161,21 +156,10 @@ fn run_observe_mode(opts: &Options) -> ExitCode {
         .observe
         .clone()
         .expect("observe dispatch needs a target");
-    #[cfg(not(feature = "trace"))]
-    if opts.explain.is_some() {
-        eprintln!(
-            "agora-harness: --explain alongside --observe needs the 'trace' feature \
-             (the causal walk reads the flight recorder)"
-        );
-        return ExitCode::from(1);
-    }
-    #[cfg(feature = "trace")]
     let trace_ring = opts.explain.as_ref().map(|_| {
         opts.trace_cap
             .unwrap_or(agora_sim::trace::DEFAULT_RING_CAPACITY)
     });
-    #[cfg(not(feature = "trace"))]
-    let trace_ring = None;
 
     let mut obs_cfg = agora_observer::ObserverConfig::default();
     if let Some(secs) = opts.observe_cadence_secs {
@@ -244,7 +228,6 @@ fn run_observe_mode(opts: &Options) -> ExitCode {
     );
     println!("wrote observe artifact to {out_path} (deterministic; safe to diff in CI)");
 
-    #[cfg(feature = "trace")]
     if let Some(metric) = &opts.explain {
         let rec = run.recorder.as_ref().expect("ring installed for --explain");
         match agora_harness::trace::explain_metric(rec, metric) {
@@ -259,24 +242,6 @@ fn run_observe_mode(opts: &Options) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-#[cfg(not(feature = "observe"))]
-fn run_observe_mode(_opts: &Options) -> ExitCode {
-    eprintln!(
-        "agora-harness: --observe/--validate-obs require the 'observe' feature; \
-         this binary was built with --no-default-features"
-    );
-    ExitCode::from(1)
-}
-
-#[cfg(not(feature = "trace"))]
-fn run_trace_mode(_opts: &Options) -> ExitCode {
-    eprintln!(
-        "agora-harness: --trace/--explain/--validate-trace require the 'trace' feature; \
-         this binary was built with --no-default-features"
-    );
-    ExitCode::from(1)
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -373,7 +338,31 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
+    if let Some(filter) = &opts.cfg.filter {
+        let reg = registry();
+        if let Some(entry) = unmatched_filter_entry(&reg, filter) {
+            let ids: Vec<&str> = reg.iter().map(|def| def.id).collect();
+            return Err(format!(
+                "--filter entry '{entry}' selects no experiment or variant \
+                 (ids: {}; one variant is id/label, e.g. e16p/p10k)",
+                ids.join(", ")
+            ));
+        }
+    }
     Ok(opts)
+}
+
+/// The first `--filter` entry that selects no `(experiment, variant)` of the
+/// registry. Such an entry is a typo: run as given it would build an empty or
+/// short matrix and report the missing rows as a baseline regression.
+fn unmatched_filter_entry<'a>(reg: &[ExperimentDef], filter: &'a [String]) -> Option<&'a str> {
+    filter.iter().map(String::as_str).find(|entry| {
+        !reg.iter().any(|def| {
+            def.variants
+                .iter()
+                .any(|v| filter_selects(entry, def.id, v.label))
+        })
+    })
 }
 
 /// Print the classic report stream (the contents of experiments_output.txt)
@@ -560,5 +549,35 @@ fn main() -> ExitCode {
             opts.baseline
         );
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_filter_entry_must_select_a_registered_variant() {
+        let reg = registry();
+        let filter =
+            |entries: &[&str]| -> Vec<String> { entries.iter().map(|&e| e.to_owned()).collect() };
+        for ok in [&["e1"][..], &["e16p/p10k"], &["e1", "e3/f0.20", "e18"]] {
+            assert_eq!(unmatched_filter_entry(&reg, &filter(ok)), None, "{ok:?}");
+        }
+        // An unknown id, a label in the wrong case, a label of another
+        // experiment, a trailing slash: each is named, wherever it sits.
+        for (entries, bad) in [
+            (&["nosuch"][..], "nosuch"),
+            (&["e16/p10K"], "e16/p10K"),
+            (&["e1", "e3/p10k"], "e3/p10k"),
+            (&["e1/", "e2"], "e1/"),
+            (&["e1", "E2"], "E2"),
+        ] {
+            assert_eq!(
+                unmatched_filter_entry(&reg, &filter(entries)),
+                Some(bad),
+                "{entries:?}"
+            );
+        }
     }
 }

@@ -102,7 +102,7 @@ pub type TrialRunner = fn(u64) -> Metrics;
 /// Whether one filter entry selects `(experiment, variant)`: a bare
 /// experiment id ("e16") selects every variant; "e16p/p10k"
 /// selects exactly one.
-fn filter_selects(entry: &str, experiment: &str, variant: &str) -> bool {
+pub fn filter_selects(entry: &str, experiment: &str, variant: &str) -> bool {
     match entry.split_once('/') {
         Some((id, label)) => id == experiment && label == variant,
         None => entry == experiment,
@@ -245,7 +245,7 @@ pub fn run_to_json(run: &MatrixRun) -> Json {
 /// Flatten a metrics registry: counters and gauges as flat objects,
 /// histograms as summary objects (exact percentiles — trial metrics are
 /// bounded; the streaming P² sketch serves the unbounded telemetry paths).
-fn metrics_to_json(m: &Metrics) -> Json {
+pub(crate) fn metrics_to_json(m: &Metrics) -> Json {
     let mut out = Json::obj();
     let mut counters = Json::obj();
     for (k, v) in m.counters() {

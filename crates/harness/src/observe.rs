@@ -5,8 +5,8 @@
 //!
 //! Like `TRACE_*.jsonl`, OBS artifacts are **wall-clock-free**: every byte
 //! is a pure function of `(target, seed, observer config)`, so repeated
-//! runs — at any thread count, with or without the `trace`
-//! feature — are byte-identical and the files are CI-diffable. Lines are
+//! runs — at any thread count, with or without a flight recorder nested
+//! alongside — are byte-identical and the files are CI-diffable. Lines are
 //! handed to the caller one at a time as they are produced, so the harness
 //! can flush each to disk immediately and multi-hour runs are observable
 //! mid-flight (`tail -f`). Wall-clock progress belongs to `--watch` on
@@ -16,6 +16,7 @@ use agora_observer::{
     AnomalyRecord, FrameRecord, ObsRecord, Observer, ObserverConfig, ObserverSummary,
 };
 use agora_sim::probe::with_thread_probe;
+use agora_sim::trace::{with_thread_sink, FlightRecorder, SharedRecorder, TraceFilter};
 use agora_sim::{Metrics, NodeId};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -46,8 +47,7 @@ pub struct ObserveRun {
     pub summary: ObserverSummary,
     /// Flight recording taken alongside the probes (present when a trace
     /// ring was requested) — this is what `--explain anomaly.*` walks.
-    #[cfg(feature = "trace")]
-    pub recorder: Option<agora_sim::trace::FlightRecorder>,
+    pub recorder: Option<FlightRecorder>,
 }
 
 /// Replay one registry trial of `target` with the observer installed,
@@ -57,8 +57,7 @@ pub struct ObserveRun {
 /// experiment id (`e16` — first variant) or `id/variant` (`e16/p10k`),
 /// replaying the exact first matching trial of the default matrix — same
 /// derived seed, same metrics. `trace_ring` additionally installs a flight
-/// recorder of that capacity (requires the `trace` feature) so anomaly
-/// trace points can be explained.
+/// recorder of that capacity so anomaly trace points can be explained.
 pub fn run_observe_target(
     registry: &[ExperimentDef],
     cfg: &MatrixConfig,
@@ -102,9 +101,9 @@ pub fn run_observe_target(
 
     // The probe factory is thread-local and removed on return, so every
     // `Simulation` the trial constructs — however deep — reports to this
-    // observer and nothing leaks to later work on the thread. With the
-    // `trace` feature a flight recorder nests inside the probe scope:
-    // tracing and probing are independent taps on the same event stream.
+    // observer and nothing leaks to later work on the thread. A flight
+    // recorder, when asked for, nests around the probe scope: tracing and
+    // probing are independent taps on the same event stream.
     let probe_handle = observer.clone();
     let cadence = observer.cadence();
     let probed = move |run: fn(u64) -> Metrics, seed: u64| {
@@ -113,37 +112,26 @@ pub fn run_observe_target(
             move || run(seed),
         )
     };
-    #[cfg(feature = "trace")]
-    let (metrics, recorder) = {
-        use agora_sim::trace::{with_thread_sink, FlightRecorder, SharedRecorder, TraceFilter};
-        match trace_ring {
-            Some(cap) => {
-                // Points-only ring: an anomaly fires once at onset, then a
-                // day of net/timer records would evict it long before the
-                // run ends. Protocol and anomaly points are what observe-
-                // mode `--explain` queries, so only they occupy ring slots;
-                // span aggregation still sees every record class. Causal
-                // chains degrade gracefully where parents were filtered.
-                let filter = TraceFilter {
-                    net: false,
-                    timers: false,
-                    churn: false,
-                    points: true,
-                };
-                let shared =
-                    SharedRecorder::from_recorder(FlightRecorder::with_filter(cap, filter));
-                let handle = shared.clone();
-                let metrics =
-                    with_thread_sink(move || Box::new(handle.clone()), || probed(run, seed));
-                (metrics, Some(shared.snapshot()))
-            }
-            None => (probed(run, seed), None),
+    let (metrics, recorder) = match trace_ring {
+        Some(cap) => {
+            // Points-only ring: an anomaly fires once at onset, then a
+            // day of net/timer records would evict it long before the
+            // run ends. Protocol and anomaly points are what observe-
+            // mode `--explain` queries, so only they occupy ring slots;
+            // span aggregation still sees every record class. Causal
+            // chains degrade gracefully where parents were filtered.
+            let filter = TraceFilter {
+                net: false,
+                timers: false,
+                churn: false,
+                points: true,
+            };
+            let shared = SharedRecorder::from_recorder(FlightRecorder::with_filter(cap, filter));
+            let handle = shared.clone();
+            let metrics = with_thread_sink(move || Box::new(handle.clone()), || probed(run, seed));
+            (metrics, Some(shared.snapshot()))
         }
-    };
-    #[cfg(not(feature = "trace"))]
-    let metrics = {
-        let _ = trace_ring;
-        probed(run, seed)
+        None => (probed(run, seed), None),
     };
 
     let summary = observer.summary();
@@ -154,7 +142,6 @@ pub fn run_observe_target(
         seed,
         metrics,
         summary,
-        #[cfg(feature = "trace")]
         recorder,
     })
 }

@@ -440,10 +440,7 @@ fn e16_class_run() -> (f64, u64, f64) {
 /// [`e16_class_run`], unobserved (probes compiled in but dormant — the
 /// per-dispatch cost is one predicted branch) and then with a full
 /// observer installed at coarse and fine sampling cadences. The overhead
-/// ratio is the price of the observe plane on a real protocol day; the
-/// compiled-out-entirely baseline is proven byte-identical by ci.sh, not
-/// timed here (one binary cannot measure both feature configs).
-#[cfg(feature = "observe")]
+/// ratio is the price of the observe plane on a real protocol day.
 fn observer_to_json(prof: &mut PhaseProfiler) -> Json {
     use agora_observer::{Observer, ObserverConfig};
 
@@ -1154,7 +1151,6 @@ pub fn perf_to_json_scaled(
     root.set("exact_day", exact_day_to_json(&mut prof, cohort_population));
 
     root.set("microbench", micro);
-    #[cfg(feature = "observe")]
     root.set("observer", observer_to_json(&mut prof));
     root.set("breakdowns", prof.to_json());
     root

@@ -491,7 +491,10 @@ pub fn explain_metric(rec: &FlightRecorder, metric: &str) -> Option<Explanation>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::metrics_to_json;
+    use crate::observe::run_observe_target;
     use crate::registry::registry;
+    use agora_observer::ObserverConfig;
 
     fn light_cfg() -> MatrixConfig {
         MatrixConfig {
@@ -536,18 +539,64 @@ mod tests {
         assert!(summary.events > 0 && summary.spans > 0);
     }
 
+    /// A sink never changes what a trial reports, whether it is dormant (the
+    /// registry runner as the matrix calls it), a flight recorder, or the
+    /// observer's probes — the property the deleted `trace`/`observe` build
+    /// matrix re-diffed the baseline for. One variant per engine-driving
+    /// family; compared on everything `run_to_json` renders of a trial.
     #[test]
     fn registry_target_replays_matrix_trial_with_identical_metrics() {
         let reg = registry();
         let cfg = light_cfg();
-        let run = run_trace_target(&reg, &cfg, "e3/f0.20", 1024).expect("registry target");
-        assert_eq!((run.target.as_str(), run.variant.as_str()), ("e3", "f0.20"));
-        // Replaying under the recorder must not change what the trial
-        // reports: compare against an untraced run of the same seed.
-        let untraced = agora::experiments::e3_metrics(run.seed, 0.2);
-        let traced: Vec<_> = run.metrics.counters().collect();
-        let plain: Vec<_> = untraced.counters().collect();
-        assert_eq!(traced, plain);
+        let trials = build_trials(&reg, &cfg);
+        let rendered = |m: &Metrics| metrics_to_json(m).render();
+        for (id, variant) in [
+            ("e3", "f0.20"),
+            ("e7", "default"),
+            ("e15", "i1.00"),
+            ("e16", "p10k"),
+            ("e17", "i1.00"),
+            ("e16p", "p10k"),
+            ("e18", "p10k"),
+        ] {
+            let target = format!("{id}/{variant}");
+            let run = run_trace_target(&reg, &cfg, &target, 1024).expect("registry target");
+            assert_eq!((run.target.as_str(), run.variant.as_str()), (id, variant));
+            let (spec, runner) = trials
+                .iter()
+                .find(|(s, _)| (s.experiment, s.variant, s.seed_ordinal) == (id, variant, 0))
+                .expect("the matrix holds the trial");
+            assert_eq!(run.seed, spec.seed, "{target}: replay uses the matrix seed");
+            let plain = runner(spec.seed);
+            assert_eq!(
+                rendered(&run.metrics),
+                rendered(&plain),
+                "{target}: the flight recorder moved a metric"
+            );
+
+            let observed = run_observe_target(
+                &reg,
+                &cfg,
+                &target,
+                ObserverConfig::default(),
+                None,
+                Box::new(|_| {}),
+            )
+            .expect("registry target");
+            // The observer's whole footprint: one `anomaly.*` counter per
+            // detector firing (E16's flash crowd trips `anomaly.overload`).
+            let mut expected = plain.clone();
+            for (key, n) in observed.metrics.counters() {
+                if key.starts_with("anomaly.") {
+                    expected.incr(key, n);
+                }
+            }
+            assert_eq!(
+                rendered(&observed.metrics),
+                rendered(&expected),
+                "{target}: the observer moved a metric"
+            );
+        }
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //!    and federated servers — same surge, datacenter-class uplinks — stay
 //!    clean. This pins the acceptance story for `anomaly.overload`.
 
-#![cfg(feature = "observe")]
-
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -122,7 +120,6 @@ fn obs_artifact_is_byte_identical_at_1_and_8_threads() {
 /// `--observe X --explain M` does) must not move a single OBS byte, and
 /// the recording it takes must resolve `anomaly.overload` to a causal
 /// chain — the `--explain` face of the acceptance story.
-#[cfg(feature = "trace")]
 #[test]
 fn obs_bytes_ignore_the_flight_recorder_and_anomalies_explain() {
     let cfg = MatrixConfig::default();

@@ -316,9 +316,8 @@ impl ChaosSpec {
 
 /// Applies a [`ChaosSchedule`] to a running simulation, interleaving fault
 /// application with normal event processing. Every applied fault is
-/// counted under `chaos.*` metrics and (with the `trace` feature) noted as
-/// a `chaos.*` trace point so the flight recorder grows a chaos span
-/// family.
+/// counted under `chaos.*` metrics and noted as a `chaos.*` trace point so
+/// the flight recorder grows a chaos span family.
 pub struct ChaosController {
     schedule: ChaosSchedule,
     base: SimTime,

@@ -12,31 +12,16 @@ use std::collections::BinaryHeap;
 use crate::device::{DeviceClass, DeviceProfile};
 use crate::metrics::{CounterHandle, Metrics};
 use crate::net::Network;
-#[cfg(feature = "trace")]
 use crate::net::SendFailure;
 use crate::probe::{NoopProbe, ProbeFrame, ProbeSink};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-#[cfg(feature = "trace")]
 use crate::trace::{DropReason, NoopSink, TraceEvent, TraceKind, TraceSink};
-
-/// Emit a trace record when the `trace` feature is compiled in; expand to
-/// nothing otherwise. The `$kind` expression is cfg-stripped with the rest,
-/// so call sites never need their own feature gates.
-macro_rules! trace_event {
-    ($tracer:expr, $key:expr, $at:expr, $node:expr, $kind:expr) => {
-        #[cfg(feature = "trace")]
-        {
-            $tracer.emit($key, $at, $node, $kind);
-        }
-    };
-}
 
 /// The engine's trace state: the installed sink, a cached enabled flag (the
 /// only thing the hot path reads), and the packed key of the event currently
 /// being dispatched — the causal parent stamped onto every record emitted
 /// from inside its handler.
-#[cfg(feature = "trace")]
 struct Tracer {
     sink: Box<dyn TraceSink>,
     on: bool,
@@ -46,7 +31,6 @@ struct Tracer {
     seed: u64,
 }
 
-#[cfg(feature = "trace")]
 impl Tracer {
     #[inline]
     fn emit(&mut self, key: u128, at: SimTime, node: NodeId, kind: TraceKind) {
@@ -63,7 +47,6 @@ impl Tracer {
 }
 
 /// Pseudo-node stamped on records that concern the whole simulation.
-#[cfg(feature = "trace")]
 const TRACE_SIM_NODE: NodeId = NodeId(u32::MAX);
 
 /// The engine's probe state (see [`crate::probe`]): the installed sink, a
@@ -289,7 +272,6 @@ pub struct Ctx<'a, M> {
     rng: &'a mut SimRng,
     metrics: &'a mut Metrics,
     hot: HotCounters,
-    #[cfg(feature = "trace")]
     tracer: &'a mut Tracer,
     prober: &'a mut Prober,
 }
@@ -321,7 +303,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
         if to == self.id {
             // Loopback: deliver after a negligible delay, never lost.
             let at = self.now + SimDuration::from_micros(1);
-            let _key = self.push(
+            let key = self.push(
                 at,
                 EventKind::Deliver {
                     to,
@@ -329,13 +311,8 @@ impl<'a, M: Clone> Ctx<'a, M> {
                     msg,
                 },
             );
-            trace_event!(
-                self.tracer,
-                _key,
-                self.now,
-                self.id,
-                TraceKind::Send { to, bytes }
-            );
+            self.tracer
+                .emit(key, self.now, self.id, TraceKind::Send { to, bytes });
             return;
         }
         match self.net.transmit(self.now, self.id, to, bytes, self.rng) {
@@ -348,7 +325,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
                 }
                 match verdict.duplicate {
                     None => {
-                        let _key = self.push(
+                        let key = self.push(
                             verdict.at,
                             EventKind::Deliver {
                                 to,
@@ -356,17 +333,12 @@ impl<'a, M: Clone> Ctx<'a, M> {
                                 msg,
                             },
                         );
-                        trace_event!(
-                            self.tracer,
-                            _key,
-                            self.now,
-                            self.id,
-                            TraceKind::Send { to, bytes }
-                        );
+                        self.tracer
+                            .emit(key, self.now, self.id, TraceKind::Send { to, bytes });
                     }
                     Some(dup_at) => {
                         self.metrics.incr_handle(self.hot.chaos_duplicated, 1);
-                        let _key = self.push(
+                        let key = self.push(
                             verdict.at,
                             EventKind::Deliver {
                                 to,
@@ -374,14 +346,9 @@ impl<'a, M: Clone> Ctx<'a, M> {
                                 msg: msg.clone(),
                             },
                         );
-                        trace_event!(
-                            self.tracer,
-                            _key,
-                            self.now,
-                            self.id,
-                            TraceKind::Send { to, bytes }
-                        );
-                        let _dup_key = self.push(
+                        self.tracer
+                            .emit(key, self.now, self.id, TraceKind::Send { to, bytes });
+                        let dup_key = self.push(
                             dup_at,
                             EventKind::Deliver {
                                 to,
@@ -389,34 +356,28 @@ impl<'a, M: Clone> Ctx<'a, M> {
                                 msg,
                             },
                         );
-                        trace_event!(
-                            self.tracer,
-                            _dup_key,
-                            self.now,
-                            self.id,
-                            TraceKind::Send { to, bytes }
-                        );
+                        self.tracer
+                            .emit(dup_key, self.now, self.id, TraceKind::Send { to, bytes });
                     }
                 }
             }
-            Err(_failure) => {
+            Err(failure) => {
                 self.metrics.incr_handle(self.hot.lost, 1);
                 self.metrics.incr_handle(self.hot.dropped, 1);
-                trace_event!(
-                    self.tracer,
+                self.tracer.emit(
                     0,
                     self.now,
                     self.id,
                     TraceKind::DropSend {
                         to,
                         bytes,
-                        reason: match _failure {
+                        reason: match failure {
                             SendFailure::Partitioned => DropReason::Partition,
                             SendFailure::NoSuchNode => DropReason::NoSuchNode,
                             SendFailure::Lost => DropReason::Loss,
                             SendFailure::ChaosLink => DropReason::ChaosLink,
                         },
-                    }
+                    },
                 );
             }
         }
@@ -442,14 +403,9 @@ impl<'a, M: Clone> Ctx<'a, M> {
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
         let at = self.now + delay;
         let node = self.id;
-        let _key = self.push(at, EventKind::Timer { node, tag });
-        trace_event!(
-            self.tracer,
-            _key,
-            self.now,
-            self.id,
-            TraceKind::TimerSet { tag }
-        );
+        let key = self.push(at, EventKind::Timer { node, tag });
+        self.tracer
+            .emit(key, self.now, self.id, TraceKind::TimerSet { tag });
     }
 
     /// Emit a named protocol trace point — the hook that ties a metric
@@ -458,18 +414,11 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// key of the currently dispatching event, so a provenance query can
     /// walk from the sample back through the message/timer chain that led
     /// to it. Conventionally `name` is the metric key being annotated.
-    #[cfg(feature = "trace")]
     pub fn trace_point(&mut self, name: &'static str, value: f64) {
         let key = self.tracer.cur;
         self.tracer
             .emit(key, self.now, self.id, TraceKind::Point { name, value });
     }
-
-    /// Trace-point no-op: the `trace` feature is compiled out, so this
-    /// vanishes entirely. Protocol crates call it unconditionally.
-    #[cfg(not(feature = "trace"))]
-    #[inline(always)]
-    pub fn trace_point(&mut self, _name: &'static str, _value: f64) {}
 
     /// Emit a named probe signal — a substrate health sample (a lookup
     /// latency, a seeder count) delivered to the installed probe sink in
@@ -516,7 +465,6 @@ pub struct Simulation<P: Protocol> {
     events: u64,
     churn_enabled: Vec<bool>,
     started: Vec<bool>,
-    #[cfg(feature = "trace")]
     tracer: Tracer,
     prober: Prober,
 }
@@ -524,7 +472,7 @@ pub struct Simulation<P: Protocol> {
 impl<P: Protocol> Simulation<P> {
     /// Create an empty simulation with the given RNG seed.
     ///
-    /// With the `trace` feature compiled in, a sink factory installed via
+    /// A sink factory installed via
     /// [`crate::trace::with_thread_sink`] is consulted here — that is how a
     /// harness wires a flight recorder into simulations constructed deep
     /// inside `fn(seed) -> Metrics` experiment entry points without
@@ -533,7 +481,6 @@ impl<P: Protocol> Simulation<P> {
     pub fn new(seed: u64) -> Simulation<P> {
         let mut metrics = Metrics::new();
         let hot = HotCounters::new(&mut metrics);
-        #[cfg(feature = "trace")]
         let tracer = {
             let (sink, on): (Box<dyn TraceSink>, bool) = match crate::trace::make_thread_sink() {
                 Some(sink) => (sink, true),
@@ -579,16 +526,14 @@ impl<P: Protocol> Simulation<P> {
             events: 0,
             churn_enabled: Vec::new(),
             started: Vec::new(),
-            #[cfg(feature = "trace")]
             tracer,
             prober,
         };
-        trace_event!(
-            sim.tracer,
+        sim.tracer.emit(
             0,
             SimTime::ZERO,
             TRACE_SIM_NODE,
-            TraceKind::SimStart { seed }
+            TraceKind::SimStart { seed },
         );
         if sim.prober.on {
             sim.prober.sink.on_sim_start(seed);
@@ -600,7 +545,6 @@ impl<P: Protocol> Simulation<P> {
     /// recording. Emits a `SimStart` record so the sink sees the seed.
     /// Tracing never touches the RNG or metrics, so the simulated outcome
     /// is identical with or without a sink.
-    #[cfg(feature = "trace")]
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.tracer.sink = sink;
         self.tracer.on = true;
@@ -692,12 +636,9 @@ impl<P: Protocol> Simulation<P> {
         if !self.net.is_up(id) {
             return None;
         }
-        #[cfg(feature = "trace")]
-        {
-            // External injection: records emitted under this closure have no
-            // causal parent inside the simulation.
-            self.tracer.cur = 0;
-        }
+        // External injection: records emitted under this closure have no
+        // causal parent inside the simulation.
+        self.tracer.cur = 0;
         let mut ctx = Ctx {
             now: self.time,
             id,
@@ -706,7 +647,6 @@ impl<P: Protocol> Simulation<P> {
             rng: &mut self.rng,
             metrics: &mut self.metrics,
             hot: self.hot,
-            #[cfg(feature = "trace")]
             tracer: &mut self.tracer,
             prober: &mut self.prober,
         };
@@ -719,10 +659,7 @@ impl<P: Protocol> Simulation<P> {
     pub fn kill(&mut self, id: NodeId) {
         self.ensure_started();
         if self.net.is_up(id) {
-            #[cfg(feature = "trace")]
-            {
-                self.tracer.cur = 0;
-            }
+            self.tracer.cur = 0;
             self.transition(id, false);
         }
     }
@@ -733,10 +670,7 @@ impl<P: Protocol> Simulation<P> {
     pub fn revive(&mut self, id: NodeId) {
         self.ensure_started();
         if !self.net.is_up(id) {
-            #[cfg(feature = "trace")]
-            {
-                self.tracer.cur = 0;
-            }
+            self.tracer.cur = 0;
             self.transition(id, true);
         }
     }
@@ -744,17 +678,9 @@ impl<P: Protocol> Simulation<P> {
     /// Assign a node to a partition group; messages only flow within a group.
     pub fn set_partition(&mut self, id: NodeId, group: u32) {
         self.net.set_partition(id, group);
-        #[cfg(feature = "trace")]
-        {
-            self.tracer.cur = 0;
-        }
-        trace_event!(
-            self.tracer,
-            0,
-            self.time,
-            id,
-            TraceKind::Partition { group }
-        );
+        self.tracer.cur = 0;
+        self.tracer
+            .emit(0, self.time, id, TraceKind::Partition { group });
     }
 
     /// Heal all partitions.
@@ -825,23 +751,16 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Record a named trace point from outside any protocol handler (the
-    /// chaos controller uses this for the `chaos.*` span family). No-op
-    /// without the `trace` feature.
-    #[cfg(feature = "trace")]
+    /// chaos controller uses this for the `chaos.*` span family).
     pub fn trace_note(&mut self, name: &'static str, value: f64) {
         self.tracer.cur = 0;
-        trace_event!(
-            self.tracer,
+        self.tracer.emit(
             0,
             self.time,
             TRACE_SIM_NODE,
-            TraceKind::Point { name, value }
+            TraceKind::Point { name, value },
         );
     }
-
-    /// Record a named trace point (no-op: `trace` feature disabled).
-    #[cfg(not(feature = "trace"))]
-    pub fn trace_note(&mut self, _name: &'static str, _value: f64) {}
 
     /// Emit a named probe signal from outside any protocol handler (market
     /// audits, harness-level controllers); stamped with
@@ -918,10 +837,7 @@ impl<P: Protocol> Simulation<P> {
     fn step(&mut self, ev: Event<P::Msg>) {
         self.time = ev.at();
         self.events += 1;
-        #[cfg(feature = "trace")]
-        {
-            self.tracer.cur = ev.key;
-        }
+        self.tracer.cur = ev.key;
         self.probe_tick(&ev.kind);
         self.dispatch(ev.kind);
     }
@@ -942,11 +858,8 @@ impl<P: Protocol> Simulation<P> {
             if !self.started[i] {
                 self.started[i] = true;
                 let id = NodeId(i as u32);
-                #[cfg(feature = "trace")]
-                {
-                    // `on_start` runs outside any event handler.
-                    self.tracer.cur = 0;
-                }
+                // `on_start` runs outside any event handler.
+                self.tracer.cur = 0;
                 let mut ctx = Ctx {
                     now: self.time,
                     id,
@@ -955,7 +868,6 @@ impl<P: Protocol> Simulation<P> {
                     rng: &mut self.rng,
                     metrics: &mut self.metrics,
                     hot: self.hot,
-                    #[cfg(feature = "trace")]
                     tracer: &mut self.tracer,
                     prober: &mut self.prober,
                 };
@@ -1021,15 +933,14 @@ impl<P: Protocol> Simulation<P> {
         let anomalies = self.prober.sink.on_frame(&frame);
         for a in anomalies {
             self.metrics.incr(a.kind, 1);
-            trace_event!(
-                self.tracer,
+            self.tracer.emit(
                 self.tracer.cur,
                 self.time,
                 TRACE_SIM_NODE,
                 TraceKind::Point {
                     name: a.kind,
                     value: a.value,
-                }
+                },
             );
         }
     }
@@ -1050,8 +961,7 @@ impl<P: Protocol> Simulation<P> {
             self.hot.churn_down
         };
         self.metrics.incr_handle(h, 1);
-        trace_event!(
-            self.tracer,
+        self.tracer.emit(
             self.tracer.cur,
             self.time,
             id,
@@ -1059,7 +969,7 @@ impl<P: Protocol> Simulation<P> {
                 TraceKind::ChurnUp
             } else {
                 TraceKind::ChurnDown
-            }
+            },
         );
         let mut ctx = Ctx {
             now: self.time,
@@ -1069,7 +979,6 @@ impl<P: Protocol> Simulation<P> {
             rng: &mut self.rng,
             metrics: &mut self.metrics,
             hot: self.hot,
-            #[cfg(feature = "trace")]
             tracer: &mut self.tracer,
             prober: &mut self.prober,
         };
@@ -1086,26 +995,20 @@ impl<P: Protocol> Simulation<P> {
                 if !self.net.is_up(to) {
                     self.metrics.incr_handle(self.hot.dropped_receiver_down, 1);
                     self.metrics.incr_handle(self.hot.dropped, 1);
-                    trace_event!(
-                        self.tracer,
+                    self.tracer.emit(
                         self.tracer.cur,
                         self.time,
                         to,
                         TraceKind::DropDeliver {
                             from,
                             reason: DropReason::ReceiverDown,
-                        }
+                        },
                     );
                     return;
                 }
                 self.metrics.incr_handle(self.hot.delivered, 1);
-                trace_event!(
-                    self.tracer,
-                    self.tracer.cur,
-                    self.time,
-                    to,
-                    TraceKind::Deliver { from }
-                );
+                self.tracer
+                    .emit(self.tracer.cur, self.time, to, TraceKind::Deliver { from });
                 let mut ctx = Ctx {
                     now: self.time,
                     id: to,
@@ -1114,7 +1017,6 @@ impl<P: Protocol> Simulation<P> {
                     rng: &mut self.rng,
                     metrics: &mut self.metrics,
                     hot: self.hot,
-                    #[cfg(feature = "trace")]
                     tracer: &mut self.tracer,
                     prober: &mut self.prober,
                 };
@@ -1125,21 +1027,19 @@ impl<P: Protocol> Simulation<P> {
                     self.metrics
                         .incr_handle(self.hot.timer_dropped_node_down, 1);
                     self.metrics.incr_handle(self.hot.timer_dropped, 1);
-                    trace_event!(
-                        self.tracer,
+                    self.tracer.emit(
                         self.tracer.cur,
                         self.time,
                         node,
-                        TraceKind::TimerDrop { tag }
+                        TraceKind::TimerDrop { tag },
                     );
                     return;
                 }
-                trace_event!(
-                    self.tracer,
+                self.tracer.emit(
                     self.tracer.cur,
                     self.time,
                     node,
-                    TraceKind::TimerFire { tag }
+                    TraceKind::TimerFire { tag },
                 );
                 let mut ctx = Ctx {
                     now: self.time,
@@ -1149,7 +1049,6 @@ impl<P: Protocol> Simulation<P> {
                     rng: &mut self.rng,
                     metrics: &mut self.metrics,
                     hot: self.hot,
-                    #[cfg(feature = "trace")]
                     tracer: &mut self.tracer,
                     prober: &mut self.prober,
                 };
@@ -1631,7 +1530,6 @@ mod tests {
         assert_eq!(next_draw, clean_next_draw);
     }
 
-    #[cfg(feature = "trace")]
     mod trace_tests {
         use super::*;
         use crate::trace::{DropReason, SharedRecorder, TraceKind};

@@ -13,10 +13,10 @@
 //! * the event [`Simulation`] engine itself, driving [`Protocol`]
 //!   state machines with messages, timers and churn, and
 //! * a [`Metrics`] registry for counters and latency histograms, and
-//! * (behind the `trace` cargo feature) the [`trace`](crate::trace)
-//!   observability layer: a [`trace::TraceSink`] tap in the engine with a
-//!   bounded flight recorder and causal provenance keys. Compiled out by
-//!   default — the untraced engine is byte-for-byte the pre-trace engine.
+//! * the [`trace`](crate::trace) observability layer: a
+//!   [`trace::TraceSink`] tap in the engine with a bounded flight recorder
+//!   and causal provenance keys. Always compiled in; one untaken branch
+//!   per tap site until a sink is installed (DESIGN.md §11).
 //! * the [`probe`](crate::probe) signals layer: a [`probe::ProbeSink`] tap
 //!   that samples engine state (queue depths, link backlogs, counters) on
 //!   a sim-time cadence and carries named substrate health signals — the
@@ -64,7 +64,6 @@ pub mod probe;
 pub mod retry;
 pub mod rng;
 pub mod time;
-#[cfg(feature = "trace")]
 pub mod trace;
 
 pub use chaos::{

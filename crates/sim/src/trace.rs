@@ -2,7 +2,7 @@
 //! simulation engine.
 //!
 //! The engine's aggregate metrics say *what* an experiment measured; this
-//! module records *why*. When the `trace` cargo feature is enabled, the
+//! module records *why*. The
 //! engine taps every scheduling decision — sends, deliveries, drops (with
 //! reason), timer arms/fires, churn and partition transitions — and hands a
 //! [`TraceEvent`] to the installed [`TraceSink`]. Each record carries:
@@ -18,10 +18,9 @@
 //! sample back to the event that originated it — the provenance layer the
 //! paper's comparative claims need to be auditable.
 //!
-//! Costs: with the feature **off**, none of this exists — the tap sites
-//! compile to nothing and the engine is bit-for-bit the untraced engine.
-//! With the feature **on** but no sink installed (the default
-//! [`NoopSink`]), every tap is one predictable `if !on` branch. Tracing
+//! Costs: the layer is always compiled in (DESIGN.md §11). With no sink
+//! installed (the default [`NoopSink`]), every tap is one predictable
+//! `if !on` branch. Tracing
 //! never touches the RNG or the metrics registry, so enabling it can never
 //! change simulation results; `TRACE_*.jsonl` artifacts are wall-clock-free
 //! and byte-identical across repeated runs.

@@ -490,9 +490,8 @@ struct HotCounters {
 /// Replays a workload schedule — a compiled [`WorkloadSchedule`] or a
 /// [`ScheduleStream`] — against a running simulation, interleaving demand
 /// issuance and churn with normal event processing. Every applied action
-/// is counted under `workload.*` metrics and (with the `trace` feature)
-/// noted as a `workload.*` trace point. A driver stays with the simulation
-/// it first ran against.
+/// is counted under `workload.*` metrics and noted as a `workload.*` trace
+/// point. A driver stays with the simulation it first ran against.
 pub struct WorkloadDriver<I = std::vec::IntoIter<WorkloadEvent>>
 where
     I: Iterator<Item = WorkloadEvent>,

@@ -38,22 +38,42 @@ fn every_experiment_is_documented() {
     }
 }
 
+/// The package name of every `crates/*/Cargo.toml`, read from disk, so a
+/// deleted crate needs no edit here and a new one must be documented.
+fn workspace_crate_names() -> Vec<String> {
+    // This test belongs to crates/core; its siblings are the workspace.
+    let crates_dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("crates/core sits under crates/");
+    std::fs::read_dir(crates_dir)
+        .expect("crates/ is readable")
+        // A directory without a manifest (a stale build output) is no crate.
+        .filter_map(|dir| std::fs::read_to_string(dir.ok()?.path().join("Cargo.toml")).ok())
+        // `[package]` comes first in every manifest here, so the first
+        // `name` line is the package's, not a `[[bin]]`'s or `[[test]]`'s.
+        .map(|manifest| {
+            manifest
+                .lines()
+                .find_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'))
+                .expect("every manifest names its package")
+                .to_owned()
+        })
+        .collect()
+}
+
 #[test]
 fn design_lists_every_crate() {
     let design = read_doc("DESIGN.md");
-    for krate in [
-        "agora-sim",
-        "agora-crypto",
-        "agora-chain",
-        "agora-dht",
-        "agora-naming",
-        "agora-storage",
-        "agora-comm",
-        "agora-web",
-        "agora-feasibility",
-        "agora-bench",
-    ] {
-        assert!(design.contains(krate), "DESIGN.md missing {krate}");
+    let crates = workspace_crate_names();
+    assert!(
+        crates.iter().any(|c| c == "agora-sim"),
+        "crates/ was not read: {crates:?}"
+    );
+    for krate in &crates {
+        assert!(
+            design.contains(&format!("`{krate}`")),
+            "DESIGN.md missing `{krate}`"
+        );
     }
     // The substitution policy section must exist (the repro ground rules).
     assert!(design.contains("Substitutions"));

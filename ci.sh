@@ -66,6 +66,8 @@ if grep -rnE --include='*.rs' --exclude-dir=target 'cfg(_attr)?\(.*feature *=' c
 [[ $(grep -l '^\[features\]' crates/*/Cargo.toml) == crates/sim/Cargo.toml ]]
 [[ $(grep -E '^[a-z]+ = \[' crates/sim/Cargo.toml | tr '\n' ' ') == 'trace = [] probe = [] ' ]]
 if [[ -e crates/bench ]] || grep -n '^exclude' Cargo.toml; then exit 1; fi
+# Ported property suites stay always-on (ROADMAP: a PR that touches a crate ports its proptests.rs).
+if grep -nE 'agora_proptest|proptest::' crates/app/tests/proptests.rs crates/policy/tests/proptests.rs; then exit 1; fi
 
 step "baseline diff: the full matrix must match BENCH_harness.json exactly"
 ./target/release/agora-harness

@@ -91,27 +91,64 @@ impl<O: Clone> OpLog<O> {
         self.ops.is_empty()
     }
 
+    /// Highest sequence held for `writer` (0 when none): one range hop,
+    /// not a scan.
+    pub fn writer_max(&self, writer: u32) -> u64 {
+        self.ops
+            .range((writer, 0)..=(writer, u64::MAX))
+            .next_back()
+            .map_or(0, |(&(_, s), _)| s)
+    }
+
     /// Append `op` for `writer` at the next sequence number; returns the
     /// assigned seq. Publisher-side: keeps the per-writer prefix
     /// contiguous by construction.
     pub fn append(&mut self, writer: u32, op: O) -> u64 {
-        let next = self
-            .ops
-            .range((writer, 0)..=(writer, u64::MAX))
-            .next_back()
-            .map_or(FIRST_SEQ, |(&(_, s), _)| s + 1);
+        let next = self.writer_max(writer) + 1;
         self.ops.insert((writer, next), op);
         next
     }
 
-    /// Keyed union: the CRDT join. Commutative, associative, idempotent
-    /// (same key always carries the same op in any honest history).
+    /// Keyed union in place: the CRDT join. Commutative, associative,
+    /// idempotent (same key always carries the same op in any honest
+    /// history); clones only the ops `self` lacks.
+    pub fn join(&mut self, other: &OpLog<O>) {
+        for (k, op) in &other.ops {
+            self.ops.entry(*k).or_insert_with(|| op.clone());
+        }
+    }
+
+    /// [`join`](OpLog::join) into a copy.
     pub fn merge(&self, other: &OpLog<O>) -> OpLog<O> {
         let mut out = self.clone();
-        for (k, op) in &other.ops {
-            out.ops.entry(*k).or_insert_with(|| op.clone());
-        }
+        out.join(other);
         out
+    }
+
+    /// Join `other` in iff the result is a valid log, in O(|other| log n).
+    /// `self` must be valid (contiguous, every op passing `valid_op`), so
+    /// only what `other` *adds* needs checking: each new op must pass
+    /// `valid_op` and extend its writer's prefix by exactly one. Ops at
+    /// keys already held are ignored, as `join` ignores them. On `false`
+    /// `self` is untouched.
+    pub fn try_join(&mut self, other: &OpLog<O>, valid_op: impl Fn(&O) -> bool) -> bool {
+        // `other` iterates writer-then-seq: look a writer's prefix up once
+        // per run, then count along it.
+        let (mut writer, mut next) = (None, 0);
+        for (&(w, s), op) in &other.ops {
+            if writer != Some(w) {
+                (writer, next) = (Some(w), self.writer_max(w) + 1);
+            }
+            if (FIRST_SEQ..next).contains(&s) {
+                continue;
+            }
+            if s != next || !valid_op(op) {
+                return false;
+            }
+            next += 1;
+        }
+        self.join(other);
+        true
     }
 
     /// The version vector of this log: per-writer max seq.
@@ -216,6 +253,11 @@ pub trait Contract {
     fn merge_deltas(a: &Self::Delta, b: &Self::Delta) -> Self::Delta;
     /// Apply a delta to a state.
     fn apply(state: &Self::State, delta: &Self::Delta) -> Self::State;
+    /// Apply `delta` in place iff the result is valid. `state` must be
+    /// valid; returns `validate_state(&apply(state, delta))`, leaving
+    /// `state` equal to that join on `true` and untouched on `false`, at
+    /// the cost of the delta rather than of the state.
+    fn try_apply(state: &mut Self::State, delta: &Self::Delta) -> bool;
     /// Summarize a state for exact-suffix requests.
     fn summarize(state: &Self::State) -> Self::Summary;
     /// Exactly what the holder of `summary` is missing from `state`.
@@ -318,6 +360,9 @@ impl Contract for Guestbook {
     fn apply(state: &Self::State, delta: &Self::Delta) -> Self::State {
         state.merge(delta)
     }
+    fn try_apply(state: &mut Self::State, delta: &Self::Delta) -> bool {
+        state.try_join(delta, Self::validate_op)
+    }
     fn summarize(state: &Self::State) -> Self::Summary {
         state.summarize()
     }
@@ -333,7 +378,7 @@ impl Contract for Guestbook {
         d
     }
     fn writer_seq(state: &Self::State, writer: u32) -> u64 {
-        state.summarize().get(writer)
+        state.writer_max(writer)
     }
     fn state_ops(state: &Self::State) -> u64 {
         state.len()
@@ -476,6 +521,9 @@ impl Contract for KvDoc {
     fn apply(state: &Self::State, delta: &Self::Delta) -> Self::State {
         state.merge(delta)
     }
+    fn try_apply(state: &mut Self::State, delta: &Self::Delta) -> bool {
+        state.try_join(delta, Self::validate_op)
+    }
     fn summarize(state: &Self::State) -> Self::Summary {
         state.summarize()
     }
@@ -491,7 +539,7 @@ impl Contract for KvDoc {
         d
     }
     fn writer_seq(state: &Self::State, writer: u32) -> u64 {
-        state.summarize().get(writer)
+        state.writer_max(writer)
     }
     fn state_ops(state: &Self::State) -> u64 {
         state.len()

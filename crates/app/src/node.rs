@@ -154,6 +154,10 @@ struct Authority<C: Contract> {
     state: C::State,
     /// Exact length of `C::encode_state(&state)`, maintained incrementally.
     state_bytes: u64,
+    /// `C::encode_state(&state)`, memoized from the first read after a
+    /// write until the next write. Only `encoded_state` fills it, from
+    /// `state`; nothing takes bytes from outside.
+    encoded: Option<Rc<[u8]>>,
     writers: BTreeMap<NodeId, u32>,
     subscribers: BTreeSet<NodeId>,
     pub_seq: u64,
@@ -166,15 +170,29 @@ struct Authority<C: Contract> {
 }
 
 impl<C: Contract> Authority<C> {
-    /// Append one validated op: assign the writer id and sequence,
-    /// maintain the exact encoded-state size, and push the signed delta
-    /// to subscribers when publishing.
-    fn accept_op(&mut self, ctx: &mut Ctx<'_, AppMsg>, from: NodeId, op: C::Op) -> u64 {
+    /// The canonical state encoding every read and bootstrap carries.
+    fn encoded_state(&mut self) -> Rc<[u8]> {
+        let bytes = self
+            .encoded
+            .get_or_insert_with(|| C::encode_state(&self.state).into());
+        Rc::clone(bytes)
+    }
+
+    /// Append one op if the contract accepts it (`app.bad_ops` and `None`
+    /// otherwise): assign the writer id and sequence, maintain the exact
+    /// encoded-state size, and push the signed delta to subscribers when
+    /// publishing. Returns the new log length.
+    fn accept_op(&mut self, ctx: &mut Ctx<'_, AppMsg>, from: NodeId, op: C::Op) -> Option<u64> {
         let next_writer = self.writers.len() as u32 + 1;
-        let writer = *self.writers.entry(from).or_insert(next_writer);
+        let writer = self.writers.get(&from).copied().unwrap_or(next_writer);
         let seq = C::writer_seq(&self.state, writer) + 1;
         let delta = C::singleton_delta(writer, seq, op);
-        self.state = C::apply(&self.state, &delta);
+        if !C::try_apply(&mut self.state, &delta) {
+            ctx.metrics().incr("app.bad_ops", 1);
+            return None;
+        }
+        self.writers.insert(from, writer);
+        self.encoded = None;
         self.pub_seq += 1;
         self.last_published_us = ctx.now().micros();
         let delta_bytes = C::encode_delta(&delta);
@@ -197,7 +215,7 @@ impl<C: Contract> Authority<C> {
             self.sent_bytes += bytes * targets.len() as u64;
             ctx.multicast(&targets, msg, bytes);
         }
-        self.pub_seq
+        Some(self.pub_seq)
     }
 }
 
@@ -259,9 +277,17 @@ impl<C: Contract> Replica<C> {
             ctx.metrics().incr("app.delta_rejected", 1);
             return;
         };
-        let merged = C::apply(&self.state, &delta);
-        if C::validate_state(&merged) {
-            self.state = merged;
+        let held = C::state_ops(&self.state);
+        if !C::try_apply(&mut self.state, &delta) {
+            // A gap: the delta ran ahead of our contiguous prefix. Hold
+            // our state and ask for exactly what we lack.
+            ctx.metrics().incr("app.delta_gap", 1);
+        } else if C::state_ops(&self.state) == held {
+            // A replay: the cert binds author, app, sequence and bytes,
+            // not freshness, so a delta that adds nothing says nothing
+            // about staleness.
+            ctx.metrics().incr("app.delta_replayed", 1);
+        } else {
             self.last_lag_secs =
                 (ctx.now().micros().saturating_sub(published_us)) as f64 / 1_000_000.0;
             ctx.trace_point("app.delta", delta_buf.len() as f64);
@@ -273,10 +299,6 @@ impl<C: Contract> Replica<C> {
             if published_us > self.applied_published_us {
                 self.applied_published_us = published_us;
             }
-        } else {
-            // A gap: the delta ran ahead of our contiguous prefix. Hold
-            // our state and ask for exactly what we lack.
-            ctx.metrics().incr("app.delta_gap", 1);
         }
         self.known_seq = self.known_seq.max(pub_seq);
         self.pull_if_behind(ctx);
@@ -321,6 +343,7 @@ impl<C: Contract> AppNode<C> {
             contract,
             state,
             state_bytes,
+            encoded: None,
             writers: BTreeMap::new(),
             subscribers: BTreeSet::new(),
             pub_seq: 0,
@@ -379,8 +402,9 @@ impl<C: Contract> AppNode<C> {
                 let (Role::Publisher(a) | Role::Server(a)) = &mut self.role else {
                     unreachable!();
                 };
-                let pub_seq = a.accept_op(ctx, me, op.clone());
-                self.results.insert(id, AppResult::Submitted { pub_seq });
+                if let Some(pub_seq) = a.accept_op(ctx, me, op.clone()) {
+                    self.results.insert(id, AppResult::Submitted { pub_seq });
+                }
                 return id;
             }
         };
@@ -504,10 +528,9 @@ impl<C: Contract> Protocol for AppNode<C> {
                     return;
                 };
                 a.subscribers.insert(from);
-                let state: Rc<[u8]> = C::encode_state(&a.state).into();
                 let reply = AppMsg::SubAck {
                     contract: Box::new(a.contract.clone()),
-                    state,
+                    state: a.encoded_state(),
                     pub_seq: a.pub_seq,
                     published_us: a.last_published_us,
                 };
@@ -536,14 +559,15 @@ impl<C: Contract> Protocol for AppNode<C> {
                     ctx.metrics().incr("app.bad_contracts", 1);
                     return;
                 };
-                if !C::validate_state(&full) {
+                // Bootstrap (or re-bootstrap after churn): adopt the union
+                // of what we hold and the authority's copy — idempotent.
+                if !C::validate_state(&full)
+                    || !C::try_apply(&mut r.state, &C::state_as_delta(&full))
+                {
                     ctx.metrics().incr("app.bad_contracts", 1);
                     return;
                 }
-                // Bootstrap (or re-bootstrap after churn): adopt the union
-                // of what we hold and the authority's copy — idempotent.
                 r.contract = Some(*contract);
-                r.state = C::apply(&r.state, &C::state_as_delta(&full));
                 r.known_seq = r.known_seq.max(pub_seq);
                 if published_us > r.applied_published_us {
                     r.applied_published_us = published_us;
@@ -560,11 +584,9 @@ impl<C: Contract> Protocol for AppNode<C> {
                     ctx.metrics().incr("app.bad_ops", 1);
                     return;
                 };
-                if !C::validate_op(&parsed) {
-                    ctx.metrics().incr("app.bad_ops", 1);
+                let Some(pub_seq) = a.accept_op(ctx, from, parsed) else {
                     return;
-                }
-                let pub_seq = a.accept_op(ctx, from, parsed);
+                };
                 let reply = AppMsg::SubmitAck { op, pub_seq };
                 let bytes = reply.wire_size();
                 a.sent_bytes += bytes;
@@ -619,10 +641,9 @@ impl<C: Contract> Protocol for AppNode<C> {
                     return;
                 };
                 ctx.trace_point("app.read", a.state_bytes as f64);
-                let state: Rc<[u8]> = C::encode_state(&a.state).into();
                 let reply = AppMsg::ReadResp {
                     op,
-                    state,
+                    state: a.encoded_state(),
                     pub_seq: a.pub_seq,
                 };
                 let bytes = reply.wire_size();
@@ -786,9 +807,26 @@ mod tests {
             let text = format!("entry-number-{i}");
             sim.with_ctx(w, |n, ctx| n.start_submit(ctx, &entry(&text)));
             sim.run_for(SimDuration::from_secs(1));
+            // Right after the write (the memo was cleared) and again
+            // between writes (the memo answers): what a `ReadResp` or
+            // `SubAck` carries is the encoding of the state as it is now.
+            for _ in 0..2 {
+                let read = sim.with_ctx(w, |n, ctx| n.start_read(ctx)).unwrap();
+                sim.run_for(SimDuration::from_secs(1));
+                let Role::Publisher(a) = &mut sim.node_mut(p).role else {
+                    panic!("p is the publisher");
+                };
+                let carried = a.encoded_state();
+                assert_eq!(carried[..], Guestbook::encode_state(&a.state)[..]);
+                assert_eq!(a.state_bytes, carried.len() as u64);
+                assert_eq!(
+                    sim.node_mut(w).take_result(read),
+                    Some(AppResult::Read {
+                        pub_seq: i + 1,
+                        bytes: carried.len() as u64
+                    })
+                );
+            }
         }
-        let n = sim.node(p);
-        let encoded = Guestbook::encode_state(n.state().unwrap()).len() as u64;
-        assert_eq!(n.state_bytes(), encoded);
     }
 }

@@ -683,7 +683,10 @@ fn contract_merge_ops_per_sec(deltas: u64) -> f64 {
     let started = Instant::now();
     let mut state = Guestbook::empty();
     for d in &pushes {
-        state = Guestbook::apply(&state, d);
+        assert!(
+            Guestbook::try_apply(&mut state, d),
+            "each push is the next op"
+        );
     }
     let secs = started.elapsed().as_secs_f64().max(1e-9);
     std::hint::black_box(&state);

@@ -67,7 +67,10 @@ if grep -rnE --include='*.rs' --exclude-dir=target 'cfg(_attr)?\(.*feature *=' c
 [[ $(grep -E '^[a-z]+ = \[' crates/sim/Cargo.toml | tr '\n' ' ') == 'trace = [] probe = [] ' ]]
 if [[ -e crates/bench ]] || grep -n '^exclude' Cargo.toml; then exit 1; fi
 # Ported property suites stay always-on (ROADMAP: a PR that touches a crate ports its proptests.rs).
-if grep -nE 'agora_proptest|proptest::' crates/app/tests/proptests.rs crates/policy/tests/proptests.rs; then exit 1; fi
+if grep -nE 'agora_proptest|proptest::' crates/{app,dht,policy,sim,storage,web,workload}/tests/proptests.rs; then exit 1; fi
+
+step "retry lives where an experiment retries: the dormant DHT, storage, swarm and amnesia paths stay deleted (DESIGN.md §12)"
+if grep -rnE --include='*.rs' --exclude-dir=target 'StorageNode::client_with_retry|peer_with_retry|rpc_retries|amnesia|Jitter|backoff_pre_jitter' crates; then exit 1; fi
 
 step "baseline diff: the full matrix must match BENCH_harness.json exactly"
 ./target/release/agora-harness

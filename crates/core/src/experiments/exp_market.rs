@@ -82,7 +82,6 @@ fn spec_for(intensity: f64) -> ChaosSpec {
             waves: 2,
             fraction: 0.6 * intensity,
             hold: SimDuration::from_secs(60),
-            amnesia: false,
         }),
         flaps: Some(LinkFlaps {
             count: (4.0 * intensity).round() as u32,
@@ -144,7 +143,7 @@ fn run_codec(seed: u64, intensity: f64, k: usize, m: usize) -> CodecPoint {
     let mut chaos = ChaosController::install(&mut sim, schedule, seed ^ 0x5EED);
     let end = sim.now() + spec.horizon + spec.challenge_ttl;
     market.run_until_with(&mut sim, end, &mut |sim, t| {
-        chaos.run_until(sim, t, &mut |_, _| {});
+        chaos.run_until(sim, t);
     });
     CodecPoint {
         durability: market.durability(&sim),

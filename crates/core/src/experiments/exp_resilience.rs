@@ -67,7 +67,6 @@ fn spec_for(intensity: f64) -> ChaosSpec {
             waves: 2,
             fraction: 0.6 * intensity,
             hold: SimDuration::from_secs(60),
-            amnesia: false,
         }),
         flaps: Some(LinkFlaps {
             count: (4.0 * intensity).round() as u32,
@@ -149,7 +148,7 @@ fn run_centralized(seed: u64, intensity: f64) -> DegradationPoint {
                 reads.push((c, op));
             }
         }
-        chaos.run_for(&mut sim, STEP, &mut |_, _| {});
+        chaos.run_for(&mut sim, STEP);
     }
     sim.run_for(SETTLE);
     for (c, op) in reads {
@@ -209,7 +208,7 @@ fn run_federated(seed: u64, intensity: f64) -> DegradationPoint {
                 reads.push((c, op));
             }
         }
-        chaos.run_for(&mut sim, STEP, &mut |_, _| {});
+        chaos.run_for(&mut sim, STEP);
     }
     sim.run_for(SETTLE);
     for (c, op) in reads {
@@ -246,7 +245,7 @@ fn run_p2p(seed: u64, intensity: f64) -> DegradationPoint {
                 reads.push((id, op));
             }
         }
-        chaos.run_for(&mut sim, STEP, &mut |_, _| {});
+        chaos.run_for(&mut sim, STEP);
     }
     sim.run_for(SETTLE);
     for (c, op) in reads {
@@ -314,7 +313,7 @@ fn run_chain(seed: u64, intensity: f64) -> DegradationPoint {
                 });
             }
         }
-        chaos.run_for(&mut sim, STEP, &mut |_, _| {});
+        chaos.run_for(&mut sim, STEP);
         // Transfers confirm in nonce order, so the k-th unit of balance is
         // the k-th submitted transaction: attribute confirmation latency.
         let balance = sim.node(observer).ledger().state().balance(&bob);

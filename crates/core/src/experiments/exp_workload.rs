@@ -27,8 +27,8 @@ use agora_crypto::{sha256, Hash256};
 use agora_dht::{Contact, DhtConfig, DhtNode, DhtResult};
 use agora_policy::{PolicyConfig, PolicyHandle, PolicyHub};
 use agora_sim::{
-    DeviceClass, Jitter, Metrics, NodeId, Protocol, Retrier, RetryPolicy, SimDuration, SimRng,
-    SimTime, Simulation,
+    DeviceClass, Metrics, NodeId, Protocol, Retrier, RetryPolicy, SimDuration, SimRng, SimTime,
+    Simulation,
 };
 use agora_storage::{ProviderStrategy, StorageNode, StorageResult};
 use agora_web::{SitePublisher, SwarmNode, VisitResult};
@@ -141,15 +141,13 @@ fn install_policy<P: Protocol>(sim: &mut Simulation<P>) -> PolicyHandle {
     handle
 }
 
-/// Client backoff under admission control: decorrelated exponential from
-/// one minute toward a fifteen-minute cap, eight attempts total.
+/// Client backoff under admission control: decorrelated jitter from one
+/// minute toward a fifteen-minute cap, eight attempts total.
 fn shed_retry() -> RetryPolicy {
     RetryPolicy {
         base: SimDuration::from_secs(60),
-        factor: 2.0,
         cap: SimDuration::from_mins(15),
         max_attempts: 8,
-        jitter: Jitter::Decorrelated,
         hedge_after: None,
     }
 }

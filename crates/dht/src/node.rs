@@ -10,7 +10,6 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use agora_crypto::Hash256;
-use agora_sim::retry::{CTR_RETRY_ATTEMPTS, CTR_RETRY_GAVE_UP};
 use agora_sim::{Ctx, NodeId, Protocol, SimDuration, SimTime};
 
 use crate::routing::{Contact, Distance, RoutingTable};
@@ -22,12 +21,9 @@ pub struct DhtConfig {
     pub k: usize,
     /// Lookup parallelism.
     pub alpha: usize,
-    /// Per-RPC timeout before a contact is considered failed.
+    /// Per-RPC timeout before a contact is considered failed; a contact
+    /// that times out is never re-asked within the same lookup.
     pub rpc_timeout: SimDuration,
-    /// Times a timed-out RPC is re-sent to the same contact before that
-    /// contact is marked failed. 0 (the default) reproduces the
-    /// pre-hardening fail-on-first-timeout behaviour byte-for-byte.
-    pub rpc_retries: u32,
     /// Lookup progress tick.
     pub tick: SimDuration,
     /// Abort a lookup after this many ticks.
@@ -48,7 +44,6 @@ impl Default for DhtConfig {
             k: 8,
             alpha: 3,
             rpc_timeout: SimDuration::from_millis(1500),
-            rpc_retries: 0,
             tick: SimDuration::from_millis(500),
             max_ticks: 60,
             republish_interval: SimDuration::from_mins(30),
@@ -146,9 +141,8 @@ pub enum DhtResult {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum PeerState {
     Unqueried,
-    /// Queried, awaiting a reply since the instant; the count is how many
-    /// retries have already been spent on this contact.
-    Pending(SimTime, u32),
+    /// Queried, awaiting a reply since the instant.
+    Pending(SimTime),
     Responded,
     Failed,
 }
@@ -384,53 +378,18 @@ impl DhtNode {
         };
         let now = ctx.now();
 
-        // Expire stale pending queries: re-send while the contact has
-        // retry budget (rpc_retries, default 0 = dormant), then fail it
-        // and prune it from the table.
+        // Expire stale pending queries: a timed-out contact fails and is
+        // pruned from the table.
         let timeout = self.cfg.rpc_timeout;
-        let rpc_retries = self.cfg.rpc_retries;
         let mut failed_keys = Vec::new();
-        let mut retry_sends = Vec::new();
         for e in lk.shortlist.iter_mut() {
-            if let PeerState::Pending(since, tries) = e.state {
+            if let PeerState::Pending(since) = e.state {
                 if now.since(since) > timeout {
-                    if tries < rpc_retries {
-                        e.state = PeerState::Pending(now, tries + 1);
-                        retry_sends.push(e.contact);
-                    } else {
-                        e.state = PeerState::Failed;
-                        failed_keys.push(e.contact.key);
-                        if rpc_retries > 0 {
-                            ctx.metrics().incr(CTR_RETRY_GAVE_UP, 1);
-                            ctx.trace_point("retry.gave_up", op as f64);
-                        }
-                    }
+                    e.state = PeerState::Failed;
+                    failed_keys.push(e.contact.key);
                 }
             }
         }
-        // The query this lookup sends each contact it asks.
-        let (kind, target, sender_key) = (lk.kind, lk.target, self.key);
-        let query = || match kind {
-            OpKind::Get => DhtMsg::FindValue {
-                op,
-                target,
-                sender_key,
-            },
-            _ => DhtMsg::FindNode {
-                op,
-                target,
-                sender_key,
-            },
-        };
-        for c in retry_sends {
-            let msg = query();
-            let size = msg.wire_size();
-            ctx.metrics().incr(CTR_RETRY_ATTEMPTS, 1);
-            ctx.trace_point("retry.attempt", op as f64);
-            ctx.send(c.addr, msg, size);
-            ctx.metrics().incr("dht.rpc_sent", 1);
-        }
-        let lk = self.lookups.get_mut(&op).expect("checked above");
 
         // Termination: the k closest entries (a prefix: the shortlist is
         // kept in distance order) have all resolved — responded or failed —
@@ -460,10 +419,22 @@ impl DhtNode {
             .count();
         let mut queried = 0;
         if in_flight < alpha {
+            let (kind, target, sender_key) = (lk.kind, lk.target, self.key);
             for e in lk.shortlist.iter_mut().take(k + alpha) {
                 if e.state == PeerState::Unqueried && queried + in_flight < alpha {
-                    e.state = PeerState::Pending(now, 0);
-                    let msg = query();
+                    e.state = PeerState::Pending(now);
+                    let msg = match kind {
+                        OpKind::Get => DhtMsg::FindValue {
+                            op,
+                            target,
+                            sender_key,
+                        },
+                        _ => DhtMsg::FindNode {
+                            op,
+                            target,
+                            sender_key,
+                        },
+                    };
                     let size = msg.wire_size();
                     ctx.send(e.contact.addr, msg, size);
                     ctx.metrics().incr("dht.rpc_sent", 1);
@@ -829,49 +800,21 @@ mod tests {
     }
 
     #[test]
-    fn rpc_retries_resend_under_loss_and_stay_dormant_by_default() {
-        // Same topology and seed, once with retries and once without: the
-        // retrying run re-sends timed-out RPCs (retry.attempts > 0) while
-        // the default run never touches the retry counters.
-        let run = |retries: u32| {
-            let mut sim = Simulation::new(33);
-            let boot_key = sha256(b"node-0");
-            let mut ids = Vec::new();
-            for i in 0..12 {
-                let key = sha256(format!("node-{i}").as_bytes());
-                let bootstrap = if i == 0 {
-                    vec![]
-                } else {
-                    vec![Contact {
-                        key: boot_key,
-                        addr: NodeId(0),
-                    }]
-                };
-                let cfg = DhtConfig {
-                    rpc_retries: retries,
-                    ..DhtConfig::default()
-                };
-                ids.push(sim.add_node(
-                    DhtNode::new(key, cfg, bootstrap),
-                    DeviceClass::PersonalComputer,
-                ));
-            }
-            sim.run_for(SimDuration::from_secs(30));
-            sim.set_loss_rate(0.5);
-            let target = sha256(b"lossy-target");
-            sim.with_ctx(ids[3], |n, ctx| n.start_find_node(ctx, target))
-                .unwrap();
-            sim.run_for(SimDuration::from_secs(60));
-            (
-                sim.metrics().counter("retry.attempts"),
-                sim.metrics().counter("dht.rpc_sent"),
-            )
-        };
-        let (attempts_off, sent_off) = run(0);
-        assert_eq!(attempts_off, 0, "dormant config must not retry");
-        let (attempts_on, sent_on) = run(2);
-        assert!(attempts_on > 0, "retries must fire under 50% loss");
-        assert!(sent_on > sent_off, "retries add RPCs");
+    fn lookup_under_loss_terminates_without_resending() {
+        // A timed-out contact fails on its first timeout: under 50% loss
+        // the lookup still ends with a result, and nothing is re-sent.
+        let (mut sim, ids, _) = build(12, 33);
+        sim.set_loss_rate(0.5);
+        let target = sha256(b"lossy-target");
+        let op = sim
+            .with_ctx(ids[3], |n, ctx| n.start_find_node(ctx, target))
+            .unwrap();
+        sim.run_for(SimDuration::from_secs(60));
+        assert!(sim.node_mut(ids[3]).take_result(op).is_some());
+        assert!(sim.metrics().counter("dht.rpc_sent") > 0);
+        for key in ["retry.attempts", "retry.gave_up"] {
+            assert_eq!(sim.metrics().counter(key), 0, "{key}");
+        }
     }
 
     #[test]

@@ -1,14 +1,11 @@
-// Property tests need the external `proptest` crate, which hermetic
-// (offline) builds cannot fetch. To run them: re-add `proptest = "1"` to this
-// crate's [dev-dependencies] and build with RUSTFLAGS="--cfg agora_proptest".
-#![cfg(agora_proptest)]
-
-//! Property-based tests for the Kademlia routing table.
+//! Property tests for the Kademlia routing table. Always on, 256 seeded
+//! `SimRng` cases per property, no registry dependency.
 
 use agora_crypto::{sha256, Hash256};
 use agora_dht::{Contact, RoutingTable};
-use agora_sim::NodeId;
-use proptest::prelude::*;
+use agora_sim::{NodeId, SimRng};
+
+const CASES: u64 = 256;
 
 fn contacts(n: usize) -> Vec<Contact> {
     (0..n)
@@ -19,28 +16,32 @@ fn contacts(n: usize) -> Vec<Contact> {
         .collect()
 }
 
-proptest! {
-    /// The table never stores its own key, never exceeds k per bucket, and
-    /// never duplicates a contact — under arbitrary observe/remove storms.
-    #[test]
-    fn table_invariants(
-        k in 1usize..12,
-        ops in proptest::collection::vec((any::<u16>(), any::<bool>()), 0..300),
-    ) {
+/// The table never stores its own key, never exceeds k per bucket, and
+/// never duplicates a contact — under arbitrary observe/remove storms.
+#[test]
+fn table_invariants() {
+    let mut cases = SimRng::new(0x6468_7431);
+    for case in 0..CASES {
+        let k = cases.range(1, 12) as usize;
         let own = sha256(b"own-key");
         let mut table = RoutingTable::new(own, k);
-        table.observe(Contact { key: own, addr: NodeId(9999) });
-        for (x, insert) in ops {
+        table.observe(Contact {
+            key: own,
+            addr: NodeId(9999),
+        });
+        for _ in 0..cases.below(300) {
+            // A narrow key space, so removes hit stored contacts.
+            let x = cases.below(1 << 9) as u16;
             let c = Contact {
                 key: sha256(&x.to_be_bytes()),
                 addr: NodeId(x as u32),
             };
-            if insert {
+            if cases.chance(0.5) {
                 table.observe(c);
             } else {
                 table.remove(&c.key);
             }
-            prop_assert!(!table.contains(&own), "self-key stored");
+            assert!(!table.contains(&own), "case {case}: self-key stored");
         }
         // No duplicates: closest over everything returns unique keys.
         let all = table.closest(&own, usize::MAX);
@@ -48,68 +49,73 @@ proptest! {
         let before = keys.len();
         keys.sort_unstable();
         keys.dedup();
-        prop_assert_eq!(keys.len(), before, "duplicate contacts");
-        prop_assert_eq!(all.len(), table.len());
+        assert_eq!(keys.len(), before, "case {case}: duplicate contacts");
+        assert_eq!(all.len(), table.len(), "case {case}");
     }
+}
 
-    /// closest(target, n) is sorted by XOR distance and globally optimal
-    /// among stored contacts.
-    #[test]
-    fn closest_is_sorted_and_optimal(
-        n_contacts in 1usize..150,
-        want in 1usize..25,
-        target_seed in any::<u64>(),
-    ) {
+/// closest(target, n) is sorted by XOR distance and globally optimal
+/// among stored contacts.
+#[test]
+fn closest_is_sorted_and_optimal() {
+    let mut cases = SimRng::new(0x6468_7432);
+    for case in 0..CASES {
+        let (n_contacts, want) = (cases.range(1, 150) as usize, cases.range(1, 25) as usize);
         let own = sha256(b"me");
         let mut table = RoutingTable::new(own, 20);
-        let cs = contacts(n_contacts);
-        for c in &cs {
-            table.observe(*c);
+        for c in contacts(n_contacts) {
+            table.observe(c);
         }
-        let target = sha256(&target_seed.to_be_bytes());
+        let target = sha256(&cases.next_u64().to_be_bytes());
         let got = table.closest(&target, want);
-        prop_assert!(got.len() <= want);
+        assert!(got.len() <= want, "case {case}");
         for w in got.windows(2) {
-            prop_assert!(w[0].key.xor(&target) <= w[1].key.xor(&target));
+            assert!(
+                w[0].key.xor(&target) <= w[1].key.xor(&target),
+                "case {case}"
+            );
         }
         // The head of the result is the global minimum among *stored*.
         if let Some(first) = got.first() {
             let stored = table.closest(&target, usize::MAX);
-            prop_assert_eq!(first.key, stored[0].key);
+            assert_eq!(first.key, stored[0].key, "case {case}");
         }
     }
+}
 
-    /// Re-observing contacts is idempotent on size.
-    #[test]
-    fn observe_idempotent(n in 1usize..80, repeats in 1usize..4) {
-        let mut table = RoutingTable::new(sha256(b"me"), 8);
+/// Re-observing contacts is idempotent on size.
+#[test]
+fn observe_idempotent() {
+    let mut cases = SimRng::new(0x6468_7433);
+    for case in 0..CASES {
+        let (n, repeats) = (cases.range(1, 80) as usize, cases.range(1, 4));
         let cs = contacts(n);
-        for _ in 0..repeats {
-            for c in &cs {
-                table.observe(*c);
-            }
-        }
-        let once = {
+        let table = |repeats: u64| {
             let mut t = RoutingTable::new(sha256(b"me"), 8);
-            for c in &cs {
-                t.observe(*c);
+            for _ in 0..repeats {
+                for c in &cs {
+                    t.observe(*c);
+                }
             }
             t.len()
         };
-        prop_assert_eq!(table.len(), once);
+        assert_eq!(table(repeats), table(1), "case {case}: n {n} x{repeats}");
     }
+}
 
-    /// XOR distance is a metric compatible with the triangle property of
-    /// XOR (d(a,c) <= d(a,b) ^ d(b,c) bitwise; here we check symmetry and
-    /// identity which routing correctness relies on).
-    #[test]
-    fn xor_metric_identity_symmetry(a in any::<u64>(), b in any::<u64>()) {
+/// XOR distance is symmetric and zero exactly on identical keys, which
+/// routing correctness relies on.
+#[test]
+fn xor_metric_identity_symmetry() {
+    let mut cases = SimRng::new(0x6468_7434);
+    for _ in 0..CASES {
+        let (a, b) = (cases.next_u64(), cases.next_u64());
         let ha = sha256(&a.to_be_bytes());
         let hb = sha256(&b.to_be_bytes());
-        prop_assert_eq!(ha.xor(&ha), Hash256::ZERO);
-        prop_assert_eq!(ha.xor(&hb), hb.xor(&ha));
+        assert_eq!(ha.xor(&ha), Hash256::ZERO);
+        assert_eq!(ha.xor(&hb), hb.xor(&ha));
         if a != b {
-            prop_assert_ne!(ha.xor(&hb), Hash256::ZERO);
+            assert_ne!(ha.xor(&hb), Hash256::ZERO, "{a} {b}");
         }
     }
 }

@@ -7,7 +7,7 @@
 //! dedicated [`SimRng`] stream so the main simulation stream is never
 //! perturbed — into a [`ChaosSchedule`] of concrete [`ChaosFault`]s at
 //! concrete offsets. A [`ChaosController`] then interleaves the schedule
-//! with normal event processing: `controller.run_for(sim, d, ..)` is a
+//! with normal event processing: `controller.run_for(sim, d)` is a
 //! drop-in replacement for `sim.run_for(d)` that applies each fault at its
 //! exact simulated instant.
 //!
@@ -35,10 +35,9 @@ pub struct CrashWaves {
     pub waves: u32,
     /// Fraction of the node list killed per wave (prefix rule).
     pub fraction: f64,
-    /// How long victims stay down before the paired revive.
+    /// How long victims stay down before the paired revive; a revived
+    /// node keeps its protocol state.
     pub hold: SimDuration,
-    /// Wipe node state on revive (crash-with-amnesia) vs preserve it.
-    pub amnesia: bool,
 }
 
 /// Flapping links: individual nodes whose chaos link drops and recovers,
@@ -100,12 +99,10 @@ pub enum ChaosFault {
         /// Nodes to take down.
         victims: Vec<NodeId>,
     },
-    /// Revive each victim, optionally wiping its state first.
+    /// Revive each victim with its state intact.
     Revive {
         /// Nodes to bring back.
         victims: Vec<NodeId>,
-        /// Invoke the caller's reset hook before reviving.
-        amnesia: bool,
     },
     /// Drop one node's chaos link.
     LinkDown {
@@ -215,7 +212,6 @@ impl ChaosSpec {
                         at: at + c.hold,
                         fault: ChaosFault::Revive {
                             victims: victims.clone(),
-                            amnesia: c.amnesia,
                         },
                     });
                 }
@@ -346,27 +342,14 @@ impl ChaosController {
     }
 
     /// Drop-in replacement for `sim.run_for(d)` that applies scheduled
-    /// faults at their exact instants. `reset` is the amnesia hook: it is
-    /// called with each victim's protocol state before an
-    /// amnesia-flagged revive (pass `|_, _| {}` when the schedule has no
-    /// amnesia waves).
-    pub fn run_for<P: Protocol>(
-        &mut self,
-        sim: &mut Simulation<P>,
-        d: SimDuration,
-        reset: &mut dyn FnMut(NodeId, &mut P),
-    ) {
+    /// faults at their exact instants.
+    pub fn run_for<P: Protocol>(&mut self, sim: &mut Simulation<P>, d: SimDuration) {
         let limit = sim.now() + d;
-        self.run_until(sim, limit, reset);
+        self.run_until(sim, limit);
     }
 
     /// As [`ChaosController::run_for`], but to an absolute deadline.
-    pub fn run_until<P: Protocol>(
-        &mut self,
-        sim: &mut Simulation<P>,
-        limit: SimTime,
-        reset: &mut dyn FnMut(NodeId, &mut P),
-    ) {
+    pub fn run_until<P: Protocol>(&mut self, sim: &mut Simulation<P>, limit: SimTime) {
         while let Some(action) = self.schedule.actions.get(self.next) {
             let at = self.base + action.at;
             if at > limit {
@@ -375,17 +358,12 @@ impl ChaosController {
             sim.run_until(at);
             let fault = self.schedule.actions[self.next].fault.clone();
             self.next += 1;
-            self.apply(sim, &fault, reset);
+            self.apply(sim, &fault);
         }
         sim.run_until(limit);
     }
 
-    fn apply<P: Protocol>(
-        &mut self,
-        sim: &mut Simulation<P>,
-        fault: &ChaosFault,
-        reset: &mut dyn FnMut(NodeId, &mut P),
-    ) {
+    fn apply<P: Protocol>(&mut self, sim: &mut Simulation<P>, fault: &ChaosFault) {
         match fault {
             ChaosFault::Kill { victims } => {
                 for &v in victims {
@@ -394,20 +372,12 @@ impl ChaosController {
                 sim.metrics_mut().incr("chaos.killed", victims.len() as u64);
                 sim.trace_note("chaos.kill", victims.len() as f64);
             }
-            ChaosFault::Revive { victims, amnesia } => {
+            ChaosFault::Revive { victims } => {
                 for &v in victims {
-                    if *amnesia {
-                        reset(v, sim.node_mut(v));
-                    }
                     sim.revive(v);
                 }
                 sim.metrics_mut()
                     .incr("chaos.revived", victims.len() as u64);
-                if *amnesia {
-                    sim.metrics_mut()
-                        .incr("chaos.amnesia_wipes", victims.len() as u64);
-                    sim.trace_note("chaos.amnesia", victims.len() as f64);
-                }
                 sim.trace_note("chaos.revive", victims.len() as f64);
             }
             ChaosFault::LinkDown { node } => {
@@ -476,7 +446,6 @@ mod tests {
                 waves: 3,
                 fraction: 0.4,
                 hold: SimDuration::from_secs(5),
-                amnesia: false,
             }),
             flaps: Some(LinkFlaps {
                 count: 4,
@@ -514,7 +483,6 @@ mod tests {
                     waves: 1,
                     fraction: f,
                     hold: SimDuration::from_secs(1),
-                    amnesia: false,
                 }),
                 ..Default::default()
             };
@@ -538,7 +506,6 @@ mod tests {
                 waves: 2,
                 fraction: 0.5,
                 hold: SimDuration::from_secs(3),
-                amnesia: true,
             }),
             ..Default::default()
         };
@@ -551,7 +518,7 @@ mod tests {
         let revives = sched
             .actions()
             .iter()
-            .filter(|a| matches!(a.fault, ChaosFault::Revive { amnesia: true, .. }))
+            .filter(|a| matches!(a.fault, ChaosFault::Revive { .. }))
             .count();
         assert_eq!(kills, 2);
         assert_eq!(revives, 2);

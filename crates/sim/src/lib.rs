@@ -75,7 +75,7 @@ pub use engine::{Ctx, NodeId, Protocol, Simulation};
 pub use metrics::{CounterHandle, Histogram, Metrics, P2Quantile};
 pub use net::Network;
 pub use probe::{with_thread_probe, ProbeAnomaly, ProbeFrame, ProbeSink, PROBE_SIM_NODE};
-pub use retry::{Jitter, Retrier, RetryPolicy};
+pub use retry::{Retrier, RetryPolicy};
 pub use rng::{Bernoulli, SimRng, ZipfTable};
 pub use time::{SimDuration, SimTime};
 

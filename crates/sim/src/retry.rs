@@ -1,16 +1,20 @@
-//! Deterministic retry/backoff policies shared by every protocol crate.
+//! Deterministic retry/backoff policies.
 //!
 //! A [`RetryPolicy`] describes how a request path reacts to a timeout:
-//! how many attempts it may spend, how the backoff between attempts
-//! grows, how much jitter is applied, and whether a hedged second
-//! request is raced against a slow first one. A [`Retrier`] is the
-//! per-operation cursor through that policy.
+//! how many attempts it may spend, the bounds of the decorrelated-jitter
+//! backoff between them, and whether a hedged second request is raced
+//! against a slow first one. A [`Retrier`] is the per-operation cursor
+//! through that policy.
 //!
-//! Determinism contract: all jitter is drawn from the [`SimRng`] the
-//! caller passes in, and [`RetryPolicy::none`] (the default for every
-//! protocol constructor that predates hardening) makes **zero** RNG
-//! draws and never changes observable behaviour — retry hardening is
-//! dormant unless a policy is explicitly installed.
+//! Retry lives where an experiment retries (DESIGN.md §12): E15's `comm`
+//! clients and E16p's admission-control backoff. DHT lookups, storage
+//! puts/gets and swarm visits have no policy; they fail on a timeout or
+//! re-request every tick.
+//!
+//! Determinism contract: every delay is drawn from the [`SimRng`] the
+//! caller passes in, and [`RetryPolicy::none`] (the default `comm`
+//! client) makes **zero** RNG draws and never changes observable
+//! behaviour.
 
 use crate::rng::SimRng;
 use crate::time::SimDuration;
@@ -24,29 +28,17 @@ pub const CTR_HEDGE_SENT: &str = "hedge.sent";
 /// Counter key: operations completed by the hedged request, not the primary.
 pub const CTR_HEDGE_WON: &str = "hedge.won";
 
-/// Jitter strategy applied on top of the exponential backoff curve.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Jitter {
-    /// No jitter: the pre-jitter curve is used as-is (zero RNG draws).
-    None,
-    /// AWS-style decorrelated jitter: each delay is uniform in
-    /// `[base, min(cap, prev * 3)]`, where `prev` is the previous delay.
-    Decorrelated,
-}
-
-/// A deterministic retry/backoff policy.
+/// A deterministic retry/backoff policy. Backoff is AWS-style
+/// decorrelated jitter: each delay is uniform in
+/// `[base, min(cap, 3 · previous)]`, the first `previous` being `base`.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
-    /// First backoff delay (and jitter floor).
+    /// First backoff delay and the floor of every later one.
     pub base: SimDuration,
-    /// Multiplier applied per attempt to the pre-jitter curve.
-    pub factor: f64,
     /// Upper bound on any single backoff delay.
     pub cap: SimDuration,
     /// Total attempts allowed, including the first (1 = never retry).
     pub max_attempts: u32,
-    /// Jitter strategy.
-    pub jitter: Jitter,
     /// If set, a read may issue one hedged duplicate request after this
     /// delay if the primary has not answered yet.
     pub hedge_after: Option<SimDuration>,
@@ -58,23 +50,19 @@ impl RetryPolicy {
     pub const fn none() -> RetryPolicy {
         RetryPolicy {
             base: SimDuration::ZERO,
-            factor: 1.0,
             cap: SimDuration::ZERO,
             max_attempts: 1,
-            jitter: Jitter::None,
             hedge_after: None,
         }
     }
 
-    /// A sensible hardened default: 4 attempts, 500ms base doubling to a
-    /// 10s cap with decorrelated jitter, no hedging.
+    /// A sensible hardened default: 4 attempts, delays between 500ms and a
+    /// 10s cap, no hedging.
     pub fn standard() -> RetryPolicy {
         RetryPolicy {
             base: SimDuration::from_millis(500),
-            factor: 2.0,
             cap: SimDuration::from_secs(10),
             max_attempts: 4,
-            jitter: Jitter::Decorrelated,
             hedge_after: None,
         }
     }
@@ -82,17 +70,6 @@ impl RetryPolicy {
     /// Whether this policy ever retries or hedges.
     pub fn is_active(&self) -> bool {
         self.max_attempts > 1 || self.hedge_after.is_some()
-    }
-
-    /// The deterministic pre-jitter backoff for retry number `attempt`
-    /// (0-based): `min(cap, base * factor^attempt)`. Monotone
-    /// non-decreasing in `attempt` and bounded by `cap` — the surface
-    /// pinned by the property tests.
-    pub fn backoff_pre_jitter(&self, attempt: u32) -> SimDuration {
-        let base = self.base.secs_f64();
-        let cap = self.cap.secs_f64();
-        let raw = base * self.factor.powi(attempt.min(63) as i32);
-        SimDuration::from_secs_f64(raw.min(cap))
     }
 }
 
@@ -120,11 +97,6 @@ impl Retrier {
         }
     }
 
-    /// The policy this retrier follows.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
     /// Retries consumed so far (not counting the initial attempt).
     pub fn attempts_used(&self) -> u32 {
         self.attempt
@@ -139,21 +111,14 @@ impl Retrier {
         if self.attempt + 1 >= self.policy.max_attempts {
             return None;
         }
-        let pre = self.policy.backoff_pre_jitter(self.attempt);
         self.attempt += 1;
-        let delay = match self.policy.jitter {
-            Jitter::None => pre,
-            Jitter::Decorrelated => {
-                let base = self.policy.base.secs_f64();
-                let cap = self.policy.cap.secs_f64();
-                let hi = (self.prev_secs * 3.0).clamp(base, cap.max(base));
-                let lo = base.min(hi);
-                let drawn = lo + rng.f64() * (hi - lo);
-                self.prev_secs = drawn;
-                SimDuration::from_secs_f64(drawn)
-            }
-        };
-        Some(delay)
+        let base = self.policy.base.secs_f64();
+        let cap = self.policy.cap.secs_f64();
+        let hi = (self.prev_secs * 3.0).clamp(base, cap.max(base));
+        let lo = base.min(hi);
+        let drawn = lo + rng.f64() * (hi - lo);
+        self.prev_secs = drawn;
+        Some(SimDuration::from_secs_f64(drawn))
     }
 }
 
@@ -174,19 +139,6 @@ mod tests {
         let mut fresh = SimRng::new(7);
         assert_eq!(before, fresh.next_u64());
         assert!(!RetryPolicy::none().is_active());
-    }
-
-    #[test]
-    fn pre_jitter_curve_is_monotone_and_capped() {
-        let p = RetryPolicy::standard();
-        let mut prev = SimDuration::ZERO;
-        for a in 0..20 {
-            let d = p.backoff_pre_jitter(a);
-            assert!(d >= prev, "backoff regressed at attempt {a}");
-            assert!(d <= p.cap);
-            prev = d;
-        }
-        assert_eq!(p.backoff_pre_jitter(19), p.cap);
     }
 
     #[test]

@@ -1,15 +1,13 @@
-// Property tests need the external `proptest` crate, which hermetic
-// (offline) builds cannot fetch. To run them: re-add `proptest = "1"` to this
-// crate's [dev-dependencies] and build with RUSTFLAGS="--cfg agora_proptest".
-#![cfg(agora_proptest)]
-
-//! Property-based tests for the simulator substrate.
+//! Property tests for the simulator substrate: RNG, time arithmetic, the
+//! retry cursor and seed replay of a randomized engine workload. Always on,
+//! seeded `SimRng` cases, no registry dependency.
 
 use agora_sim::{
-    Ctx, DeviceClass, Jitter, NodeId, Protocol, Retrier, RetryPolicy, SimDuration, SimRng, SimTime,
+    Ctx, DeviceClass, NodeId, Protocol, Retrier, RetryPolicy, SimDuration, SimRng, SimTime,
     Simulation,
 };
-use proptest::prelude::*;
+
+const CASES: u64 = 256;
 
 /// A message-relaying protocol for randomized engine workloads: each hop
 /// forwards to the next node in the ring (decrementing a TTL) and acks the
@@ -40,10 +38,9 @@ impl Protocol for Relay {
     }
 }
 
-/// Build and run one randomized topology/workload; return everything
-/// observable (the full metrics artifact string, the dispatched-event count
-/// and the final clock).
-fn relay_run(
+/// One randomized topology/workload.
+#[derive(Clone, Copy, Debug)]
+struct RelayCase {
     seed: u64,
     nodes: usize,
     churn_every: usize,
@@ -51,143 +48,165 @@ fn relay_run(
     dup: f64,
     reorder_ms: u64,
     rounds: usize,
-) -> (String, u64, SimTime) {
-    let classes = [
-        DeviceClass::DatacenterServer,
-        DeviceClass::PersonalComputer,
-        DeviceClass::Smartphone,
-        DeviceClass::Tablet,
-    ];
-    let mut sim: Simulation<Relay> = Simulation::new(seed);
-    let ids: Vec<NodeId> = (0..nodes)
-        .map(|i| sim.add_node(Relay, classes[i % classes.len()]))
-        .collect();
-    for (i, &id) in ids.iter().enumerate() {
-        if churn_every > 0 && i % churn_every == 0 {
-            sim.enable_churn(id);
-        }
-    }
-    sim.set_loss_rate(loss);
-    if dup > 0.0 || reorder_ms > 0 {
-        sim.enable_chaos(seed ^ 0x5eed);
-        sim.set_chaos_dup_rate(dup);
-        sim.set_chaos_reorder(SimDuration::from_millis(reorder_ms));
-    }
-    for round in 0..rounds {
-        let src = ids[round % ids.len()];
-        sim.with_ctx(src, |_, ctx| {
-            ctx.send(ids[(round + 1) % ids.len()], Hop(nodes as u32), 128);
-            ctx.set_timer(SimDuration::from_millis(7), round as u64);
-        });
-        sim.run_for(SimDuration::from_millis(400));
-    }
-    sim.run_for(SimDuration::from_secs(3));
-    (
-        format!("{}", sim.metrics()),
-        sim.events_processed(),
-        sim.now(),
-    )
 }
 
-proptest! {
-    /// RNG streams are deterministic per seed and distinct across seeds.
-    #[test]
-    fn rng_seed_determinism(seed in any::<u64>()) {
-        let a: Vec<u64> = {
-            let mut r = SimRng::new(seed);
-            (0..32).map(|_| r.next_u64()).collect()
-        };
-        let b: Vec<u64> = {
-            let mut r = SimRng::new(seed);
-            (0..32).map(|_| r.next_u64()).collect()
-        };
-        prop_assert_eq!(a, b);
-    }
-
-    /// below(n) is always in range, for any n and any seed.
-    #[test]
-    fn rng_below_in_range(seed in any::<u64>(), n in 1u64..u64::MAX) {
-        let mut r = SimRng::new(seed);
-        for _ in 0..16 {
-            prop_assert!(r.below(n) < n);
+impl RelayCase {
+    fn draw(rng: &mut SimRng) -> RelayCase {
+        RelayCase {
+            seed: rng.next_u64(),
+            nodes: rng.range(2, 24) as usize,
+            churn_every: rng.below(5) as usize,
+            loss: rng.f64() * 0.3,
+            dup: rng.f64() * 0.5,
+            reorder_ms: rng.below(80),
+            rounds: rng.range(1, 8) as usize,
         }
     }
 
-    /// sample_indices returns distinct, in-range indices of the right count.
-    #[test]
-    fn rng_sample_indices_sound(seed in any::<u64>(), n in 0usize..200, k in 0usize..220) {
+    /// Build and run the case; return everything observable (the full
+    /// metrics artifact string, the dispatched-event count and the final
+    /// clock).
+    fn run(self) -> (String, u64, SimTime) {
+        let classes = [
+            DeviceClass::DatacenterServer,
+            DeviceClass::PersonalComputer,
+            DeviceClass::Smartphone,
+            DeviceClass::Tablet,
+        ];
+        let mut sim: Simulation<Relay> = Simulation::new(self.seed);
+        let ids: Vec<NodeId> = (0..self.nodes)
+            .map(|i| sim.add_node(Relay, classes[i % classes.len()]))
+            .collect();
+        for (i, &id) in ids.iter().enumerate() {
+            if self.churn_every > 0 && i % self.churn_every == 0 {
+                sim.enable_churn(id);
+            }
+        }
+        sim.set_loss_rate(self.loss);
+        if self.dup > 0.0 || self.reorder_ms > 0 {
+            sim.enable_chaos(self.seed ^ 0x5eed);
+            sim.set_chaos_dup_rate(self.dup);
+            sim.set_chaos_reorder(SimDuration::from_millis(self.reorder_ms));
+        }
+        for round in 0..self.rounds {
+            let src = ids[round % ids.len()];
+            sim.with_ctx(src, |_, ctx| {
+                ctx.send(ids[(round + 1) % ids.len()], Hop(self.nodes as u32), 128);
+                ctx.set_timer(SimDuration::from_millis(7), round as u64);
+            });
+            sim.run_for(SimDuration::from_millis(400));
+        }
+        sim.run_for(SimDuration::from_secs(3));
+        (
+            format!("{}", sim.metrics()),
+            sim.events_processed(),
+            sim.now(),
+        )
+    }
+}
+
+/// RNG streams are deterministic per seed and distinct across seeds.
+#[test]
+fn rng_seed_determinism() {
+    let mut cases = SimRng::new(0x7369_6d31);
+    let stream = |seed: u64| -> Vec<u64> {
         let mut r = SimRng::new(seed);
-        let picks = r.sample_indices(n, k);
-        prop_assert_eq!(picks.len(), k.min(n));
+        (0..32).map(|_| r.next_u64()).collect()
+    };
+    for _ in 0..CASES {
+        let seed = cases.next_u64();
+        assert_eq!(stream(seed), stream(seed), "seed {seed}");
+        assert_ne!(stream(seed), stream(seed ^ 1), "seed {seed}");
+    }
+}
+
+/// below(n) is always in range, for any n and any seed.
+#[test]
+fn rng_below_in_range() {
+    let mut cases = SimRng::new(0x7369_6d32);
+    for case in 0..CASES {
+        let seed = cases.next_u64();
+        // Half the cases near the top of the range, where rejection bites.
+        let n = if case % 2 == 0 {
+            cases.range(1, u64::MAX)
+        } else {
+            u64::MAX - cases.below(1 << 20)
+        };
+        let mut r = SimRng::new(seed);
+        for _ in 0..16 {
+            assert!(r.below(n) < n, "seed {seed} n {n}");
+        }
+    }
+}
+
+/// sample_indices returns distinct, in-range indices of the right count.
+#[test]
+fn rng_sample_indices_sound() {
+    let mut cases = SimRng::new(0x7369_6d33);
+    for _ in 0..CASES {
+        let (seed, n, k) = (
+            cases.next_u64(),
+            cases.below_usize(200),
+            cases.below_usize(220),
+        );
+        let picks = SimRng::new(seed).sample_indices(n, k);
+        assert_eq!(picks.len(), k.min(n), "n {n} k {k}");
         let mut sorted = picks.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        prop_assert_eq!(sorted.len(), picks.len(), "duplicates");
-        prop_assert!(picks.iter().all(|&i| i < n));
+        assert_eq!(sorted.len(), picks.len(), "duplicates: n {n} k {k}");
+        assert!(picks.iter().all(|&i| i < n), "n {n} k {k}");
     }
+}
 
-    /// Time arithmetic: associativity of duration addition and consistency
-    /// of since/add.
-    #[test]
-    fn time_arithmetic(a in 0u64..1u64 << 40, d1 in 0u64..1u64 << 30, d2 in 0u64..1u64 << 30) {
-        let t = SimTime(a);
-        let x = t + SimDuration(d1) + SimDuration(d2);
-        let y = t + (SimDuration(d1) + SimDuration(d2));
-        prop_assert_eq!(x, y);
-        prop_assert_eq!(x.since(t), SimDuration(d1 + d2));
-        prop_assert_eq!(t.since(x), SimDuration::ZERO, "saturating");
+/// Time arithmetic: associativity of duration addition and consistency
+/// of since/add.
+#[test]
+fn time_arithmetic() {
+    let mut cases = SimRng::new(0x7369_6d34);
+    for _ in 0..CASES {
+        let t = SimTime(cases.below(1 << 40));
+        let (d1, d2) = (
+            SimDuration(cases.below(1 << 30)),
+            SimDuration(cases.below(1 << 30)),
+        );
+        let x = t + d1 + d2;
+        let y = t + (d1 + d2);
+        assert_eq!(x, y);
+        assert_eq!(x.since(t), SimDuration(d1.0 + d2.0));
+        assert_eq!(t.since(x), SimDuration::ZERO, "saturating");
     }
+}
 
-    /// Duration unit constructors agree for arbitrary values.
-    #[test]
-    fn duration_units(s in 0u64..1u64 << 18) {
-        prop_assert_eq!(SimDuration::from_secs(s), SimDuration::from_millis(s * 1000));
-        prop_assert_eq!(
+/// Duration unit constructors agree for arbitrary values.
+#[test]
+fn duration_units() {
+    let mut cases = SimRng::new(0x7369_6d35);
+    for _ in 0..CASES {
+        let s = cases.below(1 << 18);
+        assert_eq!(
+            SimDuration::from_secs(s),
+            SimDuration::from_millis(s * 1000)
+        );
+        assert_eq!(
             SimDuration::from_secs_f64(s as f64),
             SimDuration::from_secs(s)
         );
     }
+}
 
-    /// The pre-jitter backoff curve is monotone non-decreasing and never
-    /// exceeds its cap, for arbitrary policies.
-    #[test]
-    fn retry_backoff_monotone_and_capped(
-        base_ms in 1u64..10_000,
-        factor in 1.0f64..8.0,
-        cap_ms in 1u64..1_000_000,
-        attempts in 2u32..64,
-    ) {
+/// Backoff sequences are identical for a fixed seed, bounded by
+/// [base, cap], and exactly exhaust the attempt budget.
+#[test]
+fn retry_jitter_deterministic_per_seed() {
+    let mut cases = SimRng::new(0x7369_6d36);
+    for _ in 0..CASES {
+        let (seed, base_ms) = (cases.next_u64(), cases.range(1, 5_000));
+        let attempts = cases.range(1, 16) as u32;
         let p = RetryPolicy {
             base: SimDuration::from_millis(base_ms),
-            factor,
-            cap: SimDuration::from_millis(cap_ms.max(base_ms)),
-            max_attempts: attempts,
-            jitter: Jitter::None,
-            hedge_after: None,
-        };
-        let mut prev = SimDuration::ZERO;
-        for a in 0..attempts {
-            let d = p.backoff_pre_jitter(a);
-            prop_assert!(d >= prev, "regressed at attempt {}", a);
-            prop_assert!(d <= p.cap, "exceeded cap at attempt {}", a);
-            prev = d;
-        }
-    }
-
-    /// Jittered backoff sequences are byte-identical for a fixed seed,
-    /// bounded by [base, cap], and exactly exhaust the attempt budget.
-    #[test]
-    fn retry_jitter_deterministic_per_seed(
-        seed in any::<u64>(),
-        base_ms in 1u64..5_000,
-        attempts in 1u32..16,
-    ) {
-        let p = RetryPolicy {
-            base: SimDuration::from_millis(base_ms),
-            factor: 2.0,
             cap: SimDuration::from_millis(base_ms * 64),
             max_attempts: attempts,
-            jitter: Jitter::Decorrelated,
             hedge_after: None,
         };
         let run = || {
@@ -195,45 +214,46 @@ proptest! {
             let mut r = Retrier::new(p);
             let mut out = Vec::new();
             while let Some(d) = r.next_backoff(&mut rng) {
-                prop_assert!(d >= p.base && d <= p.cap);
+                assert!(d >= p.base && d <= p.cap, "{p:?}: {d:?}");
                 out.push(d.micros());
             }
-            prop_assert_eq!(out.len() as u32, attempts - 1, "budget mismatch");
-            Ok(out)
+            assert_eq!(out.len() as u32, attempts - 1, "budget mismatch");
+            out
         };
-        prop_assert_eq!(run()?, run()?);
+        assert_eq!(run(), run(), "seed {seed} {p:?}");
     }
+}
 
-    /// Replaying a seed on a randomized topology and workload reproduces
-    /// the metrics artifact, the event count and the final clock exactly.
-    #[test]
-    fn same_seed_replays_byte_identically(
-        seed in any::<u64>(),
-        nodes in 2usize..24,
-        churn_every in 0usize..5,
-        loss in 0.0f64..0.3,
-        dup in 0.0f64..0.5,
-        reorder_ms in 0u64..80,
-        rounds in 1usize..8,
-    ) {
-        let run = || relay_run(seed, nodes, churn_every, loss, dup, reorder_ms, rounds);
-        prop_assert_eq!(run(), run());
+/// Replaying a seed on a randomized topology and workload reproduces
+/// the metrics artifact, the event count and the final clock exactly.
+#[test]
+fn same_seed_replays_byte_identically() {
+    let mut cases = SimRng::new(0x7369_6d37);
+    for _ in 0..CASES {
+        let case = RelayCase::draw(&mut cases);
+        assert_eq!(case.run(), case.run(), "{case:?}");
     }
+}
 
-    /// Exponential samples are non-negative with roughly the right mean.
-    #[test]
-    fn rng_exp_sane(seed in any::<u64>(), mean in 0.01f64..100.0) {
+/// Exponential samples are non-negative with roughly the right mean.
+#[test]
+fn rng_exp_sane() {
+    let mut cases = SimRng::new(0x7369_6d38);
+    for _ in 0..CASES {
+        let (seed, mean) = (cases.next_u64(), 0.01 + cases.f64() * 99.99);
         let mut r = SimRng::new(seed);
         let n = 3000;
         let mut sum = 0.0;
         for _ in 0..n {
             let v = r.exp(mean);
-            prop_assert!(v >= 0.0);
+            assert!(v >= 0.0);
             sum += v;
         }
         let observed = sum / n as f64;
-        prop_assert!((observed - mean).abs() < mean * 0.25,
-            "mean {mean} observed {observed}");
+        assert!(
+            (observed - mean).abs() < mean * 0.25,
+            "seed {seed}: mean {mean} observed {observed}"
+        );
     }
 }
 

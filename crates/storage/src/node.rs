@@ -11,8 +11,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use agora_crypto::{sha256, Hash256};
-use agora_sim::retry::{CTR_RETRY_ATTEMPTS, CTR_RETRY_GAVE_UP};
-use agora_sim::{Ctx, NodeId, Protocol, Retrier, RetryPolicy, SimDuration, SimTime};
+use agora_sim::{Ctx, NodeId, Protocol, SimDuration, SimTime};
 
 use crate::erasure::ReedSolomon;
 use crate::proofs::{por_respond, por_verify, Audit, AuditBook};
@@ -26,8 +25,8 @@ pub enum StorageMsg {
         object: Hash256,
         /// Shard index.
         index: u32,
-        /// Shard bytes, shared so re-sends and provider storage are
-        /// refcount bumps, not copies.
+        /// Shard bytes, shared so provider storage is a refcount bump, not
+        /// a copy.
         data: Rc<[u8]>,
     },
     /// Acknowledge a stored shard.
@@ -123,9 +122,6 @@ struct ShardPlace {
     audits: AuditBook,
     alive: bool,
     acked: bool,
-    /// Shard bytes retained until acked so a retrying client can re-send
-    /// them. Only populated when a retry policy is active.
-    pending_data: Option<Rc<[u8]>>,
 }
 
 struct ObjectRecord {
@@ -170,12 +166,7 @@ pub struct ClientState {
     results: HashMap<u64, StorageResult>,
     next_op: u64,
     audit_interval: SimDuration,
-    audits_per_shard: usize,
     repair_enabled: bool,
-    retry: RetryPolicy,
-    /// Per-op retry pacing: (budget tracker, op ticks until the next resend
-    /// round). Empty unless a retry policy is active.
-    retriers: HashMap<u64, (Retrier, u32)>,
 }
 
 /// Provider-side state.
@@ -197,26 +188,15 @@ pub struct StorageNode {
 const TAG_AUDIT_TICK: u64 = u64::MAX;
 const OP_TICK: SimDuration = SimDuration::from_secs(2);
 const MAX_OP_TICKS: u32 = 60;
-
-/// Backoff durations are paced in whole op ticks (minimum one).
-fn ticks_for(d: SimDuration) -> u32 {
-    (d.micros() / OP_TICK.micros()).max(1) as u32
-}
+/// Audits pre-drawn per placed shard; a shard whose book runs out is no
+/// longer audited.
+const AUDITS_PER_SHARD: usize = 64;
 
 impl StorageNode {
-    /// A storage client that places objects on `providers`.
+    /// A storage client that places objects on `providers`. Each shard is
+    /// sent once; a put or get that is still short when its deadline
+    /// passes reports what it got.
     pub fn client(providers: Vec<NodeId>, audit_interval: SimDuration) -> StorageNode {
-        StorageNode::client_with_retry(providers, audit_interval, RetryPolicy::none())
-    }
-
-    /// A storage client whose puts/gets re-send outstanding shards on a
-    /// backoff schedule. `RetryPolicy::none()` reproduces the default
-    /// client byte-for-byte.
-    pub fn client_with_retry(
-        providers: Vec<NodeId>,
-        audit_interval: SimDuration,
-        retry: RetryPolicy,
-    ) -> StorageNode {
         StorageNode {
             role: Role::Client(Box::new(ClientState {
                 providers,
@@ -225,10 +205,7 @@ impl StorageNode {
                 results: HashMap::new(),
                 next_op: 0,
                 audit_interval,
-                audits_per_shard: 64,
                 repair_enabled: true,
-                retry,
-                retriers: HashMap::new(),
             })),
         }
     }
@@ -338,9 +315,8 @@ impl StorageNode {
         for (i, shard) in shards.into_iter().enumerate() {
             let provider = order[i % order.len()];
             let shard: Rc<[u8]> = Rc::from(shard);
-            let audits = AuditBook::new(Rc::clone(&shard), c.audits_per_shard, ctx.rng());
+            let audits = AuditBook::new(Rc::clone(&shard), AUDITS_PER_SHARD, ctx.rng());
             let shard_len = shard.len() as u64;
-            let pending_data = c.retry.is_active().then(|| Rc::clone(&shard));
             let msg = StorageMsg::PutShard {
                 object,
                 index: i as u32,
@@ -356,7 +332,6 @@ impl StorageNode {
                 audits,
                 alive: true,
                 acked: false,
-                pending_data,
             });
         }
         c.objects.insert(
@@ -379,12 +354,6 @@ impl StorageNode {
             },
         );
         ctx.set_timer(OP_TICK, op);
-        if c.retry.is_active() {
-            let mut r = Retrier::new(c.retry);
-            if let Some(d) = r.next_backoff(ctx.rng()) {
-                c.retriers.insert(op, (r, ticks_for(d)));
-            }
-        }
         (op, object)
     }
 
@@ -419,12 +388,6 @@ impl StorageNode {
             },
         );
         ctx.set_timer(OP_TICK, op);
-        if c.retry.is_active() {
-            let mut r = Retrier::new(c.retry);
-            if let Some(d) = r.next_backoff(ctx.rng()) {
-                c.retriers.insert(op, (r, ticks_for(d)));
-            }
-        }
         op
     }
 
@@ -563,7 +526,6 @@ impl StorageNode {
         match rec.rs.reconstruct(collected, rec.data_len) {
             Ok(data) => {
                 c.ops.remove(&op);
-                c.retriers.remove(&op);
                 match repair_index {
                     None => {
                         ctx.metrics().incr("storage.get_ok", 1);
@@ -594,9 +556,7 @@ impl StorageNode {
                             ctx.rng().shuffle(&mut candidates);
                             candidates[0]
                         };
-                        let audits =
-                            AuditBook::new(Rc::clone(&shard), c.audits_per_shard, ctx.rng());
-                        let pending_data = c.retry.is_active().then(|| Rc::clone(&shard));
+                        let audits = AuditBook::new(Rc::clone(&shard), AUDITS_PER_SHARD, ctx.rng());
                         let msg = StorageMsg::PutShard {
                             object,
                             index,
@@ -611,7 +571,6 @@ impl StorageNode {
                             place.audits = audits;
                             place.alive = true;
                             place.acked = false;
-                            place.pending_data = pending_data;
                         }
                     }
                 }
@@ -683,33 +642,41 @@ impl Protocol for StorageNode {
                 ctx.send(from, reply, size);
             }
             (Role::Client(c), StorageMsg::AckPut { object, index }) => {
-                if let Some(rec) = c.objects.get_mut(&object) {
-                    if let Some(p) = rec.shards.iter_mut().find(|s| s.index == index) {
-                        p.acked = true;
-                        p.pending_data = None;
-                    }
-                    // Complete any pending Put op once all acks are in.
-                    if rec.shards.iter().all(|s| s.acked) {
-                        let done: Vec<(u64, SimTime)> = c
-                            .ops
-                            .iter()
-                            .filter_map(|(op, st)| match st {
-                                OpState::Put {
-                                    object: o, started, ..
-                                } if *o == object => Some((*op, *started)),
-                                _ => None,
-                            })
-                            .collect();
-                        let n = rec.shards.len() as u32;
-                        for (op, started) in done {
-                            c.ops.remove(&op);
-                            c.retriers.remove(&op);
-                            ctx.metrics().incr("storage.put_ok", 1);
-                            let took = ctx.now().since(started).secs_f64();
-                            ctx.metrics().sample("storage.put_secs", took);
-                            c.results
-                                .insert(op, StorageResult::Stored { object, shards: n });
-                        }
+                // An ack says a provider holds the shard, so it counts only
+                // from the node the shard was sent to.
+                let Some(rec) = c.objects.get_mut(&object) else {
+                    ctx.metrics().incr("storage.ack_stray", 1);
+                    return;
+                };
+                let Some(p) = rec
+                    .shards
+                    .iter_mut()
+                    .find(|s| s.index == index && s.provider == from)
+                else {
+                    ctx.metrics().incr("storage.ack_stray", 1);
+                    return;
+                };
+                p.acked = true;
+                // Complete any pending Put op once all acks are in.
+                if rec.shards.iter().all(|s| s.acked) {
+                    let done: Vec<(u64, SimTime)> = c
+                        .ops
+                        .iter()
+                        .filter_map(|(op, st)| match st {
+                            OpState::Put {
+                                object: o, started, ..
+                            } if *o == object => Some((*op, *started)),
+                            _ => None,
+                        })
+                        .collect();
+                    let n = rec.shards.len() as u32;
+                    for (op, started) in done {
+                        c.ops.remove(&op);
+                        ctx.metrics().incr("storage.put_ok", 1);
+                        let took = ctx.now().since(started).secs_f64();
+                        ctx.metrics().sample("storage.put_secs", took);
+                        c.results
+                            .insert(op, StorageResult::Stored { object, shards: n });
                     }
                 }
             }
@@ -777,10 +744,6 @@ impl Protocol for StorageNode {
         let Role::Client(c) = &mut self.role else {
             return;
         };
-        // When a retry policy is armed, an incomplete op may owe a resend
-        // round this tick; gather what it needs while `ops` is borrowed.
-        let mut resend_put: Option<Hash256> = None;
-        let mut resend_get: Option<(Hash256, Vec<usize>)> = None;
         match c.ops.get_mut(&tag) {
             Some(OpState::Put {
                 object,
@@ -792,11 +755,6 @@ impl Protocol for StorageNode {
                 if *deadline_ticks == 0 {
                     c.ops.remove(&tag);
                     ctx.metrics().incr("storage.put_timeout", 1);
-                    if c.retry.is_active() {
-                        c.retriers.remove(&tag);
-                        ctx.metrics().incr(CTR_RETRY_GAVE_UP, 1);
-                        ctx.trace_point("retry.gave_up", 1.0);
-                    }
                     let acked = c
                         .objects
                         .get(&object)
@@ -813,36 +771,19 @@ impl Protocol for StorageNode {
                     c.results.insert(tag, result);
                 } else {
                     ctx.set_timer(OP_TICK, tag);
-                    if c.retry.is_active() {
-                        resend_put = Some(object);
-                    }
                 }
             }
-            Some(OpState::Get {
-                object,
-                collected,
-                deadline_ticks,
-                ..
-            }) => {
-                let object = *object;
+            Some(OpState::Get { deadline_ticks, .. }) => {
                 *deadline_ticks -= 1;
                 if *deadline_ticks == 0 {
                     if let Some(OpState::Get { repair_index, .. }) = c.ops.remove(&tag) {
                         ctx.metrics().incr("storage.get_timeout", 1);
-                        if c.retry.is_active() {
-                            c.retriers.remove(&tag);
-                            ctx.metrics().incr(CTR_RETRY_GAVE_UP, 1);
-                            ctx.trace_point("retry.gave_up", 1.0);
-                        }
                         if repair_index.is_none() {
                             c.results.insert(tag, StorageResult::Unavailable);
                         }
                     }
                 } else {
                     ctx.set_timer(OP_TICK, tag);
-                    if c.retry.is_active() {
-                        resend_get = Some((object, collected.iter().map(|(i, _)| *i).collect()));
-                    }
                 }
             }
             Some(OpState::AuditWait { object, index, .. }) => {
@@ -854,74 +795,6 @@ impl Protocol for StorageNode {
                 self.mark_shard_dead(ctx, object, index);
             }
             None => {}
-        }
-        // Retry pacing: count down to the next resend round; when it is due,
-        // re-send only the outstanding shards and draw the next backoff.
-        // (Re-borrow: the audit arm above needed `self` for mark_shard_dead.)
-        let Role::Client(c) = &mut self.role else {
-            return;
-        };
-        let due = match c.retriers.get_mut(&tag) {
-            Some((_, ticks)) if *ticks > 1 => {
-                *ticks -= 1;
-                false
-            }
-            Some(_) => true,
-            None => false,
-        };
-        if !due {
-            return;
-        }
-        let mut sent = false;
-        if let Some(object) = resend_put {
-            if let Some(rec) = c.objects.get(&object) {
-                for s in rec.shards.iter().filter(|s| !s.acked) {
-                    if let Some(data) = &s.pending_data {
-                        let msg = StorageMsg::PutShard {
-                            object,
-                            index: s.index,
-                            data: Rc::clone(data),
-                        };
-                        let size = msg.wire_size();
-                        ctx.send(s.provider, msg, size);
-                        sent = true;
-                    }
-                }
-            }
-        } else if let Some((object, have)) = resend_get {
-            if let Some(rec) = c.objects.get(&object) {
-                for s in rec
-                    .shards
-                    .iter()
-                    .filter(|s| s.alive && !have.contains(&(s.index as usize)))
-                {
-                    let msg = StorageMsg::GetShard {
-                        object,
-                        index: s.index,
-                        req: tag,
-                    };
-                    let size = msg.wire_size();
-                    ctx.send(s.provider, msg, size);
-                    sent = true;
-                }
-            }
-        } else {
-            // The op completed or timed out under us; drop the stale pacing.
-            c.retriers.remove(&tag);
-            return;
-        }
-        if sent {
-            ctx.metrics().incr(CTR_RETRY_ATTEMPTS, 1);
-            ctx.trace_point("retry.attempt", 1.0);
-        }
-        let (retrier, ticks) = c.retriers.get_mut(&tag).expect("due entry exists");
-        match retrier.next_backoff(ctx.rng()) {
-            Some(d) => *ticks = ticks_for(d),
-            None => {
-                // Budget exhausted: no further rounds; the op deadline
-                // decides success or `retry.gave_up`.
-                c.retriers.remove(&tag);
-            }
         }
     }
 }
@@ -1175,53 +1048,68 @@ mod tests {
     }
 
     #[test]
-    fn retrying_client_resends_lost_shards_and_stays_dormant_by_default() {
-        use agora_sim::Jitter;
-        let run = |retry: RetryPolicy| {
-            let mut sim = Simulation::new(77);
-            let mut providers = Vec::new();
-            for _ in 0..8 {
-                providers.push(sim.add_node(
-                    StorageNode::provider(ProviderStrategy::Honest),
-                    DeviceClass::PersonalComputer,
-                ));
+    fn one_shot_put_under_loss_reports_partial_placement() {
+        // Each shard is sent once: under 25% loss some puts or their acks
+        // are lost, and the deadline reports the shards that were acked.
+        let (mut sim, client, _) = build(8, |_| ProviderStrategy::Honest, 77);
+        sim.set_loss_rate(0.25);
+        let data = vec![9u8; 20_000];
+        let (put_op, object) = sim
+            .with_ctx(client, |n, ctx| n.start_put(ctx, &data, 4, 2))
+            .unwrap();
+        sim.run_for(SimDuration::from_secs(150));
+        match sim.node_mut(client).take_result(put_op) {
+            Some(StorageResult::Stored { object: o, shards }) => {
+                assert_eq!(o, object);
+                assert!(0 < shards && shards < 6, "{shards} shards acked");
             }
-            let client = sim.add_node(
-                StorageNode::client_with_retry(
-                    providers.clone(),
-                    SimDuration::from_secs(600),
-                    retry,
-                ),
-                DeviceClass::PersonalComputer,
-            );
-            sim.set_loss_rate(0.25);
-            let data = vec![9u8; 20_000];
-            let (put_op, _) = sim
-                .with_ctx(client, |n, ctx| n.start_put(ctx, &data, 4, 2))
-                .unwrap();
-            sim.run_for(SimDuration::from_secs(150));
-            let shards = match sim.node_mut(client).take_result(put_op) {
-                Some(StorageResult::Stored { shards, .. }) => shards,
-                _ => 0,
-            };
-            (shards, sim.metrics().counter(CTR_RETRY_ATTEMPTS))
-        };
-        let policy = RetryPolicy {
-            base: SimDuration::from_secs(1),
-            factor: 2.0,
-            cap: SimDuration::from_secs(4),
-            max_attempts: 8,
-            jitter: Jitter::Decorrelated,
-            hedge_after: None,
-        };
-        let (shards_retry, attempts_retry) = run(policy);
-        assert_eq!(shards_retry, 6, "resends should complete the placement");
-        assert!(attempts_retry >= 1, "resend rounds must be counted");
-        let (shards_plain, attempts_plain) = run(RetryPolicy::none());
-        assert_eq!(attempts_plain, 0, "dormant by default");
-        assert!(
-            shards_plain < 6,
-            "under 25% loss the one-shot put should lose shards"
+            other => panic!("expected a partial placement: {other:?}"),
+        }
+        assert_eq!(sim.metrics().counter("storage.put_timeout"), 1);
+        for key in ["retry.attempts", "retry.gave_up"] {
+            assert_eq!(sim.metrics().counter(key), 0, "{key}");
+        }
+    }
+
+    #[test]
+    fn stray_acks_store_nothing() {
+        // Anyone can name an object being put (its id is the data's hash).
+        // An `AckPut` used to mark its shard acked whoever sent it, so an
+        // outsider could complete a put no provider holds any of.
+        let (mut sim, client, providers) = build(8, |_| ProviderStrategy::Honest, 9);
+        let outsider = sim.add_node(
+            StorageNode::provider(ProviderStrategy::Honest),
+            DeviceClass::PersonalComputer,
         );
+        let data: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
+        let (put_op, object) = sim
+            .with_ctx(client, |n, ctx| n.start_put(ctx, &data, 4, 2))
+            .unwrap();
+        // Every shard is in flight to a provider that is about to die.
+        for &p in &providers {
+            sim.kill(p);
+        }
+        let strays = (0..6).map(|index| (object, index)).chain([
+            (sha256(b"never put"), 0),
+            (object, 6),
+            (object, u32::MAX),
+        ]);
+        let mut sent = 0;
+        for (object, index) in strays {
+            let ack = StorageMsg::AckPut { object, index };
+            sim.with_ctx(client, |n, ctx| n.on_message(ctx, outsider, ack))
+                .unwrap();
+            sent += 1;
+        }
+        assert_eq!(sim.node_mut(client).take_result(put_op), None);
+        assert_eq!(sim.metrics().counter("storage.put_ok"), 0);
+        assert_eq!(sim.metrics().counter("storage.ack_stray"), sent);
+        sim.run_for(SimDuration::from_secs(150));
+        assert_eq!(
+            sim.node_mut(client).take_result(put_op),
+            Some(StorageResult::PutFailed)
+        );
+        assert_eq!(sim.metrics().counter("storage.put_ok"), 0);
+        assert_eq!(sim.metrics().counter("storage.put_timeout"), 1);
     }
 }

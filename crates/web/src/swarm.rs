@@ -10,8 +10,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use agora_crypto::Hash256;
-use agora_sim::retry::{CTR_RETRY_ATTEMPTS, CTR_RETRY_GAVE_UP};
-use agora_sim::{Ctx, NodeId, Protocol, Retrier, RetryPolicy, SimDuration, SimTime};
+use agora_sim::{Ctx, NodeId, Protocol, SimDuration, SimTime};
 
 use crate::site::{Piece, SealedManifest, SiteBundle};
 
@@ -138,10 +137,6 @@ struct PeerState {
     visits: HashMap<u64, Visit>,
     results: HashMap<u64, VisitResult>,
     next_op: u64,
-    retry: RetryPolicy,
-    /// Per-visit retry pacing: (budget tracker, visit ticks until the next
-    /// re-request round). Empty unless a retry policy is active.
-    retriers: HashMap<u64, (Retrier, u32)>,
 }
 
 enum Role {
@@ -156,11 +151,6 @@ pub struct SwarmNode {
 
 const VISIT_TICK: SimDuration = SimDuration::from_secs(2);
 const MAX_VISIT_TICKS: u32 = 90;
-
-/// Backoff durations are paced in whole visit ticks (minimum one).
-fn visit_ticks_for(d: SimDuration) -> u32 {
-    (d.micros() / VISIT_TICK.micros()).max(1) as u32
-}
 
 impl SwarmNode {
     /// A tracker.
@@ -177,15 +167,9 @@ impl SwarmNode {
 
     /// A peer with redundant trackers: announces to all of them and merges
     /// their peer lists, so discovery survives tracker failures (the
-    /// tracker is otherwise §3.4's own single point of failure).
+    /// tracker is otherwise §3.4's own single point of failure). A stuck
+    /// visit re-requests its current stage every visit tick.
     pub fn peer_with_trackers(trackers: Vec<NodeId>) -> SwarmNode {
-        SwarmNode::peer_with_retry(trackers, RetryPolicy::none())
-    }
-
-    /// A peer whose stuck-visit re-requests are paced and budgeted by a
-    /// retry policy instead of firing every tick. `RetryPolicy::none()`
-    /// reproduces the default peer byte-for-byte.
-    pub fn peer_with_retry(trackers: Vec<NodeId>, retry: RetryPolicy) -> SwarmNode {
         assert!(!trackers.is_empty(), "at least one tracker");
         SwarmNode {
             role: Role::Peer(Box::new(PeerState {
@@ -194,8 +178,6 @@ impl SwarmNode {
                 visits: HashMap::new(),
                 results: HashMap::new(),
                 next_op: 0,
-                retry,
-                retriers: HashMap::new(),
             })),
         }
     }
@@ -279,12 +261,6 @@ impl SwarmNode {
             },
         );
         ctx.set_timer(VISIT_TICK, op);
-        if p.retry.is_active() {
-            let mut r = Retrier::new(p.retry);
-            if let Some(d) = r.next_backoff(ctx.rng()) {
-                p.retriers.insert(op, (r, visit_ticks_for(d)));
-            }
-        }
         op
     }
 
@@ -330,7 +306,6 @@ impl PeerState {
             return;
         }
         let v = self.visits.remove(&op).expect("present");
-        self.retriers.remove(&op);
         let m = v.manifest.expect("present");
         let bytes: u64 = v.got.values().map(|p| p.data().len() as u64).sum();
         let version = m.manifest.version;
@@ -483,33 +458,8 @@ impl Protocol for SwarmNode {
             p.visits.remove(&op);
             ctx.metrics().incr("web.visits_failed", 1);
             ctx.trace_point("web.visits_failed", ticks as f64);
-            if p.retry.is_active() {
-                p.retriers.remove(&op);
-                ctx.metrics().incr(CTR_RETRY_GAVE_UP, 1);
-                ctx.trace_point("retry.gave_up", 1.0);
-            }
             p.results.insert(op, VisitResult::Failed);
             return;
-        }
-        // With a retry policy armed, re-request rounds are paced by backoff
-        // and budgeted; without one, every tick retries (the default).
-        let mut counted = false;
-        if p.retry.is_active() {
-            match p.retriers.get_mut(&op) {
-                Some((_, ticks)) if *ticks > 1 => {
-                    *ticks -= 1;
-                    ctx.set_timer(VISIT_TICK, op);
-                    return;
-                }
-                Some(_) => counted = true,
-                None => {
-                    // Budget exhausted: stop re-requesting; in-flight
-                    // responses may still complete the visit before the
-                    // deadline fails it.
-                    ctx.set_timer(VISIT_TICK, op);
-                    return;
-                }
-            }
         }
         // Retry whatever stage we're stuck in.
         let site = v.site;
@@ -519,7 +469,6 @@ impl Protocol for SwarmNode {
                 // burning the whole visit budget on discovery.
                 if v.ticks >= 5 {
                     p.visits.remove(&op);
-                    p.retriers.remove(&op);
                     ctx.metrics().incr("web.visits_failed", 1);
                     p.results.insert(op, VisitResult::Failed);
                     return;
@@ -532,18 +481,6 @@ impl Protocol for SwarmNode {
                 ctx.multicast(&v.peers, msg, size);
             }
             VisitPhase::FetchingPieces => request_missing(ctx, op, v),
-        }
-        if counted {
-            ctx.metrics().incr(CTR_RETRY_ATTEMPTS, 1);
-            ctx.trace_point("retry.attempt", 1.0);
-            if let Some((r, ticks)) = p.retriers.get_mut(&op) {
-                match r.next_backoff(ctx.rng()) {
-                    Some(d) => *ticks = visit_ticks_for(d),
-                    None => {
-                        p.retriers.remove(&op);
-                    }
-                }
-            }
         }
         ctx.set_timer(VISIT_TICK, op);
     }
@@ -1038,44 +975,26 @@ mod tests {
     }
 
     #[test]
-    fn retry_paced_visits_succeed_under_loss_and_stay_dormant_by_default() {
-        use agora_sim::Jitter;
-        let run = |retry: RetryPolicy| {
-            let mut sim = Simulation::new(13);
-            let tracker = sim.add_node(SwarmNode::tracker(), DeviceClass::DatacenterServer);
-            let seeder = sim.add_node(SwarmNode::peer(tracker), DeviceClass::PersonalComputer);
-            let visitor = sim.add_node(
-                SwarmNode::peer_with_retry(vec![tracker], retry),
-                DeviceClass::PersonalComputer,
-            );
-            let (site, bundle) = publish_site(40_000);
-            sim.with_ctx(seeder, |n, ctx| n.host_site(ctx, &bundle))
-                .unwrap();
-            sim.run_for(SimDuration::from_secs(5));
-            sim.set_loss_rate(0.3);
-            let op = sim
-                .with_ctx(visitor, |n, ctx| n.start_visit(ctx, site))
-                .unwrap();
-            sim.run_for(SimDuration::from_mins(4));
-            let ok = matches!(
-                sim.node_mut(visitor).take_result(op),
-                Some(VisitResult::Ok { .. })
-            );
-            (ok, sim.metrics().counter(CTR_RETRY_ATTEMPTS))
-        };
-        let policy = RetryPolicy {
-            base: SimDuration::from_secs(1),
-            factor: 2.0,
-            cap: SimDuration::from_secs(4),
-            max_attempts: 12,
-            jitter: Jitter::Decorrelated,
-            hedge_after: None,
-        };
-        let (ok_retry, attempts_retry) = run(policy);
-        assert!(ok_retry, "paced re-requests should complete the visit");
-        assert!(attempts_retry >= 1, "re-request rounds must be counted");
-        let (ok_plain, attempts_plain) = run(RetryPolicy::none());
-        assert_eq!(attempts_plain, 0, "dormant by default");
-        assert!(ok_plain, "every-tick retry still succeeds without a policy");
+    fn every_tick_re_requests_complete_a_visit_under_loss() {
+        // A stuck visit re-asks its current stage on every tick: under 30%
+        // loss the visit still completes, with nothing counted as a retry.
+        let (mut sim, _tracker, peers) = build(2, 13);
+        let (seeder, visitor) = (peers[0], peers[1]);
+        let (site, bundle) = publish_site(40_000);
+        sim.with_ctx(seeder, |n, ctx| n.host_site(ctx, &bundle))
+            .unwrap();
+        sim.run_for(SimDuration::from_secs(5));
+        sim.set_loss_rate(0.3);
+        let op = sim
+            .with_ctx(visitor, |n, ctx| n.start_visit(ctx, site))
+            .unwrap();
+        sim.run_for(SimDuration::from_mins(4));
+        assert!(matches!(
+            sim.node_mut(visitor).take_result(op),
+            Some(VisitResult::Ok { .. })
+        ));
+        for key in ["retry.attempts", "retry.gave_up"] {
+            assert_eq!(sim.metrics().counter(key), 0, "{key}");
+        }
     }
 }

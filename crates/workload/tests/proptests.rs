@@ -1,17 +1,15 @@
-// Property tests need the external `proptest` crate, which hermetic
-// (offline) builds cannot fetch. To run them: re-add `proptest = "1"` to this
-// crate's [dev-dependencies] and build with RUSTFLAGS="--cfg agora_proptest".
-#![cfg(agora_proptest)]
-
 //! Statistical properties of the workload engine: Zipf slope, diurnal
 //! volume conservation, cohort-1 exactness, and churn/chaos idempotence.
+//! Always on, 64 seeded `SimRng` cases per property (a case compiles a
+//! whole simulated day), no registry dependency.
 
 use agora_sim::{Ctx, DeviceClass, NodeId, Protocol, SimDuration, SimRng, Simulation};
 use agora_workload::{
     BoundedPareto, ChurnCurve, DemandModel, DiurnalCurve, LogNormalSessions, WorkloadAction,
     WorkloadDriver, WorkloadSpec, ZipfAlias, ZoneMix,
 };
-use proptest::prelude::*;
+
+const CASES: u64 = 64;
 
 struct Null;
 
@@ -46,17 +44,14 @@ fn spec(population: u64, cohorts: u32, rep_cap: u32, flash: bool) -> WorkloadSpe
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Log-log rank-frequency slope of alias-table Zipf samples tracks -α.
-    #[test]
-    fn zipf_rank_frequency_slope_matches_alpha(
-        seed in any::<u64>(),
-        alpha in 0.7f64..1.3,
-    ) {
-        const RANKS: usize = 512;
-        const SAMPLES: usize = 200_000;
+/// Log-log rank-frequency slope of alias-table Zipf samples tracks -α.
+#[test]
+fn zipf_rank_frequency_slope_matches_alpha() {
+    const RANKS: usize = 512;
+    const SAMPLES: usize = 200_000;
+    let mut cases = SimRng::new(0x776b_6c31);
+    for _ in 0..CASES {
+        let (seed, alpha) = (cases.next_u64(), 0.7 + cases.f64() * 0.6);
         let zipf = ZipfAlias::new(RANKS, alpha);
         let mut rng = SimRng::new(seed);
         let mut counts = vec![0u64; RANKS];
@@ -64,7 +59,8 @@ proptest! {
             counts[zipf.sample(&mut rng)] += 1;
         }
         // Least-squares fit of ln(freq) vs ln(rank+1) over the well-sampled
-        // head (tail ranks are too noisy at this sample size).
+        // head (tail ranks are too noisy at this sample size). At 200 000
+        // samples every head rank is drawn, so the fit always has 64 points.
         let head: Vec<(f64, f64)> = counts
             .iter()
             .take(64)
@@ -72,32 +68,38 @@ proptest! {
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (((i + 1) as f64).ln(), (c as f64).ln()))
             .collect();
-        prop_assume!(head.len() >= 32);
+        assert_eq!(head.len(), 64, "seed {seed} alpha {alpha}");
         let n = head.len() as f64;
-        let (sx, sy): (f64, f64) = head.iter().fold((0.0, 0.0), |(a, b), (x, y)| (a + x, b + y));
+        let (sx, sy): (f64, f64) = head
+            .iter()
+            .fold((0.0, 0.0), |(a, b), (x, y)| (a + x, b + y));
         let (sxx, sxy): (f64, f64) = head
             .iter()
             .fold((0.0, 0.0), |(a, b), (x, y)| (a + x * x, b + x * y));
         let slope = (n * sxy - sx * sy) / (n * sxx - sx * sx);
-        prop_assert!(
+        assert!(
             (slope + alpha).abs() < 0.08,
-            "fitted slope {slope} vs -α = {}",
+            "seed {seed}: fitted slope {slope} vs -α = {}",
             -alpha
         );
     }
+}
 
-    /// The diurnal zone mix conserves volume: a compiled day represents
-    /// population · actions_per_user_day requests (Poisson noise aside),
-    /// and the per-demand weights sum back to exactly that request count.
-    #[test]
-    fn diurnal_day_integrates_to_daily_volume(seed in any::<u64>()) {
-        let s = spec(200_000, 8, 2, false);
+/// The diurnal zone mix conserves volume: a compiled day represents
+/// population · actions_per_user_day requests (Poisson noise aside),
+/// and the per-demand weights sum back to exactly that request count.
+#[test]
+fn diurnal_day_integrates_to_daily_volume() {
+    let mut cases = SimRng::new(0x776b_6c32);
+    let s = spec(200_000, 8, 2, false);
+    for _ in 0..CASES {
+        let seed = cases.next_u64();
         let sched = s.compile(seed, &[], SimDuration::from_days(1));
         let total = sched.total_requests();
         let expected = 200_000.0 * 20.0;
-        prop_assert!(
+        assert!(
             (total as f64 - expected).abs() < 0.02 * expected,
-            "total {total} vs expected {expected}"
+            "seed {seed}: total {total} vs expected {expected}"
         );
         let weighted: f64 = sched
             .events()
@@ -107,33 +109,38 @@ proptest! {
                 _ => None,
             })
             .sum();
-        prop_assert!(
+        assert!(
             (weighted - total as f64).abs() / (total as f64) < 1e-9,
-            "weights {weighted} vs requests {total}"
+            "seed {seed}: weights {weighted} vs requests {total}"
         );
     }
+}
 
-    /// Cohort size 1 is the exact per-node escape hatch: every demand is a
-    /// single user's action with weight exactly 1, and the demand count
-    /// equals the represented request count.
-    #[test]
-    fn cohort_of_one_is_exact(seed in any::<u64>(), population in 4u64..32) {
+/// Cohort size 1 is the exact per-node escape hatch: every demand is a
+/// single user's action with weight exactly 1, and the demand count
+/// equals the represented request count.
+#[test]
+fn cohort_of_one_is_exact() {
+    let mut cases = SimRng::new(0x776b_6c33);
+    for _ in 0..CASES {
+        let (seed, population) = (cases.next_u64(), cases.range(4, 32));
         let s = spec(population, population as u32, u32::MAX, false);
         let sched = s.compile(seed, &[], SimDuration::from_days(1));
-        prop_assert_eq!(sched.demands().count() as u64, sched.total_requests());
+        assert_eq!(sched.demands().count() as u64, sched.total_requests());
         for d in sched.demands() {
-            prop_assert_eq!(d.weight, 1.0);
+            assert_eq!(d.weight, 1.0, "seed {seed} population {population}");
         }
     }
+}
 
-    /// Workload churn composes with chaos-style manual kill/revive: the
-    /// kill/revive path is idempotent, so arbitrary interleaving leaves
-    /// every node revivable and never double-counts a transition.
-    #[test]
-    fn churn_and_chaos_interleaving_is_idempotent(
-        seed in any::<u64>(),
-        chaos_mask in any::<u32>(),
-    ) {
+/// Workload churn composes with chaos-style manual kill/revive: the
+/// kill/revive path is idempotent, so arbitrary interleaving leaves
+/// every node revivable and never double-counts a transition.
+#[test]
+fn churn_and_chaos_interleaving_is_idempotent() {
+    let mut cases = SimRng::new(0x776b_6c34);
+    for _ in 0..CASES {
+        let (seed, chaos_mask) = (cases.next_u64(), cases.next_u64() as u32);
         let mut sim: Simulation<Null> = Simulation::new(seed);
         let nodes: Vec<NodeId> = (0..16)
             .map(|_| sim.add_node(Null, DeviceClass::PersonalComputer))
@@ -153,6 +160,7 @@ proptest! {
                 sim.revive(victim);
                 sim.revive(victim);
             }
+            // No substrate: demands are dropped, only churn acts.
             driver.run_until(
                 &mut sim,
                 base + SimDuration::from_hours(hour + 1),
@@ -161,11 +169,11 @@ proptest! {
         }
         for &n in &nodes {
             sim.revive(n);
-            prop_assert!(sim.is_up(n));
+            assert!(sim.is_up(n), "seed {seed}");
         }
         let m = sim.metrics();
         let down = m.counter("churn.down");
         let up = m.counter("churn.up");
-        prop_assert!(up <= down + 16, "up {up} down {down}");
+        assert!(up <= down + 16, "seed {seed}: up {up} down {down}");
     }
 }

@@ -72,6 +72,9 @@ if grep -nE 'agora_proptest|proptest::' crates/{app,dht,policy,sim,storage,web,w
 step "retry lives where an experiment retries: the dormant DHT, storage, swarm and amnesia paths stay deleted (DESIGN.md §12)"
 if grep -rnE --include='*.rs' --exclude-dir=target 'StorageNode::client_with_retry|peer_with_retry|rpc_retries|amnesia|Jitter|backoff_pre_jitter' crates; then exit 1; fi
 
+step "one timing harness: --perf keeps only rows no BENCHMARK.json metric times, and no reference kernels (DESIGN.md §10)"
+if grep -rnE --include='*.rs' --exclude-dir=target 'reference_events_per_sec|packed_events_per_sec|mining_naive|zipf_cdf_samples|zipf_reference|workload_day_throughput|policy_frames_per_sec|exact_day_to_json|perf_to_json_with|perf_to_json_scaled' crates; then exit 1; fi
+
 step "baseline diff: the full matrix must match BENCH_harness.json exactly"
 ./target/release/agora-harness
 
@@ -107,6 +110,10 @@ CHAOS_TMP="$(mktemp -d)"
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP" "$CHAOS_TMP"' EXIT
 H=./target/release/agora-harness
+# An output flag under a mode that returns before the matrix run is a usage
+# error naming both flags (exit 1), not an exit 0 that wrote nothing.
+[[ $($H --speedup --perf "$CHAOS_TMP/x.json" 2>&1 >/dev/null; echo "exit=$?") == *--perf*--speedup*"exit=1" ]]
+[[ ! -e "$CHAOS_TMP/x.json" ]]
 
 # det_smoke <name> <filter> <config>...: the first config writes a filtered
 # baseline; every later config must reproduce it exactly (the harness's own

@@ -54,7 +54,5 @@ pub use matrix::{
     run_matrix, run_to_json, trial_seed, MatrixConfig, MatrixRun, TrialOutcome, TrialSpec,
     TrialStatus,
 };
-pub use perf::{
-    perf_to_json, perf_to_json_scaled, perf_to_json_with, PhaseProfiler, COHORT_ERROR_POPULATION,
-};
+pub use perf::{perf_to_json, PhaseProfiler, COHORT_ERROR_POPULATION};
 pub use registry::{registry, ExperimentDef, Variant};

@@ -27,8 +27,8 @@ use std::time::Duration;
 
 use agora_harness::matrix::filter_selects;
 use agora_harness::{
-    diff_json, perf_to_json_with, read_json_file, registry, report, run_matrix, run_to_json,
-    ExperimentDef, MatrixConfig, PhaseProfiler,
+    diff_json, perf_to_json, read_json_file, registry, report, run_matrix, run_to_json,
+    ExperimentDef, MatrixConfig, PhaseProfiler, COHORT_ERROR_POPULATION,
 };
 
 struct Options {
@@ -244,7 +244,7 @@ fn run_observe_mode(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn parse_args() -> Result<Options, String> {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         cfg: MatrixConfig::default(),
         baseline: "BENCH_harness.json".to_owned(),
@@ -265,7 +265,6 @@ fn parse_args() -> Result<Options, String> {
         validate_obs: None,
         watch: false,
     };
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
@@ -349,7 +348,36 @@ fn parse_args() -> Result<Options, String> {
             ));
         }
     }
+    if let Some((mode, output)) = ignored_output_flag(&opts) {
+        return Err(format!(
+            "{output} is never written under {mode}, which returns before the \
+             matrix run; run them separately"
+        ));
+    }
     Ok(opts)
+}
+
+/// The first `(mode, output)` pair where `mode` is a flag `main` returns on
+/// before the matrix run and `output` one that only the matrix run reads.
+/// Taken together, the output flag would be dropped and the exit still 0.
+fn ignored_output_flag(opts: &Options) -> Option<(&'static str, &'static str)> {
+    let modes = [
+        ("--reports", opts.reports),
+        ("--observe", opts.observe.is_some()),
+        ("--validate-obs", opts.validate_obs.is_some()),
+        ("--trace", opts.trace.is_some()),
+        ("--explain", opts.explain.is_some()),
+        ("--validate-trace", opts.validate_trace.is_some()),
+        ("--speedup", opts.speedup),
+    ];
+    let outputs = [
+        ("--perf", opts.perf_out.is_some()),
+        ("--json", opts.json_out.is_some()),
+        ("--update-baseline", opts.update_baseline),
+    ];
+    let mode = modes.into_iter().find(|&(_, set)| set)?.0;
+    let output = outputs.into_iter().find(|&(_, set)| set)?.0;
+    Some((mode, output))
 }
 
 /// The first `--filter` entry that selects no `(experiment, variant)` of the
@@ -406,7 +434,7 @@ fn print_reports() {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let opts = match parse_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("agora-harness: {msg}");
@@ -490,7 +518,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &opts.perf_out {
-        let perf = perf_to_json_with(&run, prof).render();
+        let perf = perf_to_json(&run, prof, COHORT_ERROR_POPULATION).render();
         if let Err(e) = std::fs::write(path, &perf) {
             eprintln!("agora-harness: writing {path}: {e}");
             return ExitCode::from(1);
@@ -579,5 +607,38 @@ mod tests {
                 "{entries:?}"
             );
         }
+    }
+
+    #[test]
+    fn an_output_flag_under_an_early_returning_mode_is_a_usage_error() {
+        let parse = |args: &[&str]| parse_args(args.iter().map(|&a| a.to_owned()));
+        for mode in [
+            &["--speedup"][..],
+            &["--reports"],
+            &["--trace", "dht"],
+            &["--explain", "dht.lookup_secs"],
+            &["--validate-trace", "t.jsonl"],
+            &["--observe", "e16/p10k"],
+            &["--validate-obs", "o.jsonl"],
+        ] {
+            for output in [
+                &["--perf", "p.json"][..],
+                &["--json", "a.json"],
+                &["--update-baseline"],
+            ] {
+                let err = match parse(&[mode, output].concat()) {
+                    Err(e) => e,
+                    Ok(_) => panic!("{mode:?} {output:?} must be refused"),
+                };
+                assert!(
+                    err.contains(mode[0]) && err.contains(output[0]),
+                    "{mode:?} {output:?}: {err}"
+                );
+            }
+            assert!(parse(mode).is_ok(), "{mode:?} alone");
+        }
+        // The matrix run reads all three, together or alone.
+        assert!(parse(&["--perf", "p.json", "--json", "a.json", "--update-baseline"]).is_ok());
+        assert!(parse(&["--trace", "dht", "--trace-out", "t.jsonl"]).is_ok());
     }
 }

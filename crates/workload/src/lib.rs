@@ -41,6 +41,5 @@ pub use driver::{
 };
 pub use load::{CommLoad, StorageLoad};
 pub use samplers::{
-    poisson_scaled, zipf_reference, AliasTable, BoundedPareto, LogNormalSessions, ZipfAlias,
-    NORMAL_CUTOVER,
+    poisson_scaled, AliasTable, BoundedPareto, LogNormalSessions, ZipfAlias, NORMAL_CUTOVER,
 };

@@ -5,12 +5,13 @@
 //! simulator's reproducibility contract: same seed, same demand, on every
 //! platform and at every harness thread count.
 
-use agora_sim::{SimDuration, SimRng, ZipfTable};
+use agora_sim::{SimDuration, SimRng};
 
 /// Walker/Vose alias table: O(n) to build, O(1) per draw from an arbitrary
 /// discrete distribution. This is the hot-loop replacement for
-/// [`ZipfTable`]'s O(log n) inverse-CDF binary search — at a million draws
-/// per simulated day the difference shows up in `BENCH_perf.json`.
+/// [`ZipfTable`](agora_sim::ZipfTable)'s O(log n) inverse-CDF binary
+/// search; every `WorkloadSpec::compile` draws its ranks through it, so the
+/// benchmark's `workload.compile_*` metrics time it.
 ///
 /// Construction is deterministic: the small/large worklists are filled in
 /// index order and consumed LIFO, so the same weights always produce the
@@ -219,15 +220,10 @@ pub fn poisson_scaled(rng: &mut SimRng, mean: f64) -> u64 {
     }
 }
 
-/// Re-exported for callers that want the O(log n) reference sampler to
-/// compare against (the bench group does exactly that).
-pub fn zipf_reference(n: usize, alpha: f64) -> ZipfTable {
-    ZipfTable::new(n, alpha)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agora_sim::ZipfTable;
 
     #[test]
     fn alias_matches_weights() {

@@ -66,8 +66,13 @@ if grep -rnE --include='*.rs' --exclude-dir=target 'cfg(_attr)?\(.*feature *=' c
 [[ $(grep -l '^\[features\]' crates/*/Cargo.toml) == crates/sim/Cargo.toml ]]
 [[ $(grep -E '^[a-z]+ = \[' crates/sim/Cargo.toml | tr '\n' ' ') == 'trace = [] probe = [] ' ]]
 if [[ -e crates/bench ]] || grep -n '^exclude' Cargo.toml; then exit 1; fi
-# Ported property suites stay always-on (ROADMAP: a PR that touches a crate ports its proptests.rs).
-if grep -nE 'agora_proptest|proptest::' crates/{app,dht,policy,sim,storage,web,workload}/tests/proptests.rs; then exit 1; fi
+# Every property suite is an always-on seeded `SimRng` test: no cfg gates a
+# test file and nothing reaches for the proptest crate (DESIGN.md §6). The
+# bracketed letters keep these patterns from matching this file.
+if grep -rnE --exclude-dir=target 'agora_prop[t]est|prop[t]est!|prop[t]est::' crates tests; then exit 1; fi
+
+step "merkle proofs carry siblings only: verify_at derives each side from (index, leaf_count) (DESIGN.md §7)"
+if grep -rnE --exclude-dir=target 'sibling_is_righ[t]|ProofSte[p]' crates tests examples; then exit 1; fi
 
 step "retry lives where an experiment retries: the dormant DHT, storage, swarm and amnesia paths stay deleted (DESIGN.md §12)"
 if grep -rnE --include='*.rs' --exclude-dir=target 'StorageNode::client_with_retry|peer_with_retry|rpc_retries|amnesia|Jitter|backoff_pre_jitter' crates; then exit 1; fi

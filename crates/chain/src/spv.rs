@@ -12,10 +12,19 @@ use crate::block::{Block, BlockHeader};
 use crate::ledger::Ledger;
 
 /// Proof that a transaction is included in a specific block.
+///
+/// The header commits to the Merkle root but to no leaf count, so `index`
+/// and `leaf_count` are the prover's word: the proof binds membership, not
+/// position. Any `(index, leaf_count)` that walks the same sibling sides
+/// verifies too.
 #[derive(Clone, Debug)]
 pub struct InclusionProof {
     /// The containing block's header.
     pub header: BlockHeader,
+    /// The transaction's leaf index (the miner's coinbase leaf is 0).
+    pub index: u32,
+    /// Leaves in the block's tree: its transactions plus the coinbase.
+    pub leaf_count: u32,
     /// Merkle path from the transaction id to the header's root.
     pub merkle: MerkleProof,
 }
@@ -34,6 +43,8 @@ impl InclusionProof {
                 let tree = agora_crypto::MerkleTree::from_leaf_hashes(leaves);
                 return Some(InclusionProof {
                     header: block.header.clone(),
+                    index: pos as u32 + 1,
+                    leaf_count: tree.len() as u32,
                     merkle: tree.prove(pos + 1).expect("position in range"),
                 });
             }
@@ -43,12 +54,18 @@ impl InclusionProof {
 
     /// Verify the Merkle linkage (header trust is the [`SpvClient`]'s job).
     pub fn verify(&self, txid: &Hash256) -> bool {
-        self.header.meets_difficulty() && self.merkle.verify(*txid, self.header.merkle_root)
+        self.header.meets_difficulty()
+            && self.merkle.verify_at(
+                *txid,
+                self.index as usize,
+                self.leaf_count as usize,
+                self.header.merkle_root,
+            )
     }
 
-    /// Wire size for message accounting.
+    /// Wire size for message accounting: header, position, path.
     pub fn wire_size(&self) -> u64 {
-        BlockHeader::WIRE_SIZE + self.merkle.wire_size()
+        BlockHeader::WIRE_SIZE + 8 + self.merkle.wire_size()
     }
 }
 
@@ -200,6 +217,13 @@ mod tests {
         assert!(!spv.verify_inclusion(&txid, &proof, 100));
         // Wrong txid fails.
         assert!(!spv.verify_inclusion(&sha256(b"other"), &proof, 1));
+        // So does a claimed position whose sibling sides differ: the tx is
+        // leaf 1 of [coinbase, tx], and leaf 0 hashes the pair reversed.
+        let moved = InclusionProof {
+            index: 0,
+            ..proof.clone()
+        };
+        assert!(!spv.verify_inclusion(&txid, &moved, 2));
     }
 
     #[test]

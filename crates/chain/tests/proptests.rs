@@ -1,15 +1,13 @@
-// Property tests need the external `proptest` crate, which hermetic
-// (offline) builds cannot fetch. To run them: re-add `proptest = "1"` to this
-// crate's [dev-dependencies] and build with RUSTFLAGS="--cfg agora_proptest".
-#![cfg(agora_proptest)]
-
-//! Property-based tests for the chain: ledger invariants under arbitrary
-//! valid histories, and order-independence of replica convergence.
+//! Property tests for the chain: ledger invariants under arbitrary valid
+//! histories, and order-independence of replica convergence. Always on, 24
+//! seeded `SimRng` cases per property (each mines a chain), no registry
+//! dependency.
 
 use agora_chain::{mine_block, Accepted, Block, ChainParams, Ledger, Transaction, TxPayload};
 use agora_crypto::{sha256, Hash256, SimKeyPair};
 use agora_sim::SimRng;
-use proptest::prelude::*;
+
+const CASES: u64 = 24;
 
 /// Build a random but *valid* chain of `n` blocks over `n_accounts` premined
 /// accounts, with random transfers, returning the blocks in order.
@@ -71,13 +69,13 @@ fn build_blocks(
     (blocks, keys, premine)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Token conservation: premine + rewards = total balances, always.
-    #[test]
-    fn tokens_conserved(n in 1usize..12, seed in any::<u64>()) {
-        let (blocks, keys, premine) = build_blocks(n, 3, seed);
+/// Token conservation: premine + rewards = total balances, always.
+#[test]
+fn tokens_conserved() {
+    let mut cases = SimRng::new(0x6368_6131);
+    for case in 0..CASES {
+        let n = cases.range(1, 12) as usize;
+        let (blocks, keys, premine) = build_blocks(n, 3, cases.next_u64());
         let mut ledger = Ledger::new("prop", ChainParams::test(), &premine);
         for b in blocks {
             ledger.submit_block(b).unwrap();
@@ -88,65 +86,76 @@ proptest! {
         for k in &keys {
             total += ledger.state().balance(&k.public().id());
         }
-        prop_assert_eq!(total, premined + minted);
+        assert_eq!(total, premined + minted, "case {case}");
     }
+}
 
-    /// Replica convergence is order-independent: feeding the same blocks in
-    /// a shuffled order (orphans and all) converges to the same tip/state.
-    #[test]
-    fn replicas_converge_regardless_of_order(
-        n in 2usize..10,
-        seed in any::<u64>(),
-        shuffle_seed in any::<u64>(),
-    ) {
-        let (blocks, keys, premine) = build_blocks(n, 3, seed);
+/// Replica convergence is order-independent: feeding the same blocks in a
+/// shuffled order (orphans and all) converges to the same tip/state.
+#[test]
+fn replicas_converge_regardless_of_order() {
+    let mut cases = SimRng::new(0x6368_6132);
+    for case in 0..CASES {
+        let n = cases.range(2, 10) as usize;
+        let (blocks, keys, premine) = build_blocks(n, 3, cases.next_u64());
         let mut in_order = Ledger::new("prop", ChainParams::test(), &premine);
         for b in &blocks {
             in_order.submit_block(b.clone()).unwrap();
         }
         let mut shuffled = blocks.clone();
-        let mut rng = SimRng::new(shuffle_seed);
-        rng.shuffle(&mut shuffled);
+        cases.shuffle(&mut shuffled);
         let mut out_of_order = Ledger::new("prop", ChainParams::test(), &premine);
         for b in shuffled {
             let _ = out_of_order.submit_block(b); // orphans auto-connect
         }
-        prop_assert_eq!(out_of_order.best_tip(), in_order.best_tip());
-        prop_assert_eq!(out_of_order.best_height(), in_order.best_height());
+        assert_eq!(out_of_order.best_tip(), in_order.best_tip(), "case {case}");
+        assert_eq!(out_of_order.best_height(), in_order.best_height());
         for k in &keys {
-            prop_assert_eq!(
+            assert_eq!(
                 out_of_order.state().balance(&k.public().id()),
-                in_order.state().balance(&k.public().id())
+                in_order.state().balance(&k.public().id()),
+                "case {case}"
             );
         }
     }
+}
 
-    /// No balance ever goes "negative" (they're u64 — so the real property
-    /// is that every historical state transition validated; replaying from
-    /// scratch cannot underflow or panic).
-    #[test]
-    fn replay_never_panics(n in 1usize..10, seed in any::<u64>()) {
-        let (blocks, _, premine) = build_blocks(n, 4, seed);
+/// No balance ever goes "negative" (they're u64 — so the real property is
+/// that every historical state transition validated; replaying from scratch
+/// cannot underflow or panic).
+#[test]
+fn replay_never_panics() {
+    let mut cases = SimRng::new(0x6368_6133);
+    for case in 0..CASES {
+        let n = cases.range(1, 10) as usize;
+        let (blocks, _, premine) = build_blocks(n, 4, cases.next_u64());
         let mut ledger = Ledger::new("prop", ChainParams::test(), &premine);
         for b in blocks {
-            prop_assert!(ledger.submit_block(b).is_ok());
+            assert!(ledger.submit_block(b).is_ok(), "case {case}");
         }
-        prop_assert!(ledger.main_chain_bytes() <= ledger.total_ledger_bytes);
-        prop_assert_eq!(ledger.main_chain().len() as u64, ledger.best_height() + 1);
+        assert!(ledger.main_chain_bytes() <= ledger.total_ledger_bytes);
+        assert_eq!(ledger.main_chain().len() as u64, ledger.best_height() + 1);
     }
+}
 
-    /// Tampering with any mined block's contents is always rejected.
-    #[test]
-    fn tampered_blocks_rejected(seed in any::<u64>(), tweak in 0u8..3) {
-        let (blocks, _, premine) = build_blocks(3, 2, seed);
+/// Tampering with any mined block's contents is always rejected.
+#[test]
+fn tampered_blocks_rejected() {
+    let mut cases = SimRng::new(0x6368_6134);
+    for case in 0..CASES {
+        let (blocks, _, premine) = build_blocks(3, 2, cases.next_u64());
         let mut ledger = Ledger::new("prop", ChainParams::test(), &premine);
         ledger.submit_block(blocks[0].clone()).unwrap();
         let mut evil = blocks[1].clone();
+        let tweak = cases.below(3);
         match tweak {
-            0 => evil.miner = sha256(b"thief"),                 // breaks merkle
-            1 => evil.header.height += 1,                        // breaks height
-            _ => evil.header.time_micros = 0,                    // breaks PoW hash
+            0 => evil.miner = sha256(b"thief"), // breaks merkle
+            1 => evil.header.height += 1,       // breaks height
+            _ => evil.header.time_micros = 0,   // breaks PoW hash
         }
-        prop_assert!(ledger.submit_block(evil).is_err());
+        assert!(
+            ledger.submit_block(evil).is_err(),
+            "case {case}: tweak {tweak}"
+        );
     }
 }

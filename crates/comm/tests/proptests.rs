@@ -1,91 +1,106 @@
-// Property tests need the external `proptest` crate, which hermetic
-// (offline) builds cannot fetch. To run them: re-add `proptest = "1"` to this
-// crate's [dev-dependencies] and build with RUSTFLAGS="--cfg agora_proptest".
-#![cfg(agora_proptest)]
+//! Property tests for the ratchet and moderation models. Always on, 256
+//! seeded `SimRng` cases per property, no registry dependency.
 
-//! Property-based tests for the ratchet and moderation models.
-
-use agora_comm::{ModerationPolicy, PostLabel, RatchetSession};
+use agora_comm::{AbuseKind, ModerationPolicy, PostLabel, RatchetSession};
 use agora_crypto::sha256;
 use agora_sim::SimRng;
-use proptest::prelude::*;
 
-proptest! {
-    /// Arbitrary conversations in arbitrary delivery orders decrypt exactly
-    /// once each, as long as reordering stays within the skip window.
-    #[test]
-    fn ratchet_survives_reordering(
-        msgs in proptest::collection::vec(any::<Vec<u8>>(), 1..40),
-        order_seed in any::<u64>(),
-    ) {
+const CASES: u64 = 256;
+
+/// Uniform length in `[lo, hi)`, then that many random bytes.
+fn bytes(rng: &mut SimRng, lo: u64, hi: u64) -> Vec<u8> {
+    let len = rng.range(lo, hi) as usize;
+    rng.bytes(len)
+}
+
+/// Arbitrary conversations in arbitrary delivery orders decrypt exactly
+/// once each, as long as reordering stays within the skip window.
+#[test]
+fn ratchet_survives_reordering() {
+    let mut cases = SimRng::new(0x636f_6d31);
+    for case in 0..CASES {
+        let msgs: Vec<Vec<u8>> = (0..cases.range(1, 40))
+            .map(|_| bytes(&mut cases, 0, 100))
+            .collect();
         let secret = sha256(b"prop-session");
         let mut alice = RatchetSession::initiator(&secret);
         let mut bob = RatchetSession::responder(&secret);
-        let mut sealed: Vec<_> = msgs.iter().map(|m| alice.encrypt(m)).collect();
-        // Shuffle delivery.
-        let mut rng = SimRng::new(order_seed);
+        let sealed: Vec<_> = msgs.iter().map(|m| alice.encrypt(m)).collect();
         let mut order: Vec<usize> = (0..sealed.len()).collect();
-        rng.shuffle(&mut order);
-        let mut decrypted = vec![false; msgs.len()];
+        cases.shuffle(&mut order);
         for &i in &order {
             let got = bob.decrypt(&sealed[i]).expect("within skip window");
-            prop_assert_eq!(&got, &msgs[i]);
-            decrypted[i] = true;
+            assert_eq!(got, msgs[i], "case {case}: message {i}");
         }
-        prop_assert!(decrypted.iter().all(|&d| d));
         // Replays all fail (keys destroyed).
-        for s in sealed.drain(..) {
-            prop_assert!(bob.decrypt(&s).is_err());
+        for s in &sealed {
+            assert!(bob.decrypt(s).is_err(), "case {case}");
         }
     }
+}
 
-    /// Bidirectional interleaved traffic stays in sync.
-    #[test]
-    fn ratchet_bidirectional(pattern in proptest::collection::vec(any::<bool>(), 1..60)) {
+/// Bidirectional interleaved traffic stays in sync.
+#[test]
+fn ratchet_bidirectional() {
+    let mut cases = SimRng::new(0x636f_6d32);
+    for case in 0..CASES {
         let secret = sha256(b"prop-bidir");
         let mut alice = RatchetSession::initiator(&secret);
         let mut bob = RatchetSession::responder(&secret);
-        for (i, &a_sends) in pattern.iter().enumerate() {
+        for i in 0..cases.range(1, 60) {
             let msg = format!("m{i}");
-            if a_sends {
-                let s = alice.encrypt(msg.as_bytes());
-                prop_assert_eq!(bob.decrypt(&s).expect("sync"), msg.as_bytes());
+            let got = if cases.chance(0.5) {
+                bob.decrypt(&alice.encrypt(msg.as_bytes()))
             } else {
-                let s = bob.encrypt(msg.as_bytes());
-                prop_assert_eq!(alice.decrypt(&s).expect("sync"), msg.as_bytes());
-            }
+                alice.decrypt(&bob.encrypt(msg.as_bytes()))
+            };
+            assert_eq!(got.expect("sync"), msg.as_bytes(), "case {case}");
         }
     }
+}
 
-    /// Tampering with the binding always fails decryption and never
-    /// desynchronizes the genuine stream.
-    #[test]
-    fn ratchet_tamper_rejected(msg in any::<Vec<u8>>(), evil in any::<u64>()) {
+/// Tampering with the binding always fails decryption and never
+/// desynchronizes the genuine stream.
+#[test]
+fn ratchet_tamper_rejected() {
+    let mut cases = SimRng::new(0x636f_6d33);
+    for case in 0..CASES {
+        let msg = bytes(&mut cases, 0, 100);
         let secret = sha256(b"prop-tamper");
         let mut alice = RatchetSession::initiator(&secret);
         let mut bob = RatchetSession::responder(&secret);
-        let mut sealed = alice.encrypt(&msg);
-        let original = sealed.clone();
-        sealed.binding = sha256(&evil.to_be_bytes());
-        prop_assert!(bob.decrypt(&sealed).is_err());
-        prop_assert_eq!(bob.decrypt(&original).expect("genuine still works"), msg);
+        let original = alice.encrypt(&msg);
+        let mut sealed = original.clone();
+        sealed.binding = sha256(&cases.next_u64().to_be_bytes());
+        assert!(bob.decrypt(&sealed).is_err(), "case {case}");
+        assert_eq!(
+            bob.decrypt(&original).expect("genuine still works"),
+            msg,
+            "case {case}"
+        );
     }
+}
 
-    /// Moderation rates converge to the configured probabilities.
-    #[test]
-    fn moderation_rates_converge(seed in any::<u64>()) {
-        let mut rng = SimRng::new(seed);
-        let p = ModerationPolicy::platform_default();
+/// Moderation rates converge to the configured probabilities.
+#[test]
+fn moderation_rates_converge() {
+    let mut cases = SimRng::new(0x636f_6d34);
+    let p = ModerationPolicy::platform_default();
+    for case in 0..CASES {
+        let mut rng = SimRng::new(cases.next_u64());
         let n = 2000;
-        let blocked_abuse = (0..n)
-            .filter(|_| p.blocks(PostLabel::Abuse(agora_comm::AbuseKind::Spam), &mut rng))
-            .count() as f64 / n as f64;
-        let blocked_legit = (0..n)
-            .filter(|_| p.blocks(PostLabel::Legit, &mut rng))
-            .count() as f64 / n as f64;
-        prop_assert!((blocked_abuse - p.detection_rate).abs() < 0.05,
-            "abuse block rate {blocked_abuse}");
-        prop_assert!((blocked_legit - p.false_positive_rate).abs() < 0.02,
-            "legit block rate {blocked_legit}");
+        let rate = |label: PostLabel, rng: &mut SimRng| {
+            (0..n).filter(|_| p.blocks(label, rng)).count() as f64 / n as f64
+        };
+        let blocked_abuse = rate(PostLabel::Abuse(AbuseKind::Spam), &mut rng);
+        let blocked_legit = rate(PostLabel::Legit, &mut rng);
+        assert!(
+            (blocked_abuse - p.detection_rate).abs() < 0.05,
+            "case {case}: abuse block rate {blocked_abuse}"
+        );
+        assert!(
+            (blocked_legit - p.false_positive_rate).abs() < 0.02,
+            "case {case}: legit block rate {blocked_legit}"
+        );
     }
 }

@@ -132,11 +132,7 @@ pub fn t2_storage_systems() -> Report {
         let ok = match p.proof {
             ProofScheme::ProofOfStorage => {
                 let (manifest, chunks) = Manifest::build(&data, 4096);
-                let ch = PosChallenge {
-                    object: manifest.object_id,
-                    index: 3,
-                    nonce: rng.next_u64(),
-                };
+                let ch = PosChallenge::new(&manifest, 3, rng.next_u64());
                 PosResponse::build(&ch, &manifest, chunks[3].clone())
                     .map(|r| r.verify(&ch))
                     .unwrap_or(false)
@@ -152,11 +148,7 @@ pub fn t2_storage_systems() -> Report {
                 let sealed = seal(&data, &id);
                 let commitment = sealed_commitment(&sealed, &params);
                 let (_, chunks) = Manifest::build(&sealed, params.sealed_chunk_size);
-                let ch = PosChallenge {
-                    object: commitment.object_id,
-                    index: 1,
-                    nonce: rng.next_u64(),
-                };
+                let ch = PosChallenge::new(&commitment, 1, rng.next_u64());
                 PosResponse::build(&ch, &commitment, chunks[1].clone())
                     .map(|r| r.verify(&ch))
                     .unwrap_or(false)

@@ -115,6 +115,33 @@ mod tests {
         );
     }
 
+    // RFC 2104 pads a short key with zeros to the 64-byte block, so keys
+    // that differ only by trailing zero bytes (up to 64 bytes long) are the
+    // same key.
+    #[test]
+    fn trailing_zero_bytes_pad_to_the_same_key() {
+        let mac = hmac_sha256(b"key", b"msg");
+        assert_eq!(hmac_sha256(b"key\0", b"msg"), mac);
+        let mut block = [0u8; 64];
+        block[..3].copy_from_slice(b"key");
+        assert_eq!(hmac_sha256(&block, b"msg"), mac);
+        let mut over = [0u8; 65];
+        over[..3].copy_from_slice(b"key");
+        assert_ne!(hmac_sha256(&over, b"msg"), mac, "65 bytes are hashed first");
+    }
+
+    // RFC 2104 replaces a key longer than the block with its hash, so such a
+    // key MACs exactly as its own SHA-256 digest does.
+    #[test]
+    fn long_key_macs_as_its_digest() {
+        let key = [0xaau8; 131];
+        let digest = crate::sha256::sha256(&key);
+        assert_eq!(
+            hmac_sha256(&key, b"msg"),
+            hmac_sha256(digest.as_bytes(), b"msg")
+        );
+    }
+
     #[test]
     fn hkdf_expand_blocks_differ_and_are_deterministic() {
         let prk = hkdf_extract(b"salt", b"secret");

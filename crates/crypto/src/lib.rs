@@ -38,7 +38,7 @@ pub mod wots;
 
 pub use codec::{Dec, DecodeError, Enc};
 pub use hmac::{derive_key, hkdf_expand, hkdf_extract, hmac_sha256};
-pub use merkle::{leaf_hash, MerkleProof, MerkleTree, ProofStep};
+pub use merkle::{leaf_hash, MerkleProof, MerkleTree};
 pub use sha256::{
     sha256, sha256_backend, sha256_concat, sha256_into, tagged_hash, Hash256, Sha256, TailHasher,
 };

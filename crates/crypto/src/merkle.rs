@@ -8,6 +8,12 @@
 //! 64-byte leaf cannot masquerade as an interior node (the classic Merkle
 //! second-preimage pitfall). Odd nodes are promoted, not duplicated, avoiding
 //! the CVE-2012-2459 duplication ambiguity.
+//!
+//! A proof is only the sibling hashes. Which side each sibling sits on, and
+//! how many there are, follow from the leaf's index and the tree's leaf
+//! count, which the verifier supplies ([`MerkleProof::verify_at`]): a prover
+//! cannot choose them, so a proof for one leaf never verifies at another
+//! position.
 
 use crate::sha256::{sha256_concat, Hash256};
 
@@ -20,44 +26,46 @@ fn node_hash(left: &Hash256, right: &Hash256) -> Hash256 {
     sha256_concat(&[&[0x01], left.as_bytes(), right.as_bytes()])
 }
 
-/// One step of an inclusion proof: a sibling hash and which side it sits on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProofStep {
-    /// The sibling hash to combine with.
-    pub sibling: Hash256,
-    /// True if the sibling is the *right* child at this level.
-    pub sibling_is_right: bool,
-}
-
-/// An inclusion proof for one leaf.
+/// An inclusion proof for one leaf: its siblings, bottom-up.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct MerkleProof {
-    /// Bottom-up list of siblings.
-    pub steps: Vec<ProofStep>,
+    /// One sibling per level where the path node has one; a node promoted
+    /// as the odd one out of its level contributes none.
+    pub siblings: Vec<Hash256>,
 }
 
 impl MerkleProof {
-    /// Recompute the root implied by this proof for the given leaf hash.
-    pub fn compute_root(&self, leaf: Hash256) -> Hash256 {
-        let mut acc = leaf;
-        for step in &self.steps {
-            acc = if step.sibling_is_right {
-                node_hash(&acc, &step.sibling)
-            } else {
-                node_hash(&step.sibling, &acc)
-            };
+    /// Verify that `leaf` is leaf `index` of a `leaf_count`-leaf tree under
+    /// `root`. Each level's direction is the parity of the path node's index
+    /// there; a level where that node is the last of an odd count promotes
+    /// it and consumes no sibling. The proof must have exactly the siblings
+    /// this walk consumes.
+    pub fn verify_at(&self, leaf: Hash256, index: usize, leaf_count: usize, root: Hash256) -> bool {
+        if index >= leaf_count {
+            return false;
         }
-        acc
-    }
-
-    /// Verify that `leaf` is included under `root`.
-    pub fn verify(&self, leaf: Hash256, root: Hash256) -> bool {
-        self.compute_root(leaf) == root
+        let mut siblings = self.siblings.iter();
+        let (mut acc, mut idx, mut width) = (leaf, index, leaf_count);
+        while width > 1 {
+            if idx ^ 1 < width {
+                let Some(sibling) = siblings.next() else {
+                    return false;
+                };
+                acc = if idx % 2 == 0 {
+                    node_hash(&acc, sibling)
+                } else {
+                    node_hash(sibling, &acc)
+                };
+            }
+            idx /= 2;
+            width = width.div_ceil(2);
+        }
+        siblings.next().is_none() && acc == root
     }
 
     /// Wire size estimate in bytes (for simulated message sizing).
     pub fn wire_size(&self) -> u64 {
-        self.steps.len() as u64 * 33
+        self.siblings.len() as u64 * 32
     }
 }
 
@@ -127,21 +135,17 @@ impl MerkleTree {
         if index >= self.levels[0].len() {
             return None;
         }
-        let mut steps = Vec::new();
+        let mut siblings = Vec::new();
         let mut idx = index;
         for level in &self.levels[..self.levels.len() - 1] {
-            let sibling_idx = idx ^ 1;
-            if sibling_idx < level.len() {
-                steps.push(ProofStep {
-                    sibling: level[sibling_idx],
-                    sibling_is_right: sibling_idx > idx,
-                });
-            }
             // If no sibling (odd promoted node) the node carries up unchanged
-            // and contributes no step.
+            // and contributes none.
+            if let Some(&sibling) = level.get(idx ^ 1) {
+                siblings.push(sibling);
+            }
             idx /= 2;
         }
-        Some(MerkleProof { steps })
+        Some(MerkleProof { siblings })
     }
 }
 
@@ -163,8 +167,8 @@ mod tests {
         assert_eq!(t.root(), l[0]);
         assert_eq!(t.len(), 1);
         let p = t.prove(0).unwrap();
-        assert!(p.steps.is_empty());
-        assert!(p.verify(l[0], t.root()));
+        assert!(p.siblings.is_empty());
+        assert!(p.verify_at(l[0], 0, 1, t.root()));
     }
 
     #[test]
@@ -174,7 +178,7 @@ mod tests {
             let t = MerkleTree::from_leaf_hashes(l.clone());
             for (i, leaf) in l.iter().enumerate() {
                 let p = t.prove(i).unwrap_or_else(|| panic!("proof {i}/{n}"));
-                assert!(p.verify(*leaf, t.root()), "n={n} i={i}");
+                assert!(p.verify_at(*leaf, i, n, t.root()), "n={n} i={i}");
             }
         }
     }
@@ -184,8 +188,24 @@ mod tests {
         let l = leaves(8);
         let t = MerkleTree::from_leaf_hashes(l.clone());
         let p = t.prove(3).unwrap();
-        assert!(!p.verify(l[4], t.root()));
-        assert!(!p.verify(sha256(b"forged"), t.root()));
+        assert!(!p.verify_at(l[4], 3, 8, t.root()));
+        assert!(!p.verify_at(sha256(b"forged"), 3, 8, t.root()));
+    }
+
+    #[test]
+    fn wrong_position_or_leaf_count_fails() {
+        // The right leaf with its own proof, at any other index or under
+        // any other leaf count whose path differs, fails.
+        let l = leaves(5);
+        let t = MerkleTree::from_leaf_hashes(l.clone());
+        let p = t.prove(4).unwrap();
+        assert!(p.verify_at(l[4], 4, 5, t.root()));
+        for j in 0..4 {
+            assert!(!p.verify_at(l[4], j, 5, t.root()), "index {j}");
+        }
+        assert!(!p.verify_at(l[4], 5, 5, t.root()), "index past the end");
+        assert!(!p.verify_at(l[4], 4, 8, t.root()), "one sibling short");
+        assert!(!p.verify_at(l[4], 4, 4, t.root()), "index past the end");
     }
 
     #[test]
@@ -193,11 +213,14 @@ mod tests {
         let l = leaves(8);
         let t = MerkleTree::from_leaf_hashes(l.clone());
         let mut p = t.prove(2).unwrap();
-        p.steps[1].sibling = sha256(b"evil");
-        assert!(!p.verify(l[2], t.root()));
-        let mut p2 = t.prove(2).unwrap();
-        p2.steps[0].sibling_is_right = !p2.steps[0].sibling_is_right;
-        assert!(!p2.verify(l[2], t.root()));
+        p.siblings[1] = sha256(b"evil");
+        assert!(!p.verify_at(l[2], 2, 8, t.root()));
+        let mut extra = t.prove(2).unwrap();
+        extra.siblings.push(t.root());
+        assert!(!extra.verify_at(l[2], 2, 8, t.root()), "trailing sibling");
+        let mut short = t.prove(2).unwrap();
+        short.siblings.pop();
+        assert!(!short.verify_at(l[2], 2, 8, t.root()), "missing sibling");
     }
 
     #[test]
@@ -244,8 +267,8 @@ mod tests {
     fn proof_wire_size_logarithmic() {
         let t = MerkleTree::from_leaf_hashes(leaves(1024));
         let p = t.prove(512).unwrap();
-        assert_eq!(p.steps.len(), 10);
-        assert_eq!(p.wire_size(), 330);
+        assert_eq!(p.siblings.len(), 10);
+        assert_eq!(p.wire_size(), 320);
     }
 
     #[test]

@@ -176,25 +176,6 @@ impl WotsPublicKey {
         if sig.chain_values.len() != CHAINS {
             return false;
         }
-        if sig.leaf_index >= (1u32 << self.height) {
-            return false;
-        }
-        // The tree is full (2^height leaves), so the proof has exactly
-        // `height` steps and its direction bits encode the leaf index; bind
-        // the claimed index to the path so leaf reuse can be audited.
-        if sig.proof.steps.len() != self.height as usize {
-            return false;
-        }
-        let path_index: u32 = sig
-            .proof
-            .steps
-            .iter()
-            .enumerate()
-            .map(|(i, s)| if s.sibling_is_right { 0 } else { 1u32 << i })
-            .sum();
-        if path_index != sig.leaf_index {
-            return false;
-        }
         let msg_hash = tagged_hash("wots-msg", msg);
         let d = digits(&msg_hash);
         // Walk each chain the *remaining* w-1-d steps to recover the tops.
@@ -204,7 +185,14 @@ impl WotsPublicKey {
             concat.extend_from_slice(top.as_bytes());
         }
         let leaf = tagged_hash("wots-leaf", &concat);
-        sig.proof.verify(leaf, self.root)
+        // The claimed index fixes the path, so a signature verifies only at
+        // the one-time key it used and leaf reuse can be audited.
+        sig.proof.verify_at(
+            leaf,
+            sig.leaf_index as usize,
+            1usize << self.height,
+            self.root,
+        )
     }
 }
 

@@ -8,6 +8,10 @@
 
 use crate::json::Json;
 
+/// The tolerance the harness diffs `BENCH_harness.json` at: the artifact is
+/// deterministic, so this only absorbs float formatting.
+pub const BASELINE_TOLERANCE: f64 = 1e-9;
+
 /// One difference between baseline and current artifacts.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DiffEntry {

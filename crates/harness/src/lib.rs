@@ -48,7 +48,7 @@ pub mod report;
 pub mod trace;
 pub mod watch;
 
-pub use baseline::{diff_json, DiffEntry};
+pub use baseline::{diff_json, DiffEntry, BASELINE_TOLERANCE};
 pub use json::{read_json_file, Json};
 pub use matrix::{
     run_matrix, run_to_json, trial_seed, MatrixConfig, MatrixRun, TrialOutcome, TrialSpec,

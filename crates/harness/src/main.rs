@@ -28,7 +28,7 @@ use std::time::Duration;
 use agora_harness::matrix::filter_selects;
 use agora_harness::{
     diff_json, perf_to_json, read_json_file, registry, report, run_matrix, run_to_json,
-    ExperimentDef, MatrixConfig, PhaseProfiler, COHORT_ERROR_POPULATION,
+    ExperimentDef, MatrixConfig, PhaseProfiler, BASELINE_TOLERANCE, COHORT_ERROR_POPULATION,
 };
 
 struct Options {
@@ -36,7 +36,6 @@ struct Options {
     baseline: String,
     json_out: Option<String>,
     perf_out: Option<String>,
-    tolerance: f64,
     update_baseline: bool,
     speedup: bool,
     reports: bool,
@@ -250,7 +249,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         baseline: "BENCH_harness.json".to_owned(),
         json_out: None,
         perf_out: None,
-        tolerance: 1e-9,
         update_baseline: false,
         speedup: false,
         reports: false,
@@ -283,12 +281,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
                     .parse()
                     .map_err(|e| format!("--root-seed: {e}"))?
             }
-            "--budget-secs" => {
-                let secs: u64 = value("--budget-secs")?
-                    .parse()
-                    .map_err(|e| format!("--budget-secs: {e}"))?;
-                opts.cfg.budget = Duration::from_secs(secs);
-            }
             "--filter" => {
                 opts.cfg.filter = Some(
                     value("--filter")?
@@ -301,11 +293,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             "--baseline" => opts.baseline = value("--baseline")?,
             "--json" => opts.json_out = Some(value("--json")?),
             "--perf" => opts.perf_out = Some(value("--perf")?),
-            "--tolerance" => {
-                opts.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))?
-            }
             "--trace" => opts.trace = Some(value("--trace")?),
             "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
             "--trace-cap" => {
@@ -548,11 +535,11 @@ fn main() -> ExitCode {
                 return ExitCode::from(1);
             }
         };
-        let diffs = diff_json(&baseline, &artifact, opts.tolerance);
+        let diffs = diff_json(&baseline, &artifact, BASELINE_TOLERANCE);
         if diffs.is_empty() {
             println!(
                 "baseline check: OK ({} within tolerance {})",
-                opts.baseline, opts.tolerance
+                opts.baseline, BASELINE_TOLERANCE
             );
             ExitCode::SUCCESS
         } else {
@@ -560,7 +547,7 @@ fn main() -> ExitCode {
                 "baseline REGRESSION vs {} ({} difference(s), tolerance {}):",
                 opts.baseline,
                 diffs.len(),
-                opts.tolerance
+                BASELINE_TOLERANCE
             );
             for d in diffs.iter().take(50) {
                 eprintln!("  {d}");

@@ -10,6 +10,11 @@ use crate::json::Json;
 use crate::pool;
 use crate::registry::ExperimentDef;
 
+/// Per-trial wall-clock budget. Exceeding it cannot abort a running trial
+/// (threads are not preemptible) but flags it in the human report so
+/// runaway experiments are visible.
+pub const TRIAL_BUDGET: Duration = Duration::from_secs(120);
+
 /// Matrix run configuration.
 #[derive(Clone, Debug)]
 pub struct MatrixConfig {
@@ -19,10 +24,6 @@ pub struct MatrixConfig {
     pub seeds_per_variant: u32,
     /// Worker threads. Never changes any output, only wall-clock time.
     pub threads: usize,
-    /// Per-trial wall-clock budget. Exceeding it cannot abort a running
-    /// trial (threads are not preemptible) but flags it in the human
-    /// report so runaway experiments are visible.
-    pub budget: Duration,
     /// When set, run only experiments whose id is listed.
     pub filter: Option<Vec<String>>,
 }
@@ -33,7 +34,6 @@ impl Default for MatrixConfig {
             root_seed: 20171130, // HotNets-XVI, day one
             seeds_per_variant: 3,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            budget: Duration::from_secs(120),
             filter: None,
         }
     }
@@ -196,11 +196,11 @@ impl MatrixRun {
             .count()
     }
 
-    /// Trials that blew the per-trial budget.
+    /// Trials that blew [`TRIAL_BUDGET`].
     pub fn over_budget(&self) -> Vec<&TrialOutcome> {
         self.outcomes
             .iter()
-            .filter(|o| o.elapsed > self.config.budget)
+            .filter(|o| o.elapsed > TRIAL_BUDGET)
             .collect()
     }
 }

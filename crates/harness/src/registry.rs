@@ -296,6 +296,26 @@ mod tests {
         }
     }
 
+    /// Every registered experiment, and each of the paper's three tables,
+    /// has an EXPERIMENTS.md section headed `## <ID> —` (`e16p` → `E16p`).
+    #[test]
+    fn every_experiment_is_documented() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+        let doc = std::fs::read_to_string(path).expect("EXPERIMENTS.md at the workspace root");
+        let ids = registry()
+            .iter()
+            .map(|def| format!("E{}", &def.id[1..]))
+            .chain(["T1", "T2", "T3"].map(String::from))
+            .collect::<Vec<_>>();
+        assert_eq!(ids.len(), 22);
+        for id in ids {
+            assert!(
+                doc.lines().any(|l| l.starts_with(&format!("## {id} — "))),
+                "EXPERIMENTS.md missing section for {id}"
+            );
+        }
+    }
+
     #[test]
     fn labels_are_unique_per_experiment() {
         for def in registry() {

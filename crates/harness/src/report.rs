@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use agora_sim::P2Quantile;
 
-use crate::matrix::{MatrixRun, TrialStatus};
+use crate::matrix::{MatrixRun, TrialStatus, TRIAL_BUDGET};
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
@@ -88,7 +88,7 @@ pub fn render(run: &MatrixRun) -> String {
         out.push_str(&format!(
             "\nWARNING: {} trial(s) exceeded the {:.0} s per-trial budget:\n",
             over.len(),
-            run.config.budget.as_secs_f64()
+            TRIAL_BUDGET.as_secs_f64()
         ));
         for o in over {
             out.push_str(&format!(

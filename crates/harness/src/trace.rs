@@ -24,7 +24,7 @@ use crate::matrix::{build_trials, MatrixConfig};
 use crate::registry::ExperimentDef;
 
 /// JSONL schema version for `TRACE_*.jsonl`.
-pub const TRACE_SCHEMA: u32 = 1;
+pub const TRACE_SCHEMA: u32 = 2;
 
 /// One completed trace replay.
 pub struct TraceRun {
@@ -198,7 +198,7 @@ fn event_to_json(ev: &TraceEvent) -> Json {
     line.set("node", node_json(ev.node));
     line.set("kind", Json::Str(ev.kind.label().to_owned()));
     match ev.kind {
-        TraceKind::SimStart { seed } => line.set("seed", Json::Num(seed as f64)),
+        TraceKind::SimStart { seed } => line.set("seed", Json::Str(seed.to_string())),
         TraceKind::Send { to, bytes } => {
             line.set("to", Json::Num(to.0 as f64));
             line.set("bytes", Json::Num(bytes as f64));
@@ -265,7 +265,10 @@ pub fn trace_to_jsonl(run: &TraceRun) -> String {
     header.set("schema", Json::Num(TRACE_SCHEMA as f64));
     header.set("target", Json::Str(run.target.clone()));
     header.set("variant", Json::Str(run.variant.clone()));
-    header.set("seed", Json::Num(run.seed as f64));
+    // Seeds are full-range u64 and matrix-derived ones sit above 2^53, where
+    // an f64 `Json::Num` would round them, so they render as decimal
+    // strings (as in OBS).
+    header.set("seed", Json::Str(run.seed.to_string()));
     header.set("ring_capacity", Json::Num(rec.capacity() as f64));
     header.set("events", Json::Num(rec.len() as f64));
     header.set("evicted", Json::Num(rec.evicted() as f64));
@@ -293,10 +296,11 @@ pub struct TraceFileSummary {
 }
 
 /// The tiny in-repo `TRACE_*.jsonl` schema checker CI runs: every line must
-/// parse as JSON; the first line must be a schema-1 header whose
+/// parse as JSON; the first line must be a [`TRACE_SCHEMA`] header whose
 /// `events`/`spans` counts match the body; event lines need well-formed hex
 /// keys, a known kind label, and that kind's fields; span lines need
-/// key/count. Returns the body counts on success.
+/// key/count. Seeds (header and `sim_start`) are decimal strings. Returns
+/// the body counts on success.
 pub fn validate_jsonl(text: &str) -> Result<TraceFileSummary, String> {
     let mut lines = text.lines().enumerate();
     let (_, first) = lines.next().ok_or("empty trace file")?;
@@ -312,7 +316,10 @@ pub fn validate_jsonl(text: &str) -> Result<TraceFileSummary, String> {
             return Err(format!("line 1: header missing string field '{field}'"));
         }
     }
-    for field in ["seed", "ring_capacity", "events", "evicted", "spans"] {
+    if decimal_seed(&header).is_none() {
+        return Err("line 1: header 'seed' must be a decimal u64 string".to_owned());
+    }
+    for field in ["ring_capacity", "events", "evicted", "spans"] {
         if header.get(field).and_then(Json::as_f64).is_none() {
             return Err(format!("line 1: header missing numeric field '{field}'"));
         }
@@ -361,6 +368,11 @@ pub fn validate_jsonl(text: &str) -> Result<TraceFileSummary, String> {
     Ok(summary)
 }
 
+/// A `seed` field in its one accepted form: a string holding a decimal u64.
+fn decimal_seed(v: &Json) -> Option<u64> {
+    v.get("seed")?.as_str()?.parse().ok()
+}
+
 fn validate_event_line(v: &Json) -> Result<(), String> {
     for field in ["key", "parent"] {
         let s = v
@@ -397,6 +409,9 @@ fn validate_event_line(v: &Json) -> Result<(), String> {
         if v.get(field).is_none() {
             return Err(format!("'{kind}' event missing '{field}'"));
         }
+    }
+    if kind == "sim_start" && decimal_seed(v).is_none() {
+        return Err("'sim_start' seed must be a decimal u64 string".to_owned());
     }
     Ok(())
 }
@@ -599,6 +614,17 @@ mod tests {
         }
     }
 
+    /// Matrix-derived seeds sit above 2^53, where an f64 rounds them: the
+    /// header must carry the exact seed, or it cannot reproduce the trial.
+    #[test]
+    fn registry_target_header_seed_reproduces_the_trial() {
+        let run = run_trace_target(&registry(), &light_cfg(), "e3/f0.20", 16).expect("target");
+        assert!(run.seed > 1 << 53, "seed {} is f64-exact", run.seed);
+        let jsonl = trace_to_jsonl(&run);
+        let header = Json::parse(jsonl.lines().next().expect("header")).expect("json");
+        assert_eq!(decimal_seed(&header), Some(run.seed));
+    }
+
     #[test]
     fn unknown_targets_are_rejected() {
         let reg = registry();
@@ -610,12 +636,26 @@ mod tests {
     fn validator_rejects_malformed_artifacts() {
         assert!(validate_jsonl("").is_err());
         assert!(validate_jsonl("{\"type\":\"event\"}").is_err(), "no header");
-        let bad_schema = "{\"type\":\"header\",\"schema\":99,\"target\":\"x\",\"variant\":\"d\",\"seed\":1,\"ring_capacity\":4,\"events\":0,\"evicted\":0,\"spans\":0}";
+        let bad_schema = "{\"type\":\"header\",\"schema\":99,\"target\":\"x\",\"variant\":\"d\",\"seed\":\"1\",\"ring_capacity\":4,\"events\":0,\"evicted\":0,\"spans\":0}";
         assert!(validate_jsonl(bad_schema).is_err());
-        let miscounted = "{\"type\":\"header\",\"schema\":1,\"target\":\"x\",\"variant\":\"d\",\"seed\":1,\"ring_capacity\":4,\"events\":3,\"evicted\":0,\"spans\":0}";
+        let miscounted = "{\"type\":\"header\",\"schema\":2,\"target\":\"x\",\"variant\":\"d\",\"seed\":\"1\",\"ring_capacity\":4,\"events\":3,\"evicted\":0,\"spans\":0}";
         assert!(validate_jsonl(miscounted).is_err(), "event count mismatch");
-        let bad_key = "{\"type\":\"header\",\"schema\":1,\"target\":\"x\",\"variant\":\"d\",\"seed\":1,\"ring_capacity\":4,\"events\":1,\"evicted\":0,\"spans\":0}\n{\"type\":\"event\",\"key\":\"zzz\",\"parent\":\"0x0\",\"at_micros\":0,\"node\":0,\"kind\":\"churn_up\"}";
+        let bad_key = "{\"type\":\"header\",\"schema\":2,\"target\":\"x\",\"variant\":\"d\",\"seed\":\"1\",\"ring_capacity\":4,\"events\":1,\"evicted\":0,\"spans\":0}\n{\"type\":\"event\",\"key\":\"zzz\",\"parent\":\"0x0\",\"at_micros\":0,\"node\":0,\"kind\":\"churn_up\"}";
         assert!(validate_jsonl(bad_key).is_err(), "malformed hex key");
+        let numeric_seed = "{\"type\":\"header\",\"schema\":2,\"target\":\"x\",\"variant\":\"d\",\"seed\":1,\"ring_capacity\":4,\"events\":0,\"evicted\":0,\"spans\":0}";
+        assert!(
+            validate_jsonl(numeric_seed).is_err(),
+            "schema-1 numeric seed"
+        );
+        let ok = "{\"type\":\"header\",\"schema\":2,\"target\":\"x\",\"variant\":\"d\",\"seed\":\"1\",\"ring_capacity\":4,\"events\":1,\"evicted\":0,\"spans\":0}";
+        let start = |seed: &str| {
+            format!("{ok}\n{{\"type\":\"event\",\"key\":\"0x1\",\"parent\":\"0x0\",\"at_micros\":0,\"node\":\"sim\",\"kind\":\"sim_start\",\"seed\":{seed}}}")
+        };
+        assert!(validate_jsonl(&start("\"18446744073709551615\"")).is_ok());
+        assert!(
+            validate_jsonl(&start("7")).is_err(),
+            "numeric sim_start seed"
+        );
     }
 
     #[test]

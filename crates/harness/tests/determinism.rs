@@ -23,7 +23,6 @@ fn light_config(threads: usize) -> MatrixConfig {
             .map(|s| (*s).to_owned())
             .collect(),
         ),
-        ..MatrixConfig::default()
     }
 }
 
@@ -48,7 +47,6 @@ fn policy_config(threads: usize) -> MatrixConfig {
         seeds_per_variant: 2,
         threads,
         filter: Some(vec!["e16p/p10k".to_owned()]),
-        ..MatrixConfig::default()
     }
 }
 
@@ -77,7 +75,6 @@ fn app_config(threads: usize) -> MatrixConfig {
         seeds_per_variant: 2,
         threads,
         filter: Some(vec!["e18/p10k".to_owned()]),
-        ..MatrixConfig::default()
     }
 }
 

@@ -155,9 +155,7 @@ pub fn play_porep_game(
         let idx = rng.below(manifest.chunk_count() as u64) as u32;
         let nonce = rng.next_u64();
         let challenge = PorepChallenge {
-            commitment: manifest.object_id,
-            index: idx,
-            nonce,
+            pos: PosChallenge::new(manifest, idx, nonce),
             deadline_micros: deadline.micros(),
         };
 
@@ -188,16 +186,8 @@ pub fn play_porep_game(
         }
         // Build the actual response from the true sealed bytes (the cheater,
         // having paid the time, can produce correct bytes).
-        let resp = PosResponse::build(
-            &PosChallenge {
-                object: challenge.commitment,
-                index: idx,
-                nonce,
-            },
-            manifest,
-            chunks[idx as usize].clone(),
-        )
-        .expect("index in range");
+        let resp = PosResponse::build(&challenge.pos, manifest, chunks[idx as usize].clone())
+            .expect("index in range");
         if crate::proofs::porep_verify(&challenge, &resp, elapsed.micros()) {
             passed += 1;
         }

@@ -86,9 +86,22 @@ impl Manifest {
         self.tree.prove(index)
     }
 
-    /// Verify a chunk + proof against an object id.
-    pub fn verify_chunk(object_id: &Hash256, chunk: &Chunk, index_proof: &MerkleProof) -> bool {
-        chunk.verify() && index_proof.verify(leaf_hash(chunk.id.as_bytes()), *object_id)
+    /// Verify that `chunk` is chunk `index` of the `chunk_count`-chunk object
+    /// `object_id`. The count comes from the verifier's own manifest.
+    pub fn verify_chunk(
+        object_id: &Hash256,
+        index: usize,
+        chunk_count: usize,
+        chunk: &Chunk,
+        proof: &MerkleProof,
+    ) -> bool {
+        chunk.verify()
+            && proof.verify_at(
+                leaf_hash(chunk.id.as_bytes()),
+                index,
+                chunk_count,
+                *object_id,
+            )
     }
 
     /// Reassemble the object from its chunks (must be complete and ordered
@@ -140,9 +153,16 @@ mod tests {
     fn chunk_proofs_verify() {
         let data = vec![42u8; 10_000];
         let (manifest, chunks) = Manifest::build(&data, 1024);
+        let n = manifest.chunk_count();
         for (i, chunk) in chunks.iter().enumerate() {
             let proof = manifest.prove_chunk(i).unwrap();
-            assert!(Manifest::verify_chunk(&manifest.object_id, chunk, &proof));
+            assert!(Manifest::verify_chunk(
+                &manifest.object_id,
+                i,
+                n,
+                chunk,
+                &proof
+            ));
         }
     }
 
@@ -150,14 +170,23 @@ mod tests {
     fn tampered_chunk_rejected() {
         let data = vec![1u8; 5000];
         let (manifest, chunks) = Manifest::build(&data, 1024);
+        let n = manifest.chunk_count();
         let proof = manifest.prove_chunk(0).unwrap();
         let mut evil = chunks[0].clone();
         evil.data[0] ^= 1;
-        assert!(!Manifest::verify_chunk(&manifest.object_id, &evil, &proof));
+        assert!(!Manifest::verify_chunk(
+            &manifest.object_id,
+            0,
+            n,
+            &evil,
+            &proof
+        ));
         // Re-addressed tampered chunk still fails the proof.
         let readdressed = Chunk::new(evil.data);
         assert!(!Manifest::verify_chunk(
             &manifest.object_id,
+            0,
+            n,
             &readdressed,
             &proof
         ));

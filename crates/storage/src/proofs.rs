@@ -41,8 +41,23 @@ pub struct PosChallenge {
     pub object: Hash256,
     /// Challenged chunk index.
     pub index: u32,
+    /// The object's chunk count, from the verifier's manifest: with `index`
+    /// it fixes the proof's path, so only chunk `index` answers.
+    pub chunk_count: u32,
     /// Anti-replay nonce.
     pub nonce: u64,
+}
+
+impl PosChallenge {
+    /// Challenge chunk `index` of the object `manifest` describes.
+    pub fn new(manifest: &Manifest, index: u32, nonce: u64) -> PosChallenge {
+        PosChallenge {
+            object: manifest.object_id,
+            index,
+            chunk_count: manifest.chunk_count() as u32,
+            nonce,
+        }
+    }
 }
 
 /// The prover's response: the chunk and its membership proof.
@@ -71,10 +86,17 @@ impl PosResponse {
         })
     }
 
-    /// Verify against the challenge. Needs only the object id.
+    /// Verify against the challenge: the object id, the challenged index and
+    /// the chunk count are all it needs.
     pub fn verify(&self, challenge: &PosChallenge) -> bool {
         self.nonce == challenge.nonce
-            && Manifest::verify_chunk(&challenge.object, &self.chunk, &self.proof)
+            && Manifest::verify_chunk(
+                &challenge.object,
+                challenge.index as usize,
+                challenge.chunk_count as usize,
+                &self.chunk,
+                &self.proof,
+            )
     }
 
     /// Wire size (the dominant cost of this scheme).
@@ -222,15 +244,12 @@ pub fn sealed_commitment(sealed: &[u8], params: &SealParams) -> Manifest {
     Manifest::build(sealed, params.sealed_chunk_size).0
 }
 
-/// A replication challenge: prove possession of sealed chunk `index`.
+/// A replication challenge: a proof-of-storage challenge against the
+/// *sealed* commitment, due by a deadline.
 #[derive(Clone, Copy, Debug)]
 pub struct PorepChallenge {
-    /// The sealed commitment root being challenged.
-    pub commitment: Hash256,
-    /// Sealed-chunk index.
-    pub index: u32,
-    /// Anti-replay nonce.
-    pub nonce: u64,
+    /// The sealed chunk to open, against the sealed commitment.
+    pub pos: PosChallenge,
     /// Simulated deadline (absolute) for the response.
     pub deadline_micros: u64,
 }
@@ -245,9 +264,7 @@ pub fn porep_verify(
     response: &PorepResponse,
     responded_at_micros: u64,
 ) -> bool {
-    responded_at_micros <= challenge.deadline_micros
-        && response.nonce == challenge.nonce
-        && Manifest::verify_chunk(&challenge.commitment, &response.chunk, &response.proof)
+    responded_at_micros <= challenge.deadline_micros && response.verify(&challenge.pos)
 }
 
 // ---------------------------------------------------------------------------
@@ -300,11 +317,7 @@ mod tests {
     #[test]
     fn pos_round_trip() {
         let (manifest, chunks, _) = object(5000);
-        let ch = PosChallenge {
-            object: manifest.object_id,
-            index: 3,
-            nonce: 99,
-        };
+        let ch = PosChallenge::new(&manifest, 3, 99);
         let resp = PosResponse::build(&ch, &manifest, chunks[3].clone()).unwrap();
         assert!(resp.verify(&ch));
         assert!(resp.wire_size() > 1024);
@@ -313,16 +326,31 @@ mod tests {
     #[test]
     fn pos_wrong_chunk_or_nonce_fails() {
         let (manifest, chunks, _) = object(5000);
-        let ch = PosChallenge {
-            object: manifest.object_id,
-            index: 3,
-            nonce: 99,
-        };
+        let ch = PosChallenge::new(&manifest, 3, 99);
         let resp = PosResponse::build(&ch, &manifest, chunks[2].clone()).unwrap();
         assert!(!resp.verify(&ch), "wrong chunk data");
         let mut resp2 = PosResponse::build(&ch, &manifest, chunks[3].clone()).unwrap();
         resp2.nonce = 100;
         assert!(!resp2.verify(&ch), "replayed nonce");
+    }
+
+    #[test]
+    fn pos_answer_for_another_index_fails() {
+        // A provider holding only chunk i and its proof answers every
+        // challenge with them. Chunks differ (`object` cycles mod 253 over
+        // 1 KiB chunks), so only the challenge for i may pass.
+        let (manifest, chunks, _) = object(5000);
+        let held = 1;
+        let proof = manifest.prove_chunk(held).unwrap();
+        for j in 0..manifest.chunk_count() as u32 {
+            let ch = PosChallenge::new(&manifest, j, 7);
+            let resp = PosResponse {
+                nonce: ch.nonce,
+                chunk: chunks[held].clone(),
+                proof: proof.clone(),
+            };
+            assert_eq!(resp.verify(&ch), j as usize == held, "challenge {j}");
+        }
     }
 
     #[test]
@@ -401,23 +429,35 @@ mod tests {
         let commitment = sealed_commitment(&sealed, &params);
         let (_, sealed_chunks) = Manifest::build(&sealed, params.sealed_chunk_size);
         let ch = PorepChallenge {
-            commitment: commitment.object_id,
-            index: 2,
-            nonce: 7,
+            pos: PosChallenge::new(&commitment, 2, 7),
             deadline_micros: 1_000_000,
         };
-        let resp = PosResponse::build(
-            &PosChallenge {
-                object: ch.commitment,
-                index: ch.index,
-                nonce: ch.nonce,
-            },
-            &commitment,
-            sealed_chunks[2].clone(),
-        )
-        .unwrap();
+        let resp = PosResponse::build(&ch.pos, &commitment, sealed_chunks[2].clone()).unwrap();
         assert!(porep_verify(&ch, &resp, 500_000), "in time");
         assert!(!porep_verify(&ch, &resp, 2_000_000), "late response fails");
+    }
+
+    #[test]
+    fn porep_answer_for_another_index_fails() {
+        // Sealed chunk 0, opened in time, against a challenge for sealed
+        // chunk 3: genuine sealed bytes at the wrong position.
+        let params = SealParams::default();
+        let id = sha256(b"replica-8");
+        let sealed = seal(&vec![3u8; 20_000], &id);
+        let commitment = sealed_commitment(&sealed, &params);
+        let (_, sealed_chunks) = Manifest::build(&sealed, params.sealed_chunk_size);
+        let held = PosChallenge::new(&commitment, 0, 7);
+        let resp = PosResponse::build(&held, &commitment, sealed_chunks[0].clone()).unwrap();
+        let ch = PorepChallenge {
+            pos: PosChallenge::new(&commitment, 3, 7),
+            deadline_micros: 1_000_000,
+        };
+        assert!(!porep_verify(&ch, &resp, 500_000));
+        let own = PorepChallenge { pos: held, ..ch };
+        assert!(
+            porep_verify(&own, &resp, 500_000),
+            "chunk 0 answers its own"
+        );
     }
 
     #[test]

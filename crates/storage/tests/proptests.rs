@@ -109,12 +109,10 @@ fn manifest_integrity() {
         let chunk_size = cases.range(1, 700) as usize;
         let (manifest, chunks) = Manifest::build(&data, chunk_size);
         assert_eq!(manifest.assemble(&chunks).expect("round trip"), data);
+        let (id, n) = (&manifest.object_id, manifest.chunk_count());
         for (i, c) in chunks.iter().enumerate() {
             let p = manifest.prove_chunk(i).expect("in range");
-            assert!(
-                Manifest::verify_chunk(&manifest.object_id, c, &p),
-                "case {case}"
-            );
+            assert!(Manifest::verify_chunk(id, i, n, c, &p), "case {case}");
         }
         if data.is_empty() {
             continue;
@@ -125,13 +123,13 @@ fn manifest_integrity() {
             evil.data[0] ^= 1 << bit;
             let p = manifest.prove_chunk(victim).expect("in range");
             assert!(
-                !Manifest::verify_chunk(&manifest.object_id, &evil, &p),
+                !Manifest::verify_chunk(id, victim, n, &evil, &p),
                 "case {case}"
             );
             // Re-addressing doesn't help either.
             let readdressed = Chunk::new(evil.data);
             assert!(
-                !Manifest::verify_chunk(&manifest.object_id, &readdressed, &p),
+                !Manifest::verify_chunk(id, victim, n, &readdressed, &p),
                 "case {case}"
             );
         }

@@ -75,11 +75,7 @@ fn main() {
             continue;
         }
         let idx = rng.below(commitment.chunk_count() as u64) as u32;
-        let ch = PosChallenge {
-            object: commitment.object_id,
-            index: idx,
-            nonce: rng.next_u64(),
-        };
+        let ch = PosChallenge::new(&commitment, idx, rng.next_u64());
         let resp = PosResponse::build(&ch, &commitment, sealed_chunks[idx as usize].clone())
             .expect("chunk held");
         record.record(resp.verify(&ch));

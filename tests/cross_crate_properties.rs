@@ -1,125 +1,160 @@
-// Property tests need the external `proptest` crate, which hermetic
-// (offline) builds cannot fetch. To run them: re-add `proptest = "1"` to this
-// crate's [dev-dependencies] and build with RUSTFLAGS="--cfg agora_proptest".
-#![cfg(agora_proptest)]
-
 //! Cross-crate property tests: invariants that only hold if multiple crates
-//! agree with each other (proptest over the public APIs).
+//! agree with each other, over their public APIs. Always on, 64 seeded
+//! `SimRng` cases per property, no registry dependency.
 
 use agora::chain::{ChainParams, Ledger, Transaction, TxPayload};
 use agora::crypto::{sha256, Hash256, MerkleTree, SimKeyPair, WotsKeyPair};
 use agora::naming::{NameDb, NameOp, NamingRules};
+use agora::sim::SimRng;
 use agora::storage::{seal, unseal, Manifest, ReedSolomon};
 use agora::web::SitePublisher;
-use proptest::prelude::*;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: u64 = 64;
 
-    /// Any payload stored through RS + chunking round-trips, for arbitrary
-    /// data and any valid (k, m) in a practical range.
-    #[test]
-    fn erasure_then_chunk_round_trip(
-        data in proptest::collection::vec(any::<u8>(), 1..5_000),
-        k in 1usize..8,
-        m in 0usize..6,
-    ) {
+/// Uniform length in `[lo, hi)`, then that many random bytes.
+fn bytes(rng: &mut SimRng, lo: u64, hi: u64) -> Vec<u8> {
+    let len = rng.range(lo, hi) as usize;
+    rng.bytes(len)
+}
+
+/// Any payload stored through RS + chunking round-trips, for arbitrary data
+/// and any valid (k, m) in a practical range.
+#[test]
+fn erasure_then_chunk_round_trip() {
+    let mut cases = SimRng::new(0x7863_6331);
+    for case in 0..CASES {
+        let data = bytes(&mut cases, 1, 5_000);
+        let (k, m) = (cases.range(1, 8) as usize, cases.below(6) as usize);
         let rs = ReedSolomon::new(k, m).expect("params valid");
         let shards = rs.encode(&data);
         // Drop up to m shards (the last m), reconstruct from the first k.
-        let avail: Vec<(usize, Vec<u8>)> =
-            (0..k).map(|i| (i, shards[i].clone())).collect();
+        let avail: Vec<(usize, Vec<u8>)> = (0..k).map(|i| (i, shards[i].clone())).collect();
         let got = rs.reconstruct(&avail, data.len()).expect("reconstructs");
-        prop_assert_eq!(&got, &data);
+        assert_eq!(got, data, "case {case}: RS({k}, {m})");
         // Chunk + manifest round-trip on the same data.
         let (manifest, chunks) = Manifest::build(&data, 512);
-        prop_assert_eq!(manifest.assemble(&chunks).expect("assembles"), data);
+        assert_eq!(manifest.assemble(&chunks).expect("assembles"), data);
     }
+}
 
-    /// Sealing is a bijection for every replica id and data length, and the
-    /// sealed commitment differs across replica ids (no dedup).
-    #[test]
-    fn sealing_bijective_and_replica_unique(
-        data in proptest::collection::vec(any::<u8>(), 1..2_000),
-        tag_a in any::<u64>(),
-        tag_b in any::<u64>(),
-    ) {
+/// Sealing is a bijection for every replica id and data length, and the
+/// sealed bytes differ across replica ids (no dedup).
+#[test]
+fn sealing_bijective_and_replica_unique() {
+    let mut cases = SimRng::new(0x7863_6332);
+    for case in 0..CASES {
+        let data = bytes(&mut cases, 1, 2_000);
+        let (tag_a, tag_b) = (cases.next_u64(), cases.next_u64());
         let id_a = sha256(&tag_a.to_be_bytes());
-        let id_b = sha256(&tag_b.to_be_bytes());
         let sealed_a = seal(&data, &id_a);
-        prop_assert_eq!(unseal(&sealed_a, &id_a), data.clone());
+        assert_eq!(unseal(&sealed_a, &id_a), data, "case {case}");
         if tag_a != tag_b && data.len() >= 16 {
-            let sealed_b = seal(&data, &id_b);
-            prop_assert_ne!(sealed_a, sealed_b);
+            let sealed_b = seal(&data, &sha256(&tag_b.to_be_bytes()));
+            assert_ne!(sealed_a, sealed_b, "case {case}");
         }
     }
+}
 
-    /// A signed site manifest verifies iff untampered, for arbitrary file
-    /// sets.
-    #[test]
-    fn site_manifests_verify_iff_untouched(
-        files in proptest::collection::vec(
-            ("[a-z]{1,8}\\.[a-z]{2,3}", proptest::collection::vec(any::<u8>(), 0..500)),
-            1..6
-        ),
-        flip in any::<u8>(),
-    ) {
-        let mut publisher = SitePublisher::new(b"prop-site");
+/// A signed site manifest verifies iff untampered, for arbitrary file sets.
+#[test]
+fn site_manifests_verify_iff_untouched() {
+    let mut cases = SimRng::new(0x7863_6333);
+    for case in 0..CASES {
+        // One to five `[a-z]{1,8}.[a-z]{2,3}` paths, each up to 499 bytes.
+        let files: Vec<(String, Vec<u8>)> = (0..cases.range(1, 6))
+            .map(|_| {
+                let mut word = |lo, hi| -> String {
+                    (0..cases.range(lo, hi))
+                        .map(|_| char::from(b'a' + cases.below(26) as u8))
+                        .collect()
+                };
+                let path = format!("{}.{}", word(1, 9), word(2, 4));
+                (path, bytes(&mut cases, 0, 500))
+            })
+            .collect();
         let refs: Vec<(&str, &[u8])> = files
             .iter()
             .map(|(p, d)| (p.as_str(), d.as_slice()))
             .collect();
-        let bundle = publisher.publish(&refs);
-        prop_assert!(bundle.signed.verify());
+        let bundle = SitePublisher::new(b"prop-site").publish(&refs);
+        assert!(bundle.signed.verify(), "case {case}");
         let mut evil = bundle.signed.clone();
-        evil.manifest.version = evil.manifest.version.wrapping_add(1 + (flip as u64 % 7));
-        prop_assert!(!evil.verify());
+        evil.manifest.version = evil.manifest.version.wrapping_add(1 + cases.below(7));
+        assert!(!evil.verify(), "case {case}");
     }
+}
 
-    /// Name-state machine: whoever registers first (with a valid preorder)
-    /// owns the name, regardless of op interleavings afterwards by others.
-    #[test]
-    fn first_valid_register_wins(
-        salt_a in any::<u64>(),
-        salt_b in any::<u64>(),
-        later_ops in 0u8..4,
-    ) {
-        let rules = NamingRules { min_preorder_age: 1, preorder_ttl: 50, expiry_blocks: 1000, preorder_required: true };
-        let alice = sha256(b"prop-alice");
-        let bob = sha256(b"prop-bob");
+/// Name-state machine: whoever registers first (with a valid preorder) owns
+/// the name, regardless of op interleavings afterwards by others.
+#[test]
+fn first_valid_register_wins() {
+    let mut cases = SimRng::new(0x7863_6334);
+    let rules = NamingRules {
+        min_preorder_age: 1,
+        preorder_ttl: 50,
+        expiry_blocks: 1000,
+        preorder_required: true,
+    };
+    let alice = sha256(b"prop-alice");
+    let bob = sha256(b"prop-bob");
+    for case in 0..CASES {
+        let (salt_a, salt_b) = (cases.next_u64(), cases.next_u64());
         let mut db = NameDb::default();
-        db.apply(NameOp::Preorder { commitment: NameOp::commitment("n.x", salt_a, &alice) }, alice, 1, &rules);
-        db.apply(NameOp::Preorder { commitment: NameOp::commitment("n.x", salt_b, &bob) }, bob, 1, &rules);
-        db.apply(NameOp::Register { name: "n.x".into(), salt: salt_a, zone_hash: sha256(b"a") }, alice, 3, &rules);
-        db.apply(NameOp::Register { name: "n.x".into(), salt: salt_b, zone_hash: sha256(b"b") }, bob, 4, &rules);
-        for i in 0..later_ops {
-            db.apply(NameOp::Update { name: "n.x".into(), zone_hash: sha256(&[i]) }, bob, 5 + i as u64, &rules);
-            db.apply(NameOp::Transfer { name: "n.x".into(), new_owner: bob }, bob, 6 + i as u64, &rules);
+        for (who, salt) in [(alice, salt_a), (bob, salt_b)] {
+            let commitment = NameOp::commitment("n.x", salt, &who);
+            db.apply(NameOp::Preorder { commitment }, who, 1, &rules);
+        }
+        for (height, who, salt, zone) in [(3, alice, salt_a, b"a"), (4, bob, salt_b, b"b")] {
+            let op = NameOp::Register {
+                name: "n.x".into(),
+                salt,
+                zone_hash: sha256(zone),
+            };
+            db.apply(op, who, height, &rules);
+        }
+        for i in 0..cases.below(4) {
+            let update = NameOp::Update {
+                name: "n.x".into(),
+                zone_hash: sha256(&[i as u8]),
+            };
+            db.apply(update, bob, 5 + i, &rules);
+            let transfer = NameOp::Transfer {
+                name: "n.x".into(),
+                new_owner: bob,
+            };
+            db.apply(transfer, bob, 6 + i, &rules);
         }
         let rec = db.resolve("n.x", 20).expect("registered");
-        prop_assert_eq!(rec.owner, alice, "bob must never wrestle the name away");
+        assert_eq!(rec.owner, alice, "case {case}: bob wrestled the name away");
     }
+}
 
-    /// Merkle trees built by different crates over the same leaves agree,
-    /// and proofs transfer.
-    #[test]
-    fn merkle_proofs_transfer(leaves in proptest::collection::vec(any::<u64>(), 1..40), pick in any::<prop::sample::Index>()) {
-        let hashes: Vec<Hash256> = leaves.iter().map(|v| sha256(&v.to_be_bytes())).collect();
+/// Merkle trees built independently over the same leaves agree, and a proof
+/// from one verifies against the other's root at its own position.
+#[test]
+fn merkle_proofs_transfer() {
+    let mut cases = SimRng::new(0x7863_6335);
+    for case in 0..CASES {
+        let hashes: Vec<Hash256> = (0..cases.range(1, 40))
+            .map(|_| sha256(&cases.next_u64().to_be_bytes()))
+            .collect();
         let t1 = MerkleTree::from_leaf_hashes(hashes.clone());
         let t2 = MerkleTree::from_leaf_hashes(hashes.clone());
-        prop_assert_eq!(t1.root(), t2.root());
-        let i = pick.index(hashes.len());
+        assert_eq!(t1.root(), t2.root(), "case {case}");
+        let i = cases.below_usize(hashes.len());
         let proof = t1.prove(i).expect("in range");
-        prop_assert!(proof.verify(hashes[i], t2.root()));
+        assert!(
+            proof.verify_at(hashes[i], i, hashes.len(), t2.root()),
+            "case {case}"
+        );
     }
 }
 
 #[test]
 fn chain_accepts_naming_payloads_and_namedb_sees_them() {
-    // A non-proptest cross-crate check: naming ops mined into real blocks
-    // surface in the NameDb exactly once each.
+    // A plain cross-crate check: naming ops mined into real blocks surface
+    // in the NameDb exactly once each.
     use agora::chain::mine_block;
-    use agora::sim::SimRng;
 
     let alice = SimKeyPair::from_seed(b"xc-alice");
     let mut ledger = Ledger::new("xc", ChainParams::test(), &[(alice.public().id(), 1000)]);

@@ -80,6 +80,11 @@ if grep -rnE --include='*.rs' --exclude-dir=target 'StorageNode::client_with_ret
 step "one timing harness: --perf keeps only rows no BENCHMARK.json metric times, and no reference kernels (DESIGN.md §10)"
 if grep -rnE --include='*.rs' --exclude-dir=target 'reference_events_per_sec|packed_events_per_sec|mining_naive|zipf_cdf_samples|zipf_reference|workload_day_throughput|policy_frames_per_sec|exact_day_to_json|perf_to_json_with|perf_to_json_scaled' crates; then exit 1; fi
 
+step "one hasher: std's HashMap, HashSet and RandomState are named under crates/*/src only by agora-sim's hash module (DESIGN.md §10)"
+# Every protocol table is a FastMap/FastSet, so iteration order is the same
+# in every process. `if`, not `!`: errexit ignores a negated command.
+if grep -rnwE --include='*.rs' 'HashMap|HashSet|RandomState' crates/*/src | grep -v '^crates/sim/src/hash\.rs:'; then exit 1; fi
+
 step "baseline diff: the full matrix must match BENCH_harness.json exactly"
 ./target/release/agora-harness
 

@@ -12,7 +12,7 @@
 //! laws pinned by `tests/proptests.rs`).
 //!
 //! Everything artifact-visible iterates `BTreeMap`s sorted by key: no
-//! `HashMap` iteration order can leak into encodings or metrics.
+//! hash-table iteration order can leak into encodings or metrics.
 
 use std::collections::BTreeMap;
 use std::fmt;

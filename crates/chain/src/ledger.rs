@@ -5,9 +5,8 @@
 //! when a reorg adopts a side branch — O(chain) but simulation-scale chains
 //! are short. Blocks with unknown parents wait in a bounded orphan pool.
 
-use std::collections::HashMap;
-
 use agora_crypto::Hash256;
+use agora_sim::FastMap;
 
 use crate::block::Block;
 use crate::params::ChainParams;
@@ -83,10 +82,10 @@ pub enum Accepted {
 /// Account state at a chain tip.
 #[derive(Clone, Debug, Default)]
 pub struct ChainState {
-    balances: HashMap<Hash256, u64>,
-    nonces: HashMap<Hash256, u64>,
+    balances: FastMap<Hash256, u64>,
+    nonces: FastMap<Hash256, u64>,
     /// txid → (height, block hash) on the main chain.
-    tx_index: HashMap<Hash256, (u64, Hash256)>,
+    tx_index: FastMap<Hash256, (u64, Hash256)>,
 }
 
 impl ChainState {
@@ -167,8 +166,8 @@ struct StoredBlock {
 pub struct Ledger {
     params: ChainParams,
     genesis: Hash256,
-    blocks: HashMap<Hash256, StoredBlock>,
-    orphans: HashMap<Hash256, Vec<Block>>, // keyed by missing parent
+    blocks: FastMap<Hash256, StoredBlock>,
+    orphans: FastMap<Hash256, Vec<Block>>, // keyed by missing parent
     best_tip: Hash256,
     state: ChainState,
     premine: Vec<(Hash256, u64)>,
@@ -190,7 +189,7 @@ impl Ledger {
             *state.balances.entry(*acct).or_insert(0) += amount;
         }
         let total_ledger_bytes = genesis.wire_size();
-        let mut blocks = HashMap::new();
+        let mut blocks = FastMap::default();
         blocks.insert(
             ghash,
             StoredBlock {
@@ -202,7 +201,7 @@ impl Ledger {
             params,
             genesis: ghash,
             blocks,
-            orphans: HashMap::new(),
+            orphans: FastMap::default(),
             best_tip: ghash,
             state,
             premine: premine.to_vec(),

@@ -6,10 +6,10 @@
 //! configured hashrate) and then *really* grinding a valid block when the
 //! timer fires, so all validation stays honest.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use agora_crypto::Hash256;
-use agora_sim::{Ctx, NodeId, Protocol};
+use agora_sim::{Ctx, FastSet, NodeId, Protocol};
 
 use crate::block::Block;
 use crate::ledger::{Accepted, BlockError, Ledger};
@@ -52,7 +52,7 @@ pub struct ChainNode {
     ledger: Ledger,
     peers: Vec<NodeId>,
     mempool: BTreeMap<Hash256, Transaction>,
-    seen_txs: HashSet<Hash256>,
+    seen_txs: FastSet<Hash256>,
     miner: Option<MinerConfig>,
     mining_epoch: u64,
 }
@@ -69,7 +69,7 @@ impl ChainNode {
             ledger: Ledger::new(chain_tag, params, premine),
             peers: Vec::new(),
             mempool: BTreeMap::new(),
-            seen_txs: HashSet::new(),
+            seen_txs: FastSet::default(),
             miner,
             mining_epoch: 0,
         }

@@ -7,10 +7,8 @@
 //! identifies as the price of the architecture's excellent availability and
 //! abuse handling.
 
-use std::collections::HashMap;
-
 use agora_sim::retry::{CTR_RETRY_ATTEMPTS, CTR_RETRY_GAVE_UP};
-use agora_sim::{Ctx, NodeId, Protocol, Retrier, RetryPolicy, SimDuration};
+use agora_sim::{Ctx, FastMap, NodeId, Protocol, Retrier, RetryPolicy, SimDuration};
 
 use crate::moderation::{ModerationPolicy, ModerationStats, PostLabel};
 use crate::posts::{Post, ReadResult};
@@ -61,7 +59,7 @@ struct Room {
 
 /// Server-side state.
 pub struct ServerState {
-    rooms: HashMap<u32, Room>,
+    rooms: FastMap<u32, Room>,
     policy: ModerationPolicy,
     stats: ModerationStats,
     banned: Vec<NodeId>,
@@ -72,7 +70,7 @@ pub struct ClientState {
     server: NodeId,
     next_seq: u64,
     next_op: u64,
-    reads: HashMap<u64, ReadResult>,
+    reads: FastMap<u64, ReadResult>,
     delivered: u64,
     /// Read retry policy. [`RetryPolicy::none`] (the default) reproduces
     /// the pre-hardening one-shot read byte-for-byte.
@@ -80,7 +78,7 @@ pub struct ClientState {
     /// In-flight reads eligible for retry: op → (room, backoff cursor).
     /// Only populated when `retry` is active, so the dormant path does no
     /// bookkeeping at all.
-    pending_reads: HashMap<u64, (u32, Retrier)>,
+    pending_reads: FastMap<u64, (u32, Retrier)>,
 }
 
 enum Role {
@@ -100,7 +98,7 @@ impl CentralNode {
     pub fn server(policy: ModerationPolicy) -> CentralNode {
         CentralNode {
             role: Role::Server(ServerState {
-                rooms: HashMap::new(),
+                rooms: FastMap::default(),
                 policy,
                 stats: ModerationStats::default(),
                 banned: Vec::new(),
@@ -121,10 +119,10 @@ impl CentralNode {
                 server,
                 next_seq: 0,
                 next_op: 0,
-                reads: HashMap::new(),
+                reads: FastMap::default(),
                 delivered: 0,
                 retry,
-                pending_reads: HashMap::new(),
+                pending_reads: FastMap::default(),
             }),
         }
     }

@@ -14,10 +14,8 @@
 //! federated abuse handling), and instances observe metadata for traffic
 //! they relay — even when bodies are end-to-end encrypted.
 
-use std::collections::HashMap;
-
 use agora_sim::retry::{CTR_HEDGE_SENT, CTR_HEDGE_WON, CTR_RETRY_ATTEMPTS, CTR_RETRY_GAVE_UP};
-use agora_sim::{Ctx, NodeId, Protocol, Retrier, RetryPolicy, SimDuration};
+use agora_sim::{Ctx, FastMap, NodeId, Protocol, Retrier, RetryPolicy, SimDuration};
 
 use crate::moderation::{ModerationPolicy, ModerationStats, PostLabel};
 use crate::posts::{Post, ReadResult};
@@ -108,7 +106,7 @@ pub struct InstanceState {
     mode: ReplicationMode,
     policy: ModerationPolicy,
     stats: ModerationStats,
-    rooms: HashMap<u32, RoomState>,
+    rooms: FastMap<u32, RoomState>,
 }
 
 /// A read still awaiting an answer.
@@ -132,9 +130,9 @@ pub struct FedClientState {
     backups: Vec<NodeId>,
     next_seq: u64,
     next_op: u64,
-    reads: HashMap<u64, ReadResult>,
+    reads: FastMap<u64, ReadResult>,
     /// Reads still awaiting an answer, by op.
-    pending_reads: HashMap<u64, PendingRead>,
+    pending_reads: FastMap<u64, PendingRead>,
     delivered: u64,
     /// Read retry/hedge policy. [`RetryPolicy::none`] (the default)
     /// reproduces the pre-hardening timeout-then-failover path
@@ -171,7 +169,7 @@ impl FedNode {
                 mode,
                 policy,
                 stats: ModerationStats::default(),
-                rooms: HashMap::new(),
+                rooms: FastMap::default(),
             }),
         }
     }
@@ -201,8 +199,8 @@ impl FedNode {
                 backups,
                 next_seq: 0,
                 next_op: 0,
-                reads: HashMap::new(),
-                pending_reads: HashMap::new(),
+                reads: FastMap::default(),
+                pending_reads: FastMap::default(),
                 delivered: 0,
                 retry,
             }),

@@ -18,11 +18,10 @@
 //! (who pushed, who fetched, when, how much) — counted in
 //! `comm.metadata_observed_relay`.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use agora_crypto::{tagged_hash, Hash256};
-use agora_sim::{Ctx, NodeId, Protocol, SimDuration};
+use agora_sim::{Ctx, FastMap, NodeId, Protocol, SimDuration};
 
 use crate::ratchet::{RatchetSession, Sealed};
 
@@ -104,7 +103,7 @@ struct Mailbox {
 
 /// Relay-side state: mailboxes by owner transport address.
 pub struct RelayState {
-    mailboxes: HashMap<NodeId, Mailbox>,
+    mailboxes: FastMap<NodeId, Mailbox>,
 }
 
 /// User-side state (owner and/or friend).
@@ -115,8 +114,8 @@ pub struct UserState {
     /// Sending half of our feed session (owner side).
     feed_session: RatchetSession,
     /// Per-owner receive sessions + capabilities (friend side).
-    subscriptions: HashMap<NodeId, (RatchetSession, Hash256)>,
-    results: HashMap<u64, RelayResult>,
+    subscriptions: FastMap<NodeId, (RatchetSession, Hash256)>,
+    results: FastMap<u64, RelayResult>,
     next_op: u64,
     pushed: u64,
 }
@@ -138,7 +137,7 @@ impl RelayNode {
     pub fn relay() -> RelayNode {
         RelayNode {
             role: Role::Relay(RelayState {
-                mailboxes: HashMap::new(),
+                mailboxes: FastMap::default(),
             }),
         }
     }
@@ -153,8 +152,8 @@ impl RelayNode {
                 relay,
                 my_cap: mint_capability(owner_seed),
                 feed_session: RatchetSession::initiator(&secret),
-                subscriptions: HashMap::new(),
-                results: HashMap::new(),
+                subscriptions: FastMap::default(),
+                results: FastMap::default(),
                 next_op: 0,
                 pushed: 0,
             })),

@@ -7,9 +7,7 @@
 //! may fetch it; optional friend-caching (Persona-style) trades a little
 //! privacy for availability when the owner is offline.
 
-use std::collections::HashMap;
-
-use agora_sim::{Ctx, NodeId, Protocol, SimDuration};
+use agora_sim::{Ctx, FastMap, NodeId, Protocol, SimDuration};
 
 use crate::moderation::PostLabel;
 use crate::posts::{Post, ReadResult};
@@ -57,12 +55,12 @@ pub struct SocialNode {
     friends: Vec<NodeId>,
     my_posts: Vec<Post>,
     /// Friend feeds we cache (friend → their posts we've seen).
-    cached: HashMap<NodeId, Vec<Post>>,
+    cached: FastMap<NodeId, Vec<Post>>,
     cache_for_friends: bool,
     next_seq: u64,
     next_op: u64,
-    pending: HashMap<u64, PendingRead>,
-    reads: HashMap<u64, ReadResult>,
+    pending: FastMap<u64, PendingRead>,
+    reads: FastMap<u64, ReadResult>,
     delivered: u64,
 }
 
@@ -75,12 +73,12 @@ impl SocialNode {
         SocialNode {
             friends,
             my_posts: Vec::new(),
-            cached: HashMap::new(),
+            cached: FastMap::default(),
             cache_for_friends,
             next_seq: 0,
             next_op: 0,
-            pending: HashMap::new(),
-            reads: HashMap::new(),
+            pending: FastMap::default(),
+            reads: FastMap::default(),
             delivered: 0,
         }
     }

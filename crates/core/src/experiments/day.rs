@@ -14,10 +14,8 @@
 //! randomness. That is what keeps artifacts identical at any harness
 //! thread count.
 
-use std::collections::HashMap;
-
 use agora_sim::{
-    DeviceClass, Metrics, NodeId, P2Quantile, Protocol, SimDuration, SimTime, Simulation,
+    DeviceClass, FastMap, Metrics, NodeId, P2Quantile, Protocol, SimDuration, SimTime, Simulation,
 };
 use agora_workload::{Demand, WorkloadDriver, WorkloadSpec};
 
@@ -66,9 +64,9 @@ pub struct ClassOutcome {
 /// Weighted per-node load accounting shared by every substrate.
 pub(crate) struct LoadLedger {
     /// uplink_bps per attributable serving node.
-    uplink: HashMap<NodeId, f64>,
-    total: HashMap<NodeId, f64>,
-    tick_bytes: HashMap<NodeId, f64>,
+    uplink: FastMap<NodeId, f64>,
+    total: FastMap<NodeId, f64>,
+    tick_bytes: FastMap<NodeId, f64>,
     tick_weight: f64,
     grand_total: f64,
     peak_overload: f64,
@@ -81,8 +79,8 @@ impl LoadLedger {
                 .iter()
                 .map(|&(id, class)| (id, class.profile().uplink_bps as f64))
                 .collect(),
-            total: HashMap::new(),
-            tick_bytes: HashMap::new(),
+            total: FastMap::default(),
+            tick_bytes: FastMap::default(),
             tick_weight: 0.0,
             grand_total: 0.0,
             peak_overload: 0.0,

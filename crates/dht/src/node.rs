@@ -6,11 +6,10 @@
 //! `Simulation::with_ctx`, receives an operation id, runs the simulation,
 //! and collects the outcome with [`DhtNode::take_result`].
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use agora_crypto::Hash256;
-use agora_sim::{Ctx, NodeId, Protocol, SimDuration, SimTime};
+use agora_sim::{Ctx, FastMap, NodeId, Protocol, SimDuration, SimTime};
 
 use crate::routing::{Contact, Distance, RoutingTable};
 
@@ -164,6 +163,10 @@ struct Candidate {
 
 struct Lookup {
     kind: OpKind,
+    /// Started through a `start_*` call, so its outcome waits in `results`
+    /// for [`DhtNode::take_result`]. A join or republish is the node's own
+    /// and leaves no result: nobody holds its op id.
+    user: bool,
     target: Hash256,
     put_data: Option<Rc<[u8]>>,
     /// Strictly ascending in `dist` — so duplicate-free, and "the k
@@ -204,15 +207,15 @@ pub struct DhtNode {
     key: Hash256,
     cfg: DhtConfig,
     table: RoutingTable,
-    store: HashMap<Hash256, StoredValue>,
-    origin_values: HashMap<Hash256, Rc<[u8]>>,
+    store: FastMap<Hash256, StoredValue>,
+    origin_values: FastMap<Hash256, Rc<[u8]>>,
     /// Hot-key cache: values seen in GET replies, servable to our own
     /// lookups and to FindValue queries while `cache_on`. Empty (and
     /// dormant, byte-for-byte) until [`DhtNode::set_cache`] enables it.
-    cache: HashMap<Hash256, StoredValue>,
+    cache: FastMap<Hash256, StoredValue>,
     cache_on: bool,
-    lookups: HashMap<u64, Lookup>,
-    results: HashMap<u64, DhtResult>,
+    lookups: FastMap<u64, Lookup>,
+    results: FastMap<u64, DhtResult>,
     next_op: u64,
     bootstrap: Vec<Contact>,
 }
@@ -225,12 +228,12 @@ impl DhtNode {
             key,
             cfg,
             table,
-            store: HashMap::new(),
-            origin_values: HashMap::new(),
-            cache: HashMap::new(),
+            store: FastMap::default(),
+            origin_values: FastMap::default(),
+            cache: FastMap::default(),
             cache_on: false,
-            lookups: HashMap::new(),
-            results: HashMap::new(),
+            lookups: FastMap::default(),
+            results: FastMap::default(),
             next_op: 0,
             bootstrap,
         }
@@ -280,7 +283,7 @@ impl DhtNode {
 
     /// Begin an iterative FIND_NODE. Returns the operation id.
     pub fn start_find_node(&mut self, ctx: &mut Ctx<'_, DhtMsg>, target: Hash256) -> u64 {
-        self.begin(ctx, OpKind::FindNode, target, None)
+        self.begin(ctx, OpKind::FindNode, target, None, true)
     }
 
     /// Begin a GET (iterative FIND_VALUE). With caching enabled, an
@@ -309,7 +312,7 @@ impl DhtNode {
             // Expired entries decay lazily at the point of use.
             self.cache.remove(&key);
         }
-        self.begin(ctx, OpKind::Get, key, None)
+        self.begin(ctx, OpKind::Get, key, None, true)
     }
 
     /// Begin a PUT: locate the k closest nodes, then STORE at each. The
@@ -322,7 +325,7 @@ impl DhtNode {
     ) -> u64 {
         let data: Rc<[u8]> = data.into();
         self.origin_values.insert(key, data.clone());
-        self.begin(ctx, OpKind::Put, key, Some(data))
+        self.begin(ctx, OpKind::Put, key, Some(data), true)
     }
 
     /// Collect the outcome of a finished operation, if any.
@@ -336,6 +339,7 @@ impl DhtNode {
         kind: OpKind,
         target: Hash256,
         put_data: Option<Rc<[u8]>>,
+        user: bool,
     ) -> u64 {
         let op = self.next_op;
         self.next_op += 1;
@@ -353,6 +357,7 @@ impl DhtNode {
             .collect();
         let mut lk = Lookup {
             kind,
+            user,
             target,
             put_data,
             shortlist,
@@ -511,7 +516,9 @@ impl DhtNode {
         ctx.trace_point("dht.lookup_hops", lk.hops as f64);
         ctx.probe_signal("dht.lookup_secs", elapsed);
         ctx.probe_signal("dht.lookup_hops", lk.hops as f64);
-        self.results.insert(op, result);
+        if lk.user {
+            self.results.insert(op, result);
+        }
     }
 
     fn handle_reply(
@@ -579,9 +586,9 @@ impl DhtNode {
         let cache_ttl = self.cfg.cache_ttl;
         self.cache
             .retain(|_, v| now.since(v.refreshed_at) <= cache_ttl);
-        // Republish everything we originated, in key order: HashMap
-        // iteration order is randomized per process, and the op-id/message
-        // sequence it produces must be reproducible across runs.
+        // Republish everything we originated, in key order: the op-id and
+        // message sequence must not depend on the table's bucket layout
+        // (fixed per hasher, but a model property it is not).
         let mut originals: Vec<(Hash256, Rc<[u8]>)> = self
             .origin_values
             .iter()
@@ -589,7 +596,7 @@ impl DhtNode {
             .collect();
         originals.sort_unstable_by_key(|(k, _)| *k);
         for (key, data) in originals {
-            self.begin(ctx, OpKind::Put, key, Some(data));
+            self.begin(ctx, OpKind::Put, key, Some(data), false);
         }
         ctx.set_timer(self.cfg.republish_interval, TAG_MAINT);
     }
@@ -607,7 +614,7 @@ impl Protocol for DhtNode {
         }
         if !self.table.is_empty() {
             let target = self.key;
-            self.begin(ctx, OpKind::FindNode, target, None);
+            self.begin(ctx, OpKind::FindNode, target, None, false);
         }
         ctx.set_timer(self.cfg.republish_interval, TAG_MAINT);
     }
@@ -762,7 +769,7 @@ impl Protocol for DhtNode {
                 }
             }
             let target = self.key;
-            self.begin(ctx, OpKind::FindNode, target, None);
+            self.begin(ctx, OpKind::FindNode, target, None, false);
         }
         ctx.set_timer(self.cfg.republish_interval, TAG_MAINT);
     }
@@ -1031,6 +1038,44 @@ mod tests {
         assert_eq!(sim.node(ids[9]).cache_len(), 1);
         sim.node_mut(ids[9]).set_cache(false);
         assert_eq!(sim.node(ids[9]).cache_len(), 0);
+    }
+
+    #[test]
+    fn joins_and_republishes_leave_no_result_behind() {
+        // Only a `start_*` caller can take a result, so only its ops may
+        // leave one: a day of joins and 30-minute republishes of 16 values
+        // must leave every node's `results` empty once the puts are taken.
+        let (mut sim, ids, _) = build(28, 13);
+        let puts: Vec<(NodeId, u64)> = (0..16)
+            .map(|i| {
+                let origin = ids[i % 4];
+                let key = sha256(format!("republished-{i}").as_bytes());
+                let op = sim
+                    .with_ctx(origin, |n, ctx| n.start_put(ctx, key, b"v".to_vec()))
+                    .unwrap();
+                (origin, op)
+            })
+            .collect();
+        sim.run_for(SimDuration::from_secs(60));
+        for (origin, op) in puts {
+            assert!(matches!(
+                sim.node_mut(origin).take_result(op),
+                Some(DhtResult::Stored { .. })
+            ));
+        }
+        let lookups_before = sim.metrics().histogram("dht.lookup_secs").unwrap().count();
+        sim.run_for(SimDuration::from_days(1));
+        // The internal ops ran and kept their metrics ...
+        let lookups = sim.metrics().histogram("dht.lookup_secs").unwrap().count();
+        assert!(lookups >= lookups_before + 16 * 47, "{lookups}");
+        // ... and recorded no result.
+        for &id in &ids {
+            assert!(sim.node(id).results.is_empty(), "{id}: {:?}", {
+                let mut ops: Vec<_> = sim.node(id).results.keys().copied().collect();
+                ops.sort_unstable();
+                ops
+            });
+        }
     }
 
     #[test]

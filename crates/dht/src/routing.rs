@@ -71,19 +71,19 @@ impl RoutingTable {
         }
     }
 
-    /// Record that a contact is alive. Known contacts move to the bucket's
-    /// most-recently-seen end; new contacts fill free slots. Full buckets
-    /// drop the newcomer (classic Kademlia favours long-lived contacts;
-    /// failures are pruned via [`RoutingTable::remove`]).
+    /// Record that a contact is alive. A new contact fills a free slot; a
+    /// full bucket drops the newcomer (classic Kademlia favours long-lived
+    /// contacts; failures are pruned via [`RoutingTable::remove`]). A known
+    /// contact changes nothing. Bucket order is not modelled: nothing reads
+    /// it — [`RoutingTable::closest`] ranks by distance, which is unique per
+    /// key, and `remove` works by key — so there is no recency order to
+    /// keep (DESIGN.md §10).
     pub fn observe(&mut self, contact: Contact) {
         let Some(idx) = self.bucket_index(&contact.key) else {
             return;
         };
         let bucket = &mut self.buckets[idx];
-        if let Some(pos) = bucket.iter().position(|c| c.key == contact.key) {
-            let c = bucket.remove(pos);
-            bucket.push(c);
-        } else if bucket.len() < self.k {
+        if bucket.len() < self.k && !bucket.iter().any(|c| c.key == contact.key) {
             bucket.push(contact);
             self.len += 1;
             self.occupied = if self.occupied.is_empty() {
@@ -114,31 +114,30 @@ impl RoutingTable {
 
     /// [`RoutingTable::closest`] with each contact's distance to `target`.
     ///
-    /// Bounded insertion, not a sort: every lookup step calls this with
-    /// `n = k` against a few dozen contacts, so each contact's distance is
-    /// computed once and placed into an `n`-sized ascending buffer, or
-    /// dropped after one compare with the buffer's last entry. Distances to
-    /// a fixed target are unique for distinct keys (XOR is a bijection), so
-    /// the result is identical to sorting everything — locked down by
+    /// One pass computes every contact's distance into a buffer, a
+    /// selection moves the `n` smallest to its front, and only those are
+    /// sorted. Distances to a fixed target are unique for distinct keys (XOR
+    /// is a bijection), so the result is identical to sorting everything,
+    /// whatever order the buckets hold — locked down by
     /// `closest_matches_full_sort_reference` below.
     pub(crate) fn nearest(&self, target: &Hash256, n: usize) -> Vec<(Distance, Contact)> {
         let n = n.min(self.len);
-        let mut best: Vec<(Distance, Contact)> = Vec::with_capacity(n);
         if n == 0 {
-            return best;
+            return Vec::new();
         }
-        for c in self.buckets[self.occupied.clone()].iter().flatten() {
-            let d = Distance::between(&c.key, target);
-            if best.len() == n {
-                if d > best[n - 1].0 {
-                    continue;
-                }
-                best.pop();
-            }
-            let at = best.partition_point(|(e, _)| *e < d);
-            best.insert(at, (d, *c));
+        let mut all: Vec<(Distance, Contact)> = Vec::with_capacity(self.len);
+        all.extend(
+            self.buckets[self.occupied.clone()]
+                .iter()
+                .flatten()
+                .map(|c| (Distance::between(&c.key, target), *c)),
+        );
+        if n < all.len() {
+            all.select_nth_unstable_by_key(n - 1, |e| e.0);
+            all.truncate(n);
         }
-        best
+        all.sort_unstable_by_key(|e| e.0);
+        all
     }
 
     /// Total contacts stored.
@@ -162,6 +161,7 @@ impl RoutingTable {
 mod tests {
     use super::*;
     use agora_crypto::sha256;
+    use agora_sim::SimRng;
 
     fn contact(i: u32) -> Contact {
         Contact {
@@ -246,7 +246,7 @@ mod tests {
     }
 
     #[test]
-    fn re_observe_moves_to_most_recent() {
+    fn re_observe_keeps_one_copy() {
         // With k=1 the bucket keeps its single occupant; re-observing it
         // must not duplicate.
         let mut t = RoutingTable::new(sha256(b"me"), 1);
@@ -254,6 +254,58 @@ mod tests {
         t.observe(c);
         t.observe(c);
         assert_eq!(t.len(), 1);
+    }
+
+    /// `closest(target, n)` for every `n` from 0 past the table size.
+    fn every_closest(t: &RoutingTable, target: &Hash256) -> Vec<Vec<Contact>> {
+        (0..=t.len() + 1).map(|n| t.closest(target, n)).collect()
+    }
+
+    #[test]
+    fn routing_table_is_order_free() {
+        // Bucket order is not modelled, so the order of observations —
+        // repeats included — must not show in any answer. Where no bucket
+        // fills, any order of one contact set is the same table; where
+        // buckets fill, the first-seen order picks who stays, and repeats
+        // anywhere after a contact's first sighting change nothing.
+        let own = sha256(b"me");
+        let targets = [sha256(b"t1"), sha256(b"t2"), own, contact(3).key];
+        let mut rng = SimRng::new(0x006f_7264_6572);
+        for case in 0..24 {
+            let set: Vec<Contact> = (0..40 + 8 * case).map(contact).collect();
+            for k in [3, 8, 500] {
+                let mut reference = RoutingTable::new(own, k);
+                for c in &set {
+                    reference.observe(*c);
+                }
+                let want: Vec<_> = targets
+                    .iter()
+                    .map(|t| every_closest(&reference, t))
+                    .collect();
+                // Each contact once in set order, then 1–3 repeats of each
+                // at random later positions (and, when nothing can fill,
+                // the whole sequence shuffled).
+                let mut order = set.clone();
+                for c in &set {
+                    for _ in 0..rng.range(1, 4) {
+                        let first = order.iter().position(|o| o.key == c.key).unwrap_or(0);
+                        let at = rng.range(first as u64 + 1, order.len() as u64 + 1) as usize;
+                        order.insert(at, *c);
+                    }
+                }
+                if k >= set.len() {
+                    rng.shuffle(&mut order);
+                }
+                let mut t = RoutingTable::new(own, k);
+                for c in &order {
+                    t.observe(*c);
+                }
+                assert_eq!(t.len(), reference.len(), "case {case} k {k}");
+                for (target, want) in targets.iter().zip(&want) {
+                    assert_eq!(&every_closest(&t, target), want, "case {case} k {k}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -269,25 +321,68 @@ mod tests {
         assert!(t.closest(&sha256(b"x"), 0).is_empty());
     }
 
+    /// A key `own ^ d` whose distance `d` has its top bit at `bucket`, so
+    /// it lands in that bucket; the bits below are random.
+    fn key_in_bucket(own: &Hash256, bucket: usize, rng: &mut SimRng) -> Hash256 {
+        let mut d = rng.bytes32();
+        let top = 31 - bucket / 8; // byte holding bit `bucket` (big-endian)
+        d[..top].fill(0);
+        let bit = 1u8 << (bucket % 8);
+        d[top] = (d[top] & (bit - 1)) | bit;
+        own.xor(&Hash256(d))
+    }
+
     #[test]
     fn closest_matches_full_sort_reference() {
         // The selection-based `closest` must return exactly what the naive
         // sort-everything implementation returned, for every n from 0 past
-        // the table size — order included.
+        // the table size — order included: on a table grown from hashes,
+        // and on a fleet-sized one with all 256 buckets holding k.
         let own = sha256(b"me");
-        let mut t = RoutingTable::new(own, 20);
+        let mut grown = RoutingTable::new(own, 20);
         for i in 0..200 {
-            t.observe(contact(i));
+            grown.observe(contact(i));
         }
-        let stored = t.len();
-        assert!(stored > 50, "need a meaningfully sized table, got {stored}");
-        for target in [sha256(b"t1"), sha256(b"t2"), own, contact(7).key] {
-            let mut reference: Vec<Contact> = t.buckets.iter().flatten().copied().collect();
-            reference.sort_by_key(|c| c.key.xor(&target));
-            for n in [0, 1, 2, 3, 5, 8, 16, 20, stored - 1, stored, stored + 10] {
-                let mut want = reference.clone();
-                want.truncate(n);
-                assert_eq!(t.closest(&target, n), want, "n = {n}");
+        assert!(grown.len() > 50, "need a meaningfully sized table");
+        // Bucket b holds the 2^b keys at distance [2^b, 2^(b+1)), so the
+        // five smallest fill at 1, 2, 4, 8 and 16 contacts; the rest at k.
+        let k = 20;
+        let room = |bucket: usize| if bucket < 5 { 1 << bucket } else { k };
+        let mut fleet = RoutingTable::new(own, k);
+        let mut rng = SimRng::new(256);
+        for bucket in 0..256 {
+            while fleet.buckets[bucket].len() < room(bucket) {
+                let addr = NodeId(fleet.len() as u32);
+                let key = key_in_bucket(&own, bucket, &mut rng);
+                fleet.observe(Contact { key, addr });
+            }
+        }
+        assert_eq!(fleet.len(), 251 * k + 31, "every bucket full");
+        for t in [&grown, &fleet] {
+            let stored = t.len();
+            let mut targets = vec![sha256(b"t1"), sha256(b"t2"), own, contact(7).key];
+            targets.extend((0..4).map(|_| Hash256(rng.bytes32())));
+            for target in targets {
+                let mut reference: Vec<Contact> = t.buckets.iter().flatten().copied().collect();
+                reference.sort_by_key(|c| c.key.xor(&target));
+                for n in [
+                    0,
+                    1,
+                    2,
+                    3,
+                    5,
+                    8,
+                    16,
+                    20,
+                    21,
+                    64,
+                    stored - 1,
+                    stored,
+                    stored + 10,
+                ] {
+                    let want = &reference[..n.min(stored)];
+                    assert_eq!(t.closest(&target, n), want, "n = {n} of {stored}");
+                }
             }
         }
     }

@@ -7,7 +7,7 @@
 //!   agora-harness --threads 1 --json out.json
 //!   agora-harness --filter e1,e3 --seeds 5
 //!   agora-harness --filter e16p/p10k  # one variant of one experiment
-//!   agora-harness --perf BENCH_perf.json   # also write wall-clock artifact
+//!   agora-harness --perf BENCH_perf.json   # also write wall-clock artifact + trajectory row
 //!   agora-harness --speedup               # measure serial vs parallel wall clock
 //!   agora-harness --reports               # classic experiments_output.txt stream
 //!   agora-harness --trace dht             # replay one trial, write TRACE_dht.jsonl
@@ -26,6 +26,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use agora_harness::matrix::filter_selects;
+use agora_harness::perf::{append_trajectory, trajectory_row};
 use agora_harness::{
     diff_json, perf_to_json, read_json_file, registry, report, run_matrix, run_to_json,
     ExperimentDef, MatrixConfig, PhaseProfiler, BASELINE_TOLERANCE, COHORT_ERROR_POPULATION,
@@ -420,6 +421,25 @@ fn print_reports() {
     println!("{}", agora::naming_zooko_table());
 }
 
+/// Wall time of tier-1's test run (`cargo test -q`) on the checkout in
+/// the working directory, warm: the test binaries are built first,
+/// untimed. `None` when cargo cannot run there or a test fails.
+fn tier1_wall() -> Option<Duration> {
+    let cargo = |args: &[&str]| {
+        std::process::Command::new("cargo")
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .status()
+            .is_ok_and(|status| status.success())
+    };
+    if !cargo(&["test", "-q", "--offline", "--no-run"]) {
+        return None;
+    }
+    let started = std::time::Instant::now();
+    cargo(&["test", "-q", "--offline"]).then(|| started.elapsed())
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args(std::env::args().skip(1)) {
         Ok(o) => o,
@@ -505,8 +525,35 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &opts.perf_out {
-        let perf = perf_to_json(&run, prof, COHORT_ERROR_POPULATION).render();
-        if let Err(e) = std::fs::write(path, &perf) {
+        // The file's `trajectory` is history this run appends to: a file
+        // that exists but does not read is refused, not overwritten.
+        let previous = std::path::Path::new(path)
+            .exists()
+            .then(|| read_json_file(path));
+        let previous = match previous.transpose() {
+            Ok(previous) => previous,
+            Err(e) => {
+                eprintln!("agora-harness: {path} is not overwritten: {e}");
+                return ExitCode::from(1);
+            }
+        };
+        let mut perf = perf_to_json(&run, prof, COHORT_ERROR_POPULATION);
+        println!("trajectory row: matrix at 1 and 2 threads, then tier-1 (cargo test -q)");
+        let at = |threads| {
+            run_matrix(
+                &reg,
+                &MatrixConfig {
+                    threads,
+                    ..opts.cfg.clone()
+                },
+            )
+        };
+        let row = trajectory_row(&at(1), &at(2), tier1_wall());
+        if let Err(e) = append_trajectory(&mut perf, previous.as_ref(), row) {
+            eprintln!("agora-harness: {path} is not overwritten: {e}");
+            return ExitCode::from(1);
+        }
+        if let Err(e) = std::fs::write(path, perf.render()) {
             eprintln!("agora-harness: writing {path}: {e}");
             return ExitCode::from(1);
         }

@@ -9,6 +9,8 @@
 //! Every other wall-clock number comes from `benchmark/` (DESIGN.md §10,
 //! "Where a wall-clock number comes from"). The output is machine-readable
 //! but **never** diffed in CI; it is a recorded observation, not a contract.
+//! All of it is a snapshot of the last run except `trajectory`, which each
+//! run appends one row to ([`trajectory_row`], [`append_trajectory`]).
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -474,6 +476,72 @@ fn cohort_error_to_json(prof: &mut PhaseProfiler, population: u64) -> Json {
     out
 }
 
+/// How many of the costliest trials a `trajectory` row names.
+const TRAJECTORY_TOP_TRIALS: usize = 5;
+
+/// One `trajectory` row: what a contributor feels of this checkout, in
+/// numbers a later row can be compared with — the host's `cores`, the
+/// matrix wall at one and at two threads, the tier-1 wall (`None` when it
+/// could not be taken) and the costliest trials of the one-thread run,
+/// where no neighbour shares the cores.
+pub fn trajectory_row(
+    serial: &MatrixRun,
+    two_threads: &MatrixRun,
+    tier1: Option<Duration>,
+) -> Json {
+    let mut row = Json::obj();
+    row.set("cores", Json::Num(available_cores() as f64));
+    row.set("matrix_wall_secs_1t", Json::Num(serial.wall.as_secs_f64()));
+    row.set(
+        "matrix_wall_secs_2t",
+        Json::Num(two_threads.wall.as_secs_f64()),
+    );
+    row.set(
+        "tier1_wall_secs",
+        tier1.map_or(Json::Null, |d| Json::Num(d.as_secs_f64())),
+    );
+    let mut costliest: Vec<_> = serial.outcomes.iter().collect();
+    costliest.sort_by_key(|o| std::cmp::Reverse(o.elapsed));
+    let top = costliest
+        .iter()
+        .take(TRAJECTORY_TOP_TRIALS)
+        .map(|o| {
+            let mut t = Json::obj();
+            let spec = &o.spec;
+            let trial = format!("{}/{}#{}", spec.experiment, spec.variant, spec.seed_ordinal);
+            t.set("trial", Json::Str(trial));
+            t.set("secs", Json::Num(o.elapsed.as_secs_f64()));
+            t
+        })
+        .collect();
+    row.set("top_trials", Json::Arr(top));
+    row
+}
+
+/// Give `artifact` the `trajectory` of the file it replaces plus `row`:
+/// history is appended to, never overwritten. A previous file without a
+/// `trajectory` (one written before rows existed) starts the history; one
+/// whose `trajectory` is not an array is refused.
+pub fn append_trajectory(
+    artifact: &mut Json,
+    previous: Option<&Json>,
+    row: Json,
+) -> Result<(), String> {
+    let mut rows = match previous.and_then(|p| p.get("trajectory")) {
+        None => Vec::new(),
+        Some(Json::Arr(rows)) => rows.clone(),
+        Some(_) => return Err("its \"trajectory\" is not an array".to_owned()),
+    };
+    rows.push(row);
+    artifact.set("trajectory", Json::Arr(rows));
+    Ok(())
+}
+
+/// Cores this process could use: every wall number depends on it.
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// The base population the artifact's `cohort_error` section replays
 /// exactly (one cohort per user; the DHT runners take 5× this — a
 /// 10,000-user per-user ground truth). Sized so the seven exact
@@ -497,13 +565,7 @@ pub fn perf_to_json(run: &MatrixRun, mut prof: PhaseProfiler, cohort_population:
                 .to_owned(),
         ),
     );
-    // Cores this process could use: every wall number below depends on it.
-    root.set(
-        "cores",
-        Json::Num(
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) as f64,
-        ),
-    );
+    root.set("cores", Json::Num(available_cores() as f64));
     root.set("matrix", matrix_to_json(run));
 
     let mut micro = Json::obj();
@@ -726,6 +788,53 @@ mod tests {
                 .expect("rel err");
             assert!(err.is_finite(), "{runner}: {err}");
         }
+    }
+
+    #[test]
+    fn trajectory_rows_append_to_the_history_they_replace() {
+        let (serial, two) = (tiny_run(), tiny_run());
+        let row = trajectory_row(&serial, &two, Some(Duration::from_millis(1500)));
+        assert_eq!(
+            keys(&row),
+            BTreeSet::from([
+                "cores",
+                "matrix_wall_secs_1t",
+                "matrix_wall_secs_2t",
+                "tier1_wall_secs",
+                "top_trials",
+            ])
+        );
+        assert_eq!(row.get("tier1_wall_secs").and_then(Json::as_f64), Some(1.5));
+        let Some(Json::Arr(top)) = row.get("top_trials") else {
+            panic!("top_trials must be an array");
+        };
+        assert_eq!(top.len(), 3, "the toy matrix has three trials");
+        let secs: Vec<f64> = top.iter().filter_map(|t| t.get("secs")?.as_f64()).collect();
+        assert!(secs.windows(2).all(|w| w[0] >= w[1]), "costliest first");
+        assert!(top.iter().all(|t| t
+            .get("trial")
+            .and_then(Json::as_str)
+            .is_some_and(|s| s.starts_with("toy/default#"))));
+        let unmeasured = trajectory_row(&serial, &two, None);
+        assert_eq!(unmeasured.get("tier1_wall_secs"), Some(&Json::Null));
+
+        // A file from before rows existed starts the history; a later run
+        // keeps every earlier row, in order, and adds its own last.
+        let rows = |j: &Json| match j.get("trajectory") {
+            Some(Json::Arr(v)) => v.clone(),
+            other => panic!("trajectory must be an array, got {other:?}"),
+        };
+        let old = Json::obj();
+        let mut first = Json::obj();
+        append_trajectory(&mut first, Some(&old), row.clone()).expect("appends");
+        append_trajectory(&mut Json::obj(), None, row.clone()).expect("no file yet");
+        let mut second = Json::obj();
+        append_trajectory(&mut second, Some(&first), unmeasured.clone()).expect("appends");
+        assert_eq!(rows(&first), vec![row.clone()]);
+        assert_eq!(rows(&second), vec![row, unmeasured]);
+        let mut bad = Json::obj();
+        bad.set("trajectory", Json::Num(1.0));
+        assert!(append_trajectory(&mut Json::obj(), Some(&bad), Json::obj()).is_err());
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! at the operator's mercy (censorship, seizure, front-running by the
 //! operator itself). The quantitative half of E1's comparison.
 
-use std::collections::HashMap;
-
 use agora_crypto::Hash256;
+use agora_sim::FastMap;
 
 use crate::record::{valid_name, NameRecord};
 
@@ -26,7 +25,7 @@ pub enum RegistrarError {
 /// A centralized name registrar (the operator's database).
 #[derive(Clone, Debug, Default)]
 pub struct CentralRegistrar {
-    names: HashMap<String, NameRecord>,
+    names: FastMap<String, NameRecord>,
     banned_names: Vec<String>,
     banned_accounts: Vec<Hash256>,
     seq: u64,

@@ -11,10 +11,9 @@
 //! mempool observer sees only `H(name ‖ salt ‖ account)` and cannot race the
 //! registration of a name it cannot read (experiment E2).
 
-use std::collections::HashMap;
-
 use agora_chain::{Ledger, Transaction, TxPayload, APP_NAMING};
 use agora_crypto::{sha256_concat, Dec, DecodeError, Enc, Hash256, SimKeyPair};
+use agora_sim::FastMap;
 
 use crate::record::{valid_name, NameRecord};
 
@@ -161,9 +160,9 @@ impl NameOp {
 /// The derived name database (view over a chain).
 #[derive(Clone, Debug, Default)]
 pub struct NameDb {
-    names: HashMap<String, NameRecord>,
-    revoked: HashMap<String, ()>,
-    preorders: HashMap<Hash256, (Hash256, u64)>, // commitment → (account, height)
+    names: FastMap<String, NameRecord>,
+    revoked: FastMap<String, ()>,
+    preorders: FastMap<Hash256, (Hash256, u64)>, // commitment → (account, height)
     /// Operations rejected during the scan, with reasons (diagnostics).
     pub rejected: Vec<(u64, String)>,
 }

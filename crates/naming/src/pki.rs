@@ -2,9 +2,10 @@
 //! trust, and revocation weaknesses": certification authorities (CA
 //! compromise) and webs of trust (Sybil attacks).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use agora_crypto::{Enc, Hash256, SimKeyPair, SimPublicKey, SimSignature};
+use agora_sim::{FastMap, FastSet};
 
 // ---------------------------------------------------------------------------
 // Certification-authority PKI
@@ -45,7 +46,7 @@ pub struct CertAuthority {
     keys: SimKeyPair,
     next_serial: u64,
     issued: Vec<Certificate>,
-    revoked: HashSet<u64>,
+    revoked: FastSet<u64>,
 }
 
 impl CertAuthority {
@@ -55,7 +56,7 @@ impl CertAuthority {
             keys: SimKeyPair::from_seed(seed),
             next_serial: 1,
             issued: Vec::new(),
-            revoked: HashSet::new(),
+            revoked: FastSet::default(),
         }
     }
 
@@ -85,7 +86,7 @@ impl CertAuthority {
     }
 
     /// The CRL.
-    pub fn crl(&self) -> &HashSet<u64> {
+    pub fn crl(&self) -> &FastSet<u64> {
         &self.revoked
     }
 
@@ -103,7 +104,7 @@ impl CertAuthority {
 }
 
 /// Full verification: signature + CRL.
-pub fn verify_with_crl(cert: &Certificate, trusted_ca: &SimPublicKey, crl: &HashSet<u64>) -> bool {
+pub fn verify_with_crl(cert: &Certificate, trusted_ca: &SimPublicKey, crl: &FastSet<u64>) -> bool {
     cert.verify(trusted_ca) && !crl.contains(&cert.serial)
 }
 
@@ -118,9 +119,9 @@ pub fn verify_with_crl(cert: &Certificate, trusted_ca: &SimPublicKey, crl: &Hash
 #[derive(Clone, Debug, Default)]
 pub struct WebOfTrust {
     /// endorser → endorsed identities.
-    edges: HashMap<Hash256, Vec<Hash256>>,
+    edges: FastMap<Hash256, Vec<Hash256>>,
     /// identity → claimed (name, key) binding.
-    bindings: HashMap<Hash256, (String, Hash256)>,
+    bindings: FastMap<Hash256, (String, Hash256)>,
 }
 
 impl WebOfTrust {
@@ -152,12 +153,12 @@ impl WebOfTrust {
         max_hops: usize,
         need: usize,
     ) -> usize {
-        let mut used: HashSet<Hash256> = HashSet::new();
+        let mut used: FastSet<Hash256> = FastSet::default();
         let mut found = 0;
         while found < need {
             // BFS avoiding interior vertices used by prior paths.
-            let mut prev: HashMap<Hash256, Hash256> = HashMap::new();
-            let mut depth: HashMap<Hash256, usize> = HashMap::new();
+            let mut prev: FastMap<Hash256, Hash256> = FastMap::default();
+            let mut depth: FastMap<Hash256, usize> = FastMap::default();
             let mut q = VecDeque::new();
             for &a in anchors {
                 if !used.contains(&a) {

@@ -159,58 +159,104 @@ enum EventKind<M> {
     ChurnUp(NodeId),
 }
 
-struct Event<M> {
-    /// `(at, seq)` packed big-endian into one word: micros in the high 64
-    /// bits, insertion sequence in the low 64. A single `u128` comparison
-    /// orders events by time with deterministic insertion-order tie-breaks —
-    /// one branch in the heap's sift loops instead of two chained `cmp`s,
-    /// and an 8-byte-smaller header than the unpacked `(SimTime, u64)` pair.
+/// An event's `(at, seq)` packed big-endian into one word: micros in the
+/// high 64 bits, insertion sequence in the low 64. A single `u128`
+/// comparison orders events by time with deterministic insertion-order
+/// tie-breaks — one branch in the heap's sift loops instead of two chained
+/// `cmp`s.
+fn pack(at: SimTime, seq: u64) -> u128 {
+    ((at.micros() as u128) << 64) | seq as u128
+}
+
+/// The instant a packed key fires at.
+fn key_at(key: u128) -> SimTime {
+    SimTime((key >> 64) as u64)
+}
+
+/// One heap entry: an event's packed key and the slab slot holding its
+/// payload. Ordered by the key alone, reversed so `BinaryHeap` pops the
+/// earliest event; keys are unique, so no two entries compare equal. The
+/// compare is written out because `Reverse` over a derived `(key, slot)`
+/// order made the benchmark's `timer_storm` ≈ 35 % slower.
+struct Entry {
     key: u128,
-    kind: EventKind<M>,
+    slot: u32,
 }
 
-impl<M> Event<M> {
-    fn pack(at: SimTime, seq: u64) -> u128 {
-        ((at.micros() as u128) << 64) | seq as u128
-    }
-
-    fn at(&self) -> SimTime {
-        SimTime((self.key >> 64) as u64)
-    }
-}
-
-impl<M> PartialEq for Event<M> {
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
     }
 }
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
+impl Eq for Entry {}
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M> Ord for Event<M> {
-    // Reverse ordering so BinaryHeap pops the earliest event; the packed key
-    // already breaks time ties by insertion sequence for determinism.
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         other.key.cmp(&self.key)
     }
 }
 
-/// The event queue: one min-heap on the packed key, plus the insertion
-/// counter that makes every key unique.
+/// The event queue: a min-heap of `(key, slot)` entries, the slab the slots
+/// index, and the insertion counter that makes every key unique. A sift
+/// moves a 32-byte entry, not a whole event (112 bytes for the DHT's
+/// message); payloads sit still in the slab from push to pop, and a popped
+/// slot goes on the free list for the next push.
 struct Scheduler<M> {
-    heap: BinaryHeap<Event<M>>,
+    heap: BinaryHeap<Entry>,
+    slab: Vec<Option<EventKind<M>>>,
+    free: Vec<u32>,
     seq: u64,
 }
 
 impl<M> Scheduler<M> {
+    fn new() -> Scheduler<M> {
+        Scheduler {
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            seq: 0,
+        }
+    }
+
     fn push(&mut self, at: SimTime, kind: EventKind<M>) -> u128 {
         self.seq += 1;
-        let key = Event::<M>::pack(at, self.seq);
-        self.heap.push(Event { key, kind });
+        let key = pack(at, self.seq);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                self.slab.push(Some(kind));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.heap.push(Entry { key, slot });
         key
+    }
+
+    /// The instant of the earliest pending event.
+    fn next_at(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| key_at(e.key))
+    }
+
+    /// Remove the earliest pending event: its key and its payload.
+    fn pop(&mut self) -> Option<(u128, EventKind<M>)> {
+        let Entry { key, slot } = self.heap.pop()?;
+        let kind = self.slab[slot as usize]
+            .take()
+            .expect("a queued slot holds its event");
+        self.free.push(slot);
+        Some((key, kind))
+    }
+
+    /// Undispatched events.
+    fn len(&self) -> usize {
+        self.heap.len()
     }
 }
 
@@ -515,10 +561,7 @@ impl<P: Protocol> Simulation<P> {
         let mut sim = Simulation {
             protocols: Vec::new(),
             net: Network::new(),
-            sched: Scheduler {
-                heap: BinaryHeap::new(),
-                seq: 0,
-            },
+            sched: Scheduler::new(),
             time: SimTime::ZERO,
             rng: SimRng::new(seed),
             metrics,
@@ -568,7 +611,7 @@ impl<P: Protocol> Simulation<P> {
         self.prober.on = true;
         self.prober.every = every;
         self.prober.next_at = (self.time.micros() / every + 1).saturating_mul(every);
-        self.prober.pending = self.sched.heap.len() as u64;
+        self.prober.pending = self.sched.len() as u64;
     }
 
     /// Add a node of the given device class. Its `on_start` runs at the time
@@ -801,13 +844,10 @@ impl<P: Protocol> Simulation<P> {
     /// clock ends at `limit` (or the last event, whichever is later-capped).
     pub fn run_until(&mut self, limit: SimTime) {
         self.ensure_started();
-        while let Some(ev) = self.sched.heap.peek() {
-            if ev.at() > limit {
-                break;
-            }
-            let ev = self.sched.heap.pop().expect("peeked");
-            debug_assert!(ev.at() >= self.time, "time went backwards");
-            self.step(ev);
+        while self.sched.next_at().is_some_and(|at| at <= limit) {
+            let (key, kind) = self.sched.pop().expect("peeked");
+            debug_assert!(key_at(key) >= self.time, "time went backwards");
+            self.step(key, kind);
         }
         if self.time < limit {
             self.time = limit;
@@ -825,8 +865,8 @@ impl<P: Protocol> Simulation<P> {
     pub fn run_idle(&mut self, max_events: u64) {
         self.ensure_started();
         let mut n = 0u64;
-        while let Some(ev) = self.sched.heap.pop() {
-            self.step(ev);
+        while let Some((key, kind)) = self.sched.pop() {
+            self.step(key, kind);
             n += 1;
             assert!(n < max_events, "run_idle exceeded {max_events} events");
         }
@@ -834,17 +874,17 @@ impl<P: Protocol> Simulation<P> {
 
     /// Advance the clock to a popped event and run its handler.
     #[inline]
-    fn step(&mut self, ev: Event<P::Msg>) {
-        self.time = ev.at();
+    fn step(&mut self, key: u128, kind: EventKind<P::Msg>) {
+        self.time = key_at(key);
         self.events += 1;
-        self.tracer.cur = ev.key;
-        self.probe_tick(&ev.kind);
-        self.dispatch(ev.kind);
+        self.tracer.cur = key;
+        self.probe_tick(&kind);
+        self.dispatch(kind);
     }
 
     /// Number of pending events (diagnostics).
     pub fn pending_events(&self) -> usize {
-        self.sched.heap.len()
+        self.sched.len()
     }
 
     /// Total events dispatched so far (throughput accounting for benchmarks;
@@ -1083,6 +1123,7 @@ impl<P: Protocol> Simulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
 
     /// A ping-pong protocol used to exercise the engine.
     #[derive(Default)]
@@ -1470,6 +1511,78 @@ mod tests {
             sim.run_idle(500);
         });
         assert!(result.is_err(), "guard must fire on an endless echo loop");
+    }
+
+    #[test]
+    fn queue_pops_like_a_heap_of_whole_events() {
+        // Oracle: the layout the slab replaced — whole events in one
+        // `BinaryHeap`, ordered by the packed key alone. Seeded runs of
+        // pushes and pops over four instants (so most keys tie on time and
+        // the sequence decides), with slots freed and reused throughout.
+        for seed in 0..16u64 {
+            let mut rng = SimRng::new(seed);
+            let mut sched: Scheduler<()> = Scheduler::new();
+            let mut oracle: BinaryHeap<Reverse<(u128, u64)>> = BinaryHeap::new();
+            let (mut seq, mut now, mut high_water) = (0u64, 0u64, 0usize);
+            for step in 0..3_000u64 {
+                if oracle.is_empty() || rng.chance(0.55) {
+                    let at = now + rng.below(4);
+                    let node = NodeId(rng.below(8) as u32);
+                    let key = sched.push(SimTime(at), EventKind::Timer { node, tag: step });
+                    seq += 1;
+                    assert_eq!(key, (at as u128) << 64 | seq as u128, "seed {seed}");
+                    oracle.push(Reverse((key, step)));
+                } else {
+                    let (key, kind) = sched.pop().expect("oracle is non-empty");
+                    let Reverse((want_key, want_tag)) = oracle.pop().expect("checked");
+                    assert_eq!(key, want_key, "seed {seed} step {step}");
+                    assert!(matches!(kind, EventKind::Timer { tag, .. } if tag == want_tag));
+                    now = key_at(key).micros();
+                }
+                high_water = high_water.max(oracle.len());
+                assert_eq!(sched.len(), oracle.len(), "seed {seed} step {step}");
+                assert_eq!(
+                    sched.next_at(),
+                    oracle.peek().map(|Reverse((k, _))| key_at(*k))
+                );
+                // Freed slots are reused: the slab never outgrows the most
+                // events ever pending at once.
+                assert_eq!(sched.slab.len(), high_water);
+                assert_eq!(sched.slab.len(), sched.len() + sched.free.len());
+            }
+            while let Some(Reverse((want_key, _))) = oracle.pop() {
+                assert_eq!(sched.pop().map(|(k, _)| k), Some(want_key));
+            }
+            assert!(sched.pop().is_none() && sched.len() == 0);
+        }
+    }
+
+    #[test]
+    fn pending_events_match_the_probe_accounting_at_every_stop() {
+        // A probe sink installed before the first event counts every push
+        // and dispatch itself; `pending_events()` and the count a sink
+        // installed mid-run starts from must agree with it at every stop.
+        let mut sim = Simulation::new(31);
+        sim.set_probe_sink(Box::new(NoopProbe), SimDuration::from_millis(250));
+        let mut sim = rich_scenario(sim);
+        for round in 0..120u64 {
+            let nodes = sim.node_count() as u32;
+            let (a, b) = (
+                NodeId(round as u32 % nodes),
+                NodeId((round as u32 * 7 + 3) % nodes),
+            );
+            sim.with_ctx(a, |_, ctx| {
+                ctx.send(b, PpMsg::Ping, 128);
+                ctx.set_timer(SimDuration::from_millis(round % 5), round);
+            });
+            sim.run_for(SimDuration::from_millis(37));
+            let exact = sim.prober.pending;
+            assert_eq!(sim.pending_events() as u64, exact, "round {round}");
+            let by_node: u64 = sim.prober.depth.iter().map(|&d| d as u64).sum();
+            assert_eq!(by_node, exact, "round {round}");
+            sim.set_probe_sink(Box::new(NoopProbe), SimDuration::from_millis(250));
+            assert_eq!(sim.prober.pending, exact, "round {round}");
+        }
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   heavy-tailed latency jitter, loss and partitions,
 //! * the event [`Simulation`] engine itself, driving [`Protocol`]
 //!   state machines with messages, timers and churn, and
-//! * a [`Metrics`] registry for counters and latency histograms, and
+//! * a [`Metrics`] registry for counters and latency histograms,
+//! * [`FastMap`] / [`FastSet`], the workspace's hash tables: one seedless
+//!   [`hash::FastHasher`], so map iteration order is the same in every
+//!   process, and
 //! * the [`trace`](crate::trace) observability layer: a
 //!   [`trace::TraceSink`] tap in the engine with a bounded flight recorder
 //!   and causal provenance keys. Always compiled in; one untaken branch
@@ -58,6 +61,7 @@
 pub mod chaos;
 pub mod device;
 pub mod engine;
+pub mod hash;
 pub mod metrics;
 pub mod net;
 pub mod probe;
@@ -72,6 +76,7 @@ pub use chaos::{
 };
 pub use device::{DeviceClass, DeviceProfile};
 pub use engine::{Ctx, NodeId, Protocol, Simulation};
+pub use hash::{FastMap, FastSet};
 pub use metrics::{CounterHandle, Histogram, Metrics, P2Quantile};
 pub use net::Network;
 pub use probe::{with_thread_probe, ProbeAnomaly, ProbeFrame, ProbeSink, PROBE_SIM_NODE};

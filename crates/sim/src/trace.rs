@@ -26,10 +26,11 @@
 //! and byte-identical across repeated runs.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::engine::NodeId;
+use crate::hash::FastMap;
 use crate::metrics::Histogram;
 use crate::time::SimTime;
 
@@ -268,9 +269,9 @@ pub struct FlightRecorder {
     filter: TraceFilter,
     spans: BTreeMap<String, SpanAgg>,
     /// Delivery-event key → (send time, bytes) for messages in flight.
-    msg_sent: HashMap<u128, (SimTime, u64)>,
+    msg_sent: FastMap<u128, (SimTime, u64)>,
     /// Timer-event key → arm time for timers in flight.
-    timer_set: HashMap<u128, SimTime>,
+    timer_set: FastMap<u128, SimTime>,
 }
 
 /// Default ring capacity: enough for a full causal window of a mid-size
@@ -293,8 +294,8 @@ impl FlightRecorder {
             evicted: 0,
             filter,
             spans: BTreeMap::new(),
-            msg_sent: HashMap::new(),
-            timer_set: HashMap::new(),
+            msg_sent: FastMap::default(),
+            timer_set: FastMap::default(),
         }
     }
 

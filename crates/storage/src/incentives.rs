@@ -13,9 +13,8 @@
 //! * [`ResourceScore`] — MaidSafe: proof-of-resource rank; nodes earn
 //!   standing by answering audits, and lose it by failing them.
 
-use std::collections::HashMap;
-
 use agora_crypto::Hash256;
+use agora_sim::FastMap;
 
 /// The incentive scheme labels of Table 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -55,7 +54,7 @@ impl IncentiveScheme {
 #[derive(Clone, Debug, Default)]
 pub struct BitswapLedger {
     /// peer → (bytes we sent them, bytes they sent us).
-    entries: HashMap<Hash256, (u64, u64)>,
+    entries: FastMap<Hash256, (u64, u64)>,
     /// Refuse to serve a peer whose debt (sent − received) exceeds this.
     pub debt_limit: u64,
 }
@@ -64,7 +63,7 @@ impl BitswapLedger {
     /// New ledger with a debt limit in bytes.
     pub fn new(debt_limit: u64) -> BitswapLedger {
         BitswapLedger {
-            entries: HashMap::new(),
+            entries: FastMap::default(),
             debt_limit,
         }
     }
@@ -95,7 +94,7 @@ impl BitswapLedger {
 /// settle on-chain at contract end).
 #[derive(Clone, Debug, Default)]
 pub struct TokenBank {
-    balances: HashMap<Hash256, i64>,
+    balances: FastMap<Hash256, i64>,
 }
 
 impl TokenBank {
@@ -137,7 +136,7 @@ impl TokenBank {
 #[derive(Clone, Debug)]
 pub struct EwmaReputation {
     alpha: f64,
-    scores: HashMap<Hash256, f64>,
+    scores: FastMap<Hash256, f64>,
 }
 
 impl EwmaReputation {
@@ -147,7 +146,7 @@ impl EwmaReputation {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
         EwmaReputation {
             alpha,
-            scores: HashMap::new(),
+            scores: FastMap::default(),
         }
     }
 
@@ -172,7 +171,7 @@ impl EwmaReputation {
 /// MaidSafe-style proof-of-resource standing.
 #[derive(Clone, Debug, Default)]
 pub struct ResourceScore {
-    scores: HashMap<Hash256, f64>,
+    scores: FastMap<Hash256, f64>,
 }
 
 impl ResourceScore {

@@ -7,11 +7,10 @@
 //! run cheating strategies (ack-then-discard, partial keep) to exercise the
 //! incentive/audit machinery.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use agora_crypto::{sha256, Hash256};
-use agora_sim::{Ctx, NodeId, Protocol, SimDuration, SimTime};
+use agora_sim::{Ctx, FastMap, NodeId, Protocol, SimDuration, SimTime};
 
 use crate::erasure::ReedSolomon;
 use crate::proofs::{por_respond, por_verify, Audit, AuditBook};
@@ -161,9 +160,9 @@ enum OpState {
 /// Client-side state.
 pub struct ClientState {
     providers: Vec<NodeId>,
-    objects: HashMap<Hash256, ObjectRecord>,
-    ops: HashMap<u64, OpState>,
-    results: HashMap<u64, StorageResult>,
+    objects: FastMap<Hash256, ObjectRecord>,
+    ops: FastMap<u64, OpState>,
+    results: FastMap<u64, StorageResult>,
     next_op: u64,
     audit_interval: SimDuration,
     repair_enabled: bool,
@@ -171,7 +170,7 @@ pub struct ClientState {
 
 /// Provider-side state.
 pub struct ProviderState {
-    shards: HashMap<(Hash256, u32), Rc<[u8]>>,
+    shards: FastMap<(Hash256, u32), Rc<[u8]>>,
     strategy: ProviderStrategy,
 }
 
@@ -200,9 +199,9 @@ impl StorageNode {
         StorageNode {
             role: Role::Client(Box::new(ClientState {
                 providers,
-                objects: HashMap::new(),
-                ops: HashMap::new(),
-                results: HashMap::new(),
+                objects: FastMap::default(),
+                ops: FastMap::default(),
+                results: FastMap::default(),
                 next_op: 0,
                 audit_interval,
                 repair_enabled: true,
@@ -214,7 +213,7 @@ impl StorageNode {
     pub fn provider(strategy: ProviderStrategy) -> StorageNode {
         StorageNode {
             role: Role::Provider(ProviderState {
-                shards: HashMap::new(),
+                shards: FastMap::default(),
                 strategy,
             }),
         }
@@ -406,8 +405,8 @@ impl StorageNode {
             return;
         };
         let mut challenges = Vec::new();
-        // Audit objects in key order: HashMap iteration order is randomized
-        // per process, and the op-id/challenge sequence must be reproducible.
+        // Audit objects in key order: the op-id/challenge sequence must not
+        // depend on the table's bucket layout.
         let mut audit_order: Vec<Hash256> = c.objects.keys().copied().collect();
         audit_order.sort_unstable();
         for object in audit_order {

@@ -6,11 +6,10 @@
 //! (verifying each piece against the manifest's piece hashes), and — the
 //! load-bearing §3.4 property — become seeders of what they visited.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use agora_crypto::Hash256;
-use agora_sim::{Ctx, NodeId, Protocol, SimDuration, SimTime};
+use agora_sim::{Ctx, FastMap, NodeId, Protocol, SimDuration, SimTime};
 
 use crate::site::{Piece, SealedManifest, SiteBundle};
 
@@ -109,7 +108,7 @@ pub enum VisitResult {
 
 struct LocalSite {
     signed: Rc<SealedManifest>,
-    pieces: HashMap<u32, Rc<Piece>>,
+    pieces: FastMap<u32, Rc<Piece>>,
 }
 
 #[derive(PartialEq)]
@@ -124,7 +123,7 @@ struct Visit {
     phase: VisitPhase,
     peers: Vec<NodeId>,
     manifest: Option<Rc<SealedManifest>>,
-    got: HashMap<u32, Rc<Piece>>,
+    got: FastMap<u32, Rc<Piece>>,
     ticks: u32,
     /// When the visit was issued — feeds the `web.visit_secs` latency
     /// histogram so experiments report true per-visit tail latency.
@@ -133,14 +132,14 @@ struct Visit {
 
 struct PeerState {
     trackers: Vec<NodeId>,
-    sites: HashMap<Hash256, LocalSite>,
-    visits: HashMap<u64, Visit>,
-    results: HashMap<u64, VisitResult>,
+    sites: FastMap<Hash256, LocalSite>,
+    visits: FastMap<u64, Visit>,
+    results: FastMap<u64, VisitResult>,
     next_op: u64,
 }
 
 enum Role {
-    Tracker(HashMap<Hash256, Vec<NodeId>>),
+    Tracker(FastMap<Hash256, Vec<NodeId>>),
     Peer(Box<PeerState>),
 }
 
@@ -156,7 +155,7 @@ impl SwarmNode {
     /// A tracker.
     pub fn tracker() -> SwarmNode {
         SwarmNode {
-            role: Role::Tracker(HashMap::new()),
+            role: Role::Tracker(FastMap::default()),
         }
     }
 
@@ -174,9 +173,9 @@ impl SwarmNode {
         SwarmNode {
             role: Role::Peer(Box::new(PeerState {
                 trackers,
-                sites: HashMap::new(),
-                visits: HashMap::new(),
-                results: HashMap::new(),
+                sites: FastMap::default(),
+                visits: FastMap::default(),
+                results: FastMap::default(),
                 next_op: 0,
             })),
         }
@@ -255,7 +254,7 @@ impl SwarmNode {
                 phase: VisitPhase::FindingPeers,
                 peers: Vec::new(),
                 manifest: None,
-                got: HashMap::new(),
+                got: FastMap::default(),
                 ticks: 0,
                 started: ctx.now(),
             },
@@ -819,7 +818,7 @@ mod tests {
             phase: VisitPhase::FetchingPieces,
             peers: Vec::new(),
             manifest: Some(SealedManifest::seal(bundle.signed.clone())),
-            got: HashMap::new(),
+            got: FastMap::default(),
             ticks: 0,
             started: sim.now(),
         };

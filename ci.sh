@@ -85,6 +85,9 @@ step "one hasher: std's HashMap, HashSet and RandomState are named under crates/
 # in every process. `if`, not `!`: errexit ignores a negated command.
 if grep -rnwE --include='*.rs' 'HashMap|HashSet|RandomState' crates/*/src | grep -v '^crates/sim/src/hash\.rs:'; then exit 1; fi
 
+step "one Knuth loop: exp(-mean) is computed only by agora-sim's Poisson, once per sampler (DESIGN.md §10)"
+if grep -rnF --include='*.rs' '(-mean).exp()' crates/*/src | grep -v '^crates/sim/src/rng\.rs:'; then exit 1; fi
+
 step "baseline diff: the full matrix must match BENCH_harness.json exactly"
 ./target/release/agora-harness
 

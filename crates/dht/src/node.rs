@@ -348,8 +348,8 @@ impl DhtNode {
         let shortlist = self
             .table
             .nearest(&target, self.cfg.k)
-            .into_iter()
-            .map(|(dist, contact)| Candidate {
+            .iter()
+            .map(|&(dist, contact)| Candidate {
                 dist,
                 contact,
                 state: PeerState::Unqueried,

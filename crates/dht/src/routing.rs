@@ -1,7 +1,7 @@
 //! Kademlia routing table: 256 XOR-distance buckets of `k` contacts each.
 
 use agora_crypto::Hash256;
-use agora_sim::NodeId;
+use agora_sim::{FastMap, NodeId};
 
 /// A DHT contact: overlay key plus transport address.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,6 +47,10 @@ pub struct RoutingTable {
     /// Every non-empty bucket's index lies in this range (it may also hold
     /// empty ones, after removals).
     occupied: std::ops::Range<usize>,
+    /// Every [`RoutingTable::nearest`] answer given since the contact set
+    /// last changed, by `(target, n)`. An answer is a function of the
+    /// contact set alone, so only an insert or a removal clears it.
+    answers: FastMap<(Hash256, usize), Vec<(Distance, Contact)>>,
 }
 
 impl RoutingTable {
@@ -58,6 +62,7 @@ impl RoutingTable {
             buckets: vec![Vec::new(); 256],
             len: 0,
             occupied: 0..0,
+            answers: FastMap::default(),
         }
     }
 
@@ -91,6 +96,7 @@ impl RoutingTable {
             } else {
                 self.occupied.start.min(idx)..self.occupied.end.max(idx + 1)
             };
+            self.answers.clear();
         }
     }
 
@@ -100,44 +106,50 @@ impl RoutingTable {
             let bucket = &mut self.buckets[idx];
             let before = bucket.len();
             bucket.retain(|c| &c.key != key);
-            self.len -= before - bucket.len();
+            if bucket.len() < before {
+                self.len -= before - bucket.len();
+                self.answers.clear();
+            }
         }
     }
 
     /// The `n` known contacts closest to `target` (by XOR distance).
-    pub fn closest(&self, target: &Hash256, n: usize) -> Vec<Contact> {
-        self.nearest(target, n)
-            .into_iter()
-            .map(|(_, c)| c)
-            .collect()
+    pub fn closest(&mut self, target: &Hash256, n: usize) -> Vec<Contact> {
+        self.nearest(target, n).iter().map(|&(_, c)| c).collect()
     }
 
     /// [`RoutingTable::closest`] with each contact's distance to `target`.
     ///
-    /// One pass computes every contact's distance into a buffer, a
-    /// selection moves the `n` smallest to its front, and only those are
-    /// sorted. Distances to a fixed target are unique for distinct keys (XOR
-    /// is a bijection), so the result is identical to sorting everything,
-    /// whatever order the buckets hold — locked down by
-    /// `closest_matches_full_sort_reference` below.
-    pub(crate) fn nearest(&self, target: &Hash256, n: usize) -> Vec<(Distance, Contact)> {
+    /// A question asked before, with no insert or removal since, gets the
+    /// answer it got then. Otherwise one pass computes every contact's
+    /// distance into a buffer, a selection moves the `n` smallest to its
+    /// front, and only those are sorted. Distances to a fixed target are
+    /// unique for distinct keys (XOR is a bijection), so the result is
+    /// identical to sorting everything, whatever order the buckets hold —
+    /// locked down by `closest_matches_full_sort_reference` below, and the
+    /// memo by `the_answer_memo_is_invisible`.
+    pub(crate) fn nearest(&mut self, target: &Hash256, n: usize) -> &[(Distance, Contact)] {
         let n = n.min(self.len);
         if n == 0 {
-            return Vec::new();
+            return &[];
         }
-        let mut all: Vec<(Distance, Contact)> = Vec::with_capacity(self.len);
-        all.extend(
-            self.buckets[self.occupied.clone()]
-                .iter()
-                .flatten()
-                .map(|c| (Distance::between(&c.key, target), *c)),
-        );
-        if n < all.len() {
-            all.select_nth_unstable_by_key(n - 1, |e| e.0);
-            all.truncate(n);
-        }
-        all.sort_unstable_by_key(|e| e.0);
-        all
+        let (buckets, occupied, len) = (&self.buckets, self.occupied.clone(), self.len);
+        self.answers.entry((*target, n)).or_insert_with(|| {
+            let mut all: Vec<(Distance, Contact)> = Vec::with_capacity(len);
+            all.extend(
+                buckets[occupied]
+                    .iter()
+                    .flatten()
+                    .map(|c| (Distance::between(&c.key, target), *c)),
+            );
+            if n < all.len() {
+                all.select_nth_unstable_by_key(n - 1, |e| e.0);
+                all.truncate(n);
+                all.shrink_to_fit();
+            }
+            all.sort_unstable_by_key(|e| e.0);
+            all
+        })
     }
 
     /// Total contacts stored.
@@ -257,7 +269,7 @@ mod tests {
     }
 
     /// `closest(target, n)` for every `n` from 0 past the table size.
-    fn every_closest(t: &RoutingTable, target: &Hash256) -> Vec<Vec<Contact>> {
+    fn every_closest(t: &mut RoutingTable, target: &Hash256) -> Vec<Vec<Contact>> {
         (0..=t.len() + 1).map(|n| t.closest(target, n)).collect()
     }
 
@@ -280,7 +292,7 @@ mod tests {
                 }
                 let want: Vec<_> = targets
                     .iter()
-                    .map(|t| every_closest(&reference, t))
+                    .map(|t| every_closest(&mut reference, t))
                     .collect();
                 // Each contact once in set order, then 1–3 repeats of each
                 // at random later positions (and, when nothing can fill,
@@ -302,7 +314,7 @@ mod tests {
                 }
                 assert_eq!(t.len(), reference.len(), "case {case} k {k}");
                 for (target, want) in targets.iter().zip(&want) {
-                    assert_eq!(&every_closest(&t, target), want, "case {case} k {k}");
+                    assert_eq!(&every_closest(&mut t, target), want, "case {case} k {k}");
                 }
             }
         }
@@ -310,7 +322,7 @@ mod tests {
 
     #[test]
     fn closest_on_empty_table() {
-        let t = RoutingTable::new(sha256(b"me"), 20);
+        let mut t = RoutingTable::new(sha256(b"me"), 20);
         assert!(t.closest(&sha256(b"x"), 3).is_empty());
     }
 
@@ -330,6 +342,13 @@ mod tests {
         let bit = 1u8 << (bucket % 8);
         d[top] = (d[top] & (bit - 1)) | bit;
         own.xor(&Hash256(d))
+    }
+
+    /// What the table holds, sorted by distance to `target`.
+    fn full_sort(t: &RoutingTable, target: &Hash256) -> Vec<Contact> {
+        let mut all: Vec<Contact> = t.buckets.iter().flatten().copied().collect();
+        all.sort_by_key(|c| c.key.xor(target));
+        all
     }
 
     #[test]
@@ -358,13 +377,12 @@ mod tests {
             }
         }
         assert_eq!(fleet.len(), 251 * k + 31, "every bucket full");
-        for t in [&grown, &fleet] {
+        for t in [&mut grown, &mut fleet] {
             let stored = t.len();
             let mut targets = vec![sha256(b"t1"), sha256(b"t2"), own, contact(7).key];
             targets.extend((0..4).map(|_| Hash256(rng.bytes32())));
             for target in targets {
-                let mut reference: Vec<Contact> = t.buckets.iter().flatten().copied().collect();
-                reference.sort_by_key(|c| c.key.xor(&target));
+                let reference = full_sort(t, &target);
                 for n in [
                     0,
                     1,
@@ -405,8 +423,7 @@ mod tests {
             } else {
                 t.remove(&c.key);
             }
-            let mut reference: Vec<Contact> = t.buckets.iter().flatten().copied().collect();
-            reference.sort_by_key(|c| c.key.xor(&target));
+            let reference = full_sort(&t, &target);
             assert_eq!(t.len(), reference.len(), "step {step}");
             assert_eq!(t.is_empty(), reference.is_empty());
             for n in 0..=reference.len() + 1 {
@@ -420,6 +437,76 @@ mod tests {
         assert!(t.is_empty() && t.closest(&target, 8).is_empty());
         t.observe(contact(9));
         assert_eq!(t.closest(&target, 8), vec![contact(9)]);
+    }
+
+    #[test]
+    fn the_answer_memo_is_invisible() {
+        // Seeded interleavings of every mutation — a new contact, a known
+        // one, one a full bucket drops, a held and an absent removal — with
+        // questions about a few targets asked over and over: every answer is
+        // the full sort of what the table holds at that moment.
+        let own = sha256(b"me");
+        let pool: Vec<Contact> = (0..96).map(contact).collect();
+        let targets = [sha256(b"t1"), sha256(b"t2"), own, contact(5).key];
+        let mut rng = SimRng::new(0x6d65_6d6f);
+        // new, known, dropped by a full bucket, removed, absent
+        let mut seen = [0u32; 5];
+        for case in 0..48 {
+            let k = [1, 2, 4, 20][case % 4];
+            let mut t = RoutingTable::new(own, k);
+            for step in 0..200 {
+                let c = *rng.pick(&pool);
+                let held = t.contains(&c.key);
+                if rng.chance(0.65) {
+                    let full = t
+                        .bucket_index(&c.key)
+                        .is_some_and(|b| t.buckets[b].len() == k);
+                    seen[match (held, full) {
+                        (true, _) => 1,
+                        (false, true) => 2,
+                        (false, false) => 0,
+                    }] += 1;
+                    t.observe(c);
+                } else {
+                    seen[if held { 3 } else { 4 }] += 1;
+                    t.remove(&c.key);
+                }
+                for _ in 0..3 {
+                    let target = *rng.pick(&targets);
+                    let want = full_sort(&t, &target);
+                    let n = rng.range(1, want.len() as u64 + 2) as usize;
+                    let got = t.closest(&target, n);
+                    assert_eq!(
+                        got,
+                        want[..n.min(want.len())],
+                        "case {case} step {step} n {n}"
+                    );
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s > 100), "{seen:?}");
+
+        // The two ways a memoised answer goes stale: a newcomer that enters
+        // its top n, and the removal of a contact it holds.
+        let target = sha256(b"t1");
+        let mut t = RoutingTable::new(own, 20);
+        for c in &pool[..40] {
+            t.observe(*c);
+        }
+        let before = t.closest(&target, 3);
+        let newcomer = pool[40..]
+            .iter()
+            .find(|c| c.key.xor(&target) < before[2].key.xor(&target))
+            .copied()
+            .expect("a pool contact closer than the third");
+        t.observe(newcomer);
+        let after = t.closest(&target, 3);
+        assert!(after.contains(&newcomer), "insert into a memoised top 3");
+        assert_eq!(after, full_sort(&t, &target)[..3]);
+        t.remove(&after[1].key);
+        let last = t.closest(&target, 3);
+        assert!(!last.contains(&after[1]), "removal from a memoised top 3");
+        assert_eq!(last, full_sort(&t, &target)[..3]);
     }
 
     #[test]

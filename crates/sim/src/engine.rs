@@ -510,7 +510,8 @@ pub struct Simulation<P: Protocol> {
     hot: HotCounters,
     events: u64,
     churn_enabled: Vec<bool>,
-    started: Vec<bool>,
+    /// Nodes `0..started` have run `on_start`.
+    started: usize,
     tracer: Tracer,
     prober: Prober,
 }
@@ -568,7 +569,7 @@ impl<P: Protocol> Simulation<P> {
             hot,
             events: 0,
             churn_enabled: Vec::new(),
-            started: Vec::new(),
+            started: 0,
             tracer,
             prober,
         };
@@ -614,8 +615,10 @@ impl<P: Protocol> Simulation<P> {
         self.prober.pending = self.sched.len() as u64;
     }
 
-    /// Add a node of the given device class. Its `on_start` runs at the time
-    /// of the first `run_*` call (or immediately if the sim already ran).
+    /// Add a node of the given device class. Its `on_start` runs at the next
+    /// `run_*`, [`Simulation::with_ctx`], [`Simulation::kill`] or
+    /// [`Simulation::revive`] call — never inside `add_node`, even after
+    /// the sim has run — with nodes added together starting in index order.
     pub fn add_node(&mut self, proto: P, class: DeviceClass) -> NodeId {
         self.add_node_with_profile(proto, class.profile())
     }
@@ -626,7 +629,6 @@ impl<P: Protocol> Simulation<P> {
         self.protocols.push(proto);
         self.net.add_node(profile);
         self.churn_enabled.push(false);
-        self.started.push(false);
         id
     }
 
@@ -893,26 +895,26 @@ impl<P: Protocol> Simulation<P> {
         self.events
     }
 
+    /// Run `on_start` for every node added since the last call, in index
+    /// order. Nodes are only ever appended, so the started ones are a prefix.
     fn ensure_started(&mut self) {
-        for i in 0..self.protocols.len() {
-            if !self.started[i] {
-                self.started[i] = true;
-                let id = NodeId(i as u32);
-                // `on_start` runs outside any event handler.
-                self.tracer.cur = 0;
-                let mut ctx = Ctx {
-                    now: self.time,
-                    id,
-                    net: &mut self.net,
-                    sched: &mut self.sched,
-                    rng: &mut self.rng,
-                    metrics: &mut self.metrics,
-                    hot: self.hot,
-                    tracer: &mut self.tracer,
-                    prober: &mut self.prober,
-                };
-                self.protocols[i].on_start(&mut ctx);
-            }
+        while self.started < self.protocols.len() {
+            let i = self.started;
+            self.started += 1;
+            // `on_start` runs outside any event handler.
+            self.tracer.cur = 0;
+            let mut ctx = Ctx {
+                now: self.time,
+                id: NodeId(i as u32),
+                net: &mut self.net,
+                sched: &mut self.sched,
+                rng: &mut self.rng,
+                metrics: &mut self.metrics,
+                hot: self.hot,
+                tracer: &mut self.tracer,
+                prober: &mut self.prober,
+            };
+            self.protocols[i].on_start(&mut ctx);
         }
     }
 
@@ -1721,6 +1723,78 @@ mod tests {
                 })
                 .expect("receiver-down drop recorded");
             assert_ne!(down_drop.key, 0, "delivery event existed");
+        }
+
+        /// Marks its start in the trace and keeps a timer going, so there
+        /// is always a dispatched event to be (wrongly) parented to.
+        struct Starter;
+
+        impl Protocol for Starter {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                ctx.trace_point("test.start", f64::from(ctx.id().0));
+                ctx.set_timer(SimDuration::from_millis(300), 0);
+            }
+            fn on_message(&mut self, _ctx: &mut Ctx<'_, ()>, _from: NodeId, _msg: ()) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _tag: u64) {
+                ctx.set_timer(SimDuration::from_millis(300), 0);
+            }
+        }
+
+        #[test]
+        fn nodes_added_after_a_run_start_once_in_order_at_the_next_call() {
+            let rec = SharedRecorder::new(4096);
+            let mut sim: Simulation<Starter> = Simulation::new(3);
+            sim.set_trace_sink(Box::new(rec.clone()));
+            let starts = || -> Vec<(u32, SimTime, u128)> {
+                rec.snapshot()
+                    .events()
+                    .filter(|e| {
+                        matches!(
+                            e.kind,
+                            TraceKind::Point {
+                                name: "test.start",
+                                ..
+                            }
+                        )
+                    })
+                    .map(|e| (e.node.0, e.at, e.parent))
+                    .collect()
+            };
+            let add = |sim: &mut Simulation<Starter>, n: usize| {
+                for _ in 0..n {
+                    sim.add_node(Starter, DeviceClass::PersonalComputer);
+                }
+            };
+            add(&mut sim, 2);
+            sim.run_for(SimDuration::from_secs(1));
+            for (round, what) in ["with_ctx", "kill", "revive", "run_for"]
+                .into_iter()
+                .enumerate()
+            {
+                let before = starts();
+                let first = sim.node_count() as u32;
+                add(&mut sim, round + 1);
+                assert_eq!(starts(), before, "{what}: add_node starts nothing");
+                let now = sim.now();
+                match what {
+                    "with_ctx" => {
+                        sim.with_ctx(NodeId(0), |_, _| ());
+                    }
+                    "kill" => sim.kill(NodeId(1)),
+                    "revive" => sim.revive(NodeId(1)),
+                    _ => sim.run_for(SimDuration::from_secs(1)),
+                }
+                // One more of each call: nothing starts twice.
+                sim.with_ctx(NodeId(0), |_, _| ());
+                sim.run_for(SimDuration::from_secs(1));
+                let new: Vec<_> = starts()[before.len()..].to_vec();
+                let want: Vec<_> = (first..sim.node_count() as u32)
+                    .map(|i| (i, now, 0))
+                    .collect();
+                assert_eq!(new, want, "{what}");
+            }
+            assert_eq!(starts().len(), sim.node_count());
         }
 
         #[test]

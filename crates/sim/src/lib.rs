@@ -81,7 +81,7 @@ pub use metrics::{CounterHandle, Histogram, Metrics, P2Quantile};
 pub use net::Network;
 pub use probe::{with_thread_probe, ProbeAnomaly, ProbeFrame, ProbeSink, PROBE_SIM_NODE};
 pub use retry::{Retrier, RetryPolicy};
-pub use rng::{Bernoulli, SimRng, ZipfTable};
+pub use rng::{Bernoulli, Poisson, SimRng, ZipfTable};
 pub use time::{SimDuration, SimTime};
 
 // One-shard shim. The engine is serial (DESIGN.md §15); the frozen

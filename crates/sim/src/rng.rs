@@ -131,25 +131,10 @@ impl SimRng {
     }
 
     /// Poisson-distributed count with the given mean (Knuth's algorithm;
-    /// fine for the small means the simulator uses).
+    /// fine for the small means the simulator uses). A loop drawing many
+    /// counts at one mean builds its [`Poisson`] once.
     pub fn poisson(&mut self, mean: f64) -> u64 {
-        if mean <= 0.0 {
-            return 0;
-        }
-        let limit = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.f64();
-            if p <= limit {
-                return k;
-            }
-            k += 1;
-            // Guard against pathological means.
-            if k > 10_000_000 {
-                return k;
-            }
-        }
+        Poisson::new(mean).sample(self)
     }
 
     /// Zipf-distributed rank in `[0, n)` with exponent `s`, via inverse-CDF
@@ -251,6 +236,49 @@ impl Bernoulli {
             Trial::Never => false,
             Trial::Always => true,
             Trial::Below(threshold) => (rng.next_u64() >> 11) < threshold,
+        }
+    }
+}
+
+/// [`SimRng::poisson`] for one fixed mean, with `exp(-mean)` computed once:
+/// for loops that draw many counts at the same mean. It is the only Knuth
+/// loop, so it is draw-for-draw `poisson(mean)`. `mean ≤ 0` draws nothing
+/// and counts 0; a NaN mean runs to the guard, as `poisson` always has.
+#[derive(Clone, Copy, Debug)]
+pub struct Poisson {
+    /// `exp(-mean)`; `None` for `mean ≤ 0`.
+    limit: Option<f64>,
+}
+
+impl Poisson {
+    /// The sampler `poisson(mean)` uses.
+    pub fn new(mean: f64) -> Poisson {
+        Poisson {
+            limit: if mean <= 0.0 {
+                None
+            } else {
+                Some((-mean).exp())
+            },
+        }
+    }
+
+    /// One count: multiply uniforms until the product falls to `exp(-mean)`.
+    pub fn sample(self, rng: &mut SimRng) -> u64 {
+        let Some(limit) = self.limit else {
+            return 0;
+        };
+        let mut k = 0u64;
+        let mut p = 1.0;
+        loop {
+            p *= rng.f64();
+            if p <= limit {
+                return k;
+            }
+            k += 1;
+            // Guard against pathological means.
+            if k > 10_000_000 {
+                return k;
+            }
         }
     }
 }
@@ -428,6 +456,49 @@ mod tests {
                 assert_eq!(trial.sample(&mut a), b.chance(p), "p {p:e}");
             }
             assert_eq!(a.next_u64(), b.next_u64(), "p {p:e}");
+        }
+    }
+
+    #[test]
+    fn poisson_is_poisson_draw_for_draw() {
+        // The Knuth loop as `SimRng::poisson` wrote it out before the
+        // threshold moved into `Poisson`: `exp(-mean)` on every call.
+        fn knuth(rng: &mut SimRng, mean: f64) -> u64 {
+            if mean <= 0.0 {
+                return 0;
+            }
+            let limit = (-mean).exp();
+            let mut k = 0u64;
+            let mut p = 1.0;
+            loop {
+                p *= rng.f64();
+                if p <= limit {
+                    return k;
+                }
+                k += 1;
+                if k > 10_000_000 {
+                    return k;
+                }
+            }
+        }
+        let mut seeded = SimRng::new(59);
+        let means = [0.0, -0.0, -3.0, 1e-300, 1e-9, 0.37, 4.0, 63.999, 64.0, 1e6]
+            .into_iter()
+            .chain((0..200).map(|_| seeded.f64() * 80.0));
+        for (nth, mean) in means.enumerate() {
+            let sampler = Poisson::new(mean);
+            let mut a = SimRng::new(nth as u64);
+            let mut b = a.clone();
+            let mut c = a.clone();
+            let draws = if nth < 10 { 2_000 } else { 50 };
+            for _ in 0..draws {
+                let want = knuth(&mut b, mean);
+                assert_eq!(sampler.sample(&mut a), want, "mean {mean:e}");
+                assert_eq!(c.poisson(mean), want, "mean {mean:e}");
+            }
+            let next = b.next_u64();
+            assert_eq!(a.next_u64(), next, "mean {mean:e}");
+            assert_eq!(c.next_u64(), next, "mean {mean:e}");
         }
     }
 

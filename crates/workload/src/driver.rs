@@ -33,7 +33,7 @@ use std::iter::Peekable;
 use agora_sim::{CounterHandle, NodeId, Protocol, SimDuration, SimRng, SimTime, Simulation};
 
 use crate::arrivals::DemandModel;
-use crate::samplers::{poisson_scaled, BoundedPareto, LogNormalSessions, ZipfAlias};
+use crate::samplers::{BoundedPareto, LogNormalSessions, PoissonScaled, ZipfAlias};
 
 /// Diurnal churn targets: what fraction of the churnable node set is
 /// offline when activity is at its daily peak vs its trough. Victims are
@@ -281,6 +281,7 @@ impl WorkloadSpec {
             cohorts,
             next_tick: 0,
             ready: Vec::new(),
+            later: Vec::new(),
             carried: Vec::new(),
         }
     }
@@ -305,6 +306,13 @@ fn tick_secs(k: u64, tick_us: u64, horizon_us: u64) -> (f64, f64) {
 /// exactly `(k+1)·tick`: it belongs among tick `k+1`'s events, ahead of its
 /// own cohort's (an earlier tick of the same cohort) and behind every
 /// lower cohort's, and is carried there.
+///
+/// Most of a tick needs no sorting: the cohort summaries, the churn, the
+/// carried representatives and any edge or representative that lands on
+/// the tick's first instant `t0` are all at `t0`, and generated in order.
+/// So that block is yielded as generated, and only the events after `t0`
+/// are stable-sorted, to be yielded after it — the same order as sorting
+/// the whole tick.
 pub struct ScheduleStream<'a> {
     spec: &'a WorkloadSpec,
     zipf: ZipfAlias,
@@ -323,8 +331,11 @@ pub struct ScheduleStream<'a> {
     /// One stream and user count per populated cohort, in cohort order.
     cohorts: Vec<(SimRng, u64)>,
     next_tick: u64,
-    /// The current tick's events, last first.
+    /// The current tick's events at its first instant `t0`, last first.
     ready: Vec<WorkloadEvent>,
+    /// The current tick's events after `t0`, last first; yielded once
+    /// `ready` is empty.
+    later: Vec<WorkloadEvent>,
     /// Representatives carried into the next tick, in cohort order.
     carried: Vec<(SimDuration, Demand)>,
 }
@@ -352,7 +363,7 @@ impl ScheduleStream<'_> {
         (self.ticks as f64 * n + reps + 4.0 * reps.sqrt()) as usize + edges
     }
 
-    /// Generate tick `self.next_tick` into `self.ready`.
+    /// Generate tick `self.next_tick` into `self.ready` and `self.later`.
     fn fill(&mut self) {
         let spec = self.spec;
         let k = self.next_tick;
@@ -366,35 +377,34 @@ impl ScheduleStream<'_> {
         };
         let (t0, t1) = tick_secs(k, self.tick_us, self.horizon_us);
         let (tick_mean, bound) = self.tick_rates[k as usize];
-        let out = &mut self.ready;
+        // The tick's events in generation order: those at `t0` into
+        // `ready`, the later ones into `later`.
+        let (ready, later) = (&mut self.ready, &mut self.later);
+        let mut push = |at: SimDuration, action: WorkloadAction| {
+            let event = WorkloadEvent { at, action };
+            if at.micros() == t0_us {
+                ready.push(event);
+            } else {
+                later.push(event);
+            }
+        };
 
         for &(at, on) in &self.flash_edges {
             if at.micros() / self.tick_us == k {
-                out.push(WorkloadEvent {
-                    at,
-                    action: WorkloadAction::FlashEdge { on },
-                });
+                push(at, WorkloadAction::FlashEdge { on });
             }
         }
         if let Some(&target) = self.offline_targets.get(k as usize) {
             let at = SimDuration(t0_us);
             if target > self.down {
-                out.push(WorkloadEvent {
-                    at,
-                    action: WorkloadAction::Kill {
-                        victims: self.order[self.down..target].to_vec(),
-                    },
-                });
+                let victims = self.order[self.down..target].to_vec();
+                push(at, WorkloadAction::Kill { victims });
             } else if target < self.down {
                 // Offline set is always a prefix of `order`, so reviving
                 // the suffix restores exactly the most recently killed
                 // nodes.
-                out.push(WorkloadEvent {
-                    at,
-                    action: WorkloadAction::Revive {
-                        victims: self.order[target..self.down].to_vec(),
-                    },
-                });
+                let victims = self.order[target..self.down].to_vec();
+                push(at, WorkloadAction::Revive { victims });
             }
             self.down = target;
         }
@@ -402,24 +412,29 @@ impl ScheduleStream<'_> {
         let rate_per_sec = spec.actions_per_user_day / crate::arrivals::DAY_SECS;
         let rep_cap = spec.rep_cap.max(1) as u64;
         let mut incoming = std::mem::take(&mut self.carried).into_iter().peekable();
+        // Cohorts hold `base + 1` users, then `base`: one sampler for each
+        // user count, built when the count first changes.
+        let mut sampler: Option<(u64, PoissonScaled)> = None;
         for (c, (rng, users)) in self.cohorts.iter_mut().enumerate() {
             let c = c as u32;
             while let Some((at, d)) = incoming.next_if(|(_, d)| d.cohort == c) {
-                out.push(WorkloadEvent {
-                    at,
-                    action: WorkloadAction::Demand(d),
-                });
+                debug_assert_eq!(at.micros(), t0_us, "carried off the tick start");
+                push(at, WorkloadAction::Demand(d));
             }
-            let mean = *users as f64 * rate_per_sec * (t1 - t0) * tick_mean;
-            let count = poisson_scaled(rng, mean);
-            out.push(WorkloadEvent {
-                at: SimDuration(t0_us),
-                action: WorkloadAction::Tick {
-                    tick: k as u32,
-                    cohort: c,
-                    count,
-                },
-            });
+            let count = match sampler {
+                Some((n, s)) if n == *users => s,
+                _ => {
+                    let mean = *users as f64 * rate_per_sec * (t1 - t0) * tick_mean;
+                    sampler.insert((*users, PoissonScaled::new(mean))).1
+                }
+            }
+            .sample(rng);
+            let tick = WorkloadAction::Tick {
+                tick: k as u32,
+                cohort: c,
+                count,
+            };
+            push(SimDuration(t0_us), tick);
             if count == 0 {
                 continue;
             }
@@ -444,21 +459,21 @@ impl ScheduleStream<'_> {
                     session: spec.sessions.sample(rng),
                 };
                 let at = SimDuration::from_secs_f64(offset);
+                debug_assert!(at.micros() >= t0_us, "placed before its tick");
                 if at.micros() >= carry_from {
                     self.carried.push((at, demand));
                 } else {
-                    out.push(WorkloadEvent {
-                        at,
-                        action: WorkloadAction::Demand(demand),
-                    });
+                    push(at, WorkloadAction::Demand(demand));
                 }
             }
         }
         debug_assert!(incoming.next().is_none(), "carried past its cohort");
 
-        // Stable: equal instants keep the generation order laid out above.
-        out.sort_by_key(|e| e.at);
-        out.reverse();
+        // The whole tick stable-sorted by instant is the `t0` block, already
+        // in generation order, then the rest stable-sorted.
+        self.later.sort_by_key(|e| e.at);
+        self.later.reverse();
+        self.ready.reverse();
     }
 }
 
@@ -467,7 +482,7 @@ impl Iterator for ScheduleStream<'_> {
 
     fn next(&mut self) -> Option<WorkloadEvent> {
         loop {
-            if let Some(e) = self.ready.pop() {
+            if let Some(e) = self.ready.pop().or_else(|| self.later.pop()) {
                 return Some(e);
             }
             if self.next_tick == self.ticks {
@@ -624,6 +639,7 @@ impl<I: Iterator<Item = WorkloadEvent>> WorkloadDriver<I> {
 mod tests {
     use super::*;
     use crate::arrivals::{DiurnalCurve, FlashCrowd, ZoneMix};
+    use crate::samplers::poisson_scaled;
     use agora_sim::{Ctx, DeviceClass};
 
     fn spec(population: u64, cohorts: u32) -> WorkloadSpec {
@@ -803,6 +819,163 @@ mod tests {
         assert_eq!(got.len(), expected.len());
         for (g, e) in got.iter().zip(&expected) {
             assert_eq!(g, e);
+        }
+    }
+
+    /// The stream before the `t0` block and the per-tick sampler: each tick
+    /// laid out in generation order, drawn through `poisson_scaled` per
+    /// cohort, and stable-sorted whole. The oracle `fill` must match.
+    fn whole_tick_sorted(mut s: ScheduleStream<'_>) -> Vec<WorkloadEvent> {
+        let spec = s.spec;
+        let rate_per_sec = spec.actions_per_user_day / crate::arrivals::DAY_SECS;
+        let rep_cap = spec.rep_cap.max(1) as u64;
+        let mut all = Vec::new();
+        for k in 0..s.ticks {
+            let t0_us = k * s.tick_us;
+            let carry_from = if k + 1 < s.ticks {
+                t0_us + s.tick_us
+            } else {
+                u64::MAX
+            };
+            let (t0, t1) = tick_secs(k, s.tick_us, s.horizon_us);
+            let (tick_mean, bound) = s.tick_rates[k as usize];
+            let mut out = Vec::new();
+            for &(at, on) in &s.flash_edges {
+                if at.micros() / s.tick_us == k {
+                    out.push(WorkloadEvent {
+                        at,
+                        action: WorkloadAction::FlashEdge { on },
+                    });
+                }
+            }
+            if let Some(&target) = s.offline_targets.get(k as usize) {
+                let at = SimDuration(t0_us);
+                if target > s.down {
+                    let victims = s.order[s.down..target].to_vec();
+                    out.push(WorkloadEvent {
+                        at,
+                        action: WorkloadAction::Kill { victims },
+                    });
+                } else if target < s.down {
+                    let victims = s.order[target..s.down].to_vec();
+                    out.push(WorkloadEvent {
+                        at,
+                        action: WorkloadAction::Revive { victims },
+                    });
+                }
+                s.down = target;
+            }
+            let mut incoming = std::mem::take(&mut s.carried).into_iter().peekable();
+            for (c, (rng, users)) in s.cohorts.iter_mut().enumerate() {
+                let c = c as u32;
+                while let Some((at, d)) = incoming.next_if(|(_, d)| d.cohort == c) {
+                    out.push(WorkloadEvent {
+                        at,
+                        action: WorkloadAction::Demand(d),
+                    });
+                }
+                let mean = *users as f64 * rate_per_sec * (t1 - t0) * tick_mean;
+                let count = poisson_scaled(rng, mean);
+                out.push(WorkloadEvent {
+                    at: SimDuration(t0_us),
+                    action: WorkloadAction::Tick {
+                        tick: k as u32,
+                        cohort: c,
+                        count,
+                    },
+                });
+                let reps = count.min(rep_cap);
+                for _ in 0..reps {
+                    let mut offset = (t0 + t1) / 2.0;
+                    for _ in 0..64 {
+                        let cand = t0 + rng.f64() * (t1 - t0);
+                        if rng.f64() * bound <= spec.model.multiplier(cand) {
+                            offset = cand;
+                            break;
+                        }
+                    }
+                    let demand = Demand {
+                        cohort: c,
+                        rank: s.zipf.sample(rng) as u32,
+                        bytes: spec.sizes.sample(rng),
+                        weight: count as f64 / reps as f64,
+                        session: spec.sessions.sample(rng),
+                    };
+                    let at = SimDuration::from_secs_f64(offset);
+                    if at.micros() >= carry_from {
+                        s.carried.push((at, demand));
+                    } else {
+                        out.push(WorkloadEvent {
+                            at,
+                            action: WorkloadAction::Demand(demand),
+                        });
+                    }
+                }
+            }
+            out.sort_by_key(|e| e.at);
+            all.extend(out);
+        }
+        all
+    }
+
+    #[test]
+    fn the_stream_is_the_whole_tick_sort_it_replaced() {
+        // 3 µs ticks, so a sixth of all representatives round onto the next
+        // tick's first instant and are carried; a flash crowd whose onset
+        // is a tick boundary and whose end falls inside a tick; churn that
+        // follows it; means on both sides of the normal cutover, and (at 8
+        // cohorts of 20 users) two user counts per tick.
+        let mut s = spec(20, 1);
+        s.actions_per_user_day = 1e12;
+        s.tick = SimDuration(3);
+        s.rep_cap = 4;
+        s.model.flash = Some(FlashCrowd {
+            start: SimDuration(30),
+            ramp: SimDuration(4),
+            plateau: SimDuration(6),
+            decay: SimDuration(4),
+            peak: 8.0,
+        });
+        let horizon = SimDuration(120);
+        let churnable = ids(12);
+        let render = |e: &WorkloadEvent| format!("{:?} {:?}", e.at.micros(), e.action);
+        for cohorts in [1, 8, 20] {
+            s.cohorts = cohorts;
+            for seed in 0..4 {
+                let got: Vec<String> = s
+                    .stream(seed, &churnable, horizon)
+                    .map(|e| render(&e))
+                    .collect();
+                let oracle = whole_tick_sorted(s.stream(seed, &churnable, horizon));
+                let want: Vec<String> = oracle.iter().map(render).collect();
+                assert_eq!(got, want, "cohorts {cohorts} seed {seed}");
+
+                // The case is what it claims to be.
+                let edges: Vec<u64> = oracle
+                    .iter()
+                    .filter(|e| matches!(e.action, WorkloadAction::FlashEdge { .. }))
+                    .map(|e| e.at.micros())
+                    .collect();
+                assert_eq!(edges, [30, 44]);
+                assert!(oracle
+                    .iter()
+                    .any(|e| matches!(e.action, WorkloadAction::Kill { .. })));
+                let mut summarized: Vec<(u32, u32)> = Vec::new();
+                let mut carried = 0;
+                for e in &oracle {
+                    match &e.action {
+                        WorkloadAction::Tick { tick, cohort, .. } => {
+                            summarized.push((*cohort, *tick))
+                        }
+                        WorkloadAction::Demand(d) if e.at.micros() % 3 == 0 => {
+                            let landed_in = (e.at.micros() / 3) as u32;
+                            carried += usize::from(!summarized.contains(&(d.cohort, landed_in)));
+                        }
+                        _ => {}
+                    }
+                }
+                assert!(carried > 10, "cohorts {cohorts}: {carried} carried");
+            }
         }
     }
 

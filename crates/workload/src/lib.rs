@@ -41,5 +41,6 @@ pub use driver::{
 };
 pub use load::{CommLoad, StorageLoad};
 pub use samplers::{
-    poisson_scaled, AliasTable, BoundedPareto, LogNormalSessions, ZipfAlias, NORMAL_CUTOVER,
+    poisson_scaled, AliasTable, BoundedPareto, LogNormalSessions, PoissonScaled, ZipfAlias,
+    NORMAL_CUTOVER,
 };

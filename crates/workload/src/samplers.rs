@@ -5,7 +5,7 @@
 //! simulator's reproducibility contract: same seed, same demand, on every
 //! platform and at every harness thread count.
 
-use agora_sim::{SimDuration, SimRng};
+use agora_sim::{Poisson, SimDuration, SimRng};
 
 /// Walker/Vose alias table: O(n) to build, O(1) per draw from an arbitrary
 /// discrete distribution. This is the hot-loop replacement for
@@ -210,13 +210,43 @@ pub const NORMAL_CUTOVER: f64 = 64.0;
 /// within O(1/√m) total-variation distance of its normal approximation,
 /// which is the cohort aggregation error bound documented in DESIGN.md §13.
 pub fn poisson_scaled(rng: &mut SimRng, mean: f64) -> u64 {
-    if mean <= 0.0 {
-        return 0;
+    PoissonScaled::new(mean).sample(rng)
+}
+
+/// [`poisson_scaled`] for one fixed mean, with the per-mean float work
+/// (`exp(-mean)` below the cutover, `√mean` above it) done once:
+/// `poisson_scaled(rng, mean)` is `PoissonScaled::new(mean).sample(rng)`.
+#[derive(Clone, Copy, Debug)]
+pub struct PoissonScaled(Scaled);
+
+#[derive(Clone, Copy, Debug)]
+enum Scaled {
+    /// Below [`NORMAL_CUTOVER`], `mean ≤ 0` included: Knuth.
+    Knuth(Poisson),
+    /// From the cutover up: `N(mean, sd)` rounded and clamped at zero.
+    Normal { mean: f64, sd: f64 },
+}
+
+impl PoissonScaled {
+    /// The sampler `poisson_scaled(_, mean)` uses.
+    pub fn new(mean: f64) -> PoissonScaled {
+        PoissonScaled(if mean < NORMAL_CUTOVER {
+            Scaled::Knuth(Poisson::new(mean))
+        } else {
+            Scaled::Normal {
+                mean,
+                sd: mean.sqrt(),
+            }
+        })
     }
-    if mean < NORMAL_CUTOVER {
-        rng.poisson(mean)
-    } else {
-        rng.normal(mean, mean.sqrt()).round().max(0.0) as u64
+
+    /// One count: what `poisson_scaled(rng, mean)` returns, leaving `rng`
+    /// where it does.
+    pub fn sample(self, rng: &mut SimRng) -> u64 {
+        match self.0 {
+            Scaled::Knuth(p) => p.sample(rng),
+            Scaled::Normal { mean, sd } => rng.normal(mean, sd).round().max(0.0) as u64,
+        }
     }
 }
 
@@ -343,6 +373,33 @@ mod tests {
         }
         assert_eq!(poisson_scaled(&mut rng, 0.0), 0);
         assert_eq!(poisson_scaled(&mut rng, -3.0), 0);
+    }
+
+    #[test]
+    fn poisson_scaled_is_the_branch_it_replaced_draw_for_draw() {
+        // `poisson_scaled` as it read before the sampler was built once.
+        fn branch(rng: &mut SimRng, mean: f64) -> u64 {
+            if mean <= 0.0 {
+                return 0;
+            }
+            if mean < NORMAL_CUTOVER {
+                rng.poisson(mean)
+            } else {
+                rng.normal(mean, mean.sqrt()).round().max(0.0) as u64
+            }
+        }
+        for (nth, &mean) in [-1.0, 0.0, 1e-12, 3.5, 63.999, 64.0, 1e3, 1e6, f64::NAN]
+            .iter()
+            .enumerate()
+        {
+            let sampler = PoissonScaled::new(mean);
+            let mut a = SimRng::new(nth as u64);
+            let mut b = a.clone();
+            for _ in 0..500 {
+                assert_eq!(sampler.sample(&mut a), branch(&mut b, mean), "mean {mean}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "mean {mean}");
+        }
     }
 
     #[test]

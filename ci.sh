@@ -42,10 +42,6 @@ done
 # Which SHA-256 path every test and smoke in this log ran on.
 cargo test -q -p agora-crypto backend_is_named -- --nocapture | grep '^sha256 backend: '
 
-step "audit digests are computed when issued: the batched precompute and its kernels stay deleted (DESIGN.md §10)"
-# `if`, not `!`: errexit ignores a negated command.
-if grep -rnE --exclude-dir=target 'sha256_prefixes|PrefixLanes|LaneState|Quad|por_make_audits' crates; then exit 1; fi
-
 step "cargo test --release (crates whose arithmetic or unsafe code the SHA backends touch)"
 cargo test -q --release -p agora-crypto -p agora-chain -p agora-storage
 
@@ -55,38 +51,57 @@ cargo fmt --check
 step "cargo clippy --all-targets --release -- -D warnings -D clippy::perf"
 cargo clippy --all-targets --release -- -D warnings -D clippy::perf
 
-step "one build: no cargo feature gates code under crates/, no sub-workspace (DESIGN.md §11)"
+step "one build: no cargo feature table beyond agora-sim's inert aliases, no sub-workspace (DESIGN.md §11)"
 # Tracing and the observe plane are always compiled in; what the deleted
 # feature matrix guarded (a dormant or installed sink never moves a metric)
 # is harness/src/trace.rs::registry_target_replays_matrix_trial_with_identical_metrics.
-# `if`, not `!`: errexit ignores a negated command.
-if grep -rnE --include='*.rs' --exclude-dir=target 'cfg(_attr)?\(.*feature *=' crates; then exit 1; fi
 # The one [features] table left is agora-sim's two inert aliases, there
 # because the frozen benchmark/Cargo.toml names them.
 [[ $(grep -l '^\[features\]' crates/*/Cargo.toml) == crates/sim/Cargo.toml ]]
 [[ $(grep -E '^[a-z]+ = \[' crates/sim/Cargo.toml | tr '\n' ' ') == 'trace = [] probe = [] ' ]]
 if [[ -e crates/bench ]] || grep -n '^exclude' Cargo.toml; then exit 1; fi
-# Every property suite is an always-on seeded `SimRng` test: no cfg gates a
-# test file and nothing reaches for the proptest crate (DESIGN.md §6). The
-# bracketed letters keep these patterns from matching this file.
-if grep -rnE --exclude-dir=target 'agora_prop[t]est|prop[t]est!|prop[t]est::' crates tests; then exit 1; fi
 
-step "merkle proofs carry siblings only: verify_at derives each side from (index, leaf_count) (DESIGN.md §7)"
-if grep -rnE --exclude-dir=target 'sibling_is_righ[t]|ProofSte[p]' crates tests examples; then exit 1; fi
-
-step "retry lives where an experiment retries: the dormant DHT, storage, swarm and amnesia paths stay deleted (DESIGN.md §12)"
-if grep -rnE --include='*.rs' --exclude-dir=target 'StorageNode::client_with_retry|peer_with_retry|rpc_retries|amnesia|Jitter|backoff_pre_jitter' crates; then exit 1; fi
-
-step "one timing harness: --perf keeps only rows no BENCHMARK.json metric times, and no reference kernels (DESIGN.md §10)"
-if grep -rnE --include='*.rs' --exclude-dir=target 'reference_events_per_sec|packed_events_per_sec|mining_naive|zipf_cdf_samples|zipf_reference|workload_day_throughput|policy_frames_per_sec|exact_day_to_json|perf_to_json_with|perf_to_json_scaled' crates; then exit 1; fi
-
-step "one hasher: std's HashMap, HashSet and RandomState are named under crates/*/src only by agora-sim's hash module (DESIGN.md §10)"
-# Every protocol table is a FastMap/FastSet, so iteration order is the same
-# in every process. `if`, not `!`: errexit ignores a negated command.
-if grep -rnwE --include='*.rs' 'HashMap|HashSet|RandomState' crates/*/src | grep -v '^crates/sim/src/hash\.rs:'; then exit 1; fi
-
-step "one Knuth loop: exp(-mean) is computed only by agora-sim's Poisson, once per sampler (DESIGN.md §10)"
-if grep -rnF --include='*.rs' '(-mean).exp()' crates/*/src | grep -v '^crates/sim/src/rng\.rs:'; then exit 1; fi
+# Retired names stay retired. One row per deletion: the DESIGN.md section
+# that says why, the paths searched (comma-separated, globs expand), the
+# one file allowed to match (- for none), and an extended regex that must
+# match nowhere else. Bracketed letters keep a pattern from matching this
+# file.
+STAYS_DELETED=(
+    # Audit digests are computed when issued: the batched precompute and
+    # its kernels.
+    "§10 crates - sha256_prefixes|PrefixLanes|LaneState|Quad|por_make_audits"
+    # No cargo feature gates code.
+    "§11 crates - cfg(_attr)?\(.*feature *="
+    # Every property suite is an always-on seeded SimRng test: no cfg gate,
+    # no proptest crate.
+    "§6 crates,tests - agora_prop[t]est|prop[t]est!|prop[t]est::"
+    # Merkle proofs carry siblings only: verify_at derives each side.
+    "§7 crates,tests,examples - sibling_is_righ[t]|ProofSte[p]"
+    # Retry lives where an experiment retries.
+    "§12 crates - StorageNode::client_with_retry|peer_with_retry|rpc_retries|amnesia|Jitter|backoff_pre_jitter"
+    # One timing harness: --perf keeps only rows no BENCHMARK.json metric
+    # times, and no reference kernels.
+    "§10 crates - reference_events_per_sec|packed_events_per_sec|mining_naive|zipf_cdf_samples|zipf_reference|workload_day_throughput|policy_frames_per_sec|exact_day_to_json|perf_to_json_with|perf_to_json_scaled"
+    # One hasher: every protocol table is a seedless FastMap/FastSet, so
+    # iteration order is the same in every process (comments included).
+    "§10 crates/*/src crates/sim/src/hash.rs \b(HashMap|HashSet|RandomState)\b"
+    # One Knuth loop: exp(-mean) only in agora-sim's Poisson, once per
+    # sampler.
+    "§10 crates/*/src crates/sim/src/rng.rs \(-mean\)\.exp\(\)"
+    # A contract states only what differs: state, delta and summary are
+    # OpLog and VersionVector, written once.
+    "§18 crates - type (State|Delta|Summary)\b|merge_deltas|state_as_delta|delta_from_summary|(en|de)code_(state|delta|summary)|state_ops|delta_ops|writer_seq"
+)
+step "retired names stay deleted: one grep per row"
+for row in "${STAYS_DELETED[@]}"; do
+    read -r section paths allowed pattern <<<"$row"
+    echo "  DESIGN.md $section, $paths: $pattern"
+    IFS=, read -r -a dirs <<<"$paths"
+    # Unquoted on purpose: the paths are globs. `if`, not `!`: errexit
+    # ignores a negated command.
+    # shellcheck disable=SC2068
+    if grep -rnE --exclude-dir=target "$pattern" ${dirs[@]} | grep -v "^$allowed:"; then exit 1; fi
+done
 
 step "baseline diff: the full matrix must match BENCH_harness.json exactly"
 ./target/release/agora-harness

@@ -1,15 +1,16 @@
 //! The typed-contract abstraction: a mutable application is a
-//! deterministic [`Contract`] — pure functions over associated `State`,
-//! `Delta`, and `Summary` types.
+//! deterministic [`Contract`] over one shared op-log CRDT.
 //!
 //! Freenet's contract shape, specialized to an op-log CRDT: state is the
-//! set of ops keyed by `(writer, seq)`, a delta is any subset of ops, and
-//! the summary is a version vector (per-writer max seq). Because a valid
-//! state holds a *contiguous* prefix per writer, `delta_from_summary`
-//! returns exactly the suffix the holder of that summary is missing —
-//! nothing more, nothing less — and merging is plain keyed union, which
-//! is commutative, associative, and idempotent by construction (the CRDT
-//! laws pinned by `tests/proptests.rs`).
+//! set of ops keyed by `(writer, seq)` (an [`OpLog`]), a delta is any
+//! subset of ops (an `OpLog` too), and the summary is a [`VersionVector`]
+//! (per-writer max seq). Because a valid state holds a *contiguous* prefix
+//! per writer, [`OpLog::suffix_from`] returns exactly the suffix the
+//! holder of that summary is missing — nothing more, nothing less — and
+//! merging is plain keyed union, which is commutative, associative, and
+//! idempotent by construction (the CRDT laws pinned by
+//! `tests/proptests.rs`). A contract states only what differs between
+//! apps: its op type, which ops are valid, and the op codec.
 //!
 //! Everything artifact-visible iterates `BTreeMap`s sorted by key: no
 //! hash-table iteration order can leak into encodings or metrics.
@@ -27,17 +28,17 @@ pub const FIRST_SEQ: u64 = 1;
 /// Largest accepted op payload (guestbook body or KV path+metadata).
 pub const MAX_OP_BYTES: usize = 4096;
 
-/// An op-log state or delta: ops keyed by `(writer, seq)`. The `BTreeMap`
-/// makes every iteration writer-then-seq ordered, so encodings are
-/// canonical byte-for-byte.
+/// An app's state and every delta between states: ops keyed by
+/// `(writer, seq)`. The `BTreeMap` makes every iteration writer-then-seq
+/// ordered, so encodings are canonical byte-for-byte.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct OpLog<O> {
     /// The ops, keyed by `(writer, seq)`.
     pub ops: BTreeMap<(u32, u64), O>,
 }
 
-/// A version vector: per-writer highest contiguous sequence number. The
-/// summary type of both shipped contracts.
+/// A version vector: per-writer highest contiguous sequence number, the
+/// summary of an [`OpLog`].
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct VersionVector {
     /// Highest seq per writer (absent writer == 0).
@@ -188,6 +189,39 @@ impl<O: Clone> OpLog<O> {
         }
         true
     }
+
+    /// Structural validity: would an honest node ever hold this log?
+    /// Contiguous per writer, and every op passes `valid_op`.
+    pub fn is_valid(&self, valid_op: impl Fn(&O) -> bool) -> bool {
+        self.contiguous() && self.ops.values().all(valid_op)
+    }
+
+    /// Canonical encoding: the op count, then `(writer, seq, op bytes)` in
+    /// key order, each op through `enc_op`.
+    pub fn encode(&self, enc_op: impl Fn(&O) -> Vec<u8>) -> Vec<u8> {
+        let mut e = Enc::new().u32(self.ops.len() as u32);
+        for (&(w, s), op) in &self.ops {
+            e = e.u32(w).u64(s).bytes(&enc_op(op));
+        }
+        e.done()
+    }
+
+    /// Decode an [`encode`](OpLog::encode)d log, each op through `dec_op`.
+    pub fn decode(
+        buf: &[u8],
+        dec_op: impl Fn(&[u8]) -> Result<O, DecodeError>,
+    ) -> Result<OpLog<O>, DecodeError> {
+        let mut d = Dec::new(buf);
+        let n = d.u32()?;
+        let mut ops = BTreeMap::new();
+        for _ in 0..n {
+            let w = d.u32()?;
+            let s = d.u64()?;
+            let op = dec_op(&d.bytes()?)?;
+            ops.insert((w, s), op);
+        }
+        Ok(OpLog { ops })
+    }
 }
 
 /// Discriminant of the shipped contracts (wire-stable).
@@ -227,98 +261,51 @@ impl fmt::Display for ContractKind {
     }
 }
 
-/// A deterministic application contract: pure functions over associated
-/// state, delta, and summary types. All functions are free of hidden
-/// state — two nodes evaluating the same bytes agree forever.
+/// A deterministic application contract: what one app's ops are, which of
+/// them are valid, and how they encode. State and deltas are
+/// `OpLog<Self::Op>` and the summary is its [`VersionVector`]; everything
+/// else lives on [`OpLog`] once. All functions are free of hidden state —
+/// two nodes evaluating the same bytes agree forever.
 pub trait Contract {
     /// One submitted operation (the payload a writer authors).
     type Op: Clone + fmt::Debug + PartialEq;
-    /// Full application state.
-    type State: Clone + fmt::Debug + PartialEq;
-    /// A mergeable increment between states.
-    type Delta: Clone + fmt::Debug + PartialEq;
-    /// A compact description of what a holder has (for exact-suffix sync).
-    type Summary: Clone + fmt::Debug + PartialEq;
 
     /// Which shipped contract this is.
     const KIND: ContractKind;
 
-    /// The empty state.
-    fn empty() -> Self::State;
-    /// Structural validity: would an honest node ever hold this state?
-    fn validate_state(state: &Self::State) -> bool;
     /// Op-level validity (size bounds, well-formedness).
     fn validate_op(op: &Self::Op) -> bool;
-    /// Join two deltas. Commutative, associative, idempotent.
-    fn merge_deltas(a: &Self::Delta, b: &Self::Delta) -> Self::Delta;
-    /// Apply a delta to a state.
-    fn apply(state: &Self::State, delta: &Self::Delta) -> Self::State;
-    /// Apply `delta` in place iff the result is valid. `state` must be
-    /// valid; returns `validate_state(&apply(state, delta))`, leaving
-    /// `state` equal to that join on `true` and untouched on `false`, at
-    /// the cost of the delta rather than of the state.
-    fn try_apply(state: &mut Self::State, delta: &Self::Delta) -> bool;
-    /// Summarize a state for exact-suffix requests.
-    fn summarize(state: &Self::State) -> Self::Summary;
-    /// Exactly what the holder of `summary` is missing from `state`.
-    fn delta_from_summary(state: &Self::State, summary: &Self::Summary) -> Self::Delta;
-    /// View a whole state as a delta (for joins and bootstraps).
-    fn state_as_delta(state: &Self::State) -> Self::Delta;
-    /// A delta carrying exactly one op at `(writer, seq)` (the
-    /// publisher's push unit).
-    fn singleton_delta(writer: u32, seq: u64, op: Self::Op) -> Self::Delta;
-    /// Highest sequence `state` holds for `writer` (0 when none).
-    fn writer_seq(state: &Self::State, writer: u32) -> u64;
-    /// Total ops in a state (the publisher's `pub_seq` when authoritative).
-    fn state_ops(state: &Self::State) -> u64;
-    /// Ops carried by a delta.
-    fn delta_ops(delta: &Self::Delta) -> u64;
-
-    /// Canonical state encoding.
-    fn encode_state(state: &Self::State) -> Vec<u8>;
-    /// Decode a state.
-    fn decode_state(buf: &[u8]) -> Result<Self::State, DecodeError>;
-    /// Canonical delta encoding.
-    fn encode_delta(delta: &Self::Delta) -> Vec<u8>;
-    /// Decode a delta.
-    fn decode_delta(buf: &[u8]) -> Result<Self::Delta, DecodeError>;
-    /// Canonical summary encoding.
-    fn encode_summary(summary: &Self::Summary) -> Vec<u8>;
-    /// Decode a summary.
-    fn decode_summary(buf: &[u8]) -> Result<Self::Summary, DecodeError>;
     /// Canonical op encoding (what a writer submits).
     fn encode_op(op: &Self::Op) -> Vec<u8>;
     /// Decode an op.
     fn decode_op(buf: &[u8]) -> Result<Self::Op, DecodeError>;
-}
 
-// ---------------------------------------------------------------------------
-// Shared op-log codec: both contracts encode `OpLog<O>` the same way, so
-// the helpers live here parameterized on the op codec.
-// ---------------------------------------------------------------------------
-
-fn encode_oplog<O>(log: &OpLog<O>, enc_op: impl Fn(&O) -> Vec<u8>) -> Vec<u8> {
-    let mut e = Enc::new().u32(log.ops.len() as u32);
-    for (&(w, s), op) in &log.ops {
-        e = e.u32(w).u64(s).bytes(&enc_op(op));
+    /// The empty state.
+    fn empty() -> OpLog<Self::Op> {
+        OpLog::new()
     }
-    e.done()
-}
 
-fn decode_oplog<O>(
-    buf: &[u8],
-    dec_op: impl Fn(&[u8]) -> Result<O, DecodeError>,
-) -> Result<OpLog<O>, DecodeError> {
-    let mut d = Dec::new(buf);
-    let n = d.u32()?;
-    let mut ops = BTreeMap::new();
-    for _ in 0..n {
-        let w = d.u32()?;
-        let s = d.u64()?;
-        let op = dec_op(&d.bytes()?)?;
-        ops.insert((w, s), op);
+    /// A delta carrying exactly one op at `(writer, seq)` (the
+    /// publisher's push unit).
+    fn singleton_delta(writer: u32, seq: u64, op: Self::Op) -> OpLog<Self::Op> {
+        let mut d = OpLog::new();
+        d.ops.insert((writer, seq), op);
+        d
     }
-    Ok(OpLog { ops })
+
+    /// Apply a delta to a copy of a state: the reference
+    /// [`try_apply`](Contract::try_apply) is tested against.
+    fn apply(state: &OpLog<Self::Op>, delta: &OpLog<Self::Op>) -> OpLog<Self::Op> {
+        state.merge(delta)
+    }
+
+    /// Apply `delta` in place iff the result is valid. `state` must be
+    /// valid; returns `apply(state, delta).is_valid(validate_op)`, leaving
+    /// `state` equal to that join on `true` and untouched on `false`, at
+    /// the cost of the delta rather than of the state.
+    fn try_apply(state: &mut OpLog<Self::Op>, delta: &OpLog<Self::Op>) -> bool {
+        state.try_join(delta, Self::validate_op)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -339,71 +326,11 @@ pub struct Guestbook;
 
 impl Contract for Guestbook {
     type Op = GuestEntry;
-    type State = OpLog<GuestEntry>;
-    type Delta = OpLog<GuestEntry>;
-    type Summary = VersionVector;
 
     const KIND: ContractKind = ContractKind::Guestbook;
 
-    fn empty() -> Self::State {
-        OpLog::new()
-    }
-    fn validate_state(state: &Self::State) -> bool {
-        state.contiguous() && state.ops.values().all(Self::validate_op)
-    }
     fn validate_op(op: &Self::Op) -> bool {
         !op.body.is_empty() && op.body.len() <= MAX_OP_BYTES
-    }
-    fn merge_deltas(a: &Self::Delta, b: &Self::Delta) -> Self::Delta {
-        a.merge(b)
-    }
-    fn apply(state: &Self::State, delta: &Self::Delta) -> Self::State {
-        state.merge(delta)
-    }
-    fn try_apply(state: &mut Self::State, delta: &Self::Delta) -> bool {
-        state.try_join(delta, Self::validate_op)
-    }
-    fn summarize(state: &Self::State) -> Self::Summary {
-        state.summarize()
-    }
-    fn delta_from_summary(state: &Self::State, summary: &Self::Summary) -> Self::Delta {
-        state.suffix_from(summary)
-    }
-    fn state_as_delta(state: &Self::State) -> Self::Delta {
-        state.clone()
-    }
-    fn singleton_delta(writer: u32, seq: u64, op: Self::Op) -> Self::Delta {
-        let mut d = OpLog::new();
-        d.ops.insert((writer, seq), op);
-        d
-    }
-    fn writer_seq(state: &Self::State, writer: u32) -> u64 {
-        state.writer_max(writer)
-    }
-    fn state_ops(state: &Self::State) -> u64 {
-        state.len()
-    }
-    fn delta_ops(delta: &Self::Delta) -> u64 {
-        delta.len()
-    }
-
-    fn encode_state(state: &Self::State) -> Vec<u8> {
-        encode_oplog(state, Self::encode_op)
-    }
-    fn decode_state(buf: &[u8]) -> Result<Self::State, DecodeError> {
-        decode_oplog(buf, Self::decode_op)
-    }
-    fn encode_delta(delta: &Self::Delta) -> Vec<u8> {
-        encode_oplog(delta, Self::encode_op)
-    }
-    fn decode_delta(buf: &[u8]) -> Result<Self::Delta, DecodeError> {
-        decode_oplog(buf, Self::decode_op)
-    }
-    fn encode_summary(summary: &Self::Summary) -> Vec<u8> {
-        summary.encode()
-    }
-    fn decode_summary(buf: &[u8]) -> Result<Self::Summary, DecodeError> {
-        VersionVector::decode(buf)
     }
     fn encode_op(op: &Self::Op) -> Vec<u8> {
         Enc::new().bytes(&op.body).done()
@@ -500,71 +427,11 @@ impl KvDoc {
 
 impl Contract for KvDoc {
     type Op = KvWrite;
-    type State = OpLog<KvWrite>;
-    type Delta = OpLog<KvWrite>;
-    type Summary = VersionVector;
 
     const KIND: ContractKind = ContractKind::KvDoc;
 
-    fn empty() -> Self::State {
-        OpLog::new()
-    }
-    fn validate_state(state: &Self::State) -> bool {
-        state.contiguous() && state.ops.values().all(Self::validate_op)
-    }
     fn validate_op(op: &Self::Op) -> bool {
         !op.path.is_empty() && op.path.len() <= MAX_OP_BYTES
-    }
-    fn merge_deltas(a: &Self::Delta, b: &Self::Delta) -> Self::Delta {
-        a.merge(b)
-    }
-    fn apply(state: &Self::State, delta: &Self::Delta) -> Self::State {
-        state.merge(delta)
-    }
-    fn try_apply(state: &mut Self::State, delta: &Self::Delta) -> bool {
-        state.try_join(delta, Self::validate_op)
-    }
-    fn summarize(state: &Self::State) -> Self::Summary {
-        state.summarize()
-    }
-    fn delta_from_summary(state: &Self::State, summary: &Self::Summary) -> Self::Delta {
-        state.suffix_from(summary)
-    }
-    fn state_as_delta(state: &Self::State) -> Self::Delta {
-        state.clone()
-    }
-    fn singleton_delta(writer: u32, seq: u64, op: Self::Op) -> Self::Delta {
-        let mut d = OpLog::new();
-        d.ops.insert((writer, seq), op);
-        d
-    }
-    fn writer_seq(state: &Self::State, writer: u32) -> u64 {
-        state.writer_max(writer)
-    }
-    fn state_ops(state: &Self::State) -> u64 {
-        state.len()
-    }
-    fn delta_ops(delta: &Self::Delta) -> u64 {
-        delta.len()
-    }
-
-    fn encode_state(state: &Self::State) -> Vec<u8> {
-        encode_oplog(state, Self::encode_op)
-    }
-    fn decode_state(buf: &[u8]) -> Result<Self::State, DecodeError> {
-        decode_oplog(buf, Self::decode_op)
-    }
-    fn encode_delta(delta: &Self::Delta) -> Vec<u8> {
-        encode_oplog(delta, Self::encode_op)
-    }
-    fn decode_delta(buf: &[u8]) -> Result<Self::Delta, DecodeError> {
-        decode_oplog(buf, Self::decode_op)
-    }
-    fn encode_summary(summary: &Self::Summary) -> Vec<u8> {
-        summary.encode()
-    }
-    fn decode_summary(buf: &[u8]) -> Result<Self::Summary, DecodeError> {
-        VersionVector::decode(buf)
     }
     fn encode_op(op: &Self::Op) -> Vec<u8> {
         Enc::new()
@@ -631,7 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_from_summary_is_exactly_the_missing_suffix() {
+    fn suffix_from_is_exactly_the_missing_suffix() {
         let full = sample_log();
         let mut partial = OpLog::new();
         partial.append(1, entry("a1"));
@@ -656,10 +523,10 @@ mod tests {
     #[test]
     fn guestbook_codec_round_trips_canonically() {
         let log = sample_log();
-        let bytes = Guestbook::encode_state(&log);
-        let back = Guestbook::decode_state(&bytes).unwrap();
+        let bytes = log.encode(Guestbook::encode_op);
+        let back = OpLog::decode(&bytes, Guestbook::decode_op).unwrap();
         assert_eq!(back, log);
-        assert_eq!(Guestbook::encode_state(&back), bytes);
+        assert_eq!(back.encode(Guestbook::encode_op), bytes);
         let vv = log.summarize();
         assert_eq!(
             VersionVector::decode(&vv.encode()).unwrap(),
@@ -673,7 +540,7 @@ mod tests {
         let mut log = sample_log();
         log.ops.insert((2, 5), entry("hole"));
         assert!(!log.contiguous());
-        assert!(!Guestbook::validate_state(&log));
+        assert!(!log.is_valid(Guestbook::validate_op));
     }
 
     #[test]

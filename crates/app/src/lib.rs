@@ -3,9 +3,10 @@
 //! §3.4's hardest survey row is *hostless web applications*: `agora-web`
 //! serves immutable signed bundles, but real apps mutate. This crate adds
 //! Freenet-style typed contracts — an app is a deterministic [`Contract`]
-//! with associated `State`, `Delta`, and `Summary` types and pure
-//! validate/merge/summarize functions obeying CRDT join laws — plus the
-//! delta-sync substrate that hosts them on simulated consumer devices:
+//! over one op-log CRDT ([`OpLog`] state and deltas, [`VersionVector`]
+//! summaries, merge obeying the join laws) that states only its op type,
+//! op validity and op codec — plus the delta-sync substrate that hosts
+//! them on simulated consumer devices:
 //!
 //! * [`contract`] — the [`Contract`] trait, the shared op-log/version-
 //!   vector machinery, and two shipped contracts: [`Guestbook`] (append

@@ -24,7 +24,7 @@ use std::rc::Rc;
 use agora_crypto::Hash256;
 use agora_sim::{Ctx, NodeId, Protocol, SimDuration};
 
-use crate::contract::Contract;
+use crate::contract::{Contract, OpLog, VersionVector};
 use crate::manifest::{AppPublisher, DeltaCert, SignedContract};
 
 /// Fixed per-message envelope overhead (addresses, tags, lengths).
@@ -151,10 +151,11 @@ pub enum AppResult {
 struct Authority<C: Contract> {
     identity: AppPublisher,
     contract: SignedContract,
-    state: C::State,
-    /// Exact length of `C::encode_state(&state)`, maintained incrementally.
+    state: OpLog<C::Op>,
+    /// Exact length of `state.encode(C::encode_op)`, maintained
+    /// incrementally.
     state_bytes: u64,
-    /// `C::encode_state(&state)`, memoized from the first read after a
+    /// `state.encode(C::encode_op)`, memoized from the first read after a
     /// write until the next write. Only `encoded_state` fills it, from
     /// `state`; nothing takes bytes from outside.
     encoded: Option<Rc<[u8]>>,
@@ -174,7 +175,7 @@ impl<C: Contract> Authority<C> {
     fn encoded_state(&mut self) -> Rc<[u8]> {
         let bytes = self
             .encoded
-            .get_or_insert_with(|| C::encode_state(&self.state).into());
+            .get_or_insert_with(|| self.state.encode(C::encode_op).into());
         Rc::clone(bytes)
     }
 
@@ -185,7 +186,7 @@ impl<C: Contract> Authority<C> {
     fn accept_op(&mut self, ctx: &mut Ctx<'_, AppMsg>, from: NodeId, op: C::Op) -> Option<u64> {
         let next_writer = self.writers.len() as u32 + 1;
         let writer = self.writers.get(&from).copied().unwrap_or(next_writer);
-        let seq = C::writer_seq(&self.state, writer) + 1;
+        let seq = self.state.writer_max(writer) + 1;
         let delta = C::singleton_delta(writer, seq, op);
         if !C::try_apply(&mut self.state, &delta) {
             ctx.metrics().incr("app.bad_ops", 1);
@@ -195,7 +196,7 @@ impl<C: Contract> Authority<C> {
         self.encoded = None;
         self.pub_seq += 1;
         self.last_published_us = ctx.now().micros();
-        let delta_bytes = C::encode_delta(&delta);
+        let delta_bytes = delta.encode(C::encode_op);
         // The canonical state encoding grows by exactly the delta's op
         // records (both carry one 4-byte count header).
         self.state_bytes += delta_bytes.len() as u64 - 4;
@@ -224,9 +225,13 @@ struct Replica<C: Contract> {
     origin: NodeId,
     app: Hash256,
     contract: Option<SignedContract>,
-    state: C::State,
+    state: OpLog<C::Op>,
     /// Highest publisher sequence heard of.
     known_seq: u64,
+    /// `known_seq` when a pull response last left us behind it: the
+    /// authority had no more to give, so pulling waits for a push that
+    /// raises `known_seq` past this.
+    unanswerable_seq: u64,
     /// Publish time of the newest applied op (sim micros).
     applied_published_us: u64,
     pull_inflight: bool,
@@ -240,11 +245,15 @@ impl<C: Contract> Replica<C> {
         ctx.send(self.origin, msg, bytes);
     }
 
-    /// Pull exactly the missing suffix if behind and not already pulling.
+    /// Pull exactly the missing suffix if behind, not already pulling, and
+    /// not behind only what an earlier pull could not fetch.
     fn pull_if_behind(&mut self, ctx: &mut Ctx<'_, AppMsg>) {
-        if C::state_ops(&self.state) < self.known_seq && !self.pull_inflight {
+        if self.state.len() < self.known_seq
+            && self.unanswerable_seq < self.known_seq
+            && !self.pull_inflight
+        {
             self.pull_inflight = true;
-            let summary: Rc<[u8]> = C::encode_summary(&C::summarize(&self.state)).into();
+            let summary: Rc<[u8]> = self.state.summarize().encode().into();
             let msg = AppMsg::PullReq { summary };
             let bytes = msg.wire_size();
             ctx.send(self.origin, msg, bytes);
@@ -273,16 +282,16 @@ impl<C: Contract> Replica<C> {
             ctx.metrics().incr("app.delta_rejected", 1);
             return;
         }
-        let Ok(delta) = C::decode_delta(delta_buf) else {
+        let Ok(delta) = OpLog::decode(delta_buf, C::decode_op) else {
             ctx.metrics().incr("app.delta_rejected", 1);
             return;
         };
-        let held = C::state_ops(&self.state);
+        let held = self.state.len();
         if !C::try_apply(&mut self.state, &delta) {
             // A gap: the delta ran ahead of our contiguous prefix. Hold
             // our state and ask for exactly what we lack.
             ctx.metrics().incr("app.delta_gap", 1);
-        } else if C::state_ops(&self.state) == held {
+        } else if self.state.len() == held {
             // A replay: the cert binds author, app, sequence and bytes,
             // not freshness, so a delta that adds nothing says nothing
             // about staleness.
@@ -291,7 +300,7 @@ impl<C: Contract> Replica<C> {
             self.last_lag_secs =
                 (ctx.now().micros().saturating_sub(published_us)) as f64 / 1_000_000.0;
             ctx.trace_point("app.delta", delta_buf.len() as f64);
-            ctx.trace_point("app.merge", C::delta_ops(&delta) as f64);
+            ctx.trace_point("app.merge", delta.len() as f64);
             ctx.trace_point("app.delta_lag", self.last_lag_secs);
             ctx.probe_signal("app.delta_lag", self.last_lag_secs);
             ctx.metrics().sample("app.delta_lag", self.last_lag_secs);
@@ -301,6 +310,15 @@ impl<C: Contract> Replica<C> {
             }
         }
         self.known_seq = self.known_seq.max(pub_seq);
+        if from_pull && self.state.len() < self.known_seq {
+            // The authority answered and we are still behind what some
+            // certified push announced: either that push claimed more than
+            // the log holds, and asking again would get the same answer, or
+            // an honest push overtook this answer, and the next push shows
+            // the gap again.
+            ctx.metrics().incr("app.pull_unanswerable", 1);
+            self.unanswerable_seq = self.known_seq;
+        }
         self.pull_if_behind(ctx);
     }
 }
@@ -311,9 +329,9 @@ struct Endpoint {
 }
 
 enum Role<C: Contract> {
-    Publisher(Authority<C>),
+    /// A publisher or, with `push` off, the centralized server.
+    Authority(Authority<C>),
     Subscriber(Replica<C>),
-    Server(Authority<C>),
     Client(Endpoint),
 }
 
@@ -337,8 +355,8 @@ impl<C: Contract> AppNode<C> {
         let identity = AppPublisher::new(identity_seed);
         let contract = identity.sign_manifest(C::KIND, name, 1);
         let state = C::empty();
-        let state_bytes = C::encode_state(&state).len() as u64;
-        let auth = Authority {
+        let state_bytes = state.encode(C::encode_op).len() as u64;
+        AppNode::new(Role::Authority(Authority {
             identity,
             contract,
             state,
@@ -350,12 +368,7 @@ impl<C: Contract> AppNode<C> {
             last_published_us: 0,
             sent_bytes: 0,
             push,
-        };
-        AppNode::new(if push {
-            Role::Publisher(auth)
-        } else {
-            Role::Server(auth)
-        })
+        }))
     }
 
     /// A delta-pushing publisher holding the authoritative log.
@@ -377,6 +390,7 @@ impl<C: Contract> AppNode<C> {
             contract: None,
             state: C::empty(),
             known_seq: 0,
+            unanswerable_seq: 0,
             applied_published_us: 0,
             pull_inflight: false,
             last_lag_secs: 0.0,
@@ -393,15 +407,12 @@ impl<C: Contract> AppNode<C> {
     pub fn start_submit(&mut self, ctx: &mut Ctx<'_, AppMsg>, op: &C::Op) -> u64 {
         let id = self.next_op;
         self.next_op += 1;
-        let to = match &self.role {
+        let to = match &mut self.role {
             Role::Client(e) => e.server,
             Role::Subscriber(r) => r.origin,
             // Authorities apply locally (the publisher is its own writer).
-            Role::Publisher(_) | Role::Server(_) => {
+            Role::Authority(a) => {
                 let me = ctx.id();
-                let (Role::Publisher(a) | Role::Server(a)) = &mut self.role else {
-                    unreachable!();
-                };
                 if let Some(pub_seq) = a.accept_op(ctx, me, op.clone()) {
                     self.results.insert(id, AppResult::Submitted { pub_seq });
                 }
@@ -436,7 +447,7 @@ impl<C: Contract> AppNode<C> {
     /// The app address this node hosts or follows (zero for clients).
     pub fn app_id(&self) -> Hash256 {
         match &self.role {
-            Role::Publisher(a) | Role::Server(a) => a.contract.manifest.app,
+            Role::Authority(a) => a.contract.manifest.app,
             Role::Subscriber(r) => r.app,
             Role::Client(_) => Hash256([0; 32]),
         }
@@ -445,7 +456,7 @@ impl<C: Contract> AppNode<C> {
     /// Authoritative log length (0 for non-authorities).
     pub fn pub_seq(&self) -> u64 {
         match &self.role {
-            Role::Publisher(a) | Role::Server(a) => a.pub_seq,
+            Role::Authority(a) => a.pub_seq,
             _ => 0,
         }
     }
@@ -453,8 +464,8 @@ impl<C: Contract> AppNode<C> {
     /// Ops applied locally (state size in ops).
     pub fn applied_ops(&self) -> u64 {
         match &self.role {
-            Role::Publisher(a) | Role::Server(a) => C::state_ops(&a.state),
-            Role::Subscriber(r) => C::state_ops(&r.state),
+            Role::Authority(a) => a.state.len(),
+            Role::Subscriber(r) => r.state.len(),
             Role::Client(_) => 0,
         }
     }
@@ -463,15 +474,15 @@ impl<C: Contract> AppNode<C> {
     pub fn known_seq(&self) -> u64 {
         match &self.role {
             Role::Subscriber(r) => r.known_seq,
-            Role::Publisher(a) | Role::Server(a) => a.pub_seq,
+            Role::Authority(a) => a.pub_seq,
             Role::Client(_) => 0,
         }
     }
 
     /// The local state (authorities and subscribers).
-    pub fn state(&self) -> Option<&C::State> {
+    pub fn state(&self) -> Option<&OpLog<C::Op>> {
         match &self.role {
-            Role::Publisher(a) | Role::Server(a) => Some(&a.state),
+            Role::Authority(a) => Some(&a.state),
             Role::Subscriber(r) => Some(&r.state),
             Role::Client(_) => None,
         }
@@ -480,15 +491,7 @@ impl<C: Contract> AppNode<C> {
     /// Canonical encoded-state size in bytes (authorities only; exact).
     pub fn state_bytes(&self) -> u64 {
         match &self.role {
-            Role::Publisher(a) | Role::Server(a) => a.state_bytes,
-            _ => 0,
-        }
-    }
-
-    /// Registered subscribers (authorities only).
-    pub fn subscriber_count(&self) -> usize {
-        match &self.role {
-            Role::Publisher(a) | Role::Server(a) => a.subscribers.len(),
+            Role::Authority(a) => a.state_bytes,
             _ => 0,
         }
     }
@@ -497,7 +500,7 @@ impl<C: Contract> AppNode<C> {
     /// reads) — its modeled hosting uplink cost. Zero for non-authorities.
     pub fn sent_app_bytes(&self) -> u64 {
         match &self.role {
-            Role::Publisher(a) | Role::Server(a) => a.sent_bytes,
+            Role::Authority(a) => a.sent_bytes,
             _ => 0,
         }
     }
@@ -524,7 +527,7 @@ impl<C: Contract> Protocol for AppNode<C> {
     fn on_message(&mut self, ctx: &mut Ctx<'_, AppMsg>, from: NodeId, msg: AppMsg) {
         match msg {
             AppMsg::Subscribe => {
-                let (Role::Publisher(a) | Role::Server(a)) = &mut self.role else {
+                let Role::Authority(a) = &mut self.role else {
                     return;
                 };
                 a.subscribers.insert(from);
@@ -555,15 +558,13 @@ impl<C: Contract> Protocol for AppNode<C> {
                     ctx.metrics().incr("app.bad_contracts", 1);
                     return;
                 }
-                let Ok(full) = C::decode_state(&state) else {
+                let Ok(full) = OpLog::decode(&state, C::decode_op) else {
                     ctx.metrics().incr("app.bad_contracts", 1);
                     return;
                 };
                 // Bootstrap (or re-bootstrap after churn): adopt the union
                 // of what we hold and the authority's copy — idempotent.
-                if !C::validate_state(&full)
-                    || !C::try_apply(&mut r.state, &C::state_as_delta(&full))
-                {
+                if !full.is_valid(C::validate_op) || !C::try_apply(&mut r.state, &full) {
                     ctx.metrics().incr("app.bad_contracts", 1);
                     return;
                 }
@@ -577,7 +578,7 @@ impl<C: Contract> Protocol for AppNode<C> {
                 ctx.metrics().incr("app.bootstraps", 1);
             }
             AppMsg::Submit { op, body } => {
-                let (Role::Publisher(a) | Role::Server(a)) = &mut self.role else {
+                let Role::Authority(a) = &mut self.role else {
                     return;
                 };
                 let Ok(parsed) = C::decode_op(&body) else {
@@ -606,16 +607,16 @@ impl<C: Contract> Protocol for AppNode<C> {
                 }
             }
             AppMsg::PullReq { summary } => {
-                let (Role::Publisher(a) | Role::Server(a)) = &mut self.role else {
+                let Role::Authority(a) = &mut self.role else {
                     return;
                 };
-                let Ok(their) = C::decode_summary(&summary) else {
+                let Ok(their) = VersionVector::decode(&summary) else {
                     return;
                 };
-                let suffix = C::delta_from_summary(&a.state, &their);
-                let delta_bytes = C::encode_delta(&suffix);
+                let suffix = a.state.suffix_from(&their);
+                let delta_bytes = suffix.encode(C::encode_op);
                 let cert = a.identity.sign_delta(a.pub_seq, &delta_bytes);
-                ctx.trace_point("app.pull_served", C::delta_ops(&suffix) as f64);
+                ctx.trace_point("app.pull_served", suffix.len() as f64);
                 let reply = AppMsg::PullResp {
                     pub_seq: a.pub_seq,
                     published_us: a.last_published_us,
@@ -637,7 +638,7 @@ impl<C: Contract> Protocol for AppNode<C> {
                 }
             }
             AppMsg::ReadReq { op } => {
-                let (Role::Publisher(a) | Role::Server(a)) = &mut self.role else {
+                let Role::Authority(a) = &mut self.role else {
                     return;
                 };
                 ctx.trace_point("app.read", a.state_bytes as f64);
@@ -813,11 +814,11 @@ mod tests {
             for _ in 0..2 {
                 let read = sim.with_ctx(w, |n, ctx| n.start_read(ctx)).unwrap();
                 sim.run_for(SimDuration::from_secs(1));
-                let Role::Publisher(a) = &mut sim.node_mut(p).role else {
+                let Role::Authority(a) = &mut sim.node_mut(p).role else {
                     panic!("p is the publisher");
                 };
                 let carried = a.encoded_state();
-                assert_eq!(carried[..], Guestbook::encode_state(&a.state)[..]);
+                assert_eq!(carried[..], a.state.encode(Guestbook::encode_op)[..]);
                 assert_eq!(a.state_bytes, carried.len() as u64);
                 assert_eq!(
                     sim.node_mut(w).take_result(read),
@@ -828,5 +829,122 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// An app node that keeps every message it receives before handling
+    /// it, so a test can count `PullReq`s and read a `PullResp`'s bytes.
+    struct Spy {
+        node: AppNode<Guestbook>,
+        inbox: Vec<AppMsg>,
+    }
+
+    impl Protocol for Spy {
+        type Msg = AppMsg;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, AppMsg>) {
+            self.node.on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, AppMsg>, from: NodeId, msg: AppMsg) {
+            self.inbox.push(msg.clone());
+            self.node.on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, AppMsg>, tag: u64) {
+            self.node.on_timer(ctx, tag);
+        }
+        fn on_down(&mut self, ctx: &mut Ctx<'_, AppMsg>) {
+            self.node.on_down(ctx);
+        }
+        fn on_up(&mut self, ctx: &mut Ctx<'_, AppMsg>) {
+            self.node.on_up(ctx);
+        }
+    }
+
+    /// A bootstrapped publisher/replica pair with one op already applied.
+    fn catch_up_fixture(seed: u64) -> (Simulation<Spy>, NodeId, NodeId) {
+        let mut sim: Simulation<Spy> = Simulation::new(seed);
+        let spy = |node| Spy {
+            node,
+            inbox: Vec::new(),
+        };
+        let pc = DeviceClass::PersonalComputer;
+        let p = sim.add_node(spy(AppNode::publisher(b"catch-up", "guestbook")), pc);
+        let app = sim.node(p).node.app_id();
+        let r = sim.add_node(spy(AppNode::subscriber(p, app)), pc);
+        sim.run_for(SimDuration::from_secs(5));
+        publish(&mut sim, p, "first");
+        assert_eq!(sim.node(r).node.applied_ops(), 1);
+        (sim, p, r)
+    }
+
+    fn publish(sim: &mut Simulation<Spy>, p: NodeId, text: &str) {
+        sim.with_ctx(p, |s, ctx| s.node.start_submit(ctx, &entry(text)));
+        sim.run_for(SimDuration::from_secs(5));
+    }
+
+    fn pull_reqs(sim: &Simulation<Spy>, p: NodeId) -> usize {
+        let inbox = &sim.node(p).inbox;
+        inbox
+            .iter()
+            .filter(|m| matches!(m, AppMsg::PullReq { .. }))
+            .count()
+    }
+
+    /// How a replica catches up after each way of missing pushes. Churn is
+    /// the only way E18's replicas miss one (no loss, no partitions), and a
+    /// revived replica re-subscribes, so an E18 day sends no `PullReq`.
+    #[test]
+    fn a_revived_replica_resubscribes_and_a_partitioned_one_pulls_on_the_next_push() {
+        // (i) Down across two pushes, then revived: `on_up` re-subscribes
+        // and one full-state `SubAck` brings it level, with no pull.
+        let (mut sim, p, r) = catch_up_fixture(31);
+        sim.kill(r);
+        publish(&mut sim, p, "second");
+        publish(&mut sim, p, "third");
+        sim.node_mut(r).inbox.clear();
+        sim.revive(r);
+        sim.run_for(SimDuration::from_secs(10));
+        let full = sim
+            .node(p)
+            .node
+            .state()
+            .unwrap()
+            .encode(Guestbook::encode_op);
+        match &sim.node(r).inbox[..] {
+            [AppMsg::SubAck { state, .. }] => assert_eq!(state[..], full[..]),
+            other => panic!("revival should bring exactly one SubAck: {other:?}"),
+        }
+        assert_eq!(sim.node(r).node.state(), sim.node(p).node.state());
+        assert_eq!(pull_reqs(&sim, p), 0);
+
+        // (ii) Up but partitioned across one push: nothing tells it that it
+        // is behind, so not even the anti-entropy timer pulls; the next
+        // push shows the gap and one pull fetches exactly the missing op
+        // and the one that showed it.
+        let (mut sim, p, r) = catch_up_fixture(32);
+        sim.set_partition(r, 1);
+        publish(&mut sim, p, "missed");
+        sim.heal_partitions();
+        sim.run_for(ANTI_ENTROPY + SimDuration::from_mins(1));
+        assert_eq!(sim.node(r).node.applied_ops(), 1);
+        assert_eq!(pull_reqs(&sim, p), 0);
+        let before = sim.node(r).node.state().unwrap().clone();
+        sim.node_mut(r).inbox.clear();
+        publish(&mut sim, p, "next");
+        assert_eq!(pull_reqs(&sim, p), 1);
+        let authority = sim.node(p).node.state().unwrap();
+        let missing = OpLog {
+            ops: (authority.ops.iter())
+                .filter(|(k, _)| !before.ops.contains_key(k))
+                .map(|(k, op)| (*k, op.clone()))
+                .collect(),
+        };
+        assert_eq!(missing.len(), 2);
+        let pulled: Vec<_> = (sim.node(r).inbox.iter())
+            .filter_map(|m| match m {
+                AppMsg::PullResp { delta, .. } => Some(delta.to_vec()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(pulled, [missing.encode(Guestbook::encode_op)]);
+        assert_eq!(sim.node(r).node.state(), Some(authority));
     }
 }

@@ -10,7 +10,7 @@ use agora_app::{
     AppMsg, AppNode, AppPublisher, Contract, ContractKind, GuestEntry, Guestbook, OpLog,
     MAX_OP_BYTES,
 };
-use agora_sim::{DeviceClass, NodeId, Protocol, Simulation};
+use agora_sim::{DeviceClass, NodeId, Protocol, SimDuration, Simulation};
 
 type Log = OpLog<GuestEntry>;
 
@@ -35,7 +35,7 @@ fn log_of(ops: &[(u64, &[u8])]) -> Log {
 fn sub_ack(signer: &AppPublisher, kind: ContractKind, state: &Log) -> AppMsg {
     AppMsg::SubAck {
         contract: Box::new(signer.sign_manifest(kind, "hostile", 1)),
-        state: Guestbook::encode_state(state).into(),
+        state: state.encode(Guestbook::encode_op).into(),
         pub_seq: 2,
         published_us: 0,
     }
@@ -43,7 +43,7 @@ fn sub_ack(signer: &AppPublisher, kind: ContractKind, state: &Log) -> AppMsg {
 
 /// A push of `delta` certified by the publisher's own key for `pub_seq`.
 fn push(signer: &AppPublisher, pub_seq: u64, delta: &Log) -> AppMsg {
-    let bytes = Guestbook::encode_delta(delta);
+    let bytes = delta.encode(Guestbook::encode_op);
     AppMsg::Push {
         pub_seq,
         published_us: 0,
@@ -85,8 +85,8 @@ struct Fixture {
 }
 
 impl Fixture {
-    /// A publisher, one subscriber of it and a bystander. Nothing is ever
-    /// run: every delivery in this file is a direct `on_message`.
+    /// A publisher, one subscriber of it and a bystander. The table rows
+    /// never run the sim: each delivery is a direct `on_message`.
     fn new(bootstrapped: bool) -> Fixture {
         let mut sim = Simulation::new(23);
         let publisher = sim.add_node(
@@ -181,7 +181,7 @@ fn rows() -> Vec<Row> {
         Row {
             name: "certified bytes that do not decode",
             msg: |k| {
-                let bytes = Guestbook::encode_delta(&log_of(&[(3, b"three")]));
+                let bytes = log_of(&[(3, b"three")]).encode(Guestbook::encode_op);
                 let cut = &bytes[..bytes.len() - 2];
                 AppMsg::Push {
                     pub_seq: 3,
@@ -336,7 +336,7 @@ fn hostile_messages_are_counted_and_leave_the_state_alone() {
         assert_eq!(sent, row.sends, "{}: messages sent", row.name);
         let node = fx.sim.node(to);
         assert_eq!(node.state(), Some(&state), "{}: state untouched", row.name);
-        assert!(Guestbook::validate_state(&state), "{}", row.name);
+        assert!(state.is_valid(Guestbook::validate_op), "{}", row.name);
         assert_eq!(node.pub_seq(), pub_seq, "{}", row.name);
         // Staleness is sampled from applied deltas only.
         assert!(
@@ -368,4 +368,38 @@ fn the_honest_next_push_is_applied_and_sampled() {
     assert_eq!(fx.sim.metrics().counter("app.deltas_applied"), 1);
     let lag = fx.sim.metrics().histogram("app.delta_lag");
     assert_eq!(lag.map(|h| h.count()), Some(1));
+}
+
+/// A push whose valid cert claims a `pub_seq` beyond the authority's log
+/// (only the key holder can sign one): the replica pulls, the real
+/// publisher answers with all it has, and the replica — still "behind" —
+/// counts `app.pull_unanswerable` and stops, instead of asking again every
+/// round trip for as long as it runs.
+#[test]
+fn an_over_claimed_pub_seq_costs_one_pull() {
+    let mut fx = Fixture::new(false);
+    let (replica, publisher) = (fx.replica, fx.publisher);
+    fx.sim.run_for(SimDuration::from_secs(5));
+    fx.sim
+        .with_ctx(publisher, |n, ctx| n.start_submit(ctx, &entry(b"own")))
+        .expect("publisher is up");
+    fx.sim.run_for(SimDuration::from_secs(5));
+    assert_eq!(
+        fx.sim.node(replica).applied_ops(),
+        1,
+        "the honest push applied"
+    );
+
+    let sent_before = fx.sim.metrics().counter("net.sent");
+    let forged = push(&fx.keys, 50, &log_of(&[(50, b"fifty")]));
+    fx.deliver(replica, publisher, forged);
+    fx.sim.run_for(SimDuration::from_secs(60));
+
+    let metrics = fx.sim.metrics();
+    // One `PullReq` and its `PullResp`, and nothing after.
+    assert_eq!(metrics.counter("net.sent") - sent_before, 2);
+    assert_eq!(metrics.counter("app.delta_gap"), 1);
+    assert_eq!(metrics.counter("app.pull_unanswerable"), 1);
+    let node = fx.sim.node(replica);
+    assert_eq!((node.applied_ops(), node.known_seq()), (1, 50));
 }

@@ -1,6 +1,6 @@
-//! Property tests pinning the contract laws the delta-sync substrate
-//! relies on: CRDT join laws (commutative, associative, idempotent) for
-//! both shipped contracts, summary→delta round-trip exactness, subscriber
+//! Property tests pinning the `OpLog` laws the delta-sync substrate
+//! relies on: CRDT join laws (commutative, associative, idempotent) over
+//! both shipped contracts' ops, summary→delta round-trip exactness, subscriber
 //! convergence from any delta interleaving, canonical codecs, and the
 //! equivalence of the in-place `try_apply` with the clone-then-validate
 //! reference it replaced. Always on, 256 seeded `SimRng` cases per
@@ -72,36 +72,30 @@ fn partition<O: Clone>(state: &OpLog<O>, k: usize) -> Vec<OpLog<O>> {
     parts
 }
 
-/// The join laws, generic over both contracts (states double as deltas).
-fn join_laws<C>(seed: u64, state: fn(&mut SimRng) -> C::Delta)
-where
-    C: Contract,
-{
+/// The join laws of `OpLog::merge`, over either contract's ops (states
+/// double as deltas).
+fn join_laws<O: Clone + Debug + PartialEq>(seed: u64, state: fn(&mut SimRng) -> OpLog<O>) {
     let mut rng = SimRng::new(seed);
     for case in 0..CASES {
         let (a, b, c) = (state(&mut rng), state(&mut rng), state(&mut rng));
+        assert_eq!(a.merge(&b), b.merge(&a), "case {case}: commutative");
         assert_eq!(
-            C::merge_deltas(&a, &b),
-            C::merge_deltas(&b, &a),
-            "case {case}: commutative"
-        );
-        assert_eq!(
-            C::merge_deltas(&C::merge_deltas(&a, &b), &c),
-            C::merge_deltas(&a, &C::merge_deltas(&b, &c)),
+            a.merge(&b).merge(&c),
+            a.merge(&b.merge(&c)),
             "case {case}: associative"
         );
-        assert_eq!(C::merge_deltas(&a, &a), a, "case {case}: idempotent");
+        assert_eq!(a.merge(&a), a, "case {case}: idempotent");
     }
 }
 
 #[test]
 fn guestbook_join_laws() {
-    join_laws::<Guestbook>(0x6a01, guestbook_state);
+    join_laws(0x6a01, guestbook_state);
 }
 
 #[test]
 fn kv_join_laws() {
-    join_laws::<KvDoc>(0x6a02, kv_state);
+    join_laws(0x6a02, kv_state);
 }
 
 /// The laws above are laws of *one* history. The suite this file was
@@ -115,14 +109,14 @@ fn kv_join_laws() {
 fn join_keeps_the_held_op_where_histories_conflict() {
     let ours = KvDoc::singleton_delta(0, 1, kv_op(0, 1));
     let theirs = KvDoc::singleton_delta(0, 1, kv_op(3, 9));
-    assert_eq!(KvDoc::merge_deltas(&ours, &theirs), ours);
-    assert_eq!(KvDoc::merge_deltas(&theirs, &ours), theirs);
+    assert_eq!(ours.merge(&theirs), ours);
+    assert_eq!(theirs.merge(&ours), theirs);
     let mut held = ours.clone();
     assert!(KvDoc::try_apply(&mut held, &theirs));
     assert_eq!(held, ours);
 }
 
-/// `delta_from_summary` is exact: for two valid states drawn from a
+/// `suffix_from` is exact: for two valid states drawn from a
 /// common history, B's suffix past A's summary merged into A equals the
 /// full join of A and B — and a holder of the join is missing nothing.
 #[test]
@@ -139,8 +133,8 @@ fn summary_round_trip_is_exact() {
                 a.ops.insert((w, s), op.clone());
             }
         }
-        assert!(Guestbook::validate_state(&a), "case {case}");
-        let delta = Guestbook::delta_from_summary(&full, &Guestbook::summarize(&a));
+        assert!(a.is_valid(Guestbook::validate_op), "case {case}");
+        let delta = full.suffix_from(&a.summarize());
         // Exactness: delta ∪ A == full, and |delta| == |full| - |A|.
         assert_eq!(Guestbook::apply(&a, &delta), full, "case {case}");
         assert_eq!(delta.len(), full.len() - a.len(), "case {case}");
@@ -149,7 +143,7 @@ fn summary_round_trip_is_exact() {
         assert!(Guestbook::try_apply(&mut in_place, &delta), "case {case}");
         assert_eq!(in_place, full, "case {case}");
         // A holder of everything needs nothing.
-        let empty = Guestbook::delta_from_summary(&full, &Guestbook::summarize(&full));
+        let empty = full.suffix_from(&full.summarize());
         assert!(empty.is_empty(), "case {case}");
     }
 }
@@ -191,11 +185,11 @@ fn codecs_round_trip_canonically() {
     let mut rng = SimRng::new(0x6a05);
     for case in 0..CASES {
         let state = kv_state(&mut rng);
-        let bytes = KvDoc::encode_state(&state);
-        let back = KvDoc::decode_state(&bytes).unwrap();
+        let bytes = state.encode(KvDoc::encode_op);
+        let back = OpLog::decode(&bytes, KvDoc::decode_op).unwrap();
         assert_eq!(back, state, "case {case}");
-        assert_eq!(KvDoc::encode_state(&back), bytes, "case {case}");
-        let vv = KvDoc::summarize(&state);
+        assert_eq!(back.encode(KvDoc::encode_op), bytes, "case {case}");
+        let vv = state.summarize();
         assert_eq!(
             VersionVector::decode(&vv.encode()).unwrap(),
             vv,
@@ -206,7 +200,7 @@ fn codecs_round_trip_canonically() {
 
 // ---------------------------------------------------------------------------
 // `try_apply` against the reference it replaced: for a valid state and any
-// delta, `try_apply(&mut s, &d)` returns `validate_state(&apply(&s, &d))`,
+// delta, `try_apply(&mut s, &d)` returns `apply(&s, &d).is_valid(validate_op)`,
 // leaves `s == apply(&s, &d)` on true and `s` untouched on false.
 // ---------------------------------------------------------------------------
 
@@ -305,18 +299,18 @@ fn delta_of<O: Clone>(
 fn try_apply_matches_reference<C, O>(seed: u64, op: fn(u32, u64) -> O, invalid: O)
 where
     O: Clone + Debug + PartialEq,
-    C: Contract<Op = O, State = OpLog<O>, Delta = OpLog<O>, Summary = VersionVector>,
+    C: Contract<Op = O>,
 {
     assert!(!C::validate_op(&invalid));
     let mut rng = SimRng::new(seed);
     for case in 0..CASES {
         for (name, verdict) in SHAPES {
             let state = held_state(&mut rng, op);
-            assert!(C::validate_state(&state));
+            assert!(state.is_valid(C::validate_op));
             let delta = delta_of(name, &state, &mut rng, op, &invalid);
             let joined = C::apply(&state, &delta);
             let at = format!("case {case}, {name}: {delta:?} into {state:?}");
-            assert_eq!(C::validate_state(&joined), verdict, "{at}");
+            assert_eq!(joined.is_valid(C::validate_op), verdict, "{at}");
             let mut in_place = state.clone();
             assert_eq!(C::try_apply(&mut in_place, &delta), verdict, "{at}");
             assert_eq!(
@@ -326,9 +320,9 @@ where
             );
             // The per-writer max is the version vector's entry, for held
             // and unknown writers alike.
-            let vv = C::summarize(&in_place);
+            let vv = in_place.summarize();
             for w in 0..HELD + 3 {
-                assert_eq!(C::writer_seq(&in_place, w), vv.get(w), "{at}, writer {w}");
+                assert_eq!(in_place.writer_max(w), vv.get(w), "{at}, writer {w}");
             }
         }
     }

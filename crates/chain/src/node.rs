@@ -85,11 +85,6 @@ impl ChainNode {
         &self.ledger
     }
 
-    /// Pending (unconfirmed) transaction count.
-    pub fn mempool_len(&self) -> usize {
-        self.mempool.len()
-    }
-
     /// Submit a locally-created transaction: validate, pool, flood.
     /// Returns false if it failed stateless/stateful validation.
     pub fn submit_tx(&mut self, ctx: &mut Ctx<'_, ChainMsg>, tx: Transaction) -> bool {

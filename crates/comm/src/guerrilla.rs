@@ -224,14 +224,6 @@ impl RelayNode {
             Role::Relay(_) => None,
         }
     }
-
-    /// Mailbox count (relay diagnostics).
-    pub fn mailbox_count(&self) -> usize {
-        match &self.role {
-            Role::Relay(r) => r.mailboxes.len(),
-            Role::User(_) => 0,
-        }
-    }
 }
 
 impl Protocol for RelayNode {

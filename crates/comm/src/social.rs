@@ -88,11 +88,6 @@ impl SocialNode {
         self.delivered
     }
 
-    /// Own feed length.
-    pub fn feed_len(&self) -> usize {
-        self.my_posts.len()
-    }
-
     /// Post to one's own feed and push to friends.
     pub fn post(&mut self, ctx: &mut Ctx<'_, SocialMsg>, bytes: u64, label: PostLabel) {
         let post = Post {

@@ -249,11 +249,6 @@ impl DhtNode {
         self.table.len()
     }
 
-    /// Number of values this node holds as a replica.
-    pub fn replica_count(&self) -> usize {
-        self.store.len()
-    }
-
     /// Whether this node currently stores `key` locally.
     pub fn holds(&self, key: &Hash256) -> bool {
         self.store.contains_key(key)

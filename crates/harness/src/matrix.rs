@@ -143,6 +143,24 @@ pub fn build_trials(
     trials
 }
 
+/// The trial a `--trace` or `--observe` target names: `id/variant`, or a
+/// bare experiment id for its first variant — always the first seed, with
+/// the seed and runner the full matrix gives it. `None` when nothing
+/// matches.
+pub fn find_trial(
+    registry: &[ExperimentDef],
+    cfg: &MatrixConfig,
+    target: &str,
+) -> Option<(TrialSpec, TrialRunner)> {
+    let (id, variant) = match target.split_once('/') {
+        Some((id, v)) => (id, Some(v)),
+        None => (target, None),
+    };
+    build_trials(registry, cfg).into_iter().find(|(spec, _)| {
+        spec.experiment == id && variant.is_none_or(|v| spec.variant == v) && spec.seed_ordinal == 0
+    })
+}
+
 /// Run the full matrix for a registry under `cfg`.
 pub fn run_matrix(registry: &[ExperimentDef], cfg: &MatrixConfig) -> MatrixRun {
     let trials = build_trials(registry, cfg);

@@ -17,14 +17,15 @@ use agora_observer::{
 };
 use agora_sim::probe::with_thread_probe;
 use agora_sim::trace::{with_thread_sink, FlightRecorder, SharedRecorder, TraceFilter};
-use agora_sim::{Metrics, NodeId};
+use agora_sim::Metrics;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::json::Json;
-use crate::matrix::{build_trials, MatrixConfig};
+use crate::matrix::{find_trial, MatrixConfig};
 use crate::registry::ExperimentDef;
+use crate::trace::node_json;
 
 /// JSONL schema version for `OBS_*.jsonl`.
 pub const OBS_SCHEMA: u32 = 1;
@@ -66,22 +67,9 @@ pub fn run_observe_target(
     trace_ring: Option<usize>,
     sink: ObsLineSink,
 ) -> Result<ObserveRun, String> {
-    let (want_id, want_variant) = match target.split_once('/') {
-        Some((id, v)) => (id, Some(v)),
-        None => (target, None),
-    };
-    let (spec, run) = build_trials(registry, cfg)
-        .into_iter()
-        .find(|(spec, _)| {
-            spec.experiment == want_id
-                && want_variant.is_none_or(|v| spec.variant == v)
-                && spec.seed_ordinal == 0
-        })
-        .ok_or_else(|| {
-            format!(
-                "unknown observe target '{target}' (try an experiment id like 'e16' or 'e16/p10k')"
-            )
-        })?;
+    let (spec, run) = find_trial(registry, cfg, target).ok_or_else(|| {
+        format!("unknown observe target '{target}' (try an experiment id like 'e16' or 'e16/p10k')")
+    })?;
     let (target_id, variant, seed) = (
         spec.experiment.to_owned(),
         spec.variant.to_owned(),
@@ -144,14 +132,6 @@ pub fn run_observe_target(
         summary,
         recorder,
     })
-}
-
-fn node_json(node: NodeId) -> Json {
-    if node == NodeId(u32::MAX) {
-        Json::Str("sim".to_owned())
-    } else {
-        Json::Num(node.0 as f64)
-    }
 }
 
 fn header_json(target: &str, variant: &str, seed: u64, obs_cfg: &ObserverConfig) -> Json {

@@ -415,8 +415,8 @@ fn contract_summary_sizes(ops: u64) -> (u64, u64) {
         state = KvDoc::apply(&state, &d);
     }
     (
-        KvDoc::summarize(&state).encode().len() as u64,
-        KvDoc::encode_state(&state).len() as u64,
+        state.summarize().encode().len() as u64,
+        state.encode(KvDoc::encode_op).len() as u64,
     )
 }
 

@@ -28,94 +28,17 @@ pub struct ExperimentDef {
     pub variants: Vec<Variant>,
 }
 
-fn e3_f00(seed: u64) -> Metrics {
-    agora::experiments::e3_metrics(seed, 0.0)
-}
-
-fn e3_f20(seed: u64) -> Metrics {
-    agora::experiments::e3_metrics(seed, 0.2)
-}
-
-fn e3_f40(seed: u64) -> Metrics {
-    agora::experiments::e3_metrics(seed, 0.4)
-}
-
-fn e15_i000(seed: u64) -> Metrics {
-    agora::experiments::e15_metrics(seed, 0.0)
-}
-
-fn e15_i025(seed: u64) -> Metrics {
-    agora::experiments::e15_metrics(seed, 0.25)
-}
-
-fn e15_i050(seed: u64) -> Metrics {
-    agora::experiments::e15_metrics(seed, 0.5)
-}
-
-fn e15_i075(seed: u64) -> Metrics {
-    agora::experiments::e15_metrics(seed, 0.75)
-}
-
-fn e15_i100(seed: u64) -> Metrics {
-    agora::experiments::e15_metrics(seed, 1.0)
-}
-
-fn e16_p10k(seed: u64) -> Metrics {
-    agora::experiments::e16_metrics(seed, 10_000)
-}
-
-fn e16_p100k(seed: u64) -> Metrics {
-    agora::experiments::e16_metrics(seed, 100_000)
-}
-
-fn e16_p1m(seed: u64) -> Metrics {
-    agora::experiments::e16_metrics(seed, 1_000_000)
-}
-
-fn e16p_p10k(seed: u64) -> Metrics {
-    agora::experiments::e16_policy_metrics(seed, 10_000)
-}
-
-fn e16p_p100k(seed: u64) -> Metrics {
-    agora::experiments::e16_policy_metrics(seed, 100_000)
-}
-
-fn e16p_p1m(seed: u64) -> Metrics {
-    agora::experiments::e16_policy_metrics(seed, 1_000_000)
-}
-
-fn e18_p10k(seed: u64) -> Metrics {
-    agora::experiments::e18_metrics(seed, 10_000)
-}
-
-fn e18_p100k(seed: u64) -> Metrics {
-    agora::experiments::e18_metrics(seed, 100_000)
-}
-
-fn e18_p1m(seed: u64) -> Metrics {
-    agora::experiments::e18_metrics(seed, 1_000_000)
-}
-
-fn e17_i000(seed: u64) -> Metrics {
-    agora::experiments::e17_metrics(seed, 0.0)
-}
-
-fn e17_i050(seed: u64) -> Metrics {
-    agora::experiments::e17_metrics(seed, 0.5)
-}
-
-fn e17_i100(seed: u64) -> Metrics {
-    agora::experiments::e17_metrics(seed, 1.0)
+/// One sweep point. A parameterized entry point is bound to its point by a
+/// non-capturing closure, which coerces to `fn(u64) -> Metrics`.
+fn variant(label: &'static str, run: fn(u64) -> Metrics) -> Variant {
+    Variant { label, run }
 }
 
 fn single(id: &'static str, title: &'static str, run: fn(u64) -> Metrics) -> ExperimentDef {
     ExperimentDef {
         id,
         title,
-        variants: vec![Variant {
-            label: "default",
-            run,
-        }],
+        variants: vec![variant("default", run)],
     }
 }
 
@@ -133,18 +56,9 @@ pub fn registry() -> Vec<ExperimentDef> {
             id: "e3",
             title: "Group communication availability under failures",
             variants: vec![
-                Variant {
-                    label: "f0.00",
-                    run: e3_f00,
-                },
-                Variant {
-                    label: "f0.20",
-                    run: e3_f20,
-                },
-                Variant {
-                    label: "f0.40",
-                    run: e3_f40,
-                },
+                variant("f0.00", |s| exp::e3_metrics(s, 0.0)),
+                variant("f0.20", |s| exp::e3_metrics(s, 0.2)),
+                variant("f0.40", |s| exp::e3_metrics(s, 0.4)),
             ],
         },
         single(
@@ -170,66 +84,30 @@ pub fn registry() -> Vec<ExperimentDef> {
             id: "e15",
             title: "Graceful degradation under fault injection",
             variants: vec![
-                Variant {
-                    label: "i0.00",
-                    run: e15_i000,
-                },
-                Variant {
-                    label: "i0.25",
-                    run: e15_i025,
-                },
-                Variant {
-                    label: "i0.50",
-                    run: e15_i050,
-                },
-                Variant {
-                    label: "i0.75",
-                    run: e15_i075,
-                },
-                Variant {
-                    label: "i1.00",
-                    run: e15_i100,
-                },
+                variant("i0.00", |s| exp::e15_metrics(s, 0.0)),
+                variant("i0.25", |s| exp::e15_metrics(s, 0.25)),
+                variant("i0.50", |s| exp::e15_metrics(s, 0.5)),
+                variant("i0.75", |s| exp::e15_metrics(s, 0.75)),
+                variant("i1.00", |s| exp::e15_metrics(s, 1.0)),
             ],
         },
         ExperimentDef {
             id: "e16",
             title: "Population-scale flash crowd (diurnal day, cohorted)",
             variants: vec![
-                Variant {
-                    label: "p10k",
-                    run: e16_p10k,
-                },
-                Variant {
-                    label: "p100k",
-                    run: e16_p100k,
-                },
-                Variant {
-                    label: "p1m",
-                    run: e16_p1m,
-                },
+                variant("p10k", |s| exp::e16_metrics(s, 10_000)),
+                variant("p100k", |s| exp::e16_metrics(s, 100_000)),
+                variant("p1m", |s| exp::e16_metrics(s, 1_000_000)),
             ],
         },
         ExperimentDef {
             id: "e17",
             title: "Storage market: audit/slashing/repair under chaos",
             variants: vec![
-                Variant {
-                    label: "i0.00",
-                    run: e17_i000,
-                },
-                Variant {
-                    label: "i0.50",
-                    run: e17_i050,
-                },
-                Variant {
-                    label: "i1.00",
-                    run: e17_i100,
-                },
-                Variant {
-                    label: "workload",
-                    run: agora::experiments::e17_workload_metrics,
-                },
+                variant("i0.00", |s| exp::e17_metrics(s, 0.0)),
+                variant("i0.50", |s| exp::e17_metrics(s, 0.5)),
+                variant("i1.00", |s| exp::e17_metrics(s, 1.0)),
+                variant("workload", exp::e17_workload_metrics),
             ],
         },
         // Appended after e17 (not folded into the e16 def) so every
@@ -241,18 +119,9 @@ pub fn registry() -> Vec<ExperimentDef> {
             id: "e16p",
             title: "Demand-adaptive policies under the E16 flash crowd",
             variants: vec![
-                Variant {
-                    label: "p10k",
-                    run: e16p_p10k,
-                },
-                Variant {
-                    label: "p100k",
-                    run: e16p_p100k,
-                },
-                Variant {
-                    label: "p1m",
-                    run: e16p_p1m,
-                },
+                variant("p10k", |s| exp::e16_policy_metrics(s, 10_000)),
+                variant("p100k", |s| exp::e16_policy_metrics(s, 100_000)),
+                variant("p1m", |s| exp::e16_policy_metrics(s, 1_000_000)),
             ],
         },
         // Same rule as e16p: appended last so every earlier trial keeps
@@ -261,18 +130,9 @@ pub fn registry() -> Vec<ExperimentDef> {
             id: "e18",
             title: "Typed-contract apps: delta sync vs centralized hosting",
             variants: vec![
-                Variant {
-                    label: "p10k",
-                    run: e18_p10k,
-                },
-                Variant {
-                    label: "p100k",
-                    run: e18_p100k,
-                },
-                Variant {
-                    label: "p1m",
-                    run: e18_p1m,
-                },
+                variant("p10k", |s| exp::e18_metrics(s, 10_000)),
+                variant("p100k", |s| exp::e18_metrics(s, 100_000)),
+                variant("p1m", |s| exp::e18_metrics(s, 1_000_000)),
             ],
         },
     ]

@@ -20,7 +20,7 @@ use agora_sim::trace::{
 use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, Simulation};
 
 use crate::json::Json;
-use crate::matrix::{build_trials, MatrixConfig};
+use crate::matrix::{find_trial, MatrixConfig, TrialRunner};
 use crate::registry::ExperimentDef;
 
 /// JSONL schema version for `TRACE_*.jsonl`.
@@ -52,34 +52,13 @@ pub fn run_trace_target(
     target: &str,
     ring_capacity: usize,
 ) -> Result<TraceRun, String> {
-    let (target_id, variant, seed, run): (String, String, u64, fn(u64) -> Metrics) = if target
-        == "dht"
-    {
-        (
-            "dht".to_owned(),
-            "default".to_owned(),
-            cfg.root_seed,
-            dht_scenario,
-        )
+    let (target_id, variant, seed, run): (&str, &str, u64, TrialRunner) = if target == "dht" {
+        ("dht", "default", cfg.root_seed, dht_scenario)
     } else {
-        let (want_id, want_variant) = match target.split_once('/') {
-            Some((id, v)) => (id, Some(v)),
-            None => (target, None),
-        };
-        let trial = build_trials(registry, cfg)
-                .into_iter()
-                .find(|(spec, _)| {
-                    spec.experiment == want_id
-                        && want_variant.is_none_or(|v| spec.variant == v)
-                        && spec.seed_ordinal == 0
-                })
-                .ok_or_else(|| format!("unknown trace target '{target}' (try 'dht' or an experiment id like 'e7' or 'e3/f0.20')"))?;
-        (
-            trial.0.experiment.to_owned(),
-            trial.0.variant.to_owned(),
-            trial.0.seed,
-            trial.1,
-        )
+        let (spec, run) = find_trial(registry, cfg, target).ok_or_else(|| {
+            format!("unknown trace target '{target}' (try 'dht' or an experiment id like 'e7' or 'e3/f0.20')")
+        })?;
+        (spec.experiment, spec.variant, spec.seed, run)
     };
 
     let shared = SharedRecorder::from_recorder(FlightRecorder::new(ring_capacity));
@@ -89,8 +68,8 @@ pub fn run_trace_target(
     // run's recorder and nothing leaks to later work on the thread.
     let metrics = with_thread_sink(move || Box::new(handle.clone()), || run(seed));
     Ok(TraceRun {
-        target: target_id,
-        variant,
+        target: target_id.to_owned(),
+        variant: variant.to_owned(),
         seed,
         metrics,
         recorder: shared.snapshot(),
@@ -181,7 +160,9 @@ fn parse_hex_key(s: &str) -> Option<u128> {
     u128::from_str_radix(s.strip_prefix("0x")?, 16).ok()
 }
 
-fn node_json(node: NodeId) -> Json {
+/// A node id as TRACE and OBS lines carry it: its number, or `"sim"` for
+/// the engine itself.
+pub(crate) fn node_json(node: NodeId) -> Json {
     if node == NodeId(u32::MAX) {
         Json::Str("sim".to_owned())
     } else {
@@ -563,7 +544,6 @@ mod tests {
     fn registry_target_replays_matrix_trial_with_identical_metrics() {
         let reg = registry();
         let cfg = light_cfg();
-        let trials = build_trials(&reg, &cfg);
         let rendered = |m: &Metrics| metrics_to_json(m).render();
         for (id, variant) in [
             ("e3", "f0.20"),
@@ -577,10 +557,7 @@ mod tests {
             let target = format!("{id}/{variant}");
             let run = run_trace_target(&reg, &cfg, &target, 1024).expect("registry target");
             assert_eq!((run.target.as_str(), run.variant.as_str()), (id, variant));
-            let (spec, runner) = trials
-                .iter()
-                .find(|(s, _)| (s.experiment, s.variant, s.seed_ordinal) == (id, variant, 0))
-                .expect("the matrix holds the trial");
+            let (spec, runner) = find_trial(&reg, &cfg, &target).expect("the matrix holds it");
             assert_eq!(run.seed, spec.seed, "{target}: replay uses the matrix seed");
             let plain = runner(spec.seed);
             assert_eq!(

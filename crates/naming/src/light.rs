@@ -110,11 +110,6 @@ impl LightResolver {
         }
     }
 
-    /// Access the underlying header chain (e.g. to sync more headers).
-    pub fn spv_mut(&mut self) -> &mut SpvClient {
-        &mut self.spv
-    }
-
     /// Verify a proof and resolve the name.
     pub fn resolve(&self, proof: &NameProof) -> Result<NameRecord, LightError> {
         if proof.as_of_height > self.spv.height() {

@@ -226,14 +226,6 @@ impl StorageNode {
         }
     }
 
-    /// Shards currently held (providers only).
-    pub fn shards_held(&self) -> usize {
-        match &self.role {
-            Role::Provider(p) => p.shards.len(),
-            Role::Client(_) => 0,
-        }
-    }
-
     /// Store a shard directly into a provider (the market's placement /
     /// repair path), applying the provider's strategy exactly as a
     /// `PutShard` message would. Returns whether the provider kept the

@@ -91,6 +91,11 @@ STAYS_DELETED=(
     # A contract states only what differs: state, delta and summary are
     # OpLog and VersionVector, written once.
     "§18 crates - type (State|Delta|Summary)\b|merge_deltas|state_as_delta|delta_from_summary|(en|de)code_(state|delta|summary)|state_ops|delta_ops|writer_seq"
+    # Two overload detectors over the workload signals, no tuning fields:
+    # engine state is rendered, not judged.
+    "§16 crates,tests,examples - ObserverConfig|zscore|anomaly\.trend|trend_len|overload_backlog_secs|ewma_var"
+    # A policy senses utilization itself, at constant thresholds.
+    "§17 crates,tests,examples - PolicyConfig|engage_util|release_util|release_frames|max_level"
 )
 step "retired names stay deleted: one grep per row"
 for row in "${STAYS_DELETED[@]}"; do

@@ -2,13 +2,12 @@
 //!
 //! The E16 day replayed on the consumer-uplink classes with a reactive
 //! policy engaged: a `PolicyHub` (crate `agora-policy`) installed as the
-//! simulation's probe sink watches observer verdicts and the modeled
-//! `net.uplink_util` signal, and the runner acts on its hysteresis level
-//! at drain boundaries — gateways cache hot keys (`dht/cache`), admission
-//! control sheds and backs arrivals off (`dht/shed`), the storage client
-//! re-replicates hot objects through the market path
-//! (`storage/replicate`), reserve seeders auto-join the swarm
-//! (`swarm/seeders`).
+//! simulation's probe sink watches the modeled `net.uplink_util` signal,
+//! and the runner acts on its hysteresis level at drain boundaries —
+//! gateways cache hot keys (`dht/cache`), admission control sheds and
+//! backs arrivals off (`dht/shed`), the storage client re-replicates hot
+//! objects through the market path (`storage/replicate`), reserve seeders
+//! auto-join the swarm (`swarm/seeders`).
 //!
 //! Per pair the headline number is the **absorbed fraction**: how much of
 //! the policy-off peak uplink overload the policy removed. Seeds match
@@ -114,10 +113,11 @@ pub fn e16_policy_sweep(seed: u64) -> (Vec<E16PolicyResult>, Report) {
         .collect();
     let mut body = String::from(
         "The E16 day replayed with reactive overload policies subscribed\n\
-         to the probe plane (hysteresis over observer verdicts and the\n\
-         modeled uplink-utilization signal; actions at drain boundaries\n\
-         only). Policy-off rows are byte-identical to E16's; absorbed =\n\
-         fraction of the policy-off peak uplink overload removed:\n",
+         to the probe plane (hysteresis over the modeled uplink-utilization\n\
+         signal, engaging at the observer's overload threshold; actions at\n\
+         drain boundaries only). Policy-off rows are byte-identical to\n\
+         E16's; absorbed = fraction of the policy-off peak uplink overload\n\
+         removed:\n",
     );
     for r in &results {
         body.push_str(&format!("\n  population {:>9}:\n", r.population));

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use agora_comm::{CentralNode, FedNode, ModerationPolicy, PostLabel, ReadResult, ReplicationMode};
 use agora_crypto::{sha256, Hash256};
 use agora_dht::{Contact, DhtConfig, DhtNode, DhtResult};
-use agora_policy::{PolicyConfig, PolicyHandle, PolicyHub};
+use agora_policy::{PolicyHandle, PolicyHub};
 use agora_sim::{
     DeviceClass, Metrics, NodeId, Protocol, Retrier, RetryPolicy, SimDuration, SimRng, SimTime,
     Simulation,
@@ -90,8 +90,8 @@ pub fn e16_spec_cohorts(population: u64, cohorts: u32) -> WorkloadSpec {
 
 // ---------------------------------------------------------------------------
 // Reactive policy plumbing (DESIGN.md §17). A PolicyHub installed as the
-// simulation's probe sink watches the same frames and observer verdicts
-// the trace plane sees; substrates poll its handle and act only in their
+// simulation's probe sink watches the uplink-utilization signal the
+// workload layer reports; substrates poll its handle and act only in their
 // `reconcile` hook — deterministic sim times in the canonical event order
 // — so policy-on runs stay byte-identical at any harness thread count.
 // Policy-off runs never construct a hub: they are byte-identical to the
@@ -134,10 +134,9 @@ fn stats_of(handle: Option<&PolicyHandle>) -> PolicyStats {
 /// Wire a fresh policy hub into `sim` as its probe sink and return the
 /// handle substrates poll at drain boundaries.
 fn install_policy<P: Protocol>(sim: &mut Simulation<P>) -> PolicyHandle {
-    let hub = PolicyHub::new(PolicyConfig::default());
+    let hub = PolicyHub::default();
     let handle = hub.handle();
-    let cadence = hub.cadence();
-    sim.set_probe_sink(hub.into_sink(), cadence);
+    sim.set_probe_sink(hub.into_sink(), agora_policy::CADENCE);
     handle
 }
 

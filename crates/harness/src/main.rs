@@ -161,14 +161,14 @@ fn run_observe_mode(opts: &Options) -> ExitCode {
             .unwrap_or(agora_sim::trace::DEFAULT_RING_CAPACITY)
     });
 
-    let mut obs_cfg = agora_observer::ObserverConfig::default();
-    if let Some(secs) = opts.observe_cadence_secs {
-        if secs == 0 {
+    let cadence = match opts.observe_cadence_secs {
+        None => agora_observer::DEFAULT_CADENCE,
+        Some(0) => {
             eprintln!("agora-harness: --observe-cadence must be >= 1 (seconds)");
             return ExitCode::from(1);
         }
-        obs_cfg.cadence = agora_sim::SimDuration::from_secs(secs);
-    }
+        Some(secs) => agora_sim::SimDuration::from_secs(secs),
+    };
 
     let out_path = opts
         .observe_out
@@ -201,7 +201,7 @@ fn run_observe_mode(opts: &Options) -> ExitCode {
         &registry(),
         &opts.cfg,
         &target,
-        obs_cfg,
+        cadence,
         trace_ring,
         sink,
     ) {

@@ -4,20 +4,21 @@
 //! frames, anomaly records, final summary), and validate such artifacts.
 //!
 //! Like `TRACE_*.jsonl`, OBS artifacts are **wall-clock-free**: every byte
-//! is a pure function of `(target, seed, observer config)`, so repeated
-//! runs — at any thread count, with or without a flight recorder nested
-//! alongside — are byte-identical and the files are CI-diffable. Lines are
+//! is a pure function of `(target, seed, cadence)`, so repeated runs — at
+//! any thread count, with or without a flight recorder nested alongside —
+//! are byte-identical and the files are CI-diffable. Lines are
 //! handed to the caller one at a time as they are produced, so the harness
 //! can flush each to disk immediately and multi-hour runs are observable
 //! mid-flight (`tail -f`). Wall-clock progress belongs to `--watch` on
 //! stderr, never in here.
 
 use agora_observer::{
-    AnomalyRecord, FrameRecord, ObsRecord, Observer, ObserverConfig, ObserverSummary,
+    AnomalyRecord, FrameRecord, ObsRecord, Observer, ObserverSummary, JUMP_WARMUP, OVERLOAD_JUMP,
+    OVERLOAD_UTIL, WINDOW,
 };
 use agora_sim::probe::with_thread_probe;
 use agora_sim::trace::{with_thread_sink, FlightRecorder, SharedRecorder, TraceFilter};
-use agora_sim::Metrics;
+use agora_sim::{Metrics, SimDuration};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -28,7 +29,7 @@ use crate::registry::ExperimentDef;
 use crate::trace::node_json;
 
 /// JSONL schema version for `OBS_*.jsonl`.
-pub const OBS_SCHEMA: u32 = 1;
+pub const OBS_SCHEMA: u32 = 2;
 
 /// Where artifact lines go, one call per line, no trailing newline.
 pub type ObsLineSink = Box<dyn FnMut(&str)>;
@@ -42,7 +43,8 @@ pub struct ObserveRun {
     /// The seed the trial ran with.
     pub seed: u64,
     /// Metrics the trial reported. Identical to an unobserved run except
-    /// for `anomaly.*` counters, which exist only when detectors fired.
+    /// for the `anomaly.overload` counter, which exists only when a
+    /// detector fired.
     pub metrics: Metrics,
     /// Observer totals (what the artifact's summary line carries).
     pub summary: ObserverSummary,
@@ -59,11 +61,12 @@ pub struct ObserveRun {
 /// replaying the exact first matching trial of the default matrix — same
 /// derived seed, same metrics. `trace_ring` additionally installs a flight
 /// recorder of that capacity so anomaly trace points can be explained.
+/// Frames are sampled every `cadence` of sim time.
 pub fn run_observe_target(
     registry: &[ExperimentDef],
     cfg: &MatrixConfig,
     target: &str,
-    obs_cfg: ObserverConfig,
+    cadence: SimDuration,
     trace_ring: Option<usize>,
     sink: ObsLineSink,
 ) -> Result<ObserveRun, String> {
@@ -77,15 +80,12 @@ pub fn run_observe_target(
     );
 
     let sink: Rc<RefCell<ObsLineSink>> = Rc::new(RefCell::new(sink));
-    (sink.borrow_mut())(&header_json(&target_id, &variant, seed, &obs_cfg).render_compact());
+    (sink.borrow_mut())(&header_json(&target_id, &variant, seed, cadence).render_compact());
 
     let record_sink = Rc::clone(&sink);
-    let observer = Observer::new(
-        obs_cfg,
-        Box::new(move |rec| {
-            (record_sink.borrow_mut())(&record_to_json(&rec).render_compact());
-        }),
-    );
+    let observer = Observer::new(Box::new(move |rec| {
+        (record_sink.borrow_mut())(&record_to_json(&rec).render_compact());
+    }));
 
     // The probe factory is thread-local and removed on return, so every
     // `Simulation` the trial constructs — however deep — reports to this
@@ -93,7 +93,6 @@ pub fn run_observe_target(
     // recorder, when asked for, nests around the probe scope: tracing and
     // probing are independent taps on the same event stream.
     let probe_handle = observer.clone();
-    let cadence = observer.cadence();
     let probed = move |run: fn(u64) -> Metrics, seed: u64| {
         with_thread_probe(
             move || (probe_handle.make_sink(), cadence),
@@ -134,7 +133,7 @@ pub fn run_observe_target(
     })
 }
 
-fn header_json(target: &str, variant: &str, seed: u64, obs_cfg: &ObserverConfig) -> Json {
+fn header_json(target: &str, variant: &str, seed: u64, cadence: SimDuration) -> Json {
     let mut header = Json::obj();
     header.set("type", Json::Str("header".to_owned()));
     header.set("schema", Json::Num(OBS_SCHEMA as f64));
@@ -143,20 +142,13 @@ fn header_json(target: &str, variant: &str, seed: u64, obs_cfg: &ObserverConfig)
     // Seeds are full-range u64; `Json::Num` is an f64 and would collapse
     // nearby seeds above 2^53, so they render as exact decimal strings.
     header.set("seed", Json::Str(seed.to_string()));
-    header.set("cadence_secs", Json::Num(obs_cfg.cadence.secs_f64()));
-    // Detector tuning goes into the artifact so a reader can interpret the
-    // anomaly records without chasing the binary's defaults.
-    header.set(
-        "overload_backlog_secs",
-        Json::Num(obs_cfg.overload_backlog_secs),
-    );
-    header.set("overload_util", Json::Num(obs_cfg.overload_util));
-    header.set("overload_jump", Json::Num(obs_cfg.overload_jump));
-    header.set("jump_warmup", Json::Num(obs_cfg.jump_warmup as f64));
-    header.set("zscore_k", Json::Num(obs_cfg.zscore_k));
-    header.set("zscore_warmup", Json::Num(obs_cfg.zscore_warmup as f64));
-    header.set("trend_len", Json::Num(obs_cfg.trend_len as f64));
-    header.set("window", Json::Num(obs_cfg.window as f64));
+    header.set("cadence_secs", Json::Num(cadence.secs_f64()));
+    // The detectors' constants go into the artifact so a reader can
+    // interpret the anomaly records without chasing the binary.
+    header.set("overload_util", Json::Num(OVERLOAD_UTIL));
+    header.set("overload_jump", Json::Num(OVERLOAD_JUMP));
+    header.set("jump_warmup", Json::Num(JUMP_WARMUP as f64));
+    header.set("window", Json::Num(WINDOW as f64));
     header
 }
 
@@ -252,7 +244,7 @@ pub struct ObsFileSummary {
 }
 
 /// The tiny in-repo `OBS_*.jsonl` schema checker CI runs: every line must
-/// parse as JSON; the first line must be a schema-1 header; body lines must
+/// parse as JSON; the first line must be a schema-2 header; body lines must
 /// be known types with their required fields; the final line must be a
 /// summary whose sim/frame/anomaly totals match the body. Returns the body
 /// counts on success.
@@ -273,13 +265,9 @@ pub fn validate_obs_jsonl(text: &str) -> Result<ObsFileSummary, String> {
     }
     for field in [
         "cadence_secs",
-        "overload_backlog_secs",
         "overload_util",
         "overload_jump",
         "jump_warmup",
-        "zscore_k",
-        "zscore_warmup",
-        "trend_len",
         "window",
     ] {
         if header.get(field).and_then(Json::as_f64).is_none() {
@@ -379,6 +367,7 @@ pub fn validate_obs_jsonl(text: &str) -> Result<ObsFileSummary, String> {
 mod tests {
     use super::*;
     use crate::registry::registry;
+    use agora_observer::DEFAULT_CADENCE;
 
     fn light_cfg() -> MatrixConfig {
         MatrixConfig {
@@ -387,18 +376,14 @@ mod tests {
         }
     }
 
-    fn observe_to_string(
-        target: &str,
-        cfg: &MatrixConfig,
-        obs_cfg: ObserverConfig,
-    ) -> (String, ObserveRun) {
+    fn observe_to_string(target: &str, cfg: &MatrixConfig) -> (String, ObserveRun) {
         let lines: Rc<RefCell<String>> = Rc::new(RefCell::new(String::new()));
         let out = Rc::clone(&lines);
         let run = run_observe_target(
             &registry(),
             cfg,
             target,
-            obs_cfg,
+            DEFAULT_CADENCE,
             None,
             Box::new(move |line| {
                 let mut buf = out.borrow_mut();
@@ -414,8 +399,8 @@ mod tests {
     #[test]
     fn observe_jsonl_is_deterministic_and_valid() {
         let cfg = light_cfg();
-        let (a, run) = observe_to_string("e16/p10k", &cfg, ObserverConfig::default());
-        let (b, _) = observe_to_string("e16/p10k", &cfg, ObserverConfig::default());
+        let (a, run) = observe_to_string("e16/p10k", &cfg);
+        let (b, _) = observe_to_string("e16/p10k", &cfg);
         assert_eq!(a, b, "OBS jsonl must be byte-identical across runs");
         let counted = validate_obs_jsonl(&a).expect("artifact validates");
         assert_eq!(counted.sims as u32, run.summary.sims);
@@ -426,7 +411,7 @@ mod tests {
     #[test]
     fn observed_metrics_match_unobserved_run_modulo_anomaly_counters() {
         let cfg = light_cfg();
-        let (_, run) = observe_to_string("e15/i1.00", &cfg, ObserverConfig::default());
+        let (_, run) = observe_to_string("e15/i1.00", &cfg);
         let plain = agora::experiments::e15_metrics(run.seed, 1.0);
         let observed: Vec<_> = run
             .metrics
@@ -444,14 +429,7 @@ mod tests {
     fn unknown_targets_are_rejected() {
         let reg = registry();
         let cfg = light_cfg();
-        let err = run_observe_target(
-            &reg,
-            &cfg,
-            "e99",
-            ObserverConfig::default(),
-            None,
-            Box::new(|_| {}),
-        );
+        let err = run_observe_target(&reg, &cfg, "e99", DEFAULT_CADENCE, None, Box::new(|_| {}));
         assert!(err.is_err());
     }
 
@@ -462,7 +440,7 @@ mod tests {
             validate_obs_jsonl("{\"type\":\"sim\",\"ordinal\":0,\"seed\":\"1\"}").is_err(),
             "no header"
         );
-        let header = "{\"type\":\"header\",\"schema\":1,\"target\":\"e16\",\"variant\":\"p10k\",\"seed\":\"1\",\"cadence_secs\":300,\"overload_backlog_secs\":30,\"overload_util\":1,\"overload_jump\":2,\"jump_warmup\":8,\"zscore_k\":6,\"zscore_warmup\":32,\"trend_len\":12,\"window\":8}";
+        let header = "{\"type\":\"header\",\"schema\":2,\"target\":\"e16\",\"variant\":\"p10k\",\"seed\":\"1\",\"cadence_secs\":300,\"overload_util\":1,\"overload_jump\":2,\"jump_warmup\":8,\"window\":8}";
         assert!(
             validate_obs_jsonl(header).is_err(),
             "summary line is mandatory"
@@ -472,6 +450,10 @@ mod tests {
             "{\"type\":\"summary\",\"sims\":0,\"frames\":0,\"anomalies\":{}}"
         );
         assert!(validate_obs_jsonl(&no_frames_ok).is_ok());
+        assert!(
+            validate_obs_jsonl(&no_frames_ok.replace("\"schema\":2", "\"schema\":1")).is_err(),
+            "a schema-1 file (with z-score and trend tuning) is not this schema"
+        );
         let miscounted = format!(
             "{header}\n{}\n{}",
             "{\"type\":\"sim\",\"ordinal\":0,\"seed\":\"1\"}",

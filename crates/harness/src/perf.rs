@@ -313,7 +313,7 @@ fn e16_class_run() -> (u64, f64) {
 /// observer installed at coarse and fine sampling cadences. The overhead
 /// ratio is the price of the observe plane on a real protocol day.
 fn observer_to_json(prof: &mut PhaseProfiler) -> Json {
-    use agora_observer::{Observer, ObserverConfig};
+    use agora_observer::Observer;
 
     let mut out = Json::obj();
     out.set(
@@ -327,15 +327,9 @@ fn observer_to_json(prof: &mut PhaseProfiler) -> Json {
     let (_, unobserved_wall) = prof.time("microbench/observer_unobserved", e16_class_run);
     out.set("unobserved_wall_secs", Json::Num(unobserved_wall));
     for cadence_secs in [300u64, 60] {
-        let obs = Observer::new(
-            ObserverConfig {
-                cadence: SimDuration::from_secs(cadence_secs),
-                ..ObserverConfig::default()
-            },
-            Box::new(drop),
-        );
+        let obs = Observer::new(Box::new(drop));
         let handle = obs.clone();
-        let cadence = handle.cadence();
+        let cadence = SimDuration::from_secs(cadence_secs);
         let (events, wall) = prof.time(
             &format!("microbench/observer_cadence{cadence_secs}s"),
             || {

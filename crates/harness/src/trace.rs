@@ -490,7 +490,7 @@ mod tests {
     use crate::matrix::metrics_to_json;
     use crate::observe::run_observe_target;
     use crate::registry::registry;
-    use agora_observer::ObserverConfig;
+    use agora_observer::DEFAULT_CADENCE;
 
     fn light_cfg() -> MatrixConfig {
         MatrixConfig {
@@ -566,17 +566,11 @@ mod tests {
                 "{target}: the flight recorder moved a metric"
             );
 
-            let observed = run_observe_target(
-                &reg,
-                &cfg,
-                &target,
-                ObserverConfig::default(),
-                None,
-                Box::new(|_| {}),
-            )
-            .expect("registry target");
-            // The observer's whole footprint: one `anomaly.*` counter per
-            // detector firing (E16's flash crowd trips `anomaly.overload`).
+            let observed =
+                run_observe_target(&reg, &cfg, &target, DEFAULT_CADENCE, None, Box::new(|_| {}))
+                    .expect("registry target");
+            // The observer's whole footprint: one `anomaly.overload` count
+            // per detector firing (E16's flash crowd trips it).
             let mut expected = plain.clone();
             for (key, n) in observed.metrics.counters() {
                 if key.starts_with("anomaly.") {

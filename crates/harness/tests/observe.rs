@@ -1,8 +1,8 @@
 //! The observe-plane contract, end to end through the public harness API:
 //!
-//! 1. `OBS_*.jsonl` bytes are a pure function of `(target, seed, observer
-//!    config)` — harness thread count and whether a flight recorder is
-//!    nested alongside the probes must both be invisible in the artifact.
+//! 1. `OBS_*.jsonl` bytes are a pure function of `(target, seed, cadence)`
+//!    — harness thread count and whether a flight recorder is nested
+//!    alongside the probes must both be invisible in the artifact.
 //! 2. The anomaly layer actually catches the phenomenon the repo is about:
 //!    E16's flash crowd overloads the consumer-uplink substrates (DHT,
 //!    storage market, swarm) within the ramp window, while the centralized
@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use agora_harness::observe::{run_observe_target, validate_obs_jsonl, ObserveRun};
 use agora_harness::{registry, Json, MatrixConfig};
-use agora_observer::ObserverConfig;
+use agora_observer::DEFAULT_CADENCE;
 
 /// E16's flash-crowd schedule (see `exp_workload.rs`): onset at 12:45 UTC,
 /// a 30-minute ramp to peak demand.
@@ -32,7 +32,7 @@ fn observe_to_string(
         &registry(),
         cfg,
         target,
-        ObserverConfig::default(),
+        DEFAULT_CADENCE,
         trace_ring,
         Box::new(move |line| {
             let mut buf = out.borrow_mut();

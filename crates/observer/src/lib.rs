@@ -3,11 +3,12 @@
 //! Consumes the `agora-sim` [`probe`](agora_sim::probe) feed — cadence
 //! frames of engine state plus named substrate health signals — and turns
 //! it into a typed, deterministic record stream: per-interval signal
-//! summaries and counter deltas, and anomaly records from four detector
-//! families (absolute threshold with hysteresis, demand-surge against a
-//! saturated uplink, EWMA z-score, sustained trend). The harness renders
-//! the stream as the `OBS_<target>.jsonl` artifact; reactive in-sim
-//! policies can subscribe to the same records.
+//! summaries and counter deltas, and `anomaly.overload` records from two
+//! detectors over the workload layer's signals: a utilization threshold
+//! with hysteresis, and a demand surge against a saturated uplink. The
+//! harness renders the stream as the `OBS_<target>.jsonl` artifact;
+//! `agora-policy` reads the same utilization signal directly, at the same
+//! threshold.
 //!
 //! Everything here is a pure function of the probe feed, which is itself a
 //! pure function of the canonical event order — no wall clock, no
@@ -16,7 +17,7 @@
 //!
 //! Detector verdicts are returned to the engine as
 //! [`ProbeAnomaly`](agora_sim::ProbeAnomaly) values, which the engine turns
-//! into `anomaly.*` metrics counters and (when tracing) trace points
+//! into `anomaly.overload` metrics counters and (when tracing) trace points
 //! causally parented to the event that triggered the sample — that is what
 //! makes `--explain anomaly.overload` walk back to the overloading traffic.
 
@@ -30,64 +31,42 @@ use std::rc::Rc;
 use agora_sim::probe::{ProbeAnomaly, ProbeFrame, ProbeSink};
 use agora_sim::{NodeId, SimDuration, SimTime};
 
-/// EWMA smoothing factor for the z-score detector's running mean/variance.
+/// Default sim-time sampling cadence for frames (`--observe-cadence`
+/// overrides it for one observed run).
+pub const DEFAULT_CADENCE: SimDuration = SimDuration::from_secs(300);
+
+/// The workload layer's modeled demand-over-uplink factor, reported per
+/// tick. Both overload detectors read it, and so does `agora-policy`.
+pub const SIG_UPLINK_UTIL: &str = "net.uplink_util";
+
+/// The workload layer's per-tick demand total, which the surge detector
+/// reads.
+pub const SIG_DEMAND: &str = "workload.demand";
+
+/// The anomaly kind both detectors fire.
+pub const ANOMALY_OVERLOAD: &str = "anomaly.overload";
+
+/// Overload threshold on the interval max of [`SIG_UPLINK_UTIL`]: 1.0 =
+/// some serving uplink cannot carry its attributed demand. The threshold
+/// detector fires at the upward crossing and re-arms below half of it.
+pub const OVERLOAD_UTIL: f64 = 1.0;
+
+/// Surge detector: fire when the interval's [`SIG_DEMAND`] total reaches
+/// this multiple of its EWMA baseline *while* utilization is at or above
+/// [`OVERLOAD_UTIL`]. Demand is schedule-driven and smooth, so the ratio
+/// times the onset of a flash crowd; the saturation gate keeps substrates
+/// with headroom (the centralized server) clean through the same surge.
+pub const OVERLOAD_JUMP: f64 = 2.0;
+
+/// Demand-bearing frames of EWMA warmup before the surge detector may fire.
+pub const JUMP_WARMUP: u32 = 8;
+
+/// How many recent values of the triggering signal an anomaly record
+/// carries.
+pub const WINDOW: usize = 8;
+
+/// EWMA smoothing factor for the surge detector's demand baseline.
 const EWMA_ALPHA: f64 = 0.1;
-
-/// Observer tuning. Every field participates in artifact bytes, so changes
-/// here are artifact-schema changes.
-#[derive(Clone, Debug)]
-pub struct ObserverConfig {
-    /// Sim-time sampling cadence for frames.
-    pub cadence: SimDuration,
-    /// Absolute-threshold detector: fire `anomaly.overload` when the
-    /// largest per-node uplink backlog reaches this many seconds.
-    pub overload_backlog_secs: f64,
-    /// Absolute-threshold detector on the `net.uplink_util` signal (the
-    /// workload layer's modeled demand-over-uplink factor, reported per
-    /// tick): fire `anomaly.overload` when the interval max reaches this.
-    /// 1.0 = some serving uplink cannot carry its attributed demand.
-    pub overload_util: f64,
-    /// Surge detector: fire `anomaly.overload` when the interval's
-    /// `workload.demand` total reaches this multiple of its EWMA baseline
-    /// *while* `net.uplink_util` is at or above [`overload_util`]. Demand
-    /// is schedule-driven and smooth, so the ratio times the onset of a
-    /// flash crowd; the saturation gate keeps substrates with headroom
-    /// (the centralized server) clean through the same surge.
-    ///
-    /// [`overload_util`]: ObserverConfig::overload_util
-    pub overload_jump: f64,
-    /// Demand-bearing frames of EWMA warmup before the surge detector may
-    /// fire.
-    pub jump_warmup: u32,
-    /// Z-score detector: fire `anomaly.zscore` when pending-event count
-    /// deviates from its EWMA by at least this many (EWMA) standard
-    /// deviations.
-    pub zscore_k: f64,
-    /// Frames of EWMA warmup before the z-score detector may fire.
-    pub zscore_warmup: u32,
-    /// Trend detector: fire `anomaly.trend` after this many consecutive
-    /// frames of strictly increasing pending-event count.
-    pub trend_len: u32,
-    /// How many recent values of the triggering signal an anomaly record
-    /// carries.
-    pub window: usize,
-}
-
-impl Default for ObserverConfig {
-    fn default() -> ObserverConfig {
-        ObserverConfig {
-            cadence: SimDuration::from_secs(300),
-            overload_backlog_secs: 30.0,
-            overload_util: 1.0,
-            overload_jump: 2.0,
-            jump_warmup: 8,
-            zscore_k: 6.0,
-            zscore_warmup: 32,
-            trend_len: 12,
-            window: 8,
-        }
-    }
-}
 
 /// Per-interval summary of one named substrate signal.
 #[derive(Clone, Debug, PartialEq)]
@@ -184,7 +163,6 @@ pub struct ObserverSummary {
 }
 
 struct Core {
-    config: ObserverConfig,
     emit: Box<dyn FnMut(ObsRecord)>,
     next_ordinal: u32,
     frames: u64,
@@ -201,11 +179,11 @@ pub struct Observer {
 impl Observer {
     /// Create an observer delivering records to `emit` as they happen (the
     /// harness flushes each one to the `OBS_*` artifact immediately, which
-    /// is what makes long runs observable mid-flight).
-    pub fn new(config: ObserverConfig, emit: Box<dyn FnMut(ObsRecord)>) -> Observer {
+    /// is what makes long runs observable mid-flight). The cadence is the
+    /// installer's: it goes beside each [`Observer::make_sink`].
+    pub fn new(emit: Box<dyn FnMut(ObsRecord)>) -> Observer {
         Observer {
             core: Rc::new(RefCell::new(Core {
-                config,
                 emit,
                 next_ordinal: 0,
                 frames: 0,
@@ -214,37 +192,20 @@ impl Observer {
         }
     }
 
-    /// The configured sampling cadence (what the probe factory should
-    /// install alongside each sink).
-    pub fn cadence(&self) -> SimDuration {
-        self.core.borrow().config.cadence
-    }
-
     /// A fresh probe sink for one simulation: detector state starts clean
     /// per sim, the record stream and summary are shared.
     pub fn make_sink(&self) -> Box<dyn ProbeSink> {
-        let config = self.core.borrow().config.clone();
         Box::new(SimProbe {
             core: Rc::clone(&self.core),
-            config,
             ordinal: 0,
             last_counters: Vec::new(),
             signals: BTreeMap::new(),
-            overload_armed: true,
-            uplink_window: VecDeque::new(),
             util_armed: true,
             util_window: VecDeque::new(),
             jump_armed: true,
             demand_ewma: 0.0,
             demand_frames: 0,
             demand_window: VecDeque::new(),
-            pending_window: VecDeque::new(),
-            ewma_mean: 0.0,
-            ewma_var: 0.0,
-            ewma_frames: 0,
-            zscore_armed: true,
-            trend_run: 0,
-            last_pending: 0,
         })
     }
 
@@ -268,32 +229,22 @@ struct SigAgg {
 /// One simulation's probe sink: interval aggregation plus detector state.
 struct SimProbe {
     core: Rc<RefCell<Core>>,
-    config: ObserverConfig,
     ordinal: u32,
     /// Counter snapshot at the previous frame, for delta computation.
     last_counters: Vec<(String, u64)>,
     /// Signal aggregates accumulating toward the next frame.
     signals: BTreeMap<&'static str, SigAgg>,
-    overload_armed: bool,
-    uplink_window: VecDeque<f64>,
     util_armed: bool,
     util_window: VecDeque<f64>,
     jump_armed: bool,
     demand_ewma: f64,
     demand_frames: u32,
     demand_window: VecDeque<f64>,
-    pending_window: VecDeque<f64>,
-    ewma_mean: f64,
-    ewma_var: f64,
-    ewma_frames: u32,
-    zscore_armed: bool,
-    trend_run: u32,
-    last_pending: u64,
 }
 
 impl SimProbe {
-    fn push_window(window: &mut VecDeque<f64>, cap: usize, v: f64) {
-        if window.len() == cap.max(1) {
+    fn push_window(window: &mut VecDeque<f64>, v: f64) {
+        if window.len() == WINDOW {
             window.pop_front();
         }
         window.push_back(v);
@@ -321,26 +272,31 @@ impl SimProbe {
         out
     }
 
+    /// Record one `anomaly.overload` firing on `signal`, carrying that
+    /// signal's recent `window`.
     fn fire(
-        &mut self,
+        &self,
         t: SimTime,
-        (kind, signal, detector): (&'static str, &'static str, &'static str),
+        (signal, detector): (&'static str, &'static str),
         value: f64,
         window: &VecDeque<f64>,
         out: &mut Vec<ProbeAnomaly>,
     ) {
         let mut core = self.core.borrow_mut();
-        *core.anomalies.entry(kind).or_insert(0) += 1;
+        *core.anomalies.entry(ANOMALY_OVERLOAD).or_insert(0) += 1;
         (core.emit)(ObsRecord::Anomaly(AnomalyRecord {
             sim: self.ordinal,
             t,
-            kind,
+            kind: ANOMALY_OVERLOAD,
             signal,
             detector,
             value,
             window: window.iter().copied().collect(),
         }));
-        out.push(ProbeAnomaly { kind, value });
+        out.push(ProbeAnomaly {
+            kind: ANOMALY_OVERLOAD,
+            value,
+        });
     }
 }
 
@@ -368,8 +324,8 @@ impl ProbeSink for SimProbe {
         let snapshot = frame.metrics.snapshot();
         let deltas = Self::deltas(&self.last_counters, &snapshot);
         self.last_counters = snapshot;
-        let uplink_util = self.signals.get("net.uplink_util").map(|agg| agg.max);
-        let demand = self.signals.get("workload.demand").map(|agg| agg.sum);
+        let uplink_util = self.signals.get(SIG_UPLINK_UTIL).map(|agg| agg.max);
+        let demand = self.signals.get(SIG_DEMAND).map(|agg| agg.sum);
         let signals: Vec<SignalSummary> = self
             .signals
             .iter()
@@ -403,73 +359,50 @@ impl ProbeSink for SimProbe {
 
         let mut out = Vec::new();
         let t = frame.now;
-        let win = self.config.window;
 
-        // Threshold detector with hysteresis: fires once at the upward
-        // crossing, re-arms only after the backlog falls to half the
-        // threshold — onset detection, not a per-frame alarm.
-        let uplink = frame.uplink_max_backlog_secs;
-        Self::push_window(&mut self.uplink_window, win, uplink);
-        if self.overload_armed && uplink >= self.config.overload_backlog_secs {
-            self.overload_armed = false;
-            let window = std::mem::take(&mut self.uplink_window);
-            self.fire(
-                t,
-                ("anomaly.overload", "net.uplink_backlog_secs", "threshold"),
-                uplink,
-                &window,
-                &mut out,
-            );
-            self.uplink_window = window;
-        } else if !self.overload_armed && uplink < self.config.overload_backlog_secs * 0.5 {
-            self.overload_armed = true;
-        }
-
-        // Same detector family over the workload layer's modeled
-        // demand-over-uplink factor (`net.uplink_util` signal): the
-        // interval max crossing 1.0 is flash-crowd onset on substrates
-        // whose serving uplinks are consumer-grade. Intervals without the
-        // signal leave the detector state untouched.
+        // Threshold detector with hysteresis on the interval max of the
+        // modeled demand-over-uplink factor: it fires once at the upward
+        // crossing and re-arms only after utilization falls below half the
+        // threshold — onset detection, not a per-frame alarm. Crossing 1.0
+        // is flash-crowd onset on substrates whose serving uplinks are
+        // consumer-grade. Intervals without the signal leave the detector
+        // state untouched.
         if let Some(util) = uplink_util {
-            Self::push_window(&mut self.util_window, win, util);
-            if self.util_armed && util >= self.config.overload_util {
+            Self::push_window(&mut self.util_window, util);
+            if self.util_armed && util >= OVERLOAD_UTIL {
                 self.util_armed = false;
-                let window = std::mem::take(&mut self.util_window);
                 self.fire(
                     t,
-                    ("anomaly.overload", "net.uplink_util", "threshold"),
+                    (SIG_UPLINK_UTIL, "threshold"),
                     util,
-                    &window,
+                    &self.util_window,
                     &mut out,
                 );
-                self.util_window = window;
-            } else if !self.util_armed && util < self.config.overload_util * 0.5 {
+            } else if !self.util_armed && util < OVERLOAD_UTIL * 0.5 {
                 self.util_armed = true;
             }
         }
 
-        // Surge detector: the interval's `workload.demand` total against
-        // its own EWMA baseline, gated on `net.uplink_util` saturation.
-        // The demand series is the workload schedule itself — smooth where
-        // per-node utilization is Zipf-noisy — so the ratio crossing lands
-        // on the flash-crowd ramp, and the saturation gate keeps substrates
-        // with capacity headroom quiet through the same surge.
+        // Surge detector: the interval's demand total against its own EWMA
+        // baseline, gated on utilization saturation. The demand series is
+        // the workload schedule itself — smooth where per-node utilization
+        // is Zipf-noisy — so the ratio crossing lands on the flash-crowd
+        // ramp, and the saturation gate keeps substrates with capacity
+        // headroom quiet through the same surge.
         if let Some(demand) = demand {
-            Self::push_window(&mut self.demand_window, win, demand);
-            if self.demand_frames >= self.config.jump_warmup {
-                let surge = demand >= self.config.overload_jump * self.demand_ewma;
-                let saturated = uplink_util.is_some_and(|u| u >= self.config.overload_util);
+            Self::push_window(&mut self.demand_window, demand);
+            if self.demand_frames >= JUMP_WARMUP {
+                let surge = demand >= OVERLOAD_JUMP * self.demand_ewma;
+                let saturated = uplink_util.is_some_and(|u| u >= OVERLOAD_UTIL);
                 if self.jump_armed && surge && saturated {
                     self.jump_armed = false;
-                    let window = std::mem::take(&mut self.demand_window);
                     self.fire(
                         t,
-                        ("anomaly.overload", "workload.demand", "jump"),
+                        (SIG_DEMAND, "jump"),
                         demand,
-                        &window,
+                        &self.demand_window,
                         &mut out,
                     );
-                    self.demand_window = window;
                 } else if !self.jump_armed && !surge {
                     self.jump_armed = true;
                 }
@@ -481,55 +414,6 @@ impl ProbeSink for SimProbe {
             }
             self.demand_frames += 1;
         }
-
-        // EWMA z-score on pending-event count: deviation from the smoothed
-        // baseline, after warmup, with the same crossing/re-arm shape.
-        let pending = frame.pending as f64;
-        Self::push_window(&mut self.pending_window, win, pending);
-        if self.ewma_frames >= self.config.zscore_warmup {
-            let std = self.ewma_var.sqrt().max(1e-9);
-            let z = (pending - self.ewma_mean) / std;
-            if self.zscore_armed && z.abs() >= self.config.zscore_k {
-                self.zscore_armed = false;
-                let window = std::mem::take(&mut self.pending_window);
-                self.fire(
-                    t,
-                    ("anomaly.zscore", "engine.pending", "zscore"),
-                    pending,
-                    &window,
-                    &mut out,
-                );
-                self.pending_window = window;
-            } else if !self.zscore_armed && z.abs() < self.config.zscore_k * 0.5 {
-                self.zscore_armed = true;
-            }
-        }
-        let dev = pending - self.ewma_mean;
-        self.ewma_mean += EWMA_ALPHA * dev;
-        self.ewma_var = (1.0 - EWMA_ALPHA) * (self.ewma_var + EWMA_ALPHA * dev * dev);
-        self.ewma_frames += 1;
-
-        // Sustained-trend detector: N consecutive strictly-increasing
-        // frames of pending count, then reset so it re-fires only after
-        // another full run.
-        if frame.pending > self.last_pending {
-            self.trend_run += 1;
-            if self.trend_run >= self.config.trend_len.max(1) {
-                self.trend_run = 0;
-                let window = std::mem::take(&mut self.pending_window);
-                self.fire(
-                    t,
-                    ("anomaly.trend", "engine.pending", "trend"),
-                    pending,
-                    &window,
-                    &mut out,
-                );
-                self.pending_window = window;
-            }
-        } else {
-            self.trend_run = 0;
-        }
-        self.last_pending = frame.pending;
 
         out
     }
@@ -543,10 +427,7 @@ mod tests {
     fn observer_with_log() -> (Observer, Rc<RefCell<Vec<ObsRecord>>>) {
         let log: Rc<RefCell<Vec<ObsRecord>>> = Rc::new(RefCell::new(Vec::new()));
         let sink_log = Rc::clone(&log);
-        let obs = Observer::new(
-            ObserverConfig::default(),
-            Box::new(move |rec| sink_log.borrow_mut().push(rec)),
-        );
+        let obs = Observer::new(Box::new(move |rec| sink_log.borrow_mut().push(rec)));
         (obs, log)
     }
 
@@ -566,6 +447,20 @@ mod tests {
         }
     }
 
+    /// One interval: the utilization samples noted since the last frame,
+    /// then the frame itself (no backlog, nothing pending).
+    fn util_frame(
+        sink: &mut Box<dyn ProbeSink>,
+        m: &Metrics,
+        t: u64,
+        utils: &[f64],
+    ) -> Vec<ProbeAnomaly> {
+        for &u in utils {
+            sink.on_signal(SimTime::ZERO, NodeId(0), SIG_UPLINK_UTIL, u);
+        }
+        sink.on_frame(&frame(m, t, 0, 0.0))
+    }
+
     #[test]
     fn overload_fires_once_at_crossing_and_rearms_after_hysteresis() {
         let (obs, _log) = observer_with_log();
@@ -573,22 +468,25 @@ mod tests {
         sink.on_sim_start(7);
         let m = Metrics::new();
         // Ramp up through the threshold: exactly one firing at the
-        // crossing frame, none while it stays saturated.
+        // crossing frame, none while it stays saturated. The interval max
+        // is what counts.
         let mut fired = Vec::new();
-        for (i, v) in [1.0, 10.0, 35.0, 80.0, 80.0].iter().enumerate() {
-            for a in sink.on_frame(&frame(&m, i as u64, 0, *v)) {
+        for (i, v) in [0.1, 0.4, 1.2, 3.0, 3.0].iter().enumerate() {
+            for a in util_frame(&mut sink, &m, i as u64, &[0.05, *v]) {
                 fired.push((i, a.kind));
             }
         }
-        assert_eq!(fired, vec![(2, "anomaly.overload")]);
+        assert_eq!(fired, vec![(2, ANOMALY_OVERLOAD)]);
         // Still above half-threshold: not re-armed.
-        assert!(sink.on_frame(&frame(&m, 5, 0, 40.0)).is_empty());
+        assert!(util_frame(&mut sink, &m, 5, &[0.6]).is_empty());
+        // A frame without the signal holds the state.
+        assert!(util_frame(&mut sink, &m, 6, &[]).is_empty());
         // Drop below half-threshold, then cross again: fires again.
-        assert!(sink.on_frame(&frame(&m, 6, 0, 2.0)).is_empty());
-        let again = sink.on_frame(&frame(&m, 7, 0, 50.0));
+        assert!(util_frame(&mut sink, &m, 7, &[0.2]).is_empty());
+        let again = util_frame(&mut sink, &m, 8, &[1.0]);
         assert_eq!(again.len(), 1);
-        assert_eq!(again[0].kind, "anomaly.overload");
-        assert_eq!(obs.summary().anomalies["anomaly.overload"], 2);
+        assert_eq!(again[0].kind, ANOMALY_OVERLOAD);
+        assert_eq!(obs.summary().anomalies[ANOMALY_OVERLOAD], 2);
     }
 
     #[test]
@@ -597,67 +495,39 @@ mod tests {
         let mut sink = obs.make_sink();
         sink.on_sim_start(1);
         let m = Metrics::new();
-        for (i, v) in [1.0, 2.0, 99.0].iter().enumerate() {
-            sink.on_frame(&frame(&m, i as u64, 0, *v));
+        for (i, v) in [0.1, 0.2, 9.9].iter().enumerate() {
+            util_frame(&mut sink, &m, i as u64, &[*v]);
         }
         let log = log.borrow();
-        let window = log
+        let rec = log
             .iter()
             .find_map(|rec| match rec {
-                ObsRecord::Anomaly(a) => Some(a.window.clone()),
+                ObsRecord::Anomaly(a) => Some(a),
                 _ => None,
             })
             .expect("overload fired");
-        assert_eq!(window, vec![1.0, 2.0, 99.0], "oldest first, trigger last");
+        assert_eq!((rec.signal, rec.detector), (SIG_UPLINK_UTIL, "threshold"));
+        assert_eq!(
+            rec.window,
+            vec![0.1, 0.2, 9.9],
+            "oldest first, trigger last"
+        );
     }
 
+    /// Engine state alone never fires: a backlog of minutes and a pending
+    /// count that climbs every frame are rendered, not judged. Only the
+    /// workload signals drive a detector.
     #[test]
-    fn zscore_needs_warmup_then_flags_deviation() {
+    fn engine_state_alone_never_fires() {
         let (obs, _log) = observer_with_log();
         let mut sink = obs.make_sink();
         sink.on_sim_start(1);
         let m = Metrics::new();
-        // A noiseless baseline would make any step infinite-z; alternate
-        // two values so the EWMA variance is realistic but small.
-        for i in 0..40u64 {
-            let pending = 100 + (i % 2) * 4;
-            assert!(
-                sink.on_frame(&frame(&m, i, pending, 0.0)).is_empty(),
-                "no firing during baseline (frame {i})"
-            );
+        for t in 0..64u64 {
+            let pending = if t == 40 { 1_000_000 } else { 100 + t };
+            assert!(sink.on_frame(&frame(&m, t, pending, 600.0)).is_empty());
         }
-        let fired = sink.on_frame(&frame(&m, 40, 100_000, 0.0));
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].kind, "anomaly.zscore");
-    }
-
-    #[test]
-    fn trend_fires_after_sustained_increase_only() {
-        let (obs, _log) = observer_with_log();
-        let mut sink = obs.make_sink();
-        sink.on_sim_start(1);
-        let m = Metrics::new();
-        let trend_len = ObserverConfig::default().trend_len as u64;
-        // Sawtooth: runs shorter than `trend_len` never fire.
-        let mut t = 0u64;
-        for _ in 0..4 {
-            for step in 0..(trend_len - 1) {
-                assert!(sink.on_frame(&frame(&m, t, 10 + step, 0.0)).is_empty());
-                t += 1;
-            }
-            assert!(sink.on_frame(&frame(&m, t, 1, 0.0)).is_empty());
-            t += 1;
-        }
-        // A full run fires exactly once, on its final frame. Values stay in
-        // the sawtooth's range so the z-score detector has nothing to say.
-        let mut kinds = Vec::new();
-        for step in 0..trend_len {
-            for a in sink.on_frame(&frame(&m, t, 10 + step, 0.0)) {
-                kinds.push(a.kind);
-            }
-            t += 1;
-        }
-        assert_eq!(kinds, vec!["anomaly.trend"]);
+        assert!(obs.summary().anomalies.is_empty());
     }
 
     #[test]
@@ -666,11 +536,10 @@ mod tests {
         let mut sink = obs.make_sink();
         sink.on_sim_start(1);
         let m = Metrics::new();
-        let cfg = ObserverConfig::default();
         let mut t = 0u64;
         let mut note = |sink: &mut Box<dyn ProbeSink>, demand: f64, util: f64| {
-            sink.on_signal(SimTime::ZERO, NodeId(0), "workload.demand", demand);
-            sink.on_signal(SimTime::ZERO, NodeId(0), "net.uplink_util", util);
+            sink.on_signal(SimTime::ZERO, NodeId(0), SIG_DEMAND, demand);
+            sink.on_signal(SimTime::ZERO, NodeId(0), SIG_UPLINK_UTIL, util);
             let fired = sink.on_frame(&frame(&m, t, 0, 0.0));
             t += 1;
             fired
@@ -678,7 +547,7 @@ mod tests {
         // Steady saturated baseline through warmup: no firing — saturation
         // alone is the absolute detector's business (util stays below its
         // threshold here), the surge detector wants a demand jump.
-        for _ in 0..=cfg.jump_warmup {
+        for _ in 0..=JUMP_WARMUP {
             assert!(note(&mut sink, 100.0, 0.9).is_empty());
         }
         // Demand doubles but the uplink has headroom: clean (this is the
@@ -688,7 +557,7 @@ mod tests {
         // (and the absolute util threshold trips on the same crossing).
         let fired = note(&mut sink, 260.0, 1.4);
         assert_eq!(fired.len(), 2);
-        assert!(fired.iter().all(|a| a.kind == "anomaly.overload"));
+        assert!(fired.iter().all(|a| a.kind == ANOMALY_OVERLOAD));
         let log = log.borrow();
         let rec = log
             .iter()
@@ -698,7 +567,7 @@ mod tests {
             })
             .next_back()
             .expect("anomaly recorded");
-        assert_eq!(rec.signal, "workload.demand");
+        assert_eq!(rec.signal, SIG_DEMAND);
         assert_eq!(rec.detector, "jump");
     }
 
@@ -775,7 +644,7 @@ mod tests {
         a.on_sim_start(1);
         b.on_sim_start(2);
         let m = Metrics::new();
-        assert_eq!(a.on_frame(&frame(&m, 1, 0, 100.0)).len(), 1);
-        assert_eq!(b.on_frame(&frame(&m, 1, 0, 100.0)).len(), 1);
+        assert_eq!(util_frame(&mut a, &m, 1, &[2.0]).len(), 1);
+        assert_eq!(util_frame(&mut b, &m, 1, &[2.0]).len(), 1);
     }
 }

@@ -1,36 +1,37 @@
 //! Deterministic reactive control: overload policies that close the
 //! sense→act loop over the probe plane.
 //!
-//! The observer plane (`agora-observer`) detects flash-crowd onset from
-//! probe frames and substrate signals and returns `ProbeAnomaly` verdicts
-//! to the engine. This crate adds the other half: a [`PolicyHub`] wraps an
-//! observer sink, applies an engage/escalate/release hysteresis state
-//! machine to its verdicts, and exposes the resulting *policy level*
-//! through a shared [`PolicyHandle`] that substrate runners poll at
-//! deterministic sim times.
+//! A [`PolicyHub`] is a probe sink that senses the workload layer's modeled
+//! uplink utilization (`net.uplink_util`) directly, applies an
+//! engage/escalate/release hysteresis state machine to its per-interval
+//! max, and exposes the resulting *policy level* through a shared
+//! [`PolicyHandle`] that substrate runners poll at deterministic sim times.
+//! It engages at the same threshold at which the observer
+//! (`agora-observer`) fires `anomaly.overload`, so the two planes agree
+//! on what overload is without one wrapping the other.
 //!
 //! # Determinism
 //!
-//! Policies subscribe to probe frames and anomaly verdicts — never to
-//! artifact metrics, wall clock, or scheduling order. Probe frames are
+//! Policies subscribe to probe frames and the utilization signal — never
+//! to artifact metrics, wall clock, or scheduling order. Probe frames are
 //! sampled at dispatch points in the canonical event order, substrate
 //! signals arrive in that same order, and the hysteresis machine is a pure
 //! function of the frame/signal stream, so the policy level at any sim
 //! time — and therefore every action a runner derives from it — is
 //! byte-identical at any harness thread count. The within-interval state
-//! kept per signal is a running max, which is commutative and associative,
-//! so even signal interleaving *within* one cadence interval cannot change
-//! a decision (pinned by the proptest in `tests/proptests.rs`).
+//! kept is a running max, which is commutative and associative, so even
+//! signal interleaving *within* one cadence interval cannot change a
+//! decision (pinned by the proptest in `tests/proptests.rs`).
 //!
 //! # Hysteresis
 //!
-//! Disengaged → engaged on an `anomaly.overload` verdict (or the interval
-//! uplink-util max reaching `engage_util`). While engaged, each saturated
-//! interval escalates the level up to `max_level`; the policy releases
-//! only after `release_frames` observed intervals below `release_util`
-//! (intervals with no utilization signal hold the count — they neither
-//! advance nor reset it), so policies disengage cleanly after the crowd
-//! passes instead of flapping at the threshold.
+//! Disengaged → engaged when the interval utilization max reaches
+//! [`OVERLOAD_UTIL`]. While engaged, each saturated interval escalates the
+//! level up to [`MAX_LEVEL`]; the policy releases only after
+//! [`RELEASE_FRAMES`] observed intervals below [`RELEASE_UTIL`] (intervals
+//! with no utilization signal hold the count — they neither advance nor
+//! reset it), so policies disengage cleanly after the crowd passes instead
+//! of flapping at the threshold.
 //!
 //! # Accounting
 //!
@@ -47,54 +48,30 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use agora_observer::Observer;
-pub use agora_observer::ObserverConfig;
+pub use agora_observer::{OVERLOAD_UTIL, SIG_UPLINK_UTIL};
 use agora_sim::probe::{ProbeAnomaly, ProbeFrame, ProbeSink};
 use agora_sim::{NodeId, SimDuration, SimTime};
 
-/// The substrate signal the hysteresis machine watches: modeled
-/// demand-over-uplink utilization, reported per workload tick.
-pub const SIG_UPLINK_UTIL: &str = "net.uplink_util";
+/// The sampling cadence to install a hub's sink with: the observer's
+/// default, so a policy decides on the intervals an OBS artifact shows.
+pub const CADENCE: SimDuration = agora_observer::DEFAULT_CADENCE;
 
-/// The observer verdict kind that engages a disengaged policy.
-pub const ANOMALY_OVERLOAD: &str = "anomaly.overload";
+/// Count an interval toward release only when its utilization max is
+/// strictly below this (the hysteresis band is `[RELEASE_UTIL,
+/// OVERLOAD_UTIL)`).
+pub const RELEASE_UTIL: f64 = 0.5;
+
+/// Consecutive calm intervals required to release.
+pub const RELEASE_FRAMES: u32 = 2;
+
+/// Escalation cap for the policy level.
+pub const MAX_LEVEL: u32 = 8;
 
 /// Counter/trace key minted when a policy engages (value = level).
 pub const POLICY_ENGAGE: &str = "policy.engage";
 
 /// Counter/trace key minted when a policy releases (value = 0).
 pub const POLICY_RELEASE: &str = "policy.release";
-
-/// Policy tuning. Every field participates in artifact bytes.
-#[derive(Clone, Debug)]
-pub struct PolicyConfig {
-    /// Configuration for the wrapped observer (detectors + cadence).
-    pub observer: ObserverConfig,
-    /// Engage (and, while engaged, escalate) when the interval's max
-    /// `net.uplink_util` reaches this. 1.0 = an uplink cannot carry its
-    /// attributed demand.
-    pub engage_util: f64,
-    /// Count an interval toward release only when the interval's max
-    /// utilization is strictly below this (hysteresis band).
-    pub release_util: f64,
-    /// Consecutive calm intervals (utilization observed below
-    /// `release_util`) required to release.
-    pub release_frames: u32,
-    /// Escalation cap for the policy level.
-    pub max_level: u32,
-}
-
-impl Default for PolicyConfig {
-    fn default() -> PolicyConfig {
-        PolicyConfig {
-            observer: ObserverConfig::default(),
-            engage_util: 1.0,
-            release_util: 0.5,
-            release_frames: 2,
-            max_level: 8,
-        }
-    }
-}
 
 /// Shared hub state: the hysteresis machine plus action accounting.
 #[derive(Default)]
@@ -111,32 +88,15 @@ struct HubState {
     totals: BTreeMap<&'static str, u64>,
 }
 
-/// The policy control loop for one simulation: wraps an observer as the
-/// verdict source and runs the hysteresis machine over its output. Install
-/// via [`PolicyHub::into_sink`] and keep a [`PolicyHandle`] to poll.
+/// The policy control loop for one simulation: a hysteresis machine over
+/// the utilization signal. Install via [`PolicyHub::into_sink`] and keep a
+/// [`PolicyHandle`] to poll.
+#[derive(Default)]
 pub struct PolicyHub {
-    config: PolicyConfig,
-    observer: Observer,
     state: Rc<RefCell<HubState>>,
 }
 
 impl PolicyHub {
-    /// Build a hub. The wrapped observer keeps its verdicts in-process
-    /// (no record stream) — it is purely the policy's sensor.
-    pub fn new(config: PolicyConfig) -> PolicyHub {
-        let observer = Observer::new(config.observer.clone(), Box::new(drop));
-        PolicyHub {
-            config,
-            observer,
-            state: Rc::new(RefCell::new(HubState::default())),
-        }
-    }
-
-    /// The sampling cadence to install alongside the sink.
-    pub fn cadence(&self) -> SimDuration {
-        self.observer.cadence()
-    }
-
     /// A shared handle for runners to poll the level and record actions.
     pub fn handle(&self) -> PolicyHandle {
         PolicyHandle {
@@ -145,13 +105,10 @@ impl PolicyHub {
     }
 
     /// The probe sink to install with
-    /// [`Simulation::set_probe_sink`](agora_sim::Simulation::set_probe_sink).
-    /// One hub drives one simulation's control loop.
+    /// [`Simulation::set_probe_sink`](agora_sim::Simulation::set_probe_sink)
+    /// at [`CADENCE`]. One hub drives one simulation's control loop.
     pub fn into_sink(self) -> Box<dyn ProbeSink> {
-        let inner = self.observer.make_sink();
         Box::new(PolicySink {
-            inner,
-            config: self.config,
             state: self.state,
             util_max: None,
         })
@@ -165,7 +122,7 @@ pub struct PolicyHandle {
 }
 
 impl PolicyHandle {
-    /// Current policy level: 0 when disengaged, 1..=`max_level` while
+    /// Current policy level: 0 when disengaged, 1..=[`MAX_LEVEL`] while
     /// engaged. Runners scale their response to this.
     pub fn level(&self) -> u32 {
         self.state.borrow().level
@@ -195,33 +152,21 @@ impl PolicyHandle {
         *s.totals.entry(kind).or_insert(0) += n;
     }
 
-    /// Cumulative action count for `kind`.
-    pub fn total(&self, kind: &'static str) -> u64 {
-        self.state.borrow().totals.get(kind).copied().unwrap_or(0)
-    }
-
     /// All cumulative action counts, key order.
     pub fn totals(&self) -> BTreeMap<&'static str, u64> {
         self.state.borrow().totals.clone()
     }
 }
 
-/// The installed sink: forwards everything to the wrapped observer sink,
-/// tracks its own per-interval utilization max (the observer drains its
-/// aggregates internally), and steps the hysteresis machine on each frame.
+/// The installed sink: tracks the per-interval utilization max and steps
+/// the hysteresis machine on each frame.
 struct PolicySink {
-    inner: Box<dyn ProbeSink>,
-    config: PolicyConfig,
     state: Rc<RefCell<HubState>>,
     util_max: Option<f64>,
 }
 
 impl ProbeSink for PolicySink {
-    fn on_sim_start(&mut self, seed: u64) {
-        self.inner.on_sim_start(seed);
-    }
-
-    fn on_signal(&mut self, now: SimTime, node: NodeId, name: &'static str, value: f64) {
+    fn on_signal(&mut self, _now: SimTime, _node: NodeId, name: &'static str, value: f64) {
         if name == SIG_UPLINK_UTIL {
             // Running max: commutative + associative, so within-interval
             // signal interleaving cannot change the decision.
@@ -230,24 +175,21 @@ impl ProbeSink for PolicySink {
                 *cur = value;
             }
         }
-        self.inner.on_signal(now, node, name, value);
     }
 
-    fn on_frame(&mut self, frame: &ProbeFrame<'_>) -> Vec<ProbeAnomaly> {
-        let mut out = self.inner.on_frame(frame);
-        let verdict = out.iter().any(|a| a.kind == ANOMALY_OVERLOAD);
+    fn on_frame(&mut self, _frame: &ProbeFrame<'_>) -> Vec<ProbeAnomaly> {
+        let mut out = Vec::new();
         let util = self.util_max.take();
-        let cfg = &self.config;
         let mut s = self.state.borrow_mut();
         if s.engaged {
             match util {
-                Some(u) if u >= cfg.engage_util => {
-                    s.level = (s.level + 1).min(cfg.max_level);
+                Some(u) if u >= OVERLOAD_UTIL => {
+                    s.level = (s.level + 1).min(MAX_LEVEL);
                     s.calm_frames = 0;
                 }
-                Some(u) if u < cfg.release_util => {
+                Some(u) if u < RELEASE_UTIL => {
                     s.calm_frames += 1;
-                    if s.calm_frames >= cfg.release_frames.max(1) {
+                    if s.calm_frames >= RELEASE_FRAMES {
                         s.engaged = false;
                         s.level = 0;
                         s.calm_frames = 0;
@@ -263,9 +205,9 @@ impl ProbeSink for PolicySink {
                 Some(_) => s.calm_frames = 0,
                 None => {}
             }
-        } else if verdict || util.is_some_and(|u| u >= cfg.engage_util) {
+        } else if util.is_some_and(|u| u >= OVERLOAD_UTIL) {
             s.engaged = true;
-            s.level = 1.min(cfg.max_level);
+            s.level = 1;
             s.calm_frames = 0;
             s.engages += 1;
             out.push(ProbeAnomaly {
@@ -308,7 +250,7 @@ mod tests {
     }
 
     fn hub() -> (PolicyHandle, Box<dyn ProbeSink>) {
-        let hub = PolicyHub::new(PolicyConfig::default());
+        let hub = PolicyHub::default();
         let handle = hub.handle();
         let mut sink = hub.into_sink();
         sink.on_sim_start(7);
@@ -321,6 +263,12 @@ mod tests {
 
     fn kinds(out: &[ProbeAnomaly]) -> Vec<&'static str> {
         out.iter().map(|a| a.kind).collect()
+    }
+
+    /// Engage with one saturated interval.
+    fn engage(sink: &mut Box<dyn ProbeSink>, m: &Metrics, t: u64) -> Vec<ProbeAnomaly> {
+        note_util(sink, 1.5);
+        sink.on_frame(&frame(m, t, 0.0))
     }
 
     #[test]
@@ -341,19 +289,20 @@ mod tests {
     fn engages_on_overload_verdict_and_escalates_to_cap() {
         let (handle, mut sink) = hub();
         let m = Metrics::new();
-        // Backlog crossing: the observer's threshold detector fires and
-        // the policy engages on its verdict in the same frame.
-        let out = sink.on_frame(&frame(&m, 0, 100.0));
-        assert_eq!(kinds(&out), vec![ANOMALY_OVERLOAD, POLICY_ENGAGE]);
+        // The interval max reaching the observer's overload threshold is
+        // the verdict: the policy engages on that frame.
+        note_util(&mut sink, 0.3);
+        note_util(&mut sink, OVERLOAD_UTIL);
+        let out = sink.on_frame(&frame(&m, 0, 0.0));
+        assert_eq!(kinds(&out), vec![POLICY_ENGAGE]);
         assert_eq!(handle.level(), 1);
         assert!(handle.engaged());
         // Saturated intervals escalate up to the cap.
-        let max = PolicyConfig::default().max_level;
-        for t in 1..=(max + 3) as u64 {
+        for t in 1..=(MAX_LEVEL + 3) as u64 {
             note_util(&mut sink, 1.5);
-            sink.on_frame(&frame(&m, t, 100.0));
+            sink.on_frame(&frame(&m, t, 0.0));
         }
-        assert_eq!(handle.level(), max);
+        assert_eq!(handle.level(), MAX_LEVEL);
         assert_eq!(handle.engages(), 1, "no re-engage while engaged");
     }
 
@@ -361,11 +310,15 @@ mod tests {
     fn engages_on_utilization_alone() {
         let (handle, mut sink) = hub();
         let m = Metrics::new();
+        // Engine backlog is not a sense: minutes of it, with no
+        // utilization signal, leave the policy dormant.
+        for t in 0..4 {
+            assert!(sink.on_frame(&frame(&m, t, 600.0)).is_empty());
+        }
+        assert!(!handle.engaged());
         note_util(&mut sink, 1.2);
-        let out = sink.on_frame(&frame(&m, 0, 0.0));
-        // The observer's util detector fires on the same crossing; the
-        // engage rides with it.
-        assert!(kinds(&out).contains(&POLICY_ENGAGE));
+        let out = sink.on_frame(&frame(&m, 4, 0.0));
+        assert_eq!(kinds(&out), vec![POLICY_ENGAGE]);
         assert_eq!(handle.level(), 1);
     }
 
@@ -373,7 +326,7 @@ mod tests {
     fn releases_only_after_sustained_calm() {
         let (handle, mut sink) = hub();
         let m = Metrics::new();
-        sink.on_frame(&frame(&m, 0, 100.0));
+        engage(&mut sink, &m, 0);
         assert!(handle.engaged());
         // Calm interval, then a band interval (between release and engage
         // thresholds): the calm count restarts, no release.
@@ -399,17 +352,17 @@ mod tests {
     fn reengages_after_release() {
         let (handle, mut sink) = hub();
         let m = Metrics::new();
-        sink.on_frame(&frame(&m, 0, 100.0));
+        engage(&mut sink, &m, 0);
         for t in 1..=2 {
             note_util(&mut sink, 0.1);
             sink.on_frame(&frame(&m, t, 1.0));
         }
         assert!(!handle.engaged());
-        // The observer's backlog detector re-arms below half threshold
-        // (backlog 1.0 above did that); a fresh crossing re-engages.
-        let out = sink.on_frame(&frame(&m, 3, 90.0));
-        assert_eq!(kinds(&out), vec![ANOMALY_OVERLOAD, POLICY_ENGAGE]);
+        // A fresh saturated interval re-engages at level 1.
+        let out = engage(&mut sink, &m, 3);
+        assert_eq!(kinds(&out), vec![POLICY_ENGAGE]);
         assert_eq!(handle.engages(), 2);
+        assert_eq!(handle.level(), 1);
     }
 
     #[test]
@@ -426,8 +379,8 @@ mod tests {
         // Flushed: the next frame carries nothing.
         assert!(sink.on_frame(&frame(&m, 1, 1.0)).is_empty());
         // Totals survive the flush.
-        assert_eq!(handle.total("policy.shed"), 5);
-        assert_eq!(handle.total("policy.replicate"), 1);
-        assert_eq!(handle.totals().len(), 2);
+        let totals = handle.totals();
+        assert_eq!(totals.len(), 2);
+        assert_eq!((totals["policy.shed"], totals["policy.replicate"]), (5, 1));
     }
 }

@@ -1,6 +1,6 @@
 //! Deterministic signal probes: a sampled, sim-time-cadenced view of engine
-//! state for observers (`agora-observer`) and, later, reactive in-sim
-//! policies.
+//! state and substrate signals for the observer (`agora-observer`) and the
+//! reactive policy plane (`agora-policy`).
 //!
 //! The layer is always compiled in, but every tap site reduces to one
 //! predictable branch until a sink is actually installed — either directly
@@ -60,7 +60,8 @@ pub struct ProbeFrame<'a> {
 /// to the event whose dispatch triggered the sample (so `--explain
 /// anomaly.*` can walk back to the overloading traffic).
 pub struct ProbeAnomaly {
-    /// Counter / trace-point key; `anomaly.*` by convention.
+    /// Counter / trace-point key: `anomaly.overload` from the observer,
+    /// `policy.*` from a policy hub.
     pub kind: &'static str,
     /// The signal value that tripped the detector.
     pub value: f64,

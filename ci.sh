@@ -96,6 +96,11 @@ STAYS_DELETED=(
     "§16 crates,tests,examples - ObserverConfig|zscore|anomaly\.trend|trend_len|overload_backlog_secs|ewma_var"
     # A policy senses utilization itself, at constant thresholds.
     "§17 crates,tests,examples - PolicyConfig|engage_util|release_util|release_frames|max_level"
+    # One run path and one render path per experiment: no result wrapper,
+    # no sweep a report runs for itself, no second report entry point.
+    "§9 crates,tests,examples - \bE[0-9]+p?Resul[t]\b|E16PolicyResul[t]|\be[0-9]+_[a-z_]*(swee[p]|poin[t])\(|print_report[s]"
+    # Trial metrics are never merged: no exact-merge API to keep correct.
+    "§9 crates/sim/src/metrics.rs - fn merg[e]\b"
 )
 step "retired names stay deleted: one grep per row"
 for row in "${STAYS_DELETED[@]}"; do
@@ -107,9 +112,6 @@ for row in "${STAYS_DELETED[@]}"; do
     # shellcheck disable=SC2068
     if grep -rnE --exclude-dir=target "$pattern" ${dirs[@]} | grep -v "^$allowed:"; then exit 1; fi
 done
-
-step "baseline diff: the full matrix must match BENCH_harness.json exactly"
-./target/release/agora-harness
 
 step "benchmark correctness gate: every BENCHMARK.json workload once, pins and baseline rows hold"
 # The benchmark checks each op against its BENCH_harness.json row or its
@@ -147,6 +149,9 @@ H=./target/release/agora-harness
 # error naming both flags (exit 1), not an exit 0 that wrote nothing.
 [[ $($H --speedup --perf "$CHAOS_TMP/x.json" 2>&1 >/dev/null; echo "exit=$?") == *--perf*--speedup*"exit=1" ]]
 [[ ! -e "$CHAOS_TMP/x.json" ]]
+# --reports renders every variant of the default layout: a filtered or
+# reseeded layout is a usage error too.
+[[ $($H --reports --filter e1 2>&1 >/dev/null; echo "exit=$?") == *--filter*--reports*"exit=1" ]]
 
 # det_smoke <name> <filter> <config>...: the first config writes a filtered
 # baseline; every later config must reproduce it exactly (the harness's own
@@ -195,9 +200,14 @@ for row in "${DET_TABLE[@]}"; do
     det_smoke "$name" "$filter" "${configs[@]}"
 done
 
-step "experiments report: --reports regenerates experiments_output.txt byte-for-byte"
-$H --reports > "$CHAOS_TMP/reports.txt"
+step "baseline diff and experiments report: one full-matrix run"
+# The exit status gates BENCH_harness.json (every aggregate within
+# tolerance); stdout is the reports rendered from that run's aggregates and
+# must be experiments_output.txt byte for byte. --json composes with
+# --reports, and the artifact it writes is the checked-in baseline's bytes.
+$H --reports --json "$CHAOS_TMP/full.json" > "$CHAOS_TMP/reports.txt"
 cmp "$CHAOS_TMP/reports.txt" experiments_output.txt
+cmp "$CHAOS_TMP/full.json" BENCH_harness.json
 
 # trace_smoke <target> [span-key...] [explain:<key>]: two runs must write
 # byte-identical TRACE jsonl, the schema checker must accept it, every

@@ -10,22 +10,9 @@ use agora_comm::{
     CentralNode, FedNode, ModerationPolicy, PostLabel, ReadResult, RelayNode, RelayResult,
     ReplicationMode, SocialNode,
 };
-use agora_sim::{DeviceClass, NodeId, SimDuration, Simulation};
+use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, Simulation};
 
-use super::Report;
-
-/// E10 results.
-#[derive(Clone, Debug)]
-pub struct E10Result {
-    /// Read success without backups when the client's home dies.
-    pub replicated_no_failover: f64,
-    /// Read success with backups when the client's home dies.
-    pub replicated_with_failover: f64,
-    /// Same failover clients on a single-home federation (the limit case).
-    pub single_home_with_failover: f64,
-    /// Failover attempts recorded.
-    pub failovers: u64,
-}
+use super::{Report, VariantStats};
 
 fn failover_run(seed: u64, mode: ReplicationMode, backups: bool) -> (f64, u64) {
     const N: usize = 4;
@@ -95,58 +82,48 @@ fn failover_run(seed: u64, mode: ReplicationMode, backups: bool) -> (f64, u64) {
 }
 
 /// E10: measure how far client failover closes the federated availability
-/// gap (and where it cannot help).
-pub fn e10_federated_failover(seed: u64) -> (E10Result, Report) {
+/// gap (and where it cannot help). Keys `e10.*`.
+pub fn e10_metrics(seed: u64) -> Metrics {
     let (no_fo, _) = failover_run(seed, ReplicationMode::FullReplication, false);
     let (with_fo, failovers) = failover_run(seed + 1, ReplicationMode::FullReplication, true);
     let (single_fo, _) = failover_run(seed + 2, ReplicationMode::SingleHome, true);
-    let result = E10Result {
-        replicated_no_failover: no_fo,
-        replicated_with_failover: with_fo,
-        single_home_with_failover: single_fo,
-        failovers,
-    };
+    let mut m = Metrics::new();
+    m.gauge_set("e10.replicated_no_failover", no_fo);
+    m.gauge_set("e10.replicated_with_failover", with_fo);
+    m.gauge_set("e10.single_home_with_failover", single_fo);
+    m.incr("e10.failovers", failovers);
+    m
+}
+
+/// E10's report from its one variant.
+pub fn e10_report(variants: &[VariantStats]) -> Report {
+    let v = &variants[0];
     let body = format!(
         "Half the federation (including the room origin) dies; every client reads:\n\
          \x20 replicated, no failover   : {:>5.1}% reads succeed (clients of dead homes stranded)\n\
-         \x20 replicated, with failover : {:>5.1}% reads succeed ({} failovers exercised)\n\
+         \x20 replicated, with failover : {:>5.1}% reads succeed ({:.1} failovers exercised)\n\
          \x20 single-home, with failover: {:>5.1}% reads succeed — failover cannot resurrect\n\
          \x20   history whose only copy died with its origin\n\
          Canonical-systems-goals engineering (§5.1) closes the replicated gap;\n\
          the single-home architecture needs replication first.\n",
-        result.replicated_no_failover * 100.0,
-        result.replicated_with_failover * 100.0,
-        result.failovers,
-        result.single_home_with_failover * 100.0,
+        v.mean("e10.replicated_no_failover") * 100.0,
+        v.mean("e10.replicated_with_failover") * 100.0,
+        v.mean("e10.failovers"),
+        v.mean("e10.single_home_with_failover") * 100.0,
     );
-    (
-        result,
-        Report {
-            id: "E10",
-            title: "§5.1 implemented: federated failover",
-            claim: "federated approaches ... have not been architected with \
-                    canonical systems goals in mind, such as fault tolerance \
-                    (§5.1, an 'easy problem')",
-            body,
-        },
-    )
-}
-
-/// E11 results.
-#[derive(Clone, Debug)]
-pub struct E11Result {
-    /// Pure social P2P read success with the owner offline.
-    pub p2p_owner_offline: f64,
-    /// Relay-backed read success with the owner offline.
-    pub relay_owner_offline: f64,
-    /// Relay metadata observations during the relay run.
-    pub relay_metadata: u64,
-    /// Stranger fetches refused by the capability check.
-    pub stranger_refusals: u64,
+    Report {
+        id: "E10",
+        title: "§5.1 implemented: federated failover",
+        claim: "federated approaches ... have not been architected with \
+                canonical systems goals in mind, such as fault tolerance \
+                (§5.1, an 'easy problem')",
+        body,
+    }
 }
 
 /// E11: the encrypted-relay pattern vs pure social P2P under owner churn.
-pub fn e11_guerrilla_relay(seed: u64) -> (E11Result, Report) {
+/// Keys `e11.*`.
+pub fn e11_metrics(seed: u64) -> Metrics {
     // -- pure social P2P (no caching: the worst case the relay fixes) -----
     let mut sim = Simulation::new(seed);
     let ids: Vec<NodeId> = (0..4u32).map(NodeId).collect();
@@ -222,38 +199,52 @@ pub fn e11_guerrilla_relay(seed: u64) -> (E11Result, Report) {
         let _ = sim.node_mut(stranger).take_result(op);
     }
 
-    let result = E11Result {
-        p2p_owner_offline: p2p_ok as f64 / p2p_total.max(1) as f64,
-        relay_owner_offline: relay_ok as f64 / relay_total.max(1) as f64,
-        relay_metadata: sim.metrics().counter("comm.metadata_observed_relay"),
-        stranger_refusals: sim.metrics().counter("comm.relay_refusals"),
-    };
+    let mut m = Metrics::new();
+    m.gauge_set(
+        "e11.p2p_owner_offline",
+        p2p_ok as f64 / p2p_total.max(1) as f64,
+    );
+    m.gauge_set(
+        "e11.relay_owner_offline",
+        relay_ok as f64 / relay_total.max(1) as f64,
+    );
+    m.incr(
+        "e11.relay_metadata",
+        sim.metrics().counter("comm.metadata_observed_relay"),
+    );
+    m.incr(
+        "e11.stranger_refusals",
+        sim.metrics().counter("comm.relay_refusals"),
+    );
+    m
+}
+
+/// E11's report from its one variant.
+pub fn e11_report(variants: &[VariantStats]) -> Report {
+    let v = &variants[0];
     let body = format!(
         "Owner posts once, then goes offline; friends read the feed:\n\
          \x20 pure social P2P (no caches)      : {:>5.1}% reads succeed\n\
          \x20 encrypted relay on untrusted cloud: {:>5.1}% reads succeed\n\
          The relay held only sealed envelopes (E2E ratchet) behind a \
          capability check:\n\
-         \x20 stranger fetches refused          : {}\n\
-         \x20 relay metadata observations       : {} (pushes + fetches — the \
+         \x20 stranger fetches refused          : {:.1}\n\
+         \x20 relay metadata observations       : {:.1} (pushes + fetches — the \
          residual cost)\n\
          Authority stays with the keyholder; the cloud is a commodity (§5.3).\n",
-        result.p2p_owner_offline * 100.0,
-        result.relay_owner_offline * 100.0,
-        result.stranger_refusals,
-        result.relay_metadata,
+        v.mean("e11.p2p_owner_offline") * 100.0,
+        v.mean("e11.relay_owner_offline") * 100.0,
+        v.mean("e11.stranger_refusals"),
+        v.mean("e11.relay_metadata"),
     );
-    (
-        result,
-        Report {
-            id: "E11",
-            title: "§5.3 implemented: encrypted services on untrusted clouds",
-            claim: "decoupling authority from infrastructure: ... 'guerrilla' \
-                    tactics such as running encrypted services on the cloud \
-                    (§5.3, a 'hard problem')",
-            body,
-        },
-    )
+    Report {
+        id: "E11",
+        title: "§5.3 implemented: encrypted services on untrusted clouds",
+        claim: "decoupling authority from infrastructure: ... 'guerrilla' \
+                tactics such as running encrypted services on the cloud \
+                (§5.3, a 'hard problem')",
+        body,
+    }
 }
 
 /// The centralized ceiling E10/E11 aim at (for context in reports).
@@ -278,57 +269,31 @@ pub fn centralized_read_ceiling(seed: u64) -> f64 {
     }
 }
 
-/// Flatten an E10 run into harness metrics (keys `e10.*`).
-pub fn e10_metrics(seed: u64) -> agora_sim::Metrics {
-    let (r, _) = e10_federated_failover(seed);
-    let mut m = agora_sim::Metrics::new();
-    m.gauge_set("e10.replicated_no_failover", r.replicated_no_failover);
-    m.gauge_set("e10.replicated_with_failover", r.replicated_with_failover);
-    m.gauge_set("e10.single_home_with_failover", r.single_home_with_failover);
-    m.incr("e10.failovers", r.failovers);
-    m
-}
-
-/// Flatten an E11 run into harness metrics (keys `e11.*`).
-pub fn e11_metrics(seed: u64) -> agora_sim::Metrics {
-    let (r, _) = e11_guerrilla_relay(seed);
-    let mut m = agora_sim::Metrics::new();
-    m.gauge_set("e11.p2p_owner_offline", r.p2p_owner_offline);
-    m.gauge_set("e11.relay_owner_offline", r.relay_owner_offline);
-    m.incr("e11.relay_metadata", r.relay_metadata);
-    m.incr("e11.stranger_refusals", r.stranger_refusals);
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn e10_failover_closes_the_gap() {
-        let (r, report) = e10_federated_failover(81);
-        assert!(
-            r.replicated_with_failover > r.replicated_no_failover,
-            "{r:?}"
-        );
-        assert!(r.replicated_with_failover >= 0.95, "{r:?}");
-        assert!(r.failovers >= 1);
+        let m = e10_metrics(81);
+        let with_fo = m.gauge("e10.replicated_with_failover");
+        assert!(with_fo > m.gauge("e10.replicated_no_failover"), "{m}");
+        assert!(with_fo >= 0.95, "{m}");
+        assert!(m.counter("e10.failovers") >= 1);
         // The limit case: single-home origin loss is beyond failover.
-        assert!(
-            r.single_home_with_failover < r.replicated_with_failover,
-            "{r:?}"
-        );
-        assert!(report.body.contains("failover"));
+        assert!(m.gauge("e10.single_home_with_failover") < with_fo, "{m}");
     }
 
     #[test]
     fn e11_relay_restores_availability_privately() {
-        let (r, report) = e11_guerrilla_relay(91);
-        assert_eq!(r.p2p_owner_offline, 0.0, "{r:?}");
-        assert_eq!(r.relay_owner_offline, 1.0, "{r:?}");
-        assert!(r.stranger_refusals >= 1);
-        assert!(r.relay_metadata > 0, "the honest cost is visible");
-        assert!(report.body.contains("capability"));
+        let m = e11_metrics(91);
+        assert_eq!(m.gauge("e11.p2p_owner_offline"), 0.0, "{m}");
+        assert_eq!(m.gauge("e11.relay_owner_offline"), 1.0, "{m}");
+        assert!(m.counter("e11.stranger_refusals") >= 1);
+        assert!(
+            m.counter("e11.relay_metadata") > 0,
+            "the honest cost is visible"
+        );
     }
 
     #[test]

@@ -28,8 +28,8 @@ use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, SimTime, Simulation};
 use agora_workload::Demand;
 
 use super::day::{run_day, LoadLedger, Served, ServingSubstrate, Sim, DAY, TICK};
-use super::exp_workload::{consumer_pcs, e16_spec_cohorts, warm_overlay, COHORTS, E16_POPULATIONS};
-use super::Report;
+use super::exp_workload::{consumer_pcs, e16_spec_cohorts, warm_overlay, COHORTS};
+use super::{by_label, Report, VariantStats};
 
 /// Authoring cadence: ops submitted per tick, from rotating writers.
 const OPS_PER_TICK: u64 = 2;
@@ -66,25 +66,14 @@ pub struct AppOutcome {
     pub requests: u64,
 }
 
-/// E18 at one population: both contracts, both hosting modes.
-#[derive(Clone, Copy, Debug)]
-pub struct E18Result {
-    /// Swept population.
-    pub population: u64,
-    /// Guestbook (append log) on the centralized server.
-    pub guestbook_central: AppOutcome,
-    /// Guestbook on the delta-sync substrate.
-    pub guestbook_contract: AppOutcome,
-    /// LWW key-value document on the centralized server.
-    pub kv_central: AppOutcome,
-    /// LWW key-value document on the delta-sync substrate.
-    pub kv_contract: AppOutcome,
-    /// Signed app manifests found by the Kademlia discovery phase (of
-    /// [`GATEWAYS`] lookups per contract kind).
-    pub discovery_found: u64,
-    /// Mean lookup hop count across successful discoveries.
-    pub discovery_hops: f64,
-}
+/// The four deployments, in seed, key and report order: key prefix and
+/// report label.
+const DEPLOYMENTS: [(&str, &str); 4] = [
+    ("guestbook.central", "guestbook/central"),
+    ("guestbook.contract", "guestbook/contract"),
+    ("kv.central", "kvdoc/central"),
+    ("kv.contract", "kvdoc/contract"),
+];
 
 /// One app deployment: a publisher (contract mode, consumer PC) or server
 /// (centralized, datacenter) hosting contract `C`, and gateway endpoints
@@ -358,27 +347,37 @@ fn run_discovery(seed: u64) -> (u64, f64) {
     (found, hops_sum as f64 / found.max(1) as f64)
 }
 
-/// E18 at a single population: discovery, then both contracts under both
-/// hosting modes.
-pub fn e18_app_point(seed: u64, population: u64) -> E18Result {
+/// E18 at one population: discovery, then both contracts under both
+/// hosting modes. Keys `e18.*`; the population is the harness sweep
+/// parameter.
+pub fn e18_metrics(seed: u64, population: u64) -> Metrics {
     let (discovery_found, discovery_hops) = run_discovery(seed + 1);
-    E18Result {
-        population,
-        guestbook_central: run_guestbook(seed + 2, population, true),
-        guestbook_contract: run_guestbook(seed + 3, population, false),
-        kv_central: run_kvdoc(seed + 4, population, true),
-        kv_contract: run_kvdoc(seed + 5, population, false),
-        discovery_found,
-        discovery_hops,
+    let outcomes = [
+        run_guestbook(seed + 2, population, true),
+        run_guestbook(seed + 3, population, false),
+        run_kvdoc(seed + 4, population, true),
+        run_kvdoc(seed + 5, population, false),
+    ];
+    let mut m = Metrics::new();
+    for ((key, _), c) in DEPLOYMENTS.iter().zip(&outcomes) {
+        let prefix = format!("e18.{key}");
+        m.gauge_set(&format!("{prefix}.availability"), c.availability);
+        m.gauge_set(&format!("{prefix}.stale_p50_secs"), c.p50);
+        m.gauge_set(&format!("{prefix}.stale_p99_secs"), c.p99);
+        m.gauge_set(&format!("{prefix}.peak_overload"), c.peak_overload);
+        m.gauge_set(&format!("{prefix}.author_peak_util"), c.publisher_peak_util);
+        m.gauge_set(&format!("{prefix}.convergence_secs"), c.convergence_secs);
+        m.gauge_set(&format!("{prefix}.state_bytes"), c.state_bytes as f64);
     }
+    m.incr("e18.discovery.found", discovery_found);
+    m.gauge_set("e18.discovery.hops", discovery_hops);
+    m.incr("e18.requests", outcomes.iter().map(|c| c.requests).sum());
+    m
 }
 
-/// E18: sweep the E16 population grid and render the report.
-pub fn e18_app_sweep(seed: u64) -> (Vec<E18Result>, Report) {
-    let results: Vec<E18Result> = E16_POPULATIONS
-        .iter()
-        .map(|&p| e18_app_point(seed, p))
-        .collect();
+/// E18's report: one table per population variant, then the verdict
+/// across the smallest and largest.
+pub fn e18_report(variants: &[VariantStats]) -> Report {
     let mut body = String::from(
         "Two typed contracts (append-log guestbook, LWW key-value doc)\n\
          hosted centralized vs on the delta-sync substrate (author on a\n\
@@ -387,84 +386,60 @@ pub fn e18_app_sweep(seed: u64) -> (Vec<E18Result>, Report) {
          avail | staleness p50/p99 (contract: delta lag; central: read\n\
          latency) | serving overload | author uplink util | convergence:\n",
     );
-    for r in &results {
-        body.push_str(&format!("\n  population {:>9}:\n", r.population));
-        for (name, c) in [
-            ("guestbook/central", &r.guestbook_central),
-            ("guestbook/contract", &r.guestbook_contract),
-            ("kvdoc/central", &r.kv_central),
-            ("kvdoc/contract", &r.kv_contract),
-        ] {
+    for v in variants {
+        body.push_str(&format!("\n  population {:>4}:\n", v.point()));
+        for (key, label) in DEPLOYMENTS {
+            let mean = |stat: &str| v.mean(&format!("e18.{key}.{stat}"));
             body.push_str(&format!(
-                "    {name:<19} avail {:>6.3}  stale {:>6.2}/{:>6.2}s  overload {:>9.2}  author {:>8.6}  conv {:>5.0}s\n",
-                c.availability, c.p50, c.p99, c.peak_overload, c.publisher_peak_util, c.convergence_secs
+                "    {label:<19} avail {:>6.3}  stale {:>6.2}/{:>6.2}s  overload {:>9.2}  author {:>8.6}  conv {:>5.0}s\n",
+                mean("availability"),
+                mean("stale_p50_secs"),
+                mean("stale_p99_secs"),
+                mean("peak_overload"),
+                mean("author_peak_util"),
+                mean("convergence_secs"),
             ));
         }
     }
-    let d = &results[0];
+    let (first, last) = (by_label(variants, "p10k"), by_label(variants, "p1m"));
     body.push_str(&format!(
-        "  discovery: {}/8 signed manifests found, {:.1} hops mean\n",
-        d.discovery_found, d.discovery_hops
+        "  discovery at {}: {:.1}/8 signed manifests found, {:.1} hops mean\n",
+        first.point(),
+        first.mean("e18.discovery.found"),
+        first.mean("e18.discovery.hops")
     ));
-    let first = &results[0];
-    let last = &results[results.len() - 1];
+    let util = "e18.guestbook.contract.author_peak_util";
+    let central = "e18.guestbook.central.peak_overload";
     body.push_str(&format!(
         "\nVerdict: the author's uplink cost of hosting a *mutable* app on\n\
-         the substrate is flat in population ({:.6} of 1 Mbps at 10k vs\n\
-         {:.6} at 1M — pushes scale with the 24 replicas, not the crowd),\n\
+         the substrate is flat in population ({:.6} of 1 Mbps at {} vs\n\
+         {:.6} at {} — pushes scale with the 24 replicas, not the crowd),\n\
          while the centralized server's serving load grows {:.0}x. The\n\
-         price moves to the replica swarm: its peak overload reaches\n\
-         {:.0}x a consumer uplink at 1M, and staleness stays bounded\n\
-         (P99 {:.1}s) because deltas are pushed and gaps repaired by\n\
-         exact summary pulls. Contracts clear §3.4's mutability barrier;\n\
-         read capacity remains E16's skew problem.\n",
-        first.guestbook_contract.publisher_peak_util,
-        last.guestbook_contract.publisher_peak_util,
-        last.guestbook_central.peak_overload / first.guestbook_central.peak_overload.max(1e-9),
-        last.guestbook_contract.peak_overload,
-        last.guestbook_contract.p99,
+         price moves to the replica swarm: at {} its peak overload reaches\n\
+         \x20 {}\n\
+         times a consumer uplink, and staleness stays bounded, its P99 (s)\n\
+         \x20 {}\n\
+         because deltas are pushed and gaps repaired by exact summary\n\
+         pulls. Contracts clear §3.4's mutability barrier; read capacity\n\
+         remains E16's skew problem.\n",
+        first.mean(util),
+        first.point(),
+        last.mean(util),
+        last.point(),
+        last.mean(central) / first.mean(central).max(1e-9),
+        last.point(),
+        last.spread("e18.guestbook.contract.peak_overload", 1.0, 0),
+        last.spread("e18.guestbook.contract.stale_p99_secs", 1.0, 1),
     ));
-    (
-        results,
-        Report {
-            id: "E18",
-            title: "Typed-contract mutable apps: delta sync vs centralized hosting",
-            claim: "hostless *applications* (§3.4, the survey's hardest row) are \
-                    feasible when app state is a deterministic mergeable contract: \
-                    the author's hosting cost scales with replicas, not readers — \
-                    but read serving re-inherits the flash-crowd skew of E16",
-            body,
-        },
-    )
-}
-
-fn outcome_metrics(m: &mut Metrics, prefix: &str, c: &AppOutcome) {
-    m.gauge_set(&format!("{prefix}.availability"), c.availability);
-    m.gauge_set(&format!("{prefix}.stale_p50_secs"), c.p50);
-    m.gauge_set(&format!("{prefix}.stale_p99_secs"), c.p99);
-    m.gauge_set(&format!("{prefix}.peak_overload"), c.peak_overload);
-    m.gauge_set(&format!("{prefix}.author_peak_util"), c.publisher_peak_util);
-    m.gauge_set(&format!("{prefix}.convergence_secs"), c.convergence_secs);
-    m.gauge_set(&format!("{prefix}.state_bytes"), c.state_bytes as f64);
-}
-
-/// Flatten an E18 run at one population into harness metrics (keys
-/// `e18.*`). The population is the harness sweep parameter.
-pub fn e18_metrics(seed: u64, population: u64) -> Metrics {
-    let r = e18_app_point(seed, population);
-    let mut m = Metrics::new();
-    outcome_metrics(&mut m, "e18.guestbook.central", &r.guestbook_central);
-    outcome_metrics(&mut m, "e18.guestbook.contract", &r.guestbook_contract);
-    outcome_metrics(&mut m, "e18.kv.central", &r.kv_central);
-    outcome_metrics(&mut m, "e18.kv.contract", &r.kv_contract);
-    m.incr("e18.discovery.found", r.discovery_found);
-    m.gauge_set("e18.discovery.hops", r.discovery_hops);
-    let requests = r.guestbook_central.requests
-        + r.guestbook_contract.requests
-        + r.kv_central.requests
-        + r.kv_contract.requests;
-    m.incr("e18.requests", requests);
-    m
+    Report {
+        id: "E18",
+        title: "Typed-contract mutable apps: delta sync vs centralized hosting",
+        claim: "hostless *applications* (§3.4, the survey's hardest row) are \
+                feasible when app state is a deterministic mergeable contract: \
+                the author's hosting cost scales with replicas, not readers — \
+                but read serving re-inherits the flash-crowd skew of E16",
+        body,
+    }
 }
 
 #[cfg(test)]
@@ -473,41 +448,40 @@ mod tests {
 
     #[test]
     fn e18_point_is_sane_and_separates_modes() {
-        let r = e18_app_point(81, 10_000);
+        let m = e18_metrics(81, 10_000);
+        let get = |key: &str| m.gauge(&format!("e18.{key}"));
+        for (key, _) in DEPLOYMENTS {
+            assert!(get(&format!("{key}.availability")) > 0.9, "{key}: {m}");
+            assert!(get(&format!("{key}.state_bytes")) > 0.0, "{key}: {m}");
+        }
+        // Demand volume is population-scale for every deployment (the run
+        // fn's four outcomes, at its seeds).
         for (name, c) in [
-            ("gb/central", &r.guestbook_central),
-            ("gb/contract", &r.guestbook_contract),
-            ("kv/central", &r.kv_central),
-            ("kv/contract", &r.kv_contract),
+            ("gb/central", run_guestbook(83, 10_000, true)),
+            ("gb/contract", run_guestbook(84, 10_000, false)),
+            ("kv/central", run_kvdoc(85, 10_000, true)),
+            ("kv/contract", run_kvdoc(86, 10_000, false)),
         ] {
-            assert!(c.availability > 0.9, "{name}: {c:?}");
-            assert!(c.state_bytes > 0, "{name}: {c:?}");
             assert!(c.requests > 150_000, "{name}: {c:?}");
         }
         // The whole day's log is 192 ops; both modes end at the same size.
         assert_eq!(
-            r.guestbook_central.state_bytes,
-            r.guestbook_contract.state_bytes
+            get("guestbook.central.state_bytes"),
+            get("guestbook.contract.state_bytes")
         );
         // Push-based staleness is bounded well under the authoring tick.
         assert!(
-            r.guestbook_contract.p99 < TICK.secs_f64(),
-            "{:?}",
-            r.guestbook_contract
+            get("guestbook.contract.stale_p99_secs") < TICK.secs_f64(),
+            "{m}"
         );
         // Hosting from a consumer uplink costs a sliver of 1 Mbps.
-        assert!(
-            r.guestbook_contract.publisher_peak_util < 0.25,
-            "{:?}",
-            r.guestbook_contract
-        );
+        assert!(get("guestbook.contract.author_peak_util") < 0.25, "{m}");
         // Live replicas converge within a couple of ticks of the flash end.
         assert!(
-            r.guestbook_contract.convergence_secs <= 2.0 * TICK.secs_f64(),
-            "{:?}",
-            r.guestbook_contract
+            get("guestbook.contract.convergence_secs") <= 2.0 * TICK.secs_f64(),
+            "{m}"
         );
-        assert!(r.kv_contract.convergence_secs <= 2.0 * TICK.secs_f64());
+        assert!(get("kv.contract.convergence_secs") <= 2.0 * TICK.secs_f64());
     }
 
     #[test]
@@ -542,23 +516,7 @@ mod tests {
 
     #[test]
     fn e18_runs_are_deterministic() {
-        let a = e18_app_point(93, 100_000);
-        let b = e18_app_point(93, 100_000);
-        for (x, y) in [
-            (&a.guestbook_central, &b.guestbook_central),
-            (&a.guestbook_contract, &b.guestbook_contract),
-            (&a.kv_central, &b.kv_central),
-            (&a.kv_contract, &b.kv_contract),
-        ] {
-            assert_eq!(x.availability, y.availability);
-            assert_eq!(x.p50, y.p50);
-            assert_eq!(x.p99, y.p99);
-            assert_eq!(x.peak_overload, y.peak_overload);
-            assert_eq!(x.publisher_peak_util, y.publisher_peak_util);
-            assert_eq!(x.convergence_secs, y.convergence_secs);
-            assert_eq!(x.state_bytes, y.state_bytes);
-        }
-        assert_eq!(a.discovery_found, b.discovery_found);
-        assert_eq!(a.discovery_hops, b.discovery_hops);
+        let values = |seed| crate::experiments::values(&e18_metrics(seed, 100_000));
+        assert_eq!(values(93), values(93));
     }
 }

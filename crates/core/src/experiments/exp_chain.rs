@@ -3,28 +3,16 @@
 
 use agora_chain::{selfish_mining, ChainNode, ChainParams, MinerConfig, Transaction, TxPayload};
 use agora_crypto::{sha256, Hash256, SimKeyPair};
-use agora_sim::{DeviceClass, NodeId, SimDuration, SimRng, Simulation};
+use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, SimRng, Simulation};
 
-use super::Report;
+use super::{Report, VariantStats};
 
-/// E9 results.
-#[derive(Clone, Debug)]
-pub struct E9Result {
-    /// Hash attempts ground per confirmed transaction (energy proxy).
-    pub hashes_per_confirmed_tx: f64,
-    /// Ledger bytes accumulated per simulated day (endless-ledger rate).
-    pub ledger_bytes_per_day: f64,
-    /// Total confirmed transactions in the run.
-    pub confirmed_txs: u64,
-    /// Reorgs observed among competing miners.
-    pub reorgs: u64,
-    /// (alpha, selfish revenue share, fair share) at gamma = 0.5.
-    pub selfish_curve: Vec<(f64, f64, f64)>,
-}
+/// Selfish miners' hash-power shares.
+const SELFISH_ALPHAS: [f64; 4] = [0.1, 0.25, 0.33, 0.4];
 
 /// E9: run a multi-miner chain for a simulated day under transaction load,
-/// then report the §3.1-cited costs.
-pub fn e9_chain_costs(seed: u64) -> (E9Result, Report) {
+/// then measure the §3.1-cited costs. Keys `e9.*`.
+pub fn e9_metrics(seed: u64) -> Metrics {
     let params = ChainParams {
         target_block_interval: SimDuration::from_secs(120),
         initial_difficulty_bits: 10,
@@ -73,42 +61,49 @@ pub fn e9_chain_costs(seed: u64) -> (E9Result, Report) {
     sim.run_for(SimDuration::from_hours(1));
 
     let ledger = sim.node(ids[3]).ledger();
-    let confirmed = (0..nonce)
-        .filter(|_| true) // placeholder for readability; count via state below
-        .count() as u64;
     // Count actually-confirmed transfers via the recipient balance.
     let confirmed_txs = ledger.state().balance(&bob);
     let hashes = sim.metrics().counter("chain.hashes_ground");
     let days = sim.now().secs_f64() / 86_400.0;
-    let _ = confirmed;
+    let mut m = Metrics::new();
+    m.gauge_set(
+        "e9.hashes_per_confirmed_tx",
+        hashes as f64 / confirmed_txs.max(1) as f64,
+    );
+    m.gauge_set(
+        "e9.ledger_bytes_per_day",
+        ledger.total_ledger_bytes as f64 / days.max(1e-9),
+    );
+    m.incr("e9.confirmed_txs", confirmed_txs);
+    m.incr("e9.reorgs", sim.metrics().counter("chain.reorgs"));
 
     let mut rng = SimRng::new(seed + 1);
-    let mut selfish_curve = Vec::new();
-    for alpha in [0.1, 0.25, 0.33, 0.4] {
+    for alpha in SELFISH_ALPHAS {
         let r = selfish_mining(alpha, 0.5, 150_000, &mut rng);
-        selfish_curve.push((alpha, r.revenue_share, r.fair_share));
+        m.gauge_set(&format!("e9.selfish_share.a{alpha:.2}"), r.revenue_share);
+        m.gauge_set(&format!("e9.fair_share.a{alpha:.2}"), r.fair_share);
     }
+    m
+}
 
-    let result = E9Result {
-        hashes_per_confirmed_tx: hashes as f64 / confirmed_txs.max(1) as f64,
-        ledger_bytes_per_day: ledger.total_ledger_bytes as f64 / days.max(1e-9),
-        confirmed_txs,
-        reorgs: sim.metrics().counter("chain.reorgs"),
-        selfish_curve,
-    };
+/// E9's report from its one variant.
+pub fn e9_report(variants: &[VariantStats]) -> Report {
+    let v = &variants[0];
     let mut body = format!(
         "One simulated day, 3 miners, 96 transfers submitted:\n\
-         \x20 confirmed transfers       : {}\n\
+         \x20 confirmed transfers       : {:.1}\n\
          \x20 hashes per confirmed tx   : {:.0}  (PoW energy proxy; scales with difficulty)\n\
          \x20 ledger growth             : {:.0} bytes/day and never shrinks (endless ledger)\n\
-         \x20 reorgs among equal miners : {}\n\n\
+         \x20 reorgs among equal miners : {:.1}\n\n\
          Selfish mining (gamma = 0.5):\n",
-        result.confirmed_txs,
-        result.hashes_per_confirmed_tx,
-        result.ledger_bytes_per_day,
-        result.reorgs,
+        v.mean("e9.confirmed_txs"),
+        v.mean("e9.hashes_per_confirmed_tx"),
+        v.mean("e9.ledger_bytes_per_day"),
+        v.mean("e9.reorgs"),
     );
-    for (alpha, share, fair) in &result.selfish_curve {
+    for alpha in SELFISH_ALPHAS {
+        let share = v.mean(&format!("e9.selfish_share.a{alpha:.2}"));
+        let fair = v.mean(&format!("e9.fair_share.a{alpha:.2}"));
         body.push_str(&format!(
             "  alpha {:>4.2} → revenue share {:>5.3} (fair {:>4.2}){}\n",
             alpha,
@@ -121,32 +116,14 @@ pub fn e9_chain_costs(seed: u64) -> (E9Result, Report) {
             }
         ));
     }
-    (
-        result,
-        Report {
-            id: "E9",
-            title: "Blockchain costs: mining waste, endless ledger, incentive attacks",
-            claim: "blockchains suffer the 51% attack, limits on data storage, \
-                    wasteful mining computation, the endless ledger problem \
-                    (§3.1)",
-            body,
-        },
-    )
-}
-
-/// Flatten an E9 run into harness metrics (keys `e9.*`).
-pub fn e9_metrics(seed: u64) -> agora_sim::Metrics {
-    let (r, _) = e9_chain_costs(seed);
-    let mut m = agora_sim::Metrics::new();
-    m.gauge_set("e9.hashes_per_confirmed_tx", r.hashes_per_confirmed_tx);
-    m.gauge_set("e9.ledger_bytes_per_day", r.ledger_bytes_per_day);
-    m.incr("e9.confirmed_txs", r.confirmed_txs);
-    m.incr("e9.reorgs", r.reorgs);
-    for (alpha, selfish, fair) in &r.selfish_curve {
-        m.gauge_set(&format!("e9.selfish_share.a{alpha:.2}"), *selfish);
-        m.gauge_set(&format!("e9.fair_share.a{alpha:.2}"), *fair);
+    Report {
+        id: "E9",
+        title: "Blockchain costs: mining waste, endless ledger, incentive attacks",
+        claim: "blockchains suffer the 51% attack, limits on data storage, \
+                wasteful mining computation, the endless ledger problem \
+                (§3.1)",
+        body,
     }
-    m
 }
 
 #[cfg(test)]
@@ -155,17 +132,15 @@ mod tests {
 
     #[test]
     fn e9_costs_measured() {
-        let (r, report) = e9_chain_costs(61);
-        assert!(r.confirmed_txs > 50, "{r:?}");
+        let m = e9_metrics(61);
+        assert!(m.counter("e9.confirmed_txs") > 50, "{m}");
         // Each tx costs vastly more than one hash — that's the waste.
-        assert!(r.hashes_per_confirmed_tx > 100.0, "{r:?}");
-        assert!(r.ledger_bytes_per_day > 1000.0, "{r:?}");
+        assert!(m.gauge("e9.hashes_per_confirmed_tx") > 100.0, "{m}");
+        assert!(m.gauge("e9.ledger_bytes_per_day") > 1000.0, "{m}");
         // Selfish mining profitable at 1/3 with gamma 0.5.
-        let at_33 = r.selfish_curve.iter().find(|(a, _, _)| *a == 0.33).unwrap();
         assert!(
-            at_33.1 > at_33.2,
-            "selfish should beat fair at 0.33: {at_33:?}"
+            m.gauge("e9.selfish_share.a0.33") > m.gauge("e9.fair_share.a0.33"),
+            "selfish should beat fair at 0.33: {m}"
         );
-        assert!(report.body.contains("endless ledger"));
     }
 }

@@ -7,33 +7,26 @@ use agora_comm::{
 use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, Simulation};
 use agora_workload::CommLoad;
 
-use super::Report;
+use super::{Report, VariantStats};
 
 /// Per-architecture outcome of the availability workload.
 #[derive(Clone, Copy, Debug)]
-pub struct CommOutcome {
+struct CommOutcome {
     /// Fraction of posts that reached their audience.
-    pub delivery_rate: f64,
+    delivery_rate: f64,
     /// Fraction of history reads that succeeded.
-    pub read_success: f64,
+    read_success: f64,
     /// Server/instance-side metadata observations per delivered post.
-    pub metadata_per_post: f64,
+    metadata_per_post: f64,
 }
 
-/// E3 results: outcomes per architecture at the given failure fraction.
-#[derive(Clone, Debug)]
-pub struct E3Result {
-    /// Fraction of infrastructure killed mid-run.
-    pub failure_fraction: f64,
-    /// Centralized platform.
-    pub centralized: CommOutcome,
-    /// Federated, single-home history.
-    pub single_home: CommOutcome,
-    /// Federated, fully replicated history.
-    pub replicated: CommOutcome,
-    /// Socially-aware P2P (with friend caching).
-    pub social: CommOutcome,
-}
+/// E3's architectures: key segment and report label.
+const ARCHITECTURES: [(&str, &str); 4] = [
+    ("centralized", "centralized"),
+    ("single_home", "federated single-home"),
+    ("replicated", "federated replicated"),
+    ("social", "socially-aware P2P"),
+];
 
 /// The pinned paper-default load shape (values are part of the checked-in
 /// baseline contract — see `agora_workload::load`).
@@ -228,130 +221,92 @@ fn run_social(seed: u64, failure_fraction: f64) -> (CommOutcome, u64) {
 }
 
 /// E3: the same workload on all four architectures while a fraction of the
-/// serving infrastructure fails.
-pub fn e3_groupcomm_availability(seed: u64, failure_fraction: f64) -> (E3Result, Report) {
-    let centralized = run_centralized(seed, failure_fraction);
-    let single_home = run_federated(seed + 1, failure_fraction, ReplicationMode::SingleHome);
-    let replicated = run_federated(seed + 2, failure_fraction, ReplicationMode::FullReplication);
-    let (social, _) = run_social(seed + 3, failure_fraction);
-    let result = E3Result {
-        failure_fraction,
-        centralized,
-        single_home,
-        replicated,
-        social,
-    };
-    let row = |name: &str, o: &CommOutcome| {
-        format!(
-            "  {:<24} delivery {:>5.1}%   reads {:>5.1}%\n",
-            name,
-            o.delivery_rate * 100.0,
-            o.read_success * 100.0
-        )
-    };
-    let mut body = format!(
-        "Failure fraction: {:.0}% of serving infrastructure killed mid-run\n",
-        failure_fraction * 100.0
-    );
-    body.push_str(&row("centralized", &result.centralized));
-    body.push_str(&row("federated single-home", &result.single_home));
-    body.push_str(&row("federated replicated", &result.replicated));
-    body.push_str(&row("socially-aware P2P", &result.social));
-    (
-        result,
-        Report {
-            id: "E3",
-            title: "Group communication: connectedness under failures",
-            claim: "OStatus-style instances are single points of failure; \
-                    Matrix-style replication provides high availability; \
-                    socially-aware P2P trades availability away (§3.2)",
-            body,
-        },
-    )
+/// serving infrastructure fails. Keys `e3.<architecture>.*`; the failure
+/// fraction is the harness sweep parameter.
+pub fn e3_metrics(seed: u64, failure_fraction: f64) -> Metrics {
+    let outcomes = [
+        run_centralized(seed, failure_fraction),
+        run_federated(seed + 1, failure_fraction, ReplicationMode::SingleHome),
+        run_federated(seed + 2, failure_fraction, ReplicationMode::FullReplication),
+        run_social(seed + 3, failure_fraction).0,
+    ];
+    let mut m = Metrics::new();
+    for ((key, _), o) in ARCHITECTURES.iter().zip(&outcomes) {
+        m.gauge_set(&format!("e3.{key}.delivery_rate"), o.delivery_rate);
+        m.gauge_set(&format!("e3.{key}.read_success"), o.read_success);
+        m.gauge_set(&format!("e3.{key}.metadata_per_post"), o.metadata_per_post);
+    }
+    m
 }
 
-/// E4 results: metadata exposure per architecture (no failures).
-#[derive(Clone, Debug)]
-pub struct E4Result {
-    /// Server-side metadata observations per delivered post, centralized.
-    pub centralized_metadata: f64,
-    /// Same, federated single-home.
-    pub single_home_metadata: f64,
-    /// Same, federated replicated.
-    pub replicated_metadata: f64,
-    /// Server-class observations in social P2P (should be zero).
-    pub social_server_metadata: f64,
-    /// Stranger reads denied by trust gating in the social architecture.
-    pub social_denied_reads: u64,
+/// E3's report: one block per failure fraction.
+pub fn e3_report(variants: &[VariantStats]) -> Report {
+    let mut body = String::new();
+    for v in variants {
+        body.push_str(&format!(
+            "Failure fraction {} of serving infrastructure killed mid-run:\n",
+            v.point()
+        ));
+        for (key, label) in ARCHITECTURES {
+            body.push_str(&format!(
+                "  {:<24} delivery {:>5.1}%   reads {:>5.1}%\n",
+                label,
+                v.mean(&format!("e3.{key}.delivery_rate")) * 100.0,
+                v.mean(&format!("e3.{key}.read_success")) * 100.0
+            ));
+        }
+        body.push('\n');
+    }
+    body.pop();
+    Report {
+        id: "E3",
+        title: "Group communication: connectedness under failures",
+        claim: "OStatus-style instances are single points of failure; \
+                Matrix-style replication provides high availability; \
+                socially-aware P2P trades availability away (§3.2)",
+        body,
+    }
 }
 
-/// E4: who sees the metadata?
-pub fn e4_privacy(seed: u64) -> (E4Result, Report) {
+/// E4: who sees the metadata? Keys `e4.*`.
+pub fn e4_metrics(seed: u64) -> Metrics {
     let centralized = run_centralized(seed, 0.0);
     let single_home = run_federated(seed + 1, 0.0, ReplicationMode::SingleHome);
     let replicated = run_federated(seed + 2, 0.0, ReplicationMode::FullReplication);
     let (social, denied) = run_social(seed + 3, 0.0);
-    let result = E4Result {
-        centralized_metadata: centralized.metadata_per_post,
-        single_home_metadata: single_home.metadata_per_post,
-        replicated_metadata: replicated.metadata_per_post,
-        social_server_metadata: social.metadata_per_post,
-        social_denied_reads: denied,
-    };
+    let mut m = Metrics::new();
+    m.gauge_set("e4.centralized_metadata", centralized.metadata_per_post);
+    m.gauge_set("e4.single_home_metadata", single_home.metadata_per_post);
+    m.gauge_set("e4.replicated_metadata", replicated.metadata_per_post);
+    m.gauge_set("e4.social_server_metadata", social.metadata_per_post);
+    m.incr("e4.social_denied_reads", denied);
+    m
+}
+
+/// E4's report from its one variant.
+pub fn e4_report(variants: &[VariantStats]) -> Report {
+    let v = &variants[0];
     let body = format!(
         "Server/instance metadata observations per delivered post:\n\
          \x20 centralized           : {:.3} (ONE observer — but it sees 100% of posts)\n\
          \x20 federated single-home : {:.3} (home + member instances each observe)\n\
          \x20 federated replicated  : {:.3} (every relaying instance observes)\n\
          \x20 socially-aware P2P    : {:.3} (no server-class observer exists)\n\
-         Trust gating: {} stranger reads denied in the social run\n",
-        result.centralized_metadata,
-        result.single_home_metadata,
-        result.replicated_metadata,
-        result.social_server_metadata,
-        result.social_denied_reads,
+         Trust gating: {:.1} stranger reads denied in the social run\n",
+        v.mean("e4.centralized_metadata"),
+        v.mean("e4.single_home_metadata"),
+        v.mean("e4.replicated_metadata"),
+        v.mean("e4.social_server_metadata"),
+        v.mean("e4.social_denied_reads"),
     );
-    (
-        result,
-        Report {
-            id: "E4",
-            title: "Group communication: metadata exposure",
-            claim: "even with E2E encryption, metadata is readable by the \
-                    servers that store it (§3.2, Matrix); socially-aware P2P \
-                    confines exposure to chosen friends",
-            body,
-        },
-    )
-}
-
-fn comm_outcome_metrics(m: &mut Metrics, prefix: &str, o: &CommOutcome) {
-    m.gauge_set(&format!("{prefix}.delivery_rate"), o.delivery_rate);
-    m.gauge_set(&format!("{prefix}.read_success"), o.read_success);
-    m.gauge_set(&format!("{prefix}.metadata_per_post"), o.metadata_per_post);
-}
-
-/// Flatten an E3 run at one failure fraction into harness metrics
-/// (keys `e3.*`). The failure fraction is the harness sweep parameter.
-pub fn e3_metrics(seed: u64, failure_fraction: f64) -> Metrics {
-    let (r, _) = e3_groupcomm_availability(seed, failure_fraction);
-    let mut m = Metrics::new();
-    comm_outcome_metrics(&mut m, "e3.centralized", &r.centralized);
-    comm_outcome_metrics(&mut m, "e3.single_home", &r.single_home);
-    comm_outcome_metrics(&mut m, "e3.replicated", &r.replicated);
-    comm_outcome_metrics(&mut m, "e3.social", &r.social);
-    m
-}
-
-/// Flatten an E4 run into harness metrics (keys `e4.*`).
-pub fn e4_metrics(seed: u64) -> Metrics {
-    let (r, _) = e4_privacy(seed);
-    let mut m = Metrics::new();
-    m.gauge_set("e4.centralized_metadata", r.centralized_metadata);
-    m.gauge_set("e4.single_home_metadata", r.single_home_metadata);
-    m.gauge_set("e4.replicated_metadata", r.replicated_metadata);
-    m.gauge_set("e4.social_server_metadata", r.social_server_metadata);
-    m.incr("e4.social_denied_reads", r.social_denied_reads);
-    m
+    Report {
+        id: "E4",
+        title: "Group communication: metadata exposure",
+        claim: "even with E2E encryption, metadata is readable by the \
+                servers that store it (§3.2, Matrix); socially-aware P2P \
+                confines exposure to chosen friends",
+        body,
+    }
 }
 
 #[cfg(test)]
@@ -360,44 +315,43 @@ mod tests {
 
     #[test]
     fn e3_no_failures_everyone_works() {
-        let (r, _) = e3_groupcomm_availability(21, 0.0);
-        assert!(r.centralized.delivery_rate > 0.95, "{r:?}");
-        assert!(r.centralized.read_success > 0.95, "{r:?}");
-        assert!(r.replicated.read_success > 0.95, "{r:?}");
-        assert!(r.single_home.read_success > 0.95, "{r:?}");
-        assert!(r.social.read_success > 0.9, "{r:?}");
+        let m = e3_metrics(21, 0.0);
+        assert!(m.gauge("e3.centralized.delivery_rate") > 0.95, "{m}");
+        assert!(m.gauge("e3.centralized.read_success") > 0.95, "{m}");
+        assert!(m.gauge("e3.replicated.read_success") > 0.95, "{m}");
+        assert!(m.gauge("e3.single_home.read_success") > 0.95, "{m}");
+        assert!(m.gauge("e3.social.read_success") > 0.9, "{m}");
     }
 
     #[test]
     fn e3_failures_separate_the_architectures() {
         // Kill 20% of infrastructure (= the only server for centralized,
         // one instance of five for federated, 20% of peers for social).
-        let (r, _) = e3_groupcomm_availability(23, 0.2);
+        let m = e3_metrics(23, 0.2);
         // Centralized collapses entirely.
-        assert!(r.centralized.read_success < 0.1, "{:?}", r.centralized);
+        assert!(m.gauge("e3.centralized.read_success") < 0.1, "{m}");
         // Replicated federation barely notices for reads.
-        assert!(r.replicated.read_success > 0.7, "{:?}", r.replicated);
+        assert!(m.gauge("e3.replicated.read_success") > 0.7, "{m}");
         // Single-home: the origin died, so remote-history reads fail —
         // strictly worse than replicated.
         assert!(
-            r.single_home.read_success < r.replicated.read_success,
-            "single-home {:?} vs replicated {:?}",
-            r.single_home,
-            r.replicated
+            m.gauge("e3.single_home.read_success") < m.gauge("e3.replicated.read_success"),
+            "{m}"
         );
     }
 
     #[test]
     fn e4_privacy_ordering() {
-        let (r, _) = e4_privacy(29);
+        let m = e4_metrics(29);
         // Social P2P: no server-class observations at all.
-        assert_eq!(r.social_server_metadata, 0.0);
+        assert_eq!(m.gauge("e4.social_server_metadata"), 0.0);
         // Every other architecture observes at least once per post.
-        assert!(r.centralized_metadata > 0.0);
-        assert!(r.single_home_metadata > 0.0);
-        assert!(r.replicated_metadata > 0.0);
-        assert!(
-            r.social_denied_reads == 0,
+        assert!(m.gauge("e4.centralized_metadata") > 0.0);
+        assert!(m.gauge("e4.single_home_metadata") > 0.0);
+        assert!(m.gauge("e4.replicated_metadata") > 0.0);
+        assert_eq!(
+            m.counter("e4.social_denied_reads"),
+            0,
             "friends-only reads in this workload"
         );
     }

@@ -8,16 +8,9 @@
 //!   architecture families, with documented assumptions.
 
 use agora_comm::{AbuseKind, FedNode, ModerationPolicy, PostLabel, ReplicationMode};
-use agora_sim::{DeviceClass, NodeId, SimDuration, Simulation};
+use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, Simulation};
 
-use super::Report;
-
-/// E12 results: (config label, abuse leak rate, legit suppression rate).
-#[derive(Clone, Debug)]
-pub struct E12Result {
-    /// Outcomes per federation configuration.
-    pub rows: Vec<(String, f64, f64)>,
-}
+use super::{metric_key_segment, Report, VariantStats};
 
 fn federation_moderation_run(seed: u64, policies: Vec<ModerationPolicy>) -> (f64, f64) {
     let n = policies.len();
@@ -71,9 +64,9 @@ fn federation_moderation_run(seed: u64, policies: Vec<ModerationPolicy>) -> (f64
     (abuse_leak, suppression)
 }
 
-/// E12: moderation vs freedom across federation policy mixes.
-pub fn e12_moderation_tension(seed: u64) -> (E12Result, Report) {
-    let configs: Vec<(&str, Vec<ModerationPolicy>)> = vec![
+/// E12's federation policy mixes, in report order.
+fn e12_configs() -> [(&'static str, Vec<ModerationPolicy>); 4] {
+    [
         ("all instances: none", vec![ModerationPolicy::none(); 3]),
         (
             "all instances: platform-default",
@@ -88,23 +81,36 @@ pub fn e12_moderation_tension(seed: u64) -> (E12Result, Report) {
                 ModerationPolicy::spam_only(), // tolerates hate speech
             ],
         ),
-    ];
-    let mut rows = Vec::new();
-    for (i, (label, policies)) in configs.into_iter().enumerate() {
+    ]
+}
+
+/// E12: moderation vs freedom across federation policy mixes. Keys
+/// `e12.<mix>.*`.
+pub fn e12_metrics(seed: u64) -> Metrics {
+    let mut m = Metrics::new();
+    for (i, (label, policies)) in e12_configs().into_iter().enumerate() {
         let (leak, suppression) = federation_moderation_run(seed + i as u64, policies);
-        rows.push((label.to_owned(), leak, suppression));
+        let key = metric_key_segment(label);
+        m.gauge_set(&format!("e12.{key}.abuse_leak"), leak);
+        m.gauge_set(&format!("e12.{key}.legit_suppression"), suppression);
     }
-    let result = E12Result { rows };
+    m
+}
+
+/// E12's report from its one variant.
+pub fn e12_report(variants: &[VariantStats]) -> Report {
+    let v = &variants[0];
     let mut body = format!(
         "{:<36} {:>12} {:>14}\n",
         "federation policy mix", "abuse leak", "legit suppressed"
     );
-    for (label, leak, supp) in &result.rows {
+    for (label, _) in e12_configs() {
+        let key = metric_key_segment(label);
         body.push_str(&format!(
             "{:<36} {:>11.1}% {:>13.1}%\n",
             label,
-            leak * 100.0,
-            supp * 100.0
+            v.mean(&format!("e12.{key}.abuse_leak")) * 100.0,
+            v.mean(&format!("e12.{key}.legit_suppression")) * 100.0
         ));
     }
     body.push_str(
@@ -113,17 +119,14 @@ pub fn e12_moderation_tension(seed: u64) -> (E12Result, Report) {
          federation the tolerant instance's users leak their abuse into the\n\
          shared room — per-instance norms set only a local floor (§3.2).\n",
     );
-    (
-        result,
-        Report {
-            id: "E12",
-            title: "Moderation vs freedom of expression across federations",
-            claim: "moderation is often in direct tension with freedom of \
-                    expression ... federations define their own rules on \
-                    abuse (§3.2)",
-            body,
-        },
-    )
+    Report {
+        id: "E12",
+        title: "Moderation vs freedom of expression across federations",
+        claim: "moderation is often in direct tension with freedom of \
+                expression ... federations define their own rules on \
+                abuse (§3.2)",
+        body,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -164,14 +167,7 @@ impl CostRow {
     }
 }
 
-/// E13 results.
-#[derive(Clone, Debug)]
-pub struct E13Result {
-    /// One row per architecture.
-    pub rows: Vec<CostRow>,
-}
-
-/// E13: the financing model. Assumptions (all in the row constructors):
+/// E13: the financing model. Assumptions (all in these rows):
 /// a datacenter server amortizes to ~$100/month and serves ~10k active
 /// users of a typical OSN workload (hence $0.01/user); ad/data monetization
 /// of an active user is ~$2/month (public OSN ARPU figures are $2–$10);
@@ -179,49 +175,64 @@ pub struct E13Result {
 /// funded by ~$15/month of donations; blockchain naming costs users ~$0.50
 /// of fees/month amortized; user devices contribute idle resources at ~$0.30
 /// of marginal energy.
-/// The model is analytic (no randomness); the seed parameter keeps the
-/// signature uniform with every other experiment so the harness can drive
-/// them all through one entry-point shape.
-pub fn e13_financing_gap(_seed: u64) -> (E13Result, Report) {
-    let rows = vec![
-        CostRow {
-            label: "Centralized platform",
-            infra_cost: 0.01,
-            revenue: 2.00,
-            payer: Payer::OperatorViaMonetization,
-        },
-        CostRow {
-            label: "Federated instance",
-            infra_cost: 0.08, // $40 / 500 users
-            revenue: 0.03,    // $15 donations / 500 users
-            payer: Payer::Donations,
-        },
-        CostRow {
-            label: "Blockchain-backed",
-            infra_cost: 0.50, // fees + miner costs passed through
-            revenue: 0.50,    // paid by users; clears by construction
-            payer: Payer::UsersDirectly,
-        },
-        CostRow {
-            label: "Socially-aware P2P",
-            infra_cost: 0.30, // marginal device energy/wear
-            revenue: 0.00,
-            payer: Payer::OwnDevices,
-        },
-    ];
-    let result = E13Result { rows };
+const COST_ROWS: [CostRow; 4] = [
+    CostRow {
+        label: "Centralized platform",
+        infra_cost: 0.01,
+        revenue: 2.00,
+        payer: Payer::OperatorViaMonetization,
+    },
+    CostRow {
+        label: "Federated instance",
+        infra_cost: 0.08, // $40 / 500 users
+        revenue: 0.03,    // $15 donations / 500 users
+        payer: Payer::Donations,
+    },
+    CostRow {
+        label: "Blockchain-backed",
+        infra_cost: 0.50, // fees + miner costs passed through
+        revenue: 0.50,    // paid by users; clears by construction
+        payer: Payer::UsersDirectly,
+    },
+    CostRow {
+        label: "Socially-aware P2P",
+        infra_cost: 0.30, // marginal device energy/wear
+        revenue: 0.00,
+        payer: Payer::OwnDevices,
+    },
+];
+
+/// E13's keys `e13.<architecture>.*`. The model is analytic (no
+/// randomness); the seed parameter keeps the signature uniform with every
+/// other experiment so the harness can drive them all through one
+/// entry-point shape.
+pub fn e13_metrics(_seed: u64) -> Metrics {
+    let mut m = Metrics::new();
+    for row in &COST_ROWS {
+        let key = metric_key_segment(row.label);
+        m.gauge_set(&format!("e13.{key}.infra_cost"), row.infra_cost);
+        m.gauge_set(&format!("e13.{key}.revenue"), row.revenue);
+        m.gauge_set(&format!("e13.{key}.surplus"), row.surplus());
+    }
+    m
+}
+
+/// E13's report from its one variant.
+pub fn e13_report(variants: &[VariantStats]) -> Report {
+    let v = &variants[0];
     let mut body = format!(
         "{:<22} {:>11} {:>11} {:>10}  payer\n",
         "architecture", "cost/u/mo", "rev/u/mo", "surplus"
     );
-    for r in &result.rows {
+    for row in &COST_ROWS {
+        let key = metric_key_segment(row.label);
         body.push_str(&format!(
             "{:<22} {:>10.2}$ {:>10.2}$ {:>9.2}$  {:?}\n",
-            r.label,
-            r.infra_cost,
-            r.revenue,
-            r.surplus(),
-            r.payer
+            row.label,
+            v.mean(&format!("e13.{key}.infra_cost")),
+            v.mean(&format!("e13.{key}.revenue")),
+            v.mean(&format!("e13.{key}.surplus")),
+            row.payer
         ));
     }
     body.push_str(
@@ -235,44 +246,14 @@ pub fn e13_financing_gap(_seed: u64) -> (E13Result, Report) {
          limiting factor', made explicit. Token incentives (Table 2) are the\n\
          one mechanism that routes payment to providers without an operator.\n",
     );
-    (
-        result,
-        Report {
-            id: "E13",
-            title: "The financing gap",
-            claim: "financial constraints are a key limiting factor for \
-                    democratized Internet service architectures (§2.2); \
-                    incentivizing development ... is a hard problem (§5.3)",
-            body,
-        },
-    )
-}
-
-/// Flatten an E12 run into harness metrics (keys `e12.*`).
-pub fn e12_metrics(seed: u64) -> agora_sim::Metrics {
-    use super::metric_key_segment;
-    let (r, _) = e12_moderation_tension(seed);
-    let mut m = agora_sim::Metrics::new();
-    for (label, leak, suppression) in &r.rows {
-        let key = metric_key_segment(label);
-        m.gauge_set(&format!("e12.{key}.abuse_leak"), *leak);
-        m.gauge_set(&format!("e12.{key}.legit_suppression"), *suppression);
+    Report {
+        id: "E13",
+        title: "The financing gap",
+        claim: "financial constraints are a key limiting factor for \
+                democratized Internet service architectures (§2.2); \
+                incentivizing development ... is a hard problem (§5.3)",
+        body,
     }
-    m
-}
-
-/// Flatten an E13 run into harness metrics (keys `e13.*`).
-pub fn e13_metrics(seed: u64) -> agora_sim::Metrics {
-    use super::metric_key_segment;
-    let (r, _) = e13_financing_gap(seed);
-    let mut m = agora_sim::Metrics::new();
-    for row in &r.rows {
-        let key = metric_key_segment(row.label);
-        m.gauge_set(&format!("e13.{key}.infra_cost"), row.infra_cost);
-        m.gauge_set(&format!("e13.{key}.revenue"), row.revenue);
-        m.gauge_set(&format!("e13.{key}.surplus"), row.surplus());
-    }
-    m
 }
 
 #[cfg(test)]
@@ -281,48 +262,49 @@ mod tests {
 
     #[test]
     fn e12_pareto_shape() {
-        let (r, report) = e12_moderation_tension(71);
-        let get = |prefix: &str| {
-            r.rows
-                .iter()
-                .find(|(l, _, _)| l.starts_with(prefix))
-                .cloned()
-                .expect("row")
+        let m = e12_metrics(71);
+        let get = |mix: &str| {
+            let key = metric_key_segment(mix);
+            (
+                m.gauge(&format!("e12.{key}.abuse_leak")),
+                m.gauge(&format!("e12.{key}.legit_suppression")),
+            )
         };
         let none = get("all instances: none");
         let default = get("all instances: platform-default");
         let strict = get("all instances: strict");
-        let mixed = get("mixed");
+        let mixed = get("mixed: strict + default + tolerant");
         // No moderation leaks (almost) everything, suppresses nothing.
-        assert!(none.1 > 0.9, "{none:?}");
-        assert!(none.2 < 0.05, "{none:?}");
+        assert!(none.0 > 0.9, "{none:?}");
+        assert!(none.1 < 0.05, "{none:?}");
         // Stricter ⇒ less leak, more suppression.
-        assert!(default.1 < none.1);
-        assert!(strict.1 <= default.1 + 0.02);
+        assert!(default.0 < none.0);
+        assert!(strict.0 <= default.0 + 0.02);
         assert!(
-            strict.2 > default.2,
+            strict.1 > default.1,
             "strict {strict:?} vs default {default:?}"
         );
         // Mixed leaks more than uniformly-default: the tolerant instance's
         // abusers reach the whole room.
         assert!(
-            mixed.1 > default.1,
+            mixed.0 > default.0,
             "mixed {mixed:?} vs default {default:?}"
         );
-        assert!(report.body.contains("Pareto"));
     }
 
     #[test]
     fn e13_financing_shape() {
-        let (r, report) = e13_financing_gap(0);
-        let get = |label: &str| r.rows.iter().find(|x| x.label == label).expect("row");
-        assert!(get("Centralized platform").surplus() > 1.0);
-        assert!(
-            get("Federated instance").surplus() < 0.0,
-            "structural deficit"
-        );
-        assert_eq!(get("Blockchain-backed").surplus(), 0.0);
-        assert_eq!(get("Socially-aware P2P").revenue, 0.0);
-        assert!(report.body.contains("financial constraints"));
+        let m = e13_metrics(0);
+        let surplus = |arch: &str| m.gauge(&format!("e13.{arch}.surplus"));
+        assert!(surplus("centralized_platform") > 1.0);
+        assert!(surplus("federated_instance") < 0.0, "structural deficit");
+        assert_eq!(surplus("blockchain-backed"), 0.0);
+        assert_eq!(m.gauge("e13.socially-aware_p2p.revenue"), 0.0);
+    }
+
+    #[test]
+    fn e13_any_seed_yields_the_same_economics() {
+        let values = |seed| crate::experiments::values(&e13_metrics(seed));
+        assert_eq!(values(0), values(12345));
     }
 }

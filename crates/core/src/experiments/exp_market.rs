@@ -29,10 +29,7 @@ use agora_workload::{
     WorkloadSpec, ZoneMix,
 };
 
-use super::Report;
-
-/// The chaos intensity grid swept by the report and the harness matrix.
-pub const E17_INTENSITIES: [f64; 3] = [0.0, 0.5, 1.0];
+use super::{by_label, Report, VariantStats};
 
 /// Provider fleet size: 4 of every 16 are cheaters (two discard after
 /// ack, two keep ~70% of shards), so the audit loop has work to do even
@@ -58,18 +55,13 @@ pub struct CodecPoint {
     pub objects_lost: u64,
 }
 
-/// E17 results at one chaos intensity.
-#[derive(Clone, Debug)]
-pub struct E17Result {
-    /// Fault intensity in [0, 1] scaling the whole chaos schedule.
-    pub intensity: f64,
-    /// RS(4, 2): 1.5x overhead, repairs move object/4 bytes.
-    pub rs42: CodecPoint,
-    /// RS(8, 4): same overhead, finer shards, repairs move object/8 bytes.
-    pub rs84: CodecPoint,
-    /// RS(1, 2): plain 3x replication; repairs move whole objects.
-    pub rep: CodecPoint,
-}
+/// The three codecs, in seed, key and report order: key segment, label,
+/// data shards k, parity shards m.
+const CODECS: [(&str, &str, usize, usize); 3] = [
+    ("rs42", "RS(4,2)", 4, 2),
+    ("rs84", "RS(8,4)", 8, 4),
+    ("rep", "RS(1,2)", 1, 2),
+];
 
 /// The E15 chaos schedule shape at a given intensity (same knobs, scaled
 /// together; kept local so the two experiments can evolve independently).
@@ -156,32 +148,25 @@ fn run_codec(seed: u64, intensity: f64, k: usize, m: usize) -> CodecPoint {
     }
 }
 
-/// E17 at a single intensity: the same fleet and chaos for all codecs.
-pub fn e17_market_point(seed: u64, intensity: f64) -> E17Result {
-    E17Result {
-        intensity,
-        rs42: run_codec(seed, intensity, 4, 2),
-        rs84: run_codec(seed + 1, intensity, 8, 4),
-        rep: run_codec(seed + 2, intensity, 1, 2),
+/// E17 at one intensity: the same fleet and chaos for all codecs. Keys
+/// `e17.<codec>.*`; the intensity is the harness sweep parameter.
+pub fn e17_metrics(seed: u64, intensity: f64) -> Metrics {
+    let mut m = Metrics::new();
+    for (i, (codec, _, k, parity)) in CODECS.into_iter().enumerate() {
+        let p = run_codec(seed + i as u64, intensity, k, parity);
+        let prefix = format!("e17.{codec}");
+        m.gauge_set(&format!("{prefix}.durability"), p.durability);
+        m.gauge_set(&format!("{prefix}.repair_bytes"), p.repair_bytes as f64);
+        m.gauge_set(
+            &format!("{prefix}.repair_read_bytes"),
+            p.repair_read_bytes as f64,
+        );
+        m.gauge_set(&format!("{prefix}.challenges"), p.challenges as f64);
+        m.gauge_set(&format!("{prefix}.slashes"), p.slashes as f64);
+        m.gauge_set(&format!("{prefix}.stake_lost"), p.stake_lost as f64);
+        m.gauge_set(&format!("{prefix}.objects_lost"), p.objects_lost as f64);
     }
-}
-
-/// The workload-driven variant: population-scale demand routed at the
-/// market, answered only by funded contracts. Diurnal churn takes
-/// providers offline through the same kill/revive path chaos uses, so
-/// churn costs stake exactly as §5 predicts.
-#[derive(Clone, Copy, Debug)]
-pub struct E17Workload {
-    /// Weighted fraction of demand served from funded contracts.
-    pub availability: f64,
-    /// Slash events over the horizon.
-    pub slashes: u64,
-    /// Repair bytes moved to keep contracts serviceable.
-    pub repair_bytes: u64,
-    /// End-of-run durability.
-    pub durability: f64,
-    /// Aggregate (weighted) requests issued.
-    pub requests: f64,
+    m
 }
 
 fn e17_workload_spec(objects: usize) -> WorkloadSpec {
@@ -206,8 +191,11 @@ fn e17_workload_spec(objects: usize) -> WorkloadSpec {
     }
 }
 
-/// Run the workload variant: RS(4, 2) market + diurnal provider churn.
-pub fn e17_workload_point(seed: u64) -> E17Workload {
+/// The workload-driven variant: population-scale demand routed at an
+/// RS(4, 2) market, answered only by funded contracts. Diurnal churn
+/// takes providers offline through the same kill/revive path chaos uses,
+/// so churn costs stake exactly as §5 predicts. Keys `e17.workload.*`.
+pub fn e17_workload_metrics(seed: u64) -> Metrics {
     let spec = market_spec(4, 2);
     let (mut sim, providers) = build_fleet(seed);
     let mut market = StorageMarket::install(&mut sim, spec, seed, providers.clone());
@@ -235,22 +223,20 @@ pub fn e17_workload_point(seed: u64) -> E17Workload {
             }
         });
     }
-    E17Workload {
-        availability: served / requests.max(1.0),
-        slashes: market.slashes(),
-        repair_bytes: market.repair_bytes(),
-        durability: market.durability(&sim),
-        requests,
-    }
+    let mut m = Metrics::new();
+    m.gauge_set("e17.workload.availability", served / requests.max(1.0));
+    m.gauge_set("e17.workload.slashes", market.slashes() as f64);
+    m.gauge_set("e17.workload.repair_bytes", market.repair_bytes() as f64);
+    m.gauge_set("e17.workload.durability", market.durability(&sim));
+    m.gauge_set("e17.workload.requests", requests);
+    m
 }
 
-/// E17: sweep the intensity grid and render the codec curves.
-pub fn e17_market_sweep(seed: u64) -> (Vec<E17Result>, Report) {
-    let results: Vec<E17Result> = E17_INTENSITIES
-        .iter()
-        .map(|&i| e17_market_point(seed, i))
-        .collect();
-    let w = e17_workload_point(seed);
+/// E17's report: the codec curves over the intensity variants, then the
+/// `workload` variant.
+pub fn e17_report(variants: &[VariantStats]) -> Report {
+    let w = by_label(variants, "workload");
+    let codec_variants = || variants.iter().filter(|v| v.label != w.label);
     let mut body = String::from(
         "Durability (fraction of objects reconstructible at end of run) and\n\
          repair traffic (bytes re-uploaded by the repair actor) as chaos\n\
@@ -259,34 +245,36 @@ pub fn e17_market_sweep(seed: u64) -> (Vec<E17Result>, Report) {
          has cheaters to catch even before chaos starts:\n\n\
          \x20 intensity   codec     durability   repair_KiB   slashes   stake_lost\n",
     );
-    for r in &results {
-        for (name, p) in [
-            ("RS(4,2)", &r.rs42),
-            ("RS(8,4)", &r.rs84),
-            ("RS(1,2)", &r.rep),
-        ] {
+    for v in codec_variants() {
+        for (codec, label, _, _) in CODECS {
+            let mean = |key: &str| v.mean(&format!("e17.{codec}.{key}"));
             body.push_str(&format!(
-                "  {:>6.2}      {:<8}  {:>7.3}      {:>8.1}   {:>6}    {:>7}\n",
-                r.intensity,
-                name,
-                p.durability,
-                p.repair_bytes as f64 / 1024.0,
-                p.slashes,
-                p.stake_lost,
+                "  {:>6}      {:<8}  {:>7.3}      {:>8.1}   {:>6.1}    {:>7.0}\n",
+                v.point(),
+                label,
+                mean("durability"),
+                mean("repair_bytes") / 1024.0,
+                mean("slashes"),
+                mean("stake_lost"),
             ));
         }
     }
-    let last = &results[results.len() - 1];
-    let erasure_wins = results
-        .iter()
-        .any(|r| r.rs42.durability >= r.rep.durability && r.rs42.repair_bytes < r.rep.repair_bytes);
+    let last = by_label(variants, "i1.00");
+    let erasure_wins = codec_variants().any(|v| {
+        v.mean("e17.rs42.durability") >= v.mean("e17.rep.durability")
+            && v.mean("e17.rs42.repair_bytes") < v.mean("e17.rep.repair_bytes")
+    });
     body.push_str(&format!(
-        "\nAt max intensity replication moved {:.0} KiB of repair traffic vs\n\
-         {:.0} KiB for RS(4,2) at durability {:.3} vs {:.3} — {}\n",
-        last.rep.repair_bytes as f64 / 1024.0,
-        last.rs42.repair_bytes as f64 / 1024.0,
-        last.rep.durability,
-        last.rs42.durability,
+        "\nAt max intensity the repair traffic (KiB) of replication was\n\
+         \x20 {}\n\
+         and that of RS(4,2)\n\
+         \x20 {}\n\
+         at mean durability {:.3} vs {:.3}:\n\
+         {}.\n",
+        last.spread("e17.rep.repair_bytes", 1.0 / 1024.0, 0),
+        last.spread("e17.rs42.repair_bytes", 1.0 / 1024.0, 0),
+        last.mean("e17.rep.durability"),
+        last.mean("e17.rs42.durability"),
         if erasure_wins {
             "erasure coding holds durability at a fraction of the repair cost"
         } else {
@@ -295,63 +283,25 @@ pub fn e17_market_sweep(seed: u64) -> (Vec<E17Result>, Report) {
     ));
     body.push_str(&format!(
         "\nWorkload variant (RS(4,2) + diurnal provider churn, demand served\n\
-         only from funded contracts): availability {:.3} over {:.0} weighted\n\
-         requests; churn cost {} slashes and {:.1} KiB of repair — the\n\
-         financing loop, not the bytes, is what users experience (§5).\n",
-        w.availability,
-        w.requests,
-        w.slashes,
-        w.repair_bytes as f64 / 1024.0,
+         only from funded contracts): availability\n\
+         \x20 {}\n\
+         over {:.0} weighted requests; churn cost {:.1} slashes and {:.1} KiB\n\
+         of repair — the financing loop, not the bytes, is what users\n\
+         experience (§5).\n",
+        w.spread("e17.workload.availability", 1.0, 3),
+        w.mean("e17.workload.requests"),
+        w.mean("e17.workload.slashes"),
+        w.mean("e17.workload.repair_bytes") / 1024.0,
     ));
-    (
-        results,
-        Report {
-            id: "E17",
-            title: "Storage market: audit/slashing/repair under chaos",
-            claim: "an audited, staked storage market keeps erasure-coded \
-                    data durable at a fraction of replication's repair \
-                    traffic — the financing loop §5 says decentralized \
-                    storage is missing",
-            body,
-        },
-    )
-}
-
-fn codec_metrics(m: &mut Metrics, prefix: &str, p: &CodecPoint) {
-    m.gauge_set(&format!("{prefix}.durability"), p.durability);
-    m.gauge_set(&format!("{prefix}.repair_bytes"), p.repair_bytes as f64);
-    m.gauge_set(
-        &format!("{prefix}.repair_read_bytes"),
-        p.repair_read_bytes as f64,
-    );
-    m.gauge_set(&format!("{prefix}.challenges"), p.challenges as f64);
-    m.gauge_set(&format!("{prefix}.slashes"), p.slashes as f64);
-    m.gauge_set(&format!("{prefix}.stake_lost"), p.stake_lost as f64);
-    m.gauge_set(&format!("{prefix}.objects_lost"), p.objects_lost as f64);
-}
-
-/// Flatten an E17 run at one intensity into harness metrics (keys
-/// `e17.<codec>.*`). The intensity is the harness sweep parameter.
-pub fn e17_metrics(seed: u64, intensity: f64) -> Metrics {
-    let r = e17_market_point(seed, intensity);
-    let mut m = Metrics::new();
-    codec_metrics(&mut m, "e17.rs42", &r.rs42);
-    codec_metrics(&mut m, "e17.rs84", &r.rs84);
-    codec_metrics(&mut m, "e17.rep", &r.rep);
-    m
-}
-
-/// Flatten the workload-driven variant into harness metrics
-/// (keys `e17.workload.*`).
-pub fn e17_workload_metrics(seed: u64) -> Metrics {
-    let w = e17_workload_point(seed);
-    let mut m = Metrics::new();
-    m.gauge_set("e17.workload.availability", w.availability);
-    m.gauge_set("e17.workload.slashes", w.slashes as f64);
-    m.gauge_set("e17.workload.repair_bytes", w.repair_bytes as f64);
-    m.gauge_set("e17.workload.durability", w.durability);
-    m.gauge_set("e17.workload.requests", w.requests);
-    m
+    Report {
+        id: "E17",
+        title: "Storage market: audit/slashing/repair under chaos",
+        claim: "an audited, staked storage market keeps erasure-coded \
+                data durable at a fraction of replication's repair \
+                traffic — the financing loop §5 says decentralized \
+                storage is missing",
+        body,
+    }
 }
 
 #[cfg(test)]
@@ -360,37 +310,44 @@ mod tests {
 
     #[test]
     fn e17_audit_loop_catches_cheaters_without_chaos() {
-        let r = e17_market_point(51, 0.0);
+        let m = e17_metrics(51, 0.0);
         // 4 of 16 providers cheat, so slashing happens even at intensity 0.
-        for p in [&r.rs42, &r.rs84, &r.rep] {
-            assert!(p.challenges > 0);
-            assert!(p.slashes > 0, "cheaters must be caught: {p:?}");
-            assert!(p.stake_lost > 0);
+        for (codec, _, _, _) in CODECS {
+            let get = |key: &str| m.gauge(&format!("e17.{codec}.{key}"));
+            assert!(get("challenges") > 0.0);
+            assert!(get("slashes") > 0.0, "cheaters must be caught: {m}");
+            assert!(get("stake_lost") > 0.0);
         }
         // And repair keeps everything durable anyway.
-        assert_eq!(r.rs42.durability, 1.0, "{:?}", r.rs42);
-        assert_eq!(r.rep.durability, 1.0, "{:?}", r.rep);
+        assert_eq!(m.gauge("e17.rs42.durability"), 1.0, "{m}");
+        assert_eq!(m.gauge("e17.rep.durability"), 1.0, "{m}");
     }
 
     #[test]
     fn e17_erasure_beats_replication_on_repair_traffic() {
         // The acceptance criterion: equal-or-better durability at strictly
         // lower repair bytes for at least one (k, m) point and intensity.
-        let wins = E17_INTENSITIES.iter().any(|&i| {
-            let r = e17_market_point(51, i);
-            r.rs42.durability >= r.rep.durability && r.rs42.repair_bytes < r.rep.repair_bytes
+        // The points are the registry's three intensity variants.
+        let wins = [0.0, 0.5, 1.0].into_iter().any(|i| {
+            let m = e17_metrics(51, i);
+            m.gauge("e17.rs42.durability") >= m.gauge("e17.rep.durability")
+                && m.gauge("e17.rs42.repair_bytes") < m.gauge("e17.rep.repair_bytes")
         });
         assert!(wins, "RS(4,2) must beat RS(1,2) replication somewhere");
     }
 
     #[test]
     fn e17_chaos_increases_repair_traffic() {
-        let calm = e17_market_point(52, 0.0);
-        let storm = e17_market_point(52, 1.0);
         // Crash waves take providers across challenge deadlines, so chaos
         // must cost extra slashes and repair on top of the cheater baseline.
-        let calm_total = calm.rs42.slashes + calm.rs84.slashes + calm.rep.slashes;
-        let storm_total = storm.rs42.slashes + storm.rs84.slashes + storm.rep.slashes;
+        let slashes = |intensity| {
+            let m = e17_metrics(52, intensity);
+            CODECS
+                .iter()
+                .map(|(codec, _, _, _)| m.gauge(&format!("e17.{codec}.slashes")))
+                .sum::<f64>()
+        };
+        let (calm_total, storm_total) = (slashes(0.0), slashes(1.0));
         assert!(
             storm_total > calm_total,
             "storm {storm_total} vs calm {calm_total}"
@@ -399,26 +356,20 @@ mod tests {
 
     #[test]
     fn e17_workload_is_served_by_funded_contracts() {
-        let w = e17_workload_point(53);
-        assert!(w.requests > 100.0, "{w:?}");
-        assert!(
-            w.availability > 0.5 && w.availability <= 1.0,
-            "availability {w:?}"
-        );
-        assert_eq!(w.durability, 1.0, "{w:?}");
+        let m = e17_workload_metrics(53);
+        let availability = m.gauge("e17.workload.availability");
+        assert!(m.gauge("e17.workload.requests") > 100.0, "{m}");
+        assert!(availability > 0.5 && availability <= 1.0, "{m}");
+        assert_eq!(m.gauge("e17.workload.durability"), 1.0, "{m}");
     }
 
     #[test]
     fn e17_runs_are_deterministic() {
-        let a = e17_market_point(54, 0.5);
-        let b = e17_market_point(54, 0.5);
-        assert_eq!(a.rs42.durability, b.rs42.durability);
-        assert_eq!(a.rs42.repair_bytes, b.rs42.repair_bytes);
-        assert_eq!(a.rs84.slashes, b.rs84.slashes);
-        assert_eq!(a.rep.stake_lost, b.rep.stake_lost);
-        let wa = e17_workload_point(54);
-        let wb = e17_workload_point(54);
-        assert_eq!(wa.availability, wb.availability);
-        assert_eq!(wa.repair_bytes, wb.repair_bytes);
+        let values = |m| crate::experiments::values(&m);
+        assert_eq!(values(e17_metrics(54, 0.5)), values(e17_metrics(54, 0.5)));
+        assert_eq!(
+            values(e17_workload_metrics(54)),
+            values(e17_workload_metrics(54))
+        );
     }
 }

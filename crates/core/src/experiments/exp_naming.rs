@@ -6,33 +6,14 @@ use agora_naming::{
     front_running_game, name_theft_by_rewrite, CentralRegistrar, CertAuthority, NameDb, NameOp,
     NamingRules, WebOfTrust,
 };
-use agora_sim::{DeviceClass, NodeId, SimDuration, SimRng, Simulation};
+use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, SimRng, Simulation};
 
-use super::Report;
+use super::{Report, VariantStats};
 
-/// E1 results: registration latency/throughput across schemes.
-#[derive(Clone, Debug)]
-pub struct E1Result {
-    /// Centralized registrar round-trip (seconds, simulated PC↔datacenter).
-    pub central_latency_secs: f64,
-    /// Median blockchain registration-to-confirmation latency (seconds).
-    pub chain_latency_secs: f64,
-    /// Centralized ops/sec (bounded only by the round trip here).
-    pub central_throughput_ops_per_sec: f64,
-    /// Chain registrations/sec ceiling (block size / interval).
-    pub chain_throughput_ops_per_sec: f64,
-    /// How many of the submitted registrations confirmed.
-    pub confirmed: usize,
-    /// How many were submitted.
-    pub submitted: usize,
-}
-
-impl E1Result {
-    /// Latency penalty factor of consensus over the registrar.
-    pub fn latency_factor(&self) -> f64 {
-        self.chain_latency_secs / self.central_latency_secs.max(1e-9)
-    }
-}
+/// Names the centralized registrar registers.
+const N_CENTRAL: usize = 200;
+/// Names submitted to the chain.
+const SUBMITTED: usize = 10;
 
 /// E1: measure "blockchains essentially trade scalability and performance
 /// for global consensus and security" (§3.1).
@@ -40,16 +21,16 @@ impl E1Result {
 /// The registrar baseline is a request/response over simulated consumer
 /// access links; the blockchain path runs a real mining network with
 /// 60-second blocks (scaled from Namecoin's 10 minutes; the report notes
-/// the scale factor) and waits for the params' confirmation depth.
-pub fn e1_naming_tradeoff(seed: u64) -> (E1Result, Report) {
+/// the scale factor) and waits for the params' confirmation depth. Keys
+/// `e1.*`.
+pub fn e1_metrics(seed: u64) -> Metrics {
     // --- centralized baseline -------------------------------------------
     let mut registrar = CentralRegistrar::new();
     let pc = DeviceClass::PersonalComputer.profile();
     let dc = DeviceClass::DatacenterServer.profile();
     // One round trip over the access links (jitter-free expectation).
     let central_latency_secs = 2.0 * (pc.base_latency.secs_f64() + dc.base_latency.secs_f64());
-    let n_central = 200;
-    for i in 0..n_central {
+    for i in 0..N_CENTRAL {
         registrar
             .register(&format!("user-{i}"), sha256(&[i as u8]), sha256(b"z"))
             .expect("fresh name");
@@ -93,11 +74,10 @@ pub fn e1_naming_tradeoff(seed: u64) -> (E1Result, Report) {
         min_preorder_age: 1,
         ..NamingRules::default()
     };
-    let submitted = 10usize;
     let mut nonce = 0u64;
     let mut submit_times = Vec::new();
     let mut reg_txids = Vec::new();
-    for i in 0..submitted {
+    for i in 0..SUBMITTED {
         let name = format!("user-{i}.agora");
         let salt = i as u64;
         let account = user.public().id();
@@ -124,7 +104,7 @@ pub fn e1_naming_tradeoff(seed: u64) -> (E1Result, Report) {
     }
     // Let confirmations accumulate.
     let mut latencies = Vec::new();
-    let mut confirmed = 0usize;
+    let mut confirmed = 0u64;
     let deadline = sim.now() + SimDuration::from_hours(3);
     let mut pending: Vec<(usize, Hash256)> = reg_txids.iter().copied().enumerate().collect();
     while !pending.is_empty() && sim.now() < deadline {
@@ -148,7 +128,7 @@ pub fn e1_naming_tradeoff(seed: u64) -> (E1Result, Report) {
 
     // Check the names actually resolve via the derived NameDb.
     let db = NameDb::from_ledger(sim.node(ids[0]).ledger(), &rules);
-    let resolvable = (0..submitted)
+    let resolvable = (0..SUBMITTED)
         .filter(|i| {
             db.resolve(
                 &format!("user-{i}.agora"),
@@ -158,68 +138,63 @@ pub fn e1_naming_tradeoff(seed: u64) -> (E1Result, Report) {
         })
         .count();
 
-    let result = E1Result {
-        central_latency_secs,
-        chain_latency_secs: chain_latency,
-        central_throughput_ops_per_sec: central_throughput,
-        chain_throughput_ops_per_sec: chain_throughput,
-        confirmed,
-        submitted,
-    };
-    let body = format!(
-        "Centralized registrar : {:>10.3} s/op   {:>10.1} ops/s  ({} names registered)\n\
-         Blockchain naming     : {:>10.1} s/op   {:>10.2} ops/s  ({}/{} confirmed, {} resolvable)\n\
-         Latency penalty factor: {:.0}x  (at 60 s blocks; Namecoin's 600 s blocks ⇒ ~{:.0}x)\n",
-        result.central_latency_secs,
-        result.central_throughput_ops_per_sec,
-        n_central,
-        result.chain_latency_secs,
-        result.chain_throughput_ops_per_sec,
-        confirmed,
-        submitted,
-        resolvable,
-        result.latency_factor(),
-        result.latency_factor() * 10.0,
+    let mut m = Metrics::new();
+    m.gauge_set("e1.central_latency_secs", central_latency_secs);
+    m.gauge_set("e1.chain_latency_secs", chain_latency);
+    m.gauge_set("e1.central_throughput_ops", central_throughput);
+    m.gauge_set("e1.chain_throughput_ops", chain_throughput);
+    m.gauge_set(
+        "e1.latency_factor",
+        chain_latency / central_latency_secs.max(1e-9),
     );
-    (
-        result,
-        Report {
-            id: "E1",
-            title: "Name registration: consensus vs registrar",
-            claim: "blockchains essentially trade scalability and performance \
-                    for global consensus and security (§3.1)",
-            body,
-        },
-    )
+    m.incr("e1.confirmed", confirmed);
+    m.incr("e1.submitted", SUBMITTED as u64);
+    m.incr("e1.resolvable", resolvable as u64);
+    m
 }
 
-/// E2 results: the attack matrix.
-#[derive(Clone, Debug)]
-pub struct E2Result {
-    /// Steal rate without preorders at 0.9 attacker priority.
-    pub front_run_no_preorder: f64,
-    /// Steal rate with preorders at 0.9 attacker priority.
-    pub front_run_with_preorder: f64,
-    /// (alpha, theft probability) for chain rewrites at 6 confirmations.
-    pub rewrite_curve: Vec<(f64, f64)>,
-    /// Whether a compromised CA's rogue cert was accepted.
-    pub ca_compromise_succeeds: bool,
-    /// Sybil acceptance at quorum 1 / 2 with one bridged endorsement.
-    pub wot_sybil_q1: bool,
-    /// Sybil acceptance at quorum 2 with one bridged endorsement.
-    pub wot_sybil_q2: bool,
+/// E1's report from its one variant.
+pub fn e1_report(variants: &[VariantStats]) -> Report {
+    let v = &variants[0];
+    let factor = v.mean("e1.latency_factor");
+    let body = format!(
+        "Centralized registrar : {:>10.3} s/op   {:>10.1} ops/s  ({N_CENTRAL} names registered)\n\
+         Blockchain naming     : {:>10.1} s/op   {:>10.2} ops/s  ({:.1}/{SUBMITTED} confirmed, {:.1} resolvable)\n\
+         Latency penalty factor at 60 s blocks: {}\n\
+         \x20 (Namecoin's 600 s blocks ⇒ ~{:.0}x)\n",
+        v.mean("e1.central_latency_secs"),
+        v.mean("e1.central_throughput_ops"),
+        v.mean("e1.chain_latency_secs"),
+        v.mean("e1.chain_throughput_ops"),
+        v.mean("e1.confirmed"),
+        v.mean("e1.resolvable"),
+        v.spread("e1.latency_factor", 1.0, 0),
+        factor * 10.0,
+    );
+    Report {
+        id: "E1",
+        title: "Name registration: consensus vs registrar",
+        claim: "blockchains essentially trade scalability and performance \
+                for global consensus and security (§3.1)",
+        body,
+    }
 }
 
-/// E2: attack every naming scheme with the §3.1-cited attacks.
-pub fn e2_naming_attacks(seed: u64) -> (E2Result, Report) {
+/// Attacker hash-power shares of the chain-rewrite theft curve.
+const REWRITE_ALPHAS: [f64; 6] = [0.1, 0.2, 0.3, 0.4, 0.45, 0.51];
+
+/// E2: attack every naming scheme with the §3.1-cited attacks. Keys
+/// `e2.*`.
+pub fn e2_metrics(seed: u64) -> Metrics {
+    let mut m = Metrics::new();
     let mut rng = SimRng::new(seed);
     let no_pre = front_running_game(false, 0.9, 2000, &mut rng).steal_rate;
     let with_pre = front_running_game(true, 0.9, 2000, &mut rng).steal_rate;
-
-    let mut rewrite_curve = Vec::new();
-    for alpha in [0.1, 0.2, 0.3, 0.4, 0.45, 0.51] {
+    m.gauge_set("e2.front_run_no_preorder", no_pre);
+    m.gauge_set("e2.front_run_with_preorder", with_pre);
+    for alpha in REWRITE_ALPHAS {
         let p = name_theft_by_rewrite(alpha, 6, 3000, &mut rng);
-        rewrite_curve.push((alpha, p));
+        m.gauge_set(&format!("e2.rewrite_theft.a{alpha:.2}"), p);
     }
 
     // CA compromise, actually executed.
@@ -276,79 +251,50 @@ pub fn e2_naming_attacks(seed: u64) -> (E2Result, Report) {
         2,
     );
 
-    let result = E2Result {
-        front_run_no_preorder: no_pre,
-        front_run_with_preorder: with_pre,
-        rewrite_curve,
-        ca_compromise_succeeds,
-        wot_sybil_q1,
-        wot_sybil_q2,
-    };
+    m.gauge_set(
+        "e2.ca_compromise_succeeds",
+        ca_compromise_succeeds as u64 as f64,
+    );
+    m.gauge_set("e2.wot_sybil_q1", wot_sybil_q1 as u64 as f64);
+    m.gauge_set("e2.wot_sybil_q2", wot_sybil_q2 as u64 as f64);
+    m
+}
+
+/// E2's report from its one variant. The three yes/no attacks print the
+/// fraction of seeds on which they succeeded.
+pub fn e2_report(variants: &[VariantStats]) -> Report {
+    let v = &variants[0];
     let mut body = format!(
         "Front-running (attacker priority 0.9):\n\
          \x20 without preorder : {:>5.1}% of names stolen\n\
          \x20 with preorder    : {:>5.1}% of names stolen\n\n\
          Chain-rewrite name theft (6 confirmations):\n",
-        100.0 * result.front_run_no_preorder,
-        100.0 * result.front_run_with_preorder,
+        100.0 * v.mean("e2.front_run_no_preorder"),
+        100.0 * v.mean("e2.front_run_with_preorder"),
     );
-    for (alpha, p) in &result.rewrite_curve {
+    for alpha in REWRITE_ALPHAS {
         body.push_str(&format!(
             "  alpha {:>4.2} → theft probability {:>6.3}\n",
-            alpha, p
+            alpha,
+            v.mean(&format!("e2.rewrite_theft.a{alpha:.2}"))
         ));
     }
     body.push_str(&format!(
-        "\nCA compromise mints accepted rogue cert : {}\n\
-         WoT Sybil (1 bridge) fools quorum-1      : {}\n\
-         WoT Sybil (1 bridge) fools quorum-2      : {}\n",
-        result.ca_compromise_succeeds, result.wot_sybil_q1, result.wot_sybil_q2
+        "\nCA compromise mints accepted rogue cert : {:.2}\n\
+         WoT Sybil (1 bridge) fools quorum-1      : {:.2}\n\
+         WoT Sybil (1 bridge) fools quorum-2      : {:.2}\n\
+         (fraction of seeds on which the attack succeeded)\n",
+        v.mean("e2.ca_compromise_succeeds"),
+        v.mean("e2.wot_sybil_q1"),
+        v.mean("e2.wot_sybil_q2"),
     ));
-    (
-        result,
-        Report {
-            id: "E2",
-            title: "Naming attack matrix",
-            claim: "CAs and WoT suffer compromise/Sybil weaknesses; \
-                    blockchain naming resists below 51% (§3.1)",
-            body,
-        },
-    )
-}
-
-/// Flatten an E1 run into harness metrics (keys `e1.*`).
-pub fn e1_metrics(seed: u64) -> agora_sim::Metrics {
-    let (r, _) = e1_naming_tradeoff(seed);
-    let mut m = agora_sim::Metrics::new();
-    m.gauge_set("e1.central_latency_secs", r.central_latency_secs);
-    m.gauge_set("e1.chain_latency_secs", r.chain_latency_secs);
-    m.gauge_set(
-        "e1.central_throughput_ops",
-        r.central_throughput_ops_per_sec,
-    );
-    m.gauge_set("e1.chain_throughput_ops", r.chain_throughput_ops_per_sec);
-    m.gauge_set("e1.latency_factor", r.latency_factor());
-    m.incr("e1.confirmed", r.confirmed as u64);
-    m.incr("e1.submitted", r.submitted as u64);
-    m
-}
-
-/// Flatten an E2 run into harness metrics (keys `e2.*`).
-pub fn e2_metrics(seed: u64) -> agora_sim::Metrics {
-    let (r, _) = e2_naming_attacks(seed);
-    let mut m = agora_sim::Metrics::new();
-    m.gauge_set("e2.front_run_no_preorder", r.front_run_no_preorder);
-    m.gauge_set("e2.front_run_with_preorder", r.front_run_with_preorder);
-    for (alpha, theft) in &r.rewrite_curve {
-        m.gauge_set(&format!("e2.rewrite_theft.a{alpha:.2}"), *theft);
+    Report {
+        id: "E2",
+        title: "Naming attack matrix",
+        claim: "CAs and WoT suffer compromise/Sybil weaknesses; \
+                blockchain naming resists below 51% (§3.1)",
+        body,
     }
-    m.gauge_set(
-        "e2.ca_compromise_succeeds",
-        r.ca_compromise_succeeds as u64 as f64,
-    );
-    m.gauge_set("e2.wot_sybil_q1", r.wot_sybil_q1 as u64 as f64);
-    m.gauge_set("e2.wot_sybil_q2", r.wot_sybil_q2 as u64 as f64);
-    m
 }
 
 #[cfg(test)]
@@ -357,29 +303,28 @@ mod tests {
 
     #[test]
     fn e1_chain_orders_of_magnitude_slower() {
-        let (r, report) = e1_naming_tradeoff(11);
-        assert!(r.confirmed >= r.submitted / 2, "{r:?}");
+        let m = e1_metrics(11);
         assert!(
-            r.latency_factor() > 100.0,
-            "consensus should cost orders of magnitude: {r:?}"
+            m.counter("e1.confirmed") >= m.counter("e1.submitted") / 2,
+            "{m}"
         );
-        assert!(r.central_throughput_ops_per_sec > r.chain_throughput_ops_per_sec);
-        assert!(report.body.contains("Latency penalty"));
+        assert!(
+            m.gauge("e1.latency_factor") > 100.0,
+            "consensus should cost orders of magnitude: {m}"
+        );
+        assert!(m.gauge("e1.central_throughput_ops") > m.gauge("e1.chain_throughput_ops"));
     }
 
     #[test]
     fn e2_attack_matrix_shape() {
-        let (r, report) = e2_naming_attacks(13);
-        assert!(r.front_run_no_preorder > 0.8);
-        assert_eq!(r.front_run_with_preorder, 0.0);
-        assert!(r.ca_compromise_succeeds);
-        assert!(r.wot_sybil_q1);
-        assert!(!r.wot_sybil_q2);
-        // Theft curve is monotone and jumps to ~1 past 50%.
-        let first = r.rewrite_curve.first().unwrap().1;
-        let last = r.rewrite_curve.last().unwrap().1;
-        assert!(first < 0.05);
-        assert!(last > 0.9);
-        assert!(report.body.contains("alpha"));
+        let m = e2_metrics(13);
+        assert!(m.gauge("e2.front_run_no_preorder") > 0.8);
+        assert_eq!(m.gauge("e2.front_run_with_preorder"), 0.0);
+        assert_eq!(m.gauge("e2.ca_compromise_succeeds"), 1.0);
+        assert_eq!(m.gauge("e2.wot_sybil_q1"), 1.0);
+        assert_eq!(m.gauge("e2.wot_sybil_q2"), 0.0);
+        // Theft curve jumps to ~1 past 50%.
+        assert!(m.gauge("e2.rewrite_theft.a0.10") < 0.05);
+        assert!(m.gauge("e2.rewrite_theft.a0.51") > 0.9);
     }
 }

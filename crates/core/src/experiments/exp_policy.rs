@@ -10,18 +10,17 @@
 //! auto-join the swarm (`swarm/seeders`).
 //!
 //! Per pair the headline number is the **absorbed fraction**: how much of
-//! the policy-off peak uplink overload the policy removed. Seeds match
-//! [`e16_population_point`](super::e16_population_point) exactly, so the
-//! policy-off rows here are byte-identical to E16's own rows — the
-//! dormancy proof that an uninstalled policy changes nothing.
+//! the policy-off peak uplink overload the policy removed. Class seeds
+//! match [`e16_metrics`](super::e16_metrics) at the same trial seed, so
+//! the policy-off rows equal E16's own rows for that seed — the dormancy
+//! proof that an uninstalled policy changes nothing.
 
 use agora_sim::Metrics;
 
 use super::exp_workload::{
     run_dht_impl, run_storage_impl, run_swarm_impl, ClassOutcome, DhtPolicy, PolicyStats, COHORTS,
-    E16_POPULATIONS,
 };
-use super::Report;
+use super::{by_label, Report, VariantStats};
 
 /// One policy's on/off pair on one substrate class, same seed both ways.
 #[derive(Clone, Debug)]
@@ -30,7 +29,7 @@ pub struct PolicyPair {
     pub class: &'static str,
     /// Policy name ("cache", "shed", "replicate", "seeders").
     pub policy: &'static str,
-    /// The policy-off outcome (byte-identical to the E16 row).
+    /// The policy-off outcome (E16's row at the same seed).
     pub off: ClassOutcome,
     /// The policy-on outcome under the same seed.
     pub on: ClassOutcome,
@@ -49,142 +48,45 @@ impl PolicyPair {
     }
 }
 
-/// E16 policy results at one population.
-#[derive(Clone, Debug)]
-pub struct E16PolicyResult {
-    /// Simulated population.
-    pub population: u64,
-    /// All four policy pairs.
-    pub pairs: Vec<PolicyPair>,
-}
+/// The four pairs, in key and report order: substrate class and policy.
+const PAIRS: [(&str, &str); 4] = [
+    ("dht", "cache"),
+    ("dht", "shed"),
+    ("storage", "replicate"),
+    ("swarm", "seeders"),
+];
 
-/// Run every policy pair at one population. Class seeds match
-/// [`e16_population_point`](super::e16_population_point) (`seed + 2..=4`)
-/// so the off rows reproduce E16's rows exactly.
-pub fn e16_policy_point(seed: u64, population: u64) -> E16PolicyResult {
-    let (dht_off, _) = run_dht_impl(seed + 2, population, COHORTS, DhtPolicy::Off);
-    let (dht_cache, cache_stats) = run_dht_impl(seed + 2, population, COHORTS, DhtPolicy::Cache);
-    let (dht_shed, shed_stats) = run_dht_impl(seed + 2, population, COHORTS, DhtPolicy::Shed);
-    let (sto_off, _) = run_storage_impl(seed + 3, population, COHORTS, false);
-    let (sto_on, sto_stats) = run_storage_impl(seed + 3, population, COHORTS, true);
-    let (sw_off, _) = run_swarm_impl(seed + 4, population, COHORTS, false);
-    let (sw_on, sw_stats) = run_swarm_impl(seed + 4, population, COHORTS, true);
-    E16PolicyResult {
-        population,
-        pairs: vec![
-            PolicyPair {
-                class: "dht",
-                policy: "cache",
-                off: dht_off,
-                on: dht_cache,
-                stats: cache_stats,
-            },
-            PolicyPair {
-                class: "dht",
-                policy: "shed",
-                off: dht_off,
-                on: dht_shed,
-                stats: shed_stats,
-            },
-            PolicyPair {
-                class: "storage",
-                policy: "replicate",
-                off: sto_off,
-                on: sto_on,
-                stats: sto_stats,
-            },
-            PolicyPair {
-                class: "swarm",
-                policy: "seeders",
-                off: sw_off,
-                on: sw_on,
-                stats: sw_stats,
-            },
-        ],
-    }
-}
-
-/// E16p: sweep the population grid with each policy engaged and report
-/// the absorbed fraction of the policy-off overload peak.
-pub fn e16_policy_sweep(seed: u64) -> (Vec<E16PolicyResult>, Report) {
-    let results: Vec<E16PolicyResult> = E16_POPULATIONS
-        .iter()
-        .map(|&p| e16_policy_point(seed, p))
-        .collect();
-    let mut body = String::from(
-        "The E16 day replayed with reactive overload policies subscribed\n\
-         to the probe plane (hysteresis over the modeled uplink-utilization\n\
-         signal, engaging at the observer's overload threshold; actions at\n\
-         drain boundaries only). Policy-off rows are byte-identical to\n\
-         E16's; absorbed = fraction of the policy-off peak uplink overload\n\
-         removed:\n",
-    );
-    for r in &results {
-        body.push_str(&format!("\n  population {:>9}:\n", r.population));
-        for p in &r.pairs {
-            body.push_str(&format!(
-                "    {:<7} {:<9} overload {:>9.2} -> {:>9.2}  absorbed {:>5.1}%  \
-                 avail {:>5.3} -> {:>5.3}  engages {:>2}\n",
-                p.class,
-                p.policy,
-                p.off.peak_overload,
-                p.on.peak_overload,
-                p.absorbed() * 100.0,
-                p.off.availability,
-                p.on.availability,
-                p.stats.engages,
-            ));
-        }
-    }
-    let last = &results[results.len() - 1];
-    let best = last
-        .pairs
-        .iter()
-        .max_by(|a, b| a.absorbed().total_cmp(&b.absorbed()))
-        .expect("four pairs");
-    let still = last
-        .pairs
-        .iter()
-        .map(|p| p.on.peak_overload)
-        .fold(f64::MAX, f64::min);
-    body.push_str(&format!(
-        "\nVerdict: reactive control bends E16's curve without flattening\n\
-         it. At 1M users the best absorber ({} {}) removes {:.0}% of the\n\
-         {:.0}x policy-off peak, yet every consumer-uplink substrate still\n\
-         ends the day overloaded (best remaining peak {:.1}x): demand\n\
-         adaptivity narrows — but does not close — the gap the paper's\n\
-         \"roughly sufficient\" capacity argument (S5) leaves at the one\n\
-         node the flash crowd actually hits.\n",
-        best.class,
-        best.policy,
-        best.absorbed() * 100.0,
-        best.off.peak_overload,
-        still,
-    ));
-    (
-        results,
-        Report {
-            id: "E16p",
-            title: "Demand-adaptive substrates: reactive overload policies",
-            claim: "a decentralized substrate can defend itself against the \
-                    flash crowd the paper warns about only by sensing \
-                    overload and adapting — caching, shedding, replicating, \
-                    or recruiting capacity — and even then the consumer \
-                    uplink remains the binding constraint",
-            body,
-        },
-    )
-}
-
-/// Flatten the policy pairs at one population into harness metrics (keys
-/// `e16.policy.*`). Gauges carry the outcome deltas; counters carry the
-/// exact action totals recorded through the policy handle.
+/// Every policy pair at one population (keys `e16.policy.*`). Class seeds
+/// match [`e16_metrics`](super::e16_metrics) (`seed + 2..=4`) so the off
+/// rows reproduce E16's rows for the same seed. Gauges carry the outcome
+/// deltas; counters carry the exact action totals recorded through the
+/// policy handle.
 pub fn e16_policy_metrics(seed: u64, population: u64) -> Metrics {
-    let r = e16_policy_point(seed, population);
+    let (dht_off, _) = run_dht_impl(seed + 2, population, COHORTS, DhtPolicy::Off);
+    let dht_cache = run_dht_impl(seed + 2, population, COHORTS, DhtPolicy::Cache);
+    let dht_shed = run_dht_impl(seed + 2, population, COHORTS, DhtPolicy::Shed);
+    let (sto_off, _) = run_storage_impl(seed + 3, population, COHORTS, false);
+    let sto_on = run_storage_impl(seed + 3, population, COHORTS, true);
+    let (sw_off, _) = run_swarm_impl(seed + 4, population, COHORTS, false);
+    let sw_on = run_swarm_impl(seed + 4, population, COHORTS, true);
+    let runs = [
+        (dht_off, dht_cache),
+        (dht_off, dht_shed),
+        (sto_off, sto_on),
+        (sw_off, sw_on),
+    ];
     let mut m = Metrics::new();
-    for p in &r.pairs {
-        let prefix = format!("e16.policy.{}_{}", p.class, p.policy);
+    for ((class, policy), (off, (on, stats))) in PAIRS.into_iter().zip(runs) {
+        let p = PolicyPair {
+            class,
+            policy,
+            off,
+            on,
+            stats,
+        };
+        let prefix = format!("e16.policy.{class}_{policy}");
         m.gauge_set(&format!("{prefix}.off_peak_overload"), p.off.peak_overload);
+        m.gauge_set(&format!("{prefix}.off_availability"), p.off.availability);
         m.gauge_set(&format!("{prefix}.peak_overload"), p.on.peak_overload);
         m.gauge_set(&format!("{prefix}.absorbed"), p.absorbed());
         m.gauge_set(&format!("{prefix}.availability"), p.on.availability);
@@ -197,6 +99,79 @@ pub fn e16_policy_metrics(seed: u64, population: u64) -> Metrics {
         }
     }
     m
+}
+
+/// E16p's report: one table per population variant, then the verdict at
+/// the largest.
+pub fn e16_policy_report(variants: &[VariantStats]) -> Report {
+    let mut body = String::from(
+        "The E16 day replayed with reactive overload policies subscribed\n\
+         to the probe plane (hysteresis over the modeled uplink-utilization\n\
+         signal, engaging at the observer's overload threshold; actions at\n\
+         drain boundaries only). Policy-off rows run E16's class runners\n\
+         unchanged, at the e16p trials' own seeds; absorbed = fraction of\n\
+         the policy-off peak uplink overload removed:\n",
+    );
+    for v in variants {
+        body.push_str(&format!("\n  population {:>4}:\n", v.point()));
+        for (class, policy) in PAIRS {
+            let mean = |key: &str| v.mean(&format!("e16.policy.{class}_{policy}.{key}"));
+            body.push_str(&format!(
+                "    {:<7} {:<9} overload {:>9.2} -> {:>9.2}  absorbed {:>5.1}%  \
+                 avail {:>5.3} -> {:>5.3}  engages {:>4.1}\n",
+                class,
+                policy,
+                mean("off_peak_overload"),
+                mean("peak_overload"),
+                mean("absorbed") * 100.0,
+                mean("off_availability"),
+                mean("availability"),
+                mean("engages"),
+            ));
+        }
+    }
+    let last = by_label(variants, "p1m");
+    let key =
+        |(class, policy): (&str, &str), key: &str| format!("e16.policy.{class}_{policy}.{key}");
+    let best = PAIRS
+        .into_iter()
+        .max_by(|&a, &b| {
+            last.mean(&key(a, "absorbed"))
+                .total_cmp(&last.mean(&key(b, "absorbed")))
+        })
+        .expect("four pairs");
+    let still = PAIRS
+        .into_iter()
+        .map(|pair| last.mean(&key(pair, "peak_overload")))
+        .fold(f64::MAX, f64::min);
+    body.push_str(&format!(
+        "\nVerdict: reactive control bends E16's curve without flattening\n\
+         it. At {} users the best absorber ({} {}) removes this share (%)\n\
+         \x20 {}\n\
+         of a policy-off peak uplink overload of\n\
+         \x20 {},\n\
+         yet every consumer-uplink substrate still ends the day overloaded\n\
+         (best remaining mean peak {:.1}x): demand adaptivity narrows — but\n\
+         does not close — the gap the paper's \"roughly sufficient\"\n\
+         capacity argument (S5) leaves at the one node the flash crowd\n\
+         actually hits.\n",
+        last.point(),
+        best.0,
+        best.1,
+        last.spread(&key(best, "absorbed"), 100.0, 0),
+        last.spread(&key(best, "off_peak_overload"), 1.0, 0),
+        still,
+    ));
+    Report {
+        id: "E16p",
+        title: "Demand-adaptive substrates: reactive overload policies",
+        claim: "a decentralized substrate can defend itself against the \
+                flash crowd the paper warns about only by sensing \
+                overload and adapting — caching, shedding, replicating, \
+                or recruiting capacity — and even then the consumer \
+                uplink remains the binding constraint",
+        body,
+    }
 }
 
 /// A policy-parameterized E16 class runner: `(seed, population,
@@ -232,74 +207,76 @@ mod tests {
 
     #[test]
     fn policies_engage_and_absorb_overload_at_scale() {
-        let r = e16_policy_point(81, 1_000_000);
-        assert_eq!(r.pairs.len(), 4);
-        for p in &r.pairs {
+        let m = e16_policy_metrics(81, 1_000_000);
+        let mut best = f64::MIN;
+        for (class, policy) in PAIRS {
+            let prefix = format!("e16.policy.{class}_{policy}");
             assert!(
-                p.stats.engages >= 1,
-                "{}/{} never engaged at 1M users",
-                p.class,
-                p.policy
+                m.counter(&format!("{prefix}.engages")) >= 1,
+                "{class}/{policy} never engaged at 1M users"
             );
             assert!(
-                p.off.peak_overload > 1.0,
-                "{}/{} off-day never overloaded",
-                p.class,
-                p.policy
+                m.gauge(&format!("{prefix}.off_peak_overload")) > 1.0,
+                "{class}/{policy} off-day never overloaded"
             );
+            best = best.max(m.gauge(&format!("{prefix}.absorbed")));
         }
-        let best = r
-            .pairs
-            .iter()
-            .map(PolicyPair::absorbed)
-            .fold(f64::MIN, f64::max);
-        assert!(best > 0.1, "no policy absorbed >10% of the peak: {r:#?}");
+        assert!(best > 0.1, "no policy absorbed >10% of the peak: {m}");
     }
 
     #[test]
     fn policy_off_rows_reproduce_e16() {
-        let e16 = super::super::e16_population_point(61, 10_000);
-        let p = e16_policy_point(61, 10_000);
-        assert_eq!(p.pairs[0].off.peak_overload, e16.dht.peak_overload);
-        assert_eq!(p.pairs[0].off.availability, e16.dht.availability);
-        assert_eq!(p.pairs[2].off.peak_overload, e16.storage.peak_overload);
-        assert_eq!(p.pairs[3].off.peak_overload, e16.swarm.peak_overload);
+        let e16 = super::super::e16_metrics(61, 10_000);
+        let p = e16_policy_metrics(61, 10_000);
+        let off = |pair: &str, key: &str| p.gauge(&format!("e16.policy.{pair}.off_{key}"));
+        assert_eq!(
+            off("dht_cache", "peak_overload"),
+            e16.gauge("e16.dht.peak_overload")
+        );
+        assert_eq!(
+            off("dht_cache", "availability"),
+            e16.gauge("e16.dht.availability")
+        );
+        assert_eq!(
+            off("storage_replicate", "peak_overload"),
+            e16.gauge("e16.storage.peak_overload")
+        );
+        assert_eq!(
+            off("swarm_seeders", "peak_overload"),
+            e16.gauge("e16.swarm.peak_overload")
+        );
         // The two dht pairs share one off row.
-        assert_eq!(p.pairs[0].off.busiest_share, p.pairs[1].off.busiest_share);
+        assert_eq!(
+            off("dht_cache", "availability"),
+            off("dht_shed", "availability")
+        );
     }
 
     #[test]
     fn policy_runs_are_deterministic() {
-        let a = e16_policy_point(83, 100_000);
-        let b = e16_policy_point(83, 100_000);
-        for (x, y) in a.pairs.iter().zip(&b.pairs) {
-            assert_eq!(x.on.peak_overload, y.on.peak_overload);
-            assert_eq!(x.on.availability, y.on.availability);
-            assert_eq!(x.stats.engages, y.stats.engages);
-            assert_eq!(x.stats.releases, y.stats.releases);
-            assert_eq!(x.stats.actions, y.stats.actions);
-        }
+        let values = |seed| crate::experiments::values(&e16_policy_metrics(seed, 100_000));
+        assert_eq!(values(83), values(83));
     }
 
     #[test]
     fn cohort_runners_cover_every_policy_and_accept_exact_mode() {
         let runners = e16_cohort_runners();
-        // One `off` row per class, then one row per policy pair the E16p
-        // point reports, in its order. The cohort table keys the storage
-        // policy by what it does to placement (`rebalance`, pinned in
+        // One `off` row per class, then one row per policy pair E16p
+        // reports, in its order. The cohort table keys the storage policy
+        // by what it does to placement (`rebalance`, pinned in
         // BENCH_perf.json); the pair names its action (`replicate`).
         let mut expected: Vec<String> = Vec::new();
-        for p in &e16_policy_point(91, 200).pairs {
-            let off = format!("{}.off", p.class);
+        for (class, policy) in PAIRS {
+            let off = format!("{class}.off");
             if !expected.contains(&off) {
                 expected.push(off);
             }
-            let policy = if p.policy == "replicate" {
+            let policy = if policy == "replicate" {
                 "rebalance"
             } else {
-                p.policy
+                policy
             };
-            expected.push(format!("{}.{policy}", p.class));
+            expected.push(format!("{class}.{policy}"));
         }
         let keys: Vec<&str> = runners.iter().map(|&(k, _)| k).collect();
         assert_eq!(keys, expected);

@@ -18,7 +18,7 @@ use agora_sim::{
     RetryPolicy, SimDuration, Simulation, Storm,
 };
 
-use super::Report;
+use super::{by_label, Report, VariantStats};
 
 /// One architecture's point on the degradation curve.
 #[derive(Clone, Copy, Debug)]
@@ -31,20 +31,8 @@ pub struct DegradationPoint {
     pub faults_injected: usize,
 }
 
-/// E15 results at one fault intensity.
-#[derive(Clone, Debug)]
-pub struct E15Result {
-    /// Fault intensity in [0, 1] scaling the whole chaos schedule.
-    pub intensity: f64,
-    /// Centralized platform (one server, retrying clients).
-    pub centralized: DegradationPoint,
-    /// Federated, fully replicated, hedged+retrying clients.
-    pub federated: DegradationPoint,
-    /// Socially-aware P2P.
-    pub p2p: DegradationPoint,
-    /// Chain-backed (transaction confirmation as the availability op).
-    pub chain: DegradationPoint,
-}
+/// E15's architecture classes, in key and report order.
+const CLASSES: [&str; 4] = ["centralized", "federated", "p2p", "chain"];
 
 const ROUNDS: usize = 6;
 const STEP: SimDuration = SimDuration::from_secs(90);
@@ -53,9 +41,6 @@ const SETTLE: SimDuration = SimDuration::from_secs(120);
 fn horizon() -> SimDuration {
     SimDuration::from_secs(STEP.micros() / 1_000_000 * ROUNDS as u64)
 }
-
-/// The intensity grid swept by the report and the harness matrix.
-pub const E15_INTENSITIES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
 /// The chaos schedule at a given intensity: every knob scales together.
 fn spec_for(intensity: f64) -> ChaosSpec {
@@ -346,100 +331,81 @@ fn run_chain(seed: u64, intensity: f64) -> DegradationPoint {
     }
 }
 
-/// E15 at a single intensity: the same workload shape on all four classes.
-pub fn e15_degradation_point(seed: u64, intensity: f64) -> E15Result {
-    E15Result {
-        intensity,
-        centralized: run_centralized(seed, intensity),
-        federated: run_federated(seed + 1, intensity),
-        p2p: run_p2p(seed + 2, intensity),
-        chain: run_chain(seed + 3, intensity),
+/// E15 at one intensity: the same workload shape on all four classes.
+/// Keys `e15.<class>.*`; the intensity is the harness sweep parameter.
+pub fn e15_metrics(seed: u64, intensity: f64) -> Metrics {
+    let points = [
+        run_centralized(seed, intensity),
+        run_federated(seed + 1, intensity),
+        run_p2p(seed + 2, intensity),
+        run_chain(seed + 3, intensity),
+    ];
+    let mut m = Metrics::new();
+    for (class, p) in CLASSES.iter().zip(&points) {
+        m.gauge_set(&format!("e15.{class}.availability"), p.availability);
+        m.gauge_set(&format!("e15.{class}.latency_secs"), p.mean_latency_secs);
     }
+    let faults: usize = points.iter().map(|p| p.faults_injected).sum();
+    m.incr("e15.faults_injected", faults as u64);
+    m
 }
 
-/// E15: sweep the intensity grid and render the degradation curves.
-pub fn e15_degradation_sweep(seed: u64) -> (Vec<E15Result>, Report) {
-    let results: Vec<E15Result> = E15_INTENSITIES
-        .iter()
-        .map(|&i| e15_degradation_point(seed, i))
-        .collect();
+/// E15's report: availability and latency curves over the intensity
+/// variants.
+pub fn e15_report(variants: &[VariantStats]) -> Report {
     let mut body = String::from(
         "Availability (fraction of reads/confirmations that succeeded) as\n\
          fault intensity escalates (crash waves, link flaps, asymmetric\n\
          partitions, loss/latency storms — all scaled together):\n\n\
          \x20 intensity   centralized   federated   p2p     chain\n",
     );
-    for r in &results {
+    for v in variants {
+        let [c, f, p, ch] = CLASSES.map(|class| v.mean(&format!("e15.{class}.availability")));
         body.push_str(&format!(
-            "  {:>6.2}      {:>6.3}        {:>6.3}      {:>6.3}  {:>6.3}\n",
-            r.intensity,
-            r.centralized.availability,
-            r.federated.availability,
-            r.p2p.availability,
-            r.chain.availability,
+            "  {:>6}      {c:>6.3}        {f:>6.3}      {p:>6.3}  {ch:>6.3}\n",
+            v.point(),
         ));
     }
     body.push_str("\nMean delivery / confirmation latency (seconds):\n\n");
     body.push_str("  intensity   centralized   federated   p2p       chain\n");
-    for r in &results {
+    for v in variants {
+        let [c, f, p, ch] = CLASSES.map(|class| v.mean(&format!("e15.{class}.latency_secs")));
         body.push_str(&format!(
-            "  {:>6.2}      {:>8.2}      {:>8.2}    {:>6.2}  {:>8.1}\n",
-            r.intensity,
-            r.centralized.mean_latency_secs,
-            r.federated.mean_latency_secs,
-            r.p2p.mean_latency_secs,
-            r.chain.mean_latency_secs,
+            "  {:>6}      {c:>8.2}      {f:>8.2}    {p:>6.2}  {ch:>8.1}\n",
+            v.point(),
         ));
     }
-    let first = &results[0];
-    let last = &results[results.len() - 1];
-    let central_drop = first.centralized.availability - last.centralized.availability;
-    let p2p_drop = first.p2p.availability - last.p2p.availability;
+    let (first, last) = (by_label(variants, "i0.00"), by_label(variants, "i1.00"));
+    let drop = |class: &str| {
+        let key = format!("e15.{class}.availability");
+        first.mean(&key) - last.mean(&key)
+    };
+    let (central_drop, p2p_drop) = (drop("centralized"), drop("p2p"));
     body.push_str(&format!(
-        "\nVerdict: at max intensity centralized availability fell {:.1}% \
-         vs {:.1}% for P2P — {}\n",
+        "\nVerdict: at max intensity centralized availability fell {:.1}%, to\n\
+         \x20 {},\n\
+         vs {:.1}% for P2P, to\n\
+         \x20 {}:\n\
+         {}.\n",
         central_drop * 100.0,
+        last.spread("e15.centralized.availability", 1.0, 3),
         p2p_drop * 100.0,
+        last.spread("e15.p2p.availability", 1.0, 3),
         if central_drop > p2p_drop {
             "the single point of failure degrades steepest, as §3.2 predicts"
         } else {
             "UNEXPECTED: centralized did not degrade steepest"
         },
     ));
-    (
-        results,
-        Report {
-            id: "E15",
-            title: "Graceful degradation under escalating fault injection",
-            claim: "centralized platforms fail abruptly when their single \
-                    server is faulted, while decentralized architectures \
-                    degrade gracefully — at the price of higher latency \
-                    (§3.2, §4)",
-            body,
-        },
-    )
-}
-
-fn point_metrics(m: &mut Metrics, prefix: &str, p: &DegradationPoint) {
-    m.gauge_set(&format!("{prefix}.availability"), p.availability);
-    m.gauge_set(&format!("{prefix}.latency_secs"), p.mean_latency_secs);
-}
-
-/// Flatten an E15 run at one intensity into harness metrics (keys `e15.*`).
-/// The intensity is the harness sweep parameter.
-pub fn e15_metrics(seed: u64, intensity: f64) -> Metrics {
-    let r = e15_degradation_point(seed, intensity);
-    let mut m = Metrics::new();
-    point_metrics(&mut m, "e15.centralized", &r.centralized);
-    point_metrics(&mut m, "e15.federated", &r.federated);
-    point_metrics(&mut m, "e15.p2p", &r.p2p);
-    point_metrics(&mut m, "e15.chain", &r.chain);
-    let faults = r.centralized.faults_injected
-        + r.federated.faults_injected
-        + r.p2p.faults_injected
-        + r.chain.faults_injected;
-    m.incr("e15.faults_injected", faults as u64);
-    m
+    Report {
+        id: "E15",
+        title: "Graceful degradation under escalating fault injection",
+        claim: "centralized platforms fail abruptly when their single \
+                server is faulted, while decentralized architectures \
+                degrade gracefully — at the price of higher latency \
+                (§3.2, §4)",
+        body,
+    }
 }
 
 #[cfg(test)]
@@ -448,21 +414,24 @@ mod tests {
 
     #[test]
     fn e15_no_chaos_everyone_works() {
-        let r = e15_degradation_point(41, 0.0);
-        assert!(r.centralized.availability > 0.95, "{r:?}");
-        assert!(r.federated.availability > 0.95, "{r:?}");
-        assert!(r.p2p.availability > 0.9, "{r:?}");
-        assert!(r.chain.availability > 0.9, "{r:?}");
-        assert_eq!(r.centralized.faults_injected, 0);
+        let m = e15_metrics(41, 0.0);
+        assert!(m.gauge("e15.centralized.availability") > 0.95, "{m}");
+        assert!(m.gauge("e15.federated.availability") > 0.95, "{m}");
+        assert!(m.gauge("e15.p2p.availability") > 0.9, "{m}");
+        assert!(m.gauge("e15.chain.availability") > 0.9, "{m}");
+        assert_eq!(m.counter("e15.faults_injected"), 0);
     }
 
     #[test]
     fn e15_max_intensity_separates_the_architectures() {
-        let calm = e15_degradation_point(41, 0.0);
-        let storm = e15_degradation_point(41, 1.0);
-        assert!(storm.centralized.faults_injected > 0);
-        let central_drop = calm.centralized.availability - storm.centralized.availability;
-        let p2p_drop = calm.p2p.availability - storm.p2p.availability;
+        let calm = e15_metrics(41, 0.0);
+        let storm = e15_metrics(41, 1.0);
+        assert!(storm.counter("e15.faults_injected") > 0);
+        let drop = |class: &str| {
+            let key = format!("e15.{class}.availability");
+            calm.gauge(&key) - storm.gauge(&key)
+        };
+        let (central_drop, p2p_drop) = (drop("centralized"), drop("p2p"));
         assert!(
             central_drop > p2p_drop,
             "centralized should degrade steepest: centralized {central_drop:.3} \
@@ -470,21 +439,14 @@ mod tests {
         );
         // Replication + hedging keeps the federation usable.
         assert!(
-            storm.federated.availability > storm.centralized.availability,
-            "federated {:?} vs centralized {:?}",
-            storm.federated,
-            storm.centralized
+            storm.gauge("e15.federated.availability") > storm.gauge("e15.centralized.availability"),
+            "{storm}"
         );
     }
 
     #[test]
     fn e15_runs_are_deterministic() {
-        let a = e15_degradation_point(43, 0.75);
-        let b = e15_degradation_point(43, 0.75);
-        assert_eq!(a.centralized.availability, b.centralized.availability);
-        assert_eq!(a.federated.availability, b.federated.availability);
-        assert_eq!(a.p2p.availability, b.p2p.availability);
-        assert_eq!(a.chain.availability, b.chain.availability);
-        assert_eq!(a.chain.faults_injected, b.chain.faults_injected);
+        let values = |seed| crate::experiments::values(&e15_metrics(seed, 0.75));
+        assert_eq!(values(43), values(43));
     }
 }

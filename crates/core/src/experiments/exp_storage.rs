@@ -1,36 +1,32 @@
 //! E5 (storage proofs vs cheaters), E6 (durability design space) and
 //! E8 (quality vs quantity of infrastructure).
 
-use agora_sim::{DeviceClass, NodeId, SimDuration, SimRng, Simulation};
+use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, SimRng, Simulation};
 use agora_storage::{
     discard_detection_probability, play_porep_game, simulate_durability, AttackEnv, CheatStrategy,
     DurabilityParams, ProviderStrategy, SealedReplicas, StorageNode, StorageResult,
 };
 use agora_workload::StorageLoad;
 
-use super::Report;
+use super::{metric_key_segment, Report, VariantStats};
 
 /// The pinned paper-default storage load (values are part of the
 /// checked-in baseline contract — see `agora_workload::load`).
 const LOAD: StorageLoad = StorageLoad::paper_default();
 
-/// E5 results.
-#[derive(Clone, Debug)]
-pub struct E5Result {
-    /// (strategy, pass rate) in the proof-of-replication game.
-    pub porep: Vec<(CheatStrategy, f64)>,
-    /// (keep fraction, detection probability after 20 audits).
-    pub discard_curve: Vec<(f64, f64)>,
-    /// Audit failures observed in the live protocol run with one discarding
-    /// provider.
-    pub protocol_audit_failures: u64,
-    /// Repairs completed in that run.
-    pub protocol_repairs: u64,
+/// Kept-shard fractions of the ack-then-discard detection curve.
+const KEEP_FRACTIONS: [f64; 5] = [1.0, 0.9, 0.5, 0.1, 0.0];
+
+/// E5's key segment for a cheating strategy.
+fn porep_key(s: CheatStrategy) -> String {
+    format!("e5.porep_pass.{}", metric_key_segment(&format!("{s:?}")))
 }
 
 /// E5: play every §3.3 cheating strategy against the proof schemes, then
 /// confirm the full network protocol detects and repairs a real cheater.
-pub fn e5_storage_proofs(seed: u64) -> (E5Result, Report) {
+/// Keys `e5.*`.
+pub fn e5_metrics(seed: u64) -> Metrics {
+    let mut m = Metrics::new();
     let mut rng = SimRng::new(seed);
     // Scaled sealing environment (same deadline-to-seal ratio as a 64 MB
     // production sector; see agora-storage::attacks tests).
@@ -41,16 +37,16 @@ pub fn e5_storage_proofs(seed: u64) -> (E5Result, Report) {
     // plays against the same published commitments.
     let replicas = SealedReplicas::new(&vec![0xabu8; LOAD.seal_probe_bytes], 3, &env.seal);
 
-    let mut porep = Vec::new();
     for s in CheatStrategy::all() {
         let r = play_porep_game(s, &replicas, 120, &env, &mut rng);
-        porep.push((s, r.pass_rate));
+        m.gauge_set(&porep_key(s), r.pass_rate);
     }
-
-    let discard_curve: Vec<(f64, f64)> = [1.0, 0.9, 0.5, 0.1, 0.0]
-        .iter()
-        .map(|&k| (k, discard_detection_probability(k, 20)))
-        .collect();
+    for keep in KEEP_FRACTIONS {
+        m.gauge_set(
+            &format!("e5.discard_detect.k{keep:.2}"),
+            discard_detection_probability(keep, 20),
+        );
+    }
 
     // Live protocol: 6 providers, one discards; audits + repair.
     let mut sim = Simulation::new(seed);
@@ -74,71 +70,81 @@ pub fn e5_storage_proofs(seed: u64) -> (E5Result, Report) {
     sim.with_ctx(client, |n, ctx| n.start_put(ctx, &data2, 4, 2));
     sim.run_for(SimDuration::from_mins(20));
 
-    let result = E5Result {
-        porep,
-        discard_curve,
-        protocol_audit_failures: sim.metrics().counter("storage.audit_fail")
+    m.incr(
+        "e5.protocol_audit_failures",
+        sim.metrics().counter("storage.audit_fail")
             + sim.metrics().counter("storage.audit_timeout"),
-        protocol_repairs: sim.metrics().counter("storage.repairs_completed"),
-    };
+    );
+    m.incr(
+        "e5.protocol_repairs",
+        sim.metrics().counter("storage.repairs_completed"),
+    );
+    m
+}
+
+/// E5's report from its one variant.
+pub fn e5_report(variants: &[VariantStats]) -> Report {
+    let v = &variants[0];
     let mut body = String::from("Proof-of-replication challenge game (3 claimed replicas):\n");
-    for (s, pass) in &result.porep {
+    for s in CheatStrategy::all() {
         body.push_str(&format!(
             "  {:<34} pass rate {:>5.1}%\n",
             s.label(),
-            pass * 100.0
+            v.mean(&porep_key(s)) * 100.0
         ));
     }
     body.push_str("\nAck-then-discard detection after 20 retrievability audits:\n");
-    for (keep, p) in &result.discard_curve {
+    for keep in KEEP_FRACTIONS {
         body.push_str(&format!(
             "  keeps {:>4.0}% of shards → detected with p = {:.4}\n",
             keep * 100.0,
-            p
+            v.mean(&format!("e5.discard_detect.k{keep:.2}"))
         ));
     }
     body.push_str(&format!(
-        "\nLive protocol (1 discarding provider of 6): {} audit failures, {} repairs completed\n",
-        result.protocol_audit_failures, result.protocol_repairs
+        "\nLive protocol (1 discarding provider of 6): {:.1} audit failures, {:.1} repairs completed\n",
+        v.mean("e5.protocol_audit_failures"),
+        v.mean("e5.protocol_repairs")
     ));
-    (
-        result,
-        Report {
-            id: "E5",
-            title: "Storage proofs vs Sybil / outsourcing / generation attacks",
-            claim: "proof-of-replication defeats storing-once-under-many-\
-                    identities, fetching-from-others and generating-on-demand \
-                    (§3.3); audits catch discarders and incentives keep nodes \
-                    honest",
-            body,
-        },
-    )
+    Report {
+        id: "E5",
+        title: "Storage proofs vs Sybil / outsourcing / generation attacks",
+        claim: "proof-of-replication defeats storing-once-under-many-\
+                identities, fetching-from-others and generating-on-demand \
+                (§3.3); audits catch discarders and incentives keep nodes \
+                honest",
+        body,
+    }
 }
 
-/// E6 results.
-#[derive(Clone, Debug)]
-pub struct E6Result {
-    /// (label, overhead, survival rate, repair transfers per object-year).
-    pub rows: Vec<(String, f64, f64, f64)>,
+/// E6's codes: label, data shards k, parity shards m.
+const E6_CODES: [(&str, u32, u32); 5] = [
+    ("replication x2 (k=1,m=1)", 1, 1),
+    ("replication x3 (k=1,m=2)", 1, 2),
+    ("RS(4,2)  1.5x overhead", 4, 2),
+    ("RS(4,8)  3.0x overhead", 4, 8),
+    ("RS(10,20) 3.0x overhead", 10, 20),
+];
+/// E6's repair cadences in days.
+const E6_REPAIR_DAYS: [f64; 2] = [1.0, 14.0];
+
+/// E6's row label for a code at a repair cadence, and its key prefix.
+fn e6_row(label: &str, repair_days: f64) -> (String, String) {
+    let row = format!("{label}, repair every {repair_days:>4.0} d");
+    let key = format!("e6.{}", metric_key_segment(&row));
+    (row, key)
 }
 
 /// E6: the §3.3 design space — replica counts vs erasure codes vs repair
-/// cadence, under correlated failures.
-pub fn e6_durability(seed: u64) -> (E6Result, Report) {
+/// cadence, under correlated failures. Keys `e6.<row>.*`.
+pub fn e6_metrics(seed: u64) -> Metrics {
     let mut rng = SimRng::new(seed);
-    let configs: [(&str, u32, u32); 5] = [
-        ("replication x2 (k=1,m=1)", 1, 1),
-        ("replication x3 (k=1,m=2)", 1, 2),
-        ("RS(4,2)  1.5x overhead", 4, 2),
-        ("RS(4,8)  3.0x overhead", 4, 8),
-        ("RS(10,20) 3.0x overhead", 10, 20),
-    ];
-    let mut rows = Vec::new();
-    for (label, k, m) in configs {
-        for repair_days in [1.0, 14.0] {
+    let mut m = Metrics::new();
+    for (label, k, parity) in E6_CODES {
+        for repair_days in E6_REPAIR_DAYS {
             let params = DurabilityParams {
                 k,
-                m,
+                m: parity,
                 provider_mttf_days: 60.0,
                 repair_interval_days: repair_days,
                 correlated_event_prob: 0.01,
@@ -146,51 +152,45 @@ pub fn e6_durability(seed: u64) -> (E6Result, Report) {
                 horizon_days: 365.0,
             };
             let r = simulate_durability(&params, 4000, &mut rng);
-            rows.push((
-                format!("{label}, repair every {repair_days:>4.0} d"),
-                r.storage_overhead,
-                r.survival_rate,
+            let (_, key) = e6_row(label, repair_days);
+            m.gauge_set(&format!("{key}.overhead"), r.storage_overhead);
+            m.gauge_set(&format!("{key}.survival"), r.survival_rate);
+            m.gauge_set(
+                &format!("{key}.repair_per_object_year"),
                 r.repair_transfers_per_object_year,
-            ));
+            );
         }
     }
-    let result = E6Result { rows };
+    m
+}
+
+/// E6's report from its one variant.
+pub fn e6_report(variants: &[VariantStats]) -> Report {
+    let v = &variants[0];
     let mut body = format!(
         "{:<40} {:>9} {:>10} {:>12}\n",
         "configuration", "overhead", "survival", "repairs/obj-yr"
     );
-    for (label, overhead, survival, repairs) in &result.rows {
-        body.push_str(&format!(
-            "{:<40} {:>8.1}x {:>9.4} {:>12.1}\n",
-            label, overhead, survival, repairs
-        ));
+    for (label, _, _) in E6_CODES {
+        for repair_days in E6_REPAIR_DAYS {
+            let (row, key) = e6_row(label, repair_days);
+            body.push_str(&format!(
+                "{:<40} {:>8.1}x {:>9.4} {:>12.1}\n",
+                row,
+                v.mean(&format!("{key}.overhead")),
+                v.mean(&format!("{key}.survival")),
+                v.mean(&format!("{key}.repair_per_object_year"))
+            ));
+        }
     }
-    (
-        result,
-        Report {
-            id: "E6",
-            title: "Durability design space (replication vs erasure, repair cadence)",
-            claim: "storage design decisions involve inherent trade-offs among \
-                    durability, availability, consistency, and performance \
-                    (§3.3)",
-            body,
-        },
-    )
-}
-
-/// E8 results.
-#[derive(Clone, Debug)]
-pub struct E8Result {
-    /// Datacenter-provider get success rate.
-    pub datacenter_success: f64,
-    /// Consumer-device get success at baseline redundancy RS(4,2).
-    pub device_success_low: f64,
-    /// Consumer-device get success at boosted redundancy RS(4,8).
-    pub device_success_high: f64,
-    /// Median get latency (seconds) on datacenter providers.
-    pub datacenter_p50_secs: f64,
-    /// Median get latency (seconds) on consumer devices (high redundancy).
-    pub device_p50_secs: f64,
+    Report {
+        id: "E6",
+        title: "Durability design space (replication vs erasure, repair cadence)",
+        claim: "storage design decisions involve inherent trade-offs among \
+                durability, availability, consistency, and performance \
+                (§3.3)",
+        body,
+    }
 }
 
 fn run_storage_quality(
@@ -253,7 +253,8 @@ fn run_storage_quality(
 
 /// E8: the same storage workload on datacenter-class infrastructure vs
 /// churning consumer devices, and the redundancy needed to compensate.
-pub fn e8_quality_vs_quantity(seed: u64) -> (E8Result, Report) {
+/// Keys `e8.*`.
+pub fn e8_metrics(seed: u64) -> Metrics {
     let gets = LOAD.gets;
     let (dc_ok, dc_p50) =
         run_storage_quality(seed, DeviceClass::DatacenterServer, false, 4, 2, gets);
@@ -261,13 +262,18 @@ pub fn e8_quality_vs_quantity(seed: u64) -> (E8Result, Report) {
         run_storage_quality(seed + 1, DeviceClass::PersonalComputer, true, 4, 2, gets);
     let (dev_hi, dev_p50) =
         run_storage_quality(seed + 2, DeviceClass::PersonalComputer, true, 4, 8, gets);
-    let result = E8Result {
-        datacenter_success: dc_ok,
-        device_success_low: dev_lo,
-        device_success_high: dev_hi,
-        datacenter_p50_secs: dc_p50,
-        device_p50_secs: dev_p50,
-    };
+    let mut m = Metrics::new();
+    m.gauge_set("e8.datacenter_success", dc_ok);
+    m.gauge_set("e8.device_success_low", dev_lo);
+    m.gauge_set("e8.device_success_high", dev_hi);
+    m.gauge_set("e8.datacenter_p50_secs", dc_p50);
+    m.gauge_set("e8.device_p50_secs", dev_p50);
+    m
+}
+
+/// E8's report from its one variant.
+pub fn e8_report(variants: &[VariantStats]) -> Report {
+    let v = &variants[0];
     let body = format!(
         "Same 1 MB object, RS-coded, audited & repaired; get success over a churning day:\n\
          \x20 datacenter providers, RS(4,2)      : {:>5.1}% success, p50 {:>7.3} s\n\
@@ -276,66 +282,20 @@ pub fn e8_quality_vs_quantity(seed: u64) -> (E8Result, Report) {
          Quantity can substitute for quality only by spending redundancy \
          (and the paper's 'intermittency, higher failure rates, variable \
          performance' shows up as the latency gap).\n",
-        result.datacenter_success * 100.0,
-        result.datacenter_p50_secs,
-        result.device_success_low * 100.0,
-        result.device_success_high * 100.0,
-        result.device_p50_secs,
+        v.mean("e8.datacenter_success") * 100.0,
+        v.mean("e8.datacenter_p50_secs"),
+        v.mean("e8.device_success_low") * 100.0,
+        v.mean("e8.device_success_high") * 100.0,
+        v.mean("e8.device_p50_secs"),
     );
-    (
-        result,
-        Report {
-            id: "E8",
-            title: "Infrastructure quality vs quantity",
-            claim: "user-device capacity is plentiful but much poorer than a \
-                    datacenter's; systems must cope with intermittency, \
-                    failures and variable performance (§4, §5.2)",
-            body,
-        },
-    )
-}
-
-/// Flatten an E5 run into harness metrics (keys `e5.*`).
-pub fn e5_metrics(seed: u64) -> agora_sim::Metrics {
-    use super::metric_key_segment;
-    let (r, _) = e5_storage_proofs(seed);
-    let mut m = agora_sim::Metrics::new();
-    for (strategy, pass_rate) in &r.porep {
-        let key = metric_key_segment(&format!("{strategy:?}"));
-        m.gauge_set(&format!("e5.porep_pass.{key}"), *pass_rate);
+    Report {
+        id: "E8",
+        title: "Infrastructure quality vs quantity",
+        claim: "user-device capacity is plentiful but much poorer than a \
+                datacenter's; systems must cope with intermittency, \
+                failures and variable performance (§4, §5.2)",
+        body,
     }
-    for (keep, detection) in &r.discard_curve {
-        m.gauge_set(&format!("e5.discard_detect.k{keep:.2}"), *detection);
-    }
-    m.incr("e5.protocol_audit_failures", r.protocol_audit_failures);
-    m.incr("e5.protocol_repairs", r.protocol_repairs);
-    m
-}
-
-/// Flatten an E6 run into harness metrics (keys `e6.*`).
-pub fn e6_metrics(seed: u64) -> agora_sim::Metrics {
-    use super::metric_key_segment;
-    let (r, _) = e6_durability(seed);
-    let mut m = agora_sim::Metrics::new();
-    for (label, overhead, survival, repair) in &r.rows {
-        let key = metric_key_segment(label);
-        m.gauge_set(&format!("e6.{key}.overhead"), *overhead);
-        m.gauge_set(&format!("e6.{key}.survival"), *survival);
-        m.gauge_set(&format!("e6.{key}.repair_per_object_year"), *repair);
-    }
-    m
-}
-
-/// Flatten an E8 run into harness metrics (keys `e8.*`).
-pub fn e8_metrics(seed: u64) -> agora_sim::Metrics {
-    let (r, _) = e8_quality_vs_quantity(seed);
-    let mut m = agora_sim::Metrics::new();
-    m.gauge_set("e8.datacenter_success", r.datacenter_success);
-    m.gauge_set("e8.device_success_low", r.device_success_low);
-    m.gauge_set("e8.device_success_high", r.device_success_high);
-    m.gauge_set("e8.datacenter_p50_secs", r.datacenter_p50_secs);
-    m.gauge_set("e8.device_p50_secs", r.device_p50_secs);
-    m
 }
 
 #[cfg(test)]
@@ -344,55 +304,53 @@ mod tests {
 
     #[test]
     fn e5_detection_matrix() {
-        let (r, _) = e5_storage_proofs(41);
-        let get = |s: CheatStrategy| r.porep.iter().find(|(x, _)| *x == s).unwrap().1;
+        let m = e5_metrics(41);
+        let get = |s: CheatStrategy| m.gauge(&porep_key(s));
         assert_eq!(get(CheatStrategy::Honest), 1.0);
         assert_eq!(get(CheatStrategy::Outsource), 0.0);
         assert_eq!(get(CheatStrategy::Generation), 0.0);
         let sybil = get(CheatStrategy::Sybil);
         assert!(sybil > 0.2 && sybil < 0.5, "sybil {sybil}");
-        assert!(r.protocol_audit_failures >= 1);
-        assert!(r.protocol_repairs >= 1);
+        assert!(m.counter("e5.protocol_audit_failures") >= 1);
+        assert!(m.counter("e5.protocol_repairs") >= 1);
     }
 
     #[test]
     fn e6_shapes() {
-        let (r, _) = e6_durability(43);
+        let m = e6_metrics(43);
+        let survival = |label: &str, days: f64| {
+            let (_, key) = e6_row(label, days);
+            m.gauge(&format!("{key}.survival"))
+        };
         // Fast repair always beats slow repair at the same code.
-        for pair in r.rows.chunks(2) {
+        for (label, _, _) in E6_CODES {
             assert!(
-                pair[0].2 >= pair[1].2,
-                "daily repair should not lose to fortnightly: {pair:?}"
+                survival(label, 1.0) >= survival(label, 14.0),
+                "daily repair should not lose to fortnightly: {label}"
             );
         }
         // RS(4,8) with daily repair is highly durable and beats 3x
         // replication at the same overhead.
-        let find = |prefix: &str, days: &str| {
-            r.rows
-                .iter()
-                .find(|(l, _, _, _)| l.starts_with(prefix) && l.contains(days))
-                .cloned()
-                .expect("row present")
-        };
-        let rs48 = find("RS(4,8)", "   1 d");
-        let repl3 = find("replication x3", "   1 d");
-        assert!(rs48.2 > 0.98, "{rs48:?}");
-        assert!(rs48.2 >= repl3.2, "rs48 {rs48:?} vs repl3 {repl3:?}");
+        let rs48 = survival(E6_CODES[3].0, 1.0);
+        let repl3 = survival(E6_CODES[1].0, 1.0);
+        assert!(rs48 > 0.98, "{rs48}");
+        assert!(rs48 >= repl3, "rs48 {rs48} vs repl3 {repl3}");
     }
 
     #[test]
     fn e8_quality_gap() {
-        let (r, _) = e8_quality_vs_quantity(47);
-        assert!(r.datacenter_success >= 0.99, "{r:?}");
+        let m = e8_metrics(47);
+        assert!(m.gauge("e8.datacenter_success") >= 0.99, "{m}");
         // Extra redundancy must not hurt.
-        assert!(r.device_success_high >= r.device_success_low, "{r:?}");
+        assert!(
+            m.gauge("e8.device_success_high") >= m.gauge("e8.device_success_low"),
+            "{m}"
+        );
         // Devices are slower than datacenters (1 Mbps uplinks moving 50 KB
         // shards vs 10 Gbps pipes).
         assert!(
-            r.device_p50_secs > r.datacenter_p50_secs,
-            "device p50 {} vs dc {}",
-            r.device_p50_secs,
-            r.datacenter_p50_secs
+            m.gauge("e8.device_p50_secs") > m.gauge("e8.datacenter_p50_secs"),
+            "{m}"
         );
     }
 }

@@ -9,33 +9,12 @@
 //! problem E3 measures. This experiment makes the dilemma quantitative.
 
 use agora_comm::{FedNode, ModerationPolicy, PostLabel, ReplicationMode};
-use agora_sim::{DeviceClass, NodeId, SimDuration, Simulation};
+use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, Simulation};
 
-use super::Report;
+use super::{Report, VariantStats};
 
-/// One sweep point.
-#[derive(Clone, Debug)]
-pub struct UsenetRow {
-    /// Number of instances in the federation.
-    pub instances: usize,
-    /// Total posts made network-wide.
-    pub total_posts: u64,
-    /// Mean posts stored per instance (full replication).
-    pub replicated_store_per_instance: f64,
-    /// Mean posts stored per instance (single-home).
-    pub single_home_store_per_instance: f64,
-    /// Total network bytes (full replication).
-    pub replicated_bytes: u64,
-    /// Total network bytes (single-home).
-    pub single_home_bytes: u64,
-}
-
-/// E14 results.
-#[derive(Clone, Debug)]
-pub struct E14Result {
-    /// One row per federation size.
-    pub rows: Vec<UsenetRow>,
-}
+/// Federation sizes swept.
+const SIZES: [usize; 3] = [2, 4, 6];
 
 fn run_mode(seed: u64, n_instances: usize, mode: ReplicationMode) -> (f64, u64, u64) {
     const CLIENTS_PER_INSTANCE: usize = 2;
@@ -96,23 +75,32 @@ fn run_mode(seed: u64, n_instances: usize, mode: ReplicationMode) -> (f64, u64, 
 }
 
 /// E14: per-instance burden vs federation size, both replication modes.
-pub fn e14_usenet_collapse(seed: u64) -> (E14Result, Report) {
-    let mut rows = Vec::new();
-    for (i, n) in [2usize, 4, 6].into_iter().enumerate() {
+/// Keys `e14.n<instances>.*`.
+pub fn e14_metrics(seed: u64) -> Metrics {
+    let mut m = Metrics::new();
+    for (i, n) in SIZES.into_iter().enumerate() {
         let (rep_store, rep_bytes, posts) =
             run_mode(seed + i as u64, n, ReplicationMode::FullReplication);
         let (sh_store, sh_bytes, _) =
             run_mode(seed + 10 + i as u64, n, ReplicationMode::SingleHome);
-        rows.push(UsenetRow {
-            instances: n,
-            total_posts: posts,
-            replicated_store_per_instance: rep_store,
-            single_home_store_per_instance: sh_store,
-            replicated_bytes: rep_bytes,
-            single_home_bytes: sh_bytes,
-        });
+        m.incr(&format!("e14.n{n}.total_posts"), posts);
+        m.gauge_set(
+            &format!("e14.n{n}.replicated_store_per_instance"),
+            rep_store,
+        );
+        m.gauge_set(
+            &format!("e14.n{n}.single_home_store_per_instance"),
+            sh_store,
+        );
+        m.incr(&format!("e14.n{n}.replicated_bytes"), rep_bytes);
+        m.incr(&format!("e14.n{n}.single_home_bytes"), sh_bytes);
     }
-    let result = E14Result { rows };
+    m
+}
+
+/// E14's report from its one variant.
+pub fn e14_report(variants: &[VariantStats]) -> Report {
+    let v = &variants[0];
     let mut body = format!(
         "{:>9} {:>11} {:>22} {:>22} {:>14} {:>14}\n",
         "instances",
@@ -122,15 +110,16 @@ pub fn e14_usenet_collapse(seed: u64) -> (E14Result, Report) {
         "bytes (repl)",
         "bytes (s-h)"
     );
-    for r in &result.rows {
+    for n in SIZES {
+        let mean = |key: &str| v.mean(&format!("e14.n{n}.{key}"));
         body.push_str(&format!(
-            "{:>9} {:>11} {:>22.1} {:>22.1} {:>14} {:>14}\n",
-            r.instances,
-            r.total_posts,
-            r.replicated_store_per_instance,
-            r.single_home_store_per_instance,
-            r.replicated_bytes,
-            r.single_home_bytes
+            "{:>9} {:>11.0} {:>22.1} {:>22.1} {:>14.0} {:>14.0}\n",
+            n,
+            mean("total_posts"),
+            mean("replicated_store_per_instance"),
+            mean("single_home_store_per_instance"),
+            mean("replicated_bytes"),
+            mean("single_home_bytes")
         ));
     }
     body.push_str(
@@ -142,40 +131,13 @@ pub fn e14_usenet_collapse(seed: u64) -> (E14Result, Report) {
          in both modes; the burden that grows without bound is the archive.)\n\
          The §3.2 dilemma, in one table.\n",
     );
-    (
-        result,
-        Report {
-            id: "E14",
-            title: "The Usenet collapse: replication burden vs federation size",
-            claim: "Usenet eventually collapsed under its own traffic load \
-                    (§3.2)",
-            body,
-        },
-    )
-}
-
-/// Flatten an E14 run into harness metrics (keys `e14.*`).
-pub fn e14_metrics(seed: u64) -> agora_sim::Metrics {
-    let (r, _) = e14_usenet_collapse(seed);
-    let mut m = agora_sim::Metrics::new();
-    for row in &r.rows {
-        let n = row.instances;
-        m.incr(&format!("e14.n{n}.total_posts"), row.total_posts);
-        m.gauge_set(
-            &format!("e14.n{n}.replicated_store_per_instance"),
-            row.replicated_store_per_instance,
-        );
-        m.gauge_set(
-            &format!("e14.n{n}.single_home_store_per_instance"),
-            row.single_home_store_per_instance,
-        );
-        m.incr(&format!("e14.n{n}.replicated_bytes"), row.replicated_bytes);
-        m.incr(
-            &format!("e14.n{n}.single_home_bytes"),
-            row.single_home_bytes,
-        );
+    Report {
+        id: "E14",
+        title: "The Usenet collapse: replication burden vs federation size",
+        claim: "Usenet eventually collapsed under its own traffic load \
+                (§3.2)",
+        body,
     }
-    m
 }
 
 #[cfg(test)]
@@ -184,30 +146,29 @@ mod tests {
 
     #[test]
     fn e14_replication_burden_scales_with_network() {
-        let (r, report) = e14_usenet_collapse(71);
-        for row in &r.rows {
+        let m = e14_metrics(71);
+        let store = |n: usize, mode: &str| m.gauge(&format!("e14.n{n}.{mode}_store_per_instance"));
+        let bytes = |n: usize, mode: &str| m.counter(&format!("e14.n{n}.{mode}_bytes"));
+        for n in SIZES {
+            let posts = m.counter(&format!("e14.n{n}.total_posts")) as f64;
             // Full replication: every instance stores ~all posts.
-            assert!(
-                row.replicated_store_per_instance >= row.total_posts as f64 * 0.9,
-                "{row:?}"
-            );
+            assert!(store(n, "replicated") >= posts * 0.9, "n{n}: {m}");
             // Single-home: per-instance storage is ~the local share.
             assert!(
-                row.single_home_store_per_instance
-                    <= row.total_posts as f64 / row.instances as f64 + 1.0,
-                "{row:?}"
+                store(n, "single_home") <= posts / n as f64 + 1.0,
+                "n{n}: {m}"
             );
             // Replication also costs more wire bytes.
-            assert!(row.replicated_bytes >= row.single_home_bytes, "{row:?}");
+            assert!(
+                bytes(n, "replicated") >= bytes(n, "single_home"),
+                "n{n}: {m}"
+            );
         }
         // Per-instance replicated burden grows with federation size
         // (more instances ⇒ more clients ⇒ more global posts per instance).
-        let first = &r.rows[0];
-        let last = r.rows.last().unwrap();
         assert!(
-            last.replicated_store_per_instance > first.replicated_store_per_instance * 2.0,
-            "burden should grow with the network: {first:?} vs {last:?}"
+            store(6, "replicated") > store(2, "replicated") * 2.0,
+            "burden should grow with the network: {m}"
         );
-        assert!(report.body.contains("Usenet"));
     }
 }

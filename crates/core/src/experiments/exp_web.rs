@@ -1,23 +1,19 @@
 //! E7: hostless-site availability as a function of visitor seeding.
 
-use agora_sim::{DeviceClass, SimDuration, Simulation};
+use agora_sim::{DeviceClass, Metrics, SimDuration, Simulation};
 use agora_web::{SitePublisher, SwarmNode, VisitResult};
 
-use super::Report;
+use super::{Report, VariantStats};
 
-/// E7 results.
-#[derive(Clone, Debug)]
-pub struct E7Result {
-    /// (prior visitors, post-origin-death visit success rate).
-    pub survival_by_seeders: Vec<(usize, f64)>,
-}
+/// Visitors who fetch the site before its origin dies.
+const FIRST_WAVES: [usize; 4] = [0, 1, 3, 5];
 
 /// E7: publish a site, let `w` visitors fetch it, kill the origin, then
 /// measure whether fresh visitors can still load the site — §3.4's "seeded
-/// and served by visitors" property, quantified.
-pub fn e7_web_availability(seed: u64) -> (E7Result, Report) {
-    let mut survival_by_seeders = Vec::new();
-    for first_wave in [0usize, 1, 3, 5] {
+/// and served by visitors" property, quantified. Keys `e7.survival.w*`.
+pub fn e7_metrics(seed: u64) -> Metrics {
+    let mut m = Metrics::new();
+    for first_wave in FIRST_WAVES {
         let mut sim = Simulation::new(seed + first_wave as u64);
         let tracker = sim.add_node(SwarmNode::tracker(), DeviceClass::DatacenterServer);
         let origin = sim.add_node(SwarmNode::peer(tracker), DeviceClass::PersonalComputer);
@@ -64,43 +60,36 @@ pub fn e7_web_availability(seed: u64) -> (E7Result, Report) {
                 }
             }
         }
-        survival_by_seeders.push((first_wave, ok as f64 / total as f64));
+        m.gauge_set(
+            &format!("e7.survival.w{first_wave}"),
+            ok as f64 / total as f64,
+        );
     }
-    let result = E7Result {
-        survival_by_seeders,
-    };
+    m
+}
+
+/// E7's report from its one variant.
+pub fn e7_report(variants: &[VariantStats]) -> Report {
+    let v = &variants[0];
     let mut body = String::from(
         "Origin publishes an 80 KB site, N visitors fetch it, origin dies,\n\
          then 3 fresh visitors try to load it:\n",
     );
-    for (n, rate) in &result.survival_by_seeders {
+    for n in FIRST_WAVES {
         body.push_str(&format!(
             "  prior visitors = {:>2} → post-death visit success {:>5.1}%\n",
             n,
-            rate * 100.0
+            v.mean(&format!("e7.survival.w{n}")) * 100.0
         ));
     }
-    (
-        result,
-        Report {
-            id: "E7",
-            title: "Hostless web apps: availability via visitor seeding",
-            claim: "web applications are seeded and served by visitors via the \
-                    BitTorrent protocol (§3.4): the site outlives its origin \
-                    iff visitors seed it",
-            body,
-        },
-    )
-}
-
-/// Flatten an E7 run into harness metrics (keys `e7.*`).
-pub fn e7_metrics(seed: u64) -> agora_sim::Metrics {
-    let (r, _) = e7_web_availability(seed);
-    let mut m = agora_sim::Metrics::new();
-    for (seeders, survival) in &r.survival_by_seeders {
-        m.gauge_set(&format!("e7.survival.w{seeders}"), *survival);
+    Report {
+        id: "E7",
+        title: "Hostless web apps: availability via visitor seeding",
+        claim: "web applications are seeded and served by visitors via the \
+                BitTorrent protocol (§3.4): the site outlives its origin \
+                iff visitors seed it",
+        body,
     }
-    m
 }
 
 #[cfg(test)]
@@ -109,20 +98,13 @@ mod tests {
 
     #[test]
     fn e7_seeding_threshold() {
-        let (r, report) = e7_web_availability(51);
-        let rate = |n: usize| {
-            r.survival_by_seeders
-                .iter()
-                .find(|(w, _)| *w == n)
-                .unwrap()
-                .1
-        };
+        let m = e7_metrics(51);
+        let rate = |n: usize| m.gauge(&format!("e7.survival.w{n}"));
         // With no prior visitors the site dies with its origin.
         assert_eq!(rate(0), 0.0);
         // With several prior visitors it survives.
-        assert!(rate(5) > 0.9, "{:?}", r.survival_by_seeders);
+        assert!(rate(5) > 0.9, "{m}");
         // Monotone in seeders.
         assert!(rate(5) >= rate(1));
-        assert!(report.body.contains("prior visitors"));
     }
 }

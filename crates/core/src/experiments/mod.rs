@@ -1,9 +1,11 @@
 //! The experiment harness: every table and derived experiment of
-//! EXPERIMENTS.md, runnable one-shot.
+//! EXPERIMENTS.md.
 //!
-//! Each experiment returns a structured result with public numeric fields
-//! (asserted in tests, re-measured in benches) plus a rendered
-//! [`Report`] for the harness binaries.
+//! Each registered experiment has one run path and one render path, both
+//! in its `exp_*` module: `eN_metrics(seed, point) -> Metrics` writes the
+//! trial's keys, and `eN_report(&[VariantStats]) -> Report` renders the
+//! matrix's cross-seed aggregates of those same keys. The tables T1–T3
+//! take no seed and render directly.
 
 mod day;
 pub mod exp_agenda;
@@ -22,43 +24,19 @@ pub mod exp_workload;
 
 use std::fmt;
 
-pub use exp_agenda::{
-    e10_federated_failover, e10_metrics, e11_guerrilla_relay, e11_metrics, E10Result, E11Result,
-};
-pub use exp_app::{e18_app_point, e18_app_sweep, e18_metrics, AppOutcome, E18Result};
-pub use exp_chain::{e9_chain_costs, e9_metrics, E9Result};
-pub use exp_comm::{
-    e3_groupcomm_availability, e3_metrics, e4_metrics, e4_privacy, E3Result, E4Result,
-};
-pub use exp_governance::{
-    e12_metrics, e12_moderation_tension, e13_financing_gap, e13_metrics, CostRow, E12Result,
-    E13Result, Payer,
-};
-pub use exp_market::{
-    e17_market_point, e17_market_sweep, e17_metrics, e17_workload_metrics, e17_workload_point,
-    CodecPoint, E17Result, E17Workload, E17_INTENSITIES,
-};
-pub use exp_naming::{
-    e1_metrics, e1_naming_tradeoff, e2_metrics, e2_naming_attacks, E1Result, E2Result,
-};
-pub use exp_policy::{
-    e16_cohort_runners, e16_policy_metrics, e16_policy_point, e16_policy_sweep, CohortRunner,
-    E16PolicyResult, PolicyPair,
-};
-pub use exp_resilience::{
-    e15_degradation_point, e15_degradation_sweep, e15_metrics, DegradationPoint, E15Result,
-    E15_INTENSITIES,
-};
-pub use exp_storage::{
-    e5_metrics, e5_storage_proofs, e6_durability, e6_metrics, e8_metrics, e8_quality_vs_quantity,
-    E5Result, E6Result, E8Result,
-};
-pub use exp_usenet::{e14_metrics, e14_usenet_collapse, E14Result, UsenetRow};
-pub use exp_web::{e7_metrics, e7_web_availability, E7Result};
-pub use exp_workload::{
-    e16_flash_crowd_sweep, e16_metrics, e16_population_point, ClassOutcome, E16Result, PolicyStats,
-    E16_POPULATIONS,
-};
+pub use exp_agenda::{e10_metrics, e10_report, e11_metrics, e11_report};
+pub use exp_app::{e18_metrics, e18_report};
+pub use exp_chain::{e9_metrics, e9_report};
+pub use exp_comm::{e3_metrics, e3_report, e4_metrics, e4_report};
+pub use exp_governance::{e12_metrics, e12_report, e13_metrics, e13_report};
+pub use exp_market::{e17_metrics, e17_report, e17_workload_metrics};
+pub use exp_naming::{e1_metrics, e1_report, e2_metrics, e2_report};
+pub use exp_policy::{e16_cohort_runners, e16_policy_metrics, e16_policy_report, CohortRunner};
+pub use exp_resilience::{e15_metrics, e15_report};
+pub use exp_storage::{e5_metrics, e5_report, e6_metrics, e6_report, e8_metrics, e8_report};
+pub use exp_usenet::{e14_metrics, e14_report};
+pub use exp_web::{e7_metrics, e7_report};
+pub use exp_workload::{e16_metrics, e16_report, ClassOutcome};
 
 /// Normalize a free-form row label into a metric-key segment: lowercase
 /// alphanumerics and dots survive, everything else collapses to `_`.
@@ -75,6 +53,79 @@ pub fn metric_key_segment(label: &str) -> String {
         }
     }
     out.trim_matches('_').to_owned()
+}
+
+/// Cross-seed statistics of one metric key over a variant's completed
+/// trials: what `BENCH_harness.json` records under `aggregates`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Stat {
+    /// Mean over the completed trials.
+    pub mean: f64,
+    /// Smallest value.
+    pub min: f64,
+    /// Largest value.
+    pub max: f64,
+}
+
+/// One `experiment/variant` of the matrix's aggregates.
+#[derive(Clone, Debug, PartialEq)]
+pub struct VariantStats {
+    /// Experiment id (`e16`).
+    pub experiment: String,
+    /// Variant label (`p1m`).
+    pub label: String,
+    /// Trials the variant ran.
+    pub trials: usize,
+    /// Trials that completed; every [`Stat`] is over these.
+    pub ok: usize,
+    /// Per-key statistics: counters, then gauges, each in key order.
+    pub metrics: Vec<(String, Stat)>,
+}
+
+impl VariantStats {
+    /// The statistics of `key`. Panics when the variant has no such key:
+    /// a render fn asks only for keys its run fn writes.
+    pub fn stat(&self, key: &str) -> Stat {
+        match self.metrics.iter().find(|(k, _)| k == key) {
+            Some(&(_, s)) => s,
+            None => panic!("{}/{} has no key {key}", self.experiment, self.label),
+        }
+    }
+
+    /// The mean of `key` over the variant's seeds: what a table cell prints.
+    pub fn mean(&self, key: &str) -> f64 {
+        self.stat(key).mean
+    }
+
+    /// `mean [min, max] over n seeds` of `key` times `scale`, at `prec`
+    /// decimals: what a verdict number prints.
+    pub fn spread(&self, key: &str, scale: f64, prec: usize) -> String {
+        let s = self.stat(key);
+        format!(
+            "{:.prec$} [{:.prec$}, {:.prec$}] over {} seeds",
+            s.mean * scale,
+            s.min * scale,
+            s.max * scale,
+            self.ok
+        )
+    }
+
+    /// The variant label without its one-letter kind prefix: `f0.20` →
+    /// `0.20`, `p1m` → `1m`.
+    pub fn point(&self) -> &str {
+        self.label.get(1..).unwrap_or("")
+    }
+}
+
+/// The variant labelled `label`. Panics when there is none: a render fn
+/// asks only for labels its experiment registers, and looks them up by
+/// label so a reordered registry cannot print one variant's numbers
+/// under another's name.
+pub fn by_label<'a>(variants: &'a [VariantStats], label: &str) -> &'a VariantStats {
+    match variants.iter().find(|v| v.label == label) {
+        Some(v) => v,
+        None => panic!("no variant {label}"),
+    }
 }
 
 /// A rendered experiment report.
@@ -219,6 +270,16 @@ pub fn t3_feasibility() -> Report {
                 cores / 210 EB (devices): roughly sufficient capacity exists",
         body,
     }
+}
+
+/// Every counter and gauge of `m`, bit-exact: two runs are the same run
+/// when these are equal.
+#[cfg(test)]
+pub(crate) fn values(m: &agora_sim::Metrics) -> Vec<(String, u64)> {
+    m.counters()
+        .map(|(k, v)| (k.to_owned(), v))
+        .chain(m.gauges().map(|(k, v)| (k.to_owned(), v.to_bits())))
+        .collect()
 }
 
 #[cfg(test)]

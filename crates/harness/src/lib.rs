@@ -12,11 +12,14 @@
 //! * **Panic isolation**: each trial runs under `catch_unwind`; a panicking
 //!   experiment becomes a recorded failure, not a lost run.
 //! * **Structured telemetry**: trials report `agora_sim::Metrics` (counters,
-//!   gauges, histograms); trial wall-clock times stream into a
-//!   `P2Quantile` sketch for the human report.
-//! * **Order-independent aggregation**: outcomes are merged by trial index,
-//!   serialized to JSON by the in-repo serializer ([`json`]), and are
-//!   byte-identical regardless of worker count.
+//!   gauges, histograms); the human summary adds trial wall-clock
+//!   percentiles.
+//! * **Order-independent aggregation**: outcomes are merged by trial index
+//!   and aggregated once per `experiment/variant`
+//!   ([`matrix::aggregate`]); the aggregates are serialized to JSON by the
+//!   in-repo serializer ([`json`]) and rendered as the experiments'
+//!   reports ([`report::render_reports`]), byte-identical regardless of
+//!   worker count.
 //! * **Regression baselines** ([`baseline`]): the JSON artifact diffs
 //!   against a checked-in `BENCH_harness.json` with a relative tolerance,
 //!   so perf/behaviour drift fails loudly in CI.
@@ -32,8 +35,9 @@
 //!   `--watch` adds a wall-clock heartbeat on stderr (never in artifacts).
 //!
 //! The `agora-harness` binary (src/main.rs) drives all of this from the
-//! command line; `agora-harness --reports` regenerates the classic
-//! `experiments_output.txt` report stream.
+//! command line; `agora-harness --reports` runs the matrix and prints
+//! `experiments_output.txt`, every experiment's report rendered from the
+//! run's aggregates.
 
 #![forbid(unsafe_code)]
 

@@ -9,7 +9,7 @@
 //!   agora-harness --filter e16p/p10k  # one variant of one experiment
 //!   agora-harness --perf BENCH_perf.json   # also write wall-clock artifact + trajectory row
 //!   agora-harness --speedup               # measure serial vs parallel wall clock
-//!   agora-harness --reports               # classic experiments_output.txt stream
+//!   agora-harness --reports               # run matrix, print experiments_output.txt
 //!   agora-harness --trace dht             # replay one trial, write TRACE_dht.jsonl
 //!   agora-harness --trace e3/f0.20 --explain e3.downtime_secs
 //!   agora-harness --validate-trace TRACE_dht.jsonl
@@ -25,7 +25,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use agora_harness::matrix::filter_selects;
+use agora_harness::matrix::{aggregate, artifact_json, filter_selects};
 use agora_harness::perf::{append_trajectory, trajectory_row};
 use agora_harness::{
     diff_json, perf_to_json, read_json_file, registry, report, run_matrix, run_to_json,
@@ -336,21 +336,20 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             ));
         }
     }
-    if let Some((mode, output)) = ignored_output_flag(&opts) {
-        return Err(format!(
-            "{output} is never written under {mode}, which returns before the \
-             matrix run; run them separately"
-        ));
+    if let Some(conflict) = ignored_output_flag(&opts) {
+        return Err(conflict);
     }
     Ok(opts)
 }
 
-/// The first `(mode, output)` pair where `mode` is a flag `main` returns on
-/// before the matrix run and `output` one that only the matrix run reads.
-/// Taken together, the output flag would be dropped and the exit still 0.
-fn ignored_output_flag(opts: &Options) -> Option<(&'static str, &'static str)> {
+/// The first pair of flags that cannot be taken together, as a usage
+/// message. A mode `main` returns on before the matrix run would drop an
+/// output only the matrix run writes, and exit 0 all the same; `--reports`
+/// renders every variant of the default matrix layout, which `--filter`
+/// and `--seeds` change.
+fn ignored_output_flag(opts: &Options) -> Option<String> {
+    let first = |flags: &[(&'static str, bool)]| flags.iter().find(|&&(_, set)| set).map(|f| f.0);
     let modes = [
-        ("--reports", opts.reports),
         ("--observe", opts.observe.is_some()),
         ("--validate-obs", opts.validate_obs.is_some()),
         ("--trace", opts.trace.is_some()),
@@ -362,10 +361,29 @@ fn ignored_output_flag(opts: &Options) -> Option<(&'static str, &'static str)> {
         ("--perf", opts.perf_out.is_some()),
         ("--json", opts.json_out.is_some()),
         ("--update-baseline", opts.update_baseline),
+        ("--reports", opts.reports),
     ];
-    let mode = modes.into_iter().find(|&(_, set)| set)?.0;
-    let output = outputs.into_iter().find(|&(_, set)| set)?.0;
-    Some((mode, output))
+    let layout = [
+        ("--filter", opts.cfg.filter.is_some()),
+        (
+            "--seeds",
+            opts.cfg.seeds_per_variant != MatrixConfig::default().seeds_per_variant,
+        ),
+    ];
+    if let (Some(mode), Some(output)) = (first(&modes), first(&outputs)) {
+        return Some(format!(
+            "{output} is never written under {mode}, which returns before the \
+             matrix run; run them separately"
+        ));
+    }
+    if !opts.reports {
+        return None;
+    }
+    let flag = first(&layout)?;
+    Some(format!(
+        "{flag} is refused under --reports, which renders every variant of \
+         the default matrix layout"
+    ))
 }
 
 /// The first `--filter` entry that selects no `(experiment, variant)` of the
@@ -379,46 +397,6 @@ fn unmatched_filter_entry<'a>(reg: &[ExperimentDef], filter: &'a [String]) -> Op
                 .any(|v| filter_selects(entry, def.id, v.label))
         })
     })
-}
-
-/// Print the classic report stream (the contents of experiments_output.txt)
-/// through the harness binary.
-fn print_reports() {
-    use agora::experiments::{
-        e10_federated_failover, e11_guerrilla_relay, e12_moderation_tension, e13_financing_gap,
-        e14_usenet_collapse, e15_degradation_sweep, e16_flash_crowd_sweep, e16_policy_sweep,
-        e17_market_sweep, e18_app_sweep, e1_naming_tradeoff, e2_naming_attacks,
-        e3_groupcomm_availability, e4_privacy, e5_storage_proofs, e6_durability,
-        e7_web_availability, e8_quality_vs_quantity, e9_chain_costs, t1_taxonomy,
-        t2_storage_systems, t3_feasibility,
-    };
-    const SEED: u64 = 20171130; // HotNets-XVI, day one
-    println!("{}\n", t1_taxonomy());
-    println!("{}\n", t2_storage_systems());
-    println!("{}\n", t3_feasibility());
-    println!("{}\n", e1_naming_tradeoff(SEED).1);
-    println!("{}\n", e2_naming_attacks(SEED).1);
-    for f in [0.0, 0.2, 0.4] {
-        println!("{}\n", e3_groupcomm_availability(SEED, f).1);
-    }
-    println!("{}\n", e4_privacy(SEED).1);
-    println!("{}\n", e5_storage_proofs(SEED).1);
-    println!("{}\n", e6_durability(SEED).1);
-    println!("{}\n", e7_web_availability(SEED).1);
-    println!("{}\n", e8_quality_vs_quantity(SEED).1);
-    println!("{}\n", e9_chain_costs(SEED).1);
-    println!("{}\n", e10_federated_failover(SEED).1);
-    println!("{}\n", e11_guerrilla_relay(SEED).1);
-    println!("{}\n", e12_moderation_tension(SEED).1);
-    println!("{}\n", e13_financing_gap(SEED).1);
-    println!("{}\n", e14_usenet_collapse(SEED).1);
-    println!("{}\n", e15_degradation_sweep(SEED).1);
-    println!("{}\n", e16_flash_crowd_sweep(SEED).1);
-    println!("{}\n", e16_policy_sweep(SEED).1);
-    println!("{}\n", e17_market_sweep(SEED).1);
-    println!("{}\n", e18_app_sweep(SEED).1);
-    println!("{}", agora::render_property_matrix());
-    println!("{}", agora::naming_zooko_table());
 }
 
 /// Wall time of tier-1's test run (`cargo test -q`) on the checkout in
@@ -448,11 +426,6 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-
-    if opts.reports {
-        print_reports();
-        return ExitCode::SUCCESS;
-    }
 
     // Observe mode wins when both could apply: `--observe X --explain M`
     // explains M against the observed run's recording, not a trace replay.
@@ -507,21 +480,35 @@ fn main() -> ExitCode {
         };
     }
 
+    // Under --reports stdout is the report stream alone; the run summary
+    // and every status line go to stderr.
+    let say = |line: &str| {
+        if opts.reports {
+            eprintln!("{line}");
+        } else {
+            println!("{line}");
+        }
+    };
     let mut prof = PhaseProfiler::new();
     let run = prof.time("matrix", || run_matrix(&reg, &opts.cfg));
-    print!("{}", prof.time("report_render", || report::render(&run)));
-    let (artifact, rendered) = prof.time("artifact_render", || {
-        let artifact = run_to_json(&run);
+    let summary = prof.time("report_render", || report::render(&run));
+    say(summary.trim_end_matches('\n'));
+    let (aggregates, artifact, rendered) = prof.time("artifact_render", || {
+        let aggregates = aggregate(&run);
+        let artifact = artifact_json(&run, &aggregates);
         let rendered = artifact.render();
-        (artifact, rendered)
+        (aggregates, artifact, rendered)
     });
+    if opts.reports && run.failures() == 0 {
+        print!("{}", report::render_reports(&reg, &aggregates));
+    }
 
     if let Some(path) = &opts.json_out {
         if let Err(e) = std::fs::write(path, &rendered) {
             eprintln!("agora-harness: writing {path}: {e}");
             return ExitCode::from(1);
         }
-        println!("wrote artifact to {path}");
+        say(&format!("wrote artifact to {path}"));
     }
 
     if let Some(path) = &opts.perf_out {
@@ -538,7 +525,7 @@ fn main() -> ExitCode {
             }
         };
         let mut perf = perf_to_json(&run, prof, COHORT_ERROR_POPULATION);
-        println!("trajectory row: matrix at 1 and 2 threads, then tier-1 (cargo test -q)");
+        say("trajectory row: matrix at 1 and 2 threads, then tier-1 (cargo test -q)");
         let at = |threads| {
             run_matrix(
                 &reg,
@@ -557,7 +544,9 @@ fn main() -> ExitCode {
             eprintln!("agora-harness: writing {path}: {e}");
             return ExitCode::from(1);
         }
-        println!("wrote wall-clock perf artifact to {path} (not diffed in CI)");
+        say(&format!(
+            "wrote wall-clock perf artifact to {path} (not diffed in CI)"
+        ));
     }
 
     if run.failures() > 0 {
@@ -570,7 +559,7 @@ fn main() -> ExitCode {
             eprintln!("agora-harness: writing {}: {e}", opts.baseline);
             return ExitCode::from(1);
         }
-        println!("baseline updated: {}", opts.baseline);
+        say(&format!("baseline updated: {}", opts.baseline));
         return ExitCode::SUCCESS;
     }
 
@@ -584,10 +573,10 @@ fn main() -> ExitCode {
         };
         let diffs = diff_json(&baseline, &artifact, BASELINE_TOLERANCE);
         if diffs.is_empty() {
-            println!(
+            say(&format!(
                 "baseline check: OK ({} within tolerance {})",
                 opts.baseline, BASELINE_TOLERANCE
-            );
+            ));
             ExitCode::SUCCESS
         } else {
             eprintln!(
@@ -606,10 +595,10 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     } else {
-        println!(
+        say(&format!(
             "no baseline at {}; run with --update-baseline to create one",
             opts.baseline
-        );
+        ));
         ExitCode::SUCCESS
     }
 }
@@ -648,7 +637,6 @@ mod tests {
         let parse = |args: &[&str]| parse_args(args.iter().map(|&a| a.to_owned()));
         for mode in [
             &["--speedup"][..],
-            &["--reports"],
             &["--trace", "dht"],
             &["--explain", "dht.lookup_secs"],
             &["--validate-trace", "t.jsonl"],
@@ -659,6 +647,7 @@ mod tests {
                 &["--perf", "p.json"][..],
                 &["--json", "a.json"],
                 &["--update-baseline"],
+                &["--reports"],
             ] {
                 let err = match parse(&[mode, output].concat()) {
                     Err(e) => e,
@@ -671,8 +660,31 @@ mod tests {
             }
             assert!(parse(mode).is_ok(), "{mode:?} alone");
         }
-        // The matrix run reads all three, together or alone.
-        assert!(parse(&["--perf", "p.json", "--json", "a.json", "--update-baseline"]).is_ok());
+        // The matrix run reads all four, together or alone.
+        assert!(parse(&[
+            "--perf",
+            "p.json",
+            "--json",
+            "a.json",
+            "--update-baseline",
+            "--reports",
+            "--threads",
+            "8"
+        ])
+        .is_ok());
         assert!(parse(&["--trace", "dht", "--trace-out", "t.jsonl"]).is_ok());
+        // --reports renders the default layout: no --filter, no --seeds
+        // other than the default count.
+        assert!(parse(&["--reports", "--seeds", "3"]).is_ok());
+        for layout in [&["--filter", "e1"][..], &["--seeds", "2"]] {
+            let err = parse(&[&["--reports"][..], layout].concat())
+                .err()
+                .unwrap_or_else(|| panic!("--reports {layout:?} must be refused"));
+            assert!(
+                err.contains("--reports") && err.contains(layout[0]),
+                "{err}"
+            );
+            assert!(parse(layout).is_ok(), "{layout:?} alone");
+        }
     }
 }

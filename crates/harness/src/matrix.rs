@@ -4,6 +4,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
+use agora::experiments::{Stat, VariantStats};
 use agora_sim::{Metrics, SimRng};
 
 use crate::json::Json;
@@ -229,6 +230,12 @@ impl MatrixRun {
 /// timings stay out — so two runs with the same config produce identical
 /// bytes no matter how many worker threads executed them.
 pub fn run_to_json(run: &MatrixRun) -> Json {
+    artifact_json(run, &aggregate(run))
+}
+
+/// [`run_to_json`] with the run's [`aggregate`] already in hand, so a
+/// caller that also renders the reports aggregates once.
+pub fn artifact_json(run: &MatrixRun, aggregates: &[VariantStats]) -> Json {
     let mut root = Json::obj();
     root.set("schema", Json::Num(1.0));
     root.set("root_seed", Json::Num(run.config.root_seed as f64));
@@ -256,7 +263,7 @@ pub fn run_to_json(run: &MatrixRun) -> Json {
         trials.push(t);
     }
     root.set("trials", Json::Arr(trials));
-    root.set("aggregates", aggregates_to_json(run));
+    root.set("aggregates", aggregates_to_json(aggregates));
     root
 }
 
@@ -291,11 +298,11 @@ pub(crate) fn metrics_to_json(m: &Metrics) -> Json {
     out
 }
 
-/// Cross-seed aggregates per `experiment/variant`: for every metric key,
-/// mean/min/max across the variant's seeds. This is the surface the
-/// baseline diff walks.
-fn aggregates_to_json(run: &MatrixRun) -> Json {
-    let mut out = Json::obj();
+/// Cross-seed aggregates per `experiment/variant`, in matrix order: for
+/// every metric key, mean/min/max across the variant's completed seeds.
+/// The baseline diff walks them (as the artifact's `aggregates`) and the
+/// experiments' render fns read them (`--reports`).
+pub fn aggregate(run: &MatrixRun) -> Vec<VariantStats> {
     // Group outcomes by (experiment, variant), preserving matrix order.
     let mut groups: Vec<((&str, &str), Vec<&TrialOutcome>)> = Vec::new();
     for o in &run.outcomes {
@@ -305,51 +312,70 @@ fn aggregates_to_json(run: &MatrixRun) -> Json {
             None => groups.push((key, vec![o])),
         }
     }
-    for ((exp, variant), outcomes) in groups {
-        let mut agg = Json::obj();
-        // Metric keys in BTreeMap order from the first ok outcome; all
-        // seeds of a variant emit the same key set.
-        let ok: Vec<&&TrialOutcome> = outcomes
-            .iter()
-            .filter(|o| o.status == TrialStatus::Ok)
-            .collect();
-        agg.set("trials", Json::Num(outcomes.len() as f64));
-        agg.set("ok", Json::Num(ok.len() as f64));
-        let mut stats = Json::obj();
-        if let Some(first) = ok.first() {
-            let keys: Vec<(String, bool)> = first
-                .metrics
-                .counters()
-                .map(|(k, _)| (k.to_owned(), true))
-                .chain(first.metrics.gauges().map(|(k, _)| (k.to_owned(), false)))
+    groups
+        .into_iter()
+        .map(|((experiment, label), outcomes)| {
+            let ok: Vec<&TrialOutcome> = outcomes
+                .iter()
+                .copied()
+                .filter(|o| o.status == TrialStatus::Ok)
                 .collect();
-            for (key, is_counter) in keys {
-                let values: Vec<f64> = ok
-                    .iter()
-                    .map(|o| {
-                        if is_counter {
-                            o.metrics.counter(&key) as f64
-                        } else {
-                            o.metrics.gauge(&key)
-                        }
-                    })
+            // Metric keys in BTreeMap order from the first ok outcome; all
+            // seeds of a variant emit the same key set.
+            let mut metrics = Vec::new();
+            if let Some(first) = ok.first() {
+                let keys: Vec<(&str, bool)> = first
+                    .metrics
+                    .counters()
+                    .map(|(k, _)| (k, true))
+                    .chain(first.metrics.gauges().map(|(k, _)| (k, false)))
                     .collect();
-                let n = values.len() as f64;
-                let mut s = Json::obj();
-                s.set("mean", Json::Num(values.iter().sum::<f64>() / n));
-                s.set(
-                    "min",
-                    Json::Num(values.iter().copied().fold(f64::INFINITY, f64::min)),
-                );
-                s.set(
-                    "max",
-                    Json::Num(values.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
-                );
-                stats.set(&key, s);
+                for (key, is_counter) in keys {
+                    let values: Vec<f64> = ok
+                        .iter()
+                        .map(|o| {
+                            if is_counter {
+                                o.metrics.counter(key) as f64
+                            } else {
+                                o.metrics.gauge(key)
+                            }
+                        })
+                        .collect();
+                    let stat = Stat {
+                        mean: values.iter().sum::<f64>() / values.len() as f64,
+                        min: values.iter().copied().fold(f64::INFINITY, f64::min),
+                        max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+                    };
+                    metrics.push((key.to_owned(), stat));
+                }
             }
+            VariantStats {
+                experiment: experiment.to_owned(),
+                label: label.to_owned(),
+                trials: outcomes.len(),
+                ok: ok.len(),
+                metrics,
+            }
+        })
+        .collect()
+}
+
+fn aggregates_to_json(aggregates: &[VariantStats]) -> Json {
+    let mut out = Json::obj();
+    for v in aggregates {
+        let mut agg = Json::obj();
+        agg.set("trials", Json::Num(v.trials as f64));
+        agg.set("ok", Json::Num(v.ok as f64));
+        let mut stats = Json::obj();
+        for (key, stat) in &v.metrics {
+            let mut s = Json::obj();
+            s.set("mean", Json::Num(stat.mean));
+            s.set("min", Json::Num(stat.min));
+            s.set("max", Json::Num(stat.max));
+            stats.set(key, s);
         }
         agg.set("metrics", stats);
-        out.set(&format!("{exp}/{variant}"), agg);
+        out.set(&format!("{}/{}", v.experiment, v.label), agg);
     }
     out
 }
@@ -372,19 +398,19 @@ mod tests {
         vec![
             ExperimentDef {
                 id: "toy",
-                title: "toy experiment",
                 variants: vec![Variant {
                     label: "default",
                     run: ok_run,
                 }],
+                report: |_| unreachable!("toy experiments are never rendered"),
             },
             ExperimentDef {
                 id: "panicky",
-                title: "sometimes panics",
                 variants: vec![Variant {
                     label: "default",
                     run: panicky,
                 }],
+                report: |_| unreachable!("toy experiments are never rendered"),
             },
         ]
     }
@@ -461,7 +487,7 @@ mod tests {
         }
         let reg = vec![ExperimentDef {
             id: "multi",
-            title: "two variants",
+            report: |_| unreachable!("toy experiments are never rendered"),
             variants: vec![
                 Variant {
                     label: "a",

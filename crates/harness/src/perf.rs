@@ -105,7 +105,7 @@ impl PhaseProfiler {
 }
 
 /// Nearest-rank percentile of an unsorted sample, in seconds.
-fn percentile_secs(samples: &mut [Duration], p: f64) -> f64 {
+pub(crate) fn percentile_secs(samples: &mut [Duration], p: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
@@ -153,8 +153,8 @@ fn durability_object_years_per_sec() -> f64 {
     const OBJECTS_PER_CELL: u64 = 4_000;
     median_rate(3, CELLS as u64 * OBJECTS_PER_CELL, |_| {
         let started = Instant::now();
-        let (result, _) = agora::experiments::e6_durability(std::hint::black_box(6));
-        assert_eq!(std::hint::black_box(result).rows.len(), CELLS);
+        let m = agora::experiments::e6_metrics(std::hint::black_box(6));
+        assert_eq!(std::hint::black_box(m).gauges().count(), 3 * CELLS);
         started.elapsed()
     })
 }
@@ -629,11 +629,11 @@ mod tests {
         }
         let registry = vec![ExperimentDef {
             id: "toy",
-            title: "toy",
             variants: vec![Variant {
                 label: "default",
                 run: ok_run,
             }],
+            report: |_| unreachable!("toy experiments are never rendered"),
         }];
         let cfg = MatrixConfig {
             seeds_per_variant: 3,

@@ -1,12 +1,16 @@
-//! The experiment registry: every `exp_*` entry point of
-//! `agora::experiments`, wrapped behind one uniform signature
-//! (`fn(seed) -> Metrics`) so the matrix can drive them interchangeably.
+//! The experiment registry: every experiment of `agora::experiments` as
+//! its run path — one uniform signature (`fn(seed) -> Metrics`) per sweep
+//! point, so the matrix can drive them interchangeably — and its render
+//! path, which turns the matrix's aggregates of those same keys into the
+//! experiment's report.
 //!
 //! Parameter sweeps are expressed as **variants**: E3 runs once per failure
 //! fraction, each as its own variant with its own trials. Adding an
 //! experiment (or a new sweep point) here automatically adds it to the
-//! matrix, the JSON artifact, and the baseline diff.
+//! matrix, the JSON artifact, the baseline diff and `--reports`.
 
+use agora::experiments::VariantStats;
+use agora::Report;
 use agora_sim::Metrics;
 
 /// One sweep point of an experiment: a label plus a seeded runner.
@@ -20,12 +24,13 @@ pub struct Variant {
 
 /// A registered experiment with its sweep variants.
 pub struct ExperimentDef {
-    /// Experiment id (`e1` .. `e14`).
+    /// Experiment id (`e1` .. `e18`, `e16p`).
     pub id: &'static str,
-    /// Human title for reports.
-    pub title: &'static str,
     /// Sweep variants (at least one).
     pub variants: Vec<Variant>,
+    /// Renders the experiment's report from the aggregates of its
+    /// variants, in registry order.
+    pub report: fn(&[VariantStats]) -> Report,
 }
 
 /// One sweep point. A parameterized entry point is bound to its point by a
@@ -34,11 +39,15 @@ fn variant(label: &'static str, run: fn(u64) -> Metrics) -> Variant {
     Variant { label, run }
 }
 
-fn single(id: &'static str, title: &'static str, run: fn(u64) -> Metrics) -> ExperimentDef {
+fn single(
+    id: &'static str,
+    run: fn(u64) -> Metrics,
+    report: fn(&[VariantStats]) -> Report,
+) -> ExperimentDef {
     ExperimentDef {
         id,
-        title,
         variants: vec![variant("default", run)],
+        report,
     }
 }
 
@@ -46,43 +55,30 @@ fn single(id: &'static str, title: &'static str, run: fn(u64) -> Metrics) -> Exp
 pub fn registry() -> Vec<ExperimentDef> {
     use agora::experiments as exp;
     vec![
-        single(
-            "e1",
-            "Naming: consensus vs registrar tradeoff",
-            exp::e1_metrics,
-        ),
-        single("e2", "Naming: attack suite", exp::e2_metrics),
+        single("e1", exp::e1_metrics, exp::e1_report),
+        single("e2", exp::e2_metrics, exp::e2_report),
         ExperimentDef {
             id: "e3",
-            title: "Group communication availability under failures",
             variants: vec![
                 variant("f0.00", |s| exp::e3_metrics(s, 0.0)),
                 variant("f0.20", |s| exp::e3_metrics(s, 0.2)),
                 variant("f0.40", |s| exp::e3_metrics(s, 0.4)),
             ],
+            report: exp::e3_report,
         },
-        single(
-            "e4",
-            "Group communication metadata privacy",
-            exp::e4_metrics,
-        ),
-        single(
-            "e5",
-            "Storage proofs vs cheating strategies",
-            exp::e5_metrics,
-        ),
-        single("e6", "Storage durability design space", exp::e6_metrics),
-        single("e7", "Hostless web availability", exp::e7_metrics),
-        single("e8", "Storage quality vs quantity", exp::e8_metrics),
-        single("e9", "Blockchain operating costs", exp::e9_metrics),
-        single("e10", "Federated failover", exp::e10_metrics),
-        single("e11", "Guerrilla relay", exp::e11_metrics),
-        single("e12", "Moderation vs freedom tension", exp::e12_metrics),
-        single("e13", "The financing gap", exp::e13_metrics),
-        single("e14", "Usenet collapse economics", exp::e14_metrics),
+        single("e4", exp::e4_metrics, exp::e4_report),
+        single("e5", exp::e5_metrics, exp::e5_report),
+        single("e6", exp::e6_metrics, exp::e6_report),
+        single("e7", exp::e7_metrics, exp::e7_report),
+        single("e8", exp::e8_metrics, exp::e8_report),
+        single("e9", exp::e9_metrics, exp::e9_report),
+        single("e10", exp::e10_metrics, exp::e10_report),
+        single("e11", exp::e11_metrics, exp::e11_report),
+        single("e12", exp::e12_metrics, exp::e12_report),
+        single("e13", exp::e13_metrics, exp::e13_report),
+        single("e14", exp::e14_metrics, exp::e14_report),
         ExperimentDef {
             id: "e15",
-            title: "Graceful degradation under fault injection",
             variants: vec![
                 variant("i0.00", |s| exp::e15_metrics(s, 0.0)),
                 variant("i0.25", |s| exp::e15_metrics(s, 0.25)),
@@ -90,25 +86,26 @@ pub fn registry() -> Vec<ExperimentDef> {
                 variant("i0.75", |s| exp::e15_metrics(s, 0.75)),
                 variant("i1.00", |s| exp::e15_metrics(s, 1.0)),
             ],
+            report: exp::e15_report,
         },
         ExperimentDef {
             id: "e16",
-            title: "Population-scale flash crowd (diurnal day, cohorted)",
             variants: vec![
                 variant("p10k", |s| exp::e16_metrics(s, 10_000)),
                 variant("p100k", |s| exp::e16_metrics(s, 100_000)),
                 variant("p1m", |s| exp::e16_metrics(s, 1_000_000)),
             ],
+            report: exp::e16_report,
         },
         ExperimentDef {
             id: "e17",
-            title: "Storage market: audit/slashing/repair under chaos",
             variants: vec![
                 variant("i0.00", |s| exp::e17_metrics(s, 0.0)),
                 variant("i0.50", |s| exp::e17_metrics(s, 0.5)),
                 variant("i1.00", |s| exp::e17_metrics(s, 1.0)),
                 variant("workload", exp::e17_workload_metrics),
             ],
+            report: exp::e17_report,
         },
         // Appended after e17 (not folded into the e16 def) so every
         // pre-policy trial keeps its positional index — and therefore its
@@ -117,23 +114,23 @@ pub fn registry() -> Vec<ExperimentDef> {
         // plane changed nothing upstream.
         ExperimentDef {
             id: "e16p",
-            title: "Demand-adaptive policies under the E16 flash crowd",
             variants: vec![
                 variant("p10k", |s| exp::e16_policy_metrics(s, 10_000)),
                 variant("p100k", |s| exp::e16_policy_metrics(s, 100_000)),
                 variant("p1m", |s| exp::e16_policy_metrics(s, 1_000_000)),
             ],
+            report: exp::e16_policy_report,
         },
         // Same rule as e16p: appended last so every earlier trial keeps
         // its positional index, derived seed, and exact baseline bytes.
         ExperimentDef {
             id: "e18",
-            title: "Typed-contract apps: delta sync vs centralized hosting",
             variants: vec![
                 variant("p10k", |s| exp::e18_metrics(s, 10_000)),
                 variant("p100k", |s| exp::e18_metrics(s, 100_000)),
                 variant("p1m", |s| exp::e18_metrics(s, 1_000_000)),
             ],
+            report: exp::e18_report,
         },
     ]
 }
@@ -143,7 +140,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_covers_all_seventeen_experiments() {
+    fn registry_covers_all_nineteen_experiments() {
         let reg = registry();
         assert_eq!(reg.len(), 19);
         for (i, def) in reg.iter().take(17).enumerate() {

@@ -1,12 +1,14 @@
-//! Human-readable matrix report: per-variant status and timing plus
-//! streaming percentile telemetry over trial durations (the P² sketch's
-//! production use — it never buffers the full duration stream).
+//! Human-readable renderings of a matrix run: the run summary (per-variant
+//! status and timing, trial-duration percentiles) and `--reports`, every
+//! experiment's report rendered from the run's aggregates.
 
 use std::time::Duration;
 
-use agora_sim::P2Quantile;
+use agora::experiments::VariantStats;
 
 use crate::matrix::{MatrixRun, TrialStatus, TRIAL_BUDGET};
+use crate::perf::percentile_secs;
+use crate::registry::ExperimentDef;
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
@@ -39,12 +41,7 @@ pub fn render(run: &MatrixRun) -> String {
             groups.push(key);
         }
     }
-    let mut p50 = P2Quantile::p50();
-    let mut p95 = P2Quantile::p95();
-    for o in &run.outcomes {
-        p50.record(ms(o.elapsed));
-        p95.record(ms(o.elapsed));
-    }
+    let mut durations: Vec<Duration> = run.outcomes.iter().map(|o| o.elapsed).collect();
     for (exp, variant) in groups {
         let outcomes: Vec<_> = run
             .outcomes
@@ -72,10 +69,10 @@ pub fn render(run: &MatrixRun) -> String {
     }
 
     out.push_str(&format!(
-        "\ntrial duration p50 {:.1} ms, p95 {:.1} ms (P2 streaming sketch over {} trials)\n",
-        p50.value(),
-        p95.value(),
-        p50.count(),
+        "\ntrial duration p50 {:.1} ms, p95 {:.1} ms (over {} trials)\n",
+        percentile_secs(&mut durations, 50.0) * 1e3,
+        percentile_secs(&mut durations, 95.0) * 1e3,
+        durations.len(),
     ));
     out.push_str(&format!(
         "wall clock {:.2} s on {} threads\n",
@@ -111,12 +108,111 @@ pub fn render(run: &MatrixRun) -> String {
     out
 }
 
+/// The variants of experiment `id`: a contiguous run of `aggregates`,
+/// which are in matrix order.
+fn variants_of<'a>(aggregates: &'a [VariantStats], id: &str) -> &'a [VariantStats] {
+    let start = aggregates
+        .iter()
+        .position(|v| v.experiment == id)
+        .unwrap_or(aggregates.len());
+    let len = aggregates[start..]
+        .iter()
+        .take_while(|v| v.experiment == id)
+        .count();
+    &aggregates[start..start + len]
+}
+
+/// The `--reports` stream (`experiments_output.txt`): the seedless tables
+/// T1–T3, every registered experiment's report rendered from `aggregates`
+/// (the matrix's, in registry order), the property matrix and the Zooko
+/// table. A pure function of the aggregates: no experiment code runs.
+pub fn render_reports(registry: &[ExperimentDef], aggregates: &[VariantStats]) -> String {
+    let mut out = String::new();
+    let tables = [
+        agora::t1_taxonomy(),
+        agora::t2_storage_systems(),
+        agora::t3_feasibility(),
+    ];
+    let experiments = registry
+        .iter()
+        .map(|def| (def.report)(variants_of(aggregates, def.id)));
+    for report in tables.into_iter().chain(experiments) {
+        out.push_str(&format!("{report}\n\n"));
+    }
+    out.push_str(&format!("{}\n", agora::render_property_matrix()));
+    out.push_str(&format!("{}\n", agora::naming_zooko_table()));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{read_json_file, Json};
     use crate::matrix::{run_matrix, MatrixConfig};
-    use crate::registry::{ExperimentDef, Variant};
+    use crate::registry::{registry, Variant};
+    use agora::experiments::Stat;
     use agora_sim::Metrics;
+
+    /// The artifact's `aggregates` object read back into `VariantStats`
+    /// (a `null` statistic is a non-finite value the writer could not
+    /// spell).
+    fn aggregates_from_json(aggregates: &Json) -> Vec<VariantStats> {
+        let Json::Obj(groups) = aggregates else {
+            panic!("aggregates is an object")
+        };
+        let num = |v: &Json, key: &str| v.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
+        groups
+            .iter()
+            .map(|(name, group)| {
+                let (experiment, label) = name.split_once('/').expect("experiment/variant");
+                let Some(Json::Obj(metrics)) = group.get("metrics") else {
+                    panic!("{name}: metrics is an object")
+                };
+                VariantStats {
+                    experiment: experiment.to_owned(),
+                    label: label.to_owned(),
+                    trials: num(group, "trials") as usize,
+                    ok: num(group, "ok") as usize,
+                    metrics: metrics
+                        .iter()
+                        .map(|(key, s)| {
+                            let stat = Stat {
+                                mean: num(s, "mean"),
+                                min: num(s, "min"),
+                                max: num(s, "max"),
+                            };
+                            (key.clone(), stat)
+                        })
+                        .collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// Every E-section of `experiments_output.txt` is its experiment's
+    /// render fn applied to the checked-in `BENCH_harness.json`
+    /// aggregates: each printed number walks back to a baseline value
+    /// without running anything.
+    #[test]
+    fn reports_are_a_pure_function_of_the_pinned_aggregates() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let baseline = read_json_file(&format!("{root}/BENCH_harness.json")).expect("baseline");
+        let aggregates = aggregates_from_json(baseline.get("aggregates").expect("aggregates"));
+        let output = std::fs::read_to_string(format!("{root}/experiments_output.txt"))
+            .expect("experiments_output.txt");
+        // Sections are separated by two blank lines.
+        let sections: Vec<&str> = output.split("\n\n\n").collect();
+        for def in registry() {
+            let report = (def.report)(variants_of(&aggregates, def.id));
+            let header = format!("=== {} — ", report.id);
+            let rendered = report.to_string();
+            let expected = sections
+                .iter()
+                .find(|s| s.starts_with(&header))
+                .unwrap_or_else(|| panic!("experiments_output.txt has no {header}section"));
+            assert_eq!(rendered.trim_end_matches('\n'), *expected, "{}", def.id);
+        }
+    }
 
     #[test]
     fn report_mentions_each_group_and_telemetry() {
@@ -125,7 +221,7 @@ mod tests {
         }
         let reg = vec![ExperimentDef {
             id: "quick",
-            title: "quick",
+            report: |_| unreachable!("toy experiments are never rendered"),
             variants: vec![
                 Variant {
                     label: "default",
@@ -144,7 +240,7 @@ mod tests {
         };
         let text = render(&run_matrix(&reg, &cfg));
         assert!(text.contains("quick/alt"));
-        assert!(text.contains("P2 streaming sketch"));
+        assert!(text.contains("trial duration p50"));
         assert!(text.contains("wall clock"));
         assert!(!text.contains("FAILED"));
     }

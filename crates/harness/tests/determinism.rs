@@ -2,9 +2,6 @@
 //! knob. The JSON artifact — trials, metrics, aggregates — must be
 //! byte-identical at 1, 2, and 8 worker threads, and re-runs with the same
 //! root seed must reproduce it exactly.
-//!
-//! This extends the per-experiment determinism suite in
-//! `tests/determinism.rs` (agora core) up through the orchestration layer.
 
 use agora_harness::{registry, run_matrix, run_to_json, trial_seed, MatrixConfig};
 

@@ -130,27 +130,6 @@ impl Histogram {
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
-
-    /// Merge another histogram into this one by appending its samples in
-    /// recording order. Because `Histogram` retains every sample exactly,
-    /// the merge is *exact*: count, sum, mean, min/max (including the
-    /// empty-side infinity sentinels collapsing correctly — merging an
-    /// empty histogram changes nothing, merging *into* an empty one yields
-    /// a copy) and every percentile equal what one histogram recording the
-    /// concatenated stream would report. This is what lets separately
-    /// recorded accumulators be combined deterministically.
-    ///
-    /// [`P2Quantile`] deliberately has no counterpart: its five-marker
-    /// state is a lossy sketch of one stream, and two sketches cannot be
-    /// combined exactly — merge the underlying `Histogram`s (or feed one
-    /// stream) where exactness matters.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.samples.is_empty() {
-            return;
-        }
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
 }
 
 impl fmt::Display for Histogram {
@@ -170,9 +149,9 @@ impl fmt::Display for Histogram {
 
 /// Streaming quantile estimate via the P² algorithm (Jain & Chlamtac 1985).
 ///
-/// Tracks one quantile in O(1) memory — five markers — so unbounded runs
-/// (the harness's trial-duration stream, long-lived simulations) can report
-/// percentiles without retaining every sample the way [`Histogram`] does.
+/// Tracks one quantile in O(1) memory — five markers — so an unbounded
+/// stream can report percentiles without retaining every sample the way
+/// [`Histogram`] does.
 /// Estimates converge to within a few percent on smooth distributions.
 #[derive(Clone, Debug)]
 pub struct P2Quantile {
@@ -490,20 +469,6 @@ impl Metrics {
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, h)| (k.as_str(), h))
     }
-
-    /// Merge another metrics set into this one (counters add, histograms
-    /// concatenate, gauges overwrite).
-    pub fn merge(&mut self, other: &Metrics) {
-        for (k, v) in other.counters() {
-            self.incr(k, v);
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-    }
 }
 
 impl fmt::Display for Metrics {
@@ -618,17 +583,6 @@ mod tests {
         assert_eq!(m.histogram_keys().collect::<Vec<_>>(), vec!["h"]);
         assert_eq!(m.histogram("h").unwrap().count(), 3);
         assert!(m.histogram_mut("fresh").is_empty());
-    }
-
-    #[test]
-    fn merge_skips_untouched_counters() {
-        let mut a = Metrics::new();
-        let mut b = Metrics::new();
-        b.counter_handle("phantom");
-        b.incr("real", 1);
-        a.merge(&b);
-        assert_eq!(a.counters().count(), 1);
-        assert_eq!(a.counter("real"), 1);
     }
 
     #[test]
@@ -842,86 +796,5 @@ mod tests {
             sketch.record(4.25);
         }
         assert_eq!(sketch.value(), 4.25);
-    }
-
-    #[test]
-    fn histogram_merge_is_exact() {
-        // Merging must equal recording the concatenated stream.
-        let mut left = Histogram::new();
-        let mut right = Histogram::new();
-        let mut oracle = Histogram::new();
-        for v in [5.0, 1.0, 3.5] {
-            left.record(v);
-            oracle.record(v);
-        }
-        for v in [2.0, 9.0, -1.0, 3.5] {
-            right.record(v);
-            oracle.record(v);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), oracle.count());
-        assert_eq!(left.sum(), oracle.sum());
-        assert_eq!(left.mean(), oracle.mean());
-        assert_eq!(left.samples(), oracle.samples(), "recording order kept");
-        for p in [0.0, 25.0, 50.0, 99.0, 100.0] {
-            assert_eq!(left.percentile(p), oracle.percentile(p), "p={p}");
-        }
-    }
-
-    #[test]
-    fn histogram_merge_empty_sides_and_sentinels() {
-        // Empty `other`: a no-op, sentinels untouched.
-        let mut h = Histogram::new();
-        h.record(4.0);
-        h.merge(&Histogram::new());
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.try_min(), Some(4.0));
-        assert_eq!(h.try_max(), Some(4.0));
-        // Empty `self`: becomes a copy; the infinity sentinels collapse to
-        // the merged-in data rather than poisoning min/max.
-        let mut empty = Histogram::new();
-        assert_eq!(empty.min(), f64::INFINITY);
-        empty.merge(&h);
-        assert_eq!(empty.try_min(), Some(4.0));
-        assert_eq!(empty.try_max(), Some(4.0));
-        assert_eq!(empty.min(), 4.0);
-        assert_eq!(empty.max(), 4.0);
-        // Empty-into-empty stays empty: `try_*` still refuse to answer.
-        let mut a = Histogram::new();
-        a.merge(&Histogram::new());
-        assert!(a.is_empty());
-        assert_eq!(a.try_min(), None);
-        assert_eq!(a.try_max(), None);
-    }
-
-    #[test]
-    fn histogram_merge_resets_lazy_sort() {
-        let mut h = Histogram::new();
-        h.record(5.0);
-        assert_eq!(h.percentile(0.0), 5.0); // sorts
-        let mut other = Histogram::new();
-        other.record(1.0);
-        h.merge(&other);
-        assert_eq!(h.percentile(0.0), 1.0, "merge must clear sorted flag");
-        // Self-merge via a clone doubles the samples exactly.
-        let snapshot = h.clone();
-        h.merge(&snapshot);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 12.0);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = Metrics::new();
-        a.incr("c", 1);
-        a.sample("h", 1.0);
-        let mut b = Metrics::new();
-        b.incr("c", 2);
-        b.sample("h", 3.0);
-        b.gauge_set("g", 7.0);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
-        assert_eq!(a.gauge("g"), 7.0);
     }
 }

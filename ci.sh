@@ -20,29 +20,41 @@ if [[ "${1:-}" == "quick" ]]; then
     exit 0
 fi
 
-step "unsafe policy: one allow(unsafe_code) and one unsafe block under crates/, every other crate root forbids it"
-# The x86-64 SHA backend (crates/crypto/src/sha256/ni.rs, DESIGN.md §10) is
-# the only code in the workspace that may say `unsafe`, and it says it once.
-# A grep, so that a second exemption or a second block fails here instead
-# of passing review by accident.
-allows=$(grep -rn --include='*.rs' --exclude-dir=target 'allow(unsafe_code)' crates)
-echo "$allows"
-[[ $(wc -l <<<"$allows") -eq 1 && $allows == crates/crypto/src/sha256.rs:* ]]
-blocks=$(grep -rn --include='*.rs' --exclude-dir=target 'unsafe {' crates)
-echo "$blocks"
-[[ $(wc -l <<<"$blocks") -eq 1 && $blocks == crates/crypto/src/sha256/ni.rs:* ]]
+step "unsafe policy: two allow(unsafe_code) and two unsafe blocks under crates/, each in its file; every other crate root forbids it"
+# The x86-64 SHA backend (crates/crypto/src/sha256/ni.rs) and the SSSE3
+# GF(2^8) kernel (gf::x86 in crates/storage/src/erasure.rs), DESIGN.md §10,
+# are the only code in the workspace that may say `unsafe`, and each says
+# it once. A grep, so that a third exemption or a third block fails here
+# instead of passing review by accident.
+pinned() { # <what> <grep output> <file of the first line> <file of the second>
+    echo "$2"
+    local files
+    files=$(cut -d: -f1 <<<"$2" | sort | tr '\n' ' ')
+    [[ $files == "$(printf '%s\n' "$3" "$4" | sort | tr '\n' ' ')" ]] || {
+        echo "$1: expected one line in each of $3 and $4"
+        exit 1
+    }
+}
+pinned 'allow(unsafe_code)' \
+    "$(grep -rn --include='*.rs' --exclude-dir=target 'allow(unsafe_code)' crates)" \
+    crates/crypto/src/sha256.rs crates/storage/src/erasure.rs
+pinned 'unsafe {' \
+    "$(grep -rn --include='*.rs' --exclude-dir=target 'unsafe {' crates)" \
+    crates/crypto/src/sha256/ni.rs crates/storage/src/erasure.rs
 grep -q '^#!\[deny(unsafe_code)\]' crates/crypto/src/lib.rs
+grep -q '^#!\[deny(unsafe_code)\]' crates/storage/src/lib.rs
 for root in crates/*/src/lib.rs crates/*/src/main.rs; do
-    [[ $root == crates/crypto/src/lib.rs ]] && continue
+    [[ $root == crates/crypto/src/lib.rs || $root == crates/storage/src/lib.rs ]] && continue
     grep -q '^#!\[forbid(unsafe_code)\]' "$root" || {
         echo "$root does not say #![forbid(unsafe_code)]"
         exit 1
     }
 done
-# Which SHA-256 path every test and smoke in this log ran on.
+# Which SHA-256 and GF(2^8) paths every test and smoke in this log ran on.
 cargo test -q -p agora-crypto backend_is_named -- --nocapture | grep '^sha256 backend: '
+cargo test -q -p agora-storage backend_is_named -- --nocapture | grep '^erasure backend: '
 
-step "cargo test --release (crates whose arithmetic or unsafe code the SHA backends touch)"
+step "cargo test --release (crates whose arithmetic or unsafe code the SHA and GF(2^8) backends touch)"
 cargo test -q --release -p agora-crypto -p agora-chain -p agora-storage
 
 step "cargo fmt --check"

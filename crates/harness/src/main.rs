@@ -418,6 +418,26 @@ fn tier1_wall() -> Option<Duration> {
     cargo(&["test", "-q", "--offline"]).then(|| started.elapsed())
 }
 
+/// Which source the checkout in the working directory is: `git rev-parse
+/// HEAD`, and whether `git status` lists anything under `crates/` (a change
+/// measured before it is committed). `(None, None)` without git.
+fn checkout() -> (Option<String>, Option<bool>) {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .stderr(std::process::Stdio::null())
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_owned())
+    };
+    let Some(commit) = git(&["rev-parse", "HEAD"]) else {
+        return (None, None);
+    };
+    let dirty = git(&["status", "--porcelain", "--", "crates/"]).map(|s| !s.is_empty());
+    (Some(commit), dirty)
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args(std::env::args().skip(1)) {
         Ok(o) => o,
@@ -535,7 +555,8 @@ fn main() -> ExitCode {
                 },
             )
         };
-        let row = trajectory_row(&at(1), &at(2), tier1_wall());
+        let (commit, dirty) = checkout();
+        let row = trajectory_row(&at(1), &at(2), tier1_wall(), commit.as_deref(), dirty);
         if let Err(e) = append_trajectory(&mut perf, previous.as_ref(), row) {
             eprintln!("agora-harness: {path} is not overwritten: {e}");
             return ExitCode::from(1);

@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+use agora::storage::erasure;
 use agora_crypto::sha256_backend;
 use agora_sim::{DeviceClass, NodeId, SimDuration, Simulation};
 
@@ -474,16 +475,25 @@ fn cohort_error_to_json(prof: &mut PhaseProfiler, population: u64) -> Json {
 const TRAJECTORY_TOP_TRIALS: usize = 5;
 
 /// One `trajectory` row: what a contributor feels of this checkout, in
-/// numbers a later row can be compared with — the host's `cores`, the
-/// matrix wall at one and at two threads, the tier-1 wall (`None` when it
-/// could not be taken) and the costliest trials of the one-thread run,
-/// where no neighbour shares the cores.
+/// numbers a later row can be compared with — the `commit` it was built
+/// from and whether `crates/` was `dirty` (uncommitted changes: a change
+/// measured against its clean parent's row; both `None` without git), the
+/// host's `cores`, the matrix wall at one and at two threads, the tier-1
+/// wall (`None` when it could not be taken) and the costliest trials of the
+/// one-thread run, where no neighbour shares the cores.
 pub fn trajectory_row(
     serial: &MatrixRun,
     two_threads: &MatrixRun,
     tier1: Option<Duration>,
+    commit: Option<&str>,
+    dirty: Option<bool>,
 ) -> Json {
     let mut row = Json::obj();
+    row.set(
+        "commit",
+        commit.map_or(Json::Null, |c| Json::Str(c.to_owned())),
+    );
+    row.set("dirty", dirty.map_or(Json::Null, Json::Bool));
     row.set("cores", Json::Num(available_cores() as f64));
     row.set("matrix_wall_secs_1t", Json::Num(serial.wall.as_secs_f64()));
     row.set(
@@ -563,9 +573,11 @@ pub fn perf_to_json(run: &MatrixRun, mut prof: PhaseProfiler, cohort_population:
     root.set("matrix", matrix_to_json(run));
 
     let mut micro = Json::obj();
-    // Which SHA-256 every e5/e8/e9/e17 trial wall above ran on, so two
-    // ledgers from different hosts are not compared blind.
+    // Which SHA-256 and which GF(2^8) kernel every e5/e8/e9/e17 trial wall
+    // above ran on, so two ledgers from different hosts are not compared
+    // blind.
     micro.set("sha256_backend", Json::Str(sha256_backend().to_owned()));
+    micro.set("erasure_backend", Json::Str(erasure::backend().to_owned()));
     micro.set(
         "durability_object_years_per_sec",
         Json::Num(prof.time("microbench/durability_e6", durability_object_years_per_sec)),
@@ -696,6 +708,7 @@ mod tests {
             keys(micro),
             BTreeSet::from([
                 "sha256_backend",
+                "erasure_backend",
                 "durability_object_years_per_sec",
                 "swarm_visits_200k_per_s",
                 "app",
@@ -705,6 +718,10 @@ mod tests {
             micro.get("sha256_backend").and_then(Json::as_str),
             Some("sha-ni" | "portable")
         ));
+        assert_eq!(
+            micro.get("erasure_backend").and_then(Json::as_str),
+            Some(erasure::backend())
+        );
         assert!(
             micro
                 .get("durability_object_years_per_sec")
@@ -787,10 +804,18 @@ mod tests {
     #[test]
     fn trajectory_rows_append_to_the_history_they_replace() {
         let (serial, two) = (tiny_run(), tiny_run());
-        let row = trajectory_row(&serial, &two, Some(Duration::from_millis(1500)));
+        let row = trajectory_row(
+            &serial,
+            &two,
+            Some(Duration::from_millis(1500)),
+            Some("e4e78af"),
+            Some(true),
+        );
         assert_eq!(
             keys(&row),
             BTreeSet::from([
+                "commit",
+                "dirty",
                 "cores",
                 "matrix_wall_secs_1t",
                 "matrix_wall_secs_2t",
@@ -799,6 +824,8 @@ mod tests {
             ])
         );
         assert_eq!(row.get("tier1_wall_secs").and_then(Json::as_f64), Some(1.5));
+        assert_eq!(row.get("commit").and_then(Json::as_str), Some("e4e78af"));
+        assert_eq!(row.get("dirty"), Some(&Json::Bool(true)));
         let Some(Json::Arr(top)) = row.get("top_trials") else {
             panic!("top_trials must be an array");
         };
@@ -809,8 +836,10 @@ mod tests {
             .get("trial")
             .and_then(Json::as_str)
             .is_some_and(|s| s.starts_with("toy/default#"))));
-        let unmeasured = trajectory_row(&serial, &two, None);
-        assert_eq!(unmeasured.get("tier1_wall_secs"), Some(&Json::Null));
+        let unmeasured = trajectory_row(&serial, &two, None, None, None);
+        for key in ["tier1_wall_secs", "commit", "dirty"] {
+            assert_eq!(unmeasured.get(key), Some(&Json::Null), "{key}");
+        }
 
         // A file from before rows existed starts the history; a later run
         // keeps every earlier row, in order, and adds its own last.

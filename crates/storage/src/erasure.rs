@@ -72,13 +72,105 @@ mod gf {
     };
 
     /// `dst[i] ^= coef · src[i]` over the shorter of the two: the inner
-    /// loop of encoding and reconstruction, one lookup in `coef`'s product
-    /// row per byte.
+    /// loop of encoding and reconstruction. Sixteen bytes a step on an
+    /// x86-64 CPU with SSSE3 and SSE4.1 ([`x86`]), the table loop
+    /// everywhere else; both compute the same bytes.
     #[inline]
     pub fn mul_acc(dst: &mut [u8], src: &[u8], coef: u8) {
+        #[cfg(target_arch = "x86_64")]
+        if x86::mul_acc(dst, src, coef) {
+            return;
+        }
+        mul_acc_table(dst, src, coef);
+    }
+
+    /// [`mul_acc`] one lookup in `coef`'s product row per byte: the
+    /// portable path, the SIMD path's tail, and the oracle the tests hold
+    /// the SIMD path to.
+    #[inline]
+    fn mul_acc_table(dst: &mut [u8], src: &[u8], coef: u8) {
         let row = &PRODUCTS[coef as usize];
         for (d, &s) in dst.iter_mut().zip(src) {
             *d ^= row[s as usize];
+        }
+    }
+
+    /// [`mul_acc`] on SSSE3, by split nibbles (Plank, Greenan & Miller,
+    /// FAST '13): `coef · s = coef · (s & 15) ^ coef · (s & 0xf0)`, and each
+    /// half is a 16-entry table, so one `pshufb` looks up sixteen bytes.
+    ///
+    /// This is the one module of the crate that may say `unsafe`, and it
+    /// says it once, where [`mul_acc`](x86::mul_acc) crosses into the
+    /// `#[target_feature]` kernel under the run-time checks that justify
+    /// it. The kernel is safe code: bytes go in through `_mm_set_epi64x`
+    /// and come out through `_mm_extract_epi64`, no raw pointer.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    pub(super) mod x86 {
+        use std::arch::x86_64::{
+            __m128i, _mm_and_si128, _mm_extract_epi64, _mm_set1_epi8, _mm_set_epi64x,
+            _mm_shuffle_epi8, _mm_srli_epi64, _mm_xor_si128,
+        };
+
+        /// Whether this CPU runs the kernel: the check that guards the
+        /// `unsafe` call below.
+        pub fn available() -> bool {
+            is_x86_feature_detected!("ssse3") && is_x86_feature_detected!("sse4.1")
+        }
+
+        /// [`super::mul_acc`] on the kernel. Returns `false`, with `dst`
+        /// untouched, where the CPU lacks SSSE3 or SSE4.1.
+        #[inline]
+        pub fn mul_acc(dst: &mut [u8], src: &[u8], coef: u8) -> bool {
+            if available() {
+                // SAFETY: `kernel` is compiled for `ssse3` and `sse4.1`, and
+                // `available()` directly above saw both on this CPU; `sse2`
+                // is part of the x86-64 baseline. It has no other
+                // precondition: its body is safe code.
+                unsafe { kernel(dst, src, coef) };
+                return true;
+            }
+            false
+        }
+
+        /// Sixteen bytes as one vector, `b[0]` in the low lane.
+        #[inline]
+        #[target_feature(enable = "ssse3,sse4.1")]
+        fn load(b: &[u8]) -> __m128i {
+            let half = |at: usize| i64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
+            _mm_set_epi64x(half(8), half(0))
+        }
+
+        /// The inverse of [`load`], into `b`.
+        #[inline]
+        #[target_feature(enable = "ssse3,sse4.1")]
+        fn store(v: __m128i, b: &mut [u8]) {
+            b[..8].copy_from_slice(&_mm_extract_epi64::<0>(v).to_le_bytes());
+            b[8..16].copy_from_slice(&_mm_extract_epi64::<1>(v).to_le_bytes());
+        }
+
+        /// `coef`'s product row at the low-nibble indices `row[i]` and the
+        /// high-nibble indices `row[i << 4]`, sixteen bytes a step, and the
+        /// table loop for the last `len % 16`.
+        #[target_feature(enable = "ssse3,sse4.1")]
+        fn kernel(dst: &mut [u8], src: &[u8], coef: u8) {
+            let row = &super::PRODUCTS[coef as usize];
+            let lo = load(&std::array::from_fn::<u8, 16, _>(|i| row[i]));
+            let hi = load(&std::array::from_fn::<u8, 16, _>(|i| row[i << 4]));
+            let nibble = _mm_set1_epi8(0x0f);
+            let n = dst.len().min(src.len());
+            let whole = n - n % 16;
+            for (d, s) in dst[..whole]
+                .chunks_exact_mut(16)
+                .zip(src[..whole].chunks_exact(16))
+            {
+                let s = load(s);
+                let s_lo = _mm_and_si128(s, nibble);
+                let s_hi = _mm_and_si128(_mm_srli_epi64::<4>(s), nibble);
+                let product = _mm_xor_si128(_mm_shuffle_epi8(lo, s_lo), _mm_shuffle_epi8(hi, s_hi));
+                store(_mm_xor_si128(load(d), product), d);
+            }
+            super::mul_acc_table(&mut dst[whole..], &src[whole..], coef);
         }
     }
 
@@ -129,19 +221,53 @@ mod gf {
             }
         }
 
+        /// A `mul_acc` body, called directly.
+        type MulAcc = fn(&mut [u8], &[u8], u8);
+
+        #[cfg(target_arch = "x86_64")]
+        fn ssse3_run(dst: &mut [u8], src: &[u8], coef: u8) {
+            assert!(x86::mul_acc(dst, src, coef));
+        }
+
+        /// The bodies under test, by name: the table loop and the entry
+        /// point always, the SSSE3 kernel where the CPU has it (skipped out
+        /// loud, never silently).
+        fn mul_acc_bodies() -> Vec<(&'static str, MulAcc)> {
+            let mut bodies: Vec<(&'static str, MulAcc)> =
+                vec![("table", mul_acc_table), ("mul_acc", mul_acc)];
+            #[cfg(target_arch = "x86_64")]
+            if x86::available() {
+                bodies.push(("ssse3", ssse3_run));
+            }
+            if bodies.len() == 2 {
+                println!("mul_acc_is_the_per_byte_loop: SSSE3 not detected, SIMD half SKIPPED");
+            }
+            bodies
+        }
+
         #[test]
         fn mul_acc_is_the_per_byte_loop() {
-            let src: Vec<u8> = (0..4_099u32).map(|i| (i * 131 % 256) as u8).collect();
+            let src: Vec<u8> = (0..4_099 + 16u32).map(|i| (i * 131 % 256) as u8).collect();
+            let bodies = mul_acc_bodies();
             for coef in 0..=255u8 {
-                for len in [0usize, 1, 7, 8, 9, 255, 4_099] {
-                    // A destination longer than the source keeps its tail.
-                    let mut got: Vec<u8> = (0..len + 3).map(|i| (i * 7) as u8).collect();
-                    let mut want = got.clone();
-                    mul_acc(&mut got, &src[..len], coef);
-                    for (w, &s) in want.iter_mut().zip(&src[..len]) {
-                        *w ^= mul(coef, s);
+                for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 1_536, 4_099] {
+                    for off in 0..16 {
+                        // The source starts `off` bytes in, the destination
+                        // at another offset, and runs 3 bytes longer than
+                        // the source: its tail must be kept.
+                        let src = &src[off..off + len];
+                        let at = (off * 7) % 16;
+                        let dst: Vec<u8> = (0..at + len + 3).map(|i| (i * 7) as u8).collect();
+                        let mut want = dst.clone();
+                        for (w, &s) in want[at..].iter_mut().zip(src) {
+                            *w ^= mul(coef, s);
+                        }
+                        for (name, body) in &bodies {
+                            let mut got = dst.clone();
+                            body(&mut got[at..], src, coef);
+                            assert_eq!(got, want, "{name}: coef {coef} len {len} offset {off}");
+                        }
                     }
-                    assert_eq!(got, want, "coef {coef} len {len}");
                 }
             }
         }
@@ -155,6 +281,18 @@ mod gf {
             assert_eq!(pow(0, 5), 0);
         }
     }
+}
+
+/// The GF(2^8) kernel this process runs on: `"ssse3"` where the CPU
+/// reports SSSE3 and SSE4.1, `"portable"` otherwise. For ledgers and logs,
+/// so numbers from different hosts are not compared blind; it selects
+/// nothing.
+pub fn backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if gf::x86::available() {
+        return "ssse3";
+    }
+    "portable"
 }
 
 /// Errors from erasure coding.
@@ -439,6 +577,43 @@ mod tests {
                             rs.reconstruct(&avail, data.len()).unwrap(),
                             data,
                             "subset {a},{b},{c},{d}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backend_is_named() {
+        // `cargo test -p agora-storage backend_is_named -- --nocapture` is how
+        // a CI log says which GF(2^8) path its tests exercised.
+        println!("erasure backend: {}", backend());
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(backend() == "ssse3", gf::x86::available());
+    }
+
+    #[test]
+    fn every_k_subset_reconstructs_across_16_byte_shard_boundaries() {
+        for (k, m) in [(4usize, 2usize), (8, 4)] {
+            let rs = ReedSolomon::new(k, m).unwrap();
+            let n = k + m;
+            let subsets: Vec<Vec<usize>> = (0u32..1 << n)
+                .filter(|mask| mask.count_ones() as usize == k)
+                .map(|mask| (0..n).filter(|i| mask & (1 << i) != 0).collect())
+                .collect();
+            for shard_len in [15usize, 16, 17, 31, 32, 33, 48, 49] {
+                for short in [0, 1, shard_len] {
+                    let len = k * shard_len - short;
+                    let data: Vec<u8> = (0..len).map(|i| (i * 167 % 251) as u8).collect();
+                    let shards = rs.encode(&data);
+                    for subset in &subsets {
+                        let avail: Vec<(usize, &Vec<u8>)> =
+                            subset.iter().map(|&i| (i, &shards[i])).collect();
+                        assert_eq!(
+                            rs.reconstruct(&avail, len).unwrap(),
+                            data,
+                            "RS({k},{m}) len {len} subset {subset:?}"
                         );
                     }
                 }

@@ -4,7 +4,8 @@
 //!
 //! * [`chunk`] — content addressing: chunks, manifests, inclusion proofs.
 //! * [`erasure`] — Reed–Solomon over GF(2^8) from scratch (replication is
-//!   the k = 1 special case).
+//!   the k = 1 special case); an SSSE3 kernel where the CPU reports it
+//!   ([`erasure::backend`]).
 //! * [`proofs`] — proof-of-storage, proof-of-retrievability, sealed
 //!   proof-of-replication, proof-of-spacetime.
 //! * [`incentives`] — bitswap debt ledgers (IPFS), token banks
@@ -24,7 +25,12 @@
 //!   an Open → Resolved / Expired lifecycle, slashing, and a repair actor
 //!   (experiment E17).
 
-#![forbid(unsafe_code)]
+// `unsafe` is denied, not forbidden, so that exactly one module can allow it:
+// `erasure`'s private `gf::x86`, whose call into the `#[target_feature]`
+// GF(2^8) kernel is the crate's only `unsafe` (DESIGN.md §10). Its block
+// carries a `// SAFETY:` comment, which clippy checks.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod attacks;

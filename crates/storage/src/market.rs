@@ -204,6 +204,8 @@ struct ObjectState {
 /// `ChaosController` via [`StorageMarket::run_until_with`].
 pub struct StorageMarket {
     spec: MarketSpec,
+    /// RS(k, m) of `spec`, built once: placement and repair share it.
+    rs: ReedSolomon,
     schedule: OracleSchedule,
     next: usize,
     base: SimTime,
@@ -248,6 +250,7 @@ impl StorageMarket {
             .collect();
         let mut market = StorageMarket {
             spec,
+            rs: ReedSolomon::new(spec.k, spec.m).expect("valid k/m"),
             schedule,
             next: 0,
             base: sim.now(),
@@ -270,14 +273,13 @@ impl StorageMarket {
             repair_read_bytes: 0,
             objects_lost: 0,
         };
-        let rs = ReedSolomon::new(spec.k, spec.m).expect("valid k/m");
         for o in 0..spec.objects {
             // Deterministic per-object payload; the object id is its hash.
             let data: Vec<u8> = (0..spec.object_bytes)
                 .map(|i| ((i as u64).wrapping_mul(31) ^ (o as u64).wrapping_mul(131)) as u8)
                 .collect();
             let id = sha256(&data);
-            let shards = rs.encode(&data);
+            let shards = market.rs.encode(&data);
             let mut slots = Vec::new();
             let mut used = Vec::new();
             for (si, shard) in shards.into_iter().enumerate() {
@@ -522,7 +524,7 @@ impl StorageMarket {
             return;
         }
         let (id, data_len) = (self.objects[oi].id, self.objects[oi].data_len);
-        let (k, m) = (self.spec.k, self.spec.m);
+        let k = self.spec.k;
         // Gather k survivors from providers that are up and actually hold
         // the bytes, in slot order (deterministic). A dead (slashed) slot
         // whose provider was merely down and has since revived still holds
@@ -563,11 +565,9 @@ impl StorageMarket {
             return;
         }
         let read_bytes: u64 = have.iter().map(|(_, d)| d.len() as u64).sum();
-        let rs = ReedSolomon::new(k, m).expect("valid k/m");
-        let Ok(data) = rs.reconstruct(&have, data_len) else {
+        let Ok(data) = self.rs.reconstruct(&have, data_len) else {
             return;
         };
-        let all = rs.encode(&data);
         self.repair_read_bytes += read_bytes;
         sim.metrics_mut()
             .incr("market.repair_read_bytes", read_bytes);
@@ -576,7 +576,7 @@ impl StorageMarket {
             let Some(pi) = self.pick_provider(sim, &exclude, oi + si) else {
                 continue; // nowhere to place; retried at the next visit
             };
-            let shard: Rc<[u8]> = Rc::from(all[si].clone());
+            let shard: Rc<[u8]> = Rc::from(self.rs.encode_shard(&data, si));
             if sim
                 .with_ctx(self.providers[pi], |n, ctx| {
                     n.provider_store(ctx, id, si as u32, Rc::clone(&shard));

@@ -100,6 +100,10 @@ STAYS_DELETED=(
     # One Knuth loop: exp(-mean) only in agora-sim's Poisson, once per
     # sampler.
     "§10 crates/*/src crates/sim/src/rng.rs \(-mean\)\.exp\(\)"
+    # One Box–Muller cosine: libm's `cos` only in rng.rs, behind the table
+    # kernel's rounding filter; a log-normal draw is a SimDuration.
+    "§10 crates/*/src crates/sim/src/rng.rs \.cos\(\)"
+    "§10 crates,tests,examples - \.log_normal\("
     # A contract states only what differs: state, delta and summary are
     # OpLog and VersionVector, written once.
     "§18 crates - type (State|Delta|Summary)\b|merge_deltas|state_as_delta|delta_from_summary|(en|de)code_(state|delta|summary)|state_ops|delta_ops|writer_seq"

@@ -351,8 +351,7 @@ fn jittered(profile: &DeviceProfile, base_secs: f64, rng: &mut SimRng) -> SimDur
     if profile.latency_sigma <= 0.0 {
         return profile.base_latency;
     }
-    let factor = rng.log_normal(0.0, profile.latency_sigma);
-    SimDuration::from_secs_f64(base_secs * factor)
+    rng.log_normal_duration(base_secs, 0.0, profile.latency_sigma)
 }
 
 #[cfg(test)]
@@ -446,6 +445,50 @@ mod tests {
         let mut rng = SimRng::new(5);
         let d = jittered(&profile, profile.base_latency.secs_f64(), &mut rng);
         assert_eq!(d, profile.base_latency);
+    }
+
+    #[test]
+    fn jitter_is_the_libm_chain_draw_for_draw() {
+        // `jittered` as it read before `log_normal_duration`.
+        fn libm_chain(profile: &DeviceProfile, base_secs: f64, rng: &mut SimRng) -> SimDuration {
+            if profile.latency_sigma <= 0.0 {
+                return profile.base_latency;
+            }
+            SimDuration::from_secs_f64(base_secs * rng.normal(0.0, profile.latency_sigma).exp())
+        }
+        let classes = [
+            DeviceClass::DatacenterServer,
+            DeviceClass::PersonalComputer,
+            DeviceClass::Smartphone,
+            DeviceClass::Tablet,
+        ];
+        for (nth, class) in classes.into_iter().enumerate() {
+            let mut profiles = vec![class.profile()];
+            for sigma in [0.0, -0.3] {
+                let mut flat = class.profile();
+                flat.latency_sigma = sigma;
+                profiles.push(flat);
+            }
+            for profile in profiles {
+                let base = profile.base_latency.secs_f64();
+                let mut a = SimRng::new(73 + nth as u64);
+                let mut b = a.clone();
+                let draws = if profile.latency_sigma > 0.0 {
+                    1_000_000
+                } else {
+                    10
+                };
+                for _ in 0..draws {
+                    assert_eq!(
+                        jittered(&profile, base, &mut a),
+                        libm_chain(&profile, base, &mut b),
+                        "{class:?} sigma {}",
+                        profile.latency_sigma
+                    );
+                }
+                assert_eq!(a.next_u64(), b.next_u64(), "{class:?}");
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //!
 //! This RNG is **not** cryptographically secure; it is a simulation substrate.
 
+use std::sync::OnceLock;
+
+use crate::time::SimDuration;
+
 /// xoshiro256\*\* pseudo-random generator with convenience distributions.
 #[derive(Clone, Debug)]
 pub struct SimRng {
@@ -111,7 +115,8 @@ impl SimRng {
         -mean * (1.0 - self.f64()).ln()
     }
 
-    /// Standard normal via Box–Muller.
+    /// Normal with the given mean and standard deviation: `mean + std_dev·z`,
+    /// `z` a standard normal from two draws by Box–Muller.
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         let u1 = 1.0 - self.f64();
         let u2 = self.f64();
@@ -119,10 +124,18 @@ impl SimRng {
         mean + std_dev * z
     }
 
-    /// Log-normal: exp of a normal with the given (log-space) parameters.
-    /// Useful for heavy-tailed latencies of consumer devices.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
+    /// `scale_secs` times a log-normal factor `exp(mu + sigma·z)`, as a
+    /// [`SimDuration`]: the heavy-tailed latencies and session lengths of
+    /// consumer devices. Exactly `SimDuration::from_secs_f64(scale_secs *
+    /// (mu + sigma * z).exp())` with `z` the Box–Muller value [`normal`]
+    /// computes from the same two draws, but almost never through libm's
+    /// `cos` or `round` (DESIGN.md §10, *Log-normal delays*).
+    ///
+    /// [`normal`]: SimRng::normal
+    pub fn log_normal_duration(&mut self, scale_secs: f64, mu: f64, sigma: f64) -> SimDuration {
+        let u1 = 1.0 - self.f64();
+        let u2 = self.f64();
+        log_normal_duration_of(u1, u2, scale_secs, mu, sigma)
     }
 
     /// Pareto-distributed value with scale `x_min` and shape `alpha`.
@@ -192,6 +205,93 @@ impl SimRng {
         }
         out
     }
+}
+
+/// How close to a rounding tie, relative to `x`, the fast path of
+/// [`log_normal_duration_of`] may land before the libm chain decides.
+const TIE_MARGIN: f64 = 1e-12;
+
+/// 1.5·2⁵². For `0 ≤ v < 2⁵¹`, `v + SHIFTER` is exactly `SHIFTER` plus `v`
+/// rounded to the nearest integer (ties to even), which its low bits hold.
+const SHIFTER: f64 = 6_755_399_441_055_744.0;
+
+/// [`SimRng::log_normal_duration`] from its two uniforms: `u1` in `(0, 1]`,
+/// `u2` in `[0, 1)`.
+///
+/// The libm chain is `x = scale·exp(mu + sigma·r·cos(fl(2π·u2)))·10⁶`
+/// rounded half away from zero, `r = √(−2 ln u1) ≤ 8.6`. The fast path
+/// computes the same `x` with [`cos_2pi`] for the cosine, which is within
+/// 1.5·10⁻¹⁵ of libm's (libm's own ulp and its rounded argument included).
+/// For `|sigma| ≤ 1` that moves `x` by at most ≈2·10⁻¹⁴·x, plus one ulp of
+/// `mu + sigma·z` (≤ 1.2·10⁻¹³ wherever `exp` is finite), so when `x` is
+/// more than `TIE_MARGIN·x` from a half-integer both round to the same
+/// integer and the fast path rounds itself. Otherwise — near a tie,
+/// `|sigma| > 1` or NaN, `x` not in `[0, 2⁵¹)` — the libm chain runs.
+fn log_normal_duration_of(u1: f64, u2: f64, scale_secs: f64, mu: f64, sigma: f64) -> SimDuration {
+    let r = (-2.0 * u1.ln()).sqrt();
+    if sigma.abs() <= 1.0 {
+        let x = scale_secs * (mu + sigma * (r * cos_2pi(u2))).exp() * 1_000_000.0;
+        if (0.0..2_251_799_813_685_248.0).contains(&x) {
+            let nearest = x + SHIFTER;
+            // Exact: `x` and the integer nearest it are within ½.
+            let off = x - (nearest - SHIFTER);
+            if 0.5 - off.abs() > TIE_MARGIN * x {
+                return SimDuration::from_micros(nearest.to_bits() - SHIFTER.to_bits());
+            }
+        }
+    }
+    let z = r * (2.0 * std::f64::consts::PI * u2).cos();
+    SimDuration::from_secs_f64(scale_secs * (mu + sigma * z).exp())
+}
+
+/// `(cos, sin)` of `2πj/256` for `j` in `0..256`, built once. Each entry
+/// comes from libm at an angle of at most π/4, where the angle's own
+/// rounding is below 1.2·10⁻¹⁶, and is moved to its octant by the exact
+/// symmetries (a swap, a sign).
+#[inline]
+fn turn_table() -> &'static [(f64, f64); 256] {
+    static TABLE: OnceLock<[(f64, f64); 256]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let first_octant: [(f64, f64); 33] = std::array::from_fn(|j| {
+            let a = std::f64::consts::TAU * j as f64 / 256.0;
+            (a.cos(), a.sin())
+        });
+        std::array::from_fn(|j| {
+            let r = j % 64;
+            let (c, s) = if r <= 32 {
+                first_octant[r]
+            } else {
+                let (c, s) = first_octant[64 - r];
+                (s, c)
+            };
+            match j / 64 {
+                0 => (c, s),
+                1 => (-s, c),
+                2 => (-c, -s),
+                _ => (s, -c),
+            }
+        })
+    })
+}
+
+/// `cos(2π·u)` for `u` in `[0, 1)`, from [`turn_table`]. With `k` the
+/// nearest of the 256 table angles (in turns, `256·u` rounded) and `d =
+/// 2π·(u − k/256)`, `|d| ≤ π/256`, it is `cos(2πk/256) − (cos(2πk/256)·(1 −
+/// cos d) + sin(2πk/256)·sin d)`: `1 − cos d` and `sin d` by Taylor series
+/// to `d⁶` and `d⁵` (truncation < 10⁻¹⁷). The correction is below 0.013,
+/// so its rounding error is ≈ 10⁻¹⁸ and the result is the table entry's
+/// accuracy plus half an ulp. `256·u − k` is exact: both are multiples of
+/// 2⁻⁴⁵ and within ½ of each other.
+#[inline]
+fn cos_2pi(u: f64) -> f64 {
+    let turns = 256.0 * u;
+    let k = turns + SHIFTER;
+    let d = (turns - (k - SHIFTER)) * (std::f64::consts::TAU / 256.0);
+    let d2 = d * d;
+    let vers_d = d2 * 0.5 - d2 * d2 * (1.0 / 24.0 - d2 * (1.0 / 720.0));
+    let sin_d = d - d * d2 * (1.0 / 6.0 - d2 * (1.0 / 120.0));
+    let (c, s) = turn_table()[k.to_bits() as usize & 255];
+    c - (c * vers_d + s * sin_d)
 }
 
 /// [`SimRng::chance`] for one fixed `p`, with the float work done once: for
@@ -499,6 +599,161 @@ mod tests {
             let next = b.next_u64();
             assert_eq!(a.next_u64(), next, "mean {mean:e}");
             assert_eq!(c.next_u64(), next, "mean {mean:e}");
+        }
+    }
+
+    /// The chain [`SimRng::log_normal_duration`] replaced, on the same two
+    /// uniforms: Box–Muller as `normal` writes it, `exp`, `from_secs_f64`.
+    fn libm_chain(u1: f64, u2: f64, scale_secs: f64, mu: f64, sigma: f64) -> SimDuration {
+        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        SimDuration::from_secs_f64(scale_secs * (mu + sigma * z).exp())
+    }
+
+    /// The grid [`SimRng::f64`] draws from.
+    const STEP: f64 = 1.0 / (1u64 << 53) as f64;
+
+    /// `u2` at every kind of table edge: `k/256` (an entry's own angle) and
+    /// `(k ± ½)/256` (where the nearest entry changes), each ± one draw step,
+    /// and the ends of `[0, 1)`.
+    fn edge_u2s() -> Vec<f64> {
+        let mut u2s = vec![0.0, STEP, 0.25, 0.5, 1.0 - STEP];
+        for k in [
+            1u32, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 191, 192, 255,
+        ] {
+            for at in [k as f64 - 0.5, k as f64, k as f64 + 0.5] {
+                let u = at / 256.0;
+                u2s.extend([u - STEP, u, u + STEP]);
+            }
+        }
+        u2s
+    }
+
+    #[test]
+    fn log_normal_duration_is_the_libm_chain_at_its_edges() {
+        let mut seeded = SimRng::new(61);
+        // Draw 0 (`u1 = 1`, `r = 0`) and the largest `r` (`u1 = 2⁻⁵³`).
+        let u1s = [
+            1.0,
+            STEP,
+            0.5,
+            1.0 - STEP,
+            1.0 - seeded.f64(),
+            1.0 - seeded.f64(),
+        ];
+        let params = [
+            // (scale_secs, mu, sigma): the four device profiles' jitter and
+            // E16's sessions.
+            (0.0005, 0.0, 0.1),
+            (0.02, 0.0, 0.5),
+            (0.06, 0.0, 0.8),
+            (0.04, 0.0, 0.7),
+            (1.0, 300f64.ln(), 1.0),
+            // σ ≤ 0.
+            (0.02, 0.0, 0.0),
+            (0.02, 0.0, -0.0),
+            (0.02, 0.0, -0.5),
+            (0.02, 1.0, -1.0),
+            // Outside the error budget: straight to libm.
+            (0.02, 0.0, 1.5),
+            (0.02, 0.0, f64::NAN),
+            (0.02, f64::NAN, 0.5),
+            // Not a finite positive duration.
+            (f64::INFINITY, 0.0, 0.5),
+            (f64::NEG_INFINITY, 0.0, 0.5),
+            (f64::NAN, 0.0, 0.5),
+            (0.0, 0.0, 0.5),
+            (-1.0, 0.0, 0.5),
+            // x beyond the shifter's 2⁵¹ and beyond 2⁵², and straddling
+            // each.
+            (1e10, 0.0, 0.5),
+            (2.25e9, 0.0, 0.1),
+            (4.5e9, 0.0, 0.1),
+            // `mu` at the ends of `exp`'s range.
+            (1e-300, 700.0, 1.0),
+            (1e300, -700.0, 1.0),
+            (1.0, 800.0, 1.0),
+            (1.0, -800.0, 1.0),
+        ];
+        for &u1 in &u1s {
+            for &u2 in &edge_u2s() {
+                for &(scale, mu, sigma) in &params {
+                    assert_eq!(
+                        log_normal_duration_of(u1, u2, scale, mu, sigma),
+                        libm_chain(u1, u2, scale, mu, sigma),
+                        "u1 {u1:e} u2 {u2:e} scale {scale:e} mu {mu} sigma {sigma}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_near_tie_the_kernel_alone_would_round_otherwise_goes_to_libm() {
+        // Where the kernel's cosine moves `exp(z)` by an ulp, step `scale`
+        // across the scale that puts x on the tie 1000.5 µs: somewhere there
+        // the two chains round apart, and only the filter keeps the result
+        // libm's.
+        let mut rng = SimRng::new(67);
+        let mut apart = 0;
+        for _ in 0..2_000 {
+            let u1 = 1.0 - rng.f64();
+            let u2 = rng.f64();
+            let r = (-2.0 * u1.ln()).sqrt();
+            let e_libm = (r * (std::f64::consts::TAU * u2).cos()).exp();
+            let e_kernel = (r * cos_2pi(u2)).exp();
+            if e_libm == e_kernel {
+                continue;
+            }
+            let mut scale = 1000.5e-6 / e_libm;
+            for _ in 0..8 {
+                scale = scale.next_down();
+            }
+            for _ in 0..16 {
+                let want = libm_chain(u1, u2, scale, 0.0, 1.0);
+                apart += usize::from(SimDuration::from_secs_f64(scale * e_kernel) != want);
+                assert_eq!(
+                    log_normal_duration_of(u1, u2, scale, 0.0, 1.0),
+                    want,
+                    "u1 {u1:e} u2 {u2:e} scale {scale:e}"
+                );
+                scale = scale.next_up();
+            }
+        }
+        assert!(apart > 0, "no near tie where the kernel alone rounds apart");
+    }
+
+    #[test]
+    fn cos_2pi_is_libm_within_the_error_budget() {
+        let mut rng = SimRng::new(71);
+        let u2s = edge_u2s()
+            .into_iter()
+            .chain((0..200_000).map(|_| rng.f64()));
+        for u in u2s {
+            let libm = (std::f64::consts::TAU * u).cos();
+            let err = (cos_2pi(u) - libm).abs();
+            assert!(err <= 1.5e-15, "u {u:e}: {err:e}");
+        }
+    }
+
+    #[test]
+    fn turn_table_is_libm_within_two_ulp() {
+        fn ulp(v: f64) -> f64 {
+            v.abs().next_up() - v.abs()
+        }
+        for (j, &(c, s)) in turn_table().iter().enumerate() {
+            // libm's argument is itself off the true angle by up to half
+            // its ulp plus fl(2π)'s error of 2.45·10⁻¹⁶, scaled by j/256.
+            let a = std::f64::consts::TAU * j as f64 / 256.0;
+            let slack = ulp(a) / 2.0 + 2.45e-16 * j as f64 / 256.0;
+            let (want_c, want_s) = (a.cos(), a.sin());
+            assert!(
+                (c - want_c).abs() <= 2.0 * ulp(want_c) + slack,
+                "cos j {j}: {c:e} vs {want_c:e}"
+            );
+            assert!(
+                (s - want_s).abs() <= 2.0 * ulp(want_s) + slack,
+                "sin j {j}: {s:e} vs {want_s:e}"
+            );
         }
     }
 

@@ -147,7 +147,7 @@ impl LogNormalSessions {
 
     /// Draw one session duration.
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
-        SimDuration::from_secs_f64(rng.log_normal(self.mu, self.sigma))
+        rng.log_normal_duration(1.0, self.mu, self.sigma)
     }
 }
 
@@ -340,6 +340,25 @@ mod tests {
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         assert!(mean > median * 1.3, "mean {mean} median {median}");
         assert!((s.mean_secs() - 300.0 * (0.5f64).exp()).abs() < 1.0);
+    }
+
+    #[test]
+    fn sessions_are_the_libm_chain_draw_for_draw() {
+        // `sample` as it read before `log_normal_duration`.
+        fn libm_chain(s: &LogNormalSessions, rng: &mut SimRng) -> SimDuration {
+            SimDuration::from_secs_f64(rng.normal(s.mu, s.sigma).exp())
+        }
+        for (s, draws) in [
+            (LogNormalSessions::new(300.0, 1.0), 1_000_000),
+            (LogNormalSessions::new(300.0, 0.0), 1_000),
+        ] {
+            let mut a = SimRng::new(79);
+            let mut b = a.clone();
+            for _ in 0..draws {
+                assert_eq!(s.sample(&mut a), libm_chain(&s, &mut b), "{s:?}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "{s:?}");
+        }
     }
 
     #[test]

@@ -205,11 +205,20 @@ impl Ord for Entry {
 /// moves a 32-byte entry, not a whole event (112 bytes for the DHT's
 /// message); payloads sit still in the slab from push to pop, and a popped
 /// slot goes on the free list for the next push.
+///
+/// A pop leaves its entry in the heap as a *spent root*: the handler of the
+/// event just popped usually pushes at least one event, and its first push
+/// overwrites the spent root in place — one sift-down instead of a pop's
+/// sift-down plus a push's sift-up. A spent root that no push took is
+/// removed by the next `pop` or `next_at`, and `len` never counts it. Keys
+/// are unique, so every valid min-heap pops the same sequence.
 struct Scheduler<M> {
     heap: BinaryHeap<Entry>,
     slab: Vec<Option<EventKind<M>>>,
     free: Vec<u32>,
     seq: u64,
+    /// The heap's root is the last popped event, whose slot is already free.
+    spent: bool,
 }
 
 impl<M> Scheduler<M> {
@@ -219,6 +228,7 @@ impl<M> Scheduler<M> {
             slab: Vec::new(),
             free: Vec::new(),
             seq: 0,
+            spent: false,
         }
     }
 
@@ -235,28 +245,48 @@ impl<M> Scheduler<M> {
                 u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
             }
         };
-        self.heap.push(Entry { key, slot });
+        let entry = Entry { key, slot };
+        if self.spent {
+            self.spent = false;
+            let mut root = self.heap.peek_mut().expect("a spent root is in the heap");
+            debug_assert!(key > root.key, "a push outranks the event just popped");
+            *root = entry;
+        } else {
+            self.heap.push(entry);
+        }
         key
     }
 
+    /// Drop a spent root no push took.
+    fn settle(&mut self) {
+        if self.spent {
+            self.spent = false;
+            self.heap.pop();
+        }
+    }
+
     /// The instant of the earliest pending event.
-    fn next_at(&self) -> Option<SimTime> {
+    fn next_at(&mut self) -> Option<SimTime> {
+        self.settle();
         self.heap.peek().map(|e| key_at(e.key))
     }
 
-    /// Remove the earliest pending event: its key and its payload.
+    /// Remove the earliest pending event: its key and its payload. Its entry
+    /// stays in the heap as the spent root.
     fn pop(&mut self) -> Option<(u128, EventKind<M>)> {
-        let Entry { key, slot } = self.heap.pop()?;
+        self.settle();
+        let &Entry { key, slot } = self.heap.peek()?;
         let kind = self.slab[slot as usize]
             .take()
             .expect("a queued slot holds its event");
         self.free.push(slot);
+        self.spent = true;
         Some((key, kind))
     }
 
     /// Undispatched events.
     fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.spent)
     }
 }
 
@@ -1557,6 +1587,102 @@ mod tests {
             }
             assert!(sched.pop().is_none() && sched.len() == 0);
         }
+    }
+
+    #[test]
+    fn a_spent_root_is_invisible_to_handler_shaped_runs() {
+        // The same whole-event oracle, driven the way the engine drives the
+        // queue: each pop is followed by 0, 1 or 2 pushes, a third of them
+        // at the popped instant (so the sequence number decides), and `len`
+        // — sometimes `next_at` too — is read between a pop and its pushes,
+        // while the popped entry is the spent root. A pop with no pushes is
+        // followed by a pop, or by an injection when nothing is left.
+        fn push(
+            sched: &mut Scheduler<()>,
+            oracle: &mut BinaryHeap<Reverse<(u128, u64)>>,
+            at: u64,
+            tag: u64,
+        ) {
+            let node = NodeId(0);
+            let key = sched.push(SimTime(at), EventKind::Timer { node, tag });
+            oracle.push(Reverse((key, tag)));
+        }
+        for seed in 0..16u64 {
+            let mut rng = SimRng::new(seed);
+            let mut sched: Scheduler<()> = Scheduler::new();
+            let mut oracle: BinaryHeap<Reverse<(u128, u64)>> = BinaryHeap::new();
+            let (mut now, mut tag) = (0u64, 0u64);
+            for _ in 0..rng.below(64) {
+                tag += 1;
+                push(&mut sched, &mut oracle, rng.below(8), tag);
+            }
+            let mut high_water = oracle.len();
+            for step in 0..3_000u64 {
+                if oracle.is_empty() {
+                    tag += 1;
+                    push(&mut sched, &mut oracle, now + rng.below(3), tag);
+                } else {
+                    let (key, kind) = sched.pop().expect("oracle is non-empty");
+                    let Reverse((want_key, want_tag)) = oracle.pop().expect("checked");
+                    assert_eq!(key, want_key, "seed {seed} step {step}");
+                    assert!(matches!(kind, EventKind::Timer { tag, .. } if tag == want_tag));
+                    now = key_at(key).micros();
+                    assert_eq!(sched.len(), oracle.len(), "seed {seed} step {step}");
+                    assert_eq!(sched.slab.len(), sched.len() + sched.free.len());
+                    if rng.chance(0.25) {
+                        assert_eq!(
+                            sched.next_at(),
+                            oracle.peek().map(|Reverse((k, _))| key_at(*k)),
+                            "seed {seed} step {step}"
+                        );
+                    }
+                    for _ in 0..rng.below(3) {
+                        tag += 1;
+                        push(&mut sched, &mut oracle, now + rng.below(3), tag);
+                    }
+                }
+                high_water = high_water.max(oracle.len());
+                assert_eq!(sched.len(), oracle.len(), "seed {seed} step {step}");
+                assert_eq!(sched.slab.len(), high_water, "seed {seed} step {step}");
+                assert_eq!(sched.slab.len(), sched.len() + sched.free.len());
+            }
+            while let Some(Reverse((want_key, _))) = oracle.pop() {
+                assert_eq!(sched.pop().map(|(k, _)| k), Some(want_key));
+            }
+            assert!(sched.pop().is_none() && sched.len() == 0 && sched.next_at().is_none());
+        }
+    }
+
+    #[test]
+    fn a_stop_after_a_handler_that_pushed_nothing_counts_what_is_pending() {
+        // `PingPong`'s timer handler pushes nothing, so the run stops right
+        // after a pop whose entry no push took; the injection that follows
+        // must be counted alike by `pending_events()` and the probe.
+        let mut sim = Simulation::new(3);
+        sim.set_probe_sink(Box::new(NoopProbe), SimDuration::from_millis(250));
+        let a = sim.add_node(PingPong::default(), DeviceClass::PersonalComputer);
+        let b = sim.add_node(PingPong::default(), DeviceClass::Smartphone);
+        for round in 1..=20u64 {
+            sim.with_ctx(a, |_, ctx| {
+                ctx.set_timer(SimDuration::from_millis(5), round);
+                ctx.set_timer(SimDuration::from_millis(50), round);
+            });
+            // The stop lands on the 5 ms timer's instant.
+            sim.run_until(sim.now() + SimDuration::from_millis(5));
+            assert_eq!(sim.node(a).timer_fires as u64, 3 * round - 2);
+            assert_eq!(sim.pending_events(), 1, "round {round}");
+            assert_eq!(sim.prober.pending, 1, "round {round}");
+            sim.with_ctx(a, |_, ctx| {
+                ctx.send(b, PpMsg::Ping, 64);
+                ctx.set_timer(SimDuration::from_millis(1), 0);
+            });
+            assert_eq!(sim.pending_events(), 3, "round {round}");
+            assert_eq!(sim.prober.pending, 3, "round {round}");
+            sim.run_idle(100);
+            assert_eq!(sim.pending_events(), 0, "round {round}");
+            assert_eq!(sim.prober.pending, 0, "round {round}");
+        }
+        assert_eq!(sim.node(a).pongs_received, 20);
     }
 
     #[test]

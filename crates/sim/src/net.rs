@@ -29,6 +29,13 @@ struct NodeNet {
     down_bps_f64: f64,
     /// `profile.base_latency.secs_f64()`, cached likewise for jitter scaling.
     base_latency_secs: f64,
+    /// The last size the uplink serialized and its delay, starting at
+    /// `(0, ZERO)` — what 0 bytes serializes to. The link's rate is fixed at
+    /// `add_node`, so the delay is a function of the size alone: a repeated
+    /// size skips the division and the rounding.
+    up_memo: (u64, SimDuration),
+    /// The downlink's last size and delay, kept likewise.
+    down_memo: (u64, SimDuration),
 }
 
 /// Why [`Network::transmit`] refused to deliver a message. Distinguishing
@@ -110,6 +117,8 @@ impl Network {
             up_bps_f64,
             down_bps_f64,
             base_latency_secs,
+            up_memo: (0, SimDuration::ZERO),
+            down_memo: (0, SimDuration::ZERO),
         });
         if let Some(c) = &mut self.chaos {
             c.link_up.push(true);
@@ -293,10 +302,10 @@ impl Network {
         };
 
         // Uplink serialization at the sender.
-        let tx = SimDuration::from_secs_f64(bytes as f64 * 8.0 / self.nodes[fi].up_bps_f64);
-        let tx_start = self.nodes[fi].uplink_free.max(now);
-        let tx_end = tx_start + tx;
-        self.nodes[fi].uplink_free = tx_end;
+        let sender = &mut self.nodes[fi];
+        let tx = serialization(&mut sender.up_memo, bytes, sender.up_bps_f64);
+        let tx_end = sender.uplink_free.max(now) + tx;
+        sender.uplink_free = tx_end;
 
         if let Some(failure) = unreachable {
             return Err(failure);
@@ -336,13 +345,22 @@ impl Network {
         }
 
         // Downlink serialization at the receiver.
-        let rx = SimDuration::from_secs_f64(bytes as f64 * 8.0 / self.nodes[ti].down_bps_f64);
-        let arrival_earliest = tx_end + prop;
-        let rx_end = self.nodes[ti].downlink_free.max(arrival_earliest) + rx;
-        self.nodes[ti].downlink_free = rx_end;
+        let receiver = &mut self.nodes[ti];
+        let rx = serialization(&mut receiver.down_memo, bytes, receiver.down_bps_f64);
+        let rx_end = receiver.downlink_free.max(tx_end + prop) + rx;
+        receiver.downlink_free = rx_end;
 
         Ok(rx_end)
     }
+}
+
+/// How long `bytes` take to serialize at `bps`, through the link's one-entry
+/// memo of its last size.
+fn serialization(memo: &mut (u64, SimDuration), bytes: u64, bps: f64) -> SimDuration {
+    if memo.0 != bytes {
+        *memo = (bytes, SimDuration::from_secs_f64(bytes as f64 * 8.0 / bps));
+    }
+    memo.1
 }
 
 /// `base_secs` must equal `profile.base_latency.secs_f64()`; callers on the
@@ -488,6 +506,100 @@ mod tests {
                 }
                 assert_eq!(a.next_u64(), b.next_u64(), "{class:?}");
             }
+        }
+    }
+
+    #[test]
+    fn serialization_is_the_division_it_replaced() {
+        // `transmit` as it read before the per-link memo (no chaos layer):
+        // both serialization delays divided out on every send.
+        fn inline_division(
+            net: &mut Network,
+            now: SimTime,
+            from: NodeId,
+            to: NodeId,
+            bytes: u64,
+            rng: &mut SimRng,
+        ) -> Result<SimTime, SendFailure> {
+            let (fi, ti) = (from.index(), to.index());
+            let unreachable = match net.nodes.get(ti) {
+                None => Some(SendFailure::NoSuchNode),
+                Some(rx) if rx.partition != net.nodes[fi].partition => {
+                    Some(SendFailure::Partitioned)
+                }
+                Some(_) => None,
+            };
+            let tx = SimDuration::from_secs_f64(bytes as f64 * 8.0 / net.nodes[fi].up_bps_f64);
+            let tx_end = net.nodes[fi].uplink_free.max(now) + tx;
+            net.nodes[fi].uplink_free = tx_end;
+            if let Some(failure) = unreachable {
+                return Err(failure);
+            }
+            if rng.chance(net.loss_rate) {
+                return Err(SendFailure::Lost);
+            }
+            let (tx_node, rx_node) = (&net.nodes[fi], &net.nodes[ti]);
+            let lat_from = jittered(&tx_node.profile, tx_node.base_latency_secs, rng);
+            let lat_to = jittered(&rx_node.profile, rx_node.base_latency_secs, rng);
+            let prop = lat_from + lat_to;
+            let rx = SimDuration::from_secs_f64(bytes as f64 * 8.0 / net.nodes[ti].down_bps_f64);
+            let rx_end = net.nodes[ti].downlink_free.max(tx_end + prop) + rx;
+            net.nodes[ti].downlink_free = rx_end;
+            Ok(rx_end)
+        }
+        let classes = [
+            DeviceClass::DatacenterServer,
+            DeviceClass::PersonalComputer,
+            DeviceClass::Smartphone,
+            DeviceClass::Tablet,
+        ];
+        let nodes = 2 * classes.len() as u64;
+        let (mut memo, mut oracle) = (Network::new(), Network::new());
+        for class in classes.iter().cycle().take(nodes as usize) {
+            memo.add_node(class.profile());
+            oracle.add_node(class.profile());
+        }
+        memo.set_loss_rate(0.05);
+        oracle.set_loss_rate(0.05);
+        let (mut a, mut b) = (SimRng::new(91), SimRng::new(91));
+        let mut pick = SimRng::new(92);
+        // Repeats, alternations between a few sizes, fresh sizes, and sizes
+        // past 2⁵³ whose f64 is shared with a neighbour; the first is 0.
+        let pool = [0, 1, 64, 100, 1_500, 4_096, 65_536];
+        let (mut bytes, mut now) = (0u64, SimTime::ZERO);
+        for send in 0..120_000u64 {
+            if send > 0 {
+                bytes = match send % 10_007 {
+                    5 => (1 << 53) + 1,
+                    6 => 1 << 53,
+                    _ if pick.chance(0.4) => bytes,
+                    _ if pick.chance(0.5) => pool[pick.below(pool.len() as u64) as usize],
+                    _ => pick.below(2_000_000),
+                };
+            }
+            let from = pick.below(nodes);
+            // Every node sends and receives; one address in nine names none.
+            let to = match pick.below(nodes + 1) {
+                to if to == from => nodes,
+                to => to,
+            };
+            if pick.chance(0.01) {
+                let (node, group) = (NodeId(pick.below(nodes) as u32), pick.below(2) as u32);
+                memo.set_partition(node, group);
+                oracle.set_partition(node, group);
+            }
+            now += SimDuration(pick.below(2_000));
+            let (from, to) = (NodeId(from as u32), NodeId(to as u32));
+            assert_eq!(
+                memo.transmit(now, from, to, bytes, &mut a),
+                inline_division(&mut oracle, now, from, to, bytes, &mut b),
+                "send {send}: {bytes} bytes {from} -> {to}"
+            );
+            for (x, y) in memo.nodes.iter().zip(&oracle.nodes) {
+                assert_eq!(x.uplink_free, y.uplink_free, "send {send}");
+                assert_eq!(x.downlink_free, y.downlink_free, "send {send}");
+            }
+            assert_eq!(a.clone().next_u64(), b.clone().next_u64(), "send {send}");
         }
     }
 

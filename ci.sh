@@ -113,6 +113,10 @@ STAYS_DELETED=(
     # Two overload detectors over the workload signals, no tuning fields:
     # engine state is rendered, not judged.
     "§16 crates,tests,examples - ObserverConfig|zscore|anomaly\.trend|trend_len|overload_backlog_secs|ewma_var"
+    # The observe plane in two homes: probe names the signals and the
+    # threshold, the harness detects and writes OBS lines. No typed record
+    # layer between them, and no code names the shell crate.
+    "§16 crates,tests,examples - ObsRecor[d]|FrameRecor[d]|AnomalyRecor[d]|SignalSummar[y]|ObserverSummar[y]|agora_observe[r]::|fn (frame|anomaly|record_to)_json"
     # A policy senses utilization itself, at constant thresholds.
     "§17 crates,tests,examples - PolicyConfig|engage_util|release_util|release_frames|max_level"
     # One run path and one render path per experiment: no result wrapper,
@@ -131,6 +135,11 @@ for row in "${STAYS_DELETED[@]}"; do
     # shellcheck disable=SC2068
     if grep -rnE --exclude-dir=target "$pattern" ${dirs[@]} | grep -v "^$allowed:"; then exit 1; fi
 done
+
+step "the benchmark's lock is current: a crate-graph edit fails here instead of rewriting benchmark/Cargo.lock"
+# The benchmark command runs without --locked, so a manifest edge added or
+# dropped under crates/ would silently rewrite the frozen lock.
+cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
 
 step "benchmark correctness gate: every BENCHMARK.json workload once, pins and baseline rows hold"
 # The benchmark checks each op against its BENCH_harness.json row or its

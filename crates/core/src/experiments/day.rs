@@ -14,6 +14,7 @@
 //! randomness. That is what keeps artifacts identical at any harness
 //! thread count.
 
+use agora_sim::probe::{SIG_DEMAND, SIG_UPLINK_UTIL};
 use agora_sim::{
     DeviceClass, FastMap, Metrics, NodeId, P2Quantile, Protocol, SimDuration, SimTime, Simulation,
 };
@@ -284,8 +285,8 @@ pub(crate) fn run_day<S: ServingSubstrate>(
             sub.reconcile(sim, &mut ledger, &mut pending);
         }
         let (tick_demand, tick_util) = ledger.end_tick();
-        sim.probe_note("workload.demand", tick_demand);
-        sim.probe_note("net.uplink_util", tick_util);
+        sim.probe_note(SIG_DEMAND, tick_demand);
+        sim.probe_note(SIG_UPLINK_UTIL, tick_util);
         sub.end_tick(sim, TICK * (k + 1));
     }
     sim.run_for(TAIL);
@@ -467,8 +468,8 @@ mod tests {
         let mut noted_demand = 0.0;
         for (k, pair) in notes.chunks(2).enumerate() {
             let at = day_start + TICK * (k as u64 + 1);
-            assert_eq!((pair[0].0, pair[0].1), (at, "workload.demand"));
-            assert_eq!((pair[1].0, pair[1].1), (at, "net.uplink_util"));
+            assert_eq!((pair[0].0, pair[0].1), (at, SIG_DEMAND));
+            assert_eq!((pair[1].0, pair[1].1), (at, SIG_UPLINK_UTIL));
             noted_demand += pair[0].2;
         }
         assert!((noted_demand - fake.served_weight).abs() / requests < 1e-9);

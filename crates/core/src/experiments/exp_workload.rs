@@ -133,7 +133,7 @@ fn stats_of(handle: Option<&PolicyHandle>) -> PolicyStats {
 fn install_policy<P: Protocol>(sim: &mut Simulation<P>) -> PolicyHandle {
     let hub = PolicyHub::default();
     let handle = hub.handle();
-    sim.set_probe_sink(hub.into_sink(), agora_policy::CADENCE);
+    sim.set_probe_sink(hub.into_sink(), agora_sim::probe::DEFAULT_CADENCE);
     handle
 }
 

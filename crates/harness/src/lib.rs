@@ -29,8 +29,8 @@
 //!   `--explain <metric>` walks a recorded sample's causal chain back to
 //!   the external injection that started it.
 //! * **Ops plane** ([`observe`]):
-//!   `--observe <target>` replays one trial with the `agora-observer`
-//!   signal probes installed and streams a deterministic, CI-diffable
+//!   `--observe <target>` replays one trial with the OBS probe installed
+//!   on its simulations and streams a deterministic, CI-diffable
 //!   `OBS_*.jsonl` of cadence frames and anomaly-detector firings;
 //!   `--watch` adds a wall-clock heartbeat on stderr (never in artifacts).
 //!

@@ -162,7 +162,7 @@ fn run_observe_mode(opts: &Options) -> ExitCode {
     });
 
     let cadence = match opts.observe_cadence_secs {
-        None => agora_observer::DEFAULT_CADENCE,
+        None => agora_sim::probe::DEFAULT_CADENCE,
         Some(0) => {
             eprintln!("agora-harness: --observe-cadence must be >= 1 (seconds)");
             return ExitCode::from(1);
@@ -185,7 +185,7 @@ fn run_observe_mode(opts: &Options) -> ExitCode {
     let write_failed = Rc::new(Cell::new(false));
     let sink_writer = Rc::clone(&writer);
     let sink_failed = Rc::clone(&write_failed);
-    // Each record is flushed as soon as the observer emits it, so a long
+    // Each line is flushed as soon as a probe writes it, so a long
     // run's artifact is `tail -f`-able and survives a mid-run interrupt.
     let sink = Box::new(move |line: &str| {
         let mut w = sink_writer.borrow_mut();
@@ -224,7 +224,7 @@ fn run_observe_mode(opts: &Options) -> ExitCode {
         run.seed,
         run.summary.sims,
         run.summary.frames,
-        run.summary.anomalies.values().sum::<u64>()
+        run.summary.anomalies
     );
     println!("wrote observe artifact to {out_path} (deterministic; safe to diff in CI)");
 

@@ -310,11 +310,12 @@ fn e16_class_run() -> (u64, f64) {
 
 /// The `observer` section: the E16-class flash-crowd day of
 /// [`e16_class_run`], unobserved (probes compiled in but dormant — the
-/// per-dispatch cost is one predicted branch) and then with a full
-/// observer installed at coarse and fine sampling cadences. The overhead
-/// ratio is the price of the observe plane on a real protocol day.
+/// per-dispatch cost is one predicted branch) and then with the OBS probe
+/// installed at coarse and fine sampling cadences, its lines dropped. The
+/// overhead ratio is the price of the observe plane on a real protocol
+/// day.
 fn observer_to_json(prof: &mut PhaseProfiler) -> Json {
-    use agora_observer::Observer;
+    use crate::observe::{with_obs_probe, ObsOut};
 
     let mut out = Json::obj();
     out.set(
@@ -328,19 +329,13 @@ fn observer_to_json(prof: &mut PhaseProfiler) -> Json {
     let (_, unobserved_wall) = prof.time("microbench/observer_unobserved", e16_class_run);
     out.set("unobserved_wall_secs", Json::Num(unobserved_wall));
     for cadence_secs in [300u64, 60] {
-        let obs = Observer::new(Box::new(drop));
-        let handle = obs.clone();
         let cadence = SimDuration::from_secs(cadence_secs);
+        let lines = ObsOut::shared(Box::new(|_| {}));
         let (events, wall) = prof.time(
             &format!("microbench/observer_cadence{cadence_secs}s"),
-            || {
-                agora_sim::probe::with_thread_probe(
-                    move || (handle.make_sink(), cadence),
-                    e16_class_run,
-                )
-            },
+            || with_obs_probe(&lines, cadence, e16_class_run),
         );
-        let summary = obs.summary();
+        let summary = lines.borrow().summary;
         let mut point = Json::obj();
         point.set("events", Json::Num(events as f64));
         point.set("wall_secs", Json::Num(wall));
@@ -349,10 +344,7 @@ fn observer_to_json(prof: &mut PhaseProfiler) -> Json {
             Json::Num(wall / unobserved_wall.max(1e-9)),
         );
         point.set("frames", Json::Num(summary.frames as f64));
-        point.set(
-            "anomalies",
-            Json::Num(summary.anomalies.values().sum::<u64>() as f64),
-        );
+        point.set("anomalies", Json::Num(summary.anomalies as f64));
         out.set(&format!("cadence{cadence_secs}s"), point);
     }
     out

@@ -490,7 +490,7 @@ mod tests {
     use crate::matrix::metrics_to_json;
     use crate::observe::run_observe_target;
     use crate::registry::registry;
-    use agora_observer::DEFAULT_CADENCE;
+    use agora_sim::probe::DEFAULT_CADENCE;
 
     fn light_cfg() -> MatrixConfig {
         MatrixConfig {
@@ -537,7 +537,7 @@ mod tests {
 
     /// A sink never changes what a trial reports, whether it is dormant (the
     /// registry runner as the matrix calls it), a flight recorder, or the
-    /// observer's probes — the property the deleted `trace`/`observe` build
+    /// OBS probes — the property the deleted `trace`/`observe` build
     /// matrix re-diffed the baseline for. One variant per engine-driving
     /// family; compared on everything `run_to_json` renders of a trial.
     #[test]
@@ -569,7 +569,7 @@ mod tests {
             let observed =
                 run_observe_target(&reg, &cfg, &target, DEFAULT_CADENCE, None, Box::new(|_| {}))
                     .expect("registry target");
-            // The observer's whole footprint: one `anomaly.overload` count
+            // The OBS probe's whole footprint: one `anomaly.overload` count
             // per detector firing (E16's flash crowd trips it).
             let mut expected = plain.clone();
             for (key, n) in observed.metrics.counters() {
@@ -580,7 +580,7 @@ mod tests {
             assert_eq!(
                 rendered(&observed.metrics),
                 rendered(&expected),
-                "{target}: the observer moved a metric"
+                "{target}: the OBS probe moved a metric"
             );
         }
     }

@@ -6,9 +6,9 @@
 //! engage/escalate/release hysteresis state machine to its per-interval
 //! max, and exposes the resulting *policy level* through a shared
 //! [`PolicyHandle`] that substrate runners poll at deterministic sim times.
-//! It engages at the same threshold at which the observer
-//! (`agora-observer`) fires `anomaly.overload`, so the two planes agree
-//! on what overload is without one wrapping the other.
+//! It engages at [`agora_sim::probe::OVERLOAD_UTIL`], the threshold at
+//! which the harness's OBS detectors fire `anomaly.overload`, so the two
+//! planes agree on what overload is without one wrapping the other.
 //!
 //! # Determinism
 //!
@@ -48,13 +48,8 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-pub use agora_observer::{OVERLOAD_UTIL, SIG_UPLINK_UTIL};
-use agora_sim::probe::{ProbeAnomaly, ProbeFrame, ProbeSink};
-use agora_sim::{NodeId, SimDuration, SimTime};
-
-/// The sampling cadence to install a hub's sink with: the observer's
-/// default, so a policy decides on the intervals an OBS artifact shows.
-pub const CADENCE: SimDuration = agora_observer::DEFAULT_CADENCE;
+use agora_sim::probe::{ProbeAnomaly, ProbeFrame, ProbeSink, OVERLOAD_UTIL, SIG_UPLINK_UTIL};
+use agora_sim::{NodeId, SimTime};
 
 /// Count an interval toward release only when its utilization max is
 /// strictly below this (the hysteresis band is `[RELEASE_UTIL,
@@ -106,7 +101,8 @@ impl PolicyHub {
 
     /// The probe sink to install with
     /// [`Simulation::set_probe_sink`](agora_sim::Simulation::set_probe_sink)
-    /// at [`CADENCE`]. One hub drives one simulation's control loop.
+    /// at [`DEFAULT_CADENCE`](agora_sim::probe::DEFAULT_CADENCE). One hub
+    /// drives one simulation's control loop.
     pub fn into_sink(self) -> Box<dyn ProbeSink> {
         Box::new(PolicySink {
             state: self.state,
@@ -231,7 +227,7 @@ impl ProbeSink for PolicySink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agora_sim::Metrics;
+    use agora_sim::{Metrics, SimDuration};
 
     fn frame(metrics: &Metrics, t_secs: u64, uplink_backlog: f64) -> ProbeFrame<'_> {
         ProbeFrame {
@@ -289,8 +285,8 @@ mod tests {
     fn engages_on_overload_verdict_and_escalates_to_cap() {
         let (handle, mut sink) = hub();
         let m = Metrics::new();
-        // The interval max reaching the observer's overload threshold is
-        // the verdict: the policy engages on that frame.
+        // The interval max reaching the overload threshold is the
+        // verdict: the policy engages on that frame.
         note_util(&mut sink, 0.3);
         note_util(&mut sink, OVERLOAD_UTIL);
         let out = sink.on_frame(&frame(&m, 0, 0.0));

@@ -1,8 +1,8 @@
 //! Property tests for the policy hysteresis machine: always on, 256 seeded
 //! `SimRng` cases per property, no registry dependency.
 
-use agora_policy::{PolicyHub, MAX_LEVEL, SIG_UPLINK_UTIL};
-use agora_sim::probe::ProbeFrame;
+use agora_policy::{PolicyHub, MAX_LEVEL};
+use agora_sim::probe::{ProbeFrame, SIG_UPLINK_UTIL};
 use agora_sim::{Metrics, NodeId, SimDuration, SimRng, SimTime};
 
 const CASES: u64 = 256;

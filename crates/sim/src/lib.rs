@@ -23,9 +23,10 @@
 //! * the [`probe`](crate::probe) signals layer: a [`probe::ProbeSink`] tap
 //!   that samples engine state (queue depths, link backlogs, counters) on
 //!   a sim-time cadence and carries named substrate health signals — the
-//!   deterministic feed for `agora-observer` and `agora-policy`. Always
-//!   compiled in; one untaken branch per tap site until a sink is
-//!   installed.
+//!   deterministic feed for the harness's OBS writer and `agora-policy`.
+//!   It names the signals both decide on and the overload threshold they
+//!   share ([`probe::OVERLOAD_UTIL`]). Always compiled in; one untaken
+//!   branch per tap site until a sink is installed.
 //!
 //! ## Design
 //!

@@ -1,6 +1,12 @@
 //! Deterministic signal probes: a sampled, sim-time-cadenced view of engine
-//! state and substrate signals for the observer (`agora-observer`) and the
-//! reactive policy plane (`agora-policy`).
+//! state and substrate signals for the harness's OBS writer
+//! (`agora-harness::observe`) and the reactive policy plane
+//! (`agora-policy`).
+//!
+//! The signals both of them decide on are named here, where they are
+//! emitted, and so is the one threshold they share: [`SIG_UPLINK_UTIL`]
+//! at [`OVERLOAD_UTIL`] is what overload means to the OBS detectors and
+//! to the policy alike.
 //!
 //! The layer is always compiled in, but every tap site reduces to one
 //! predictable branch until a sink is actually installed — either directly
@@ -23,6 +29,26 @@ use crate::time::{SimDuration, SimTime};
 /// Pseudo-node stamped on signals emitted from outside any protocol handler
 /// (market audits, sim-level controllers).
 pub const PROBE_SIM_NODE: NodeId = NodeId(u32::MAX);
+
+/// Default sim-time sampling cadence for frames: what `--observe` samples
+/// at unless `--observe-cadence` overrides it, and what a policy hub is
+/// installed with, so a policy decides on the intervals an OBS artifact
+/// shows.
+pub const DEFAULT_CADENCE: SimDuration = SimDuration::from_secs(300);
+
+/// The workload layer's modeled demand-over-uplink factor, noted once per
+/// tick. Both OBS detectors read it, and so does `agora-policy`.
+pub const SIG_UPLINK_UTIL: &str = "net.uplink_util";
+
+/// The workload layer's per-tick demand total, which the OBS surge
+/// detector reads.
+pub const SIG_DEMAND: &str = "workload.demand";
+
+/// Overload threshold on the interval max of [`SIG_UPLINK_UTIL`]: 1.0 =
+/// some serving uplink cannot carry its attributed demand. The OBS
+/// detectors fire `anomaly.overload` at it and `agora-policy` engages at
+/// it.
+pub const OVERLOAD_UTIL: f64 = 1.0;
 
 /// One sampled engine frame: everything an observer may read at a cadence
 /// boundary. All fields derive from engine state only — no wall clock, no
@@ -60,8 +86,8 @@ pub struct ProbeFrame<'a> {
 /// to the event whose dispatch triggered the sample (so `--explain
 /// anomaly.*` can walk back to the overloading traffic).
 pub struct ProbeAnomaly {
-    /// Counter / trace-point key: `anomaly.overload` from the observer,
-    /// `policy.*` from a policy hub.
+    /// Counter / trace-point key: `anomaly.overload` from the OBS
+    /// detectors, `policy.*` from a policy hub.
     pub kind: &'static str,
     /// The signal value that tripped the detector.
     pub value: f64,

@@ -117,6 +117,10 @@ STAYS_DELETED=(
     # threshold, the harness detects and writes OBS lines. No typed record
     # layer between them, and no code names the shell crate.
     "§16 crates,tests,examples - ObsRecor[d]|FrameRecor[d]|AnomalyRecor[d]|SignalSummar[y]|ObserverSummar[y]|agora_observe[r]::|fn (frame|anomaly|record_to)_json"
+    # One replay: --trace and --observe run a trial through one function,
+    # probe frames count the queue when they are taken, and the
+    # serial-vs-parallel timer is gone.
+    "§16 crates,tests,examples - run_trace_targe[t]|run_observe_targe[t]|\bTraceRu[n]\b|\bObserveRu[n]\b|fn note_(push|dispatch)|\"--speedu[p]\""
     # A policy senses utilization itself, at constant thresholds.
     "§17 crates,tests,examples - PolicyConfig|engage_util|release_util|release_frames|max_level"
     # One run path and one render path per experiment: no result wrapper,
@@ -173,10 +177,16 @@ CHAOS_TMP="$(mktemp -d)"
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP" "$CHAOS_TMP"' EXIT
 H=./target/release/agora-harness
-# An output flag under a mode that returns before the matrix run is a usage
-# error naming both flags (exit 1), not an exit 0 that wrote nothing.
-[[ $($H --speedup --perf "$CHAOS_TMP/x.json" 2>&1 >/dev/null; echo "exit=$?") == *--perf*--speedup*"exit=1" ]]
+# A flag the chosen mode never reads — an output under a mode that returns
+# before the matrix run, or a second replay — is a usage error naming both
+# flags (exit 1), not an exit 0 that wrote nothing.
+[[ $($H --trace dht --perf "$CHAOS_TMP/x.json" 2>&1 >/dev/null; echo "exit=$?") == *--perf*--trace*"exit=1" ]]
 [[ ! -e "$CHAOS_TMP/x.json" ]]
+[[ $($H --observe e1 --trace e3 --trace-out "$CHAOS_TMP/t.jsonl" 2>&1 >/dev/null; echo "exit=$?") == *--trace*--observe*"exit=1" ]]
+[[ ! -e "$CHAOS_TMP/t.jsonl" ]]
+# The serial-vs-parallel timer is gone: the --perf trajectory row, the
+# determinism smokes below and bm:harness.pool_speedup_2t answer it.
+[[ $($H --speedup 2>&1 >/dev/null; echo "exit=$?") == *"unknown argument '--speedup'"*"exit=1" ]]
 # --reports renders every variant of the default layout: a filtered or
 # reseeded layout is a usage error too.
 [[ $($H --reports --filter e1 2>&1 >/dev/null; echo "exit=$?") == *--filter*--reports*"exit=1" ]]

@@ -23,15 +23,12 @@
 //! * **Regression baselines** ([`baseline`]): the JSON artifact diffs
 //!   against a checked-in `BENCH_harness.json` with a relative tolerance,
 //!   so perf/behaviour drift fails loudly in CI.
-//! * **Tracing & provenance** ([`trace`]):
-//!   `--trace <target>` replays one trial with the engine flight recorder
-//!   installed and writes a deterministic, CI-diffable `TRACE_*.jsonl`;
-//!   `--explain <metric>` walks a recorded sample's causal chain back to
-//!   the external injection that started it.
-//! * **Ops plane** ([`observe`]):
-//!   `--observe <target>` replays one trial with the OBS probe installed
-//!   on its simulations and streams a deterministic, CI-diffable
-//!   `OBS_*.jsonl` of cadence frames and anomaly-detector firings;
+//! * **Replay** ([`replay`]): one trial, re-run with the taps a run asks
+//!   for. `--trace <target>` installs the flight recorder and writes a
+//!   deterministic, CI-diffable `TRACE_*.jsonl` ([`trace`]); `--observe
+//!   <target>` installs the OBS probe and streams `OBS_*.jsonl` of cadence
+//!   frames and anomaly firings ([`observe`]). `--explain <metric>` walks a
+//!   recorded sample's causal chain back to the injection that started it;
 //!   `--watch` adds a wall-clock heartbeat on stderr (never in artifacts).
 //!
 //! The `agora-harness` binary (src/main.rs) drives all of this from the
@@ -48,6 +45,7 @@ pub mod observe;
 pub mod perf;
 pub mod pool;
 pub mod registry;
+pub mod replay;
 pub mod report;
 pub mod trace;
 pub mod watch;

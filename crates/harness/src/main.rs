@@ -8,7 +8,6 @@
 //!   agora-harness --filter e1,e3 --seeds 5
 //!   agora-harness --filter e16p/p10k  # one variant of one experiment
 //!   agora-harness --perf BENCH_perf.json   # also write wall-clock artifact + trajectory row
-//!   agora-harness --speedup               # measure serial vs parallel wall clock
 //!   agora-harness --reports               # run matrix, print experiments_output.txt
 //!   agora-harness --trace dht             # replay one trial, write TRACE_dht.jsonl
 //!   agora-harness --trace e3/f0.20 --explain e3.downtime_secs
@@ -28,17 +27,20 @@ use std::time::Duration;
 use agora_harness::matrix::{aggregate, artifact_json, filter_selects};
 use agora_harness::perf::{append_trajectory, trajectory_row};
 use agora_harness::{
-    diff_json, perf_to_json, read_json_file, registry, report, run_matrix, run_to_json,
-    ExperimentDef, MatrixConfig, PhaseProfiler, BASELINE_TOLERANCE, COHORT_ERROR_POPULATION,
+    diff_json, perf_to_json, read_json_file, registry, report, run_matrix, ExperimentDef,
+    MatrixConfig, PhaseProfiler, BASELINE_TOLERANCE, COHORT_ERROR_POPULATION,
 };
+use agora_sim::probe::DEFAULT_CADENCE;
+use agora_sim::trace::{FlightRecorder, DEFAULT_RING_CAPACITY};
+use agora_sim::SimDuration;
 
+#[derive(Default)]
 struct Options {
     cfg: MatrixConfig,
     baseline: String,
     json_out: Option<String>,
     perf_out: Option<String>,
     update_baseline: bool,
-    speedup: bool,
     reports: bool,
     trace: Option<String>,
     trace_out: Option<String>,
@@ -47,164 +49,99 @@ struct Options {
     validate_trace: Option<String>,
     observe: Option<String>,
     observe_out: Option<String>,
-    observe_cadence_secs: Option<u64>,
+    observe_cadence: Option<SimDuration>,
     validate_obs: Option<String>,
     watch: bool,
 }
 
-/// Handle `--trace`, `--explain`, and `--validate-trace`.
-fn run_trace_mode(opts: &Options) -> ExitCode {
-    use agora_harness::trace;
-
-    if let Some(path) = &opts.validate_trace {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("agora-harness: reading {path}: {e}");
-                return ExitCode::from(1);
-            }
-        };
-        return match trace::validate_jsonl(&text) {
-            Ok(s) => {
-                println!("{path}: OK ({} event(s), {} span(s))", s.events, s.spans);
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("agora-harness: {path}: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    // `--explain` without `--trace` explains the DHT provenance scenario.
-    let target = opts.trace.clone().unwrap_or_else(|| "dht".to_owned());
-    let cap = opts
-        .trace_cap
-        .unwrap_or(agora_sim::trace::DEFAULT_RING_CAPACITY);
-    let run = match trace::run_trace_target(&registry(), &opts.cfg, &target, cap) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("agora-harness: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    println!(
-        "traced {}/{} (seed {}): {} event(s) retained, {} evicted, {} span(s)",
-        run.target,
-        run.variant,
-        run.seed,
-        run.recorder.len(),
-        run.recorder.evicted(),
-        run.recorder.spans().count()
-    );
-    let out_path = opts
-        .trace_out
-        .clone()
-        .unwrap_or_else(|| format!("TRACE_{}.jsonl", target.replace('/', "_")));
-    if let Err(e) = std::fs::write(&out_path, trace::trace_to_jsonl(&run)) {
-        eprintln!("agora-harness: writing {out_path}: {e}");
-        return ExitCode::from(1);
-    }
-    println!("wrote trace artifact to {out_path} (deterministic; safe to diff in CI)");
-
-    if let Some(metric) = &opts.explain {
-        match trace::explain_metric(&run.recorder, metric) {
-            Some(ex) => {
-                print!("{}", ex.text);
-                println!("(resolved causal depth: {})", ex.depth);
-            }
-            None => {
-                eprintln!("agora-harness: no recorded sample for metric '{metric}' in this trace");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    ExitCode::SUCCESS
+/// A replay's artifact, created at its first write (an unknown target
+/// leaves no file) and written straight through: OBS lines land as the
+/// probe writes them, so a long run's file is `tail -f`-able.
+struct Artifact {
+    path: String,
+    file: Option<std::io::Result<std::fs::File>>,
 }
 
-/// Handle `--observe` and `--validate-obs`.
-fn run_observe_mode(opts: &Options) -> ExitCode {
-    use agora_harness::observe;
-    use std::cell::{Cell, RefCell};
-    use std::io::Write;
+impl Artifact {
+    fn write(&mut self, text: &str) {
+        use std::io::Write;
+        let file = self
+            .file
+            .get_or_insert_with(|| std::fs::File::create(&self.path));
+        if let Ok(Err(e)) = file.as_mut().map(|f| f.write_all(text.as_bytes())) {
+            self.file = Some(Err(e));
+        }
+    }
+}
+
+/// Check one artifact (`--validate-trace`, `--validate-obs`) or replay one
+/// trial (`--trace`, `--observe`, either with `--explain`). `parse_args`
+/// has refused every flag the chosen mode does not read.
+fn run_replay_mode(opts: &Options) -> ExitCode {
+    use agora_harness::observe::ObsLineSink;
+    use agora_harness::replay::{points_ring, replay};
+    use agora_harness::{observe, trace};
+    use std::cell::RefCell;
     use std::rc::Rc;
 
-    if let Some(path) = &opts.validate_obs {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("agora-harness: reading {path}: {e}");
-                return ExitCode::from(1);
-            }
-        };
-        return match observe::validate_obs_jsonl(&text) {
-            Ok(s) => {
-                println!(
-                    "{path}: OK ({} sim(s), {} frame(s), {} anomaly record(s))",
-                    s.sims, s.frames, s.anomalies
-                );
+    type Validator = fn(&str) -> Result<String, String>;
+    let validators: [(&Option<String>, Validator); 2] = [
+        (&opts.validate_trace, |text| {
+            let s = trace::validate_jsonl(text)?;
+            Ok(format!("{} event(s), {} span(s)", s.events, s.spans))
+        }),
+        (&opts.validate_obs, |text| {
+            let s = observe::validate_obs_jsonl(text)?;
+            let (sims, frames, anomalies) = (s.sims, s.frames, s.anomalies);
+            Ok(format!(
+                "{sims} sim(s), {frames} frame(s), {anomalies} anomaly record(s)"
+            ))
+        }),
+    ];
+    for (path, validate) in validators {
+        let Some(path) = path else { continue };
+        let checked = std::fs::read_to_string(path)
+            .map_err(|e| (1, format!("reading {path}: {e}")))
+            .and_then(|text| validate(&text).map_err(|e| (2, format!("{path}: {e}"))));
+        return match checked {
+            Ok(counts) => {
+                println!("{path}: OK ({counts})");
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("agora-harness: {path}: {e}");
-                ExitCode::from(2)
+            Err((code, e)) => {
+                eprintln!("agora-harness: {e}");
+                ExitCode::from(code)
             }
         };
     }
 
-    let target = opts
-        .observe
-        .clone()
-        .expect("observe dispatch needs a target");
-    let trace_ring = opts.explain.as_ref().map(|_| {
-        opts.trace_cap
-            .unwrap_or(agora_sim::trace::DEFAULT_RING_CAPACITY)
-    });
-
-    let cadence = match opts.observe_cadence_secs {
-        None => agora_sim::probe::DEFAULT_CADENCE,
-        Some(0) => {
-            eprintln!("agora-harness: --observe-cadence must be >= 1 (seconds)");
-            return ExitCode::from(1);
-        }
-        Some(secs) => agora_sim::SimDuration::from_secs(secs),
+    let (kind, prefix, target, out) = match (&opts.observe, &opts.trace) {
+        (Some(target), _) => ("observe", "OBS", target, &opts.observe_out),
+        (None, Some(target)) => ("trace", "TRACE", target, &opts.trace_out),
+        (None, None) => unreachable!("main replays only under --trace or --observe"),
     };
-
-    let out_path = opts
-        .observe_out
+    let path = out
         .clone()
-        .unwrap_or_else(|| format!("OBS_{}.jsonl", target.replace('/', "_")));
-    let file = match std::fs::File::create(&out_path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("agora-harness: creating {out_path}: {e}");
-            return ExitCode::from(1);
+        .unwrap_or_else(|| format!("{prefix}_{}.jsonl", target.replace('/', "_")));
+    let artifact = Rc::new(RefCell::new(Artifact { path, file: None }));
+    let lines = Rc::clone(&artifact);
+    let cap = opts.trace_cap.unwrap_or(DEFAULT_RING_CAPACITY);
+    let (ring, obs) = match opts.observe {
+        Some(_) => {
+            let cadence = opts.observe_cadence.unwrap_or(DEFAULT_CADENCE);
+            let sink: ObsLineSink =
+                Box::new(move |line| lines.borrow_mut().write(&format!("{line}\n")));
+            (
+                opts.explain.as_ref().map(|_| points_ring(cap)),
+                Some((cadence, sink)),
+            )
         }
+        None => (Some(FlightRecorder::new(cap)), None),
     };
-    let writer = Rc::new(RefCell::new(std::io::BufWriter::new(file)));
-    let write_failed = Rc::new(Cell::new(false));
-    let sink_writer = Rc::clone(&writer);
-    let sink_failed = Rc::clone(&write_failed);
-    // Each line is flushed as soon as a probe writes it, so a long
-    // run's artifact is `tail -f`-able and survives a mid-run interrupt.
-    let sink = Box::new(move |line: &str| {
-        let mut w = sink_writer.borrow_mut();
-        if writeln!(w, "{line}").and_then(|_| w.flush()).is_err() {
-            sink_failed.set(true);
-        }
-    });
-
     let _watch = opts
         .watch
         .then(|| agora_harness::watch::start(1, Duration::from_secs(2)));
-    let run = match observe::run_observe_target(
-        &registry(),
-        &opts.cfg,
-        &target,
-        cadence,
-        trace_ring,
-        sink,
-    ) {
+    let run = match replay(&registry(), &opts.cfg, target, ring, obs) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("agora-harness: {e}");
@@ -212,112 +149,75 @@ fn run_observe_mode(opts: &Options) -> ExitCode {
         }
     };
     agora_harness::watch::trial_finished();
-    drop(writer);
-    if write_failed.get() {
-        eprintln!("agora-harness: writing {out_path} failed mid-stream");
+    let (name, variant, seed) = (&run.target, &run.variant, run.seed);
+    if let Some(s) = run.obs {
+        let (sims, frames, anomalies) = (s.sims, s.frames, s.anomalies);
+        println!("observed {name}/{variant} (seed {seed}): {sims} sim(s), {frames} frame(s), {anomalies} anomaly record(s)");
+    } else if let Some(rec) = &run.recorder {
+        let (len, evicted, spans) = (rec.len(), rec.evicted(), rec.spans().count());
+        println!("traced {name}/{variant} (seed {seed}): {len} event(s) retained, {evicted} evicted, {spans} span(s)");
+        artifact
+            .borrow_mut()
+            .write(&trace::trace_to_jsonl(&run, rec));
+    }
+    let artifact = artifact.borrow();
+    if let Some(Err(e)) = &artifact.file {
+        eprintln!("agora-harness: writing {}: {e}", artifact.path);
         return ExitCode::from(1);
     }
-    println!(
-        "observed {}/{} (seed {}): {} sim(s), {} frame(s), {} anomaly record(s)",
-        run.target,
-        run.variant,
-        run.seed,
-        run.summary.sims,
-        run.summary.frames,
-        run.summary.anomalies
-    );
-    println!("wrote observe artifact to {out_path} (deterministic; safe to diff in CI)");
+    let path = &artifact.path;
+    println!("wrote {kind} artifact to {path} (deterministic; safe to diff in CI)");
 
-    if let Some(metric) = &opts.explain {
-        let rec = run.recorder.as_ref().expect("ring installed for --explain");
-        match agora_harness::trace::explain_metric(rec, metric) {
-            Some(ex) => {
-                print!("{}", ex.text);
-                println!("(resolved causal depth: {})", ex.depth);
-            }
-            None => {
-                eprintln!("agora-harness: no recorded sample for metric '{metric}' in this run");
-                return ExitCode::from(1);
-            }
-        }
-    }
+    let Some(metric) = &opts.explain else {
+        return ExitCode::SUCCESS;
+    };
+    let rec = run.recorder.as_ref().expect("--explain installs a ring");
+    let Some(ex) = trace::explain_metric(rec, metric) else {
+        eprintln!("agora-harness: no recorded sample for metric '{metric}' in this run");
+        return ExitCode::from(1);
+    };
+    print!("{}", ex.text);
+    println!("(resolved causal depth: {})", ex.depth);
     ExitCode::SUCCESS
 }
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
-        cfg: MatrixConfig::default(),
         baseline: "BENCH_harness.json".to_owned(),
-        json_out: None,
-        perf_out: None,
-        update_baseline: false,
-        speedup: false,
-        reports: false,
-        trace: None,
-        trace_out: None,
-        trace_cap: None,
-        explain: None,
-        validate_trace: None,
-        observe: None,
-        observe_out: None,
-        observe_cadence_secs: None,
-        validate_obs: None,
-        watch: false,
+        ..Options::default()
     };
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg.as_str() {
-            "--threads" => {
-                opts.cfg.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--seeds" => {
-                opts.cfg.seeds_per_variant = value("--seeds")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?
-            }
-            "--root-seed" => {
-                opts.cfg.root_seed = value("--root-seed")?
-                    .parse()
-                    .map_err(|e| format!("--root-seed: {e}"))?
-            }
+            "--threads" => opts.cfg.threads = parsed(&arg, value())?,
+            "--seeds" => opts.cfg.seeds_per_variant = parsed(&arg, value())?,
+            "--root-seed" => opts.cfg.root_seed = parsed(&arg, value())?,
             "--filter" => {
                 opts.cfg.filter = Some(
-                    value("--filter")?
+                    value()?
                         .split(',')
                         .map(|s| s.trim().to_owned())
                         .filter(|s| !s.is_empty())
                         .collect(),
                 )
             }
-            "--baseline" => opts.baseline = value("--baseline")?,
-            "--json" => opts.json_out = Some(value("--json")?),
-            "--perf" => opts.perf_out = Some(value("--perf")?),
-            "--trace" => opts.trace = Some(value("--trace")?),
-            "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
-            "--trace-cap" => {
-                opts.trace_cap = Some(
-                    value("--trace-cap")?
-                        .parse()
-                        .map_err(|e| format!("--trace-cap: {e}"))?,
-                )
-            }
-            "--explain" => opts.explain = Some(value("--explain")?),
-            "--validate-trace" => opts.validate_trace = Some(value("--validate-trace")?),
-            "--observe" => opts.observe = Some(value("--observe")?),
-            "--observe-out" => opts.observe_out = Some(value("--observe-out")?),
-            "--observe-cadence" => {
-                opts.observe_cadence_secs = Some(
-                    value("--observe-cadence")?
-                        .parse()
-                        .map_err(|e| format!("--observe-cadence: {e}"))?,
-                )
-            }
-            "--validate-obs" => opts.validate_obs = Some(value("--validate-obs")?),
+            "--baseline" => opts.baseline = value()?,
+            "--json" => opts.json_out = Some(value()?),
+            "--perf" => opts.perf_out = Some(value()?),
+            "--trace" => opts.trace = Some(value()?),
+            "--trace-out" => opts.trace_out = Some(value()?),
+            "--trace-cap" => opts.trace_cap = Some(parsed(&arg, value())?),
+            "--explain" => opts.explain = Some(value()?),
+            "--validate-trace" => opts.validate_trace = Some(value()?),
+            "--observe" => opts.observe = Some(value()?),
+            "--observe-out" => opts.observe_out = Some(value()?),
+            "--observe-cadence" => match parsed(&arg, value())? {
+                0 => return Err("--observe-cadence must be >= 1 (seconds)".to_owned()),
+                secs => opts.observe_cadence = Some(SimDuration::from_secs(secs)),
+            },
+            "--validate-obs" => opts.validate_obs = Some(value()?),
             "--watch" => opts.watch = true,
             "--update-baseline" => opts.update_baseline = true,
-            "--speedup" => opts.speedup = true,
             "--reports" => opts.reports = true,
             "--help" | "-h" => {
                 return Err("see crate docs / README for usage".to_owned());
@@ -342,27 +242,77 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
     Ok(opts)
 }
 
+/// A flag's `value` as a number.
+fn parsed<T: std::str::FromStr>(flag: &str, value: Result<String, String>) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value?.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 /// The first pair of flags that cannot be taken together, as a usage
-/// message. A mode `main` returns on before the matrix run would drop an
-/// output only the matrix run writes, and exit 0 all the same; `--reports`
-/// renders every variant of the default matrix layout, which `--filter`
-/// and `--seeds` change.
+/// message. A mode `main` returns on before the matrix run would drop a
+/// second mode, or an output only the matrix run writes, and exit 0 all the
+/// same; so would a replay flag the chosen replay does not read.
+/// `--reports` renders every variant of the default matrix layout, which
+/// `--filter` and `--seeds` change.
 fn ignored_output_flag(opts: &Options) -> Option<String> {
-    let first = |flags: &[(&'static str, bool)]| flags.iter().find(|&&(_, set)| set).map(|f| f.0);
-    let modes = [
+    // The modes, then the outputs only the matrix run writes.
+    let flags = [
         ("--observe", opts.observe.is_some()),
         ("--validate-obs", opts.validate_obs.is_some()),
         ("--trace", opts.trace.is_some()),
-        ("--explain", opts.explain.is_some()),
         ("--validate-trace", opts.validate_trace.is_some()),
-        ("--speedup", opts.speedup),
-    ];
-    let outputs = [
         ("--perf", opts.perf_out.is_some()),
         ("--json", opts.json_out.is_some()),
         ("--update-baseline", opts.update_baseline),
         ("--reports", opts.reports),
     ];
+    let mut given = flags.iter().filter(|&&(_, set)| set).map(|f| f.0);
+    if let (Some(mode), Some(other)) = (given.next(), given.next()) {
+        let modes = &flags[..4];
+        if modes.iter().any(|&(flag, _)| flag == mode) {
+            return Some(format!(
+                "{other} is never read under {mode}, which returns before the \
+                 matrix run; run them separately"
+            ));
+        }
+    }
+    let (trace, observe) = (opts.trace.is_some(), opts.observe.is_some());
+    let ring = trace || (observe && opts.explain.is_some());
+    let unread = [
+        (
+            "--trace-out",
+            opts.trace_out.is_some() && !trace,
+            "without --trace",
+        ),
+        (
+            "--observe-out",
+            opts.observe_out.is_some() && !observe,
+            "without --observe",
+        ),
+        (
+            "--observe-cadence",
+            opts.observe_cadence.is_some() && !observe,
+            "without --observe",
+        ),
+        (
+            "--trace-cap",
+            opts.trace_cap.is_some() && !ring,
+            "without a ring: --trace, or --observe with --explain",
+        ),
+        (
+            "--explain",
+            opts.explain.is_some() && !trace && !observe,
+            "without --trace or --observe",
+        ),
+    ];
+    if let Some((flag, _, when)) = unread.iter().find(|&&(_, set, _)| set) {
+        return Some(format!("{flag} is never read {when}"));
+    }
+    if !opts.reports {
+        return None;
+    }
     let layout = [
         ("--filter", opts.cfg.filter.is_some()),
         (
@@ -370,16 +320,7 @@ fn ignored_output_flag(opts: &Options) -> Option<String> {
             opts.cfg.seeds_per_variant != MatrixConfig::default().seeds_per_variant,
         ),
     ];
-    if let (Some(mode), Some(output)) = (first(&modes), first(&outputs)) {
-        return Some(format!(
-            "{output} is never written under {mode}, which returns before the \
-             matrix run; run them separately"
-        ));
-    }
-    if !opts.reports {
-        return None;
-    }
-    let flag = first(&layout)?;
+    let flag = layout.iter().find(|&&(_, set)| set)?.0;
     Some(format!(
         "{flag} is refused under --reports, which renders every variant of \
          the default matrix layout"
@@ -447,58 +388,24 @@ fn main() -> ExitCode {
         }
     };
 
-    // Observe mode wins when both could apply: `--observe X --explain M`
-    // explains M against the observed run's recording, not a trace replay.
-    if opts.observe.is_some() || opts.validate_obs.is_some() {
-        return run_observe_mode(&opts);
-    }
-
-    if opts.trace.is_some() || opts.explain.is_some() || opts.validate_trace.is_some() {
-        return run_trace_mode(&opts);
+    if [
+        &opts.trace,
+        &opts.observe,
+        &opts.validate_trace,
+        &opts.validate_obs,
+    ]
+    .iter()
+    .any(|mode| mode.is_some())
+    {
+        return run_replay_mode(&opts);
     }
 
     let reg = registry();
 
     let _watch = opts.watch.then(|| {
         let trials = agora_harness::matrix::build_trials(&reg, &opts.cfg).len();
-        let total = if opts.speedup { trials * 2 } else { trials };
-        agora_harness::watch::start(total, Duration::from_secs(2))
+        agora_harness::watch::start(trials, Duration::from_secs(2))
     });
-
-    if opts.speedup {
-        let serial_cfg = MatrixConfig {
-            threads: 1,
-            ..opts.cfg.clone()
-        };
-        let serial = run_matrix(&reg, &serial_cfg);
-        let parallel = run_matrix(&reg, &opts.cfg);
-        let speedup = serial.wall.as_secs_f64() / parallel.wall.as_secs_f64().max(1e-9);
-        println!(
-            "serial   ({} thread):  {:>7.2} s",
-            1,
-            serial.wall.as_secs_f64()
-        );
-        println!(
-            "parallel ({} threads): {:>7.2} s",
-            parallel.config.threads,
-            parallel.wall.as_secs_f64()
-        );
-        println!("speedup: {speedup:.2}x");
-        let identical = run_to_json(&serial).render() == run_to_json(&parallel).render();
-        println!(
-            "artifacts byte-identical across thread counts: {}",
-            if identical {
-                "yes"
-            } else {
-                "NO — determinism bug"
-            }
-        );
-        return if identical {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(2)
-        };
-    }
 
     // Under --reports stdout is the report stream alone; the run summary
     // and every status line go to stderr.
@@ -657,9 +564,8 @@ mod tests {
     fn an_output_flag_under_an_early_returning_mode_is_a_usage_error() {
         let parse = |args: &[&str]| parse_args(args.iter().map(|&a| a.to_owned()));
         for mode in [
-            &["--speedup"][..],
-            &["--trace", "dht"],
-            &["--explain", "dht.lookup_secs"],
+            &["--trace", "dht"][..],
+            &["--trace", "dht", "--explain", "dht.lookup_secs"],
             &["--validate-trace", "t.jsonl"],
             &["--observe", "e16/p10k"],
             &["--validate-obs", "o.jsonl"],
@@ -706,6 +612,48 @@ mod tests {
                 "{err}"
             );
             assert!(parse(layout).is_ok(), "{layout:?} alone");
+        }
+    }
+
+    #[test]
+    fn a_replay_flag_the_chosen_replay_does_not_read_is_a_usage_error() {
+        let parse = |args: &str| parse_args(args.split_whitespace().map(str::to_owned));
+        // Each command line, with the flags its message must name.
+        for (args, named) in [
+            ("--observe e1 --trace e3", "--trace --observe"),
+            ("--trace e3 --validate-obs o", "--validate-obs --trace"),
+            (
+                "--validate-trace t --validate-obs o",
+                "--validate-obs --validate-trace",
+            ),
+            ("--trace-out t", "--trace-out --trace"),
+            ("--observe e1 --trace-out t", "--trace-out --trace"),
+            ("--observe-out o", "--observe-out --observe"),
+            ("--trace e3 --observe-out o", "--observe-out --observe"),
+            (
+                "--trace e3 --observe-cadence 60",
+                "--observe-cadence --observe",
+            ),
+            ("--trace-cap 64", "--trace-cap --trace"),
+            ("--observe e1 --trace-cap 64", "--trace-cap --explain"),
+            ("--explain m", "--explain --trace"),
+            ("--observe e1 --observe-cadence 0", "--observe-cadence"),
+        ] {
+            let err = parse(args)
+                .err()
+                .unwrap_or_else(|| panic!("{args} must be refused"));
+            assert!(
+                named.split(' ').all(|flag| err.contains(flag)),
+                "{args}: {err}"
+            );
+        }
+        for ok in [
+            "--trace e3 --trace-out t --trace-cap 64 --watch",
+            "--trace dht --explain dht.lookup_secs",
+            "--observe e1 --observe-out o --observe-cadence 60 --watch",
+            "--observe e1 --explain m --trace-cap 64",
+        ] {
+            assert!(parse(ok).is_ok(), "{ok}");
         }
     }
 }

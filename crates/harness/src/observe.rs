@@ -1,7 +1,7 @@
-//! The observe plane's artifact: run one registry trial with an OBS probe
-//! on every simulation it builds and write `OBS_<target>.jsonl` (header,
-//! sim starts, cadence frames, anomaly lines, final summary) a line at a
-//! time; and validate such artifacts.
+//! The observe plane's artifact: the OBS probe a replay
+//! ([`crate::replay`]) puts on every simulation it builds, which writes
+//! `OBS_<target>.jsonl` (header, sim starts, cadence frames, anomaly lines,
+//! final summary) a line at a time; and validation of such artifacts.
 //!
 //! Each simulation's probe sums its substrate signals and counter deltas
 //! per cadence interval, and runs two detectors over the workload layer's
@@ -27,15 +27,12 @@ use agora_sim::probe::{
     with_thread_probe, ProbeAnomaly, ProbeFrame, ProbeSink, OVERLOAD_UTIL, SIG_DEMAND,
     SIG_UPLINK_UTIL,
 };
-use agora_sim::trace::{with_thread_sink, FlightRecorder, SharedRecorder, TraceFilter};
-use agora_sim::{Metrics, NodeId, SimDuration, SimTime};
+use agora_sim::{NodeId, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use crate::json::Json;
-use crate::matrix::{find_trial, MatrixConfig};
-use crate::registry::ExperimentDef;
 use crate::trace::node_json;
 
 /// JSONL schema version for `OBS_*.jsonl`.
@@ -64,93 +61,7 @@ const EWMA_ALPHA: f64 = 0.1;
 /// Where artifact lines go, one call per line, no trailing newline.
 pub type ObsLineSink = Box<dyn FnMut(&str)>;
 
-/// One completed observed trial.
-pub struct ObserveRun {
-    /// Target id (an experiment id from the registry).
-    pub target: String,
-    /// Variant label within the target.
-    pub variant: String,
-    /// The seed the trial ran with.
-    pub seed: u64,
-    /// Metrics the trial reported. Identical to an unobserved run except
-    /// for the `anomaly.overload` counter, which exists only when a
-    /// detector fired.
-    pub metrics: Metrics,
-    /// The body's totals (what the artifact's summary line carries).
-    pub summary: ObsFileSummary,
-    /// Flight recording taken alongside the probes (present when a trace
-    /// ring was requested) — this is what `--explain anomaly.*` walks.
-    pub recorder: Option<FlightRecorder>,
-}
-
-/// Replay one registry trial of `target` with the OBS probe installed,
-/// streaming artifact lines to `sink` in emission order.
-///
-/// Targets use the trace grammar minus the `dht` special case: an
-/// experiment id (`e16` — first variant) or `id/variant` (`e16/p10k`),
-/// replaying the exact first matching trial of the default matrix — same
-/// derived seed, same metrics. `trace_ring` additionally installs a flight
-/// recorder of that capacity so anomaly trace points can be explained.
-/// Frames are sampled every `cadence` of sim time.
-pub fn run_observe_target(
-    registry: &[ExperimentDef],
-    cfg: &MatrixConfig,
-    target: &str,
-    cadence: SimDuration,
-    trace_ring: Option<usize>,
-    sink: ObsLineSink,
-) -> Result<ObserveRun, String> {
-    let (spec, run) = find_trial(registry, cfg, target).ok_or_else(|| {
-        format!("unknown observe target '{target}' (try an experiment id like 'e16' or 'e16/p10k')")
-    })?;
-    let (target_id, variant, seed) = (
-        spec.experiment.to_owned(),
-        spec.variant.to_owned(),
-        spec.seed,
-    );
-
-    let out = ObsOut::shared(sink);
-    out.borrow_mut()
-        .write(&header_json(&target_id, &variant, seed, cadence));
-
-    // A flight recorder, when asked for, nests around the probe scope:
-    // tracing and probing are independent taps on the same event stream.
-    let probed = || with_obs_probe(&out, cadence, || run(seed));
-    let (metrics, recorder) = match trace_ring {
-        Some(cap) => {
-            // Points-only ring: an anomaly fires once at onset, then a
-            // day of net/timer records would evict it long before the
-            // run ends. Protocol and anomaly points are what observe-
-            // mode `--explain` queries, so only they occupy ring slots;
-            // span aggregation still sees every record class. Causal
-            // chains degrade gracefully where parents were filtered.
-            let filter = TraceFilter {
-                net: false,
-                timers: false,
-                churn: false,
-                points: true,
-            };
-            let shared = SharedRecorder::from_recorder(FlightRecorder::with_filter(cap, filter));
-            let handle = shared.clone();
-            let observed = with_thread_sink(move || Box::new(handle.clone()), probed);
-            (observed, Some(shared.snapshot()))
-        }
-        None => (probed(), None),
-    };
-
-    let summary = out.borrow().summary;
-    out.borrow_mut().write(&summary_json(&summary));
-    Ok(ObserveRun {
-        target: target_id,
-        variant,
-        seed,
-        metrics,
-        summary,
-        recorder,
-    })
-}
-
-fn header_json(target: &str, variant: &str, seed: u64, cadence: SimDuration) -> Json {
+pub(crate) fn header_json(target: &str, variant: &str, seed: u64, cadence: SimDuration) -> Json {
     let mut header = Json::obj();
     header.set("type", Json::Str("header".to_owned()));
     header.set("schema", Json::Num(OBS_SCHEMA as f64));
@@ -198,7 +109,7 @@ impl ObsOut {
         }))
     }
 
-    fn write(&mut self, line: &Json) {
+    pub(crate) fn write(&mut self, line: &Json) {
         (self.sink)(&line.render_compact());
     }
 }
@@ -442,7 +353,7 @@ pub struct ObsFileSummary {
     pub anomalies: usize,
 }
 
-fn summary_json(s: &ObsFileSummary) -> Json {
+pub(crate) fn summary_json(s: &ObsFileSummary) -> Json {
     let mut line = Json::obj();
     line.set("type", Json::Str("summary".to_owned()));
     line.set("sims", Json::Num(s.sims as f64));
@@ -457,7 +368,7 @@ fn summary_json(s: &ObsFileSummary) -> Json {
 
 /// The first field `line` lacks or holds in another shape: `strings`, then
 /// `numbers`, then `objects`.
-fn missing_field<'a>(
+pub(crate) fn missing_field<'a>(
     line: &Json,
     strings: &[&'a str],
     numbers: &[&'a str],
@@ -474,6 +385,30 @@ fn missing_field<'a>(
         .or_else(|| absent(objects, |v| matches!(v, Json::Obj(_))))
 }
 
+/// Parse the first line of `text` as an artifact header: type `header`,
+/// this `schema`, and the `strings` and `numbers` fields. Returns it with
+/// the numbered lines after it.
+pub(crate) fn read_header<'a>(
+    text: &'a str,
+    schema: u32,
+    strings: &[&str],
+    numbers: &[&str],
+) -> Result<(Json, std::iter::Enumerate<std::str::Lines<'a>>), String> {
+    let mut lines = text.lines().enumerate();
+    let (_, first) = lines.next().ok_or("empty artifact")?;
+    let header = Json::parse(first).map_err(|e| format!("line 1: {e}"))?;
+    if header.get("type").and_then(Json::as_str) != Some("header") {
+        return Err("line 1: first line must be the header".to_owned());
+    }
+    if header.get("schema").and_then(Json::as_f64) != Some(schema as f64) {
+        return Err(format!("line 1: unsupported schema (want {schema})"));
+    }
+    if let Some(field) = missing_field(&header, strings, numbers, &[]) {
+        return Err(format!("line 1: header missing field '{field}'"));
+    }
+    Ok((header, lines))
+}
+
 /// The tiny in-repo `OBS_*.jsonl` schema checker CI runs: every line must
 /// parse as JSON; the first line must be a schema-2 header; body lines must
 /// be known types with their required fields, sim lines numbering the sims
@@ -482,15 +417,6 @@ fn missing_field<'a>(
 /// the summary the body's totals render to. Returns the body counts on
 /// success.
 pub fn validate_obs_jsonl(text: &str) -> Result<ObsFileSummary, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, first) = lines.next().ok_or("empty observe file")?;
-    let header = Json::parse(first).map_err(|e| format!("line 1: {e}"))?;
-    if header.get("type").and_then(Json::as_str) != Some("header") {
-        return Err("line 1: first line must be the header".to_owned());
-    }
-    if header.get("schema").and_then(Json::as_f64) != Some(OBS_SCHEMA as f64) {
-        return Err(format!("line 1: unsupported schema (want {OBS_SCHEMA})"));
-    }
     let numbers = [
         "cadence_secs",
         "overload_util",
@@ -498,9 +424,7 @@ pub fn validate_obs_jsonl(text: &str) -> Result<ObsFileSummary, String> {
         "jump_warmup",
         "window",
     ];
-    if let Some(field) = missing_field(&header, &["target", "variant", "seed"], &numbers, &[]) {
-        return Err(format!("line 1: header missing field '{field}'"));
-    }
+    let (_, lines) = read_header(text, OBS_SCHEMA, &["target", "variant", "seed"], &numbers)?;
 
     let mut counted = ObsFileSummary::default();
     let mut summary: Option<(usize, Json)> = None;
@@ -584,8 +508,11 @@ fn count_body_line(v: &Json, counted: &mut ObsFileSummary) -> Result<(), String>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::MatrixConfig;
     use crate::registry::registry;
+    use crate::replay::replay;
     use agora_sim::probe::DEFAULT_CADENCE;
+    use agora_sim::Metrics;
 
     fn light_cfg() -> MatrixConfig {
         MatrixConfig {
@@ -594,44 +521,44 @@ mod tests {
         }
     }
 
-    fn observe_to_string(target: &str, cfg: &MatrixConfig) -> (String, ObserveRun) {
+    /// Replay `target` under the OBS probe alone; the artifact's lines,
+    /// newline-terminated, come back with the run.
+    fn observe_to_string(target: &str) -> (String, ObsFileSummary, Metrics, u64) {
         let lines: Rc<RefCell<String>> = Rc::new(RefCell::new(String::new()));
         let out = Rc::clone(&lines);
-        let run = run_observe_target(
+        let sink: ObsLineSink = Box::new(move |line| {
+            let mut buf = out.borrow_mut();
+            buf.push_str(line);
+            buf.push('\n');
+        });
+        let run = replay(
             &registry(),
-            cfg,
+            &light_cfg(),
             target,
-            DEFAULT_CADENCE,
             None,
-            Box::new(move |line| {
-                let mut buf = out.borrow_mut();
-                buf.push_str(line);
-                buf.push('\n');
-            }),
+            Some((DEFAULT_CADENCE, sink)),
         )
         .expect("observe target runs");
         let text = lines.borrow().clone();
-        (text, run)
+        let summary = run.obs.expect("the OBS probe was installed");
+        (text, summary, run.metrics, run.seed)
     }
 
     #[test]
     fn observe_jsonl_is_deterministic_and_valid() {
-        let cfg = light_cfg();
-        let (a, run) = observe_to_string("e16/p10k", &cfg);
-        let (b, _) = observe_to_string("e16/p10k", &cfg);
+        let (a, summary, _, _) = observe_to_string("e16/p10k");
+        let (b, _, _, _) = observe_to_string("e16/p10k");
         assert_eq!(a, b, "OBS jsonl must be byte-identical across runs");
         let counted = validate_obs_jsonl(&a).expect("artifact validates");
-        assert_eq!(counted, run.summary);
+        assert_eq!(counted, summary);
         assert!(counted.frames > 0, "cadence frames were emitted");
     }
 
     #[test]
     fn observed_metrics_match_unobserved_run_modulo_anomaly_counters() {
-        let cfg = light_cfg();
-        let (_, run) = observe_to_string("e15/i1.00", &cfg);
-        let plain = agora::experiments::e15_metrics(run.seed, 1.0);
-        let observed: Vec<_> = run
-            .metrics
+        let (_, _, metrics, seed) = observe_to_string("e15/i1.00");
+        let plain = agora::experiments::e15_metrics(seed, 1.0);
+        let observed: Vec<_> = metrics
             .counters()
             .filter(|(k, _)| !k.starts_with("anomaly."))
             .collect();
@@ -644,10 +571,9 @@ mod tests {
 
     #[test]
     fn unknown_targets_are_rejected() {
-        let reg = registry();
-        let cfg = light_cfg();
-        let err = run_observe_target(&reg, &cfg, "e99", DEFAULT_CADENCE, None, Box::new(|_| {}));
-        assert!(err.is_err());
+        let obs: Option<(_, ObsLineSink)> = Some((DEFAULT_CADENCE, Box::new(|_| {})));
+        let cfg = MatrixConfig::default();
+        assert!(replay(&registry(), &cfg, "e99", None, obs).is_err());
     }
 
     #[test]

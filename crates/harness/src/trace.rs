@@ -1,8 +1,8 @@
-//! Harness surface of the `agora-trace` layer: replay one trial with the
-//! flight recorder on, serialize the recording to a deterministic
-//! `TRACE_<target>.jsonl` artifact, validate such artifacts, and answer
-//! `--explain` provenance queries (walk a recorded metric sample back
-//! through its causal chain of deliveries and timer fires).
+//! Harness surface of the `agora-trace` layer: the `dht` replay target,
+//! serialization of a replay's flight recording (see [`crate::replay`]) to
+//! a deterministic `TRACE_<target>.jsonl` artifact, validation of such
+//! artifacts, and `--explain` provenance queries (walk a recorded metric
+//! sample back through its causal chain of deliveries and timer fires).
 //!
 //! Trace artifacts are **wall-clock-free**: every field is a pure function
 //! of `(target, seed)`, so repeated runs are byte-identical and the files
@@ -14,67 +14,15 @@ use std::rc::Rc;
 
 use agora_crypto::sha256;
 use agora_dht::{Contact, DhtConfig, DhtNode, DhtResult};
-use agora_sim::trace::{
-    with_thread_sink, FlightRecorder, SharedRecorder, SpanAgg, TraceEvent, TraceKind,
-};
+use agora_sim::trace::{FlightRecorder, SpanAgg, TraceEvent, TraceKind};
 use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, Simulation};
 
 use crate::json::Json;
-use crate::matrix::{find_trial, MatrixConfig, TrialRunner};
-use crate::registry::ExperimentDef;
+use crate::observe::{missing_field, read_header};
+use crate::replay::Replay;
 
 /// JSONL schema version for `TRACE_*.jsonl`.
 pub const TRACE_SCHEMA: u32 = 2;
-
-/// One completed trace replay.
-pub struct TraceRun {
-    /// Target id (`dht`, or an experiment id from the registry).
-    pub target: String,
-    /// Variant label within the target.
-    pub variant: String,
-    /// The seed the trial ran with.
-    pub seed: u64,
-    /// Metrics the trial reported (same values as an untraced run).
-    pub metrics: Metrics,
-    /// The flight recording.
-    pub recorder: FlightRecorder,
-}
-
-/// Replay one trial of `target` with a fresh flight recorder installed.
-///
-/// Targets: `dht` (the harness-local Kademlia provenance scenario, seeded
-/// from the config's root seed), an experiment id (`e7` — first variant),
-/// or `id/variant` (`e3/f0.20`). Registry targets replay the exact first
-/// matching trial of the default matrix — same derived seed, same metrics.
-pub fn run_trace_target(
-    registry: &[ExperimentDef],
-    cfg: &MatrixConfig,
-    target: &str,
-    ring_capacity: usize,
-) -> Result<TraceRun, String> {
-    let (target_id, variant, seed, run): (&str, &str, u64, TrialRunner) = if target == "dht" {
-        ("dht", "default", cfg.root_seed, dht_scenario)
-    } else {
-        let (spec, run) = find_trial(registry, cfg, target).ok_or_else(|| {
-            format!("unknown trace target '{target}' (try 'dht' or an experiment id like 'e7' or 'e3/f0.20')")
-        })?;
-        (spec.experiment, spec.variant, spec.seed, run)
-    };
-
-    let shared = SharedRecorder::from_recorder(FlightRecorder::new(ring_capacity));
-    let handle = shared.clone();
-    // The sink factory is thread-local and removed on return, so every
-    // `Simulation` the trial constructs — however deep — appends to this
-    // run's recorder and nothing leaks to later work on the thread.
-    let metrics = with_thread_sink(move || Box::new(handle.clone()), || run(seed));
-    Ok(TraceRun {
-        target: target_id.to_owned(),
-        variant: variant.to_owned(),
-        seed,
-        metrics,
-        recorder: shared.snapshot(),
-    })
-}
 
 /// The harness-local DHT provenance scenario: a 24-node Kademlia overlay
 /// (no matrix experiment exercises `agora-dht` directly) that performs
@@ -235,11 +183,11 @@ fn hist_summary(h: &agora_sim::Histogram) -> Json {
     s
 }
 
-/// Serialize a trace run to the JSONL artifact: a header line, one line per
-/// retained ring event (arrival order), one line per span (key order).
-/// Byte-identical across repeated runs of the same target and seed.
-pub fn trace_to_jsonl(run: &TraceRun) -> String {
-    let rec = &run.recorder;
+/// Serialize a replay's recording `rec` to the JSONL artifact: a header
+/// line, one line per retained ring event (arrival order), one line per
+/// span (key order). Byte-identical across repeated runs of the same target
+/// and seed.
+pub fn trace_to_jsonl(run: &Replay, rec: &FlightRecorder) -> String {
     let mut out = String::new();
     let mut header = Json::obj();
     header.set("type", Json::Str("header".to_owned()));
@@ -268,7 +216,7 @@ pub fn trace_to_jsonl(run: &TraceRun) -> String {
 }
 
 /// Summary returned by [`validate_jsonl`].
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct TraceFileSummary {
     /// Event lines seen.
     pub events: usize,
@@ -283,33 +231,13 @@ pub struct TraceFileSummary {
 /// key/count. Seeds (header and `sim_start`) are decimal strings. Returns
 /// the body counts on success.
 pub fn validate_jsonl(text: &str) -> Result<TraceFileSummary, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, first) = lines.next().ok_or("empty trace file")?;
-    let header = Json::parse(first).map_err(|e| format!("line 1: {e}"))?;
-    if header.get("type").and_then(Json::as_str) != Some("header") {
-        return Err("line 1: first line must be the header".to_owned());
-    }
-    if header.get("schema").and_then(Json::as_f64) != Some(TRACE_SCHEMA as f64) {
-        return Err(format!("line 1: unsupported schema (want {TRACE_SCHEMA})"));
-    }
-    for field in ["target", "variant"] {
-        if header.get(field).and_then(Json::as_str).is_none() {
-            return Err(format!("line 1: header missing string field '{field}'"));
-        }
-    }
+    let numbers = ["ring_capacity", "events", "evicted", "spans"];
+    let (header, lines) = read_header(text, TRACE_SCHEMA, &["target", "variant"], &numbers)?;
     if decimal_seed(&header).is_none() {
         return Err("line 1: header 'seed' must be a decimal u64 string".to_owned());
     }
-    for field in ["ring_capacity", "events", "evicted", "spans"] {
-        if header.get(field).and_then(Json::as_f64).is_none() {
-            return Err(format!("line 1: header missing numeric field '{field}'"));
-        }
-    }
 
-    let mut summary = TraceFileSummary {
-        events: 0,
-        spans: 0,
-    };
+    let mut summary = TraceFileSummary::default();
     for (ix, line) in lines {
         let lineno = ix + 1;
         let v = Json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
@@ -319,9 +247,7 @@ pub fn validate_jsonl(text: &str) -> Result<TraceFileSummary, String> {
                 summary.events += 1;
             }
             Some("span") => {
-                if v.get("key").and_then(Json::as_str).is_none()
-                    || v.get("count").and_then(Json::as_f64).is_none()
-                {
+                if missing_field(&v, &["key"], &["count"], &[]).is_some() {
                     return Err(format!("line {lineno}: span line needs key and count"));
                 }
                 if summary.events == 0 && header.get("events").and_then(Json::as_f64) != Some(0.0) {
@@ -332,19 +258,11 @@ pub fn validate_jsonl(text: &str) -> Result<TraceFileSummary, String> {
             other => return Err(format!("line {lineno}: unknown line type {other:?}")),
         }
     }
-    let want_events = header.get("events").and_then(Json::as_f64).unwrap_or(-1.0);
-    if want_events != summary.events as f64 {
-        return Err(format!(
-            "header claims {want_events} events, body has {}",
-            summary.events
-        ));
-    }
-    let want_spans = header.get("spans").and_then(Json::as_f64).unwrap_or(-1.0);
-    if want_spans != summary.spans as f64 {
-        return Err(format!(
-            "header claims {want_spans} spans, body has {}",
-            summary.spans
-        ));
+    for (field, body) in [("events", summary.events), ("spans", summary.spans)] {
+        let claimed = header.get(field).and_then(Json::as_f64).unwrap_or(-1.0);
+        if claimed != body as f64 {
+            return Err(format!("header claims {claimed} {field}, body has {body}"));
+        }
     }
     Ok(summary)
 }
@@ -487,9 +405,10 @@ pub fn explain_metric(rec: &FlightRecorder, metric: &str) -> Option<Explanation>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::metrics_to_json;
-    use crate::observe::run_observe_target;
+    use crate::matrix::{find_trial, metrics_to_json, MatrixConfig};
+    use crate::observe::ObsLineSink;
     use crate::registry::registry;
+    use crate::replay::replay;
     use agora_sim::probe::DEFAULT_CADENCE;
 
     fn light_cfg() -> MatrixConfig {
@@ -499,11 +418,18 @@ mod tests {
         }
     }
 
+    /// Replay `target` under a flight recorder of `cap` events.
+    fn traced(target: &str, cap: usize) -> Result<(Replay, FlightRecorder), String> {
+        let ring = Some(FlightRecorder::new(cap));
+        let mut run = replay(&registry(), &light_cfg(), target, ring, None)?;
+        let rec = run.recorder.take().expect("a ring was installed");
+        Ok((run, rec))
+    }
+
     #[test]
     fn dht_scenario_emits_points_and_multi_hop_chains() {
-        let run = run_trace_target(&registry(), &light_cfg(), "dht", 1 << 20).expect("dht target");
+        let (run, rec) = traced("dht", 1 << 20).expect("dht target");
         assert_eq!(run.target, "dht");
-        let rec = &run.recorder;
         assert_eq!(rec.evicted(), 0, "ring sized to hold the full scenario");
         assert!(
             rec.span("dht.lookup_secs").is_some(),
@@ -515,7 +441,7 @@ mod tests {
             "receiver-down drops recorded"
         );
         assert!(run.metrics.counter("trace_dht.gets_found") >= 1);
-        let explained = explain_metric(rec, "dht.lookup_secs").expect("sample exists");
+        let explained = explain_metric(&rec, "dht.lookup_secs").expect("sample exists");
         assert!(
             explained.depth >= 3,
             "chain depth {} < 3:\n{}",
@@ -526,10 +452,11 @@ mod tests {
 
     #[test]
     fn trace_jsonl_is_deterministic_and_valid() {
-        let reg = registry();
-        let cfg = light_cfg();
-        let a = trace_to_jsonl(&run_trace_target(&reg, &cfg, "dht", 4096).unwrap());
-        let b = trace_to_jsonl(&run_trace_target(&reg, &cfg, "dht", 4096).unwrap());
+        let jsonl = || {
+            let (run, rec) = traced("dht", 4096).unwrap();
+            trace_to_jsonl(&run, &rec)
+        };
+        let (a, b) = (jsonl(), jsonl());
         assert_eq!(a, b, "TRACE jsonl must be byte-identical across runs");
         let summary = validate_jsonl(&a).expect("artifact validates");
         assert!(summary.events > 0 && summary.spans > 0);
@@ -555,7 +482,7 @@ mod tests {
             ("e18", "p10k"),
         ] {
             let target = format!("{id}/{variant}");
-            let run = run_trace_target(&reg, &cfg, &target, 1024).expect("registry target");
+            let (run, _) = traced(&target, 1024).expect("registry target");
             assert_eq!((run.target.as_str(), run.variant.as_str()), (id, variant));
             let (spec, runner) = find_trial(&reg, &cfg, &target).expect("the matrix holds it");
             assert_eq!(run.seed, spec.seed, "{target}: replay uses the matrix seed");
@@ -566,9 +493,8 @@ mod tests {
                 "{target}: the flight recorder moved a metric"
             );
 
-            let observed =
-                run_observe_target(&reg, &cfg, &target, DEFAULT_CADENCE, None, Box::new(|_| {}))
-                    .expect("registry target");
+            let obs: Option<(_, ObsLineSink)> = Some((DEFAULT_CADENCE, Box::new(|_| {})));
+            let observed = replay(&reg, &cfg, &target, None, obs).expect("registry target");
             // The OBS probe's whole footprint: one `anomaly.overload` count
             // per detector firing (E16's flash crowd trips it).
             let mut expected = plain.clone();
@@ -589,18 +515,23 @@ mod tests {
     /// header must carry the exact seed, or it cannot reproduce the trial.
     #[test]
     fn registry_target_header_seed_reproduces_the_trial() {
-        let run = run_trace_target(&registry(), &light_cfg(), "e3/f0.20", 16).expect("target");
+        let (run, rec) = traced("e3/f0.20", 16).expect("target");
         assert!(run.seed > 1 << 53, "seed {} is f64-exact", run.seed);
-        let jsonl = trace_to_jsonl(&run);
+        let jsonl = trace_to_jsonl(&run, &rec);
         let header = Json::parse(jsonl.lines().next().expect("header")).expect("json");
         assert_eq!(decimal_seed(&header), Some(run.seed));
     }
 
+    /// Both taps refuse an unknown target with one message.
     #[test]
     fn unknown_targets_are_rejected() {
-        let reg = registry();
-        assert!(run_trace_target(&reg, &light_cfg(), "e99", 16).is_err());
-        assert!(run_trace_target(&reg, &light_cfg(), "e3/f9.99", 16).is_err());
+        let (reg, cfg) = (registry(), light_cfg());
+        for target in ["e99", "e3/f9.99"] {
+            let err = traced(target, 16).err().expect("refused");
+            assert!(err.contains(&format!("'{target}'")), "{err}");
+            let obs: Option<(_, ObsLineSink)> = Some((DEFAULT_CADENCE, Box::new(|_| {})));
+            assert_eq!(replay(&reg, &cfg, target, None, obs).err(), Some(err));
+        }
     }
 
     #[test]

@@ -12,9 +12,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use agora_harness::observe::{run_observe_target, validate_obs_jsonl, ObserveRun};
+use agora_harness::observe::{validate_obs_jsonl, ObsLineSink};
+use agora_harness::replay::{points_ring, replay, Replay};
+use agora_harness::trace::trace_to_jsonl;
 use agora_harness::{registry, Json, MatrixConfig};
 use agora_sim::probe::DEFAULT_CADENCE;
+use agora_sim::trace::{FlightRecorder, DEFAULT_RING_CAPACITY};
 
 /// E16's flash-crowd schedule (see `exp_workload.rs`): onset at 12:45 UTC,
 /// a 30-minute ramp to peak demand.
@@ -24,23 +27,17 @@ const RAMP_END_SECS: f64 = 47_700.0;
 fn observe_to_string(
     target: &str,
     cfg: &MatrixConfig,
-    trace_ring: Option<usize>,
-) -> (String, ObserveRun) {
+    ring: Option<FlightRecorder>,
+) -> (String, Replay) {
     let lines: Rc<RefCell<String>> = Rc::new(RefCell::new(String::new()));
     let out = Rc::clone(&lines);
-    let run = run_observe_target(
-        &registry(),
-        cfg,
-        target,
-        DEFAULT_CADENCE,
-        trace_ring,
-        Box::new(move |line| {
-            let mut buf = out.borrow_mut();
-            buf.push_str(line);
-            buf.push('\n');
-        }),
-    )
-    .expect("observe target runs");
+    let sink = Box::new(move |line: &str| {
+        let mut buf = out.borrow_mut();
+        buf.push_str(line);
+        buf.push('\n');
+    });
+    let obs = Some((DEFAULT_CADENCE, sink as ObsLineSink));
+    let run = replay(&registry(), cfg, target, ring, obs).expect("observe target runs");
     let text = lines.borrow().clone();
     (text, run)
 }
@@ -95,7 +92,8 @@ fn flash_crowd_onset_is_flagged_on_consumer_uplinks_only() {
 /// Thread count is a matrix-level performance knob and the observed trial
 /// is a single replayed trial — but the contract is worth pinning: the
 /// artifact must not know how many workers the surrounding harness was
-/// configured with. Its bytes are pinned too, by line count and digest.
+/// configured with. Its bytes are pinned too, by line count and digest, and
+/// they validate to the totals the run's summary line carries.
 #[test]
 fn obs_artifact_is_byte_identical_at_1_and_8_threads() {
     let one = {
@@ -103,7 +101,12 @@ fn obs_artifact_is_byte_identical_at_1_and_8_threads() {
             threads: 1,
             ..MatrixConfig::default()
         };
-        observe_to_string("e16/p10k", &cfg, None).0
+        let (text, run) = observe_to_string("e16/p10k", &cfg, None);
+        assert_eq!(
+            validate_obs_jsonl(&text),
+            Ok(run.obs.expect("probe installed"))
+        );
+        text
     };
     let eight = {
         let cfg = MatrixConfig {
@@ -132,13 +135,13 @@ fn obs_artifact_is_byte_identical_at_1_and_8_threads() {
 fn obs_bytes_ignore_the_flight_recorder_and_anomalies_explain() {
     let cfg = MatrixConfig::default();
     let (untraced, _) = observe_to_string("e16/p10k", &cfg, None);
-    let (traced, run) = observe_to_string("e16/p10k", &cfg, Some(1 << 16));
+    let (traced, run) = observe_to_string("e16/p10k", &cfg, Some(points_ring(1 << 16)));
     assert_eq!(
         untraced, traced,
         "nested flight recorder changed OBS artifact bytes"
     );
     assert!(
-        run.summary.anomalies > 0,
+        run.obs.expect("probe installed").anomalies > 0,
         "p10k flash crowd should trip the overload detector"
     );
     let recorder = run.recorder.as_ref().expect("recorder was requested");
@@ -148,5 +151,29 @@ fn obs_bytes_ignore_the_flight_recorder_and_anomalies_explain() {
         explanation.text.contains("anomaly.overload"),
         "explanation names the metric: {}",
         explanation.text
+    );
+}
+
+/// Both replays' TRACE bytes at the default ring, pinned like the OBS
+/// artifact's: a change to any of them is a schema change and comes with a
+/// `TRACE_SCHEMA` bump and new pins.
+#[test]
+fn trace_artifacts_are_pinned_at_the_default_ring() {
+    let pin = |target| {
+        let ring = Some(FlightRecorder::new(DEFAULT_RING_CAPACITY));
+        let run = replay(&registry(), &MatrixConfig::default(), target, ring, None).expect(target);
+        let jsonl = trace_to_jsonl(&run, run.recorder.as_ref().expect("ring installed"));
+        (
+            jsonl.lines().count(),
+            agora_crypto::sha256(jsonl.as_bytes()).to_hex(),
+        )
+    };
+    let dht = "4a4c960dd654b1bb953cd82a2df2cd085ce3a89efccbfe841c5092aa198c86da";
+    assert_eq!(pin("dht"), (2792, dht.to_owned()), "dht TRACE bytes moved");
+    let e16 = "564c2a86c7634666750c551305306083ea77186d2792144379fe26f8cd7252a3";
+    assert_eq!(
+        pin("e16/p10k"),
+        (65562, e16.to_owned()),
+        "e16 TRACE bytes moved"
     );
 }

@@ -51,10 +51,9 @@ const TRACE_SIM_NODE: NodeId = NodeId(u32::MAX);
 
 /// The engine's probe state (see [`crate::probe`]): the installed sink, a
 /// cached enabled flag (the only thing the hot path reads when no sink is
-/// installed), the sampling cadence, and the engine-side bookkeeping —
-/// total and per-node pending-event counts maintained at the two scheduler
-/// push funnels and the dispatch decrement, so frame queue statistics are a
-/// pure function of the event order and never consult the heap's layout.
+/// installed), and the sampling cadence. Nothing on the push or dispatch
+/// path touches it: a frame counts the queue from the scheduler when it is
+/// taken.
 struct Prober {
     sink: Box<dyn ProbeSink>,
     on: bool,
@@ -63,51 +62,7 @@ struct Prober {
     /// Next cadence boundary in micros; a frame fires at the first
     /// dispatched event whose time reaches it.
     next_at: u64,
-    /// Undispatched events across all nodes.
-    pending: u64,
-    /// Per-node pending-event depth, indexed by `NodeId`.
-    depth: Vec<u32>,
     seed: u64,
-}
-
-impl Prober {
-    fn target<M>(kind: &EventKind<M>) -> NodeId {
-        match kind {
-            EventKind::Deliver { to, .. } => *to,
-            EventKind::Timer { node, .. } => *node,
-            EventKind::ChurnDown(id) | EventKind::ChurnUp(id) => *id,
-        }
-    }
-
-    /// An event entered the scheduler. Saturating arithmetic so a sink
-    /// installed mid-run (after events were already queued) degrades to
-    /// approximate counts instead of underflowing; the factory path
-    /// (installation at `Simulation::new`) is always exact.
-    #[inline]
-    fn note_push<M>(&mut self, kind: &EventKind<M>) {
-        if !self.on {
-            return;
-        }
-        self.pending += 1;
-        let ix = Self::target(kind).index();
-        if ix >= self.depth.len() {
-            self.depth.resize(ix + 1, 0);
-        }
-        self.depth[ix] += 1;
-    }
-
-    /// An event left the scheduler for dispatch.
-    #[inline]
-    fn note_dispatch<M>(&mut self, kind: &EventKind<M>) {
-        if !self.on {
-            return;
-        }
-        self.pending = self.pending.saturating_sub(1);
-        let ix = Self::target(kind).index();
-        if let Some(d) = self.depth.get_mut(ix) {
-            *d = d.saturating_sub(1);
-        }
-    }
 }
 
 /// Identifier of a simulated node. Dense indices into the engine's tables.
@@ -379,7 +334,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
         if to == self.id {
             // Loopback: deliver after a negligible delay, never lost.
             let at = self.now + SimDuration::from_micros(1);
-            let key = self.push(
+            let key = self.sched.push(
                 at,
                 EventKind::Deliver {
                     to,
@@ -401,7 +356,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
                 }
                 match verdict.duplicate {
                     None => {
-                        let key = self.push(
+                        let key = self.sched.push(
                             verdict.at,
                             EventKind::Deliver {
                                 to,
@@ -414,7 +369,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
                     }
                     Some(dup_at) => {
                         self.metrics.incr_handle(self.hot.chaos_duplicated, 1);
-                        let key = self.push(
+                        let key = self.sched.push(
                             verdict.at,
                             EventKind::Deliver {
                                 to,
@@ -424,7 +379,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
                         );
                         self.tracer
                             .emit(key, self.now, self.id, TraceKind::Send { to, bytes });
-                        let dup_key = self.push(
+                        let dup_key = self.sched.push(
                             dup_at,
                             EventKind::Deliver {
                                 to,
@@ -479,7 +434,7 @@ impl<'a, M: Clone> Ctx<'a, M> {
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
         let at = self.now + delay;
         let node = self.id;
-        let key = self.push(at, EventKind::Timer { node, tag });
+        let key = self.sched.push(at, EventKind::Timer { node, tag });
         self.tracer
             .emit(key, self.now, self.id, TraceKind::TimerSet { tag });
     }
@@ -520,11 +475,6 @@ impl<'a, M: Clone> Ctx<'a, M> {
     /// This node's device profile (protocols may adapt to their own class).
     pub fn profile(&self) -> &DeviceProfile {
         self.net.profile(self.id)
-    }
-
-    fn push(&mut self, at: SimTime, kind: EventKind<M>) -> u128 {
-        self.prober.note_push(&kind);
-        self.sched.push(at, kind)
     }
 }
 
@@ -584,8 +534,6 @@ impl<P: Protocol> Simulation<P> {
                 on,
                 every,
                 next_at: every,
-                pending: 0,
-                depth: Vec::new(),
                 seed,
             }
         };
@@ -631,10 +579,7 @@ impl<P: Protocol> Simulation<P> {
     /// already-constructed simulation. Probing never touches the RNG or
     /// metrics counters the simulation would otherwise produce, so the
     /// simulated outcome is identical with or without a sink (`anomaly.*`
-    /// counters fire only when a sink returns anomalies). For exact queue
-    /// accounting install the sink before events are scheduled; installed
-    /// later, queue statistics start approximate and converge as the
-    /// pre-existing events drain.
+    /// counters fire only when a sink returns anomalies).
     pub fn set_probe_sink(&mut self, mut sink: Box<dyn ProbeSink>, cadence: SimDuration) {
         sink.on_sim_start(self.prober.seed);
         let every = cadence.micros().max(1);
@@ -642,7 +587,6 @@ impl<P: Protocol> Simulation<P> {
         self.prober.on = true;
         self.prober.every = every;
         self.prober.next_at = (self.time.micros() / every + 1).saturating_mul(every);
-        self.prober.pending = self.sched.len() as u64;
     }
 
     /// Add a node of the given device class. Its `on_start` runs at the next
@@ -669,7 +613,7 @@ impl<P: Protocol> Simulation<P> {
         // Schedule the first transition out of the initial "up" period.
         let mean_up = self.net.profile(id).mean_session.secs_f64();
         let delay = SimDuration::from_secs_f64(self.rng.exp(mean_up));
-        self.push(self.time + delay, EventKind::ChurnDown(id));
+        self.sched.push(self.time + delay, EventKind::ChurnDown(id));
     }
 
     /// Current simulated time.
@@ -910,7 +854,11 @@ impl<P: Protocol> Simulation<P> {
         self.time = key_at(key);
         self.events += 1;
         self.tracer.cur = key;
-        self.probe_tick(&kind);
+        // Taken with the event popped and the causal cursor set: anomaly
+        // points parent to the event that triggered the sample.
+        if self.prober.on && self.time.micros() >= self.prober.next_at {
+            self.probe_frame();
+        }
         self.dispatch(kind);
     }
 
@@ -948,41 +896,30 @@ impl<P: Protocol> Simulation<P> {
         }
     }
 
-    fn push(&mut self, at: SimTime, kind: EventKind<P::Msg>) -> u128 {
-        self.prober.note_push(&kind);
-        self.sched.push(at, kind)
-    }
-
-    /// Per-dispatch probe bookkeeping: maintain queue counts, and sample a
-    /// frame when the clock reaches the next cadence boundary. Called with
-    /// the event already popped, after the tracer's causal cursor is set, so
-    /// anomaly trace points parent to the event that triggered the sample.
-    #[inline]
-    fn probe_tick(&mut self, kind: &EventKind<P::Msg>) {
-        self.prober.note_dispatch(kind);
-        if self.prober.on && self.time.micros() >= self.prober.next_at {
-            self.probe_frame();
-        }
-    }
-
     /// Build and deliver one probe frame; cold — runs once per cadence
-    /// boundary, never on the per-event path.
+    /// boundary, never on the per-event path. The queue is counted here, in
+    /// one scan of the scheduler's live slab slots.
     #[cold]
     fn probe_frame(&mut self) {
         let every = self.prober.every;
         self.prober.next_at = (self.time.micros() / every + 1).saturating_mul(every);
-        let mut queue_max_depth = 0u32;
-        let mut queue_max_node = 0u32;
-        let mut queue_nonzero = 0u32;
-        for (ix, &d) in self.prober.depth.iter().enumerate() {
-            if d > 0 {
-                queue_nonzero += 1;
-                if d > queue_max_depth {
-                    queue_max_depth = d;
-                    queue_max_node = ix as u32;
-                }
-            }
+        let mut depth = vec![0u32; self.protocols.len()];
+        for kind in self.sched.slab.iter().flatten() {
+            let (EventKind::Deliver { to: node, .. }
+            | EventKind::Timer { node, .. }
+            | EventKind::ChurnDown(node)
+            | EventKind::ChurnUp(node)) = kind;
+            depth[node.index()] += 1;
         }
+        // `max_by_key` keeps the last of equal keys: scanned from the top
+        // node down, a tie goes to the lowest node.
+        let (queue_max_node, &queue_max_depth) = depth
+            .iter()
+            .enumerate()
+            .rev()
+            .max_by_key(|&(_, d)| d)
+            .unwrap_or((0, &0));
+        let queue_nonzero = depth.iter().filter(|&&d| d > 0).count() as u32;
         let (
             uplink_max_backlog_secs,
             uplink_busy_nodes,
@@ -992,9 +929,9 @@ impl<P: Protocol> Simulation<P> {
         let frame = ProbeFrame {
             now: self.time,
             events: self.events,
-            pending: self.prober.pending,
+            pending: self.sched.len() as u64,
             queue_max_depth,
-            queue_max_node: NodeId(queue_max_node),
+            queue_max_node: NodeId(queue_max_node as u32),
             queue_nonzero,
             uplink_max_backlog_secs,
             uplink_busy_nodes,
@@ -1135,7 +1072,7 @@ impl<P: Protocol> Simulation<P> {
                 }
                 let mean_down = self.net.profile(id).mean_offtime().secs_f64();
                 let delay = SimDuration::from_secs_f64(self.rng.exp(mean_down.max(1.0)));
-                self.push(self.time + delay, EventKind::ChurnUp(id));
+                self.sched.push(self.time + delay, EventKind::ChurnUp(id));
             }
             EventKind::ChurnUp(id) => {
                 if !self.churn_enabled[id.index()] {
@@ -1146,7 +1083,7 @@ impl<P: Protocol> Simulation<P> {
                 }
                 let mean_up = self.net.profile(id).mean_session.secs_f64();
                 let delay = SimDuration::from_secs_f64(self.rng.exp(mean_up.max(1.0)));
-                self.push(self.time + delay, EventKind::ChurnDown(id));
+                self.sched.push(self.time + delay, EventKind::ChurnDown(id));
             }
         }
     }
@@ -1155,7 +1092,9 @@ impl<P: Protocol> Simulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::cmp::Reverse;
+    use std::rc::Rc;
 
     /// A ping-pong protocol used to exercise the engine.
     #[derive(Default)]
@@ -1653,13 +1592,34 @@ mod tests {
         }
     }
 
+    /// Pending events counted by brute force: the slab's live slots.
+    fn live_slots<P: Protocol>(sim: &Simulation<P>) -> u64 {
+        sim.sched.slab.iter().flatten().count() as u64
+    }
+
+    /// Install a probe sink sampling every microsecond that logs each
+    /// frame's `pending`. With every queued event later than now, its first
+    /// frame is taken at the next pop: one less than is queued at install.
+    fn log_pending<P: Protocol>(sim: &mut Simulation<P>) -> Rc<RefCell<Vec<u64>>> {
+        struct Log(Rc<RefCell<Vec<u64>>>);
+        impl ProbeSink for Log {
+            fn on_frame(&mut self, f: &ProbeFrame<'_>) -> Vec<crate::probe::ProbeAnomaly> {
+                self.0.borrow_mut().push(f.pending);
+                Vec::new()
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        sim.set_probe_sink(Box::new(Log(Rc::clone(&log))), SimDuration::from_micros(1));
+        log
+    }
+
     #[test]
     fn a_stop_after_a_handler_that_pushed_nothing_counts_what_is_pending() {
         // `PingPong`'s timer handler pushes nothing, so the run stops right
         // after a pop whose entry no push took; the injection that follows
-        // must be counted alike by `pending_events()` and the probe.
+        // must be counted alike by `pending_events()`, the slab and the
+        // next frame.
         let mut sim = Simulation::new(3);
-        sim.set_probe_sink(Box::new(NoopProbe), SimDuration::from_millis(250));
         let a = sim.add_node(PingPong::default(), DeviceClass::PersonalComputer);
         let b = sim.add_node(PingPong::default(), DeviceClass::Smartphone);
         for round in 1..=20u64 {
@@ -1671,28 +1631,29 @@ mod tests {
             sim.run_until(sim.now() + SimDuration::from_millis(5));
             assert_eq!(sim.node(a).timer_fires as u64, 3 * round - 2);
             assert_eq!(sim.pending_events(), 1, "round {round}");
-            assert_eq!(sim.prober.pending, 1, "round {round}");
+            assert_eq!(live_slots(&sim), 1, "round {round}");
             sim.with_ctx(a, |_, ctx| {
                 ctx.send(b, PpMsg::Ping, 64);
                 ctx.set_timer(SimDuration::from_millis(1), 0);
             });
             assert_eq!(sim.pending_events(), 3, "round {round}");
-            assert_eq!(sim.prober.pending, 3, "round {round}");
+            assert_eq!(live_slots(&sim), 3, "round {round}");
+            let log = log_pending(&mut sim);
             sim.run_idle(100);
+            assert_eq!(log.borrow().first(), Some(&2), "round {round}");
             assert_eq!(sim.pending_events(), 0, "round {round}");
-            assert_eq!(sim.prober.pending, 0, "round {round}");
+            assert_eq!(live_slots(&sim), 0, "round {round}");
         }
         assert_eq!(sim.node(a).pongs_received, 20);
     }
 
     #[test]
     fn pending_events_match_the_probe_accounting_at_every_stop() {
-        // A probe sink installed before the first event counts every push
-        // and dispatch itself; `pending_events()` and the count a sink
-        // installed mid-run starts from must agree with it at every stop.
-        let mut sim = Simulation::new(31);
-        sim.set_probe_sink(Box::new(NoopProbe), SimDuration::from_millis(250));
-        let mut sim = rich_scenario(sim);
+        // At every stop `pending_events()` is the slab's live slot count,
+        // and a sink installed there — mid-run, with events queued — counts
+        // them exactly in its first frame.
+        let mut sim = rich_scenario(Simulation::new(31));
+        let mut frames_checked = 0;
         for round in 0..120u64 {
             let nodes = sim.node_count() as u32;
             let (a, b) = (
@@ -1704,13 +1665,17 @@ mod tests {
                 ctx.set_timer(SimDuration::from_millis(round % 5), round);
             });
             sim.run_for(SimDuration::from_millis(37));
-            let exact = sim.prober.pending;
-            assert_eq!(sim.pending_events() as u64, exact, "round {round}");
-            let by_node: u64 = sim.prober.depth.iter().map(|&d| d as u64).sum();
-            assert_eq!(by_node, exact, "round {round}");
-            sim.set_probe_sink(Box::new(NoopProbe), SimDuration::from_millis(250));
-            assert_eq!(sim.prober.pending, exact, "round {round}");
+            let live = live_slots(&sim);
+            assert_eq!(sim.pending_events() as u64, live, "round {round}");
+            let log = log_pending(&mut sim);
+            sim.run_for(SimDuration::from_millis(37));
+            let first = log.borrow().first().copied();
+            if let Some(first) = first {
+                assert_eq!(first + 1, live, "round {round}");
+                frames_checked += 1;
+            }
         }
+        assert!(frames_checked > 60, "{frames_checked} frames checked");
     }
 
     #[test]
@@ -1793,7 +1758,7 @@ mod tests {
                 sim.with_ctx(a, |_, ctx| ctx.send(b, PpMsg::Ping, 64));
                 sim.run_for(SimDuration::from_secs(1));
             });
-            let snap = rec.snapshot();
+            let snap = rec.clone().into_inner();
             let sends: Vec<_> = snap
                 .events()
                 .filter(|e| matches!(e.kind, TraceKind::Send { .. }))
@@ -1831,7 +1796,7 @@ mod tests {
                 sim.kill(b);
                 sim.run_for(SimDuration::from_secs(1));
             });
-            let snap = rec.snapshot();
+            let snap = rec.clone().into_inner();
             assert_eq!(snap.span("net.drop.partition").unwrap().count, 1);
             assert_eq!(snap.span("net.drop.no_such_node").unwrap().count, 1);
             assert_eq!(snap.span("net.drop.loss").unwrap().count, 1);
@@ -1873,7 +1838,8 @@ mod tests {
             let mut sim: Simulation<Starter> = Simulation::new(3);
             sim.set_trace_sink(Box::new(rec.clone()));
             let starts = || -> Vec<(u32, SimTime, u128)> {
-                rec.snapshot()
+                rec.clone()
+                    .into_inner()
                     .events()
                     .filter(|e| {
                         matches!(
@@ -1930,7 +1896,7 @@ mod tests {
                 sim.with_ctx(a, |_, ctx| ctx.set_timer(SimDuration::from_secs(2), 9));
                 sim.run_for(SimDuration::from_secs(3));
             });
-            let snap = rec.snapshot();
+            let snap = rec.clone().into_inner();
             let set = snap
                 .events()
                 .find(|e| matches!(e.kind, TraceKind::TimerSet { tag: 9 }))
@@ -1985,7 +1951,7 @@ mod tests {
                     sim.run_for(SimDuration::from_secs(1));
                 },
             );
-            let snap = rec.snapshot();
+            let snap = rec.clone().into_inner();
             assert_eq!(snap.span("sim.start").unwrap().count, 1);
             assert!(snap.span("net.deliver").unwrap().count >= 1);
         }

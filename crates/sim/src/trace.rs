@@ -457,14 +457,13 @@ impl SharedRecorder {
         SharedRecorder(Rc::new(RefCell::new(rec)))
     }
 
-    /// Clone out the current recorder state.
-    pub fn snapshot(&self) -> FlightRecorder {
-        self.0.borrow().clone()
-    }
-
-    /// Run a closure against the live recorder.
-    pub fn with<R>(&self, f: impl FnOnce(&FlightRecorder) -> R) -> R {
-        f(&self.0.borrow())
+    /// The recorder itself: taken out when this is the last handle (once
+    /// every simulation and factory holding a clone is gone), cloned while
+    /// another handle still holds it.
+    pub fn into_inner(self) -> FlightRecorder {
+        Rc::try_unwrap(self.0)
+            .map(RefCell::into_inner)
+            .unwrap_or_else(|shared| shared.borrow().clone())
     }
 }
 
@@ -683,9 +682,11 @@ mod tests {
         let mut b = shared.clone();
         a.record(&ev(1, 0, 0, TraceKind::ChurnDown));
         b.record(&ev(2, 0, 1, TraceKind::ChurnUp));
-        let snap = shared.snapshot();
+        let snap = shared.clone().into_inner();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap.span("churn.up").unwrap().count, 1);
+        drop((a, b));
+        assert_eq!(shared.into_inner().len(), 2, "the last handle takes it out");
     }
 
     #[test]
@@ -701,6 +702,6 @@ mod tests {
             },
         );
         assert!(make_thread_sink().is_none(), "factory reset on exit");
-        assert_eq!(shared.snapshot().span("sim.start").unwrap().count, 1);
+        assert_eq!(shared.into_inner().span("sim.start").unwrap().count, 1);
     }
 }

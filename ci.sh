@@ -128,6 +128,9 @@ STAYS_DELETED=(
     "§9 crates,tests,examples - \bE[0-9]+p?Resul[t]\b|E16PolicyResul[t]|\be[0-9]+_[a-z_]*(swee[p]|poin[t])\(|print_report[s]"
     # Trial metrics are never merged: no exact-merge API to keep correct.
     "§9 crates/sim/src/metrics.rs - fn merg[e]\b"
+    # One builder per fleet shape: a federation, chain mesh or Kademlia
+    # overlay is stood up by its protocol crate, never by a hand loop.
+    "§4 crates/core,crates/harness,examples - FedNode::instanc[e]\(|ChainNode::ne[w]\(|DhtNode::ne[w]\("
 )
 step "retired names stay deleted: one grep per row"
 for row in "${STAYS_DELETED[@]}"; do

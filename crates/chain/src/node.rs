@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use agora_crypto::Hash256;
-use agora_sim::{Ctx, FastSet, NodeId, Protocol};
+use agora_sim::{Ctx, DeviceClass, FastSet, NodeId, Protocol, Simulation};
 
 use crate::block::Block;
 use crate::ledger::{Accepted, BlockError, Ledger};
@@ -73,6 +73,27 @@ impl ChainNode {
             miner,
             mining_epoch: 0,
         }
+    }
+
+    /// A full mesh of `n` data-center nodes on one chain, miner `i` set by
+    /// `miner(i)`; every node's peers are all `n` ids, itself included.
+    /// Returns the ids, which start at `sim`'s next id.
+    pub fn mesh(
+        sim: &mut Simulation<ChainNode>,
+        n: usize,
+        chain_tag: &str,
+        params: &ChainParams,
+        premine: &[(Hash256, u64)],
+        mut miner: impl FnMut(usize) -> Option<MinerConfig>,
+    ) -> Vec<NodeId> {
+        let first = sim.node_count() as u32;
+        let ids: Vec<NodeId> = (first..first + n as u32).map(NodeId).collect();
+        for i in 0..n {
+            let mut node = ChainNode::new(chain_tag, params.clone(), premine, miner(i));
+            node.set_peers(ids.clone());
+            sim.add_node(node, DeviceClass::DatacenterServer);
+        }
+        ids
     }
 
     /// Set the gossip peer list.
@@ -258,7 +279,7 @@ mod tests {
     use super::*;
     use crate::tx::TxPayload;
     use agora_crypto::{sha256, SimKeyPair};
-    use agora_sim::{DeviceClass, SimDuration, Simulation};
+    use agora_sim::SimDuration;
 
     fn build_net(
         n_nodes: usize,
@@ -266,26 +287,20 @@ mod tests {
         premine: &[(Hash256, u64)],
         seed: u64,
     ) -> (Simulation<ChainNode>, Vec<NodeId>) {
-        let params = ChainParams::test();
         let mut sim = Simulation::new(seed);
-        let mut ids = Vec::new();
-        for i in 0..n_nodes {
-            let miner = if i < n_miners {
-                Some(MinerConfig {
+        let ids = ChainNode::mesh(
+            &mut sim,
+            n_nodes,
+            "test",
+            &ChainParams::test(),
+            premine,
+            |i| {
+                (i < n_miners).then(|| MinerConfig {
                     account: sha256(format!("miner-{i}").as_bytes()),
                     hashrate: 64.0, // ~2^4/64 = 0.25 s per block at 4 bits
                 })
-            } else {
-                None
-            };
-            let node = ChainNode::new("test", params.clone(), premine, miner);
-            ids.push(sim.add_node(node, DeviceClass::DatacenterServer));
-        }
-        // Full mesh.
-        for &id in &ids {
-            let peers = ids.clone();
-            sim.node_mut(id).set_peers(peers);
-        }
+            },
+        );
         (sim, ids)
     }
 
@@ -453,5 +468,24 @@ mod tests {
         sim.run_for(SimDuration::from_secs(20));
         assert!(sim.metrics().counter("chain.hashes_ground") > 0);
         assert!(sim.metrics().counter("chain.blocks_mined") > 0);
+    }
+
+    #[test]
+    fn mesh_peers_its_own_ids_on_a_sim_that_holds_nodes() {
+        let (mut sim, first) = build_net(2, 0, &[], 48);
+        let ids = ChainNode::mesh(&mut sim, 3, "test", &ChainParams::test(), &[], |i| {
+            (i == 1).then(|| MinerConfig {
+                account: sha256(b"mesh-miner"),
+                hashrate: 1.0,
+            })
+        });
+        assert_eq!(ids, [NodeId(2), NodeId(3), NodeId(4)]);
+        for &id in &first {
+            assert_eq!(sim.node(id).peers, first);
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(sim.node(id).peers, ids);
+            assert_eq!(sim.node(id).miner.is_some(), i == 1);
+        }
     }
 }

@@ -15,7 +15,9 @@
 //! they relay — even when bodies are end-to-end encrypted.
 
 use agora_sim::retry::{CTR_HEDGE_SENT, CTR_HEDGE_WON, CTR_RETRY_ATTEMPTS, CTR_RETRY_GAVE_UP};
-use agora_sim::{Ctx, FastMap, NodeId, Protocol, Retrier, RetryPolicy, SimDuration};
+use agora_sim::{
+    Ctx, DeviceClass, FastMap, NodeId, Protocol, Retrier, RetryPolicy, SimDuration, Simulation,
+};
 
 use crate::moderation::{ModerationPolicy, ModerationStats, PostLabel};
 use crate::posts::{Post, ReadResult};
@@ -172,6 +174,26 @@ impl FedNode {
                 rooms: FastMap::default(),
             }),
         }
+    }
+
+    /// A federation: one data-center instance per policy, each peered
+    /// with every other in id order. Returns the instance ids, which start
+    /// at `sim`'s next id.
+    pub fn federation(
+        sim: &mut Simulation<FedNode>,
+        mode: ReplicationMode,
+        policies: Vec<ModerationPolicy>,
+    ) -> Vec<NodeId> {
+        let first = sim.node_count() as u32;
+        let ids: Vec<NodeId> = (first..first + policies.len() as u32).map(NodeId).collect();
+        for (&me, policy) in ids.iter().zip(policies) {
+            let peers = ids.iter().copied().filter(|&p| p != me).collect();
+            sim.add_node(
+                FedNode::instance(peers, mode, policy),
+                DeviceClass::DatacenterServer,
+            );
+        }
+        ids
     }
 
     /// A client homed on `home`.
@@ -532,24 +554,13 @@ impl Protocol for FedNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agora_sim::{DeviceClass, Simulation};
 
     /// Two instances, two clients each, one shared room (room 1). The room's
     /// origin is instance 0 (its client joins first).
     fn build(mode: ReplicationMode, seed: u64) -> (Simulation<FedNode>, Vec<NodeId>, Vec<NodeId>) {
         let mut sim = Simulation::new(seed);
-        // Instances first so their ids are known.
-        let i0 = NodeId(0);
-        let i1 = NodeId(1);
-        let a = sim.add_node(
-            FedNode::instance(vec![i1], mode, ModerationPolicy::none()),
-            DeviceClass::DatacenterServer,
-        );
-        let b = sim.add_node(
-            FedNode::instance(vec![i0], mode, ModerationPolicy::none()),
-            DeviceClass::DatacenterServer,
-        );
-        assert_eq!((a, b), (i0, i1));
+        let instances = FedNode::federation(&mut sim, mode, vec![ModerationPolicy::none(); 2]);
+        let (i0, i1) = (instances[0], instances[1]);
         let c0 = sim.add_node(FedNode::client(i0), DeviceClass::PersonalComputer);
         let c1 = sim.add_node(FedNode::client(i0), DeviceClass::PersonalComputer);
         let c2 = sim.add_node(FedNode::client(i1), DeviceClass::PersonalComputer);
@@ -559,7 +570,7 @@ mod tests {
             sim.run_for(SimDuration::from_millis(200)); // deterministic join order
         }
         sim.run_for(SimDuration::from_secs(2));
-        (sim, vec![i0, i1], vec![c0, c1, c2, c3])
+        (sim, instances, vec![c0, c1, c2, c3])
     }
 
     #[test]
@@ -636,24 +647,15 @@ mod tests {
         use crate::moderation::AbuseKind;
         // Instance 0 tolerant, instance 1 strict about brigading.
         let mut sim = Simulation::new(6);
-        let i0 = NodeId(0);
-        let i1 = NodeId(1);
-        sim.add_node(
-            FedNode::instance(
-                vec![i1],
-                ReplicationMode::FullReplication,
+        let ids = FedNode::federation(
+            &mut sim,
+            ReplicationMode::FullReplication,
+            vec![
                 ModerationPolicy::spam_only(),
-            ),
-            DeviceClass::DatacenterServer,
-        );
-        sim.add_node(
-            FedNode::instance(
-                vec![i0],
-                ReplicationMode::FullReplication,
                 ModerationPolicy::platform_default(),
-            ),
-            DeviceClass::DatacenterServer,
+            ],
         );
+        let (i0, i1) = (ids[0], ids[1]);
         let c0 = sim.add_node(FedNode::client(i0), DeviceClass::PersonalComputer);
         let c1 = sim.add_node(FedNode::client(i1), DeviceClass::PersonalComputer);
         for &c in &[c0, c1] {
@@ -688,24 +690,12 @@ mod tests {
         // FullReplication + backups: home dies, the read fails over and
         // succeeds from the surviving instance (§5.1 implemented).
         let mut sim = Simulation::new(8);
-        let i0 = NodeId(0);
-        let i1 = NodeId(1);
-        sim.add_node(
-            FedNode::instance(
-                vec![i1],
-                ReplicationMode::FullReplication,
-                ModerationPolicy::none(),
-            ),
-            DeviceClass::DatacenterServer,
+        let ids = FedNode::federation(
+            &mut sim,
+            ReplicationMode::FullReplication,
+            vec![ModerationPolicy::none(); 2],
         );
-        sim.add_node(
-            FedNode::instance(
-                vec![i0],
-                ReplicationMode::FullReplication,
-                ModerationPolicy::none(),
-            ),
-            DeviceClass::DatacenterServer,
-        );
+        let (i0, i1) = (ids[0], ids[1]);
         let author = sim.add_node(FedNode::client(i1), DeviceClass::PersonalComputer);
         let reader = sim.add_node(
             FedNode::client_with_backups(i0, vec![i1]),
@@ -733,24 +723,12 @@ mod tests {
     #[test]
     fn hedged_read_beats_dead_home_without_waiting_for_timeout() {
         let mut sim = Simulation::new(21);
-        let i0 = NodeId(0);
-        let i1 = NodeId(1);
-        sim.add_node(
-            FedNode::instance(
-                vec![i1],
-                ReplicationMode::FullReplication,
-                ModerationPolicy::none(),
-            ),
-            DeviceClass::DatacenterServer,
+        let ids = FedNode::federation(
+            &mut sim,
+            ReplicationMode::FullReplication,
+            vec![ModerationPolicy::none(); 2],
         );
-        sim.add_node(
-            FedNode::instance(
-                vec![i0],
-                ReplicationMode::FullReplication,
-                ModerationPolicy::none(),
-            ),
-            DeviceClass::DatacenterServer,
-        );
+        let (i0, i1) = (ids[0], ids[1]);
         let author = sim.add_node(FedNode::client(i1), DeviceClass::PersonalComputer);
         let policy = RetryPolicy {
             hedge_after: Some(SimDuration::from_secs(2)),
@@ -787,24 +765,12 @@ mod tests {
         // §5.1's limit: failover routes around dead *serving* instances,
         // but a single-home origin that died took the only copy with it.
         let mut sim = Simulation::new(9);
-        let i0 = NodeId(0);
-        let i1 = NodeId(1);
-        sim.add_node(
-            FedNode::instance(
-                vec![i1],
-                ReplicationMode::SingleHome,
-                ModerationPolicy::none(),
-            ),
-            DeviceClass::DatacenterServer,
+        let ids = FedNode::federation(
+            &mut sim,
+            ReplicationMode::SingleHome,
+            vec![ModerationPolicy::none(); 2],
         );
-        sim.add_node(
-            FedNode::instance(
-                vec![i0],
-                ReplicationMode::SingleHome,
-                ModerationPolicy::none(),
-            ),
-            DeviceClass::DatacenterServer,
-        );
+        let (i0, i1) = (ids[0], ids[1]);
         let author = sim.add_node(FedNode::client(i0), DeviceClass::PersonalComputer);
         let reader = sim.add_node(
             FedNode::client_with_backups(i1, vec![i1]),
@@ -835,5 +801,30 @@ mod tests {
         sim.run_for(SimDuration::from_secs(5));
         // Home observes the submit, the peer instance observes the federate.
         assert_eq!(sim.metrics().counter("comm.metadata_observed"), 2);
+    }
+
+    #[test]
+    fn federation_peers_its_own_ids_on_a_sim_that_holds_nodes() {
+        let mut sim = Simulation::new(10);
+        let first = FedNode::federation(
+            &mut sim,
+            ReplicationMode::SingleHome,
+            vec![ModerationPolicy::none(); 2],
+        );
+        sim.add_node(FedNode::client(first[0]), DeviceClass::PersonalComputer);
+        let ids = FedNode::federation(
+            &mut sim,
+            ReplicationMode::FullReplication,
+            vec![ModerationPolicy::none(); 3],
+        );
+        assert_eq!(ids, [NodeId(3), NodeId(4), NodeId(5)]);
+        for &me in &ids {
+            let Role::Instance(s) = &sim.node(me).role else {
+                panic!("{me:?} is not an instance")
+            };
+            let others: Vec<NodeId> = ids.iter().copied().filter(|&p| p != me).collect();
+            assert_eq!(s.peers, others, "{me:?}");
+            assert_eq!(s.mode, ReplicationMode::FullReplication);
+        }
     }
 }

@@ -17,18 +17,7 @@ use super::{Report, VariantStats};
 fn failover_run(seed: u64, mode: ReplicationMode, backups: bool) -> (f64, u64) {
     const N: usize = 4;
     let mut sim = Simulation::new(seed);
-    let instance_ids: Vec<NodeId> = (0..N as u32).map(NodeId).collect();
-    for i in 0..N {
-        let peers = instance_ids
-            .iter()
-            .copied()
-            .filter(|&p| p != instance_ids[i])
-            .collect();
-        sim.add_node(
-            FedNode::instance(peers, mode, ModerationPolicy::none()),
-            DeviceClass::DatacenterServer,
-        );
-    }
+    let instance_ids = FedNode::federation(&mut sim, mode, vec![ModerationPolicy::none(); N]);
     let mut clients = Vec::new();
     for i in 0..N {
         let home = instance_ids[i];

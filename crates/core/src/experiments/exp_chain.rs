@@ -3,7 +3,7 @@
 
 use agora_chain::{selfish_mining, ChainNode, ChainParams, MinerConfig, Transaction, TxPayload};
 use agora_crypto::{sha256, Hash256, SimKeyPair};
-use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, SimRng, Simulation};
+use agora_sim::{Metrics, SimDuration, SimRng, Simulation};
 
 use super::{Report, VariantStats};
 
@@ -22,26 +22,13 @@ pub fn e9_metrics(seed: u64) -> Metrics {
     let premine: Vec<(Hash256, u64)> = vec![(user.public().id(), 10_000_000)];
 
     let mut sim: Simulation<ChainNode> = Simulation::new(seed);
-    let mut ids: Vec<NodeId> = Vec::new();
-    for i in 0..5 {
-        let miner = if i < 3 {
-            Some(MinerConfig {
-                account: sha256(format!("e9-miner-{i}").as_bytes()),
-                // Three equal miners sharing the 120 s target.
-                hashrate: 1024.0 / 360.0,
-            })
-        } else {
-            None
-        };
-        ids.push(sim.add_node(
-            ChainNode::new("e9", params.clone(), &premine, miner),
-            DeviceClass::DatacenterServer,
-        ));
-    }
-    for &id in &ids {
-        let peers = ids.clone();
-        sim.node_mut(id).set_peers(peers);
-    }
+    let ids = ChainNode::mesh(&mut sim, 5, "e9", &params, &premine, |i| {
+        (i < 3).then(|| MinerConfig {
+            account: sha256(format!("e9-miner-{i}").as_bytes()),
+            // Three equal miners sharing the 120 s target.
+            hashrate: 1024.0 / 360.0,
+        })
+    });
 
     // A simulated day of steady application traffic.
     let bob = sha256(b"e9-bob");

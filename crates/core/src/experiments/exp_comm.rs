@@ -102,18 +102,8 @@ fn run_centralized(seed: u64, failure_fraction: f64) -> CommOutcome {
 
 fn run_federated(seed: u64, failure_fraction: f64, mode: ReplicationMode) -> CommOutcome {
     let mut sim = Simulation::new(seed);
-    let instance_ids: Vec<NodeId> = (0..N_INSTANCES as u32).map(NodeId).collect();
-    for i in 0..N_INSTANCES {
-        let peers: Vec<NodeId> = instance_ids
-            .iter()
-            .copied()
-            .filter(|&p| p != instance_ids[i])
-            .collect();
-        sim.add_node(
-            FedNode::instance(peers, mode, ModerationPolicy::none()),
-            DeviceClass::DatacenterServer,
-        );
-    }
+    let instance_ids =
+        FedNode::federation(&mut sim, mode, vec![ModerationPolicy::none(); N_INSTANCES]);
     let mut clients = Vec::new();
     for &instance in &instance_ids {
         for _ in 0..CLIENTS_PER_INSTANCE {

@@ -8,25 +8,13 @@
 //!   architecture families, with documented assumptions.
 
 use agora_comm::{AbuseKind, FedNode, ModerationPolicy, PostLabel, ReplicationMode};
-use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, Simulation};
+use agora_sim::{DeviceClass, Metrics, SimDuration, Simulation};
 
 use super::{metric_key_segment, Report, VariantStats};
 
 fn federation_moderation_run(seed: u64, policies: Vec<ModerationPolicy>) -> (f64, f64) {
-    let n = policies.len();
     let mut sim = Simulation::new(seed);
-    let instance_ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-    for (i, policy) in policies.into_iter().enumerate() {
-        let peers = instance_ids
-            .iter()
-            .copied()
-            .filter(|&p| p != instance_ids[i])
-            .collect();
-        sim.add_node(
-            FedNode::instance(peers, ReplicationMode::FullReplication, policy),
-            DeviceClass::DatacenterServer,
-        );
-    }
+    let instance_ids = FedNode::federation(&mut sim, ReplicationMode::FullReplication, policies);
     // One legit user and one abuser per instance, all in one room.
     let mut users = Vec::new();
     for &inst in &instance_ids {

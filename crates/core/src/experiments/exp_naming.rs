@@ -6,7 +6,7 @@ use agora_naming::{
     front_running_game, name_theft_by_rewrite, CentralRegistrar, CertAuthority, NameDb, NameOp,
     NamingRules, WebOfTrust,
 };
-use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, SimRng, Simulation};
+use agora_sim::{DeviceClass, Metrics, SimDuration, SimRng, Simulation};
 
 use super::{Report, VariantStats};
 
@@ -48,26 +48,13 @@ pub fn e1_metrics(seed: u64) -> Metrics {
     let premine: Vec<(Hash256, u64)> = vec![(user.public().id(), 1_000_000)];
 
     let mut sim: Simulation<ChainNode> = Simulation::new(seed);
-    let mut ids: Vec<NodeId> = Vec::new();
-    for i in 0..4 {
-        let miner = if i == 0 {
-            Some(MinerConfig {
-                account: sha256(b"e1-miner"),
-                // 2^10 hashes / 60 s target.
-                hashrate: 1024.0 / 60.0,
-            })
-        } else {
-            None
-        };
-        ids.push(sim.add_node(
-            ChainNode::new("e1", params.clone(), &premine, miner),
-            DeviceClass::DatacenterServer,
-        ));
-    }
-    for &id in &ids {
-        let peers = ids.clone();
-        sim.node_mut(id).set_peers(peers);
-    }
+    let ids = ChainNode::mesh(&mut sim, 4, "e1", &params, &premine, |i| {
+        (i == 0).then(|| MinerConfig {
+            account: sha256(b"e1-miner"),
+            // 2^10 hashes / 60 s target.
+            hashrate: 1024.0 / 60.0,
+        })
+    });
     sim.run_for(SimDuration::from_mins(5));
 
     let rules = NamingRules {

@@ -146,22 +146,11 @@ fn run_federated(seed: u64, intensity: f64) -> DegradationPoint {
     const N_INSTANCES: usize = 5;
     const CLIENTS_PER_INSTANCE: usize = 2;
     let mut sim = Simulation::new(seed);
-    let instance_ids: Vec<NodeId> = (0..N_INSTANCES as u32).map(NodeId).collect();
-    for i in 0..N_INSTANCES {
-        let peers: Vec<NodeId> = instance_ids
-            .iter()
-            .copied()
-            .filter(|&p| p != instance_ids[i])
-            .collect();
-        sim.add_node(
-            FedNode::instance(
-                peers,
-                ReplicationMode::FullReplication,
-                ModerationPolicy::none(),
-            ),
-            DeviceClass::DatacenterServer,
-        );
-    }
+    let instance_ids = FedNode::federation(
+        &mut sim,
+        ReplicationMode::FullReplication,
+        vec![ModerationPolicy::none(); N_INSTANCES],
+    );
     let mut clients = Vec::new();
     for (i, &instance) in instance_ids.iter().enumerate() {
         let backups: Vec<NodeId> = (1..N_INSTANCES)
@@ -249,21 +238,13 @@ fn run_chain(seed: u64, intensity: f64) -> DegradationPoint {
     let user = SimKeyPair::from_seed(b"e15-user");
     let premine: Vec<(Hash256, u64)> = vec![(user.public().id(), 1_000_000)];
     let mut sim: Simulation<ChainNode> = Simulation::new(seed);
-    let mut ids: Vec<NodeId> = Vec::new();
-    for i in 0..N_NODES {
-        let miner = (i < 2).then(|| MinerConfig {
+    let ids = ChainNode::mesh(&mut sim, N_NODES, "e15", &params, &premine, |i| {
+        (i < 2).then(|| MinerConfig {
             account: sha256(format!("e15-miner-{i}").as_bytes()),
             // Two equal miners sharing the 60 s target at 8 difficulty bits.
             hashrate: 256.0 / 120.0,
-        });
-        ids.push(sim.add_node(
-            ChainNode::new("e15", params.clone(), &premine, miner),
-            DeviceClass::DatacenterServer,
-        ));
-    }
-    for &id in &ids {
-        sim.node_mut(id).set_peers(ids.clone());
-    }
+        })
+    });
     sim.run_for(SimDuration::from_secs(5));
     let schedule = spec_for(intensity).compile(seed, &ids, horizon());
     let mut chaos = ChaosController::install(&mut sim, schedule, seed ^ 0x5EED);

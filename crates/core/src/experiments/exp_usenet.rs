@@ -9,7 +9,7 @@
 //! problem E3 measures. This experiment makes the dilemma quantitative.
 
 use agora_comm::{FedNode, ModerationPolicy, PostLabel, ReplicationMode};
-use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, Simulation};
+use agora_sim::{DeviceClass, Metrics, SimDuration, Simulation};
 
 use super::{Report, VariantStats};
 
@@ -20,18 +20,8 @@ fn run_mode(seed: u64, n_instances: usize, mode: ReplicationMode) -> (f64, u64, 
     const CLIENTS_PER_INSTANCE: usize = 2;
     const POSTS_PER_CLIENT: usize = 4;
     let mut sim = Simulation::new(seed);
-    let instance_ids: Vec<NodeId> = (0..n_instances as u32).map(NodeId).collect();
-    for i in 0..n_instances {
-        let peers = instance_ids
-            .iter()
-            .copied()
-            .filter(|&p| p != instance_ids[i])
-            .collect();
-        sim.add_node(
-            FedNode::instance(peers, mode, ModerationPolicy::none()),
-            DeviceClass::DatacenterServer,
-        );
-    }
+    let instance_ids =
+        FedNode::federation(&mut sim, mode, vec![ModerationPolicy::none(); n_instances]);
     let mut clients = Vec::new();
     for &instance in &instance_ids {
         for _ in 0..CLIENTS_PER_INSTANCE {

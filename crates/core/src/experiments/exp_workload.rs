@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 
 use agora_comm::{CentralNode, FedNode, ModerationPolicy, PostLabel, ReadResult, ReplicationMode};
 use agora_crypto::{sha256, Hash256};
-use agora_dht::{Contact, DhtConfig, DhtNode, DhtResult};
+use agora_dht::{DhtNode, DhtResult};
 use agora_policy::{PolicyHandle, PolicyHub};
 use agora_sim::{
     DeviceClass, Metrics, NodeId, Protocol, Retrier, RetryPolicy, SimDuration, SimRng, SimTime,
@@ -272,14 +272,11 @@ struct FedFleet {
 impl FedFleet {
     fn build(sim: &mut Simulation<FedNode>) -> FedFleet {
         const GATEWAYS_PER_INSTANCE: usize = 2;
-        let instances: Vec<NodeId> = (0..FED_INSTANCES as u32).map(NodeId).collect();
-        for &me in &instances {
-            let peers: Vec<NodeId> = instances.iter().copied().filter(|&p| p != me).collect();
-            sim.add_node(
-                FedNode::instance(peers, ReplicationMode::SingleHome, ModerationPolicy::none()),
-                DeviceClass::DatacenterServer,
-            );
-        }
+        let instances = FedNode::federation(
+            sim,
+            ReplicationMode::SingleHome,
+            vec![ModerationPolicy::none(); FED_INSTANCES],
+        );
         let mut gateways = Vec::new();
         for &instance in &instances {
             for _ in 0..GATEWAYS_PER_INSTANCE {
@@ -361,7 +358,7 @@ fn run_federated(seed: u64, population: u64) -> ClassOutcome {
 // consistent hashing spreads the catalogue but cannot spread one hot key.
 // ---------------------------------------------------------------------------
 
-/// A Kademlia overlay of `n` consumer PCs bootstrapped off node 0, routing
+/// A Kademlia overlay of `n` consumer PCs ([`DhtNode::overlay`]), routing
 /// tables warmed by one lookup each. Node keys and warm-up targets derive
 /// from `tag`. Returns the node keys and ids, index-aligned.
 pub(crate) fn warm_overlay(
@@ -369,25 +366,7 @@ pub(crate) fn warm_overlay(
     tag: &str,
     n: usize,
 ) -> (Vec<Hash256>, Vec<NodeId>) {
-    let boot_key = sha256(format!("{tag}-dht-0").as_bytes());
-    let mut keys: Vec<Hash256> = Vec::new();
-    let mut ids: Vec<NodeId> = Vec::new();
-    for i in 0..n {
-        let key = sha256(format!("{tag}-dht-{i}").as_bytes());
-        let bootstrap = if i == 0 {
-            vec![]
-        } else {
-            vec![Contact {
-                key: boot_key,
-                addr: ids[0],
-            }]
-        };
-        keys.push(key);
-        ids.push(sim.add_node(
-            DhtNode::new(key, DhtConfig::default(), bootstrap),
-            DeviceClass::PersonalComputer,
-        ));
-    }
+    let (keys, ids) = DhtNode::overlay(sim, n, |i| sha256(format!("{tag}-dht-{i}").as_bytes()));
     for (i, &id) in ids.iter().enumerate() {
         let target = sha256(format!("{tag}-warm-{i}").as_bytes());
         sim.with_ctx(id, |n, ctx| n.start_find_node(ctx, target));

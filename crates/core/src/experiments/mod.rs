@@ -235,6 +235,7 @@ pub fn t2_storage_systems() -> Report {
 /// discount extension, and a sensitivity sweep.
 pub fn t3_feasibility() -> Report {
     use agora_feasibility::{render_table3, sensitivity_sweep, Assumptions};
+    use agora_sim::DeviceClass;
     let a = Assumptions::default();
     let mut body = render_table3(&a);
     let s = a.sufficiency();
@@ -242,11 +243,18 @@ pub fn t3_feasibility() -> Report {
         "\nSufficiency (user/cloud): bandwidth {:.1}x, cores {:.2}x, storage {:.2}x\n",
         s.bandwidth_tbps, s.cores_millions, s.storage_eb
     ));
-    let eff = a.effective_user_devices(0.45, 0.30);
+    // The duty cycles E8's churn runs on.
+    let pc = DeviceClass::PersonalComputer.profile().duty_cycle;
+    let mobile = DeviceClass::Smartphone.profile().duty_cycle;
+    let eff = a.effective_user_devices(pc, mobile);
     let cloud = a.cloud();
     body.push_str(&format!(
-        "With duty-cycle discounts (PC 45%, mobile 30%): {:.0} Tbps, {:.0} M cores, {:.0} EB\n",
-        eff.bandwidth_tbps, eff.cores_millions, eff.storage_eb
+        "With duty-cycle discounts (PC {:.0}%, mobile {:.0}%): {:.0} Tbps, {:.0} M cores, {:.0} EB\n",
+        pc * 100.0,
+        mobile * 100.0,
+        eff.bandwidth_tbps,
+        eff.cores_millions,
+        eff.storage_eb
     ));
     body.push_str(&format!(
         "  → cores fall below cloud ({:.0} M < {:.0} M): §5.2's quality-vs-quantity caveat\n",

@@ -10,9 +10,9 @@
 
 use agora_chain::{ChainNode, ChainParams, MinerConfig};
 use agora_crypto::{sha256, Hash256, SimKeyPair};
-use agora_dht::{Contact, DhtConfig, DhtNode, DhtResult};
+use agora_dht::{DhtNode, DhtResult};
 use agora_naming::{NameDb, NameOp, NamingRules, ZoneFile};
-use agora_sim::{DeviceClass, NodeId, SimDuration, Simulation};
+use agora_sim::{DeviceClass, SimDuration, Simulation};
 use agora_web::{SitePublisher, SwarmNode, VisitResult};
 
 /// Errors from the full-stack scenario.
@@ -93,21 +93,12 @@ pub fn demo_full_stack(seed: u64, name: &str) -> Result<FullStackOutcome, StackE
     };
     let premine = vec![(alice.public().id(), 10_000)];
     let mut chain_sim: Simulation<ChainNode> = Simulation::new(seed);
-    let mut chain_ids: Vec<NodeId> = Vec::new();
-    for i in 0..3 {
-        let miner = (i == 0).then(|| MinerConfig {
+    let chain_ids = ChainNode::mesh(&mut chain_sim, 3, "stack", &params, &premine, |i| {
+        (i == 0).then(|| MinerConfig {
             account: sha256(b"stack-miner"),
             hashrate: 256.0 / 10.0,
-        });
-        chain_ids.push(chain_sim.add_node(
-            ChainNode::new("stack", params.clone(), &premine, miner),
-            DeviceClass::DatacenterServer,
-        ));
-    }
-    for &id in &chain_ids {
-        let peers = chain_ids.clone();
-        chain_sim.node_mut(id).set_peers(peers);
-    }
+        })
+    });
     chain_sim.run_for(SimDuration::from_secs(30));
 
     let salt = seed;
@@ -135,23 +126,8 @@ pub fn demo_full_stack(seed: u64, name: &str) -> Result<FullStackOutcome, StackE
 
     // -- 4. zone file into the DHT ----------------------------------------------
     let mut dht_sim: Simulation<DhtNode> = Simulation::new(seed + 1);
-    let boot_key = sha256(b"dht-0");
-    let mut dht_ids = Vec::new();
-    for i in 0..12 {
-        let key = sha256(format!("dht-{i}").as_bytes());
-        let bootstrap = if i == 0 {
-            vec![]
-        } else {
-            vec![Contact {
-                key: boot_key,
-                addr: NodeId(0),
-            }]
-        };
-        dht_ids.push(dht_sim.add_node(
-            DhtNode::new(key, DhtConfig::default(), bootstrap),
-            DeviceClass::PersonalComputer,
-        ));
-    }
+    let (_, dht_ids) =
+        DhtNode::overlay(&mut dht_sim, 12, |i| sha256(format!("dht-{i}").as_bytes()));
     dht_sim.run_for(SimDuration::from_secs(30));
     let put_op = dht_sim
         .with_ctx(dht_ids[1], |n, ctx| {

@@ -9,7 +9,7 @@
 use std::rc::Rc;
 
 use agora_crypto::Hash256;
-use agora_sim::{Ctx, FastMap, NodeId, Protocol, SimDuration, SimTime};
+use agora_sim::{Ctx, DeviceClass, FastMap, NodeId, Protocol, SimDuration, SimTime, Simulation};
 
 use crate::routing::{Contact, Distance, RoutingTable};
 
@@ -237,6 +237,38 @@ impl DhtNode {
             next_op: 0,
             bootstrap,
         }
+    }
+
+    /// A Kademlia overlay of `n` consumer PCs with the default config,
+    /// node `i` keyed `key(i)`; every node after the first bootstraps off
+    /// the first. Returns the keys and ids, index-aligned; the ids start at
+    /// `sim`'s next id.
+    pub fn overlay(
+        sim: &mut Simulation<DhtNode>,
+        n: usize,
+        key: impl FnMut(usize) -> Hash256,
+    ) -> (Vec<Hash256>, Vec<NodeId>) {
+        let keys: Vec<Hash256> = (0..n).map(key).collect();
+        let first = NodeId(sim.node_count() as u32);
+        let ids = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &key)| {
+                let bootstrap = if i == 0 {
+                    vec![]
+                } else {
+                    vec![Contact {
+                        key: keys[0],
+                        addr: first,
+                    }]
+                };
+                sim.add_node(
+                    DhtNode::new(key, DhtConfig::default(), bootstrap),
+                    DeviceClass::PersonalComputer,
+                )
+            })
+            .collect();
+        (keys, ids)
     }
 
     /// This node's overlay key.
@@ -774,31 +806,32 @@ impl Protocol for DhtNode {
 mod tests {
     use super::*;
     use agora_crypto::sha256;
-    use agora_sim::{DeviceClass, SimDuration, Simulation};
 
     /// Build an n-node DHT where every node bootstraps off node 0.
     fn build(n: usize, seed: u64) -> (Simulation<DhtNode>, Vec<NodeId>, Vec<Hash256>) {
         let mut sim = Simulation::new(seed);
-        let mut ids = Vec::new();
-        let mut keys = Vec::new();
-        let boot_key = sha256(b"node-0");
-        for i in 0..n {
-            let key = sha256(format!("node-{i}").as_bytes());
-            let bootstrap = if i == 0 {
-                vec![]
-            } else {
-                vec![Contact {
-                    key: boot_key,
-                    addr: NodeId(0),
-                }]
-            };
-            let node = DhtNode::new(key, DhtConfig::default(), bootstrap);
-            ids.push(sim.add_node(node, DeviceClass::PersonalComputer));
-            keys.push(key);
-        }
+        let (keys, ids) = DhtNode::overlay(&mut sim, n, |i| sha256(format!("node-{i}").as_bytes()));
         // Let joins settle.
         sim.run_for(SimDuration::from_secs(30));
         (sim, ids, keys)
+    }
+
+    #[test]
+    fn overlay_bootstraps_off_its_own_first_node_on_a_sim_that_holds_nodes() {
+        let (mut sim, _, _) = build(3, 12);
+        let (keys, ids) = DhtNode::overlay(&mut sim, 4, |i| sha256(format!("late-{i}").as_bytes()));
+        assert_eq!(ids, [NodeId(3), NodeId(4), NodeId(5), NodeId(6)]);
+        for (&id, &key) in ids.iter().zip(&keys) {
+            assert_eq!(sim.node(id).key(), key);
+        }
+        assert!(sim.node(ids[0]).bootstrap.is_empty());
+        let boot = Contact {
+            key: keys[0],
+            addr: ids[0],
+        };
+        for &id in &ids[1..] {
+            assert_eq!(sim.node(id).bootstrap, [boot], "{id:?}");
+        }
     }
 
     #[test]

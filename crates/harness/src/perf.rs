@@ -221,7 +221,7 @@ fn median_rate(batches: usize, iters: u64, mut batch: impl FnMut(u64) -> Duratio
 /// wall seconds) for the day replay.
 fn e16_class_run() -> (u64, f64) {
     use agora_crypto::sha256;
-    use agora_dht::{Contact, DhtConfig, DhtNode};
+    use agora_dht::DhtNode;
     use agora_workload::{
         BoundedPareto, ChurnCurve, DemandModel, DiurnalCurve, FlashCrowd, LogNormalSessions,
         WorkloadDriver, WorkloadSpec, ZoneMix,
@@ -231,24 +231,9 @@ fn e16_class_run() -> (u64, f64) {
     const NODES: usize = 48;
     const KEYS: usize = 32;
     let mut sim: Simulation<DhtNode> = Simulation::new(29);
-    let boot_key = sha256(b"perf-e16-0");
-    let ids: Vec<NodeId> = (0..NODES)
-        .map(|i| {
-            let key = sha256(format!("perf-e16-{i}").as_bytes());
-            let bootstrap = if i == 0 {
-                vec![]
-            } else {
-                vec![Contact {
-                    key: boot_key,
-                    addr: NodeId(0),
-                }]
-            };
-            sim.add_node(
-                DhtNode::new(key, DhtConfig::default(), bootstrap),
-                DeviceClass::PersonalComputer,
-            )
-        })
-        .collect();
+    let (_, ids) = DhtNode::overlay(&mut sim, NODES, |i| {
+        sha256(format!("perf-e16-{i}").as_bytes())
+    });
     sim.set_loss_rate(0.02);
     // Warm routing tables, then publish the catalogue the day will fetch.
     for (i, &id) in ids.iter().enumerate() {

@@ -13,9 +13,9 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use agora_crypto::sha256;
-use agora_dht::{Contact, DhtConfig, DhtNode, DhtResult};
+use agora_dht::{DhtNode, DhtResult};
 use agora_sim::trace::{FlightRecorder, SpanAgg, TraceEvent, TraceKind};
-use agora_sim::{DeviceClass, Metrics, NodeId, SimDuration, Simulation};
+use agora_sim::{Metrics, NodeId, SimDuration, Simulation};
 
 use crate::json::Json;
 use crate::observe::{missing_field, read_header};
@@ -25,31 +25,16 @@ use crate::replay::Replay;
 pub const TRACE_SCHEMA: u32 = 2;
 
 /// The harness-local DHT provenance scenario: a 24-node Kademlia overlay
-/// (no matrix experiment exercises `agora-dht` directly) that performs
-/// warm-up lookups, several PUTs, a replica failure, and GETs — producing
+/// under 2 % loss, driven op by op rather than by a population day as in
+/// E16's DHT class and E18's discovery. It performs warm-up lookups,
+/// several PUTs, a replica failure, and GETs — producing
 /// `dht.lookup_secs` / `dht.lookup_hops` trace points with multi-hop causal
 /// chains, plus loss and receiver-down drop records. Deterministic in
 /// `seed`; returns the engine metrics like any registry experiment.
 pub fn dht_scenario(seed: u64) -> Metrics {
     const N: usize = 24;
     let mut sim: Simulation<DhtNode> = Simulation::new(seed);
-    let boot_key = sha256(b"trace-dht-0");
-    let mut ids = Vec::new();
-    for i in 0..N {
-        let key = sha256(format!("trace-dht-{i}").as_bytes());
-        let bootstrap = if i == 0 {
-            vec![]
-        } else {
-            vec![Contact {
-                key: boot_key,
-                addr: NodeId(0),
-            }]
-        };
-        ids.push(sim.add_node(
-            DhtNode::new(key, DhtConfig::default(), bootstrap),
-            DeviceClass::PersonalComputer,
-        ));
-    }
+    let (_, ids) = DhtNode::overlay(&mut sim, N, |i| sha256(format!("trace-dht-{i}").as_bytes()));
     sim.set_loss_rate(0.02);
 
     // Warm routing tables: every node locates its own neighbourhood.

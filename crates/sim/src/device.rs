@@ -2,10 +2,11 @@
 //!
 //! The paper's feasibility argument (and its §5.2 "quality vs quantity"
 //! discussion) rests on four coarse device classes: datacenter servers,
-//! personal computers, smartphones, and tablets. Each class here carries the
-//! resources §4 assumes (uplink bandwidth, spare cores, free storage) plus a
-//! quality model (availability duty cycle, session lengths, latency spread)
-//! used by the churn and link layers.
+//! personal computers, smartphones, and tablets. Each class here carries
+//! the link bandwidth §4 assumes plus a quality model (availability duty
+//! cycle, session lengths, latency spread) used by the churn and link
+//! layers. §4's per-device compute and storage (Table 3's spare cores, free
+//! storage, the ×8 PC core derate) live in `agora_feasibility::Assumptions`.
 
 use crate::time::SimDuration;
 
@@ -26,16 +27,10 @@ pub enum DeviceClass {
 /// Static resource and quality profile of a device class.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DeviceProfile {
-    /// Which class this profile belongs to.
-    pub class: DeviceClass,
     /// Upstream bandwidth in bits per second.
     pub uplink_bps: u64,
     /// Downstream bandwidth in bits per second.
     pub downlink_bps: u64,
-    /// Spare (unutilized) CPU cores, before any server-equivalence discount.
-    pub spare_cores: u32,
-    /// Free storage in bytes available to democratized services.
-    pub free_storage_bytes: u64,
     /// Long-run fraction of time the device is powered on and connected.
     pub duty_cycle: f64,
     /// Mean length of an online session (drives the churn process).
@@ -45,68 +40,50 @@ pub struct DeviceProfile {
     /// Latency jitter expressed as a log-normal sigma (0 = none). Consumer
     /// access links show heavy-tailed latency; datacenters do not.
     pub latency_sigma: f64,
-    /// Whether the battery model forbids sustained compute (phones/tablets).
-    pub battery_constrained: bool,
 }
 
 impl DeviceClass {
     /// The profile the paper's assumptions imply for this class.
     ///
-    /// Bandwidth and storage figures are exactly §4's ("1 Mbps upstream",
-    /// "100 GB free storage", "2 unutilized cores", ...). Quality figures
-    /// (duty cycle, session length, latency) are not given by the paper; we
-    /// choose values consistent with its characterization of user-device
-    /// infrastructure as intermittent and variable, and the sensitivity
-    /// experiments sweep them.
+    /// Upstream figures are exactly §4's ("1 Mbps upstream"). Quality
+    /// figures (duty cycle, session length, latency) are not given by the
+    /// paper; we choose fixed values consistent with its characterization
+    /// of user-device infrastructure as intermittent and variable. E8's
+    /// churn runs on the duty cycle and session length, and T3 discounts
+    /// PC and phone capacity by the same duty cycles.
     pub fn profile(self) -> DeviceProfile {
         match self {
             DeviceClass::DatacenterServer => DeviceProfile {
-                class: self,
                 uplink_bps: 10_000_000_000,
                 downlink_bps: 10_000_000_000,
-                spare_cores: 0, // cloud cores are the *productive* side
-                free_storage_bytes: 0,
                 duty_cycle: 0.9995, // EC2's advertised 99.95% region availability
                 mean_session: SimDuration::from_days(30),
                 base_latency: SimDuration::from_micros(500),
                 latency_sigma: 0.1,
-                battery_constrained: false,
             },
             DeviceClass::PersonalComputer => DeviceProfile {
-                class: self,
                 uplink_bps: 1_000_000, // §4: "slow broadband ... 1 Mbps upstream"
                 downlink_bps: 10_000_000,
-                spare_cores: 2,                      // §4
-                free_storage_bytes: 100_000_000_000, // §4: 100 GB
                 duty_cycle: 0.45,
                 mean_session: SimDuration::from_hours(5),
                 base_latency: SimDuration::from_millis(20),
                 latency_sigma: 0.5,
-                battery_constrained: false,
             },
             DeviceClass::Smartphone => DeviceProfile {
-                class: self,
                 uplink_bps: 1_000_000, // §4: "slow 3G ... 1 Mbps upstream"
                 downlink_bps: 4_000_000,
-                spare_cores: 1,        // §4 (but battery-excluded from compute)
-                free_storage_bytes: 0, // §4: "negligible free storage"
                 duty_cycle: 0.30,
                 mean_session: SimDuration::from_mins(30),
                 base_latency: SimDuration::from_millis(60),
                 latency_sigma: 0.8,
-                battery_constrained: true,
             },
             DeviceClass::Tablet => DeviceProfile {
-                class: self,
                 uplink_bps: 1_000_000,
                 downlink_bps: 4_000_000,
-                spare_cores: 1,                     // §4
-                free_storage_bytes: 10_000_000_000, // §4: 10 GB
                 duty_cycle: 0.25,
                 mean_session: SimDuration::from_hours(1),
                 base_latency: SimDuration::from_millis(40),
                 latency_sigma: 0.7,
-                battery_constrained: true,
             },
         }
     }
@@ -145,19 +122,6 @@ impl DeviceProfile {
         let up = self.mean_session.secs_f64();
         SimDuration::from_secs_f64(up * (1.0 - self.duty_cycle) / self.duty_cycle)
     }
-
-    /// Server-equivalent spare cores after the paper's §4 discounts: phones
-    /// and tablets contribute none (battery), PCs are derated 8× (weak CPUs
-    /// plus power management).
-    pub fn server_equivalent_cores(&self) -> f64 {
-        if self.battery_constrained {
-            return 0.0;
-        }
-        match self.class {
-            DeviceClass::DatacenterServer => self.spare_cores as f64,
-            _ => self.spare_cores as f64 / 8.0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -166,31 +130,14 @@ mod tests {
 
     #[test]
     fn paper_constants_encoded() {
-        let pc = DeviceClass::PersonalComputer.profile();
-        assert_eq!(pc.uplink_bps, 1_000_000);
-        assert_eq!(pc.spare_cores, 2);
-        assert_eq!(pc.free_storage_bytes, 100_000_000_000);
-
-        let phone = DeviceClass::Smartphone.profile();
-        assert_eq!(phone.uplink_bps, 1_000_000);
-        assert_eq!(phone.free_storage_bytes, 0);
-        assert!(phone.battery_constrained);
-
-        let tablet = DeviceClass::Tablet.profile();
-        assert_eq!(tablet.free_storage_bytes, 10_000_000_000);
-        assert_eq!(tablet.spare_cores, 1);
-    }
-
-    #[test]
-    fn server_equivalence_discounts() {
-        // §4: 4B PC cores / 8 = 500M server-equivalent; phones contribute 0.
-        let pc = DeviceClass::PersonalComputer.profile();
-        assert_eq!(pc.server_equivalent_cores(), 0.25);
-        assert_eq!(
-            DeviceClass::Smartphone.profile().server_equivalent_cores(),
-            0.0
-        );
-        assert_eq!(DeviceClass::Tablet.profile().server_equivalent_cores(), 0.0);
+        // §4: "1 Mbps upstream" for every consumer class.
+        for class in [
+            DeviceClass::PersonalComputer,
+            DeviceClass::Smartphone,
+            DeviceClass::Tablet,
+        ] {
+            assert_eq!(class.profile().uplink_bps, 1_000_000, "{class:?}");
+        }
     }
 
     #[test]

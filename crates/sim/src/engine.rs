@@ -471,11 +471,6 @@ impl<'a, M: Clone> Ctx<'a, M> {
     pub fn metrics(&mut self) -> &mut Metrics {
         self.metrics
     }
-
-    /// This node's device profile (protocols may adapt to their own class).
-    pub fn profile(&self) -> &DeviceProfile {
-        self.net.profile(self.id)
-    }
 }
 
 /// The simulation: a set of nodes each hosting one `P` instance, a network

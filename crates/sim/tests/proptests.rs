@@ -268,8 +268,5 @@ fn device_profiles_internally_consistent() {
         );
         assert!((0.0..=1.0).contains(&p.duty_cycle));
         assert!(p.mean_session.micros() > 0);
-        if p.battery_constrained {
-            assert_eq!(p.server_equivalent_cores(), 0.0, "{class:?}");
-        }
     }
 }

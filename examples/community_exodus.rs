@@ -68,24 +68,12 @@ fn act1_centralized() {
 fn act2_single_home() {
     println!("— Act II: OStatus-style federation —");
     let mut sim = Simulation::new(2);
-    let i0 = NodeId(0);
-    let i1 = NodeId(1);
-    sim.add_node(
-        FedNode::instance(
-            vec![i1],
-            ReplicationMode::SingleHome,
-            ModerationPolicy::spam_only(),
-        ),
-        DeviceClass::DatacenterServer,
+    let ids = FedNode::federation(
+        &mut sim,
+        ReplicationMode::SingleHome,
+        vec![ModerationPolicy::spam_only(); 2],
     );
-    sim.add_node(
-        FedNode::instance(
-            vec![i0],
-            ReplicationMode::SingleHome,
-            ModerationPolicy::spam_only(),
-        ),
-        DeviceClass::DatacenterServer,
-    );
+    let (i0, i1) = (ids[0], ids[1]);
     let home0: Vec<NodeId> = (0..4)
         .map(|_| sim.add_node(FedNode::client(i0), DeviceClass::PersonalComputer))
         .collect();
@@ -116,24 +104,12 @@ fn act2_single_home() {
 fn act3_replicated() {
     println!("— Act III: Matrix-style replication —");
     let mut sim = Simulation::new(3);
-    let i0 = NodeId(0);
-    let i1 = NodeId(1);
-    sim.add_node(
-        FedNode::instance(
-            vec![i1],
-            ReplicationMode::FullReplication,
-            ModerationPolicy::spam_only(),
-        ),
-        DeviceClass::DatacenterServer,
+    let ids = FedNode::federation(
+        &mut sim,
+        ReplicationMode::FullReplication,
+        vec![ModerationPolicy::spam_only(); 2],
     );
-    sim.add_node(
-        FedNode::instance(
-            vec![i0],
-            ReplicationMode::FullReplication,
-            ModerationPolicy::spam_only(),
-        ),
-        DeviceClass::DatacenterServer,
-    );
+    let (i0, i1) = (ids[0], ids[1]);
     let author = sim.add_node(FedNode::client(i0), DeviceClass::PersonalComputer);
     let remote = sim.add_node(FedNode::client(i1), DeviceClass::PersonalComputer);
     for &c in &[author, remote] {

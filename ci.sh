@@ -54,6 +54,18 @@ done
 cargo test -q -p agora-crypto backend_is_named -- --nocapture | grep '^sha256 backend: '
 cargo test -q -p agora-storage backend_is_named -- --nocapture | grep '^erasure backend: '
 
+step "panic-site ratchet: lines under crates/*/src naming unwrap(), expect(, panic! or unreachable! stay at or below the pin"
+# Tracked files, unit tests in src included. A change that removes sites
+# lowers PANIC_SITES to the new count; no change raises it.
+PANIC_SITES=500
+panic_sites=$(git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' | xargs cat -- |
+    grep -cE 'unwrap\(\)|expect\(|panic!|unreachable!' || true)
+echo "  $panic_sites lines, pinned at most $PANIC_SITES"
+[[ $panic_sites -le $PANIC_SITES ]] || {
+    echo "panic sites rose from $PANIC_SITES to $panic_sites"
+    exit 1
+}
+
 step "cargo test --release (crates whose arithmetic or unsafe code the SHA and GF(2^8) backends touch)"
 cargo test -q --release -p agora-crypto -p agora-chain -p agora-storage
 

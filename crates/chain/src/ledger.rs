@@ -143,13 +143,18 @@ impl ChainState {
         }
     }
 
-    fn apply_block(&mut self, block: &Block, params: &ChainParams) -> Result<(), TxError> {
+    /// Apply `block`, whose header hashes to `bh`.
+    fn apply_block(
+        &mut self,
+        block: &Block,
+        bh: Hash256,
+        params: &ChainParams,
+    ) -> Result<(), TxError> {
         for tx in &block.txs {
             self.validate_tx(tx, params)?;
             self.apply_tx(tx, &block.miner);
         }
         *self.balances.entry(block.miner).or_insert(0) += params.block_reward;
-        let bh = block.hash();
         for tx in &block.txs {
             self.tx_index.insert(tx.id(), (block.header.height, bh));
         }
@@ -337,6 +342,18 @@ impl Ledger {
     /// returned so callers can request the parent.
     pub fn submit_block(&mut self, block: Block) -> Result<Accepted, BlockError> {
         let hash = block.hash();
+        self.submit_hashed(block, hash)
+    }
+
+    /// [`Ledger::submit_block`] for a caller that has hashed the header
+    /// already: `hash` is `block.hash()`, and it is the header's only hash
+    /// here (the PoW test reads its leading zeros).
+    pub(crate) fn submit_hashed(
+        &mut self,
+        block: Block,
+        hash: Hash256,
+    ) -> Result<Accepted, BlockError> {
+        debug_assert_eq!(hash, block.hash());
         if self.blocks.contains_key(&hash) {
             return Err(BlockError::Duplicate);
         }
@@ -364,7 +381,7 @@ impl Ledger {
                 declared: block.header.difficulty_bits,
             });
         }
-        if !block.header.meets_difficulty() {
+        if hash.leading_zero_bits() < block.header.difficulty_bits {
             return Err(BlockError::BadPow);
         }
         if block.txs.len() > self.params.max_block_txs {
@@ -382,7 +399,7 @@ impl Ledger {
         };
         let mut new_state = branch_state;
         new_state
-            .apply_block(&block, &self.params)
+            .apply_block(&block, hash, &self.params)
             .map_err(BlockError::TxInvalid)?;
 
         let total_work = self.blocks[&block.header.prev].total_work + block.header.work();
@@ -453,7 +470,7 @@ impl Ledger {
         }
         for h in path {
             state
-                .apply_block(&self.blocks[&h].block, &self.params)
+                .apply_block(&self.blocks[&h].block, h, &self.params)
                 .expect("stored blocks were validated on acceptance");
         }
         state
@@ -647,6 +664,23 @@ mod tests {
             ledger.submit_block(b),
             Err(BlockError::WrongDifficulty { .. })
         ));
+    }
+
+    #[test]
+    fn a_header_short_of_its_declared_work_is_bad_pow() {
+        // The declared difficulty is the required one, only the nonce is
+        // wrong: the one check left is the header hash's leading zeros.
+        let (mut ledger, _alice) = test_ledger();
+        let mut rng = SimRng::new(8);
+        let tip = ledger.best_tip();
+        let bits = ledger.next_difficulty(&tip);
+        assert!(bits > 0);
+        let (mut b, _) = mine_block(tip, 1, sha256(b"m"), vec![], 1, bits, &mut rng);
+        while b.header.meets_difficulty() {
+            b.header.nonce = b.header.nonce.wrapping_add(1);
+        }
+        assert_eq!(ledger.submit_block(b), Err(BlockError::BadPow));
+        assert_eq!(ledger.best_tip(), tip);
     }
 
     #[test]

@@ -182,7 +182,7 @@ impl ChainNode {
             return;
         }
         let prev = block.header.prev;
-        match self.ledger.submit_block(block.clone()) {
+        match self.ledger.submit_hashed(block.clone(), hash) {
             Ok(accepted) => {
                 ctx.metrics().incr("chain.blocks_accepted", 1);
                 if let Accepted::Reorg { depth } = accepted {

@@ -172,6 +172,7 @@ pub fn t2_storage_systems() -> Report {
     use agora_storage::{
         por_respond, por_verify, profiles::table2_profiles, seal, sealed_commitment, AuditBook,
         BitswapLedger, Manifest, PosChallenge, PosResponse, ProofScheme, ResourceScore, SealParams,
+        Shard,
     };
 
     let mut body = agora_storage::render_table2();
@@ -189,7 +190,7 @@ pub fn t2_storage_systems() -> Report {
                     .unwrap_or(false)
             }
             ProofScheme::ProofOfRetrievability => {
-                let mut book = AuditBook::new(data.as_slice().into(), 4, &mut rng);
+                let mut book = AuditBook::new(Shard::new(data.as_slice()), 4, &mut rng);
                 std::iter::from_fn(|| book.pop())
                     .all(|a| por_verify(&a, &por_respond(a.nonce, &data)))
             }

@@ -6,6 +6,8 @@
 //! RS(1, m)). Encoding uses a systematic Vandermonde-derived matrix;
 //! reconstruction inverts the surviving rows with Gaussian elimination.
 
+use std::ops::Deref;
+
 /// GF(2^8) with the AES polynomial x^8 + x^4 + x^3 + x + 1 (0x11b).
 mod gf {
     /// Multiply without tables (carry-less, reduced mod 0x11b).
@@ -404,22 +406,26 @@ impl ReedSolomon {
     }
 
     /// Reconstruct the original data (of length `data_len`) from any `k`
-    /// shards, given as `(shard_index, bytes)` pairs.
-    pub fn reconstruct<S: AsRef<[u8]>>(
+    /// shards, given as `(shard_index, bytes)` pairs: slices, vectors, or
+    /// the shared handles a storage node holds (`Rc<Shard>`).
+    pub fn reconstruct<S: Deref<Target: AsRef<[u8]>>>(
         &self,
         shards: &[(usize, S)],
         data_len: usize,
     ) -> Result<Vec<u8>, ErasureError> {
+        fn bytes<S: Deref<Target: AsRef<[u8]>>>(s: &S) -> &[u8] {
+            (**s).as_ref()
+        }
         if shards.len() < self.k {
             return Err(ErasureError::NotEnoughShards);
         }
         let use_shards = &shards[..self.k];
-        let shard_len = use_shards[0].1.as_ref().len();
+        let shard_len = bytes(&use_shards[0].1).len();
         if shard_len == 0 {
             return Err(ErasureError::MalformedShards);
         }
         for (idx, s) in use_shards {
-            if *idx >= self.k + self.m || s.as_ref().len() != shard_len {
+            if *idx >= self.k + self.m || bytes(s).len() != shard_len {
                 return Err(ErasureError::MalformedShards);
             }
         }
@@ -431,7 +437,7 @@ impl ReedSolomon {
         let mut held = vec![false; self.k];
         for (i, s) in use_shards {
             if *i < self.k {
-                data[i * shard_len..][..shard_len].copy_from_slice(s.as_ref());
+                data[i * shard_len..][..shard_len].copy_from_slice(bytes(s));
                 held[*i] = true;
             }
         }
@@ -452,7 +458,7 @@ impl ReedSolomon {
                 }
                 for (&coef, (_, shard)) in inv[r].iter().zip(use_shards) {
                     if coef != 0 {
-                        gf::mul_acc(out, shard.as_ref(), coef);
+                        gf::mul_acc(out, bytes(shard), coef);
                     }
                 }
             }

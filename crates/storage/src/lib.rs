@@ -60,5 +60,5 @@ pub use node::{ProviderStrategy, StorageMsg, StorageNode, StorageResult};
 pub use profiles::{render_table2, table2_profiles, BlockchainUsage, Redundancy, StorageProfile};
 pub use proofs::{
     por_respond, por_verify, seal, sealed_commitment, unseal, Audit, AuditBook, PorepChallenge,
-    PosChallenge, PosResponse, SealParams, SpacetimeRecord,
+    PosChallenge, PosResponse, SealParams, Shard, SpacetimeRecord,
 };

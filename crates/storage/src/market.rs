@@ -31,7 +31,7 @@ use crate::contract::{ProofScheme, StorageContract};
 use crate::erasure::ReedSolomon;
 use crate::incentives::{EwmaReputation, TokenBank};
 use crate::node::StorageNode;
-use crate::proofs::{por_verify, AuditBook};
+use crate::proofs::{por_verify, AuditBook, Shard};
 
 /// What the market runs: how many objects, the code, the money, and the
 /// audit cadence.
@@ -287,7 +287,7 @@ impl StorageMarket {
                     .pick_provider(sim, &used, o + si)
                     .expect("k+m providers available");
                 used.push(pi);
-                let shard: Rc<[u8]> = Rc::from(shard);
+                let shard = Shard::new(shard);
                 sim.with_ctx(market.providers[pi], |n, ctx| {
                     n.provider_store(ctx, id, si as u32, Rc::clone(&shard));
                 });
@@ -304,7 +304,7 @@ impl StorageMarket {
     }
 
     /// Fresh slot state for a shard placed on provider `pi`.
-    fn new_slot(&mut self, pi: usize, object: Hash256, shard: &Rc<[u8]>) -> SlotState {
+    fn new_slot(&mut self, pi: usize, object: Hash256, shard: &Rc<Shard>) -> SlotState {
         let audits = AuditBook::new(Rc::clone(shard), self.spec.rounds() as usize, &mut self.rng);
         SlotState {
             provider: pi,
@@ -314,7 +314,7 @@ impl StorageMarket {
                 client: self.client_acct,
                 provider: self.accounts[pi],
                 object,
-                size_bytes: shard.len() as u64,
+                size_bytes: shard.data().len() as u64,
                 price_per_window: self.spec.price_per_window,
                 windows: self.spec.rounds() as u32,
                 collateral: self.spec.stake,
@@ -529,7 +529,7 @@ impl StorageMarket {
         // the bytes, in slot order (deterministic). A dead (slashed) slot
         // whose provider was merely down and has since revived still holds
         // the bytes — repair reads from whoever has data, contract or not.
-        let mut have: Vec<(usize, Rc<[u8]>)> = Vec::new();
+        let mut have: Vec<(usize, Rc<Shard>)> = Vec::new();
         for si in 0..self.objects[oi].slots.len() {
             let slot = &self.objects[oi].slots[si];
             let node = self.providers[slot.provider];
@@ -564,7 +564,7 @@ impl StorageMarket {
             }
             return;
         }
-        let read_bytes: u64 = have.iter().map(|(_, d)| d.len() as u64).sum();
+        let read_bytes: u64 = have.iter().map(|(_, d)| d.data().len() as u64).sum();
         let Ok(data) = self.rs.reconstruct(&have, data_len) else {
             return;
         };
@@ -576,7 +576,7 @@ impl StorageMarket {
             let Some(pi) = self.pick_provider(sim, &exclude, oi + si) else {
                 continue; // nowhere to place; retried at the next visit
             };
-            let shard: Rc<[u8]> = Rc::from(self.rs.encode_shard(&data, si));
+            let shard = Shard::new(self.rs.encode_shard(&data, si));
             if sim
                 .with_ctx(self.providers[pi], |n, ctx| {
                     n.provider_store(ctx, id, si as u32, Rc::clone(&shard));
@@ -586,7 +586,7 @@ impl StorageMarket {
                 continue;
             }
             let slot = self.new_slot(pi, id, &shard);
-            let up = shard.len() as u64;
+            let up = shard.data().len() as u64;
             self.objects[oi].slots[si] = slot;
             self.repairs += 1;
             self.repair_bytes += up;

@@ -13,7 +13,7 @@ use agora_crypto::{sha256, Hash256};
 use agora_sim::{Ctx, FastMap, NodeId, Protocol, SimDuration, SimTime};
 
 use crate::erasure::ReedSolomon;
-use crate::proofs::{por_respond, por_verify, Audit, AuditBook};
+use crate::proofs::{por_verify, Audit, AuditBook, Shard};
 
 /// Wire messages.
 #[derive(Clone, Debug)]
@@ -26,7 +26,7 @@ pub enum StorageMsg {
         index: u32,
         /// Shard bytes, shared so provider storage is a refcount bump, not
         /// a copy.
-        data: Rc<[u8]>,
+        data: Rc<Shard>,
     },
     /// Acknowledge a stored shard.
     AckPut {
@@ -51,7 +51,7 @@ pub enum StorageMsg {
         /// Shard index.
         index: u32,
         /// The bytes, if held (shared with the provider's store).
-        data: Option<Rc<[u8]>>,
+        data: Option<Rc<Shard>>,
     },
     /// Proof-of-retrievability challenge.
     AuditChallenge {
@@ -76,10 +76,12 @@ pub enum StorageMsg {
 impl StorageMsg {
     fn wire_size(&self) -> u64 {
         match self {
-            StorageMsg::PutShard { data, .. } => 40 + data.len() as u64,
+            StorageMsg::PutShard { data, .. } => 40 + data.data().len() as u64,
             StorageMsg::AckPut { .. } => 40,
             StorageMsg::GetShard { .. } => 48,
-            StorageMsg::ShardData { data, .. } => 16 + data.as_ref().map_or(0, |d| d.len() as u64),
+            StorageMsg::ShardData { data, .. } => {
+                16 + data.as_ref().map_or(0, |d| d.data().len() as u64)
+            }
             StorageMsg::AuditChallenge { .. } => 56,
             StorageMsg::AuditResponse { .. } => 48,
         }
@@ -142,7 +144,7 @@ enum OpState {
     },
     Get {
         object: Hash256,
-        collected: Vec<(usize, Rc<[u8]>)>,
+        collected: Vec<(usize, Rc<Shard>)>,
         deadline_ticks: u32,
         repair_index: Option<u32>,
         /// Op issue time for the `storage.get_secs` latency histogram.
@@ -170,7 +172,7 @@ pub struct ClientState {
 
 /// Provider-side state.
 pub struct ProviderState {
-    shards: FastMap<(Hash256, u32), Rc<[u8]>>,
+    shards: FastMap<(Hash256, u32), Rc<Shard>>,
     strategy: ProviderStrategy,
 }
 
@@ -236,7 +238,7 @@ impl StorageNode {
         ctx: &mut Ctx<'_, StorageMsg>,
         object: Hash256,
         index: u32,
-        data: Rc<[u8]>,
+        data: Rc<Shard>,
     ) -> bool {
         let Role::Provider(p) = &mut self.role else {
             panic!("provider_store on a client");
@@ -256,17 +258,14 @@ impl StorageNode {
     /// `None` = shard not held).
     pub fn provider_digest(&self, object: &Hash256, index: u32, nonce: u64) -> Option<Hash256> {
         match &self.role {
-            Role::Provider(p) => p
-                .shards
-                .get(&(*object, index))
-                .map(|d| por_respond(nonce, d)),
+            Role::Provider(p) => p.shards.get(&(*object, index)).map(|d| d.por(nonce)),
             Role::Client(_) => None,
         }
     }
 
     /// Borrow a held shard (providers only) — the market repair actor's
     /// read path.
-    pub fn provider_shard(&self, object: &Hash256, index: u32) -> Option<Rc<[u8]>> {
+    pub fn provider_shard(&self, object: &Hash256, index: u32) -> Option<Rc<Shard>> {
         match &self.role {
             Role::Provider(p) => p.shards.get(&(*object, index)).cloned(),
             Role::Client(_) => None,
@@ -305,9 +304,9 @@ impl StorageNode {
         let mut places = Vec::new();
         for (i, shard) in shards.into_iter().enumerate() {
             let provider = order[i % order.len()];
-            let shard: Rc<[u8]> = Rc::from(shard);
+            let shard = Shard::new(shard);
             let audits = AuditBook::new(Rc::clone(&shard), AUDITS_PER_SHARD, ctx.rng());
-            let shard_len = shard.len() as u64;
+            let shard_len = shard.data().len() as u64;
             let msg = StorageMsg::PutShard {
                 object,
                 index: i as u32,
@@ -527,7 +526,7 @@ impl StorageNode {
                     Some(index) => {
                         // Regenerate the lost shard and place it on a fresh
                         // provider.
-                        let shard: Rc<[u8]> = Rc::from(rec.rs.encode_shard(&data, index as usize));
+                        let shard = Shard::new(rec.rs.encode_shard(&data, index as usize));
                         let rec = c.objects.get_mut(&object).expect("record");
                         let used: Vec<NodeId> = rec
                             .shards
@@ -609,7 +608,7 @@ impl Protocol for StorageNode {
                 let data = p.shards.get(&(object, index)).cloned();
                 if let Some(d) = &data {
                     ctx.metrics()
-                        .incr("storage.shard_bytes_served", d.len() as u64);
+                        .incr("storage.shard_bytes_served", d.data().len() as u64);
                 }
                 let reply = StorageMsg::ShardData { req, index, data };
                 let size = reply.wire_size();
@@ -624,10 +623,7 @@ impl Protocol for StorageNode {
                     req,
                 },
             ) => {
-                let digest = p
-                    .shards
-                    .get(&(object, index))
-                    .map(|d| por_respond(nonce, d));
+                let digest = p.shards.get(&(object, index)).map(|d| d.por(nonce));
                 let reply = StorageMsg::AuditResponse { req, digest };
                 let size = reply.wire_size();
                 ctx.send(from, reply, size);
@@ -685,7 +681,7 @@ impl Protocol for StorageNode {
                         let rec = c.objects.get(object).expect("record exists");
                         let index = index as usize;
                         if index >= rec.rs.total_shards()
-                            || d.len() != rec.rs.shard_len(rec.data_len)
+                            || d.data().len() != rec.rs.shard_len(rec.data_len)
                         {
                             ctx.metrics().incr("storage.bad_shards", 1);
                             return;
@@ -946,7 +942,7 @@ mod tests {
             let reply = StorageMsg::ShardData {
                 req: get_op,
                 index,
-                data: Some(Rc::from(vec![0x66u8; len])),
+                data: Some(Shard::new(vec![0x66u8; len])),
             };
             sim.with_ctx(client, |n, ctx| n.on_message(ctx, providers[0], reply))
                 .unwrap();
@@ -1001,6 +997,113 @@ mod tests {
         assert_eq!(sim.metrics().counter("storage.shards_lost_detected"), 0);
         assert_eq!(sim.metrics().counter("storage.repairs_started"), 0);
         assert_eq!(sim.node(client).live_shards(&object), 6);
+    }
+
+    /// Put one object RS(4, 2) on eight honest providers, repair off, and
+    /// run until it is acked, short of the first audit round (30 s).
+    fn placed(seed: u64) -> (Simulation<StorageNode>, NodeId, Vec<NodeId>, Hash256) {
+        let (mut sim, client, providers) = build(8, |_| ProviderStrategy::Honest, seed);
+        sim.node_mut(client).set_repair(false);
+        let data: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
+        sim.with_ctx(client, |n, ctx| n.start_put(ctx, &data, 4, 2));
+        sim.run_for(SimDuration::from_secs(20));
+        let object = sha256(&data);
+        assert_eq!(sim.node(client).live_shards(&object), 6);
+        (sim, client, providers, object)
+    }
+
+    /// Replace every shard of `object` a provider holds with a new `Shard`
+    /// of its bytes after `edit`: a distinct allocation either way.
+    fn restore(
+        sim: &mut Simulation<StorageNode>,
+        providers: &[NodeId],
+        object: Hash256,
+        edit: impl Fn(&mut Vec<u8>),
+    ) {
+        let mut restored = 0;
+        for &p in providers {
+            for index in 0..6 {
+                let Some(held) = sim.node(p).provider_shard(&object, index) else {
+                    continue;
+                };
+                let mut bytes = held.data().to_vec();
+                edit(&mut bytes);
+                let copy = Shard::new(bytes);
+                assert!(!Rc::ptr_eq(&copy, &held));
+                sim.with_ctx(p, |n, ctx| n.provider_store(ctx, object, index, copy));
+                restored += 1;
+            }
+        }
+        assert_eq!(restored, 6);
+    }
+
+    #[test]
+    fn the_challenged_provider_answering_under_another_nonce_fails() {
+        // The right shard's digest, from the provider that was challenged,
+        // but under a nonce other than the one revealed: a replayed or
+        // precomputed answer, not a proof of holding the bytes now.
+        let (mut sim, client, _, object) = placed(10);
+        sim.run_for(SimDuration::from_secs(9));
+        while sim.metrics().counter("storage.audits_sent") == 0 {
+            sim.run_for(SimDuration::from_millis(1));
+        }
+        let open: Vec<(u64, u32, NodeId, u64)> = match &sim.node(client).role {
+            Role::Client(c) => c
+                .ops
+                .iter()
+                .filter_map(|(&req, op)| match op {
+                    OpState::AuditWait {
+                        index,
+                        provider,
+                        expected,
+                        ..
+                    } => Some((req, *index, *provider, expected.nonce)),
+                    _ => None,
+                })
+                .collect(),
+            Role::Provider(_) => Vec::new(),
+        };
+        assert_eq!(open.len(), 1);
+        for (req, index, provider, nonce) in open {
+            let held = sim.node(provider).provider_shard(&object, index);
+            let digest = held.map(|shard| shard.por(nonce.wrapping_add(1)));
+            assert!(digest.is_some());
+            let reply = StorageMsg::AuditResponse { req, digest };
+            sim.with_ctx(client, |n, ctx| n.on_message(ctx, provider, reply));
+        }
+        assert_eq!(sim.metrics().counter("storage.audit_fail"), 1);
+        assert_eq!(sim.metrics().counter("storage.shards_lost_detected"), 1);
+        assert_eq!(sim.node(client).live_shards(&object), 5);
+        // The provider's own answer arrives after the verdict and is dropped.
+        sim.run_for(SimDuration::from_secs(5));
+        assert_eq!(sim.metrics().counter("storage.audit_pass"), 0);
+    }
+
+    #[test]
+    fn an_equal_copy_of_the_shard_passes() {
+        // Byte-equal, but not the allocation the owner hashed: the provider
+        // hashes its own copy and the answer still matches.
+        let (mut sim, client, providers, object) = placed(11);
+        restore(&mut sim, &providers, object, |_| {});
+        sim.run_for(SimDuration::from_mins(5));
+        let sent = sim.metrics().counter("storage.audits_sent");
+        assert!(sent >= 9, "{sent} audits");
+        assert_eq!(sim.metrics().counter("storage.audit_pass"), sent);
+        assert_eq!(sim.metrics().counter("storage.audit_fail"), 0);
+        assert_eq!(sim.node(client).live_shards(&object), 6);
+    }
+
+    #[test]
+    fn different_bytes_of_the_same_length_fail() {
+        // One byte off in every held shard: each audit round fails the
+        // shard it picks, whatever the owner's memo holds.
+        let (mut sim, client, providers, object) = placed(12);
+        restore(&mut sim, &providers, object, |bytes| bytes[0] ^= 1);
+        sim.run_for(SimDuration::from_secs(25));
+        assert_eq!(sim.metrics().counter("storage.audits_sent"), 1);
+        assert_eq!(sim.metrics().counter("storage.audit_fail"), 1);
+        assert_eq!(sim.metrics().counter("storage.audit_pass"), 0);
+        assert_eq!(sim.node(client).live_shards(&object), 5);
     }
 
     #[test]

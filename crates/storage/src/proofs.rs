@@ -12,7 +12,7 @@
 //!   fresh nonce and expects the matching digest. Constant-size responses,
 //!   but only the owner (who holds the pairs) can verify, and audits are
 //!   finite. The simulator evaluates a pair when it is first read, from the
-//!   immutable buffer the owner encoded ([`AuditBook`]).
+//!   immutable buffer the owner encoded ([`AuditBook`], [`Shard`]).
 //! * **Proof-of-replication** (Filecoin-style): each replica is *sealed* by
 //!   a deliberately slow, replica-id-keyed sequential transform; challenges
 //!   sample sealed chunks against the sealed commitment under a response
@@ -23,6 +23,7 @@
 //! * **Proof-of-spacetime**: proof-of-replication repeated over scheduled
 //!   windows, demonstrating continuous storage over an interval.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use agora_crypto::{sha256_concat, Hash256, MerkleProof};
@@ -123,24 +124,74 @@ pub fn por_respond(nonce: u64, data: &[u8]) -> Hash256 {
     sha256_concat(&[b"por", &nonce.to_be_bytes(), data])
 }
 
+/// A placed shard as its owner and its provider hold it: immutable bytes
+/// plus a memo of the last [`por_respond`] digest taken over them. The memo
+/// only ever comes from hashing this shard's own bytes under the nonce it is
+/// stored with (no constructor or setter takes a digest, and nothing hands
+/// out `&mut` to the bytes), so it answers only a second call with the same
+/// nonce on the same allocation; any other bytes are another `Shard`, hashed
+/// afresh.
+#[derive(Debug)]
+pub struct Shard {
+    data: Box<[u8]>,
+    por: Cell<Option<(u64, Hash256)>>,
+}
+
+impl Shard {
+    /// A shard holding `bytes`, not yet hashed.
+    pub fn new(bytes: impl Into<Box<[u8]>>) -> Rc<Shard> {
+        Rc::new(Shard {
+            data: bytes.into(),
+            por: Cell::new(None),
+        })
+    }
+
+    /// The bytes.
+    pub fn data(&self) -> &[u8] {
+        &self.data
+    }
+
+    /// [`por_respond`]`(nonce, data)`, hashed unless the last call on this
+    /// shard asked for the same nonce.
+    pub fn por(&self, nonce: u64) -> Hash256 {
+        match self.por.get() {
+            Some((last, digest)) if last == nonce => digest,
+            _ => {
+                let digest = por_respond(nonce, &self.data);
+                self.por.set(Some((nonce, digest)));
+                digest
+            }
+        }
+    }
+}
+
+impl AsRef<[u8]> for Shard {
+    fn as_ref(&self) -> &[u8] {
+        &self.data
+    }
+}
+
 /// The audit pairs an owner holds for one placed shard: `n` nonces drawn at
 /// placement, each pair's digest computed when the audit is issued — most of
 /// a book is never read, and an unread pair costs one `u64`.
 ///
-/// The digest comes from the owner's own encoding of the shard, which
-/// nothing can reach through the book: there is no constructor that takes a
-/// digest and no accessor for the bytes, so what a provider's answer is
-/// compared with is always a hash this side computed itself. Not `Clone`: a
-/// second copy would issue the same nonces again.
+/// The digest comes from the owner's own handle on the shard it encoded,
+/// which nothing can reach through the book: there is no constructor that
+/// takes a digest and no accessor for the bytes, so what a provider's answer
+/// is compared with is always a hash of those bytes. [`Shard::por`] keeps
+/// it, so a provider answering from that same allocation reads it back
+/// instead of hashing again; a provider holding any other allocation — other
+/// bytes, a truncated copy, even an equal copy — hashes its own. Not
+/// `Clone`: a second copy would issue the same nonces again.
 pub struct AuditBook {
-    shard: Rc<[u8]>,
+    shard: Rc<Shard>,
     nonces: Vec<u64>,
 }
 
 impl AuditBook {
     /// A book of `n` audits over `shard`: `n` draws of `next_u64`, no
     /// hashing.
-    pub fn new(shard: Rc<[u8]>, n: usize, rng: &mut SimRng) -> AuditBook {
+    pub fn new(shard: Rc<Shard>, n: usize, rng: &mut SimRng) -> AuditBook {
         AuditBook {
             shard,
             nonces: (0..n).map(|_| rng.next_u64()).collect(),
@@ -153,7 +204,7 @@ impl AuditBook {
         let nonce = self.nonces.pop()?;
         Some(Audit {
             nonce,
-            expected: por_respond(nonce, &self.shard),
+            expected: self.shard.por(nonce),
         })
     }
 }
@@ -357,7 +408,7 @@ mod tests {
     fn por_audits_work_once_each() {
         let mut rng = SimRng::new(1);
         let data = vec![5u8; 10_000];
-        let mut book = AuditBook::new(Rc::from(&data[..]), 10, &mut rng);
+        let mut book = AuditBook::new(Shard::new(&data[..]), 10, &mut rng);
         let audits: Vec<Audit> = std::iter::from_fn(|| book.pop()).collect();
         assert_eq!(audits.len(), 10);
         assert_eq!(book.pop(), None, "a spent book stays spent");
@@ -382,7 +433,7 @@ mod tests {
             for n in [0, 1, 3, 64] {
                 let mut rng = SimRng::new(17 + len as u64);
                 let mut reference = rng.clone();
-                let mut book = AuditBook::new(Rc::from(&data[..len]), n, &mut rng);
+                let mut book = AuditBook::new(Shard::new(&data[..len]), n, &mut rng);
                 let mut expect: Vec<Audit> = (0..n)
                     .map(|_| {
                         let nonce = reference.next_u64();
@@ -397,6 +448,42 @@ mod tests {
                 assert_eq!(popped, expect, "n {n} len {len}");
                 assert_eq!(rng.next_u64(), reference.next_u64(), "n {n} len {len}");
             }
+        }
+    }
+
+    #[test]
+    fn shard_por_is_por_respond_across_a_nonce_sequence() {
+        // A, B, A: the memo holds one nonce, so the third call hashes again
+        // and must not hand back B's digest, nor the first call's stale one.
+        let data: Vec<u8> = (0..5_000u32).map(|i| (i % 239) as u8).collect();
+        let shard = Shard::new(data.as_slice());
+        for nonce in [7, 8, 7, 7, 8] {
+            assert_eq!(shard.por(nonce), por_respond(nonce, &data), "nonce {nonce}");
+        }
+        assert_eq!(shard.data(), &data[..]);
+    }
+
+    #[test]
+    fn equal_shards_in_two_allocations_agree() {
+        let data = vec![0x5au8; 3_000];
+        let (a, b) = (Shard::new(data.as_slice()), Shard::new(data.clone()));
+        assert_eq!(a.por(11), por_respond(11, &data));
+        assert_eq!(b.por(11), a.por(11));
+        assert_eq!(b.por(12), por_respond(12, &data));
+    }
+
+    #[test]
+    fn one_shards_memo_never_answers_for_another() {
+        // Same length, one byte apart: each shard's digest is its own bytes'
+        // whichever was hashed first under the nonce.
+        let honest = vec![3u8; 2_000];
+        let mut forged = honest.clone();
+        forged[1_999] ^= 1;
+        let (a, b) = (Shard::new(honest.as_slice()), Shard::new(forged.as_slice()));
+        for nonce in [40, 41, 40] {
+            assert_eq!(a.por(nonce), por_respond(nonce, &honest), "nonce {nonce}");
+            assert_eq!(b.por(nonce), por_respond(nonce, &forged), "nonce {nonce}");
+            assert_ne!(a.por(nonce), b.por(nonce), "nonce {nonce}");
         }
     }
 

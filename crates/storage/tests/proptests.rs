@@ -7,7 +7,7 @@ use agora_crypto::sha256;
 use agora_sim::SimRng;
 use agora_storage::{
     por_respond, por_verify, seal, unseal, Audit, AuditBook, Chunk, Manifest, MarketSpec,
-    ProofScheme, ReedSolomon, SpacetimeRecord, StorageContract, TokenBank,
+    ProofScheme, ReedSolomon, Shard, SpacetimeRecord, StorageContract, TokenBank,
 };
 
 const CASES: u64 = 256;
@@ -161,7 +161,7 @@ fn por_binds_exact_data() {
     for case in 0..CASES {
         let data = bytes(&mut cases, 1, 2000);
         let mut rng = SimRng::new(cases.next_u64());
-        let mut book = AuditBook::new(data.as_slice().into(), 3, &mut rng);
+        let mut book = AuditBook::new(Shard::new(data.as_slice()), 3, &mut rng);
         let audits: Vec<Audit> = std::iter::from_fn(|| book.pop()).collect();
         assert_eq!(audits.len(), 3);
         for a in &audits {
@@ -186,7 +186,7 @@ fn audit_book_matches_one_at_a_time() {
         let data = bytes(&mut cases, 0, 2000);
         let (n, seed) = (cases.below_usize(70), cases.next_u64());
         let (mut rng, mut reference) = (SimRng::new(seed), SimRng::new(seed));
-        let mut book = AuditBook::new(data.as_slice().into(), n, &mut rng);
+        let mut book = AuditBook::new(Shard::new(data.as_slice()), n, &mut rng);
         let mut nonces: Vec<u64> = (0..n).map(|_| reference.next_u64()).collect();
         assert_eq!(rng.next_u64(), reference.next_u64(), "case {case}");
         while let Some(a) = book.pop() {

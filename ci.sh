@@ -57,7 +57,7 @@ cargo test -q -p agora-storage backend_is_named -- --nocapture | grep '^erasure 
 step "panic-site ratchet: lines under crates/*/src naming unwrap(), expect(, panic! or unreachable! stay at or below the pin"
 # Tracked files, unit tests in src included. A change that removes sites
 # lowers PANIC_SITES to the new count; no change raises it.
-PANIC_SITES=500
+PANIC_SITES=499
 panic_sites=$(git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' | xargs cat -- |
     grep -cE 'unwrap\(\)|expect\(|panic!|unreachable!' || true)
 echo "  $panic_sites lines, pinned at most $PANIC_SITES"
@@ -143,6 +143,9 @@ STAYS_DELETED=(
     # One builder per fleet shape: a federation, chain mesh or Kademlia
     # overlay is stood up by its protocol crate, never by a hand loop.
     "§4 crates/core,crates/harness,examples - FedNode::instanc[e]\(|ChainNode::ne[w]\(|DhtNode::ne[w]\("
+    # A day keeps no per-request sample nobody reads, and its op histogram
+    # reaches P² by reference, not through a copy.
+    "§10 crates,tests,examples - sample\(\"(workload\.session_sec[s]|dht\.lookup_hop[s]|storage\.put_sec[s]|chain\.reorg_dept[h])\"|samples\(\)\.to_ve[c]\(\)"
 )
 step "retired names stay deleted: one grep per row"
 for row in "${STAYS_DELETED[@]}"; do

@@ -185,9 +185,8 @@ impl ChainNode {
         match self.ledger.submit_hashed(block.clone(), hash) {
             Ok(accepted) => {
                 ctx.metrics().incr("chain.blocks_accepted", 1);
-                if let Accepted::Reorg { depth } = accepted {
+                if matches!(accepted, Accepted::Reorg { .. }) {
                     ctx.metrics().incr("chain.reorgs", 1);
-                    ctx.metrics().sample("chain.reorg_depth", depth as f64);
                 }
                 // Drop included txs from the mempool.
                 for tx in &block.txs {

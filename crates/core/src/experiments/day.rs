@@ -148,11 +148,8 @@ fn quantiles<I: IntoIterator<Item = f64>>(samples: I) -> (f64, f64, f64) {
 
 /// Quantiles straight from a recorded substrate histogram.
 fn histogram_quantiles(m: &Metrics, key: &str) -> (f64, f64, f64) {
-    quantiles(
-        m.histogram(key)
-            .map(|h| h.samples().to_vec())
-            .unwrap_or_default(),
-    )
+    let samples = m.histogram(key).map_or(&[][..], |h| h.samples());
+    quantiles(samples.iter().copied())
 }
 
 /// What a substrate did with one demand.

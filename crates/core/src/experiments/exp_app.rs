@@ -79,7 +79,7 @@ const DEPLOYMENTS: [(&str, &str); 4] = [
 /// (centralized, datacenter) hosting contract `C`, and gateway endpoints
 /// that rotate as writers at [`OPS_PER_TICK`] and issue the population's
 /// reads. `make_op` builds the deterministic op for (tick, slot, now).
-struct AppFleet<C: Contract> {
+pub(super) struct AppFleet<C: Contract> {
     authority: NodeId,
     auth_class: DeviceClass,
     /// The replica swarm; empty in centralized mode.
@@ -97,7 +97,7 @@ struct AppFleet<C: Contract> {
 }
 
 impl<C: Contract> AppFleet<C> {
-    fn build(
+    pub(super) fn build(
         sim: &mut Sim<Self>,
         identity: &[u8],
         centralized: bool,

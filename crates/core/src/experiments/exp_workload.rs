@@ -994,7 +994,10 @@ pub fn e16_report(variants: &[VariantStats]) -> Report {
 
 #[cfg(test)]
 mod tests {
+    use agora_app::{GuestEntry, Guestbook};
+
     use super::*;
+    use crate::experiments::exp_app::AppFleet;
 
     #[test]
     fn e16_point_is_sane_and_separates_classes() {
@@ -1031,6 +1034,34 @@ mod tests {
         // layer's O(cohorts) claim, visible as comparable availability
         // denominators rather than 100x the ops).
         assert!(large.requests > small.requests * 50);
+    }
+
+    /// A day keeps one per-request sample list, the op histogram its
+    /// quantiles read: every substrate's sim ends the day holding exactly
+    /// that histogram.
+    #[test]
+    fn a_day_keeps_only_its_op_histogram() {
+        fn day<S: ServingSubstrate>(spec: &WorkloadSpec, build: impl FnOnce(&mut Sim<S>) -> S) {
+            let mut sim = Simulation::new(3);
+            let mut fleet = build(&mut sim);
+            run_day(&mut sim, &mut fleet, spec, 3);
+            let keys: Vec<&str> = sim.metrics().histogram_keys().collect();
+            assert_eq!(keys, [S::OP_HIST], "{}", std::any::type_name::<S>());
+        }
+        let spec = e16_spec_cohorts(2_000, COHORTS);
+        day(&spec, CentralFleet::build);
+        day(&spec, FedFleet::build);
+        day(&spec, |sim| DhtFleet::build(sim, &spec, 3, DhtPolicy::Off));
+        day(&spec, |sim| StorageFleet::build(sim, &spec, 3, false));
+        day(&spec, |sim| SwarmFleet::build(sim, false));
+        // E18's contract mode: the replicas' staleness histogram.
+        day(&spec, |sim| {
+            AppFleet::<Guestbook>::build(sim, b"e18", false, SimDuration::ZERO, |k, j, _| {
+                GuestEntry {
+                    body: format!("{k}-{j}").into_bytes(),
+                }
+            })
+        });
     }
 
     #[test]

@@ -329,7 +329,6 @@ impl DhtNode {
                 ctx.metrics().incr("dht.cache_hit", 1);
                 ctx.metrics().incr("dht.get_found", 1);
                 ctx.metrics().sample("dht.lookup_secs", 0.0);
-                ctx.metrics().sample("dht.lookup_hops", 0.0);
                 ctx.trace_point("dht.cache_hit", 1.0);
                 ctx.probe_signal("dht.lookup_secs", 0.0);
                 ctx.probe_signal("dht.lookup_hops", 0.0);
@@ -538,7 +537,6 @@ impl DhtNode {
         };
         let elapsed = ctx.now().since(lk.started).secs_f64();
         ctx.metrics().sample("dht.lookup_secs", elapsed);
-        ctx.metrics().sample("dht.lookup_hops", lk.hops as f64);
         ctx.trace_point("dht.lookup_secs", elapsed);
         ctx.trace_point("dht.lookup_hops", lk.hops as f64);
         ctx.probe_signal("dht.lookup_secs", elapsed);
@@ -556,6 +554,7 @@ impl DhtNode {
         closer: Vec<Contact>,
         value: Option<Rc<[u8]>>,
     ) {
+        let my_key = self.key;
         let Some(lk) = self.lookups.get_mut(&op) else {
             return;
         };
@@ -582,7 +581,6 @@ impl DhtNode {
                 ctx.metrics().incr("dht.get_found", 1);
                 let elapsed = ctx.now().since(started).secs_f64();
                 ctx.metrics().sample("dht.lookup_secs", elapsed);
-                ctx.metrics().sample("dht.lookup_hops", hops as f64);
                 ctx.trace_point("dht.lookup_secs", elapsed);
                 ctx.trace_point("dht.lookup_hops", hops as f64);
                 ctx.probe_signal("dht.lookup_secs", elapsed);
@@ -592,8 +590,6 @@ impl DhtNode {
             }
         }
         // Merge new contacts.
-        let my_key = self.key;
-        let lk = self.lookups.get_mut(&op).expect("still present");
         for c in closer {
             if c.key != my_key {
                 lk.learn(c);
@@ -1118,7 +1114,8 @@ mod tests {
             .unwrap();
         sim.run_for(SimDuration::from_secs(20));
         assert!(sim.node_mut(ids[9]).take_result(op).is_some());
-        assert!(sim.metrics().histogram("dht.lookup_hops").is_some());
+        assert!(sim.metrics().histogram("dht.lookup_secs").is_some());
+        assert!(sim.metrics().histogram("dht.lookup_hops").is_none());
         assert!(sim.metrics().counter("dht.rpc_sent") > 0);
     }
 

@@ -411,7 +411,9 @@ impl Metrics {
         self.gauges.get(key).copied().unwrap_or(0.0)
     }
 
-    /// Record a sample into a named histogram.
+    /// Record a sample into a named histogram. The histogram keeps every
+    /// sample it is given, so its memory grows with the run: sample only
+    /// what something reads.
     pub fn sample(&mut self, key: &str, v: f64) {
         // One walk for a known histogram; the key is only allocated the
         // first time it is seen.

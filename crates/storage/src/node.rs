@@ -138,9 +138,6 @@ enum OpState {
     Put {
         object: Hash256,
         deadline_ticks: u32,
-        /// Op issue time, so completion records true event-time latency
-        /// (the `storage.put_secs` histogram) rather than poll granularity.
-        started: SimTime,
     },
     Get {
         object: Hash256,
@@ -340,7 +337,6 @@ impl StorageNode {
             OpState::Put {
                 object,
                 deadline_ticks: MAX_OP_TICKS,
-                started: ctx.now(),
             },
         );
         ctx.set_timer(OP_TICK, op);
@@ -646,22 +642,18 @@ impl Protocol for StorageNode {
                 p.acked = true;
                 // Complete any pending Put op once all acks are in.
                 if rec.shards.iter().all(|s| s.acked) {
-                    let done: Vec<(u64, SimTime)> = c
+                    let done: Vec<u64> = c
                         .ops
                         .iter()
                         .filter_map(|(op, st)| match st {
-                            OpState::Put {
-                                object: o, started, ..
-                            } if *o == object => Some((*op, *started)),
+                            OpState::Put { object: o, .. } if *o == object => Some(*op),
                             _ => None,
                         })
                         .collect();
                     let n = rec.shards.len() as u32;
-                    for (op, started) in done {
+                    for op in done {
                         c.ops.remove(&op);
                         ctx.metrics().incr("storage.put_ok", 1);
-                        let took = ctx.now().since(started).secs_f64();
-                        ctx.metrics().sample("storage.put_secs", took);
                         c.results
                             .insert(op, StorageResult::Stored { object, shards: n });
                     }

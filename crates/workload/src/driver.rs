@@ -89,7 +89,8 @@ pub struct Demand {
     pub bytes: u64,
     /// How many real requests this representative stands for.
     pub weight: f64,
-    /// Session length of the requesting user.
+    /// Session length of the requesting user. Only a test reads it; its
+    /// draw stays because removing it would shift the schedule's RNG stream.
     pub session: SimDuration,
 }
 
@@ -607,7 +608,6 @@ impl<I: Iterator<Item = WorkloadEvent>> WorkloadDriver<I> {
             }
             WorkloadAction::Demand(d) => {
                 m.incr_handle(hot.reps, 1);
-                m.sample("workload.session_secs", d.session.secs_f64());
                 sim.trace_note("workload.demand", d.rank as f64);
                 issue(sim, d);
             }
